@@ -6,9 +6,10 @@
 //!    fresh allocation set per image (`Engine::run` on `ConvStrategy::Direct`);
 //! 2. `scratch` — im2col + blocked integer GEMM with one reusable
 //!    [`EngineScratch`] arena (`run_with_scratch`, zero per-image allocation);
-//! 3. `packed` — bit-packed popcount MVTU kernels (`ConvStrategy::Packed`)
-//!    on the runtime-dispatched backend, same reused scratch arena;
-//! 4. `batch_runner` — the packed path sharded across scoped worker
+//! 3. `auto` — the default plan (`ConvStrategy::Auto`): bit-packed popcount
+//!    MVTU kernels on the runtime-dispatched backend wherever the domains
+//!    allow, GEMM elsewhere, same reused scratch arena;
+//! 4. `batch_runner` — the default plan sharded across scoped worker
 //!    threads ([`BatchRunner`] with one scratch per worker).
 //!
 //! All paths are asserted bit-identical before any timing starts.
@@ -90,16 +91,12 @@ fn bench_engine_throughput(c: &mut Criterion) {
     // Bit-exactness gate: every path must agree before timing means
     // anything. The direct path is the oracle.
     let baseline = baseline_labels(&graph, &images);
-    for strategy in [
-        ConvStrategy::Im2col,
-        ConvStrategy::Packed,
-        ConvStrategy::Auto,
-    ] {
+    for strategy in [ConvStrategy::Im2col, ConvStrategy::Auto] {
         let labels = scratch_labels(&engine(&graph, strategy), &images);
         assert_eq!(baseline, labels, "{strategy:?} diverged from baseline");
     }
     for threads in [1, 2, 0] {
-        let runner = BatchRunner::new(engine(&graph, ConvStrategy::Packed)).with_threads(threads);
+        let runner = BatchRunner::new(engine(&graph, ConvStrategy::Auto)).with_threads(threads);
         let labels = runner.run(&images).expect("batch");
         assert_eq!(
             baseline, labels,
@@ -128,9 +125,9 @@ fn bench_engine_throughput(c: &mut Criterion) {
     });
 
     c.bench_function(
-        &format!("engine_scratch_packed_{}_{tag}", backend.label()),
+        &format!("engine_scratch_auto_{}_{tag}", backend.label()),
         |b| {
-            let engine = engine(&graph, ConvStrategy::Packed);
+            let engine = engine(&graph, ConvStrategy::Auto);
             let mut scratch = engine.scratch();
             b.iter(|| {
                 black_box(&images)
@@ -147,9 +144,9 @@ fn bench_engine_throughput(c: &mut Criterion) {
     );
 
     c.bench_function(
-        &format!("engine_batch_runner_packed_{}_{tag}", backend.label()),
+        &format!("engine_batch_runner_auto_{}_{tag}", backend.label()),
         |b| {
-            let runner = BatchRunner::new(engine(&graph, ConvStrategy::Packed));
+            let runner = BatchRunner::new(engine(&graph, ConvStrategy::Auto));
             b.iter(|| runner.run(black_box(&images)).expect("batch"));
         },
     );

@@ -19,7 +19,7 @@ use adaflow_edge::prelude::*;
 use adaflow_hls::FpgaDevice;
 use adaflow_model::prelude::*;
 use adaflow_model::GraphSummary;
-use adaflow_nn::DatasetKind;
+use adaflow_nn::{DatasetKind, Engine};
 use adaflow_telemetry::{
     chrome_trace_json, events_to_jsonl, to_prometheus, SinkHandle, TraceSummary,
 };
@@ -175,15 +175,10 @@ fn cmd_summary(flags: &HashMap<String, String>) -> Result<(), String> {
     let graph = build_model(required(flags, "model")?, None)?;
     print!("{}", GraphSummary::of(&graph));
     println!();
-    println!("packed kernel eligibility (popcount MVTU path):");
-    for d in mvtu_domains(&graph) {
-        match &d.fallback {
-            None => println!(
-                "  {:<10} packed   W{} x {}-plane activations over fan-in {}",
-                d.name, d.weight_bits, d.act_in_planes, d.fan_in
-            ),
-            Some(fb) => println!("  {:<10} gemm     {fb}", d.name),
-        }
+    println!("engine kernel plan (`lint` rule AF009 explains each gemm fallback):");
+    let engine = Engine::new(&graph).map_err(|e| e.to_string())?;
+    for k in engine.kernels() {
+        println!("  {:<10} {}", k.layer, k.kernel);
     }
     Ok(())
 }
@@ -1313,10 +1308,11 @@ fn cmd_serve_live(flags: &HashMap<String, String>) -> Result<(), String> {
         );
         println!(
             "  wire: {} connection(s), {} protocol error(s), {} send error(s), \
-             {} event(s) recorded",
+             {} accept error(s), {} event(s) recorded",
             report.connections,
             report.protocol_errors,
             report.send_errors,
+            report.accept_errors,
             events.len()
         );
     }

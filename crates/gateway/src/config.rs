@@ -59,11 +59,6 @@ pub struct GatewayConfig {
     pub eject_after: u32,
     /// Consecutive probe successes before an ejected backend is readmitted.
     pub readmit_after: u32,
-    /// Per-connection blocking-read timeout on the front socket; bounds
-    /// reader shutdown latency.
-    pub read_timeout: Duration,
-    /// Accept-poll interval of the front listener.
-    pub poll_interval: Duration,
     /// How long shutdown waits for in-flight requests before answering
     /// the stragglers with `ShuttingDown`.
     pub drain_timeout: Duration,
@@ -81,8 +76,6 @@ impl Default for GatewayConfig {
             probe_timeout: Duration::from_secs(1),
             eject_after: 2,
             readmit_after: 2,
-            read_timeout: Duration::from_millis(50),
-            poll_interval: Duration::from_millis(5),
             drain_timeout: Duration::from_secs(5),
         }
     }

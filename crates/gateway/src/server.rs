@@ -47,6 +47,11 @@ pub(crate) const PROBE_BASE: u64 = 1 << 63;
 /// Throughput prior (FPS) the deadline-aware policy uses for a backend
 /// that has no warmup floor and no live calibration yet.
 const PRIOR_FPS: f64 = 100.0;
+/// Per-connection blocking-read timeout on the front socket; bounds reader
+/// shutdown latency.
+const READ_TIMEOUT: Duration = Duration::from_millis(50);
+/// Accept-poll and drain-poll interval of the front listener.
+const POLL_INTERVAL: Duration = Duration::from_millis(5);
 
 /// Why the gateway refused to start or died.
 #[derive(Debug, Error)]
@@ -599,7 +604,7 @@ impl Gateway {
                         scope.spawn(move || reader_loop(shared, stream));
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        std::thread::sleep(shared.config.poll_interval);
+                        std::thread::sleep(POLL_INTERVAL);
                     }
                     Err(_) => {
                         // A dead front socket ends the run, but it must
@@ -621,7 +626,7 @@ impl Gateway {
                 if shared.pending.lock().expect("pending lock").is_empty() {
                     break;
                 }
-                std::thread::sleep(shared.config.poll_interval);
+                std::thread::sleep(POLL_INTERVAL);
             }
             shared.abort.store(true, Ordering::SeqCst);
         });
@@ -683,10 +688,7 @@ impl Gateway {
 }
 
 fn reader_loop(shared: &Shared, stream: TcpStream) {
-    if stream
-        .set_read_timeout(Some(shared.config.read_timeout))
-        .is_err()
-    {
+    if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
         return;
     }
     stream.set_nodelay(true).ok();

@@ -465,7 +465,13 @@ fn empty_rotation_degrades_to_shutting_down_answers() {
         let bt = scope.spawn(|| b0.run());
         let gt = scope.spawn(|| gateway.run());
 
-        // Kill the only backend and wait until the rotation is empty.
+        // Kill the only backend — once the gateway has connected to it, or
+        // startup would fail with no healthy backend — and wait until the
+        // rotation is empty.
+        assert!(
+            wait_for(Duration::from_secs(10), || gh.healthy_backends() == 1),
+            "gateway never connected to its backend"
+        );
         h0.shutdown();
         bt.join().expect("no panic").expect("backend serves");
         assert!(

@@ -5,7 +5,7 @@
 //!
 //! * **accept loop** (the thread that called [`LiveServer::run`]) — a
 //!   nonblocking `accept` poll that spawns one reader per connection and
-//!   checks the shutdown flag every [`LiveConfig::poll_interval`];
+//!   checks the shutdown flag every `POLL_INTERVAL`;
 //! * **reader threads** (one per connection) — blocking reads with a short
 //!   timeout feed an incremental `FrameReader`; decoded requests go through
 //!   admission under the shared core lock; protocol violations drop the
@@ -53,6 +53,11 @@ pub enum NetError {
     Engine(#[from] NnError),
 }
 
+/// Per-connection blocking-read timeout; bounds reader shutdown latency.
+const READ_TIMEOUT: Duration = Duration::from_millis(25);
+/// Accept-loop and engine-idle poll period; bounds shutdown latency.
+const POLL_INTERVAL: Duration = Duration::from_millis(5);
+
 /// Configuration of one live server.
 #[derive(Debug, Clone)]
 pub struct LiveConfig {
@@ -67,11 +72,6 @@ pub struct LiveConfig {
     /// Nominal TOP-1 accuracy of the serving model, percent (feeds the
     /// summary's `mean_accuracy_pct` like the DES policy does).
     pub accuracy_pct: f64,
-    /// Per-connection blocking-read timeout; bounds reader shutdown
-    /// latency.
-    pub read_timeout: Duration,
-    /// Accept-loop and engine-idle poll period; bounds shutdown latency.
-    pub poll_interval: Duration,
     /// Warmup inferences used to measure the single-inference service
     /// floor for deadline-infeasibility rejection.
     pub warmup_iters: usize,
@@ -84,8 +84,6 @@ impl Default for LiveConfig {
             model_id: String::new(),
             threads: 0,
             accuracy_pct: 0.0,
-            read_timeout: Duration::from_millis(25),
-            poll_interval: Duration::from_millis(5),
             warmup_iters: 3,
         }
     }
@@ -139,6 +137,9 @@ pub struct LiveReport {
     pub protocol_errors: u64,
     /// Responses that could not be written (client gone).
     pub send_errors: u64,
+    /// Fatal (non-`WouldBlock`) accept failures on the listener; the first
+    /// one ends the run through the normal graceful drain.
+    pub accept_errors: u64,
     /// Measured single-inference service floor, seconds.
     pub min_service_s: f64,
     /// Requests served per wall-clock second.
@@ -215,6 +216,7 @@ struct SharedState {
     connections: AtomicU64,
     protocol_errors: AtomicU64,
     send_errors: AtomicU64,
+    accept_errors: AtomicU64,
     clock: WallClock,
     sink: SinkHandle,
     config: LiveConfig,
@@ -282,6 +284,7 @@ impl<'g> LiveServer<'g> {
             connections: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
             send_errors: AtomicU64::new(0),
+            accept_errors: AtomicU64::new(0),
             clock: WallClock::start(),
             sink,
             config,
@@ -353,9 +356,18 @@ impl<'g> LiveServer<'g> {
                         scope.spawn(move || reader_loop(shared, stream, shape.elements()));
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        std::thread::sleep(shared.config.poll_interval);
+                        std::thread::sleep(POLL_INTERVAL);
                     }
-                    Err(_) => break,
+                    Err(_) => {
+                        // A dead listener ends the run, but gracefully: the
+                        // engine thread and the readers exit only on the
+                        // shutdown flag, so breaking without it would wedge
+                        // the scope forever.
+                        shared.accept_errors.fetch_add(1, Ordering::Relaxed);
+                        shared.shutdown.store(true, Ordering::SeqCst);
+                        shared.work.notify_all();
+                        break;
+                    }
                 }
             }
             // Scope exit joins the engine thread (which drains the queue
@@ -378,6 +390,7 @@ impl<'g> LiveServer<'g> {
             connections: self.shared.connections.load(Ordering::Relaxed),
             protocol_errors: self.shared.protocol_errors.load(Ordering::Relaxed),
             send_errors: self.shared.send_errors.load(Ordering::Relaxed),
+            accept_errors: self.shared.accept_errors.load(Ordering::Relaxed),
             min_service_s: floor,
             throughput_rps: summary.completed / duration_s.max(1e-9),
             summary,
@@ -393,10 +406,7 @@ fn send_counted(shared: &SharedState, conn: &Conn, frame: &ResponseFrame) {
 }
 
 fn reader_loop(shared: &SharedState, stream: TcpStream, expected_elements: usize) {
-    if stream
-        .set_read_timeout(Some(shared.config.read_timeout))
-        .is_err()
-    {
+    if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
         return;
     }
     stream.set_nodelay(true).ok();
@@ -634,7 +644,7 @@ fn engine_loop(shared: &SharedState, runner: &BatchRunner<'_>, model_name: &str)
                 drop(
                     shared
                         .work
-                        .wait_timeout(core, shared.config.poll_interval)
+                        .wait_timeout(core, POLL_INTERVAL)
                         .expect("core lock poisoned"),
                 );
                 EngineStep::Idle
@@ -814,5 +824,39 @@ mod tests {
             bad_request: 5,
         };
         assert_eq!(r.total(), 15);
+    }
+
+    /// A fatal accept error must end the run through the graceful drain,
+    /// not wedge it: the engine thread exits only on the shutdown flag.
+    /// The listener is swapped for a UDP socket, on which `accept` fails
+    /// at once with a non-`WouldBlock` error.
+    #[cfg(unix)]
+    #[test]
+    fn fatal_accept_error_ends_the_run_gracefully() {
+        use adaflow_model::{topology, QuantSpec};
+        use std::os::fd::OwnedFd;
+        use std::sync::mpsc;
+
+        let graph: &'static CnnGraph = Box::leak(Box::new(
+            topology::tiny(QuantSpec::w2a2(), 4).expect("builds"),
+        ));
+        let mut server = LiveServer::bind(
+            "127.0.0.1:0",
+            graph,
+            LiveConfig::default(),
+            SinkHandle::null(),
+        )
+        .expect("binds");
+        let udp = std::net::UdpSocket::bind("127.0.0.1:0").expect("udp socket");
+        server.listener = TcpListener::from(OwnedFd::from(udp));
+
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || tx.send(server.run()).ok());
+        let report = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("run() wedged on the accept error")
+            .expect("run succeeds");
+        assert_eq!(report.accept_errors, 1);
+        assert_eq!(report.connections, 0);
     }
 }

@@ -20,9 +20,9 @@
 //!    returned logits.
 //! 2. **Blocked integer GEMM** — im2col convolution and dense layers share
 //!    one cache-blocked `i8 × u8 → i32` micro-kernel (4×4 register tile,
-//!    inner loop unrolled over the window dimension), selected automatically
-//!    when a layer is wide enough to profit. Integer accumulation is
-//!    order-independent, so tiling cannot change a single bit of the result.
+//!    inner loop unrolled over the window dimension), used whenever the
+//!    problem fills one tile. Integer accumulation is order-independent, so
+//!    tiling cannot change a single bit of the result.
 //! 3. **Parallel batch evaluation** — [`BatchRunner`] shards an image set
 //!    across scoped worker threads, one scratch arena per worker, preserving
 //!    input order.
@@ -31,7 +31,7 @@ use crate::error::NnError;
 use crate::packed::{self, PackedBackend};
 use crate::parallel;
 use crate::tensor::Activations;
-use adaflow_model::{CnnGraph, Layer, MvtuDomain, TensorShape};
+use adaflow_model::{CnnGraph, Conv2d, Layer, MvtuDomain, Node, TensorShape};
 use adaflow_telemetry::SinkHandle;
 use std::sync::Arc;
 use std::time::Instant;
@@ -77,34 +77,29 @@ pub struct KernelAttribution {
 /// Every strategy is bit-identical to every other; they differ only in
 /// memory/speed trade-off:
 ///
-/// * [`ConvStrategy::Auto`] (the default) picks per layer: the packed
-///   popcount kernels where the verifier-established domains fit (≤2-bit
-///   weights and activations) and the layer clears the measured
-///   packed-vs-GEMM crossover, the GEMM lowering where the inner dimension
-///   clears the measured naive-vs-blocked crossover, direct convolution
-///   otherwise (see [`crate::packed::kernel_thresholds`]);
-/// * [`ConvStrategy::Direct`] walks the input in place (no scratch memory);
+/// * [`ConvStrategy::Auto`] (the default) is a pure function of the graph:
+///   an MVTU whose verifier-established domains fit the packed contract
+///   (≤2-bit weights and activations) and that has at least
+///   [`packed_min_rows`](crate::KernelThresholds::packed_min_rows) weight
+///   rows runs the packed popcount kernel; every other conv/dense layer
+///   runs the im2col + i32 GEMM lowering;
+/// * [`ConvStrategy::Direct`] walks the input in place (no scratch memory)
+///   — the reference the other lowerings are tested against;
 /// * [`ConvStrategy::Im2col`] lowers each convolution to a dense
 ///   matrix-matrix product over an explicit window matrix — the classic GEMM
-///   lowering, faster for wide layers at the cost of `out_pixels x k^2 x
-///   ch_in` scratch bytes;
-/// * [`ConvStrategy::Packed`] forces the bitplane popcount kernels on every
-///   eligible MVTU regardless of crossover (ineligible layers fall back to
-///   GEMM) — primarily for benchmarks and equivalence tests.
+///   lowering, at the cost of `out_pixels x k^2 x ch_in` scratch bytes.
 ///
 /// `Direct` and `Im2col` never touch the packed kernels, so they double as
 /// the equivalence oracles the packed proptests compare against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ConvStrategy {
-    /// Per-layer choice from domain eligibility and measured crossovers.
+    /// Packed popcount kernels where the domains allow, GEMM elsewhere.
     #[default]
     Auto,
     /// In-place direct convolution.
     Direct,
     /// GEMM lowering via an explicit im2col window matrix.
     Im2col,
-    /// Bitplane popcount kernels wherever the domains allow.
-    Packed,
 }
 
 /// Reusable scratch memory for [`Engine::run_with_scratch`].
@@ -121,9 +116,8 @@ pub struct EngineScratch {
     /// Ping-pong quantized-activation buffers.
     act_a: Vec<u8>,
     act_b: Vec<u8>,
-    /// Activation bitplanes of the widest packed-eligible layer (empty when
-    /// no layer qualifies). Sized from the graph alone — a superset of what
-    /// any strategy's plan actually packs.
+    /// Activation bitplanes of the widest layer [`ConvStrategy::Auto`] packs
+    /// (empty when none does); the other strategies pack nothing.
     packed: Vec<u64>,
 }
 
@@ -131,39 +125,24 @@ impl EngineScratch {
     /// Allocates scratch buffers covering every layer of `graph`.
     #[must_use]
     pub fn for_graph(graph: &CnnGraph) -> Self {
-        let domains = adaflow_model::mvtu_domains(graph);
-        let mut domain_it = domains.iter();
         let mut act = graph.input_shape().elements();
         let mut accum = 0usize;
         let mut cols = 0usize;
         let mut packed = 0usize;
-        let mut packed_budget = |d: &MvtuDomain, rows: usize| {
-            if d.packed_eligible() {
-                packed = packed.max(packed::act_pack_words(
-                    rows,
-                    d.fan_in,
-                    d.act_in_planes as usize,
-                ));
-            }
-        };
-        for node in graph.iter() {
-            match &node.layer {
-                Layer::Conv2d(c) => {
-                    accum = accum.max(node.output_shape.elements());
-                    let window = c.kernel * c.kernel * c.in_channels;
-                    cols = cols.max(node.output_shape.spatial() * window);
-                    let d = domain_it.next().expect("one domain per MVTU");
-                    packed_budget(d, node.output_shape.spatial());
+        for (node, mvtu) in mvtu_walk(graph) {
+            match mvtu {
+                Some((m, d)) => {
+                    accum = accum.max(m.rows * m.n);
+                    if m.conv.is_some() {
+                        cols = cols.max(m.n * m.k);
+                    }
+                    if packs(&d) {
+                        let planes = d.act_in_planes as usize;
+                        packed = packed.max(packed::act_pack_words(m.n, m.k, planes));
+                    }
                 }
-                Layer::Dense(_) => {
-                    accum = accum.max(node.output_shape.elements());
-                    let d = domain_it.next().expect("one domain per MVTU");
-                    packed_budget(d, 1);
-                }
-                Layer::MultiThreshold(_) | Layer::MaxPool2d(_) => {
-                    act = act.max(node.output_shape.elements());
-                }
-                Layer::LabelSelect(_) => {}
+                None if matches!(node.layer, Layer::LabelSelect(_)) => {}
+                None => act = act.max(node.output_shape.elements()),
             }
         }
         Self {
@@ -205,7 +184,7 @@ pub struct Engine<'g> {
     strategy: ConvStrategy,
     backend: PackedBackend,
     sink: SinkHandle,
-    plan: Arc<Vec<NodePlan>>,
+    plan: Arc<Vec<NodePlan<'g>>>,
     kernels: Arc<[KernelAttribution]>,
     /// Debug builds carry the AF010 per-channel accumulator intervals
     /// (one `Some` entry per MVTU node) and assert every computed
@@ -230,143 +209,108 @@ enum Kind {
     Accum,
 }
 
-/// Which micro-kernel the planner chose for an MVTU layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MvtuKernel {
-    DirectConv,
-    Gemm,
-    Packed,
-}
-
-/// Pre-packed weight planes of one packed-dispatch layer.
-#[derive(Debug, Clone)]
-struct PackedPlan {
-    weights: packed::PackedWeights,
-    planes: usize,
-}
-
-/// Per-node execution plan: kernel choice, packed weights (when the packed
-/// kernel was chosen) and the precomputed telemetry span name.
-#[derive(Debug, Clone)]
-struct NodePlan {
-    kernel: Option<MvtuKernel>,
-    packed: Option<PackedPlan>,
-    span: String,
-}
-
-/// Picks the kernel for one MVTU layer under `strategy`.
-///
-/// `rows` is the number of weight rows sharing one activation pack
-/// (out-channels / out-features), `k` the dot-product length, `n` the
-/// number of activation columns (output pixels; 1 for dense).
-fn choose_kernel(
-    strategy: ConvStrategy,
-    domain: &MvtuDomain,
-    is_conv: bool,
+/// One MVTU step: `rows × k` weights against `n` activation columns of
+/// length `k`. A convolution's columns are its im2col windows (`n` output
+/// pixels); a dense layer is the `n = 1` case whose single column is the
+/// input vector itself.
+#[derive(Debug, Clone, Copy)]
+struct Mvtu<'g> {
+    /// The convolution to lower, `None` for dense.
+    conv: Option<&'g Conv2d>,
+    weights: &'g [i8],
     rows: usize,
     n: usize,
     k: usize,
-) -> MvtuKernel {
-    match strategy {
-        ConvStrategy::Direct => {
-            if is_conv {
-                MvtuKernel::DirectConv
-            } else {
-                MvtuKernel::Gemm
-            }
-        }
-        ConvStrategy::Im2col => MvtuKernel::Gemm,
-        ConvStrategy::Packed => {
-            if domain.packed_eligible() {
-                MvtuKernel::Packed
-            } else {
-                MvtuKernel::Gemm
-            }
-        }
-        ConvStrategy::Auto => {
-            let t = packed::kernel_thresholds();
-            if domain.packed_eligible() && rows >= t.packed_min_rows {
-                MvtuKernel::Packed
-            } else if !is_conv || (rows >= GEMM_MR && n >= GEMM_NR && k >= t.gemm_min_k) {
-                // Dense always runs the GEMM; convs only pay the im2col
-                // lowering when the blocked kernel clears its crossover.
-                MvtuKernel::Gemm
-            } else {
-                MvtuKernel::DirectConv
-            }
-        }
-    }
+}
+
+/// The one walk that pairs every node with its MVTU geometry and
+/// verifier-established domain (`None` for non-MVTU nodes).
+fn mvtu_walk(graph: &CnnGraph) -> impl Iterator<Item = (&Node, Option<(Mvtu<'_>, MvtuDomain)>)> {
+    let mut domains = adaflow_model::mvtu_domains(graph).into_iter();
+    graph.iter().map(move |node| {
+        let mvtu = match &node.layer {
+            Layer::Conv2d(c) => Some(Mvtu {
+                conv: Some(c),
+                weights: c.weights.as_slice(),
+                rows: c.out_channels,
+                n: node.output_shape.spatial(),
+                k: c.kernel * c.kernel * c.in_channels,
+            }),
+            Layer::Dense(d) => Some(Mvtu {
+                conv: None,
+                weights: d.weights.as_slice(),
+                rows: d.out_features,
+                n: 1,
+                k: d.in_features,
+            }),
+            Layer::MultiThreshold(_) | Layer::MaxPool2d(_) | Layer::LabelSelect(_) => None,
+        };
+        let mvtu = mvtu.map(|m| (m, domains.next().expect("one domain per MVTU")));
+        (node, mvtu)
+    })
+}
+
+/// Whether [`ConvStrategy::Auto`] runs this MVTU on the packed kernels.
+fn packs(domain: &MvtuDomain) -> bool {
+    domain.packed_eligible() && domain.rows >= PACKED_MIN_ROWS
+}
+
+/// Which micro-kernel the planner chose for an MVTU layer.
+#[derive(Debug, Clone)]
+enum MvtuKernel {
+    /// Reference direct convolution — [`ConvStrategy::Direct`] on a conv.
+    DirectConv,
+    Gemm,
+    /// Popcount GEMM over weight planes packed once at plan time.
+    Packed {
+        weights: packed::PackedWeights,
+        planes: usize,
+    },
+}
+
+/// Per-node execution plan: the MVTU step and its kernel (conv/dense nodes
+/// only) and the precomputed telemetry span name.
+#[derive(Debug, Clone)]
+struct NodePlan<'g> {
+    mvtu: Option<(Mvtu<'g>, MvtuKernel)>,
+    span: String,
 }
 
 /// Builds the per-node plan (kernel choices, packed weights, span names)
-/// and the shared attribution table.
+/// and the shared attribution table — a pure function of its arguments.
 fn build_plan(
     graph: &CnnGraph,
     strategy: ConvStrategy,
     backend: PackedBackend,
-) -> (Vec<NodePlan>, Arc<[KernelAttribution]>) {
-    let packed_label = match backend {
-        PackedBackend::Scalar => "packed-scalar",
-        PackedBackend::Avx2 => "packed-avx2",
-    };
-    let domains = adaflow_model::mvtu_domains(graph);
-    let mut domain_it = domains.iter();
+) -> (Vec<NodePlan<'_>>, Arc<[KernelAttribution]>) {
     let mut plan = Vec::with_capacity(graph.len());
     let mut attributions = Vec::with_capacity(graph.len());
-    for node in graph.iter() {
-        let mvtu = match &node.layer {
-            Layer::Conv2d(c) => {
-                let d = domain_it.next().expect("one domain per MVTU");
-                let k = c.kernel * c.kernel * c.in_channels;
-                Some((
-                    choose_kernel(
-                        strategy,
-                        d,
-                        true,
-                        c.out_channels,
-                        node.output_shape.spatial(),
-                        k,
-                    ),
-                    d,
-                    c.weights.as_slice(),
-                    c.out_channels,
-                    k,
-                ))
-            }
-            Layer::Dense(dn) => {
-                let d = domain_it.next().expect("one domain per MVTU");
-                Some((
-                    choose_kernel(strategy, d, false, dn.out_features, 1, dn.in_features),
-                    d,
-                    dn.weights.as_slice(),
-                    dn.out_features,
-                    dn.in_features,
-                ))
-            }
-            Layer::MultiThreshold(_) | Layer::MaxPool2d(_) | Layer::LabelSelect(_) => None,
-        };
-        let (kernel, packed_plan, label) = match mvtu {
-            Some((MvtuKernel::Packed, d, weights, rows, k)) => (
-                Some(MvtuKernel::Packed),
-                Some(PackedPlan {
-                    weights: packed::PackedWeights::pack(weights, rows, k),
+    for (node, mvtu) in mvtu_walk(graph) {
+        let mvtu = mvtu.map(|(m, d)| {
+            let kernel = match strategy {
+                ConvStrategy::Direct if m.conv.is_some() => MvtuKernel::DirectConv,
+                ConvStrategy::Auto if packs(&d) => MvtuKernel::Packed {
+                    weights: packed::PackedWeights::pack(m.weights, m.rows, m.k),
                     planes: d.act_in_planes as usize,
-                }),
-                packed_label,
-            ),
-            Some((choice @ MvtuKernel::Gemm, ..)) => (Some(choice), None, "gemm"),
-            Some((choice @ MvtuKernel::DirectConv, ..)) => (Some(choice), None, "direct"),
-            None => (
-                None,
-                None,
-                match &node.layer {
-                    Layer::MultiThreshold(_) => "threshold",
-                    Layer::MaxPool2d(_) => "maxpool",
-                    _ => "argmax",
                 },
-            ),
+                ConvStrategy::Auto | ConvStrategy::Direct | ConvStrategy::Im2col => {
+                    MvtuKernel::Gemm
+                }
+            };
+            (m, kernel)
+        });
+        let label = match (&mvtu, &node.layer) {
+            (Some((_, MvtuKernel::DirectConv)), _) => "direct",
+            (Some((_, MvtuKernel::Gemm)), _) => "gemm",
+            (Some((_, MvtuKernel::Packed { .. })), _) => match backend {
+                PackedBackend::Scalar => "packed-scalar",
+                PackedBackend::Avx2 => "packed-avx2",
+            },
+            (None, Layer::MultiThreshold(_)) => "threshold",
+            (None, Layer::MaxPool2d(_)) => "maxpool",
+            (None, _) => "argmax",
         };
-        let span = if kernel.is_some() {
+        let span = if mvtu.is_some() {
             format!("{}[{label}]", node.name)
         } else {
             node.name.clone()
@@ -375,11 +319,7 @@ fn build_plan(
             layer: node.name.clone(),
             kernel: label,
         });
-        plan.push(NodePlan {
-            kernel,
-            packed: packed_plan,
-            span,
-        });
+        plan.push(NodePlan { mvtu, span });
     }
     (plan, attributions.into())
 }
@@ -621,114 +561,62 @@ impl<'g> Engine<'g> {
                 0.0
             };
             let out_shape = node.output_shape;
-            match (&node.layer, kind) {
-                (Layer::Conv2d(c), Kind::ActA | Kind::ActB) => {
+            match (&plan.mvtu, &node.layer, kind) {
+                (Some((m, kernel)), _, Kind::ActA | Kind::ActB) => {
                     let src = if kind == Kind::ActA {
                         &scratch.act_a[..shape.elements()]
                     } else {
                         &scratch.act_b[..shape.elements()]
                     };
-                    let out = &mut scratch.accum[..out_shape.elements()];
-                    let window = c.kernel * c.kernel * c.in_channels;
-                    match plan.kernel {
-                        Some(MvtuKernel::DirectConv) | None => {
-                            conv_direct_into(c, src, shape, out_shape, out);
-                        }
-                        Some(MvtuKernel::Gemm) => {
-                            let cols = &mut scratch.cols[..out_shape.spatial() * window];
-                            im2col_into(c, src, shape, out_shape, cols);
-                            gemm_i32(
-                                c.weights.as_slice(),
-                                cols,
-                                c.out_channels,
-                                out_shape.spatial(),
-                                window,
-                                out,
-                            );
-                        }
-                        Some(MvtuKernel::Packed) => {
-                            let pp = plan.packed.as_ref().expect("packed plan carries weights");
-                            let cols = &mut scratch.cols[..out_shape.spatial() * window];
-                            im2col_into(c, src, shape, out_shape, cols);
-                            packed::pack_act_rows(
-                                cols,
-                                out_shape.spatial(),
-                                window,
-                                pp.planes,
-                                &mut scratch.packed,
-                            );
+                    let out = &mut scratch.accum[..m.rows * m.n];
+                    if let (MvtuKernel::DirectConv, Some(c)) = (kernel, m.conv) {
+                        conv_direct_into(c, src, shape, out_shape, out);
+                    } else {
+                        let cols = match m.conv {
+                            Some(c) => {
+                                let cols = &mut scratch.cols[..m.n * m.k];
+                                im2col_into(c, src, shape, out_shape, cols);
+                                &*cols
+                            }
+                            None => src,
+                        };
+                        if let MvtuKernel::Packed { weights, planes } = kernel {
+                            packed::pack_act_rows(cols, m.n, m.k, *planes, &mut scratch.packed);
                             packed::packed_gemm(
-                                &pp.weights,
+                                weights,
                                 &scratch.packed,
-                                out_shape.spatial(),
-                                pp.planes,
+                                m.n,
+                                *planes,
                                 out,
                                 self.backend,
                             );
+                        } else {
+                            gemm_i32(m.weights, cols, m.rows, m.n, m.k, out);
                         }
                     }
                     #[cfg(debug_assertions)]
-                    self.assert_accum_intervals(_node_idx, &node.name, out, out_shape.spatial());
+                    self.assert_accum_intervals(_node_idx, &node.name, out, m.n);
                     kind = Kind::Accum;
                 }
-                (Layer::Dense(d), Kind::ActA | Kind::ActB) => {
-                    let src = if kind == Kind::ActA {
-                        &scratch.act_a[..shape.elements()]
-                    } else {
-                        &scratch.act_b[..shape.elements()]
-                    };
-                    let out = &mut scratch.accum[..d.out_features];
-                    if let (Some(MvtuKernel::Packed), Some(pp)) =
-                        (plan.kernel, plan.packed.as_ref())
-                    {
-                        packed::pack_act_rows(
-                            src,
-                            1,
-                            d.in_features,
-                            pp.planes,
-                            &mut scratch.packed,
-                        );
-                        packed::packed_gemm(
-                            &pp.weights,
-                            &scratch.packed,
-                            1,
-                            pp.planes,
-                            out,
-                            self.backend,
-                        );
-                    } else {
-                        gemm_i32(
-                            d.weights.as_slice(),
-                            src,
-                            d.out_features,
-                            1,
-                            d.in_features,
-                            out,
-                        );
-                    }
-                    #[cfg(debug_assertions)]
-                    self.assert_accum_intervals(_node_idx, &node.name, out, 1);
-                    kind = Kind::Accum;
-                }
-                (Layer::MultiThreshold(t), Kind::Accum) => {
+                (None, Layer::MultiThreshold(t), Kind::Accum) => {
                     let accums = &scratch.accum[..out_shape.elements()];
                     let out = &mut scratch.act_a[..out_shape.elements()];
                     threshold_into(t, out_shape, accums, out);
                     kind = Kind::ActA;
                 }
-                (Layer::MaxPool2d(p), Kind::ActA) => {
+                (None, Layer::MaxPool2d(p), Kind::ActA) => {
                     let src = &scratch.act_a[..shape.elements()];
                     let out = &mut scratch.act_b[..out_shape.elements()];
                     pool_into(p.kernel, p.stride, src, shape, out_shape, out);
                     kind = Kind::ActB;
                 }
-                (Layer::MaxPool2d(p), Kind::ActB) => {
+                (None, Layer::MaxPool2d(p), Kind::ActB) => {
                     let src = &scratch.act_b[..shape.elements()];
                     let out = &mut scratch.act_a[..out_shape.elements()];
                     pool_into(p.kernel, p.stride, src, shape, out_shape, out);
                     kind = Kind::ActA;
                 }
-                (Layer::LabelSelect(_), Kind::Accum) => {
+                (None, Layer::LabelSelect(_), Kind::Accum) => {
                     let logits = scratch.accum[..shape.elements()].to_vec();
                     let label = argmax(&logits);
                     result = Some(InferenceResult {
@@ -737,7 +625,7 @@ impl<'g> Engine<'g> {
                         kernels: self.kernels.clone(),
                     });
                 }
-                (layer, _) => {
+                (_, layer, _) => {
                     // `new` validated the chain; reaching here means the graph
                     // was mutated behind our back.
                     return Err(NnError::Unsupported(format!(
@@ -869,23 +757,29 @@ impl<'g> BatchRunner<'g> {
 // ---------------------------------------------------------------------------
 
 /// Register tile height (output channels) of the blocked GEMM.
-pub(crate) const GEMM_MR: usize = 4;
+const GEMM_MR: usize = 4;
 /// Register tile width (output pixels) of the blocked GEMM.
-pub(crate) const GEMM_NR: usize = 4;
+const GEMM_NR: usize = 4;
+/// Inner-loop unroll of the blocked GEMM: below it the tile has no full
+/// unrolled step and the row-dot loop runs instead.
+pub(crate) const GEMM_MIN_K: usize = 4;
+/// Fewest weight rows sharing one activation pack for which
+/// [`ConvStrategy::Auto`] takes the packed kernel: a single row cannot
+/// amortise packing its activations.
+pub(crate) const PACKED_MIN_ROWS: usize = 2;
 
 /// `out[i][j] = Σ_k a[i*k..][k'] · b[j*k..][k']` — both operands row-major
 /// over the shared inner dimension (filters × im2col windows, or dense
 /// weight rows × the input vector when `n == 1`).
 ///
-/// Dispatches to the 4×4 register-blocked kernel when the inner dimension
-/// clears the crossover measured by [`packed::kernel_thresholds`], else to
-/// the plain row-dot loop. Both paths produce identical bits, so the
-/// measurement can only affect speed.
+/// Dispatches to the 4×4 register-blocked kernel when the problem fills one
+/// tile and one unrolled step, else to the plain row-dot loop. Both paths
+/// produce identical bits.
 pub(crate) fn gemm_i32(a: &[i8], b: &[u8], m: usize, n: usize, k: usize, out: &mut [i32]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(out.len(), m * n);
-    if m >= GEMM_MR && n >= GEMM_NR && k >= packed::kernel_thresholds().gemm_min_k {
+    if m >= GEMM_MR && n >= GEMM_NR && k >= GEMM_MIN_K {
         gemm_i32_blocked(a, b, m, n, k, out);
     } else {
         gemm_i32_naive(a, b, m, n, k, out);
@@ -894,7 +788,7 @@ pub(crate) fn gemm_i32(a: &[i8], b: &[u8], m: usize, n: usize, k: usize, out: &m
 
 /// Plain row-by-row dot products (fast for narrow layers; the compiler
 /// vectorizes the inner zip).
-pub(crate) fn gemm_i32_naive(a: &[i8], b: &[u8], m: usize, n: usize, k: usize, out: &mut [i32]) {
+fn gemm_i32_naive(a: &[i8], b: &[u8], m: usize, n: usize, k: usize, out: &mut [i32]) {
     for i in 0..m {
         let arow = &a[i * k..(i + 1) * k];
         for j in 0..n {
@@ -915,7 +809,7 @@ fn dot_i32(w: &[i8], x: &[u8]) -> i32 {
 /// Cache-blocked GEMM: 4×4 register tile, inner loop unrolled by 4 over the
 /// window dimension. Each loaded `a`/`b` value is reused across the whole
 /// tile, cutting memory traffic ~4× versus the naive row dots.
-pub(crate) fn gemm_i32_blocked(a: &[i8], b: &[u8], m: usize, n: usize, k: usize, out: &mut [i32]) {
+fn gemm_i32_blocked(a: &[i8], b: &[u8], m: usize, n: usize, k: usize, out: &mut [i32]) {
     let mut mb = 0;
     while mb < m {
         let mh = (m - mb).min(GEMM_MR);
@@ -973,7 +867,7 @@ pub(crate) fn gemm_i32_blocked(a: &[i8], b: &[u8], m: usize, n: usize, k: usize,
 
 /// Direct convolution writing MVTU accumulators into `out`.
 fn conv_direct_into(
-    c: &adaflow_model::Conv2d,
+    c: &Conv2d,
     input: &[u8],
     in_shape: TensorShape,
     out_shape: TensorShape,
@@ -1020,7 +914,7 @@ fn conv_direct_into(
 /// to match the filter layout `[in][kh][kw]`. In-bounds kernel rows are
 /// copied as contiguous runs; padding bytes are zero-filled.
 fn im2col_into(
-    c: &adaflow_model::Conv2d,
+    c: &Conv2d,
     input: &[u8],
     in_shape: TensorShape,
     out_shape: TensorShape,
@@ -1117,21 +1011,18 @@ fn pool_into(
 // Vec-returning wrappers shared with the trainer's calibration pass and the
 // unit tests.
 
-/// Direct convolution producing MVTU accumulators.
-pub(crate) fn conv_forward(
-    c: &adaflow_model::Conv2d,
-    input: &Activations,
-    out_shape: TensorShape,
-) -> Vec<i32> {
+/// Direct convolution producing MVTU accumulators — the test reference.
+#[cfg(test)]
+pub(crate) fn conv_forward(c: &Conv2d, input: &Activations, out_shape: TensorShape) -> Vec<i32> {
     let mut out = vec![0i32; out_shape.elements()];
     conv_direct_into(c, input.as_slice(), input.shape(), out_shape, &mut out);
     out
 }
 
-/// GEMM-lowered convolution via im2col (bit-identical to [`conv_forward`]).
-#[cfg(test)]
+/// GEMM-lowered convolution via im2col: the lowering inference runs, so
+/// calibration through it sees exactly the production accumulators.
 pub(crate) fn conv_forward_im2col(
-    c: &adaflow_model::Conv2d,
+    c: &Conv2d,
     input: &Activations,
     out_shape: TensorShape,
 ) -> Vec<i32> {
@@ -1358,7 +1249,9 @@ mod tests {
     #[test]
     fn im2col_matches_direct_on_tiny() {
         let g = tiny_graph();
-        let direct = Engine::new(&g).expect("engine");
+        let direct = Engine::new(&g)
+            .expect("engine")
+            .with_strategy(ConvStrategy::Direct);
         let gemm = Engine::new(&g)
             .expect("engine")
             .with_strategy(ConvStrategy::Im2col);
@@ -1408,15 +1301,31 @@ mod tests {
     #[test]
     fn blocked_gemm_matches_naive_on_all_remainders() {
         // Exercise every m/n remainder against the 4x4 tile and odd k
-        // against the 4-way unroll.
-        for &(m, n, k) in &[(4, 4, 16), (5, 7, 17), (6, 9, 19), (9, 5, 31), (4, 5, 16)] {
+        // against the 4-way unroll, then the shapes on the row-dot side of
+        // the dispatch rule (k < 4, n = 1, m < 4) and its boundary.
+        for &(m, n, k) in &[
+            (4, 4, 16),
+            (5, 7, 17),
+            (6, 9, 19),
+            (9, 5, 31),
+            (4, 5, 16),
+            (4, 4, 4),
+            (8, 8, 3),
+            (5, 6, 1),
+            (64, 1, 256),
+            (10, 1, 3),
+            (3, 9, 27),
+        ] {
             let a: Vec<i8> = (0..m * k).map(|i| ((i * 37 % 7) as i8) - 3).collect();
             let b: Vec<u8> = (0..n * k).map(|i| (i * 101 % 251) as u8).collect();
             let mut blocked = vec![0i32; m * n];
             let mut naive = vec![0i32; m * n];
+            let mut dispatched = vec![0i32; m * n];
             gemm_i32_blocked(&a, &b, m, n, k, &mut blocked);
             gemm_i32_naive(&a, &b, m, n, k, &mut naive);
+            gemm_i32(&a, &b, m, n, k, &mut dispatched);
             assert_eq!(blocked, naive, "diverged at m={m} n={n} k={k}");
+            assert_eq!(dispatched, naive, "dispatch diverged at m={m} n={n} k={k}");
         }
     }
 
@@ -1556,15 +1465,13 @@ mod tests {
         let mut engines = vec![
             Engine::new(&g)
                 .expect("engine")
-                .with_strategy(ConvStrategy::Packed)
                 .with_packed_backend(PackedBackend::Scalar),
-            Engine::new(&g).expect("engine"), // Auto, default backend
+            Engine::new(&g).expect("engine"), // default backend
         ];
         if crate::packed::simd_available() {
             engines.push(
                 Engine::new(&g)
                     .expect("engine")
-                    .with_strategy(ConvStrategy::Packed)
                     .with_packed_backend(PackedBackend::Avx2),
             );
         }
@@ -1588,9 +1495,7 @@ mod tests {
         // The first MVTU sees 8-bit pixels, so the packed contract cannot
         // hold there; every later W2A2 MVTU packs.
         let g = tiny_graph();
-        let engine = Engine::new(&g)
-            .expect("engine")
-            .with_strategy(ConvStrategy::Packed);
+        let engine = Engine::new(&g).expect("engine");
         let label = format!("packed-{}", engine.packed_backend().label());
         let mvtu: Vec<&KernelAttribution> = engine
             .kernels()
@@ -1598,7 +1503,7 @@ mod tests {
             .filter(|k| k.kernel != "threshold" && k.kernel != "maxpool" && k.kernel != "argmax")
             .collect();
         assert!(mvtu.len() >= 2, "tiny graph has several MVTUs");
-        assert_ne!(mvtu[0].kernel, label, "input layer must not pack");
+        assert_eq!(mvtu[0].kernel, "gemm", "input layer must not pack");
         for k in &mvtu[1..] {
             assert_eq!(k.kernel, label, "layer {} should pack", k.layer);
         }
@@ -1629,11 +1534,7 @@ mod tests {
             .with_strategy(ConvStrategy::Direct)
             .run(&img)
             .expect("runs");
-        let b = Engine::new(&g)
-            .expect("engine")
-            .with_strategy(ConvStrategy::Packed)
-            .run(&img)
-            .expect("runs");
+        let b = Engine::new(&g).expect("engine").run(&img).expect("runs");
         assert_eq!(a, b, "numerics agree across strategies");
         assert_ne!(
             a.kernels.as_ref(),
@@ -1647,10 +1548,7 @@ mod tests {
         use adaflow_telemetry::EventKind;
         let g = tiny_graph();
         let (sink, recorder) = SinkHandle::recorder(256);
-        let engine = Engine::new(&g)
-            .expect("engine")
-            .with_strategy(ConvStrategy::Packed)
-            .with_sink(sink);
+        let engine = Engine::new(&g).expect("engine").with_sink(sink);
         engine
             .run(&Activations::zeroed(g.input_shape()))
             .expect("run");
@@ -1673,8 +1571,10 @@ mod tests {
     #[test]
     fn scratch_run_matches_fresh_run_for_packed_strategies() {
         let g = tiny_graph();
-        for strategy in [ConvStrategy::Packed, ConvStrategy::Auto] {
-            let engine = Engine::new(&g).expect("engine").with_strategy(strategy);
+        for backend in [PackedBackend::Scalar, PackedBackend::Avx2] {
+            let engine = Engine::new(&g)
+                .expect("engine")
+                .with_packed_backend(backend);
             let mut scratch = engine.scratch();
             for seed in 0..8u64 {
                 let img = random_image(g.input_shape(), seed);

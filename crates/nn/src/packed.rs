@@ -33,13 +33,11 @@
 //! [`default_backend`] probes AVX2 at runtime (`is_x86_feature_detected!`)
 //! and can be overridden with the `ADAFLOW_FORCE_SCALAR` environment
 //! variable; the AVX2 path lives in the one `unsafe`-allowing module of
-//! the workspace ([`self::avx2`]). [`kernel_thresholds`] measures the
-//! GEMM-vs-packed and naive-vs-blocked crossovers once per process so the
-//! engine's auto-dispatch is derived from this machine, not a hard-coded
-//! width heuristic.
+//! the workspace ([`self::avx2`]). Which layers reach these kernels is the
+//! engine planner's decision, a pure function of the graph;
+//! [`kernel_thresholds`] reports the two constants it uses.
 
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2;
@@ -377,138 +375,29 @@ pub fn packed_gemm(
 }
 
 // ---------------------------------------------------------------------------
-// Measured dispatch thresholds.
+// Dispatch thresholds.
 // ---------------------------------------------------------------------------
 
-/// Machine-derived kernel crossover points, measured once per process (or
-/// pinned via environment variables for reproducible runs).
+/// The two shape thresholds of the engine's kernel dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelThresholds {
-    /// Minimum inner dimension at which the blocked GEMM beats the naive
-    /// row-dot loop (`ADAFLOW_GEMM_MIN_K` overrides).
+    /// Minimum inner dimension at which the i32 GEMM runs its 4×4 blocked
+    /// kernel rather than the row-dot loop.
     pub gemm_min_k: usize,
-    /// Minimum row count at which packing activations + popcount GEMM
-    /// beats the blocked i32 GEMM (`ADAFLOW_PACKED_MIN_ROWS` overrides).
+    /// Minimum weight-row count at which a packed-eligible MVTU runs the
+    /// popcount kernel rather than the i32 GEMM.
     pub packed_min_rows: usize,
 }
 
-/// The process-wide measured thresholds. The first call runs two short
-/// micro-benchmarks (a few hundred microseconds); later calls return the
-/// cached result. Every kernel choice they steer is bit-identical, so the
-/// nondeterminism of measurement can never change an inference result,
-/// only its speed.
+/// The dispatch thresholds: compile-time constants, the same in every
+/// process on every machine. Every kernel choice they steer is
+/// bit-identical, so they only ever affect speed.
 #[must_use]
-pub fn kernel_thresholds() -> KernelThresholds {
-    static T: OnceLock<KernelThresholds> = OnceLock::new();
-    *T.get_or_init(|| {
-        let gemm_min_k = env_usize("ADAFLOW_GEMM_MIN_K").unwrap_or_else(measure_gemm_min_k);
-        // The packed probe dispatches GEMM with the value above directly —
-        // it must not call back into `kernel_thresholds()` mid-init.
-        let packed_min_rows = env_usize("ADAFLOW_PACKED_MIN_ROWS")
-            .unwrap_or_else(|| measure_packed_min_rows(gemm_min_k));
-        KernelThresholds {
-            gemm_min_k,
-            packed_min_rows,
-        }
-    })
-}
-
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.parse().ok()
-}
-
-/// Best-of-three timing of `reps` runs of `f`.
-fn best_of(reps: usize, mut f: impl FnMut()) -> Duration {
-    f(); // warm-up
-    let mut best = Duration::MAX;
-    for _ in 0..3 {
-        let t = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        best = best.min(t.elapsed());
+pub const fn kernel_thresholds() -> KernelThresholds {
+    KernelThresholds {
+        gemm_min_k: crate::engine::GEMM_MIN_K,
+        packed_min_rows: crate::engine::PACKED_MIN_ROWS,
     }
-    best
-}
-
-/// Deterministic pseudo-random fill for the calibration operands.
-fn fill_cal(len: usize, modulus: u8, offset: i16) -> (Vec<i8>, Vec<u8>) {
-    let mut state = 0x9e37_79b9_u32;
-    let mut next = || {
-        state ^= state << 13;
-        state ^= state >> 17;
-        state ^= state << 5;
-        state
-    };
-    let a: Vec<i8> = (0..len)
-        .map(|_| ((next() % u32::from(modulus)) as i16 + offset) as i8)
-        .collect();
-    let b: Vec<u8> = (0..len)
-        .map(|_| (next() % u32::from(modulus)) as u8)
-        .collect();
-    (a, b)
-}
-
-/// Finds the smallest inner dimension where the blocked GEMM wins over the
-/// naive loop on an 8×8 problem.
-fn measure_gemm_min_k() -> usize {
-    const M: usize = 8;
-    const N: usize = 8;
-    const CANDIDATES: [usize; 5] = [4, 8, 16, 32, 64];
-    for k in CANDIDATES {
-        let (a, _) = fill_cal(M * k, 3, -1);
-        let (_, b) = fill_cal(N * k, 4, 0);
-        let mut out = vec![0i32; M * N];
-        let naive = best_of(128, || {
-            crate::engine::gemm_i32_naive(&a, &b, M, N, k, &mut out);
-            std::hint::black_box(&out);
-        });
-        let blocked = best_of(128, || {
-            crate::engine::gemm_i32_blocked(&a, &b, M, N, k, &mut out);
-            std::hint::black_box(&out);
-        });
-        if blocked <= naive {
-            return k;
-        }
-    }
-    *CANDIDATES.last().expect("non-empty")
-}
-
-/// Finds the smallest row count where pack-and-popcount beats the blocked
-/// i32 GEMM on a CNV-like tile (k = 256, 16 pixels, 2-bit domains).
-/// Takes the already-measured GEMM crossover instead of calling
-/// [`kernel_thresholds`] — this runs inside that initializer.
-fn measure_packed_min_rows(gemm_min_k: usize) -> usize {
-    const K: usize = 256;
-    const N: usize = 16;
-    const CANDIDATES: [usize; 6] = [1, 2, 4, 8, 16, 32];
-    let backend = default_backend();
-    for rows in CANDIDATES {
-        let (w, _) = fill_cal(rows * K, 3, -1);
-        let (_, acts) = fill_cal(N * K, 4, 0);
-        let mut out = vec![0i32; rows * N];
-        let use_blocked =
-            rows >= crate::engine::GEMM_MR && N >= crate::engine::GEMM_NR && K >= gemm_min_k;
-        let gemm = best_of(64, || {
-            if use_blocked {
-                crate::engine::gemm_i32_blocked(&w, &acts, rows, N, K, &mut out);
-            } else {
-                crate::engine::gemm_i32_naive(&w, &acts, rows, N, K, &mut out);
-            }
-            std::hint::black_box(&out);
-        });
-        let packed_w = PackedWeights::pack(&w, rows, K);
-        let mut packed_acts = vec![0u64; act_pack_words(N, K, 2)];
-        let timed = best_of(64, || {
-            pack_act_rows(&acts, N, K, 2, &mut packed_acts);
-            packed_gemm(&packed_w, &packed_acts, N, 2, &mut out, backend);
-            std::hint::black_box(&out);
-        });
-        if timed <= gemm {
-            return rows;
-        }
-    }
-    *CANDIDATES.last().expect("non-empty")
 }
 
 #[cfg(test)]
@@ -671,12 +560,10 @@ mod tests {
     }
 
     #[test]
-    fn thresholds_are_positive_and_cached() {
-        let t1 = kernel_thresholds();
-        let t2 = kernel_thresholds();
-        assert_eq!(t1, t2);
-        assert!(t1.gemm_min_k >= 4);
-        assert!(t1.packed_min_rows >= 1);
+    fn thresholds_are_the_named_constants() {
+        const T: KernelThresholds = kernel_thresholds();
+        assert_eq!(T.gemm_min_k, crate::engine::GEMM_MIN_K);
+        assert_eq!(T.packed_min_rows, crate::engine::PACKED_MIN_ROWS);
     }
 
     #[test]

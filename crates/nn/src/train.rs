@@ -600,7 +600,7 @@ fn calibrate_thresholds(graph: &CnnGraph, calib: &[Activations]) -> Result<CnnGr
 /// integer kernels, so calibration sees bit-exactly what inference will.
 fn mvtu_accumulate(layer: &Layer, input: &Activations, out_shape: TensorShape) -> Vec<i32> {
     match layer {
-        Layer::Conv2d(c) => engine::conv_forward(c, input, out_shape),
+        Layer::Conv2d(c) => engine::conv_forward_im2col(c, input, out_shape),
         Layer::Dense(d) => engine::dense_forward(d, input.as_slice()),
         _ => Vec::new(),
     }

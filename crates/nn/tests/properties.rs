@@ -101,7 +101,7 @@ proptest! {
     }
 
     /// Reusing one scratch arena across a shuffled batch is bit-identical to
-    /// a fresh `run` per image, for both convolution strategies.
+    /// a fresh `run` per image, for every strategy and packed backend.
     #[test]
     fn scratch_reuse_is_bit_identical_over_shuffled_batches(
         classes in 2usize..8,
@@ -115,13 +115,16 @@ proptest! {
                 .collect(),
             seed ^ 0xD1B5_4A32_D192_ED03,
         );
-        for strategy in [
-            ConvStrategy::Direct,
-            ConvStrategy::Im2col,
-            ConvStrategy::Packed,
-            ConvStrategy::Auto,
+        for (strategy, backend) in [
+            (ConvStrategy::Direct, PackedBackend::Scalar),
+            (ConvStrategy::Im2col, PackedBackend::Scalar),
+            (ConvStrategy::Auto, PackedBackend::Scalar),
+            (ConvStrategy::Auto, PackedBackend::Avx2),
         ] {
-            let engine = Engine::new(&graph).expect("engine").with_strategy(strategy);
+            let engine = Engine::new(&graph)
+                .expect("engine")
+                .with_strategy(strategy)
+                .with_packed_backend(backend);
             let mut scratch = engine.scratch();
             for img in &images {
                 let fresh = engine.run(img).expect("fresh run");
@@ -156,12 +159,9 @@ proptest! {
         for backend in backends {
             let engine = Engine::new(&graph)
                 .expect("engine")
-                .with_strategy(ConvStrategy::Packed)
                 .with_packed_backend(backend);
             prop_assert_eq!(&oracle, &engine.run(&img).expect("packed"));
         }
-        let auto = Engine::new(&graph).expect("engine").run(&img).expect("auto");
-        prop_assert_eq!(&oracle, &auto);
     }
 
     /// Batched packed inference is invariant in the worker-thread count and
@@ -184,9 +184,7 @@ proptest! {
             .map(|img| oracle_engine.run(img).expect("oracle").label)
             .collect();
         for t in [1, 2, threads] {
-            let engine = Engine::new(&graph)
-                .expect("engine")
-                .with_strategy(ConvStrategy::Packed);
+            let engine = Engine::new(&graph).expect("engine");
             let runner = BatchRunner::new(engine).with_threads(t);
             prop_assert_eq!(&runner.run(&images).expect("batch"), &oracle, "threads {}", t);
         }

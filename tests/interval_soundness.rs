@@ -122,10 +122,9 @@ fn assert_sound(graph: &CnnGraph, input_seeds: &[u64]) {
     assert!(analysis.stats.converged);
     let classifier = analysis.mvtus.last().expect("graph has MVTUs");
     let configs = [
-        (ConvStrategy::Auto, PackedBackend::Scalar),
         (ConvStrategy::Im2col, PackedBackend::Scalar),
-        (ConvStrategy::Packed, PackedBackend::Scalar),
-        (ConvStrategy::Packed, PackedBackend::Avx2),
+        (ConvStrategy::Auto, PackedBackend::Scalar),
+        (ConvStrategy::Auto, PackedBackend::Avx2),
     ];
     for (strategy, backend) in configs {
         let engine = Engine::new(graph)
