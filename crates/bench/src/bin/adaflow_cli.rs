@@ -21,7 +21,7 @@ use adaflow_model::prelude::*;
 use adaflow_model::GraphSummary;
 use adaflow_nn::{DatasetKind, Engine};
 use adaflow_telemetry::{
-    chrome_trace_json, events_to_jsonl, to_prometheus, SinkHandle, TraceSummary,
+    chrome_trace_json, events_to_jsonl, to_prometheus, Event, SinkHandle, TraceSummary,
 };
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -139,6 +139,40 @@ fn required<'f>(flags: &'f HashMap<String, String>, name: &str) -> Result<&'f st
         .get(name)
         .map(String::as_str)
         .ok_or_else(|| format!("missing --{name}\n{}", usage()))
+}
+
+/// `--format text|json` (default `text`).
+fn parse_format(flags: &HashMap<String, String>) -> Result<&str, String> {
+    let format = flags.get("format").map_or("text", String::as_str);
+    if matches!(format, "text" | "json") {
+        Ok(format)
+    } else {
+        Err(format!("unknown --format `{format}` (text | json)"))
+    }
+}
+
+/// Writes the `--out <prefix>` exports of `events` — `<prefix>.trace.json`
+/// (Chrome/Perfetto), `.jsonl`, `.prom` — then each `(suffix, contents)`
+/// of `extra`, naming every file on stdout under `--format text`.
+fn write_exports(
+    prefix: &str,
+    format: &str,
+    events: &[Event],
+    extra: &[(&str, String)],
+) -> Result<(), String> {
+    let standard = [
+        ("trace.json", chrome_trace_json(events)),
+        ("jsonl", events_to_jsonl(events)),
+        ("prom", to_prometheus(&TraceSummary::from_events(events))),
+    ];
+    for (suffix, contents) in standard.iter().chain(extra) {
+        let path = format!("{prefix}.{suffix}");
+        std::fs::write(&path, contents).map_err(|e| format!("writing {path}: {e}"))?;
+        if format == "text" {
+            println!("  wrote {path} ({} bytes)", contents.len());
+        }
+    }
+    Ok(())
 }
 
 fn build_model(name: &str, dataset: Option<DatasetKind>) -> Result<CnnGraph, String> {
@@ -341,10 +375,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         .get("runs")
         .map_or(Ok(1), |r| r.parse().map_err(|e| format!("bad --runs: {e}")))?;
     let shed_name = flags.get("shed").map_or("block", String::as_str);
-    let format = flags.get("format").map_or("text", String::as_str);
-    if !matches!(format, "text" | "json") {
-        return Err(format!("unknown --format `{format}` (text | json)"));
-    }
+    let format = parse_format(flags)?;
     let check = flags.get("check").is_some_and(|v| v == "1");
 
     let config = parse_serve_knobs(flags)?;
@@ -455,18 +486,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         if events.is_empty() {
             return Err("--out requires a single run (--runs 1) to record events".to_string());
         }
-        let trace_summary = TraceSummary::from_events(&events);
-        let write = |suffix: &str, contents: String| -> Result<(), String> {
-            let path = format!("{prefix}.{suffix}");
-            std::fs::write(&path, &contents).map_err(|e| format!("writing {path}: {e}"))?;
-            if format == "text" {
-                println!("  wrote {path} ({} bytes)", contents.len());
-            }
-            Ok(())
-        };
-        write("trace.json", chrome_trace_json(&events))?;
-        write("jsonl", events_to_jsonl(&events))?;
-        write("prom", to_prometheus(&trace_summary))?;
+        write_exports(prefix, format, &events, &[])?;
     }
     Ok(())
 }
@@ -559,10 +579,7 @@ fn cmd_fleet(flags: &HashMap<String, String>) -> Result<(), String> {
     let runs: usize = flags
         .get("runs")
         .map_or(Ok(1), |r| r.parse().map_err(|e| format!("bad --runs: {e}")))?;
-    let format = flags.get("format").map_or("text", String::as_str);
-    if !matches!(format, "text" | "json") {
-        return Err(format!("unknown --format `{format}` (text | json)"));
-    }
+    let format = parse_format(flags)?;
     let check = flags.get("check").is_some_and(|v| v == "1");
     let config = parse_fleet_config(flags)?;
     let spec = WorkloadSpec::paper_edge(scenario);
@@ -679,18 +696,7 @@ fn cmd_fleet(flags: &HashMap<String, String>) -> Result<(), String> {
         if events.is_empty() {
             return Err("--out requires a single run (--runs 1) to record events".to_string());
         }
-        let trace_summary = TraceSummary::from_events(&events);
-        let write = |suffix: &str, contents: String| -> Result<(), String> {
-            let path = format!("{prefix}.{suffix}");
-            std::fs::write(&path, &contents).map_err(|e| format!("writing {path}: {e}"))?;
-            if format == "text" {
-                println!("  wrote {path} ({} bytes)", contents.len());
-            }
-            Ok(())
-        };
-        write("trace.json", chrome_trace_json(&events))?;
-        write("jsonl", events_to_jsonl(&events))?;
-        write("prom", to_prometheus(&trace_summary))?;
+        write_exports(prefix, format, &events, &[])?;
     }
     Ok(())
 }
@@ -717,10 +723,7 @@ fn cmd_report(flags: &HashMap<String, String>) -> Result<(), String> {
     let top: usize = flags
         .get("top")
         .map_or(Ok(3), |v| v.parse().map_err(|e| format!("bad --top: {e}")))?;
-    let format = flags.get("format").map_or("text", String::as_str);
-    if !matches!(format, "text" | "json") {
-        return Err(format!("unknown --format `{format}` (text | json)"));
-    }
+    let format = parse_format(flags)?;
     let check = flags.get("check").is_some_and(|v| v == "1");
     let target: f64 = flags.get("slo-target").map_or(Ok(0.97), |v| {
         v.parse().map_err(|e| format!("bad --slo-target: {e}"))
@@ -872,19 +875,8 @@ fn cmd_report(flags: &HashMap<String, String>) -> Result<(), String> {
         // own sim timestamps), so the Perfetto view shows burns in place.
         let mut exported = events.clone();
         exported.extend(slo.alerts.iter().cloned());
-        let trace_summary = TraceSummary::from_events(&exported);
-        let write = |suffix: &str, contents: String| -> Result<(), String> {
-            let path = format!("{prefix}.{suffix}");
-            std::fs::write(&path, &contents).map_err(|e| format!("writing {path}: {e}"))?;
-            if format == "text" {
-                println!("  wrote {path} ({} bytes)", contents.len());
-            }
-            Ok(())
-        };
-        write("trace.json", chrome_trace_json(&exported))?;
-        write("jsonl", events_to_jsonl(&exported))?;
-        write("prom", to_prometheus(&trace_summary))?;
-        write("metrics.prom", registry.to_prometheus())?;
+        let extra = [("metrics.prom", registry.to_prometheus())];
+        write_exports(prefix, format, &exported, &extra)?;
     }
     Ok(())
 }
@@ -975,15 +967,7 @@ fn cmd_trace(flags: &HashMap<String, String>) -> Result<(), String> {
     );
 
     if let Some(prefix) = flags.get("out") {
-        let write = |suffix: &str, contents: String| -> Result<(), String> {
-            let path = format!("{prefix}.{suffix}");
-            std::fs::write(&path, &contents).map_err(|e| format!("writing {path}: {e}"))?;
-            println!("  wrote {path} ({} bytes)", contents.len());
-            Ok(())
-        };
-        write("trace.json", chrome_trace_json(&events))?;
-        write("jsonl", events_to_jsonl(&events))?;
-        write("prom", to_prometheus(&summary))?;
+        write_exports(prefix, "text", &events, &[])?;
     }
     Ok(())
 }
@@ -1069,10 +1053,7 @@ fn cmd_lint(flags: &HashMap<String, String>) -> Result<(), String> {
             })
             .collect()
     })?;
-    let format = flags.get("format").map_or("text", String::as_str);
-    if !matches!(format, "text" | "json") {
-        return Err(format!("unknown --format `{format}` (text | json)"));
-    }
+    let format = parse_format(flags)?;
     let lint = parse_lint_flags(flags);
 
     let mut reports = Vec::new();
@@ -1200,10 +1181,7 @@ fn cmd_serve_live(flags: &HashMap<String, String>) -> Result<(), String> {
     let duration_s: f64 = parse_num(flags, "duration-s", 0.0)?;
     let threads: usize = parse_num(flags, "threads", 0)?;
     let addr = flags.get("addr").map_or("127.0.0.1:7878", String::as_str);
-    let format = flags.get("format").map_or("text", String::as_str);
-    if !matches!(format, "text" | "json") {
-        return Err(format!("unknown --format `{format}` (text | json)"));
-    }
+    let format = parse_format(flags)?;
 
     // Hard gate: a live endpoint must not come up on a config the verifier
     // rejects. Worst stall is zero — live serving runs a single model.
@@ -1219,7 +1197,6 @@ fn cmd_serve_live(flags: &HashMap<String, String>) -> Result<(), String> {
         serve: serve.clone(),
         model_id: model_name.clone(),
         threads,
-        ..LiveConfig::default()
     };
     let server = LiveServer::bind(addr, &graph, config, sink).map_err(|e| e.to_string())?;
     let bound = server.local_addr().map_err(|e| e.to_string())?;
@@ -1318,22 +1295,8 @@ fn cmd_serve_live(flags: &HashMap<String, String>) -> Result<(), String> {
     }
 
     if let Some(prefix) = flags.get("out") {
-        let trace_summary = TraceSummary::from_events(&events);
-        let write = |suffix: &str, contents: String| -> Result<(), String> {
-            let path = format!("{prefix}.{suffix}");
-            std::fs::write(&path, &contents).map_err(|e| format!("writing {path}: {e}"))?;
-            if format == "text" {
-                println!("  wrote {path} ({} bytes)", contents.len());
-            }
-            Ok(())
-        };
-        write("trace.json", chrome_trace_json(&events))?;
-        write("jsonl", events_to_jsonl(&events))?;
-        write("prom", to_prometheus(&trace_summary))?;
-        write(
-            "report.json",
-            serde_json::to_string(&report).map_err(|e| e.to_string())?,
-        )?;
+        let report_json = serde_json::to_string(&report).map_err(|e| e.to_string())?;
+        write_exports(prefix, format, &events, &[("report.json", report_json)])?;
     }
     Ok(())
 }
@@ -1352,10 +1315,7 @@ fn cmd_load(flags: &HashMap<String, String>) -> Result<(), String> {
     let connections: usize = parse_num(flags, "connections", 1)?;
     let seed: u64 = parse_num(flags, "seed", 7)?;
     let deadline_ms: f64 = parse_num(flags, "deadline-ms", 0.0)?;
-    let format = flags.get("format").map_or("text", String::as_str);
-    if !matches!(format, "text" | "json") {
-        return Err(format!("unknown --format `{format}` (text | json)"));
-    }
+    let format = parse_format(flags)?;
     let mode = if let Some(requests) = flags.get("requests") {
         LoadMode::Closed {
             requests: requests
@@ -1630,10 +1590,7 @@ fn cmd_gateway(flags: &HashMap<String, String>) -> Result<(), String> {
     let warmup_iters: u32 = parse_num(flags, "warmup-iters", 3)?;
     let seed: u64 = parse_num(flags, "seed", 7)?;
     let addr = flags.get("addr").map_or("127.0.0.1:7979", String::as_str);
-    let format = flags.get("format").map_or("text", String::as_str);
-    if !matches!(format, "text" | "json") {
-        return Err(format!("unknown --format `{format}` (text | json)"));
-    }
+    let format = parse_format(flags)?;
     let backends_flag = required(flags, "backends")?;
     let backends: Vec<std::net::SocketAddr> = backends_flag
         .split(',')
@@ -1689,22 +1646,8 @@ fn cmd_gateway(flags: &HashMap<String, String>) -> Result<(), String> {
 
     if let Some(prefix) = flags.get("out") {
         let events = recorder.drain();
-        let trace_summary = TraceSummary::from_events(&events);
-        let write = |suffix: &str, contents: String| -> Result<(), String> {
-            let path = format!("{prefix}.{suffix}");
-            std::fs::write(&path, &contents).map_err(|e| format!("writing {path}: {e}"))?;
-            if format == "text" {
-                println!("  wrote {path} ({} bytes)", contents.len());
-            }
-            Ok(())
-        };
-        write("trace.json", chrome_trace_json(&events))?;
-        write("jsonl", events_to_jsonl(&events))?;
-        write("prom", to_prometheus(&trace_summary))?;
-        write(
-            "report.json",
-            serde_json::to_string(&report).map_err(|e| e.to_string())?,
-        )?;
+        let report_json = serde_json::to_string(&report).map_err(|e| e.to_string())?;
+        write_exports(prefix, format, &events, &[("report.json", report_json)])?;
     }
     Ok(())
 }

@@ -1,15 +1,16 @@
-//! The gateway front-end: listener, client readers, routing, retry, and
-//! the end-of-run report.
+//! The gateway front-end: routing, retry, and the end-of-run report.
 //!
 //! ## Threading model
 //!
 //! Everything runs inside one `std::thread::scope`, so a returning
 //! [`Gateway::run`] structurally proves every worker joined:
 //!
-//! * **accept loop** (the thread that called `run`) — a nonblocking
-//!   `accept` poll that spawns one reader per client connection;
-//! * **client readers** — decode request frames and dispatch each to a
-//!   backend chosen by the routing policy;
+//! * **accept loop and client readers** — the connection skeleton,
+//!   [`adaflow_proto::server::serve_requests`], on the thread that called
+//!   `run`: it owns accepting, reading, decoding, the write half and the
+//!   wire counters. This module only gives it a handler: `handle_request`
+//!   re-keys each decoded request and dispatches it to a backend chosen
+//!   by the routing policy;
 //! * **backend workers** — one per backend, each owning its multiplexed
 //!   [`adaflow_proto::ProtoClient`] connection plus the health-probe
 //!   state machine (see [`crate::backend`]).
@@ -29,12 +30,12 @@
 use crate::backend;
 use crate::config::GatewayConfig;
 use adaflow_fleet::router::{DeviceSnapshot, RoutePolicy};
-use adaflow_proto::{encode_frame, Frame, FrameReader, RequestFrame, ResponseFrame, Status};
+use adaflow_proto::server::{serve_requests, Conn, WireStats, POLL_INTERVAL};
+use adaflow_proto::{RequestFrame, ResponseFrame, Status};
 use adaflow_telemetry::{EventKind, LogHistogram, SinkHandle};
 use serde::Serialize;
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -47,11 +48,6 @@ pub(crate) const PROBE_BASE: u64 = 1 << 63;
 /// Throughput prior (FPS) the deadline-aware policy uses for a backend
 /// that has no warmup floor and no live calibration yet.
 const PRIOR_FPS: f64 = 100.0;
-/// Per-connection blocking-read timeout on the front socket; bounds reader
-/// shutdown latency.
-const READ_TIMEOUT: Duration = Duration::from_millis(50);
-/// Accept-poll and drain-poll interval of the front listener.
-const POLL_INTERVAL: Duration = Duration::from_millis(5);
 
 /// Why the gateway refused to start or died.
 #[derive(Debug, Error)]
@@ -70,23 +66,10 @@ pub enum GatewayError {
     },
 }
 
-/// Write half of one client connection; response writes are serialized by
-/// the mutex so readers and backend workers can interleave answers safely.
-pub(crate) struct ClientConn {
-    stream: Mutex<TcpStream>,
-}
-
-impl ClientConn {
-    pub(crate) fn send(&self, response: &ResponseFrame) -> std::io::Result<()> {
-        let bytes = encode_frame(&Frame::Response(response.clone()));
-        self.stream.lock().expect("conn lock").write_all(&bytes)
-    }
-}
-
 /// One routed request awaiting its backend response.
 pub(crate) struct InFlight {
     /// The client connection to answer on.
-    pub(crate) client: Arc<ClientConn>,
+    pub(crate) client: Arc<Conn>,
     /// The id the client used (restored before answering).
     pub(crate) client_id: u64,
     /// The forwarded frame, re-keyed to the gateway id — kept whole so a
@@ -158,10 +141,7 @@ pub(crate) struct Shared {
     reject_counts: [AtomicU64; 5],
     no_backend: AtomicU64,
     retries: AtomicU64,
-    connections: AtomicU64,
-    protocol_errors: AtomicU64,
-    send_errors: AtomicU64,
-    accept_errors: AtomicU64,
+    wire: Arc<WireStats>,
 }
 
 fn to_us(d: Duration) -> u32 {
@@ -275,20 +255,14 @@ impl Shared {
                 );
             }
         }
-        if entry.client.send(&response).is_err() {
-            self.send_errors.fetch_add(1, Ordering::Relaxed);
-        }
+        entry.client.send(&response);
     }
 
     /// Answers the client with a gateway-synthesized reject.
     pub(crate) fn answer_reject(&self, entry: &InFlight, status: Status) {
         let response = ResponseFrame {
-            id: entry.client_id,
-            status,
-            label: 0,
-            queue_us: 0,
-            service_us: 0,
             latency_us: to_us(entry.enqueued.elapsed()),
+            ..ResponseFrame::reject(entry.client_id, status)
         };
         self.forward_response(entry, response);
     }
@@ -486,7 +460,6 @@ impl Gateway {
             return Err(GatewayError::NoBackends);
         }
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let mut states = Vec::with_capacity(backends.len());
         let mut receivers = Vec::with_capacity(backends.len());
         for &addr in backends {
@@ -523,10 +496,7 @@ impl Gateway {
             reject_counts: std::array::from_fn(|_| AtomicU64::new(0)),
             no_backend: AtomicU64::new(0),
             retries: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
-            send_errors: AtomicU64::new(0),
-            accept_errors: AtomicU64::new(0),
+            wire: Arc::default(),
         });
         Ok(Self {
             listener,
@@ -590,34 +560,18 @@ impl Gateway {
 
         let shared = &self.shared;
         let receivers = std::mem::take(&mut self.receivers);
+        let route_request = |conn: &Arc<Conn>, request| handle_request(shared, conn, request);
         std::thread::scope(|scope| {
             for (idx, (rx, client)) in receivers.into_iter().zip(clients).enumerate() {
                 scope.spawn(move || backend::worker(shared, idx, &rx, client));
             }
-            loop {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                match self.listener.accept() {
-                    Ok((stream, _)) => {
-                        shared.connections.fetch_add(1, Ordering::Relaxed);
-                        scope.spawn(move || reader_loop(shared, stream));
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        std::thread::sleep(POLL_INTERVAL);
-                    }
-                    Err(_) => {
-                        // A dead front socket ends the run, but it must
-                        // end it *gracefully*: client readers and backend
-                        // workers exit on the shutdown flag, so without
-                        // setting it the scope would wedge until every
-                        // client voluntarily disconnected.
-                        shared.accept_errors.fetch_add(1, Ordering::Relaxed);
-                        shared.shutdown.store(true, Ordering::SeqCst);
-                        break;
-                    }
-                }
-            }
+            serve_requests(
+                scope,
+                &self.listener,
+                &shared.shutdown,
+                &shared.wire,
+                &route_request,
+            );
             // Graceful drain: give in-flight requests the drain window,
             // then abort the workers. Client readers exit on the shutdown
             // flag at their next read timeout.
@@ -657,10 +611,10 @@ impl Gateway {
             },
             no_backend: shared.no_backend.load(Ordering::SeqCst),
             retries: shared.retries.load(Ordering::SeqCst),
-            connections: shared.connections.load(Ordering::SeqCst),
-            protocol_errors: shared.protocol_errors.load(Ordering::SeqCst),
-            send_errors: shared.send_errors.load(Ordering::SeqCst),
-            accept_errors: shared.accept_errors.load(Ordering::SeqCst),
+            connections: shared.wire.connections.load(Ordering::Relaxed),
+            protocol_errors: shared.wire.protocol_errors.load(Ordering::Relaxed),
+            send_errors: shared.wire.send_errors.load(Ordering::Relaxed),
+            accept_errors: shared.wire.accept_errors.load(Ordering::Relaxed),
             duration_s,
             router: shared.config.router.name().to_string(),
             backends: shared
@@ -687,51 +641,8 @@ impl Gateway {
     }
 }
 
-fn reader_loop(shared: &Shared, stream: TcpStream) {
-    if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
-        return;
-    }
-    stream.set_nodelay(true).ok();
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let conn = Arc::new(ClientConn {
-        stream: Mutex::new(write_half),
-    });
-    let mut stream = stream;
-    let mut frames = FrameReader::new();
-    let mut buf = [0u8; 16 * 1024];
-    'conn: loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => {
-                frames.feed(&buf[..n]);
-                loop {
-                    match frames.next_frame() {
-                        Ok(Some(Frame::Request(request))) => {
-                            handle_request(shared, &conn, request);
-                        }
-                        Ok(Some(Frame::Response(_))) | Err(_) => {
-                            // Clients send requests; anything else means
-                            // the stream is not speaking our protocol.
-                            shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                            break 'conn;
-                        }
-                        Ok(None) => break,
-                    }
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-            Err(_) => break,
-        }
-    }
-}
-
 /// Re-keys one decoded client request to a gateway id and dispatches it.
-fn handle_request(shared: &Shared, conn: &Arc<ClientConn>, request: RequestFrame) {
+fn handle_request(shared: &Shared, conn: &Arc<Conn>, request: RequestFrame) {
     shared.received.fetch_add(1, Ordering::Relaxed);
     let client_id = request.id;
     let deadline = (request.deadline_us > 0)

@@ -9,15 +9,13 @@
 use adaflow_gateway::{Gateway, GatewayConfig, GatewayReport, WarmupSpec};
 use adaflow_model::{topology, QuantSpec, TensorShape};
 use adaflow_net::{LiveConfig, LiveServer, LoadConfig};
-use adaflow_proto::{
-    encode_frame, Frame, FrameReader, ProtoClient, RequestFrame, ResponseFrame, Status,
-};
+use adaflow_proto::server::{serve_requests, Conn};
+use adaflow_proto::{ProtoClient, RequestFrame, ResponseFrame, Status};
 use adaflow_serve::ServeConfig;
 use adaflow_telemetry::{EventKind, SinkHandle};
-use std::io::{Read, Write};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn tiny_graph() -> adaflow_model::CnnGraph {
@@ -270,48 +268,17 @@ fn killed_backend_is_ejected_then_readmitted_after_restart() {
 /// The `deadline_us` of every non-probe request frame it sees is pushed
 /// into `deadlines`, so tests can observe the budget the gateway forwards.
 fn always_queue_full(listener: &TcpListener, stop: &AtomicBool, deadlines: &Mutex<Vec<u64>>) {
-    listener.set_nonblocking(true).expect("nonblocking");
-    let mut conns: Vec<(std::net::TcpStream, FrameReader)> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        if let Ok((stream, _)) = listener.accept() {
-            stream
-                .set_read_timeout(Some(Duration::from_millis(5)))
-                .expect("timeout");
-            conns.push((stream, FrameReader::new()));
+    let stats = Arc::default();
+    let answer = |conn: &Arc<Conn>, r: RequestFrame| {
+        if r.id & (1 << 63) == 0 {
+            deadlines.lock().expect("deadline lock").push(r.deadline_us);
         }
-        let mut buf = [0u8; 4096];
-        conns.retain_mut(|(stream, frames)| {
-            match stream.read(&mut buf) {
-                Ok(0) => return false,
-                Ok(n) => frames.feed(&buf[..n]),
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut => {}
-                Err(_) => return false,
-            }
-            while let Ok(Some(Frame::Request(r))) = frames.next_frame() {
-                if r.id & (1 << 63) == 0 {
-                    deadlines.lock().expect("deadline lock").push(r.deadline_us);
-                }
-                let response = ResponseFrame {
-                    id: r.id,
-                    status: Status::QueueFull,
-                    label: 0,
-                    queue_us: 0,
-                    service_us: 0,
-                    latency_us: 1,
-                };
-                if stream
-                    .write_all(&encode_frame(&Frame::Response(response)))
-                    .is_err()
-                {
-                    return false;
-                }
-            }
-            true
+        conn.send(&ResponseFrame {
+            latency_us: 1,
+            ..ResponseFrame::reject(r.id, Status::QueueFull)
         });
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    };
+    std::thread::scope(|scope| serve_requests(scope, listener, stop, &stats, &answer));
 }
 
 #[test]

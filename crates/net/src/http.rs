@@ -1,15 +1,17 @@
 //! A minimal Prometheus `/metrics` endpoint.
 //!
-//! Deliberately not a web framework: one nonblocking accept loop, one
-//! thread, and just enough HTTP/1.1 to satisfy a Prometheus scraper —
+//! Deliberately not a web framework: the skeleton's accept loop
+//! ([`adaflow_proto::server::accept_until`]), one thread, and just enough
+//! HTTP/1.1 to satisfy a Prometheus scraper —
 //! read until the blank line, answer `200 text/plain` with the current
 //! registry exposition, close. Anything fancier belongs behind a real
 //! reverse proxy.
 
+use adaflow_proto::server::accept_until;
 use adaflow_telemetry::RegistrySink;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -32,7 +34,6 @@ impl MetricsEndpoint {
         stop: Arc<AtomicBool>,
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         Ok(Self {
             listener,
             registry,
@@ -50,20 +51,13 @@ impl MetricsEndpoint {
     }
 
     /// Serves scrapes until the stop flag is raised. Run on its own
-    /// thread; returns when stopped.
+    /// thread; returns when stopped. A dead listener ends scraping and
+    /// raises the flag itself.
     pub fn serve(&self) {
-        while !self.stop.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    // Scrapes are rare and cheap; handle inline.
-                    let _ = self.answer(stream);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(_) => break,
-            }
-        }
+        // Scrapes are rare and cheap; handle inline.
+        let _ = accept_until(&self.listener, &self.stop, |stream| {
+            let _ = self.answer(stream);
+        });
     }
 
     fn answer(&self, mut stream: std::net::TcpStream) -> std::io::Result<()> {
@@ -95,8 +89,8 @@ impl MetricsEndpoint {
 mod tests {
     use super::*;
     use adaflow_telemetry::RegistryConfig;
-    use std::io::{Read, Write};
     use std::net::TcpStream;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn scrape_returns_prometheus_exposition() {

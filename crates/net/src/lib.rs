@@ -18,10 +18,12 @@
 //! * telemetry — per-request span trees and serving events flow into the
 //!   existing trace/metrics/SLO pipeline unchanged.
 //!
-//! The module split mirrors the serving crate: [`server`] is the listener
-//! plus engine thread, [`loadgen`] the seeded closed/open-loop client,
-//! [`preflight`] the verifier gate run before the socket opens, and
-//! [`http`] a minimal Prometheus `/metrics` endpoint.
+//! The module split mirrors the serving crate: [`server`] is admission
+//! plus the engine thread (the sockets themselves are
+//! [`adaflow_proto::server`], shared with the gateway), [`loadgen`] the
+//! seeded closed/open-loop client, [`preflight`] the verifier gate run
+//! before the socket opens, and [`http`] a minimal Prometheus `/metrics`
+//! endpoint.
 //!
 //! Graceful shutdown is a first-class contract: in-flight batches complete
 //! and answer `Ok`, queued-but-unserved requests are drained with

@@ -1,15 +1,15 @@
-//! The live TCP server: listener, per-connection readers, and one engine
-//! thread that batches and executes requests on the real inference engine.
+//! The live TCP server: admission for every decoded request, and one
+//! engine thread that batches and executes requests on the real inference
+//! engine.
 //!
 //! ## Threading model
 //!
-//! * **accept loop** (the thread that called [`LiveServer::run`]) — a
-//!   nonblocking `accept` poll that spawns one reader per connection and
-//!   checks the shutdown flag every `POLL_INTERVAL`;
-//! * **reader threads** (one per connection) — blocking reads with a short
-//!   timeout feed an incremental `FrameReader`; decoded requests go through
-//!   admission under the shared core lock; protocol violations drop the
-//!   connection (the proto layer's errors are sticky by design);
+//! * **accept loop and reader threads** — the connection skeleton,
+//!   [`adaflow_proto::server::serve_requests`], on the thread that called
+//!   [`LiveServer::run`]: it owns accepting, reading, decoding, dropping
+//!   connections on protocol violations, the write half and the wire
+//!   counters. This module only gives it a handler: every decoded request
+//!   goes through `admit` under the shared core lock;
 //! * **engine thread** (exactly one) — owns batch close decisions and
 //!   execution, mirroring the DES single-accelerator semantics: a batch
 //!   closes when it reaches `max_batch` or its oldest request has waited
@@ -27,7 +27,8 @@
 use crate::clock::WallClock;
 use adaflow_model::CnnGraph;
 use adaflow_nn::{Activations, BatchRunner, Engine, NnError};
-use adaflow_proto::{Frame, FrameReader, RequestFrame, ResponseFrame, Status};
+use adaflow_proto::server::{serve_requests, Conn, WireStats, POLL_INTERVAL};
+use adaflow_proto::{RequestFrame, ResponseFrame, Status};
 use adaflow_serve::queue::Arriving;
 use adaflow_serve::{
     emit_request_trace, AdmissionQueue, CompletedRequest, DeviceStats, ServeConfig, ServeSummary,
@@ -35,9 +36,8 @@ use adaflow_serve::{
 use adaflow_telemetry::{EventKind, LogHistogram, SinkHandle};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use thiserror::Error;
@@ -53,13 +53,12 @@ pub enum NetError {
     Engine(#[from] NnError),
 }
 
-/// Per-connection blocking-read timeout; bounds reader shutdown latency.
-const READ_TIMEOUT: Duration = Duration::from_millis(25);
-/// Accept-loop and engine-idle poll period; bounds shutdown latency.
-const POLL_INTERVAL: Duration = Duration::from_millis(5);
+/// Warmup inferences that measure the single-inference service floor for
+/// deadline-infeasibility rejection.
+const WARMUP_ITERS: usize = 3;
 
 /// Configuration of one live server.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LiveConfig {
     /// The shared serving knobs (deadline, queue capacity, batch shape,
     /// overflow policy) — the *same* struct the DES runs, so a simulated
@@ -69,24 +68,6 @@ pub struct LiveConfig {
     pub model_id: String,
     /// Worker threads for `BatchRunner` (0 = auto).
     pub threads: usize,
-    /// Nominal TOP-1 accuracy of the serving model, percent (feeds the
-    /// summary's `mean_accuracy_pct` like the DES policy does).
-    pub accuracy_pct: f64,
-    /// Warmup inferences used to measure the single-inference service
-    /// floor for deadline-infeasibility rejection.
-    pub warmup_iters: usize,
-}
-
-impl Default for LiveConfig {
-    fn default() -> Self {
-        Self {
-            serve: ServeConfig::default(),
-            model_id: String::new(),
-            threads: 0,
-            accuracy_pct: 0.0,
-            warmup_iters: 3,
-        }
-    }
 }
 
 /// Machine-readable reject tallies, by reason code.
@@ -165,30 +146,6 @@ impl Arriving for Pending {
     }
 }
 
-/// The write half of a connection, shared by reader and engine threads.
-struct Conn {
-    stream: Mutex<TcpStream>,
-}
-
-impl Conn {
-    fn send(&self, frame: &ResponseFrame) -> std::io::Result<()> {
-        let bytes = adaflow_proto::encode_frame(&Frame::Response(frame.clone()));
-        let mut stream = self.stream.lock().expect("conn lock poisoned");
-        stream.write_all(&bytes)
-    }
-}
-
-fn reject_response(client_id: u64, status: Status) -> ResponseFrame {
-    ResponseFrame {
-        id: client_id,
-        status,
-        label: 0,
-        queue_us: 0,
-        service_us: 0,
-        latency_us: 0,
-    }
-}
-
 fn to_us(seconds: f64) -> u32 {
     let us = seconds * 1e6;
     if us >= f64::from(u32::MAX) {
@@ -213,10 +170,7 @@ struct SharedState {
     /// Signalled on enqueue and on shutdown; the engine waits on it.
     work: Condvar,
     shutdown: AtomicBool,
-    connections: AtomicU64,
-    protocol_errors: AtomicU64,
-    send_errors: AtomicU64,
-    accept_errors: AtomicU64,
+    wire: Arc<WireStats>,
     clock: WallClock,
     sink: SinkHandle,
     config: LiveConfig,
@@ -268,7 +222,6 @@ impl<'g> LiveServer<'g> {
         sink: SinkHandle,
     ) -> Result<Self, NetError> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let core = Core {
             queue: AdmissionQueue::new(config.serve.queue_capacity, config.serve.overflow),
             stats: DeviceStats::default(),
@@ -281,10 +234,7 @@ impl<'g> LiveServer<'g> {
             core: Mutex::new(core),
             work: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            connections: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
-            send_errors: AtomicU64::new(0),
-            accept_errors: AtomicU64::new(0),
+            wire: Arc::default(),
             clock: WallClock::start(),
             sink,
             config,
@@ -331,7 +281,7 @@ impl<'g> LiveServer<'g> {
         let mut floor = f64::INFINITY;
         let mut scratch = engine.scratch();
         let zero = Activations::from_vec(shape, vec![0; shape.elements()]);
-        for _ in 0..self.shared.config.warmup_iters.max(1) {
+        for _ in 0..WARMUP_ITERS {
             let t0 = Instant::now();
             engine.run_with_scratch(&zero, &mut scratch)?;
             floor = floor.min(t0.elapsed().as_secs_f64());
@@ -341,35 +291,21 @@ impl<'g> LiveServer<'g> {
         let runner = BatchRunner::new(engine).with_threads(self.shared.config.threads);
         let model_name = self.graph.name().to_string();
         let shared = &self.shared;
+        let admit_request =
+            |conn: &Arc<Conn>, request| admit(shared, conn, request, shape.elements());
 
         std::thread::scope(|scope| {
             scope.spawn(|| engine_loop(shared, &runner, &model_name));
-
-            // Accept loop on the calling thread.
-            loop {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                match self.listener.accept() {
-                    Ok((stream, _peer)) => {
-                        shared.connections.fetch_add(1, Ordering::Relaxed);
-                        scope.spawn(move || reader_loop(shared, stream, shape.elements()));
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        std::thread::sleep(POLL_INTERVAL);
-                    }
-                    Err(_) => {
-                        // A dead listener ends the run, but gracefully: the
-                        // engine thread and the readers exit only on the
-                        // shutdown flag, so breaking without it would wedge
-                        // the scope forever.
-                        shared.accept_errors.fetch_add(1, Ordering::Relaxed);
-                        shared.shutdown.store(true, Ordering::SeqCst);
-                        shared.work.notify_all();
-                        break;
-                    }
-                }
-            }
+            serve_requests(
+                scope,
+                &self.listener,
+                &shared.shutdown,
+                &shared.wire,
+                &admit_request,
+            );
+            // The flag is up — by the handle, or by a dead listener, which
+            // raises it without the handle's wake-up.
+            shared.work.notify_all();
             // Scope exit joins the engine thread (which drains the queue
             // once the flag is up) and every reader (bounded by the read
             // timeout) — no worker can outlive this function.
@@ -387,68 +323,14 @@ impl<'g> LiveServer<'g> {
         Ok(LiveReport {
             rejects: core.rejects,
             duration_s,
-            connections: self.shared.connections.load(Ordering::Relaxed),
-            protocol_errors: self.shared.protocol_errors.load(Ordering::Relaxed),
-            send_errors: self.shared.send_errors.load(Ordering::Relaxed),
-            accept_errors: self.shared.accept_errors.load(Ordering::Relaxed),
+            connections: self.shared.wire.connections.load(Ordering::Relaxed),
+            protocol_errors: self.shared.wire.protocol_errors.load(Ordering::Relaxed),
+            send_errors: self.shared.wire.send_errors.load(Ordering::Relaxed),
+            accept_errors: self.shared.wire.accept_errors.load(Ordering::Relaxed),
             min_service_s: floor,
             throughput_rps: summary.completed / duration_s.max(1e-9),
             summary,
         })
-    }
-}
-
-/// Sends `frame` on `conn`, counting (not propagating) failures.
-fn send_counted(shared: &SharedState, conn: &Conn, frame: &ResponseFrame) {
-    if conn.send(frame).is_err() {
-        shared.send_errors.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-fn reader_loop(shared: &SharedState, stream: TcpStream, expected_elements: usize) {
-    if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
-        return;
-    }
-    stream.set_nodelay(true).ok();
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let conn = Arc::new(Conn {
-        stream: Mutex::new(write_half),
-    });
-    let mut stream = stream;
-    let mut frames = FrameReader::new();
-    let mut buf = [0u8; 16 * 1024];
-    'conn: loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => {
-                frames.feed(&buf[..n]);
-                loop {
-                    match frames.next_frame() {
-                        Ok(Some(Frame::Request(request))) => {
-                            admit(shared, &conn, request, expected_elements);
-                        }
-                        Ok(Some(Frame::Response(_))) => {
-                            // Clients don't send responses; the stream is
-                            // not speaking our protocol.
-                            shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                            break 'conn;
-                        }
-                        Ok(None) => break,
-                        Err(_) => {
-                            shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                            break 'conn;
-                        }
-                    }
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-            Err(_) => break,
-        }
     }
 }
 
@@ -459,11 +341,7 @@ fn admit(shared: &SharedState, conn: &Arc<Conn>, request: RequestFrame, expected
         let mut core = shared.core.lock().expect("core lock poisoned");
         core.rejects.unknown_model += 1;
         drop(core);
-        send_counted(
-            shared,
-            conn,
-            &reject_response(request.id, Status::UnknownModel),
-        );
+        conn.send(&ResponseFrame::reject(request.id, Status::UnknownModel));
         return;
     }
     let elements =
@@ -472,11 +350,7 @@ fn admit(shared: &SharedState, conn: &Arc<Conn>, request: RequestFrame, expected
         let mut core = shared.core.lock().expect("core lock poisoned");
         core.rejects.bad_request += 1;
         drop(core);
-        send_counted(
-            shared,
-            conn,
-            &reject_response(request.id, Status::BadRequest),
-        );
+        conn.send(&ResponseFrame::reject(request.id, Status::BadRequest));
         return;
     }
     let budget_s = if request.deadline_us == 0 {
@@ -503,11 +377,10 @@ fn admit(shared: &SharedState, conn: &Arc<Conn>, request: RequestFrame, expected
                 queue_depth: depth,
             },
         );
-        send_counted(
-            shared,
-            conn,
-            &reject_response(request.id, Status::DeadlineInfeasible),
-        );
+        conn.send(&ResponseFrame::reject(
+            request.id,
+            Status::DeadlineInfeasible,
+        ));
         return;
     }
 
@@ -530,11 +403,7 @@ fn admit(shared: &SharedState, conn: &Arc<Conn>, request: RequestFrame, expected
                     queue_depth: depth,
                 },
             );
-            send_counted(
-                shared,
-                conn,
-                &reject_response(request.id, Status::ShuttingDown),
-            );
+            conn.send(&ResponseFrame::reject(request.id, Status::ShuttingDown));
             return;
         }
         let pending = Pending {
@@ -577,7 +446,10 @@ fn admit(shared: &SharedState, conn: &Arc<Conn>, request: RequestFrame, expected
                         queue_depth: depth,
                     },
                 );
-                responses.push((conn.clone(), reject_response(request.id, Status::QueueFull)));
+                responses.push((
+                    conn.clone(),
+                    ResponseFrame::reject(request.id, Status::QueueFull),
+                ));
             }
             adaflow_serve::Admission::Displaced { victim, depth } => {
                 core.stats.shed += 1;
@@ -600,14 +472,14 @@ fn admit(shared: &SharedState, conn: &Arc<Conn>, request: RequestFrame, expected
                 );
                 responses.push((
                     victim.conn.clone(),
-                    reject_response(victim.client_id, Status::QueueFull),
+                    ResponseFrame::reject(victim.client_id, Status::QueueFull),
                 ));
                 shared.work.notify_all();
             }
         }
     }
     for (target, frame) in responses {
-        send_counted(shared, &target, &frame);
+        target.send(&frame);
     }
 }
 
@@ -692,11 +564,10 @@ fn engine_loop(shared: &SharedState, runner: &BatchRunner<'_>, model_name: &str)
                             queue_depth: (leftovers.len() - 1 - i) as u64,
                         },
                     );
-                    send_counted(
-                        shared,
-                        &pending.conn,
-                        &reject_response(pending.client_id, Status::ShuttingDown),
-                    );
+                    pending.conn.send(&ResponseFrame::reject(
+                        pending.client_id,
+                        Status::ShuttingDown,
+                    ));
                 }
                 // Loop again: new arrivals racing the drain get rejected
                 // at admission; exit once the queue stays empty.
@@ -745,7 +616,6 @@ fn execute_batch(shared: &SharedState, runner: &BatchRunner<'_>, batch: &[Pendin
                     core.stats.batch_wait_sum_s += batch_wait_s;
                     core.stats.service_sum_s += service_s;
                     core.stats.latency_sum_s += latency_s;
-                    core.stats.accuracy_sum_pct += shared.config.accuracy_pct;
                     core.latency.record(latency_s);
                     let done = CompletedRequest {
                         id: pending.trace_id,
@@ -781,7 +651,7 @@ fn execute_batch(shared: &SharedState, runner: &BatchRunner<'_>, batch: &[Pendin
                 }
             }
             for (conn, frame) in responses {
-                send_counted(shared, &conn, &frame);
+                conn.send(&frame);
             }
         }
         Err(_) => {
@@ -793,11 +663,10 @@ fn execute_batch(shared: &SharedState, runner: &BatchRunner<'_>, batch: &[Pendin
             core.rejects.bad_request += batch.len() as u64;
             drop(core);
             for pending in batch {
-                send_counted(
-                    shared,
-                    &pending.conn,
-                    &reject_response(pending.client_id, Status::BadRequest),
-                );
+                pending.conn.send(&ResponseFrame::reject(
+                    pending.client_id,
+                    Status::BadRequest,
+                ));
             }
         }
     }

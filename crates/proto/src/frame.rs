@@ -158,6 +158,22 @@ pub struct ResponseFrame {
     pub latency_us: u32,
 }
 
+impl ResponseFrame {
+    /// An answer that carries no result: `status` for request `id`, label
+    /// and latency fields zero.
+    #[must_use]
+    pub fn reject(id: u64, status: Status) -> Self {
+        Self {
+            id,
+            status,
+            label: 0,
+            queue_us: 0,
+            service_us: 0,
+            latency_us: 0,
+        }
+    }
+}
+
 /// Any frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Frame {

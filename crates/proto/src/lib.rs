@@ -6,9 +6,13 @@
 //! pure `encode`/`decode` over byte slices plus an incremental
 //! [`FrameReader`], so the whole protocol is testable without opening a
 //! connection — mirroring the protocol-core / transport-crate split the
-//! ROADMAP calls for. The one exception is [`ProtoClient`], the shared
-//! client-side transport (pipelined send, id-correlated receive) used by
-//! the load generator and the gateway's backend connections.
+//! ROADMAP calls for. Two modules own a socket, one per end of it, so that
+//! code exists once: [`client`] is [`ProtoClient`], the client-side
+//! transport (pipelined send, id-correlated receive) used by the load
+//! generator and the gateway's backend connections; [`server`] is the
+//! connection skeleton under both live tiers (accept loop, per-connection
+//! request reader, guarded write half, wire counters), which
+//! `adaflow-net` and `adaflow-gateway` each give one request handler.
 //!
 //! ## Wire format
 //!
@@ -48,6 +52,7 @@ pub mod client;
 pub mod error;
 pub mod frame;
 pub mod reader;
+pub mod server;
 
 pub use client::{ClientError, ProtoClient};
 pub use error::ProtoError;
