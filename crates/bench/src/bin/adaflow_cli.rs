@@ -38,33 +38,85 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(args: &[String]) -> Result<(), String> {
+type Flags = HashMap<String, String>;
+type Handler = fn(&Flags) -> Result<(), String>;
+
+/// Flag groups shared between subcommands: what `parse_serve_knobs`,
+/// `parse_lint_flags` and `parse_fleet_config` (beyond the serving knobs)
+/// read.
+const SERVE_KNOBS: &str = "deadline-ms queue-cap batch batch-wait-ms shed";
+const LINT_FLAGS: &str = "allow deny";
+const FLEET_FLAGS: &str = "fleet router max-drains";
+
+/// Every subcommand: its name, its handler and the flags it reads, as
+/// space-separated groups. A flag outside its command's groups is an
+/// error, not a silently stored no-op.
+#[rustfmt::skip]
+const COMMANDS: &[(&str, Handler, &[&str])] = &[
+    ("summary", cmd_summary, &["model"]),
+    ("generate", cmd_generate, &["model dataset rates out"]),
+    ("inspect", cmd_inspect, &["library"]),
+    ("simulate", cmd_simulate, &["library scenario policy runs"]),
+    ("serve", cmd_serve,
+     &["library scenario policy seed runs format out check", SERVE_KNOBS, LINT_FLAGS]),
+    ("fleet", cmd_fleet,
+     &["library scenario seed runs format out check", FLEET_FLAGS, SERVE_KNOBS, LINT_FLAGS]),
+    ("report", cmd_report,
+     &["mode library scenario seed policy top slo-target slo-objective format out check",
+       FLEET_FLAGS, SERVE_KNOBS]),
+    ("trace", cmd_trace, &["library scenario policy seed out"]),
+    ("explore", cmd_explore, &["model target-fps cap"]),
+    ("lint", cmd_lint,
+     &["model rates library format explain", FLEET_FLAGS, SERVE_KNOBS, LINT_FLAGS]),
+    ("serve-live", cmd_serve_live,
+     &["model addr duration-s threads metrics-port nominal-fps format out",
+       SERVE_KNOBS, LINT_FLAGS]),
+    ("load", cmd_load,
+     &["addr model requests rate-fps duration-s connections deadline-ms seed format"]),
+    ("soak", cmd_soak,
+     &["model rate-fps duration-s connections min-hit-pct seed", SERVE_KNOBS, LINT_FLAGS]),
+    ("gateway", cmd_gateway,
+     &["model backends addr router retry-budget warmup-iters nominal-fps duration-s seed",
+       "format out", SERVE_KNOBS, LINT_FLAGS]),
+    ("gateway-soak", cmd_gateway_soak,
+     &["model backends router rate-fps duration-s connections min-hit-pct failover hetero",
+       "load-deadline-ms seed", SERVE_KNOBS, LINT_FLAGS]),
+];
+
+/// Looks `args` up in [`COMMANDS`]: the handler to call and its parsed
+/// flags, every one of which the subcommand reads.
+fn resolve(args: &[String]) -> Result<(Handler, Flags), String> {
     let Some((command, rest)) = args.split_first() else {
         return Err(usage());
     };
+    let Some((name, handler, groups)) = COMMANDS.iter().find(|(name, ..)| name == command) else {
+        return Err(format!("unknown command `{command}`\n{}", usage()));
+    };
     let flags = parse_flags(rest)?;
-    match command.as_str() {
-        "summary" => cmd_summary(&flags),
-        "generate" => cmd_generate(&flags),
-        "inspect" => cmd_inspect(&flags),
-        "simulate" => cmd_simulate(&flags),
-        "serve" => cmd_serve(&flags),
-        "fleet" => cmd_fleet(&flags),
-        "report" => cmd_report(&flags),
-        "trace" => cmd_trace(&flags),
-        "explore" => cmd_explore(&flags),
-        "lint" => cmd_lint(&flags),
-        "serve-live" => cmd_serve_live(&flags),
-        "load" => cmd_load(&flags),
-        "soak" => cmd_soak(&flags),
-        "gateway" => cmd_gateway(&flags),
-        "gateway-soak" => cmd_gateway_soak(&flags),
-        "help" | "--help" | "-h" => {
-            println!("{}", usage());
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`\n{}", usage())),
+    let accepted: Vec<&str> = groups.iter().flat_map(|g| g.split_whitespace()).collect();
+    if let Some(stray) = flags
+        .keys()
+        .filter(|k| !accepted.contains(&k.as_str()))
+        .min()
+    {
+        return Err(format!(
+            "unknown flag `--{stray}` for `{name}` (accepted: --{})",
+            accepted.join(" --")
+        ));
     }
+    Ok((*handler, flags))
+}
+
+fn run(args: &[String]) -> Result<(), String> {
+    if matches!(
+        args.first().map(String::as_str),
+        Some("help" | "--help" | "-h")
+    ) {
+        println!("{}", usage());
+        return Ok(());
+    }
+    let (handler, flags) = resolve(args)?;
+    handler(&flags)
 }
 
 fn usage() -> String {
@@ -142,7 +194,7 @@ fn required<'f>(flags: &'f HashMap<String, String>, name: &str) -> Result<&'f st
 }
 
 /// `--format text|json` (default `text`).
-fn parse_format(flags: &HashMap<String, String>) -> Result<&str, String> {
+fn parse_format(flags: &Flags) -> Result<&str, String> {
     let format = flags.get("format").map_or("text", String::as_str);
     if matches!(format, "text" | "json") {
         Ok(format)
@@ -205,7 +257,7 @@ fn parse_scenario(name: &str) -> Result<Scenario, String> {
     }
 }
 
-fn cmd_summary(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_summary(flags: &Flags) -> Result<(), String> {
     let graph = build_model(required(flags, "model")?, None)?;
     print!("{}", GraphSummary::of(&graph));
     println!();
@@ -217,7 +269,7 @@ fn cmd_summary(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_generate(flags: &Flags) -> Result<(), String> {
     let dataset = parse_dataset(required(flags, "dataset")?)?;
     let graph = build_model(required(flags, "model")?, Some(dataset))?;
     let mut generator = LibraryGenerator::default_edge_setup();
@@ -249,13 +301,13 @@ fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn load_library(flags: &HashMap<String, String>) -> Result<Library, String> {
+fn load_library(flags: &Flags) -> Result<Library, String> {
     let path = required(flags, "library")?;
     let json = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     Library::from_json(&json).map_err(|e| e.to_string())
 }
 
-fn cmd_inspect(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_inspect(flags: &Flags) -> Result<(), String> {
     let library = load_library(flags)?;
     println!(
         "{} on {} — {} models, flexible fabric {} LUT / {} BRAM36",
@@ -283,12 +335,10 @@ fn cmd_inspect(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_simulate(flags: &Flags) -> Result<(), String> {
     let library = load_library(flags)?;
     let scenario = parse_scenario(flags.get("scenario").map_or("2", String::as_str))?;
-    let runs: usize = flags.get("runs").map_or(Ok(100), |r| {
-        r.parse().map_err(|e| format!("bad --runs: {e}"))
-    })?;
+    let runs: usize = parse_num(flags, "runs", 100)?;
     let policy = flags.get("policy").map_or("adaflow", String::as_str);
     let experiment = Experiment::new(&library, WorkloadSpec::paper_edge(scenario)).runs(runs);
     let metrics = match policy {
@@ -359,7 +409,7 @@ fn worst_policy_stall_s(policy: &str, library: &Library) -> f64 {
 
 /// Request-level serving: deadline accounting, admission control and
 /// dynamic batching over the paper's workload scenarios.
-fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_serve(flags: &Flags) -> Result<(), String> {
     use adaflow_serve::ServeExperiment;
     use adaflow_telemetry::Event;
     use adaflow_verify::Severity;
@@ -368,12 +418,8 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let scenario = parse_scenario(flags.get("scenario").map_or("2", String::as_str))?;
     let policy_name = flags.get("policy").map_or("adaflow", String::as_str);
     build_serve_policy(policy_name, &library, 0.25)?; // validate the name early
-    let seed: u64 = flags
-        .get("seed")
-        .map_or(Ok(1), |s| s.parse().map_err(|e| format!("bad --seed: {e}")))?;
-    let runs: usize = flags
-        .get("runs")
-        .map_or(Ok(1), |r| r.parse().map_err(|e| format!("bad --runs: {e}")))?;
+    let seed: u64 = parse_num(flags, "seed", 1)?;
+    let runs: usize = parse_num(flags, "runs", 1)?;
     let shed_name = flags.get("shed").map_or("block", String::as_str);
     let format = parse_format(flags)?;
     let check = flags.get("check").is_some_and(|v| v == "1");
@@ -493,22 +539,12 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
 
 /// Parses the shared serving knobs (`--deadline-ms`, `--queue-cap`,
 /// `--batch`, `--batch-wait-ms`, `--shed`) into a [`ServeConfig`].
-fn parse_serve_knobs(
-    flags: &HashMap<String, String>,
-) -> Result<adaflow_serve::ServeConfig, String> {
+fn parse_serve_knobs(flags: &Flags) -> Result<adaflow_serve::ServeConfig, String> {
     use adaflow_serve::{OverflowPolicy, ServeConfig};
-    let deadline_ms: f64 = flags.get("deadline-ms").map_or(Ok(250.0), |v| {
-        v.parse().map_err(|e| format!("bad --deadline-ms: {e}"))
-    })?;
-    let queue_cap: usize = flags.get("queue-cap").map_or(Ok(256), |v| {
-        v.parse().map_err(|e| format!("bad --queue-cap: {e}"))
-    })?;
-    let max_batch: usize = flags.get("batch").map_or(Ok(16), |v| {
-        v.parse().map_err(|e| format!("bad --batch: {e}"))
-    })?;
-    let batch_wait_ms: f64 = flags.get("batch-wait-ms").map_or(Ok(20.0), |v| {
-        v.parse().map_err(|e| format!("bad --batch-wait-ms: {e}"))
-    })?;
+    let deadline_ms: f64 = parse_num(flags, "deadline-ms", 250.0)?;
+    let queue_cap: usize = parse_num(flags, "queue-cap", 256)?;
+    let max_batch: usize = parse_num(flags, "batch", 16)?;
+    let batch_wait_ms: f64 = parse_num(flags, "batch-wait-ms", 20.0)?;
     let shed_name = flags.get("shed").map_or("block", String::as_str);
     let overflow = OverflowPolicy::parse(shed_name)
         .ok_or_else(|| format!("unknown --shed `{shed_name}` (block | oldest | newest)"))?;
@@ -523,7 +559,7 @@ fn parse_serve_knobs(
 }
 
 /// Parses the `--allow` / `--deny` lint policy flags.
-fn parse_lint_flags(flags: &HashMap<String, String>) -> adaflow_verify::LintConfig {
+fn parse_lint_flags(flags: &Flags) -> adaflow_verify::LintConfig {
     use adaflow_verify::LintConfig;
     LintConfig {
         allow: flags
@@ -539,9 +575,7 @@ fn parse_lint_flags(flags: &HashMap<String, String>) -> adaflow_verify::LintConf
 
 /// Builds a [`adaflow_fleet::FleetConfig`] from the fleet CLI flags
 /// (`--fleet`, `--router`, `--max-drains` plus the shared serving knobs).
-fn parse_fleet_config(
-    flags: &HashMap<String, String>,
-) -> Result<adaflow_fleet::FleetConfig, String> {
+fn parse_fleet_config(flags: &Flags) -> Result<adaflow_fleet::FleetConfig, String> {
     use adaflow_fleet::{DeviceKind, FleetConfig, RouterKind};
     let fleet_list = flags
         .get("fleet")
@@ -552,33 +586,26 @@ fn parse_fleet_config(
     let router_name = flags.get("router").map_or("deadline", String::as_str);
     let router = RouterKind::parse(router_name)
         .ok_or_else(|| format!("unknown --router `{router_name}` (rr | jsq | p2c | deadline)"))?;
-    let max_drains: usize = flags.get("max-drains").map_or(Ok(1), |v| {
-        v.parse().map_err(|e| format!("bad --max-drains: {e}"))
-    })?;
+    let max_drains: usize = parse_num(flags, "max-drains", 1)?;
     Ok(FleetConfig {
         devices,
         router,
         serve: parse_serve_knobs(flags)?,
         max_concurrent_drains: max_drains,
-        imbalance_period_s: 1.0,
     })
 }
 
 /// Fleet-level serving: N simulated accelerator devices behind a
 /// load-balancing router, with staggered reconfiguration drains.
-fn cmd_fleet(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_fleet(flags: &Flags) -> Result<(), String> {
     use adaflow_fleet::{FleetExperiment, FleetSummary};
     use adaflow_telemetry::Event;
     use adaflow_verify::Severity;
 
     let library = load_library(flags)?;
     let scenario = parse_scenario(flags.get("scenario").map_or("2", String::as_str))?;
-    let seed: u64 = flags
-        .get("seed")
-        .map_or(Ok(1), |s| s.parse().map_err(|e| format!("bad --seed: {e}")))?;
-    let runs: usize = flags
-        .get("runs")
-        .map_or(Ok(1), |r| r.parse().map_err(|e| format!("bad --runs: {e}")))?;
+    let seed: u64 = parse_num(flags, "seed", 1)?;
+    let runs: usize = parse_num(flags, "runs", 1)?;
     let format = parse_format(flags)?;
     let check = flags.get("check").is_some_and(|v| v == "1");
     let config = parse_fleet_config(flags)?;
@@ -705,7 +732,7 @@ fn cmd_fleet(flags: &HashMap<String, String>) -> Result<(), String> {
 /// reconstructs the span forest, and reports the per-stage waterfall plus
 /// the SLO error-budget burn — bit-identical per seed.
 #[allow(clippy::too_many_lines)]
-fn cmd_report(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_report(flags: &Flags) -> Result<(), String> {
     use adaflow_telemetry::{
         Event, MetricsRegistry, Objective, RegistryConfig, SloConfig, SloEngine, TraceForest,
         Waterfall,
@@ -717,17 +744,11 @@ fn cmd_report(flags: &HashMap<String, String>) -> Result<(), String> {
     }
     let scenario_name = flags.get("scenario").map_or("2", String::as_str);
     let scenario = parse_scenario(scenario_name)?;
-    let seed: u64 = flags
-        .get("seed")
-        .map_or(Ok(7), |s| s.parse().map_err(|e| format!("bad --seed: {e}")))?;
-    let top: usize = flags
-        .get("top")
-        .map_or(Ok(3), |v| v.parse().map_err(|e| format!("bad --top: {e}")))?;
+    let seed: u64 = parse_num(flags, "seed", 7)?;
+    let top: usize = parse_num(flags, "top", 3)?;
     let format = parse_format(flags)?;
     let check = flags.get("check").is_some_and(|v| v == "1");
-    let target: f64 = flags.get("slo-target").map_or(Ok(0.97), |v| {
-        v.parse().map_err(|e| format!("bad --slo-target: {e}"))
-    })?;
+    let target: f64 = parse_num(flags, "slo-target", 0.97)?;
     if !(target > 0.0 && target < 1.0) {
         return Err("--slo-target must lie strictly inside (0, 1)".to_string());
     }
@@ -910,12 +931,10 @@ fn build_policy<'l>(
 /// One fully-traced serving run: records every telemetry event, prints a
 /// summary and (with `--out prefix`) writes the Chrome trace, JSONL and
 /// Prometheus exports.
-fn cmd_trace(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_trace(flags: &Flags) -> Result<(), String> {
     let library = load_library(flags)?;
     let scenario = parse_scenario(flags.get("scenario").map_or("2", String::as_str))?;
-    let seed: u64 = flags
-        .get("seed")
-        .map_or(Ok(1), |s| s.parse().map_err(|e| format!("bad --seed: {e}")))?;
+    let seed: u64 = parse_num(flags, "seed", 1)?;
     let policy_name = flags.get("policy").map_or("adaflow", String::as_str);
 
     let (sink, recorder) = SinkHandle::recorder(1 << 18);
@@ -1023,7 +1042,7 @@ fn cmd_explain(code: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_lint(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_lint(flags: &Flags) -> Result<(), String> {
     use adaflow_pruning::{DataflowAwarePruner, FinnConfig};
     use adaflow_verify::Severity;
 
@@ -1112,14 +1131,10 @@ fn cmd_lint(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_explore(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_explore(flags: &Flags) -> Result<(), String> {
     let graph = build_model(required(flags, "model")?, None)?;
-    let target_fps: f64 = flags.get("target-fps").map_or(Ok(600.0), |v| {
-        v.parse().map_err(|e| format!("bad --target-fps: {e}"))
-    })?;
-    let cap: f64 = flags.get("cap").map_or(Ok(0.7), |v| {
-        v.parse().map_err(|e| format!("bad --cap: {e}"))
-    })?;
+    let target_fps: f64 = parse_num(flags, "target-fps", 600.0)?;
+    let cap: f64 = parse_num(flags, "cap", 0.7)?;
     let goal = ExplorationGoal {
         target_fps,
         device: FpgaDevice::zcu104(),
@@ -1148,11 +1163,7 @@ fn cmd_explore(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 /// Parses an optional numeric flag, falling back to `default`.
-fn parse_num<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    name: &str,
-    default: T,
-) -> Result<T, String>
+fn parse_num<T: std::str::FromStr>(flags: &Flags, name: &str, default: T) -> Result<T, String>
 where
     T::Err: std::fmt::Display,
 {
@@ -1166,7 +1177,7 @@ where
 /// The startup path is verify-gated: the full graph lint plus the serving
 /// config lint run first, and any Error-level diagnostic refuses to open
 /// the socket (nonzero exit) — the live counterpart of `serve`'s SV gate.
-fn cmd_serve_live(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_serve_live(flags: &Flags) -> Result<(), String> {
     use adaflow_net::{preflight, LiveConfig, LiveServer, MetricsEndpoint};
     use adaflow_telemetry::{RegistryConfig, RegistrySink};
     use adaflow_verify::Severity;
@@ -1303,7 +1314,7 @@ fn cmd_serve_live(flags: &HashMap<String, String>) -> Result<(), String> {
 
 /// Drives seeded load against a live endpoint and prints the
 /// reason-coded summary.
-fn cmd_load(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_load(flags: &Flags) -> Result<(), String> {
     use adaflow_net::{run_load, LoadConfig, LoadMode};
 
     let addr_str = required(flags, "addr")?;
@@ -1384,7 +1395,7 @@ fn print_load_summary(summary: &adaflow_net::LoadSummary, format: &str) -> Resul
 
 /// In-process server + seeded load with hard pass/fail floors — the CI
 /// gate for the live serving path.
-fn cmd_soak(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_soak(flags: &Flags) -> Result<(), String> {
     use adaflow_net::{preflight, run_load, LiveConfig, LiveServer, LoadConfig, LoadMode};
 
     let model_name = flags
@@ -1499,7 +1510,7 @@ fn cmd_soak(flags: &HashMap<String, String>) -> Result<(), String> {
     }
 }
 
-fn parse_router_flag(flags: &HashMap<String, String>) -> Result<adaflow_fleet::RouterKind, String> {
+fn parse_router_flag(flags: &Flags) -> Result<adaflow_fleet::RouterKind, String> {
     let name = flags.get("router").map_or("deadline", String::as_str);
     adaflow_fleet::RouterKind::parse(name)
         .ok_or_else(|| format!("unknown --router `{name}` (rr | jsq | p2c | deadline)"))
@@ -1575,7 +1586,7 @@ fn print_gateway_report(
 }
 
 /// Live routing tier over already-running `serve-live` backends.
-fn cmd_gateway(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_gateway(flags: &Flags) -> Result<(), String> {
     use adaflow_gateway::{Gateway, GatewayConfig};
     use adaflow_net::preflight;
     use adaflow_verify::Severity;
@@ -1657,7 +1668,7 @@ fn cmd_gateway(flags: &HashMap<String, String>) -> Result<(), String> {
 /// `--failover 1`, backend 0 is killed a third of the way in and
 /// restarted at two thirds; the run then also requires at least one
 /// ejection and one readmission.
-fn cmd_gateway_soak(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_gateway_soak(flags: &Flags) -> Result<(), String> {
     use adaflow_gateway::{Gateway, GatewayConfig};
     use adaflow_net::{preflight, run_load, LiveConfig, LiveServer, LoadConfig, LoadMode};
     use std::time::Instant;
@@ -1910,6 +1921,104 @@ mod tests {
         assert_eq!(parsed.get("runs").map(String::as_str), Some("5"));
         assert!(parse_flags(&["oops".to_string()]).is_err());
         assert!(parse_flags(&["--dangling".to_string()]).is_err());
+    }
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    #[test]
+    fn a_flag_the_subcommand_does_not_read_is_an_error() {
+        // The typo SV001's old suggestion text invited.
+        let err = resolve(&args("serve --library lib.json --batch-wait 5"))
+            .expect_err("typo must be refused");
+        assert!(
+            err.contains("unknown flag `--batch-wait` for `serve`"),
+            "{err}"
+        );
+        assert!(
+            err.contains("--batch-wait-ms"),
+            "names the real flag: {err}"
+        );
+        // A real flag of another subcommand is just as unknown here.
+        assert!(resolve(&args("summary --model tiny-w2a2 --seed 7")).is_err());
+        assert!(resolve(&args("teleport --model tiny-w2a2")).is_err());
+    }
+
+    #[test]
+    fn every_ci_invocation_resolves() {
+        // The flag sets .github/workflows/ci.yml and the verify skill run.
+        for line in [
+            "generate --model cnv-w2a2 --dataset cifar10 --out library.json",
+            "summary --model cnv-w2a2",
+            "inspect --library library.json",
+            "simulate --library library.json --scenario 2 --policy adaflow --runs 10",
+            "trace --library library.json --scenario 2 --seed 1 --out run",
+            "explore --model cnv-w2a2 --target-fps 600 --cap 0.7",
+            "serve --library library.json --scenario 1+2 --seed 7 --check 1 --format json",
+            "serve --library library.json --policy fixed-max --runs 20 --shed oldest --batch 8 \
+             --batch-wait-ms 10 --queue-cap 64 --deadline-ms 100 --out run --deny SV002",
+            "fleet --library library.json --scenario 2 --seed 7 --fleet adaflow,adaflow,flexible,fixed \
+             --router deadline --check 1 --format json",
+            "lint --library library.json --router deadline --deadline-ms 250 \
+             --fleet adaflow,adaflow,flexible,fixed --deny FL001,FL002",
+            "lint --model all --rates 0,0.25,0.5",
+            "lint --explain all",
+            "report --library library.json --mode serve --scenario 2 --seed 7 --check 1 --format json",
+            "report --library library.json --mode fleet --scenario 2 --seed 7 --check 1 --format json \
+             --out fleet_run",
+            "soak --model cnv-w2a2 --rate-fps 120 --duration-s 10 --connections 4 --min-hit-pct 90 \
+             --seed 7",
+            "serve-live --model cnv-w2a2 --addr 127.0.0.1:0 --batch-wait-ms 150 --deny SV001",
+            "serve-live --model cnv-w2a2 --addr 127.0.0.1:7878 --duration-s 10 --metrics-port 7880 \
+             --out live",
+            "load --addr 127.0.0.1:7878 --model cnv-w2a2 --requests 40",
+            "load --addr 127.0.0.1:7878 --model cnv-w2a2 --rate-fps 120 --duration-s 10 \
+             --connections 4 --seed 7",
+            "gateway-soak --model cnv-w2a2 --backends 2 --router deadline --rate-fps 120 \
+             --duration-s 10 --connections 4 --min-hit-pct 90 --seed 7",
+            "gateway-soak --model cnv-w2a2 --backends 2 --router rr --rate-fps 100 --duration-s 12 \
+             --connections 4 --min-hit-pct 90 --failover 1 --seed 7",
+            "gateway-soak --model cnv-w2a2 --backends 2 --hetero 1 --router deadline \
+             --load-deadline-ms 50",
+            "gateway --model cnv-w2a2 --backends 127.0.0.1:9 --addr 127.0.0.1:0 --batch-wait-ms 150 \
+             --deny SV001",
+        ] {
+            if let Err(e) = resolve(&args(line)) {
+                panic!("`{line}` no longer resolves: {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn command_table_and_usage_name_the_same_subcommands() {
+        // A usage entry starts at column two; continuation lines indent on.
+        let text = usage();
+        let listed: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("  ") && !l.starts_with("   "))
+            .filter_map(|l| l.split_whitespace().next())
+            .collect();
+        let table: Vec<&str> = COMMANDS.iter().map(|(name, ..)| *name).collect();
+        assert_eq!(listed, table, "usage() and COMMANDS drifted apart");
+        // Every accepted flag is spelled somewhere in the usage text.
+        for (name, _, groups) in COMMANDS {
+            for flag in groups.iter().flat_map(|g| g.split_whitespace()) {
+                assert!(text.contains(&format!("--{flag} ")), "{name}: --{flag}");
+            }
+        }
+    }
+
+    #[test]
+    fn serve_live_refuses_a_zero_batch() {
+        // Was a silent livelock: the engine thread closed empty batches
+        // forever. Now the SV001 gate refuses before the socket opens.
+        let err = run(&args(
+            "serve-live --model tiny-w2a2 --addr 127.0.0.1:0 --batch 0",
+        ))
+        .expect_err("batch 0 must be refused");
+        assert!(err.contains("SV001"), "{err}");
+        assert!(err.contains("batch size 0"), "{err}");
     }
 
     #[test]

@@ -123,15 +123,11 @@ pub struct FleetConfig {
     pub devices: Vec<DeviceKind>,
     /// The dispatch policy in front of the fleet.
     pub router: RouterKind,
-    /// Per-device serving configuration (queue, batcher, deadline). The
-    /// `initial_rate_fps` knob is interpreted fleet-wide and split evenly
-    /// across devices.
+    /// Per-device serving configuration (queue, batcher, deadline).
     pub serve: ServeConfig,
     /// Stagger budget: at most this many devices may be draining for a
     /// switch at the same time.
     pub max_concurrent_drains: usize,
-    /// Period of the fleet load-imbalance sampler, seconds.
-    pub imbalance_period_s: f64,
 }
 
 impl Default for FleetConfig {
@@ -146,7 +142,6 @@ impl Default for FleetConfig {
             router: RouterKind::DeadlineAware,
             serve: ServeConfig::default(),
             max_concurrent_drains: 1,
-            imbalance_period_s: 1.0,
         }
     }
 }

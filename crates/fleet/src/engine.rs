@@ -3,12 +3,11 @@
 //! Runs N [`DeviceCore`]s on one global simulation clock behind a fleet
 //! router. Event sources per step: every device's batch completion,
 //! every device's batch close, the global arrival stream, and the
-//! periodic load-imbalance sampler — processed in global time order with
-//! the tie discipline *completion < close < arrival < sample*, and ties
-//! within a class resolved to the lowest device index. The ordering is a
-//! pure function of `(config, library, spec, seed)`, so a fleet run is
-//! bit-reproducible; nothing about it depends on host threads (the
-//! multi-seed experiment shards *runs*, never the event loop).
+//! periodic load-imbalance sampler — processed in global time order by
+//! [`adaflow_serve::next_event`], which owns the tie discipline. The
+//! ordering is a pure function of `(config, library, spec, seed)`, so a
+//! fleet run is bit-reproducible; nothing about it depends on host
+//! threads (the multi-seed experiment shards *runs*, never the event loop).
 //!
 //! Arrivals are the same per-IoT-device trace the single-device engine
 //! consumes ([`adaflow_serve::generate_requests`]); the router decides
@@ -24,18 +23,13 @@ use crate::summary::{DeviceSummary, FleetSummary};
 use adaflow::{Library, RuntimeConfig};
 use adaflow_edge::WorkloadSpec;
 use adaflow_serve::{
-    generate_requests, AdaFlowServePolicy, CompletedRequest, DeviceCore, FixedMaxPolicy,
-    FlexibleOnlyPolicy, ServePolicy,
+    generate_requests, next_event, AdaFlowServePolicy, CompletedRequest, DeviceCore,
+    FixedMaxPolicy, FlexibleOnlyPolicy, Pick, ServePolicy,
 };
 use adaflow_telemetry::{EventKind, LogHistogram, SinkHandle};
 
-/// Event-class tie priority (lower fires first at equal times).
-enum Pick {
-    Completion(usize),
-    Close(usize),
-    Arrival,
-    Sample,
-}
+/// Period of the fleet load-imbalance sampler, seconds.
+const IMBALANCE_PERIOD_S: f64 = 1.0;
 
 /// Coefficient of variation (σ/μ) of a sample; zero when the mean is not
 /// positive.
@@ -102,24 +96,14 @@ impl FleetEngine {
     /// # Panics
     ///
     /// Panics if the fleet shape is degenerate (no devices, zero drain
-    /// budget, non-positive imbalance period) — conditions FL001 reports
-    /// ahead of time.
+    /// budget) — conditions FL001 reports ahead of time.
     #[allow(clippy::too_many_lines)]
     pub fn run(&self, library: &Library, spec: &WorkloadSpec, seed: u64) -> FleetSummary {
         let cfg = &self.config;
         let n = cfg.devices.len();
         assert!(n > 0, "fleet needs at least one device (FL001)");
-        assert!(
-            cfg.imbalance_period_s > 0.0,
-            "imbalance period must be positive"
-        );
-
-        let fleet_rate = if cfg.serve.initial_rate_fps > 0.0 {
-            cfg.serve.initial_rate_fps
-        } else {
-            spec.nominal_fps()
-        };
-        let share_rate = fleet_rate / n as f64;
+        // Each device's EWMA starts at its even share of the nominal load.
+        let share_rate = spec.nominal_fps() / n as f64;
 
         let mut devices: Vec<DeviceCore> = (0..n)
             .map(|_| DeviceCore::new(cfg.serve.clone(), share_rate))
@@ -146,7 +130,7 @@ impl FleetEngine {
         let requests = generate_requests(spec, seed);
         let mut next_arrival = 0usize;
         let mut now = 0.0f64;
-        let mut next_sample = cfg.imbalance_period_s;
+        let mut next_sample = IMBALANCE_PERIOD_S;
 
         let mut fleet_latency = LogHistogram::latency_s();
         let mut request_stall_sum_s = 0.0f64;
@@ -157,43 +141,12 @@ impl FleetEngine {
         let mut cv_count = 0u64;
         let mut snaps: Vec<DeviceSnapshot> = Vec::with_capacity(n);
 
-        loop {
-            // Earliest candidate across all classes; iteration order
-            // encodes the tie priority (strict-less keeps the earlier
-            // class and the lower device index on equal times).
-            let mut chosen: Option<(f64, Pick)> = None;
-            let consider = |t: Option<f64>, pick: Pick, chosen: &mut Option<(f64, Pick)>| {
-                if let Some(t) = t {
-                    let better = match chosen {
-                        None => true,
-                        Some((bt, _)) => t.total_cmp(bt).is_lt(),
-                    };
-                    if better {
-                        *chosen = Some((t, pick));
-                    }
-                }
-            };
-            for (i, d) in devices.iter().enumerate() {
-                consider(d.next_completion_s(), Pick::Completion(i), &mut chosen);
-            }
-            for (i, d) in devices.iter().enumerate() {
-                consider(d.next_close_s(now), Pick::Close(i), &mut chosen);
-            }
-            consider(
-                requests.get(next_arrival).map(|r| r.arrival_s),
-                Pick::Arrival,
-                &mut chosen,
-            );
-            // The sampler never keeps an otherwise-finished simulation
-            // alive: it is only a candidate while real work is pending.
-            if chosen.is_some() {
-                consider(Some(next_sample), Pick::Sample, &mut chosen);
-            }
-            let Some((t, pick)) = chosen else {
-                break; // trace exhausted, every queue drained, fleet idle
-            };
+        // Until the trace is exhausted, every queue drained, the fleet idle.
+        let arrival_s = |next: usize| requests.get(next).map(|r| r.arrival_s);
+        while let Some((t, pick)) =
+            next_event(&devices, now, arrival_s(next_arrival), Some(next_sample))
+        {
             now = t;
-
             match pick {
                 Pick::Completion(i) => {
                     devices[i].complete(now, &self.sink, &mut scratch);
@@ -244,7 +197,7 @@ impl FleetEngine {
                     snaps.extend(devices.iter().map(|d| DeviceSnapshot {
                         queue_len: d.queue_len(),
                         in_flight: d.in_flight(),
-                        busy_until_s: d.busy_until_s(),
+                        busy_until_s: d.next_completion_s(),
                         serving_fps: d.serving_fps(),
                     }));
                     let idx = router.route(now, &snaps);
@@ -281,7 +234,7 @@ impl FleetEngine {
                             },
                         );
                     }
-                    next_sample += cfg.imbalance_period_s;
+                    next_sample += IMBALANCE_PERIOD_S;
                 }
             }
         }

@@ -13,8 +13,8 @@
 //!   request with a reserved id. The backend answers it instantly from
 //!   admission (`bad-request` — by construction it never enters the
 //!   serving pipeline or the arrival ledger), so *any* reply proves the
-//!   whole stack is responsive. `eject_after` consecutive probe timeouts
-//!   eject a healthy backend; `readmit_after` consecutive successes
+//!   whole stack is responsive. [`EJECT_AFTER`] consecutive probe timeouts
+//!   eject a healthy backend; [`READMIT_AFTER`] consecutive successes
 //!   readmit an ejected one. Both transitions emit telemetry events.
 //!
 //! Ejection is advisory for requests already dispatched: if the socket is
@@ -30,6 +30,12 @@ use std::time::{Duration, Instant};
 
 /// Read-timeout window pacing the worker's receive poll.
 const POLL_TIMEOUT: Duration = Duration::from_millis(2);
+
+/// Consecutive probe failures before a healthy backend is ejected.
+const EJECT_AFTER: u32 = 2;
+
+/// Consecutive probe successes before an ejected backend is readmitted.
+const READMIT_AFTER: u32 = 2;
 
 /// EWMA weight of history when folding in a new `service_us` sample
 /// (new estimate = (7·old + sample) / 8).
@@ -128,7 +134,7 @@ impl Probes {
                 self.outstanding = None;
                 self.consecutive_successes = 0;
                 self.consecutive_failures += 1;
-                if self.consecutive_failures >= shared.config.eject_after {
+                if self.consecutive_failures >= EJECT_AFTER {
                     self.mark_down(shared, idx, "probe-timeout");
                 }
             }
@@ -160,7 +166,7 @@ impl Probes {
         self.consecutive_successes += 1;
         let state = &shared.backends[idx];
         if !state.healthy.load(Ordering::SeqCst)
-            && self.consecutive_successes >= shared.config.readmit_after
+            && self.consecutive_successes >= READMIT_AFTER
             && !state.healthy.swap(true, Ordering::SeqCst)
         {
             state.readmissions.fetch_add(1, Ordering::Relaxed);
@@ -279,7 +285,7 @@ pub(crate) fn worker(
                     if let Ok(client) = ProtoClient::connect(state.addr) {
                         if client.set_read_timeout(Some(POLL_TIMEOUT)).is_ok() {
                             // Reconnected, but not yet readmitted: probes
-                            // must succeed `readmit_after` times first.
+                            // must succeed `READMIT_AFTER` times first.
                             conn = Some(client);
                         }
                     }

@@ -55,10 +55,6 @@ pub struct GatewayConfig {
     pub probe_interval: Duration,
     /// How long an outstanding probe may wait before counting as a failure.
     pub probe_timeout: Duration,
-    /// Consecutive probe failures before a healthy backend is ejected.
-    pub eject_after: u32,
-    /// Consecutive probe successes before an ejected backend is readmitted.
-    pub readmit_after: u32,
     /// How long shutdown waits for in-flight requests before answering
     /// the stragglers with `ShuttingDown`.
     pub drain_timeout: Duration,
@@ -74,8 +70,6 @@ impl Default for GatewayConfig {
             warmup: None,
             probe_interval: Duration::from_millis(200),
             probe_timeout: Duration::from_secs(1),
-            eject_after: 2,
-            readmit_after: 2,
             drain_timeout: Duration::from_secs(5),
         }
     }

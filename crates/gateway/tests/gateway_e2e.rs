@@ -41,8 +41,6 @@ fn fast_gateway(router: &str) -> GatewayConfig {
         router: adaflow_fleet::config::RouterKind::parse(router).expect("router kind"),
         probe_interval: Duration::from_millis(25),
         probe_timeout: Duration::from_millis(200),
-        eject_after: 2,
-        readmit_after: 2,
         drain_timeout: Duration::from_secs(2),
         ..GatewayConfig::default()
     }

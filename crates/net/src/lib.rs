@@ -2,19 +2,20 @@
 //!
 //! A std-only threaded TCP server that graduates the serving stack from
 //! discrete-event simulation to real sockets. The wire layer
-//! ([`adaflow_proto`]) is new; the brains are reused wholesale from the
-//! simulation band:
+//! ([`adaflow_proto`]) is new; the brains are the simulation band's own
+//! code, driven from sockets instead of a simulated clock:
 //!
-//! * admission — the same generic `AdmissionQueue` + `OverflowPolicy` the
-//!   DES runs, queueing decoded wire requests instead of synthetic ones;
-//! * batching — one engine thread closes dynamic batches under the DES
-//!   rules (close at `max_batch`, or when the oldest request has waited
-//!   `max_wait_s`, never while the accelerator is busy);
+//! * admission, batching and accounting — one `adaflow_serve::DeviceCore`,
+//!   the same state machine the DES runs, queueing decoded wire requests
+//!   instead of synthetic ones: reader threads `offer` to it, one engine
+//!   thread closes batches when its `next_close_s` says so and settles
+//!   them through its `settle_batch`, so overflow shedding, the close rule
+//!   (`max_batch`, or the oldest request waited `max_wait_s`, never while
+//!   the accelerator is busy) and every `DeviceStats` sum are the DES's
+//!   lines on wall-clock seconds, and live and simulated numbers land in
+//!   identical `ServeSummary` fields;
 //! * execution — real `adaflow-nn` packed kernels through `BatchRunner`,
 //!   one scratch per worker;
-//! * accounting — wall-clock seconds feed the same `DeviceStats`,
-//!   `CompletedRequest` and `ServeSummary` types the DES produces, so live
-//!   and simulated numbers land in identical fields;
 //! * telemetry — per-request span trees and serving events flow into the
 //!   existing trace/metrics/SLO pipeline unchanged.
 //!

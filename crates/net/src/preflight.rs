@@ -111,6 +111,20 @@ mod tests {
     }
 
     #[test]
+    fn zero_batch_blocks() {
+        // `--batch 0` used to reach the engine thread and spin it; the
+        // gate every live entry point runs now names it.
+        let config = ServeConfig {
+            max_batch: 0,
+            ..ServeConfig::default()
+        };
+        let err = preflight(&graph(), &config, 100.0, 0.0, &LintConfig::default())
+            .expect_err("a batcher that can never close must not serve");
+        assert!(err.report.fired("SV001"));
+        assert!(err.to_string().contains("batch size 0"), "{err}");
+    }
+
+    #[test]
     fn infeasible_serve_config_blocks() {
         // Max-wait above the whole deadline budget guarantees misses:
         // SV001 fires at Error severity without any deny needed.

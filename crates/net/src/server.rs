@@ -10,12 +10,14 @@
 //!   connections on protocol violations, the write half and the wire
 //!   counters. This module only gives it a handler: every decoded request
 //!   goes through `admit` under the shared core lock;
-//! * **engine thread** (exactly one) — owns batch close decisions and
-//!   execution, mirroring the DES single-accelerator semantics: a batch
-//!   closes when it reaches `max_batch` or its oldest request has waited
-//!   `max_wait_s`, and never while the engine is busy (the thread is the
-//!   engine). Within a batch, `BatchRunner` fans work across workers with
-//!   one scratch each.
+//! * **engine thread** (exactly one) — drives batch closes and execution.
+//!   *When* a batch closes and *how* a request is admitted, shed and
+//!   settled is not decided here: both threads call the same
+//!   [`DeviceCore`] the DES runs (`offer`, `next_close_s`, `begin_batch`,
+//!   `settle_batch`), on wall-clock seconds, and this tier only supplies
+//!   what the DES predicts — the measured service interval around
+//!   `BatchRunner::run_full`. Within a batch, `BatchRunner` fans work
+//!   across workers with one scratch each.
 //!
 //! All threads live inside one `std::thread::scope`, so [`LiveServer::run`]
 //! returning *proves* every worker joined — the no-leak half of the
@@ -29,13 +31,11 @@ use adaflow_model::CnnGraph;
 use adaflow_nn::{Activations, BatchRunner, Engine, NnError};
 use adaflow_proto::server::{serve_requests, Conn, WireStats, POLL_INTERVAL};
 use adaflow_proto::{RequestFrame, ResponseFrame, Status};
-use adaflow_serve::queue::Arriving;
 use adaflow_serve::{
-    emit_request_trace, AdmissionQueue, CompletedRequest, DeviceStats, ServeConfig, ServeSummary,
+    emit_request_traces, Admission, Arriving, DeviceCore, ServeConfig, ServeSummary,
 };
-use adaflow_telemetry::{EventKind, LogHistogram, SinkHandle};
+use adaflow_telemetry::SinkHandle;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -91,6 +91,18 @@ pub struct RejectCounts {
 }
 
 impl RejectCounts {
+    /// The tally of `status` (which must be a reject).
+    fn of(&mut self, status: Status) -> &mut u64 {
+        match status {
+            Status::Ok => unreachable!("Ok is not a reject"),
+            Status::QueueFull => &mut self.queue_full,
+            Status::DeadlineInfeasible => &mut self.deadline_infeasible,
+            Status::ShuttingDown => &mut self.shutting_down,
+            Status::UnknownModel => &mut self.unknown_model,
+            Status::BadRequest => &mut self.bad_request,
+        }
+    }
+
     /// Total rejects across every reason.
     #[must_use]
     pub fn total(&self) -> u64 {
@@ -134,8 +146,9 @@ struct Pending {
     /// Client-chosen id echoed in the response.
     client_id: u64,
     arrival_s: f64,
-    /// Absolute latency budget, seconds from arrival.
-    budget_s: f64,
+    /// The request's own latency budget, seconds from arrival, if it
+    /// carried one.
+    budget_s: Option<f64>,
     input: Activations,
     conn: Arc<Conn>,
 }
@@ -143,6 +156,15 @@ struct Pending {
 impl Arriving for Pending {
     fn arrival_s(&self) -> f64 {
         self.arrival_s
+    }
+    fn id(&self) -> u64 {
+        self.trace_id
+    }
+    fn device(&self) -> u32 {
+        0
+    }
+    fn deadline_s(&self) -> Option<f64> {
+        self.budget_s
     }
 }
 
@@ -157,9 +179,8 @@ fn to_us(seconds: f64) -> u32 {
 
 /// Mutable serving state shared by readers and the engine thread.
 struct Core {
-    queue: AdmissionQueue<Pending>,
-    stats: DeviceStats,
-    latency: LogHistogram,
+    /// The same state machine the DES runs, queueing wire requests.
+    device: DeviceCore<Pending>,
     rejects: RejectCounts,
     next_trace_id: u64,
     draining: bool,
@@ -215,6 +236,11 @@ impl<'g> LiveServer<'g> {
     /// # Errors
     ///
     /// I/O errors from binding.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a degenerate serving configuration (`max_batch == 0`),
+    /// like the DES; `preflight` reports it first.
     pub fn bind(
         addr: impl ToSocketAddrs,
         graph: &'g CnnGraph,
@@ -223,9 +249,8 @@ impl<'g> LiveServer<'g> {
     ) -> Result<Self, NetError> {
         let listener = TcpListener::bind(addr)?;
         let core = Core {
-            queue: AdmissionQueue::new(config.serve.queue_capacity, config.serve.overflow),
-            stats: DeviceStats::default(),
-            latency: LogHistogram::latency_s(),
+            // No nominal-rate estimate: arrivals teach the EWMA from zero.
+            device: DeviceCore::new(config.serve.clone(), 0.0),
             rejects: RejectCounts::default(),
             next_trace_id: 0,
             draining: false,
@@ -314,12 +339,13 @@ impl<'g> LiveServer<'g> {
 
         let duration_s = self.shared.clock.now_s();
         let core = self.shared.core.lock().expect("core lock poisoned");
+        let stats = core.device.stats();
         debug_assert_eq!(
-            core.stats.arrived,
-            core.stats.completed + core.stats.shed,
+            stats.arrived,
+            stats.completed + stats.shed,
             "live conservation"
         );
-        let summary = ServeSummary::from_device("live", &core.stats, &core.latency);
+        let summary = ServeSummary::from_device("live", stats, core.device.latency());
         Ok(LiveReport {
             rejects: core.rejects,
             duration_s,
@@ -334,152 +360,78 @@ impl<'g> LiveServer<'g> {
     }
 }
 
-/// Validates one decoded request and offers it to the admission queue.
+/// Answers `id` on `conn` with a reject that never reached admission.
+fn refuse(shared: &SharedState, conn: &Conn, id: u64, status: Status) {
+    let mut core = shared.core.lock().expect("core lock poisoned");
+    *core.rejects.of(status) += 1;
+    drop(core);
+    conn.send(&ResponseFrame::reject(id, status));
+}
+
+/// Validates one decoded request and offers it to the device core.
 fn admit(shared: &SharedState, conn: &Arc<Conn>, request: RequestFrame, expected_elements: usize) {
     let config = &shared.config;
     if !config.model_id.is_empty() && request.model != config.model_id {
-        let mut core = shared.core.lock().expect("core lock poisoned");
-        core.rejects.unknown_model += 1;
-        drop(core);
-        conn.send(&ResponseFrame::reject(request.id, Status::UnknownModel));
-        return;
+        return refuse(shared, conn, request.id, Status::UnknownModel);
     }
-    let elements =
-        usize::from(request.channels) * usize::from(request.height) * usize::from(request.width);
-    if elements != expected_elements {
-        let mut core = shared.core.lock().expect("core lock poisoned");
-        core.rejects.bad_request += 1;
-        drop(core);
-        conn.send(&ResponseFrame::reject(request.id, Status::BadRequest));
-        return;
+    let (channels, height, width) = (
+        usize::from(request.channels),
+        usize::from(request.height),
+        usize::from(request.width),
+    );
+    if channels * height * width != expected_elements {
+        return refuse(shared, conn, request.id, Status::BadRequest);
     }
-    let budget_s = if request.deadline_us == 0 {
-        config.serve.deadline_s
-    } else {
-        request.deadline_us as f64 / 1e6
-    };
+    let budget_s = (request.deadline_us != 0).then(|| request.deadline_us as f64 / 1e6);
     let now = shared.clock.now_s();
     let floor = *shared.min_service_s.lock().expect("floor lock");
-    if budget_s < floor {
-        let mut core = shared.core.lock().expect("core lock poisoned");
-        core.stats.arrived += 1;
-        core.stats.shed += 1;
-        core.rejects.deadline_infeasible += 1;
-        let trace_id = core.next_trace_id;
-        core.next_trace_id += 1;
-        let depth = core.queue.len() as u64;
+
+    let mut core = shared.core.lock().expect("core lock poisoned");
+    let trace_id = core.next_trace_id;
+    core.next_trace_id += 1;
+    // An arrival the queue never sees: it cannot make its deadline even on
+    // an idle engine, or the server is going away.
+    let refusal = if budget_s.unwrap_or(config.serve.deadline_s) < floor {
+        Some((Status::DeadlineInfeasible, "deadline-infeasible"))
+    } else if core.draining || shared.shutdown.load(Ordering::SeqCst) {
+        Some((Status::ShuttingDown, "shutting-down"))
+    } else {
+        None
+    };
+    if let Some((status, reason)) = refusal {
+        core.device.shed(trace_id, now, reason, &shared.sink);
+        *core.rejects.of(status) += 1;
         drop(core);
-        shared.sink.emit(
-            now,
-            EventKind::RequestShed {
-                id: trace_id,
-                reason: "deadline-infeasible".to_string(),
-                queue_depth: depth,
-            },
-        );
-        conn.send(&ResponseFrame::reject(
-            request.id,
-            Status::DeadlineInfeasible,
-        ));
+        conn.send(&ResponseFrame::reject(request.id, status));
         return;
     }
-
-    let mut responses: Vec<(Arc<Conn>, ResponseFrame)> = Vec::new();
-    {
-        let mut core = shared.core.lock().expect("core lock poisoned");
-        core.stats.arrived += 1;
-        let trace_id = core.next_trace_id;
-        core.next_trace_id += 1;
-        if core.draining || shared.shutdown.load(Ordering::SeqCst) {
-            core.stats.shed += 1;
-            core.rejects.shutting_down += 1;
-            let depth = core.queue.len() as u64;
-            drop(core);
-            shared.sink.emit(
-                now,
-                EventKind::RequestShed {
-                    id: trace_id,
-                    reason: "shutting-down".to_string(),
-                    queue_depth: depth,
-                },
-            );
-            conn.send(&ResponseFrame::reject(request.id, Status::ShuttingDown));
-            return;
-        }
-        let pending = Pending {
-            trace_id,
-            client_id: request.id,
-            arrival_s: now,
-            budget_s,
-            input: Activations::from_vec(
-                adaflow_model::TensorShape::new(
-                    usize::from(request.channels),
-                    usize::from(request.height),
-                    usize::from(request.width),
-                ),
-                request.data,
-            ),
-            conn: conn.clone(),
-        };
-        let policy = core.queue.policy();
-        match core.queue.offer(pending) {
-            adaflow_serve::Admission::Enqueued { depth } => {
-                shared.sink.emit(
-                    now,
-                    EventKind::RequestEnqueued {
-                        id: trace_id,
-                        device: 0,
-                        queue_depth: depth,
-                    },
-                );
-                shared.work.notify_all();
-            }
-            adaflow_serve::Admission::Rejected => {
-                core.stats.shed += 1;
-                core.rejects.queue_full += 1;
-                let depth = core.queue.len() as u64;
-                shared.sink.emit(
-                    now,
-                    EventKind::RequestShed {
-                        id: trace_id,
-                        reason: policy.shed_reason().to_string(),
-                        queue_depth: depth,
-                    },
-                );
-                responses.push((
-                    conn.clone(),
-                    ResponseFrame::reject(request.id, Status::QueueFull),
-                ));
-            }
-            adaflow_serve::Admission::Displaced { victim, depth } => {
-                core.stats.shed += 1;
-                core.rejects.queue_full += 1;
-                shared.sink.emit(
-                    now,
-                    EventKind::RequestShed {
-                        id: victim.trace_id,
-                        reason: policy.shed_reason().to_string(),
-                        queue_depth: depth,
-                    },
-                );
-                shared.sink.emit(
-                    now,
-                    EventKind::RequestEnqueued {
-                        id: trace_id,
-                        device: 0,
-                        queue_depth: depth,
-                    },
-                );
-                responses.push((
-                    victim.conn.clone(),
-                    ResponseFrame::reject(victim.client_id, Status::QueueFull),
-                ));
-                shared.work.notify_all();
-            }
-        }
+    let pending = Pending {
+        trace_id,
+        client_id: request.id,
+        arrival_s: now,
+        budget_s,
+        input: Activations::from_vec(
+            adaflow_model::TensorShape::new(channels, height, width),
+            request.data,
+        ),
+        conn: conn.clone(),
+    };
+    // Whoever the overflow policy shed — the newcomer or a queued victim —
+    // is owed a `QueueFull`, sent once the lock is released.
+    let admission = core.device.offer(pending, now, &shared.sink);
+    let queued = !matches!(admission, Admission::Rejected);
+    let shed = match admission {
+        Admission::Enqueued { .. } => None,
+        Admission::Rejected => Some((conn.clone(), request.id)),
+        Admission::Displaced { victim, .. } => Some((victim.conn, victim.client_id)),
+    };
+    core.rejects.queue_full += u64::from(shed.is_some());
+    drop(core);
+    if queued {
+        shared.work.notify_all();
     }
-    for (target, frame) in responses {
-        target.send(&frame);
+    if let Some((target, id)) = shed {
+        target.send(&ResponseFrame::reject(id, Status::QueueFull));
     }
 }
 
@@ -487,59 +439,42 @@ fn admit(shared: &SharedState, conn: &Arc<Conn>, request: RequestFrame, expected
 enum EngineStep {
     /// Nothing due yet; the wait already happened inside the lock.
     Idle,
-    /// Close and execute this batch (closed at `close_s`, oldest arrival
-    /// `oldest_s`).
-    Execute {
-        batch: Vec<Pending>,
-        close_s: f64,
-        oldest_s: f64,
-    },
-    /// Shutdown: these queued requests will never be served.
+    /// Execute this batch, closed at `close_s`.
+    Execute { batch: Vec<Pending>, close_s: f64 },
+    /// Shutdown: these queued requests will never be served (none left:
+    /// exit).
     Drain(Vec<Pending>),
-    Exit,
 }
 
 fn engine_loop(shared: &SharedState, runner: &BatchRunner<'_>, model_name: &str) {
-    let serve = &shared.config.serve;
     loop {
         let step = {
             let mut core = shared.core.lock().expect("core lock poisoned");
+            let now = shared.clock.now_s();
             if shared.shutdown.load(Ordering::SeqCst) {
                 core.draining = true;
-                let leftovers = core.queue.take_batch(usize::MAX);
-                if leftovers.is_empty() {
-                    EngineStep::Exit
-                } else {
-                    EngineStep::Drain(leftovers)
-                }
-            } else if core.queue.is_empty() {
-                drop(
-                    shared
-                        .work
-                        .wait_timeout(core, POLL_INTERVAL)
-                        .expect("core lock poisoned"),
-                );
-                EngineStep::Idle
+                let leftovers = core.device.drain(now, "shutting-down", &shared.sink);
+                core.rejects.shutting_down += leftovers.len() as u64;
+                EngineStep::Drain(leftovers)
             } else {
-                let now = shared.clock.now_s();
-                let oldest_s = core.queue.oldest_arrival_s().expect("nonempty queue");
-                let due_s = oldest_s + serve.max_wait_s;
-                if core.queue.len() >= serve.max_batch || now >= due_s {
-                    let batch = core.queue.take_batch(serve.max_batch);
-                    let close_s = shared.clock.now_s();
-                    core.stats.batches += 1;
-                    core.stats.batched_requests += batch.len() as u64;
+                // The engine thread is the server, so the core is never
+                // busy here: a close is due, pending, or (empty queue) not
+                // in sight — then the wait is one poll interval.
+                let due_s = core.device.next_close_s(now);
+                if due_s.is_some_and(|due_s| due_s <= now) {
+                    let batch = core.device.begin_batch(now, model_name, &shared.sink);
                     EngineStep::Execute {
                         batch,
-                        close_s,
-                        oldest_s,
+                        close_s: now,
                     }
                 } else {
-                    let wait = (due_s - now).clamp(0.0, 0.05);
+                    let wait = due_s.map_or(POLL_INTERVAL, |due_s| {
+                        Duration::from_secs_f64((due_s - now).min(0.05))
+                    });
                     drop(
                         shared
                             .work
-                            .wait_timeout(core, Duration::from_secs_f64(wait))
+                            .wait_timeout(core, wait)
                             .expect("core lock poisoned"),
                     );
                     EngineStep::Idle
@@ -548,43 +483,18 @@ fn engine_loop(shared: &SharedState, runner: &BatchRunner<'_>, model_name: &str)
         };
         match step {
             EngineStep::Idle => {}
-            EngineStep::Exit => break,
+            // Loop again after a drain: new arrivals racing it get rejected
+            // at admission; exit once the queue stays empty.
+            EngineStep::Drain(leftovers) if leftovers.is_empty() => break,
             EngineStep::Drain(leftovers) => {
-                let now = shared.clock.now_s();
-                let mut core = shared.core.lock().expect("core lock poisoned");
-                core.stats.shed += leftovers.len() as u64;
-                core.rejects.shutting_down += leftovers.len() as u64;
-                drop(core);
-                for (i, pending) in leftovers.iter().enumerate() {
-                    shared.sink.emit(
-                        now,
-                        EventKind::RequestShed {
-                            id: pending.trace_id,
-                            reason: "shutting-down".to_string(),
-                            queue_depth: (leftovers.len() - 1 - i) as u64,
-                        },
-                    );
+                for pending in &leftovers {
                     pending.conn.send(&ResponseFrame::reject(
                         pending.client_id,
                         Status::ShuttingDown,
                     ));
                 }
-                // Loop again: new arrivals racing the drain get rejected
-                // at admission; exit once the queue stays empty.
             }
-            EngineStep::Execute {
-                batch,
-                close_s,
-                oldest_s,
-            } => {
-                shared.sink.emit(
-                    close_s,
-                    EventKind::BatchClosed {
-                        size: batch.len() as u64,
-                        oldest_wait_s: close_s - oldest_s,
-                        model: model_name.to_string(),
-                    },
-                );
+            EngineStep::Execute { batch, close_s } => {
                 execute_batch(shared, runner, &batch, close_s);
             }
         }
@@ -597,78 +507,49 @@ fn execute_batch(shared: &SharedState, runner: &BatchRunner<'_>, batch: &[Pendin
     let start_s = shared.clock.now_s();
     let results = runner.run_full(&inputs);
     let done_s = shared.clock.now_s();
-    match results {
-        Ok(results) => {
-            let service_s = done_s - start_s;
-            let mut responses: VecDeque<(Arc<Conn>, ResponseFrame)> =
-                VecDeque::with_capacity(batch.len());
-            {
-                let mut core = shared.core.lock().expect("core lock poisoned");
-                core.stats.busy_service_s += service_s;
-                for (pending, result) in batch.iter().zip(&results) {
-                    let queue_wait_s = (close_s - pending.arrival_s).max(0.0);
-                    let batch_wait_s = (start_s - close_s).max(0.0);
-                    let latency_s = (done_s - pending.arrival_s).max(0.0);
-                    let deadline_met = latency_s <= pending.budget_s;
-                    core.stats.completed += 1;
-                    core.stats.deadline_hits += u64::from(deadline_met);
-                    core.stats.queue_wait_sum_s += queue_wait_s;
-                    core.stats.batch_wait_sum_s += batch_wait_s;
-                    core.stats.service_sum_s += service_s;
-                    core.stats.latency_sum_s += latency_s;
-                    core.latency.record(latency_s);
-                    let done = CompletedRequest {
-                        id: pending.trace_id,
-                        device: 0,
-                        arrival_s: pending.arrival_s,
-                        queue_wait_s,
-                        batch_wait_s,
-                        stall_s: 0.0,
-                        service_s,
-                        latency_s,
-                        deadline_met,
-                    };
-                    shared.sink.emit(
-                        done_s,
-                        EventKind::RequestCompleted {
-                            id: pending.trace_id,
-                            latency_s,
-                            deadline_met,
-                        },
-                    );
-                    emit_request_trace(&shared.sink, &done, 0, false);
-                    responses.push_back((
-                        pending.conn.clone(),
-                        ResponseFrame {
-                            id: pending.client_id,
-                            status: Status::Ok,
-                            label: result.label.min(usize::from(u16::MAX)) as u16,
-                            queue_us: to_us(queue_wait_s),
-                            service_us: to_us(service_s),
-                            latency_us: to_us(latency_s),
-                        },
-                    ));
-                }
-            }
-            for (conn, frame) in responses {
-                conn.send(&frame);
-            }
+    let Ok(results) = results else {
+        // Inputs were shape-validated at admission, so an engine error
+        // here is exceptional; answer the whole batch as BadRequest so no
+        // client hangs, and keep conservation (count as shed).
+        let mut core = shared.core.lock().expect("core lock poisoned");
+        core.device
+            .abandon(batch, done_s, "bad-request", &shared.sink);
+        core.rejects.bad_request += batch.len() as u64;
+        drop(core);
+        for pending in batch {
+            pending.conn.send(&ResponseFrame::reject(
+                pending.client_id,
+                Status::BadRequest,
+            ));
         }
-        Err(_) => {
-            // Inputs were shape-validated at admission, so an engine error
-            // here is exceptional; answer the whole batch as BadRequest so
-            // no client hangs, and keep conservation (count as shed).
-            let mut core = shared.core.lock().expect("core lock poisoned");
-            core.stats.shed += batch.len() as u64;
-            core.rejects.bad_request += batch.len() as u64;
-            drop(core);
-            for pending in batch {
-                pending.conn.send(&ResponseFrame::reject(
-                    pending.client_id,
-                    Status::BadRequest,
-                ));
-            }
-        }
+        return;
+    };
+    // No switch stalls live (the drain starts at the close), and the
+    // served model's accuracy is not known to this tier.
+    let mut settled = Vec::with_capacity(batch.len());
+    let mut core = shared.core.lock().expect("core lock poisoned");
+    core.device.settle_batch(
+        batch,
+        close_s,
+        close_s,
+        start_s,
+        done_s - start_s,
+        done_s,
+        0.0,
+        &shared.sink,
+        &mut settled,
+    );
+    drop(core);
+    emit_request_traces(&shared.sink, &settled, 0, false);
+    for ((pending, result), done) in batch.iter().zip(&results).zip(&settled) {
+        pending.conn.send(&ResponseFrame {
+            id: pending.client_id,
+            status: Status::Ok,
+            label: result.label.min(usize::from(u16::MAX)) as u16,
+            queue_us: to_us(done.queue_wait_s),
+            service_us: to_us(done.service_s),
+            latency_us: to_us(done.latency_s),
+        });
     }
 }
 

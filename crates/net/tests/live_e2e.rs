@@ -386,3 +386,47 @@ fn open_loop_every_request_gets_exactly_one_answer() {
     assert_eq!(report.summary.arrived, summary.sent as f64);
     assert_eq!(report.connections, 3);
 }
+
+#[test]
+fn a_request_with_its_own_deadline_is_judged_against_it() {
+    let shape = tiny_graph().input_shape();
+    // One lone request per batch waits out the 150 ms batch timer, so its
+    // latency lands between the budgets below: over the server's 50 ms
+    // default and a 30 ms budget of its own, well under a 5 s one.
+    let config = LiveConfig {
+        serve: ServeConfig {
+            deadline_s: 0.05,
+            max_batch: 16,
+            max_wait_s: 0.15,
+            ..ServeConfig::default()
+        },
+        ..LiveConfig::default()
+    };
+    let (report, latencies_us) = with_server(config, SinkHandle::null(), |addr| {
+        let mut stream = TcpStream::connect(addr).expect("connects");
+        let mut frames = FrameReader::new();
+        [5_000_000u64, 0, 30_000]
+            .iter()
+            .enumerate()
+            .map(|(id, &deadline_us)| {
+                stream
+                    .write_all(&request(id as u64, shape, deadline_us))
+                    .expect("writes");
+                let r = read_response(&mut stream, &mut frames);
+                assert_eq!(r.status, Status::Ok, "budget {deadline_us} us");
+                r.latency_us
+            })
+            .collect::<Vec<_>>()
+    });
+    assert!(
+        latencies_us
+            .iter()
+            .all(|&l| (100_000..5_000_000).contains(&l)),
+        "timer-closed batches: {latencies_us:?}"
+    );
+    assert_eq!(report.summary.completed, 3.0);
+    assert_eq!(
+        report.summary.deadline_hits, 1.0,
+        "only the 5 s budget is met; the server default would have failed it too"
+    );
+}

@@ -7,7 +7,7 @@
 //!
 //! | code | checks |
 //! |-------|--------|
-//! | SV001 | the batcher's max-wait fits inside the deadline budget |
+//! | SV001 | the batcher can close a batch, and its max-wait fits inside the deadline budget |
 //! | SV002 | queue capacity covers the worst-case reconfiguration backlog |
 //!
 //! Like the graph rules, both run through [`LintConfig`] allow/deny policy,
@@ -32,18 +32,8 @@ pub struct ServeConfig {
     pub max_wait_s: f64,
     /// What to do with arrivals when the queue is full.
     pub overflow: OverflowPolicy,
-    /// Time constant of the arrival-rate EWMA feeding the pressure signal,
-    /// seconds.
-    pub ewma_tau_s: f64,
-    /// Horizon within which the control loop aims to drain the backlog,
-    /// seconds (the `T` of `μ ≥ λ + Q/T`).
-    pub drain_target_s: f64,
     /// Minimum interval between Runtime Manager consultations, seconds.
     pub control_period_s: f64,
-    /// Arrival-rate estimate before the first observation, FPS. Zero means
-    /// "use the workload's nominal rate" (the operator knows the fleet
-    /// size).
-    pub initial_rate_fps: f64,
 }
 
 impl Default for ServeConfig {
@@ -54,10 +44,7 @@ impl Default for ServeConfig {
             max_batch: 16,
             max_wait_s: 0.02,
             overflow: OverflowPolicy::Block,
-            ewma_tau_s: 1.0,
-            drain_target_s: 0.5,
             control_period_s: 0.25,
-            initial_rate_fps: 0.0,
         }
     }
 }
@@ -88,11 +75,21 @@ impl ServeConfig {
         diags.into_report("serve-config")
     }
 
-    /// SV001: the batch max-wait must leave service time inside the
+    /// SV001: the batcher must be able to close a batch (`max_batch ≥ 1`),
+    /// and the batch max-wait must leave service time inside the
     /// deadline. A max-wait above the whole budget guarantees misses for
     /// any batch closed by the timer; above half the budget it crowds out
     /// stall and service time.
     fn check_sv001(&self, diags: &mut Diagnostics) {
+        if self.max_batch == 0 {
+            diags.report(
+                "SV001",
+                Severity::Error,
+                None,
+                "batch size 0: the batcher can never close a batch, so no request is ever served",
+                Some("set --batch to at least 1".into()),
+            );
+        }
         let budget = self.deadline_s;
         if self.max_wait_s > budget {
             diags.report(
@@ -106,7 +103,7 @@ impl ServeConfig {
                     budget * 1e3
                 ),
                 Some(format!(
-                    "lower --batch-wait below {:.0} ms or raise --deadline-ms",
+                    "lower --batch-wait-ms below {:.0} or raise --deadline-ms",
                     budget * 1e3
                 )),
             );
@@ -198,6 +195,29 @@ mod tests {
         let report = config.validate(600.0, 0.145, LintConfig::default());
         assert!(report.has_errors());
         assert!(report.fired("SV001"));
+    }
+
+    #[test]
+    fn sv001_refuses_a_zero_batch() {
+        let config = ServeConfig {
+            max_batch: 0,
+            ..ServeConfig::default()
+        };
+        let report = config.validate(600.0, 0.145, LintConfig::default());
+        assert!(report.has_errors());
+        assert!(report.to_string().contains("batch size 0"), "{report}");
+    }
+
+    #[test]
+    fn sv001_suggestion_names_the_real_flag() {
+        let config = ServeConfig {
+            max_wait_s: 0.3,
+            ..ServeConfig::default()
+        };
+        let text = config
+            .validate(600.0, 0.145, LintConfig::default())
+            .to_string();
+        assert!(text.contains("--batch-wait-ms"), "{text}");
     }
 
     #[test]

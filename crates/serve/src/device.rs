@@ -2,8 +2,9 @@
 //! one policy-controlled accelerator.
 //!
 //! [`DeviceCore`] is the single-server state machine that
-//! [`ServeEngine`](crate::engine::ServeEngine) runs one of and the fleet
-//! layer (`adaflow-fleet`) runs N of. It owns everything local to a
+//! [`ServeEngine`](crate::engine::ServeEngine) runs one of, the fleet
+//! layer (`adaflow-fleet`) runs N of, and the live TCP server
+//! (`adaflow-net`) drives from real sockets. It owns everything local to a
 //! device — admission queue, in-flight batch, observed-pressure EWMA,
 //! control-period rate limiting, per-request deadline accounting — and
 //! exposes *event candidates* (`next_completion_s`, `next_close_s`)
@@ -22,7 +23,7 @@
 
 use crate::config::ServeConfig;
 use crate::policy::ServePolicy;
-use crate::queue::{Admission, AdmissionQueue};
+use crate::queue::{Admission, AdmissionQueue, Arriving};
 use crate::request::{CompletedRequest, Request};
 use adaflow::PressureSignal;
 use adaflow_edge::ServingState;
@@ -30,10 +31,16 @@ use adaflow_telemetry::{EventKind, LogHistogram, SinkHandle};
 
 /// Absolute slack for deadline and timer comparisons, seconds.
 pub(crate) const TIME_EPS: f64 = 1e-9;
+/// Time constant of the arrival-rate EWMA feeding the pressure signal,
+/// seconds.
+const EWMA_TAU_S: f64 = 1.0;
+/// Horizon within which the control loop aims to drain the backlog,
+/// seconds (the `T` of `μ ≥ λ + Q/T`).
+const DRAIN_TARGET_S: f64 = 0.5;
 
 /// A batch in service.
-struct InFlight {
-    members: Vec<Request>,
+struct InFlight<T> {
+    members: Vec<T>,
     close_s: f64,
     drain_start_s: f64,
     start_s: f64,
@@ -44,7 +51,7 @@ struct InFlight {
 
 /// Running counters of one device core (integral during a run; exposed as
 /// plain integers/sums so callers can build whatever summary they need).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeviceStats {
     /// Requests offered to this device.
     pub arrived: u64,
@@ -106,11 +113,12 @@ pub struct BatchClose {
 }
 
 /// One policy-controlled single-server device: queue, batcher, pressure
-/// observation and deadline accounting.
-pub struct DeviceCore {
+/// observation and deadline accounting — over the DES's [`Request`]s or
+/// the live server's decoded wire requests alike.
+pub struct DeviceCore<T: Arriving = Request> {
     config: ServeConfig,
-    queue: AdmissionQueue,
-    busy: Option<InFlight>,
+    queue: AdmissionQueue<T>,
+    busy: Option<InFlight<T>>,
     state: Option<ServingState>,
     last_control: f64,
     /// Observed arrival-rate EWMA, seeded with the operator's nominal
@@ -121,24 +129,18 @@ pub struct DeviceCore {
     latency: LogHistogram,
 }
 
-impl DeviceCore {
+impl<T: Arriving> DeviceCore<T> {
     /// Creates a device core. `initial_rate_fps` seeds the arrival-rate
     /// EWMA (the operator's nominal estimate of this device's share of the
-    /// offered load); the caller resolves `config.initial_rate_fps == 0`
-    /// against the workload before constructing the core.
+    /// offered load).
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is degenerate (`max_batch == 0`,
-    /// non-positive `ewma_tau_s` or `drain_target_s`).
+    /// Panics if the configuration is degenerate (`max_batch == 0`, which
+    /// SV001 reports ahead of time).
     #[must_use]
     pub fn new(config: ServeConfig, initial_rate_fps: f64) -> Self {
         assert!(config.max_batch > 0, "max_batch must be positive");
-        assert!(config.ewma_tau_s > 0.0, "ewma_tau_s must be positive");
-        assert!(
-            config.drain_target_s > 0.0,
-            "drain_target_s must be positive"
-        );
         let queue = AdmissionQueue::new(config.queue_capacity, config.overflow);
         Self {
             config,
@@ -153,12 +155,6 @@ impl DeviceCore {
         }
     }
 
-    /// The device's serving configuration.
-    #[must_use]
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
-    }
-
     /// Current admission-queue occupancy.
     #[must_use]
     pub fn queue_len(&self) -> usize {
@@ -169,13 +165,6 @@ impl DeviceCore {
     #[must_use]
     pub fn in_flight(&self) -> usize {
         self.busy.as_ref().map_or(0, |b| b.members.len())
-    }
-
-    /// Completion instant of the in-flight batch, if any — the earliest
-    /// time the server can accept new work.
-    #[must_use]
-    pub fn busy_until_s(&self) -> Option<f64> {
-        self.busy.as_ref().map(|b| b.done_s)
     }
 
     /// Throughput of the currently-applied serving state, if established.
@@ -196,6 +185,12 @@ impl DeviceCore {
         &self.stats
     }
 
+    /// The completed-request latency distribution so far.
+    #[must_use]
+    pub fn latency(&self) -> &LogHistogram {
+        &self.latency
+    }
+
     /// Whether the device holds no work (queue empty, server idle).
     #[must_use]
     pub fn is_drained(&self) -> bool {
@@ -209,7 +204,8 @@ impl DeviceCore {
         (self.stats, self.latency)
     }
 
-    /// Next batch-completion instant, if a batch is in flight.
+    /// Next batch-completion instant, if a batch is in flight — the
+    /// earliest time the server can accept new work.
     #[must_use]
     pub fn next_completion_s(&self) -> Option<f64> {
         self.busy.as_ref().map(|b| b.done_s)
@@ -232,127 +228,187 @@ impl DeviceCore {
         })
     }
 
+    /// Counts one request shed at `now` and reports it to `sink`.
+    fn record_shed(&mut self, id: u64, now: f64, reason: &str, depth: u64, sink: &SinkHandle) {
+        self.stats.shed += 1;
+        if sink.enabled() {
+            let kind = EventKind::RequestShed {
+                id,
+                reason: reason.to_string(),
+                queue_depth: depth,
+            };
+            sink.emit(now, kind);
+        }
+    }
+
+    /// Counts an arrival refused before it could queue (the live tier's
+    /// deadline-infeasible and shutting-down rejects) as arrived and shed.
+    pub fn shed(&mut self, id: u64, now: f64, reason: &str, sink: &SinkHandle) {
+        self.stats.arrived += 1;
+        self.record_shed(id, now, reason, self.queue.len() as u64, sink);
+    }
+
+    /// Counts admitted requests that will never be served (a batch the
+    /// live engine failed) as shed.
+    pub fn abandon(&mut self, members: &[T], now: f64, reason: &str, sink: &SinkHandle) {
+        for (i, member) in members.iter().enumerate() {
+            let depth = (self.queue.len() + members.len() - 1 - i) as u64;
+            self.record_shed(member.id(), now, reason, depth, sink);
+        }
+    }
+
+    /// Empties the queue, counting everything still waiting as shed (the
+    /// live tier's shutdown drain).
+    pub fn drain(&mut self, now: f64, reason: &str, sink: &SinkHandle) -> Vec<T> {
+        let leftovers = self.queue.take_batch(usize::MAX);
+        self.abandon(&leftovers, now, reason, sink);
+        leftovers
+    }
+
     /// Offers one request at `now`, teaching the arrival EWMA and
     /// resolving admission per the overflow policy. Telemetry
     /// (`RequestEnqueued` / `RequestShed`) goes to `sink`.
-    pub fn offer(&mut self, request: Request, now: f64, sink: &SinkHandle) -> Admission {
+    pub fn offer(&mut self, request: T, now: f64, sink: &SinkHandle) -> Admission<T> {
         self.stats.arrived += 1;
         // Teach the EWMA the instantaneous rate implied by the observed
         // inter-arrival gap.
         if let Some(prev) = self.last_arrival_s {
             let dt = now - prev;
             if dt > 0.0 {
-                let alpha = 1.0 - (-dt / self.config.ewma_tau_s).exp();
+                let alpha = 1.0 - (-dt / EWMA_TAU_S).exp();
                 self.ewma += alpha * (1.0 / dt - self.ewma);
             }
         }
         self.last_arrival_s = Some(now);
 
         let depth_before = self.queue.len() as u64;
+        let (id, device) = (request.id(), request.device());
         let admission = self.queue.offer(request);
-        match &admission {
-            Admission::Enqueued { depth } => {
-                if sink.enabled() {
-                    sink.emit(
-                        now,
-                        EventKind::RequestEnqueued {
-                            id: request.id,
-                            device: request.device,
-                            queue_depth: *depth,
-                        },
-                    );
-                }
-            }
-            Admission::Rejected => {
-                self.stats.shed += 1;
-                if sink.enabled() {
-                    sink.emit(
-                        now,
-                        EventKind::RequestShed {
-                            id: request.id,
-                            reason: self.config.overflow.shed_reason().to_string(),
-                            queue_depth: depth_before,
-                        },
-                    );
-                }
-            }
-            Admission::Displaced { victim, depth } => {
-                self.stats.shed += 1;
-                if sink.enabled() {
-                    sink.emit(
-                        now,
-                        EventKind::RequestShed {
-                            id: victim.id,
-                            reason: self.config.overflow.shed_reason().to_string(),
-                            queue_depth: depth_before,
-                        },
-                    );
-                    sink.emit(
-                        now,
-                        EventKind::RequestEnqueued {
-                            id: request.id,
-                            device: request.device,
-                            queue_depth: *depth,
-                        },
-                    );
-                }
-            }
+        // Who was shed (newcomer or displaced victim) and the depth the
+        // newcomer joined at, if it did.
+        let (shed_id, queue_depth) = match &admission {
+            Admission::Enqueued { depth } => (None, Some(*depth)),
+            Admission::Rejected => (Some(id), None),
+            Admission::Displaced { victim, depth } => (Some(victim.id()), Some(*depth)),
+        };
+        if let Some(shed_id) = shed_id {
+            let reason = self.config.overflow.shed_reason();
+            self.record_shed(shed_id, now, reason, depth_before, sink);
+        }
+        if let (Some(queue_depth), true) = (queue_depth, sink.enabled()) {
+            let kind = EventKind::RequestEnqueued {
+                id,
+                device,
+                queue_depth,
+            };
+            sink.emit(now, kind);
         }
         admission
     }
 
-    /// Completes the in-flight batch at `now`, accounting every member's
-    /// deadline outcome and pushing its latency decomposition onto
-    /// `details` (completion order).
+    /// Closes a batch at `now` for whoever serves it: takes up to
+    /// `max_batch` requests, counts the batch, emits `BatchClosed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the queue is empty — callers drive closes off
+    /// [`DeviceCore::next_close_s`].
+    pub fn begin_batch(&mut self, now: f64, model: &str, sink: &SinkHandle) -> Vec<T> {
+        let members = self.queue.take_batch(self.config.max_batch);
+        assert!(!members.is_empty(), "close event with an empty queue");
+        if sink.enabled() {
+            let kind = EventKind::BatchClosed {
+                size: members.len() as u64,
+                oldest_wait_s: now - members[0].arrival_s(),
+                model: model.to_string(),
+            };
+            sink.emit(now, kind);
+        }
+        self.stats.batches += 1;
+        self.stats.batched_requests += members.len() as u64;
+        members
+    }
+
+    /// Settles a served batch: accounts every member's latency
+    /// decomposition and deadline outcome against the batch's instants —
+    /// predicted by the DES, measured by the live tier — onto `details`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn settle_batch(
+        &mut self,
+        members: &[T],
+        close_s: f64,
+        drain_start_s: f64,
+        start_s: f64,
+        service_s: f64,
+        done_s: f64,
+        accuracy: f64,
+        sink: &SinkHandle,
+        details: &mut Vec<CompletedRequest>,
+    ) {
+        self.stats.busy_service_s += service_s;
+        for member in members {
+            let latency_s = done_s - member.arrival_s();
+            let budget_s = member.deadline_s().unwrap_or(self.config.deadline_s);
+            let done = CompletedRequest {
+                id: member.id(),
+                device: member.device(),
+                arrival_s: member.arrival_s(),
+                queue_wait_s: close_s - member.arrival_s(),
+                batch_wait_s: start_s - close_s,
+                stall_s: start_s - drain_start_s,
+                service_s,
+                latency_s,
+                deadline_met: latency_s <= budget_s + TIME_EPS,
+            };
+            self.stats.completed += 1;
+            self.stats.deadline_hits += u64::from(done.deadline_met);
+            self.stats.latency_sum_s += latency_s;
+            self.stats.queue_wait_sum_s += done.queue_wait_s;
+            self.stats.batch_wait_sum_s += done.batch_wait_s;
+            self.stats.service_sum_s += service_s;
+            self.stats.accuracy_sum_pct += accuracy;
+            self.latency.record(latency_s);
+            if sink.enabled() {
+                let kind = EventKind::RequestCompleted {
+                    id: done.id,
+                    latency_s,
+                    deadline_met: done.deadline_met,
+                };
+                sink.emit(done_s, kind);
+            }
+            details.push(done);
+        }
+    }
+
+    /// Completes the in-flight batch at `now`, settling every member
+    /// (completion order) onto `details`.
     ///
     /// # Panics
     ///
     /// Panics if no batch is in flight — callers drive completions off
     /// [`DeviceCore::next_completion_s`].
     pub fn complete(&mut self, now: f64, sink: &SinkHandle, details: &mut Vec<CompletedRequest>) {
-        let batch = self
+        let b = self
             .busy
             .take()
             .expect("completion implies an in-flight batch");
-        for member in &batch.members {
-            let latency_s = now - member.arrival_s;
-            let deadline_met = latency_s <= self.config.deadline_s + TIME_EPS;
-            self.stats.completed += 1;
-            self.stats.deadline_hits += u64::from(deadline_met);
-            self.stats.latency_sum_s += latency_s;
-            self.stats.queue_wait_sum_s += batch.close_s - member.arrival_s;
-            self.stats.batch_wait_sum_s += batch.start_s - batch.close_s;
-            self.stats.service_sum_s += batch.service_s;
-            self.stats.accuracy_sum_pct += batch.accuracy;
-            self.latency.record(latency_s);
-            details.push(CompletedRequest {
-                id: member.id,
-                device: member.device,
-                arrival_s: member.arrival_s,
-                queue_wait_s: batch.close_s - member.arrival_s,
-                batch_wait_s: batch.start_s - batch.close_s,
-                stall_s: batch.start_s - batch.drain_start_s,
-                service_s: batch.service_s,
-                latency_s,
-                deadline_met,
-            });
-            if sink.enabled() {
-                sink.emit(
-                    now,
-                    EventKind::RequestCompleted {
-                        id: member.id,
-                        latency_s,
-                        deadline_met,
-                    },
-                );
-            }
-        }
+        self.settle_batch(
+            &b.members,
+            b.close_s,
+            b.drain_start_s,
+            b.start_s,
+            b.service_s,
+            now,
+            b.accuracy,
+            sink,
+            details,
+        );
     }
 
     /// Closes a batch at `now`: consults the policy (rate-limited to one
     /// consultation per control period; the very first close must
     /// establish a state), takes up to `max_batch` requests and puts them
-    /// in flight.
+    /// in flight for the service time the policy's throughput predicts.
     ///
     /// `drain_gate` maps `(now, stall_s)` to the instant the stall window
     /// may begin (`>= now`); service then starts at `drain_start +
@@ -383,7 +439,7 @@ impl DeviceCore {
             let signal = PressureSignal {
                 arrival_fps_ewma: self.ewma,
                 queue_depth: self.queue.len() as f64,
-                drain_target_s: self.config.drain_target_s,
+                drain_target_s: DRAIN_TARGET_S,
             };
             let new_state = policy.on_pressure(now, &signal);
             if new_state.model_switched {
@@ -401,36 +457,24 @@ impl DeviceCore {
             self.state = Some(new_state);
             self.last_control = now;
         }
-        let st = self
-            .state
-            .as_ref()
-            .expect("state established at first close");
-        let members = self.queue.take_batch(self.config.max_batch);
-        assert!(!members.is_empty(), "close event with an empty queue");
-        let oldest_wait_s = now - members[0].arrival_s;
-        if sink.enabled() {
-            sink.emit(
-                now,
-                EventKind::BatchClosed {
-                    size: members.len() as u64,
-                    oldest_wait_s,
-                    model: st.model.clone(),
-                },
-            );
-        }
-        self.stats.batches += 1;
-        self.stats.batched_requests += members.len() as u64;
+        let (model, fps, accuracy) = {
+            let st = self
+                .state
+                .as_ref()
+                .expect("state established at first close");
+            (st.model.clone(), st.throughput_fps, st.accuracy)
+        };
+        let members = self.begin_batch(now, &model, sink);
         let drain_start_s = if stall_s > 0.0 {
             drain_gate(now, stall_s).max(now)
         } else {
             now
         };
         let start_s = drain_start_s + stall_s;
-        let service_s = members.len() as f64 / st.throughput_fps.max(1e-9);
-        self.stats.busy_service_s += service_s;
+        let service_s = members.len() as f64 / fps.max(1e-9);
         let close = BatchClose {
             size: members.len(),
-            model: st.model.clone(),
+            model,
             stall_s,
             drain_start_s,
             start_s,
@@ -444,7 +488,7 @@ impl DeviceCore {
             start_s,
             service_s,
             done_s: close.done_s,
-            accuracy: st.accuracy,
+            accuracy,
             members,
         });
         close
@@ -555,6 +599,84 @@ mod tests {
         assert!((stats.busy_service_s - (close.done_s - close.start_s)).abs() < 1e-12);
         assert!(core.is_drained());
         assert_eq!(details.len(), 4);
+    }
+
+    #[test]
+    fn shed_and_drain_keep_conservation() {
+        let mut core = DeviceCore::new(ServeConfig::default(), 100.0);
+        let (sink, recorder) = SinkHandle::recorder(64);
+        let mut details = Vec::new();
+        // Two queue, one is refused before it can (a live-tier reject).
+        core.offer(req(0, 0.0), 0.0, &sink);
+        core.offer(req(1, 0.01), 0.01, &sink);
+        core.shed(2, 0.02, "deadline-infeasible", &sink);
+        let conserved = |c: &DeviceCore| {
+            let s = c.stats();
+            s.arrived == s.completed + s.shed + (c.queue_len() + c.in_flight()) as u64
+        };
+        assert_eq!((core.stats().arrived, core.stats().shed), (3, 1));
+        assert!(conserved(&core));
+        // One is served, then the rest is drained at shutdown.
+        let close = core.close_batch(0.03, &mut Fixed(100.0), &sink, &mut |now, _| now);
+        core.offer(req(3, 0.04), 0.04, &sink);
+        core.complete(close.done_s, &sink, &mut details);
+        assert!(conserved(&core));
+        let leftovers = core.drain(0.06, "shutting-down", &sink);
+        assert_eq!(leftovers.iter().map(|r| r.id).collect::<Vec<_>>(), [3]);
+        let stats = core.stats();
+        assert_eq!((stats.arrived, stats.completed, stats.shed), (4, 2, 2));
+        assert_eq!(stats.arrived, stats.completed + stats.shed);
+        assert!(core.is_drained());
+        let reasons: Vec<String> = recorder
+            .drain()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                EventKind::RequestShed { id, reason, .. } => Some(format!("{id}:{reason}")),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(reasons, ["2:deadline-infeasible", "3:shutting-down"]);
+    }
+
+    #[test]
+    fn a_request_with_its_own_budget_is_judged_against_it() {
+        /// A request carrying a deadline budget, like a live wire request.
+        struct Budgeted(Request, f64);
+        impl Arriving for Budgeted {
+            fn arrival_s(&self) -> f64 {
+                self.0.arrival_s
+            }
+            fn id(&self) -> u64 {
+                self.0.id
+            }
+            fn device(&self) -> u32 {
+                self.0.device
+            }
+            fn deadline_s(&self) -> Option<f64> {
+                Some(self.1)
+            }
+        }
+        // Both complete 10 ms after arriving, inside the 250 ms default.
+        let mut core = DeviceCore::new(ServeConfig::default(), 100.0);
+        let sink = SinkHandle::default();
+        let mut details = Vec::new();
+        core.offer(Budgeted(req(0, 0.0), 0.005), 0.0, &sink);
+        core.offer(Budgeted(req(1, 0.0), 0.5), 0.0, &sink);
+        let members = core.begin_batch(0.0, "m", &sink);
+        core.settle_batch(
+            &members,
+            0.0,
+            0.0,
+            0.0,
+            0.01,
+            0.01,
+            0.0,
+            &sink,
+            &mut details,
+        );
+        let met: Vec<bool> = details.iter().map(|d| d.deadline_met).collect();
+        assert_eq!(met, [false, true]);
+        assert_eq!(core.stats().deadline_hits, 1);
     }
 
     #[test]

@@ -5,14 +5,14 @@
 //! FIFO queue, get grouped by the dynamic batcher and served at the
 //! currently-loaded accelerator's throughput. Three event sources drive the
 //! loop — batch completions, batch closes and arrivals — processed in
-//! global time order with the tie priority *completion < close < arrival*
-//! (finish work before starting more, start work before accepting more).
+//! global time order by [`next_event`], the one candidate picker this
+//! engine and the fleet engine share.
 //!
 //! The per-device mechanics (queue, batcher, pressure EWMA, deadline
 //! accounting) live in [`DeviceCore`](crate::device::DeviceCore); this
 //! module is the single-device event loop over one core. The fleet layer
-//! (`adaflow-fleet`) interleaves many cores on one clock with the same
-//! tie discipline.
+//! (`adaflow-fleet`) interleaves many cores on one clock through the same
+//! picker.
 //!
 //! ## Batching
 //!
@@ -43,6 +43,7 @@ use crate::arrivals::generate_requests;
 use crate::config::ServeConfig;
 use crate::device::DeviceCore;
 use crate::policy::ServePolicy;
+use crate::queue::Arriving;
 use crate::request::{CompletedRequest, Request};
 use crate::summary::ServeSummary;
 use adaflow_edge::WorkloadSpec;
@@ -51,12 +52,55 @@ use adaflow_telemetry::SinkHandle;
 #[cfg(test)]
 use adaflow::PressureSignal;
 
-/// Which event source fires next (discriminant doubles as tie priority).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Next {
-    Completion = 0,
-    Close = 1,
-    Arrival = 2,
+/// The event [`next_event`] picked: a device's batch completion or batch
+/// close (by index into the slice), the next arrival, or the caller's
+/// periodic sampler.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pick {
+    /// Device `i` completes its in-flight batch.
+    Completion(usize),
+    /// Device `i` closes a batch.
+    Close(usize),
+    /// The next request of the arrival stream arrives.
+    Arrival,
+    /// The periodic sampler fires.
+    Sample,
+}
+
+/// The earliest candidate event over `devices` at `now`, with its instant.
+///
+/// Ties go to the earlier class in *completion < close < arrival < sample*
+/// (finish work before starting more, start work before accepting more,
+/// observe last) and, within a class, to the lowest device index — a
+/// strict-less linear scan in exactly that order. The sampler never keeps
+/// an otherwise-finished simulation alive: it is a candidate only while
+/// some other event is pending. `None` means the run is over.
+#[must_use]
+pub fn next_event<T: Arriving>(
+    devices: &[DeviceCore<T>],
+    now: f64,
+    arrival_s: Option<f64>,
+    sample_s: Option<f64>,
+) -> Option<(f64, Pick)> {
+    fn consider(chosen: &mut Option<(f64, Pick)>, t: Option<f64>, pick: Pick) {
+        if let Some(t) = t {
+            if chosen.is_none_or(|(best, _)| t.total_cmp(&best).is_lt()) {
+                *chosen = Some((t, pick));
+            }
+        }
+    }
+    let mut chosen = None;
+    for (i, d) in devices.iter().enumerate() {
+        consider(&mut chosen, d.next_completion_s(), Pick::Completion(i));
+    }
+    for (i, d) in devices.iter().enumerate() {
+        consider(&mut chosen, d.next_close_s(now), Pick::Close(i));
+    }
+    consider(&mut chosen, arrival_s, Pick::Arrival);
+    if chosen.is_some() {
+        consider(&mut chosen, sample_s, Pick::Sample);
+    }
+    chosen
 }
 
 /// The serving engine: configuration plus an optional telemetry sink.
@@ -96,8 +140,7 @@ impl ServeEngine {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is degenerate (`max_batch == 0`,
-    /// non-positive `ewma_tau_s` or `drain_target_s`).
+    /// Panics if the configuration is degenerate (`max_batch == 0`).
     pub fn run(
         &self,
         spec: &WorkloadSpec,
@@ -141,61 +184,33 @@ impl ServeEngine {
     ) -> ServeSummary {
         // Observed arrival-rate EWMA seed: the operator's nominal estimate
         // (fleet size × per-device rate) until arrivals teach it.
-        let initial_rate = if self.config.initial_rate_fps > 0.0 {
-            self.config.initial_rate_fps
-        } else {
-            spec.nominal_fps()
-        };
-        let mut device = DeviceCore::new(self.config.clone(), initial_rate);
+        let mut device = [DeviceCore::new(self.config.clone(), spec.nominal_fps())];
         let mut next_arrival = 0usize;
         let mut now = 0.0f64;
 
-        loop {
-            // Candidate events; the close candidate exists only while the
-            // server is idle (batches form when it can accept work).
-            let t_completion = device.next_completion_s();
-            let t_close = device.next_close_s(now);
-            let t_arrival = requests.get(next_arrival).map(|r| r.arrival_s);
-
-            let mut chosen: Option<(f64, Next)> = None;
-            for (t, kind) in [
-                (t_completion, Next::Completion),
-                (t_close, Next::Close),
-                (t_arrival, Next::Arrival),
-            ] {
-                if let Some(t) = t {
-                    let better = match chosen {
-                        None => true,
-                        Some((bt, _)) => t.total_cmp(&bt).is_lt(),
-                    };
-                    if better {
-                        chosen = Some((t, kind));
-                    }
-                }
-            }
-            let Some((t, kind)) = chosen else {
-                break; // trace exhausted, queue drained, server idle
-            };
+        // Until the trace is exhausted, the queue drained, the server idle.
+        let arrival_s = |next: usize| requests.get(next).map(|r| r.arrival_s);
+        while let Some((t, pick)) = next_event(&device, now, arrival_s(next_arrival), None) {
             now = t;
-
-            match kind {
-                Next::Completion => {
+            match pick {
+                Pick::Completion(_) => {
                     let before = details.len();
-                    device.complete(now, &self.sink, details);
+                    device[0].complete(now, &self.sink, details);
                     crate::tracing::emit_request_traces(&self.sink, &details[before..], 0, false);
                 }
-                Next::Close => {
+                Pick::Close(_) => {
                     // Single device: the drain (if any) starts immediately.
-                    device.close_batch(now, policy, &self.sink, &mut |close_now, _| close_now);
+                    device[0].close_batch(now, policy, &self.sink, &mut |close_now, _| close_now);
                 }
-                Next::Arrival => {
-                    let request = requests[next_arrival];
+                Pick::Arrival => {
+                    device[0].offer(requests[next_arrival], now, &self.sink);
                     next_arrival += 1;
-                    device.offer(request, now, &self.sink);
                 }
+                Pick::Sample => unreachable!("no sampler was offered"),
             }
         }
 
+        let [device] = device;
         let (stats, latency) = device.finish();
         debug_assert_eq!(stats.arrived, stats.completed + stats.shed, "conservation");
         debug_assert_eq!(

@@ -21,10 +21,12 @@
 //! * [`config`] — [`ServeConfig`] plus the SV001/SV002 lint rules;
 //! * [`policy`] — pressure-driven policies (AdaFlow, fixed-max,
 //!   flexible-only);
-//! * [`device`] — the reusable per-device core (queue + batcher +
-//!   deadline accounting) that both the single-device engine and the
-//!   `adaflow-fleet` simulator run;
-//! * [`engine`] — the discrete-event serving loop with telemetry;
+//! * [`device`] — the reusable per-device core (admission, batch close,
+//!   completion accounting) that the single-device engine, the
+//!   `adaflow-fleet` simulator and the live server (`adaflow-net`) all
+//!   drive;
+//! * [`engine`] — the discrete-event serving loop with telemetry, and the
+//!   earliest-event picker the fleet engine shares;
 //! * [`experiment`] — seeded multi-run driver mirroring
 //!   `adaflow_edge::Experiment`.
 //!
@@ -64,7 +66,7 @@ pub mod tracing;
 pub use arrivals::generate_requests;
 pub use config::ServeConfig;
 pub use device::{BatchClose, DeviceCore, DeviceStats};
-pub use engine::ServeEngine;
+pub use engine::{next_event, Pick, ServeEngine};
 pub use experiment::ServeExperiment;
 pub use policy::{AdaFlowServePolicy, FixedMaxPolicy, FlexibleOnlyPolicy, ServePolicy};
 pub use queue::{Admission, AdmissionQueue, Arriving, OverflowPolicy};
@@ -77,7 +79,7 @@ pub mod prelude {
     pub use crate::arrivals::generate_requests;
     pub use crate::config::ServeConfig;
     pub use crate::device::{BatchClose, DeviceCore, DeviceStats};
-    pub use crate::engine::ServeEngine;
+    pub use crate::engine::{next_event, Pick, ServeEngine};
     pub use crate::experiment::ServeExperiment;
     pub use crate::policy::{AdaFlowServePolicy, FixedMaxPolicy, FlexibleOnlyPolicy, ServePolicy};
     pub use crate::queue::{Admission, AdmissionQueue, Arriving, OverflowPolicy};

@@ -15,17 +15,35 @@ use crate::request::Request;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// Anything the queue can admit: all it needs from an item is its arrival
-/// instant (seconds on whichever clock the caller runs — simulated time in
-/// the DES, wall-clock-since-epoch in the live server).
+/// Anything the queue can admit and the device core can account for: its
+/// arrival instant (seconds on whichever clock the caller runs — simulated
+/// time in the DES, wall-clock-since-epoch in the live server), the id and
+/// originating device its telemetry names it by, and an optional deadline
+/// budget of its own.
 pub trait Arriving {
     /// Arrival instant in seconds.
     fn arrival_s(&self) -> f64;
+    /// The id events and [`CompletedRequest`](crate::CompletedRequest)s
+    /// carry for this item.
+    fn id(&self) -> u64;
+    /// Originating device index.
+    fn device(&self) -> u32;
+    /// This item's own deadline budget, seconds from arrival; `None`
+    /// defers to `ServeConfig::deadline_s`.
+    fn deadline_s(&self) -> Option<f64> {
+        None
+    }
 }
 
 impl Arriving for Request {
     fn arrival_s(&self) -> f64 {
         self.arrival_s
+    }
+    fn id(&self) -> u64 {
+        self.id
+    }
+    fn device(&self) -> u32 {
+        self.device
     }
 }
 

@@ -227,13 +227,14 @@ static DOCS: &[RuleDoc] = &[
     },
     RuleDoc {
         code: "SV001",
-        summary: "the batcher's max-wait fits inside the deadline budget",
+        summary: "the batcher can close a batch (max-batch ≥ 1) and its max-wait fits inside \
+                  the deadline budget",
         severities: "Error | Warn",
         provenance: "a request queued for up to max-wait still needs service time before \
                      its deadline; SLO-aware serving requires wait + service ≤ deadline \
                      (cf. clockwork-style serving budgets)",
         example_fix: "lower batch max-wait below deadline − p99 service time, or relax the \
-                      deadline",
+                      deadline; set max-batch to at least 1",
     },
     RuleDoc {
         code: "SV002",
