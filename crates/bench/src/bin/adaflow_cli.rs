@@ -21,7 +21,8 @@ use adaflow_model::prelude::*;
 use adaflow_model::GraphSummary;
 use adaflow_nn::{DatasetKind, Engine};
 use adaflow_telemetry::{
-    chrome_trace_json, events_to_jsonl, to_prometheus, Event, SinkHandle, TraceSummary,
+    chrome_trace_json, events_to_jsonl, Event, MetricsRegistry, Recorder, RegistryConfig,
+    SinkHandle,
 };
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -203,9 +204,40 @@ fn parse_format(flags: &Flags) -> Result<&str, String> {
     }
 }
 
+/// Folds `events` into a fresh registry: the one fold `.prom`, `trace`'s
+/// summary and `/metrics` all read.
+fn fold_events(events: &[Event]) -> MetricsRegistry {
+    let mut registry = MetricsRegistry::new(RegistryConfig::default());
+    registry.observe_all(events);
+    registry
+}
+
+/// What to tell the operator when `overwritten` events fell off a ring that
+/// was full with `kept`.
+fn overflow_warning(overwritten: u64, kept: usize) -> Option<String> {
+    (overwritten > 0).then(|| {
+        format!(
+            "warning: the trace ring (capacity {kept}) overwrote its {overwritten} oldest \
+             event(s); exports and summaries of this run cover only the newest {kept}"
+        )
+    })
+}
+
+/// Drains `recorder`, warning on stderr when the ring overflowed — every
+/// export, waterfall and summary downstream would under-count silently.
+fn drain_events(recorder: &Recorder) -> Vec<Event> {
+    let events = recorder.drain();
+    // An overflowed ring is full, so what it kept is its capacity.
+    if let Some(warning) = overflow_warning(recorder.overwritten(), events.len()) {
+        eprintln!("{warning}");
+    }
+    events
+}
+
 /// Writes the `--out <prefix>` exports of `events` — `<prefix>.trace.json`
-/// (Chrome/Perfetto), `.jsonl`, `.prom` — then each `(suffix, contents)`
-/// of `extra`, naming every file on stdout under `--format text`.
+/// (Chrome/Perfetto), `.jsonl`, `.prom` (the registry exposition `/metrics`
+/// serves, folded from these events) — then each `(suffix, contents)` of
+/// `extra`, naming every file on stdout under `--format text`.
 fn write_exports(
     prefix: &str,
     format: &str,
@@ -215,7 +247,7 @@ fn write_exports(
     let standard = [
         ("trace.json", chrome_trace_json(events)),
         ("jsonl", events_to_jsonl(events)),
-        ("prom", to_prometheus(&TraceSummary::from_events(events))),
+        ("prom", fold_events(events).to_prometheus()),
     ];
     for (suffix, contents) in standard.iter().chain(extra) {
         let path = format!("{prefix}.{suffix}");
@@ -453,7 +485,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
                 build_serve_policy(policy_name, &library, config.deadline_s)
                     .expect("name validated above")
             });
-            (summary, recorder.drain())
+            (summary, drain_events(&recorder))
         } else {
             let summary = experiment.run_with(|| {
                 build_serve_policy(policy_name, &library, config.deadline_s)
@@ -636,7 +668,7 @@ fn cmd_fleet(flags: &Flags) -> Result<(), String> {
     let execute = || -> (FleetSummary, Vec<Event>) {
         if runs <= 1 {
             let (sink, recorder) = SinkHandle::recorder(1 << 18);
-            (experiment.run_traced(seed, sink), recorder.drain())
+            (experiment.run_traced(seed, sink), drain_events(&recorder))
         } else {
             (experiment.run(), Vec::new())
         }
@@ -733,10 +765,7 @@ fn cmd_fleet(flags: &Flags) -> Result<(), String> {
 /// the SLO error-budget burn — bit-identical per seed.
 #[allow(clippy::too_many_lines)]
 fn cmd_report(flags: &Flags) -> Result<(), String> {
-    use adaflow_telemetry::{
-        Event, MetricsRegistry, Objective, RegistryConfig, SloConfig, SloEngine, TraceForest,
-        Waterfall,
-    };
+    use adaflow_telemetry::{Objective, SloConfig, SloEngine, TraceForest, Waterfall};
 
     let mode = flags.get("mode").map_or("serve", String::as_str);
     if !matches!(mode, "serve" | "fleet") {
@@ -800,7 +829,7 @@ fn cmd_report(flags: &Flags) -> Result<(), String> {
                 summary.shed
             );
             let json = serde_json::to_string(&summary).map_err(|e| e.to_string())?;
-            Ok((json, headline, recorder.drain()))
+            Ok((json, headline, drain_events(&recorder)))
         } else {
             let fleet_config = parse_fleet_config(flags)?;
             let experiment = adaflow_fleet::FleetExperiment::new(&library, spec.clone())
@@ -828,7 +857,7 @@ fn cmd_report(flags: &Flags) -> Result<(), String> {
                 summary.service_mean_s * 1e3
             );
             let json = serde_json::to_string(&summary).map_err(|e| e.to_string())?;
-            Ok((json, headline, recorder.drain()))
+            Ok((json, headline, drain_events(&recorder)))
         }
     };
 
@@ -896,8 +925,7 @@ fn cmd_report(flags: &Flags) -> Result<(), String> {
         // own sim timestamps), so the Perfetto view shows burns in place.
         let mut exported = events.clone();
         exported.extend(slo.alerts.iter().cloned());
-        let extra = [("metrics.prom", registry.to_prometheus())];
-        write_exports(prefix, format, &exported, &extra)?;
+        write_exports(prefix, format, &exported, &[])?;
     }
     Ok(())
 }
@@ -943,33 +971,28 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
     let sim = EdgeSim::new(SimConfig::default()).with_sink(sink);
     let (metrics, _) = sim.run(policy.as_mut(), &segments);
 
-    let events = recorder.drain();
-    let summary = TraceSummary::from_events(&events);
+    let events = drain_events(&recorder);
+    let registry = fold_events(&events);
     println!(
-        "{policy_name} under {} (seed {seed}): {} events over {:.1} s{}",
+        "{policy_name} under {} (seed {seed}): {} events over {:.1} s",
         scenario.name(),
         events.len(),
-        summary.horizon_s,
-        if recorder.overwritten() > 0 {
-            format!(
-                " ({} overwritten — raise the ring capacity)",
-                recorder.overwritten()
-            )
-        } else {
-            String::new()
-        }
+        events.iter().fold(0.0_f64, |end, e| end.max(e.t_s))
     );
     println!(
         "  frames: {:.0} arrived, {:.1} dropped (run lost {:.1}, {:.2}%)",
-        summary.frames_arrived, summary.frames_dropped, metrics.lost, metrics.frame_loss_pct
+        registry.counter("frames_arrived"),
+        registry.counter("frames_dropped"),
+        metrics.lost,
+        metrics.frame_loss_pct
     );
     println!(
         "  control: {} decisions, {} reconfigurations, {} model switches ({} flexible), stall {:.3} s",
-        summary.decisions,
-        summary.reconfigurations,
-        summary.model_switches,
-        summary.flexible_switches,
-        summary.stall_s
+        registry.counter("decisions"),
+        registry.counter("reconfigurations"),
+        registry.counter("model_switches"),
+        registry.counter("flexible_switches"),
+        registry.counter("stall_seconds")
     );
     println!(
         "  latency: mean {:.1} ms, p50 {:.1} ms, p95 {:.1} ms, p99 {:.1} ms",
@@ -978,11 +1001,17 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
         metrics.latency_p95_ms,
         metrics.latency_p99_ms
     );
+    // A run that sampled no depth prints the zeros an empty histogram reads.
+    let depth = |q| {
+        registry
+            .histogram("queue_depth")
+            .map_or(0.0, |h| h.quantile(q))
+    };
     println!(
         "  queue depth: p50 {:.1}, p95 {:.1}, p99 {:.1} frames",
-        summary.queue_depth.p50(),
-        summary.queue_depth.p95(),
-        summary.queue_depth.p99()
+        depth(0.5),
+        depth(0.95),
+        depth(0.99)
     );
 
     if let Some(prefix) = flags.get("out") {
@@ -1179,7 +1208,7 @@ where
 /// the socket (nonzero exit) — the live counterpart of `serve`'s SV gate.
 fn cmd_serve_live(flags: &Flags) -> Result<(), String> {
     use adaflow_net::{preflight, LiveConfig, LiveServer, MetricsEndpoint};
-    use adaflow_telemetry::{RegistryConfig, RegistrySink};
+    use adaflow_telemetry::RegistrySink;
     use adaflow_verify::Severity;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
@@ -1259,7 +1288,7 @@ fn cmd_serve_live(flags: &Flags) -> Result<(), String> {
     if let Some(t) = metrics_thread {
         let _ = t.join();
     }
-    let events = recorder.drain();
+    let events = drain_events(&recorder);
 
     if format == "json" {
         println!(
@@ -1393,6 +1422,37 @@ fn print_load_summary(summary: &adaflow_net::LoadSummary, format: &str) -> Resul
     Ok(())
 }
 
+/// The client-side floors `soak` and `gateway-soak` share: what the load
+/// generator itself saw go wrong, whatever tier answered it.
+fn client_floor_failures(summary: &adaflow_net::LoadSummary, min_hit_pct: f64) -> Vec<String> {
+    let mut failures = Vec::new();
+    if summary.protocol_errors > 0 {
+        failures.push(format!(
+            "client decoded {} malformed frame(s)",
+            summary.protocol_errors
+        ));
+    }
+    if summary.io_errors > 0 {
+        failures.push(format!(
+            "{} socket error(s) on the client",
+            summary.io_errors
+        ));
+    }
+    if summary.missing > 0 {
+        failures.push(format!(
+            "{} request(s) never got a response",
+            summary.missing
+        ));
+    }
+    if summary.hit_pct() < min_hit_pct {
+        failures.push(format!(
+            "hit rate {:.2}% below the {min_hit_pct:.2}% floor",
+            summary.hit_pct()
+        ));
+    }
+    failures
+}
+
 /// In-process server + seeded load with hard pass/fail floors — the CI
 /// gate for the live serving path.
 fn cmd_soak(flags: &Flags) -> Result<(), String> {
@@ -1449,7 +1509,7 @@ fn cmd_soak(flags: &Flags) -> Result<(), String> {
         (server_thread.join().expect("server thread"), summary)
     });
     let report = server_result.map_err(|e| format!("server failed: {e}"))?;
-    let events = recorder.drain();
+    let events = drain_events(&recorder);
 
     print_load_summary(&summary, "text")?;
     println!(
@@ -1461,41 +1521,17 @@ fn cmd_soak(flags: &Flags) -> Result<(), String> {
     );
 
     // The floors. Any violation is a red CI.
-    let mut failures: Vec<String> = Vec::new();
-    if summary.protocol_errors > 0 {
-        failures.push(format!(
-            "client decoded {} malformed frame(s)",
-            summary.protocol_errors
-        ));
-    }
+    let mut failures = client_floor_failures(&summary, min_hit_pct);
     if report.protocol_errors > 0 {
         failures.push(format!(
             "server dropped {} connection(s) on protocol errors",
             report.protocol_errors
         ));
     }
-    if summary.io_errors > 0 {
-        failures.push(format!(
-            "{} socket error(s) on the client",
-            summary.io_errors
-        ));
-    }
-    if summary.missing > 0 {
-        failures.push(format!(
-            "{} request(s) never got a response",
-            summary.missing
-        ));
-    }
     if !report.summary.conservation_holds() {
         failures.push(format!(
             "request conservation violated: arrived {:.0} != completed {:.0} + shed {:.0}",
             report.summary.arrived, report.summary.completed, report.summary.shed
-        ));
-    }
-    if summary.hit_pct() < min_hit_pct {
-        failures.push(format!(
-            "hit rate {:.2}% below the {min_hit_pct:.2}% floor",
-            summary.hit_pct()
         ));
     }
     if failures.is_empty() {
@@ -1656,7 +1692,7 @@ fn cmd_gateway(flags: &Flags) -> Result<(), String> {
     print_gateway_report(&report, format)?;
 
     if let Some(prefix) = flags.get("out") {
-        let events = recorder.drain();
+        let events = drain_events(&recorder);
         let report_json = serde_json::to_string(&report).map_err(|e| e.to_string())?;
         write_exports(prefix, format, &events, &[("report.json", report_json)])?;
     }
@@ -1825,36 +1861,18 @@ fn cmd_gateway_soak(flags: &Flags) -> Result<(), String> {
         (gateway_result, summary)
     });
     let report = gateway_result.map_err(|e| format!("gateway failed: {e}"))?;
-    let events = recorder.drain();
+    let events = drain_events(&recorder);
 
     print_load_summary(&summary, "text")?;
     print_gateway_report(&report, "text")?;
     println!("  {} event(s) recorded", events.len());
 
     // The floors. Any violation is a red CI.
-    let mut failures: Vec<String> = Vec::new();
-    if summary.protocol_errors > 0 {
-        failures.push(format!(
-            "client decoded {} malformed frame(s)",
-            summary.protocol_errors
-        ));
-    }
+    let mut failures = client_floor_failures(&summary, min_hit_pct);
     if report.protocol_errors > 0 {
         failures.push(format!(
             "gateway dropped {} connection(s) on protocol errors",
             report.protocol_errors
-        ));
-    }
-    if summary.io_errors > 0 {
-        failures.push(format!(
-            "{} socket error(s) on the client",
-            summary.io_errors
-        ));
-    }
-    if summary.missing > 0 {
-        failures.push(format!(
-            "{} request(s) never got a response",
-            summary.missing
         ));
     }
     if !report.conservation_holds() {
@@ -1863,12 +1881,6 @@ fn cmd_gateway_soak(flags: &Flags) -> Result<(), String> {
             report.received,
             report.answered_ok,
             report.rejects.total()
-        ));
-    }
-    if summary.hit_pct() < min_hit_pct {
-        failures.push(format!(
-            "hit rate {:.2}% below the {min_hit_pct:.2}% floor",
-            summary.hit_pct()
         ));
     }
     if failover {
@@ -1900,8 +1912,65 @@ fn cmd_gateway_soak(flags: &Flags) -> Result<(), String> {
 }
 
 #[cfg(test)]
+#[path = "../../../telemetry/tests/support/exposition.rs"]
+mod exposition;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reads `<prefix>.prom` and holds it to the text-format rules.
+    fn read_prom(prefix: &str) -> String {
+        let prom = std::fs::read_to_string(format!("{prefix}.prom")).expect("prom");
+        exposition::check_exposition(&prom).unwrap_or_else(|e| panic!("{prefix}.prom: {e}"));
+        prom
+    }
+
+    #[test]
+    fn draining_an_overflowed_ring_warns_with_count_and_capacity() {
+        let (sink, recorder) = SinkHandle::recorder(4);
+        for i in 0..6 {
+            sink.emit(
+                f64::from(i),
+                adaflow_telemetry::EventKind::QueueDepth { frames: 1.0 },
+            );
+        }
+        let events = drain_events(&recorder);
+        assert_eq!(events.len(), 4);
+        assert_eq!(events[0].t_s, 2.0, "the two oldest were overwritten");
+        let warning = overflow_warning(recorder.overwritten(), events.len()).expect("overflowed");
+        assert!(warning.contains("capacity 4"), "{warning}");
+        assert!(warning.contains("overwrote its 2 oldest"), "{warning}");
+        assert_eq!(overflow_warning(0, 4), None);
+    }
+
+    #[test]
+    fn client_floors_name_every_violation() {
+        let clean = adaflow_net::LoadSummary {
+            sent: 10,
+            ok: 10,
+            deadline_hits: 10,
+            ..adaflow_net::LoadSummary::default()
+        };
+        assert!(client_floor_failures(&clean, 90.0).is_empty());
+        let broken = adaflow_net::LoadSummary {
+            protocol_errors: 1,
+            io_errors: 2,
+            missing: 3,
+            deadline_hits: 5,
+            ..clean
+        };
+        let failures = client_floor_failures(&broken, 90.0);
+        assert_eq!(
+            failures,
+            [
+                "client decoded 1 malformed frame(s)",
+                "2 socket error(s) on the client",
+                "3 request(s) never got a response",
+                "hit rate 50.00% below the 90.00% floor",
+            ]
+        );
+    }
 
     fn flags(pairs: &[(&str, &str)]) -> HashMap<String, String> {
         pairs
@@ -2088,7 +2157,7 @@ mod tests {
         let chrome = std::fs::read_to_string(format!("{prefix_str}.trace.json")).expect("chrome");
         assert!(chrome.trim_start().starts_with('['));
         assert!(chrome.contains("decision_made"));
-        let prom = std::fs::read_to_string(format!("{prefix_str}.prom")).expect("prom");
+        let prom = read_prom(&prefix_str);
         assert!(prom.contains("adaflow_decisions_total"));
         let jsonl = std::fs::read_to_string(format!("{prefix_str}.jsonl")).expect("jsonl");
         assert!(jsonl.lines().count() > 10);
@@ -2162,7 +2231,7 @@ mod tests {
             ("out", &prefix_str),
         ]))
         .expect("serve with exports");
-        let prom = std::fs::read_to_string(format!("{prefix_str}.prom")).expect("prom");
+        let prom = read_prom(&prefix_str);
         assert!(prom.contains("adaflow_requests_enqueued_total"));
         assert!(prom.contains("adaflow_batches_closed_total"));
         let jsonl = std::fs::read_to_string(format!("{prefix_str}.jsonl")).expect("jsonl");
@@ -2234,7 +2303,7 @@ mod tests {
             ("out", &prefix_str),
         ]))
         .expect("fleet with exports");
-        let prom = std::fs::read_to_string(format!("{prefix_str}.prom")).expect("prom");
+        let prom = read_prom(&prefix_str);
         assert!(prom.contains("adaflow_requests_routed_total"));
         let jsonl = std::fs::read_to_string(format!("{prefix_str}.jsonl")).expect("jsonl");
         assert!(jsonl.contains("RequestRouted"));
@@ -2257,15 +2326,26 @@ mod tests {
             ("out", &lib_str),
         ]))
         .expect("generate");
-        // Serve mode with the determinism replay.
+        // Serve mode with the determinism replay, against a target tight
+        // enough to burn: the alerts ride the exported stream, so `.prom`
+        // (the only Prometheus file) counts exactly the ones `.jsonl` holds.
+        let prefix = std::env::temp_dir().join("adaflow_cli_report_test_serve_run");
+        let serve_prefix = prefix.to_string_lossy().to_string();
         cmd_report(&flags(&[
             ("library", &lib_str),
             ("mode", "serve"),
             ("scenario", "2"),
             ("seed", "7"),
             ("check", "1"),
+            ("slo-target", "0.9999"),
+            ("out", &serve_prefix),
         ]))
         .expect("serve report with replay");
+        let jsonl = std::fs::read_to_string(format!("{serve_prefix}.jsonl")).expect("jsonl");
+        let alerts = jsonl.matches("SloBurnAlert").count();
+        assert!(alerts > 0, "the tight target fires at least one alert");
+        let prom = read_prom(&serve_prefix);
+        assert!(prom.contains(&format!("adaflow_slo_burn_alerts_total {alerts}\n")));
         // Fleet mode in JSON with full exports.
         let prefix = std::env::temp_dir().join("adaflow_cli_report_test_run");
         let prefix_str = prefix.to_string_lossy().to_string();
@@ -2284,10 +2364,13 @@ mod tests {
         assert!(chrome.contains("queue_wait"), "stage spans exported");
         let jsonl = std::fs::read_to_string(format!("{prefix_str}.jsonl")).expect("jsonl");
         assert!(jsonl.contains("TraceSpan"));
-        let metrics =
-            std::fs::read_to_string(format!("{prefix_str}.metrics.prom")).expect("metrics");
-        assert!(metrics.contains("adaflow_requests_completed_total"));
-        assert!(metrics.contains("quantile"));
+        let prom = read_prom(&prefix_str);
+        assert!(prom.contains("adaflow_requests_completed_total"));
+        assert!(prom.contains("quantile"));
+        assert!(
+            !std::path::Path::new(&format!("{prefix_str}.metrics.prom")).exists(),
+            "one Prometheus file per run"
+        );
         // Flag validation.
         assert!(cmd_report(&flags(&[("library", &lib_str), ("mode", "edge")])).is_err());
         assert!(cmd_report(&flags(&[("library", &lib_str), ("slo-target", "1.5")])).is_err());
@@ -2297,8 +2380,9 @@ mod tests {
         ]))
         .is_err());
         let _ = std::fs::remove_file(lib_path);
-        for suffix in ["trace.json", "jsonl", "prom", "metrics.prom"] {
+        for suffix in ["trace.json", "jsonl", "prom"] {
             let _ = std::fs::remove_file(format!("{prefix_str}.{suffix}"));
+            let _ = std::fs::remove_file(format!("{serve_prefix}.{suffix}"));
         }
     }
 

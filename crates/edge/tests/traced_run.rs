@@ -8,8 +8,8 @@ use adaflow_edge::prelude::*;
 use adaflow_model::prelude::*;
 use adaflow_nn::DatasetKind;
 use adaflow_telemetry::{
-    chrome_trace_json, events_from_jsonl, events_to_jsonl, ChromeTraceEvent, EventKind, SinkHandle,
-    TraceSummary,
+    chrome_trace_json, events_from_jsonl, events_to_jsonl, ChromeTraceEvent, EventKind,
+    MetricsRegistry, RegistryConfig, SinkHandle,
 };
 
 fn library() -> Library {
@@ -106,10 +106,11 @@ fn frame_events_balance_against_run_metrics() {
         metrics.lost
     );
 
-    let summary = TraceSummary::from_events(&events);
-    assert!(summary.decisions >= 1);
-    assert!((summary.frames_dropped - dropped).abs() < 1e-9);
-    assert!((summary.frames_arrived - arrived).abs() < 1e-9);
+    let mut registry = MetricsRegistry::new(RegistryConfig::default());
+    registry.observe_all(&events);
+    assert!(registry.counter("decisions") >= 1.0);
+    assert!((registry.counter("frames_dropped") - dropped).abs() < 1e-9);
+    assert!((registry.counter("frames_arrived") - arrived).abs() < 1e-9);
 }
 
 #[test]

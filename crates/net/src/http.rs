@@ -86,15 +86,36 @@ impl MetricsEndpoint {
 }
 
 #[cfg(test)]
+#[path = "../../telemetry/tests/support/exposition.rs"]
+mod exposition;
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use adaflow_telemetry::RegistryConfig;
+    use adaflow_telemetry::{EventKind, RegistryConfig, SinkHandle};
     use std::net::TcpStream;
     use std::sync::atomic::Ordering;
 
     #[test]
     fn scrape_returns_prometheus_exposition() {
         let registry = RegistrySink::new(RegistryConfig::default());
+        let sink = SinkHandle::new(registry.clone());
+        sink.emit(
+            0.1,
+            EventKind::RequestEnqueued {
+                id: 1,
+                device: 0,
+                queue_depth: 1,
+            },
+        );
+        sink.emit(
+            0.2,
+            EventKind::RequestCompleted {
+                id: 1,
+                latency_s: 0.1,
+                deadline_met: true,
+            },
+        );
         let stop = Arc::new(AtomicBool::new(false));
         let endpoint = MetricsEndpoint::bind("127.0.0.1:0", registry, stop.clone()).expect("binds");
         let addr = endpoint.local_addr().expect("addr");
@@ -107,6 +128,13 @@ mod tests {
         conn.read_to_string(&mut response).expect("reads");
         assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
         assert!(response.contains("text/plain"));
+        let (_, body) = response.split_once("\r\n\r\n").expect("head and body");
+        assert!(
+            body.contains("adaflow_requests_completed_total 1\n"),
+            "{body}"
+        );
+        assert!(body.contains("adaflow_request_latency_s{quantile=\"0.5\"}"));
+        exposition::check_exposition(body).unwrap_or_else(|e| panic!("{e}\n{body}"));
 
         stop.store(true, Ordering::SeqCst);
         server.join().expect("joins");

@@ -24,6 +24,11 @@ impl Event {
 }
 
 /// Everything the stack reports.
+///
+/// The derived serde payload is the one description of each kind: JSONL is
+/// that encoding, and the Chrome-trace `args` are its fields. A new kind is
+/// the variant here, at most one row in `export`'s Chrome-trace table and at
+/// most one arm in `MetricsRegistry::observe`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum EventKind {
     /// Frames offered by the workload during one simulation step. `count`
@@ -201,39 +206,6 @@ pub enum EventKind {
     },
 }
 
-impl EventKind {
-    /// Short stable label, used as the Chrome trace event name and the
-    /// Prometheus counter key.
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            EventKind::FrameArrived { .. } => "frame_arrived",
-            EventKind::FrameDropped { .. } => "frame_dropped",
-            EventKind::QueueDepth { .. } => "queue_depth",
-            EventKind::DecisionMade { .. } => "decision_made",
-            EventKind::ReconfigStart { .. } => "reconfig",
-            EventKind::ReconfigEnd { .. } => "reconfig",
-            EventKind::ModelSwitch { .. } => "model_switch",
-            EventKind::RetrainEpoch { .. } => "retrain_epoch",
-            EventKind::SynthReport { .. } => "synth_report",
-            EventKind::SpanBegin { .. } => "span",
-            EventKind::SpanEnd { .. } => "span",
-            EventKind::RequestEnqueued { .. } => "request_enqueued",
-            EventKind::BatchClosed { .. } => "batch_closed",
-            EventKind::RequestCompleted { .. } => "request_completed",
-            EventKind::RequestShed { .. } => "request_shed",
-            EventKind::RequestRouted { .. } => "request_routed",
-            EventKind::DeviceReconfigStart { .. } => "device_reconfig",
-            EventKind::DeviceReconfigEnd { .. } => "device_reconfig",
-            EventKind::TraceSpan { .. } => "trace_span",
-            EventKind::SloBurnAlert { .. } => "slo_burn_alert",
-            EventKind::BackendEjected { .. } => "backend_ejected",
-            EventKind::BackendReadmitted { .. } => "backend_readmitted",
-            EventKind::FleetImbalanceSample { .. } => "fleet_imbalance",
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,21 +243,6 @@ mod tests {
             let back: Event = serde_json::from_str(&text).expect("parses");
             assert_eq!(*e, back);
         }
-    }
-
-    #[test]
-    fn labels_are_stable() {
-        assert_eq!(EventKind::QueueDepth { frames: 1.0 }.label(), "queue_depth");
-        assert_eq!(EventKind::SpanBegin { name: "x".into() }.label(), "span");
-        assert_eq!(
-            EventKind::RequestShed {
-                id: 1,
-                reason: "queue-full".into(),
-                queue_depth: 64,
-            }
-            .label(),
-            "request_shed"
-        );
     }
 
     #[test]
@@ -371,10 +328,6 @@ mod tests {
             let back: Event = serde_json::from_str(&text).expect("parses");
             assert_eq!(*e, back);
         }
-        assert_eq!(events[0].kind.label(), "request_routed");
-        assert_eq!(events[1].kind.label(), "device_reconfig");
-        assert_eq!(events[2].kind.label(), "device_reconfig");
-        assert_eq!(events[3].kind.label(), "fleet_imbalance");
     }
 
     #[test]
@@ -400,8 +353,6 @@ mod tests {
             let back: Event = serde_json::from_str(&text).expect("parses");
             assert_eq!(*e, back);
         }
-        assert_eq!(events[0].kind.label(), "backend_ejected");
-        assert_eq!(events[1].kind.label(), "backend_readmitted");
     }
 
     #[test]
@@ -446,7 +397,5 @@ mod tests {
             let back: Event = serde_json::from_str(&text).expect("parses");
             assert_eq!(*e, back);
         }
-        assert_eq!(events[0].kind.label(), "trace_span");
-        assert_eq!(events[2].kind.label(), "slo_burn_alert");
     }
 }

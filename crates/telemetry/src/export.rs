@@ -1,7 +1,7 @@
-//! Trace exporters: JSONL, Chrome trace-event JSON and Prometheus text.
+//! Trace exporters: JSONL and Chrome trace-event JSON. (Prometheus text is
+//! rendered by [`crate::metrics::MetricsRegistry::to_prometheus`].)
 
-use crate::event::{Event, EventKind};
-use crate::histogram::LogHistogram;
+use crate::event::Event;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 
@@ -108,368 +108,148 @@ const LANE_TRACE: u64 = 5;
 /// concurrent drains on different devices don't nest on the timeline.
 const LANE_FLEET_DEVICE0: u64 = 10;
 
+/// Where a Chrome event's name comes from.
+enum Name {
+    /// The same name for every event of the kind.
+    Fixed(&'static str),
+    /// The payload field (a string) that supplies it.
+    Field(&'static str),
+}
+use Name::{Field, Fixed};
+
+/// How one [`crate::event::EventKind`] variant is drawn on the timeline. Payload fields
+/// a row names (`name`, `lane_field`, `span`) are lifted into the Chrome
+/// envelope; every other field becomes an `args` entry as serde encodes it.
+struct ChromeRow {
+    /// The variant's serde tag.
+    kind: &'static str,
+    name: Name,
+    cat: &'static str,
+    /// `"i"` instant, `"B"`/`"E"` span begin/end, `"C"` counter, `"b"` the
+    /// begin of an async pair (see `span`).
+    ph: &'static str,
+    lane: u64,
+    /// An integer payload field added to `lane` (one lane per device).
+    lane_field: Option<&'static str>,
+    /// `(id field, begin-time field)` of a kind that is a closed interval:
+    /// `ph` is stamped at the begin time and an `"e"` follows at the event
+    /// time, both carrying the id.
+    span: Option<(&'static str, &'static str)>,
+}
+
+const fn row(
+    kind: &'static str,
+    name: Name,
+    cat: &'static str,
+    ph: &'static str,
+    lane: u64,
+) -> ChromeRow {
+    ChromeRow {
+        kind,
+        name,
+        cat,
+        ph,
+        lane,
+        lane_field: None,
+        span: None,
+    }
+}
+
+/// One row per rendered kind. `FrameArrived`, `RequestEnqueued`,
+/// `RequestCompleted` and `RequestRouted` have none: one instant per frame
+/// step or request would flood the timeline, and they stay visible through
+/// the `queue_depth` / `fleet_imbalance` counters, the `batch_closed` and
+/// `request_shed` instants and the per-device reconfiguration spans.
+#[rustfmt::skip]
+const CHROME_ROWS: &[ChromeRow] = &[
+    row("FrameDropped", Fixed("frame_dropped"), "serving", "i", LANE_SERVING),
+    row("QueueDepth", Fixed("queue_depth"), "serving", "C", LANE_SERVING),
+    row("DecisionMade", Fixed("decision_made"), "control", "i", LANE_CONTROL),
+    row("ReconfigStart", Fixed("reconfiguration"), "control", "B", LANE_CONTROL),
+    row("ReconfigEnd", Fixed("reconfiguration"), "control", "E", LANE_CONTROL),
+    row("ModelSwitch", Fixed("model_switch"), "control", "i", LANE_CONTROL),
+    row("RetrainEpoch", Fixed("retrain_epoch"), "design", "i", LANE_DESIGN),
+    row("SynthReport", Fixed("synth_report"), "design", "i", LANE_DESIGN),
+    row("SpanBegin", Field("name"), "span", "B", LANE_SERVING),
+    row("SpanEnd", Field("name"), "span", "E", LANE_SERVING),
+    row("BatchClosed", Fixed("batch_closed"), "serving", "i", LANE_SERVING),
+    row("RequestShed", Fixed("request_shed"), "serving", "i", LANE_SERVING),
+    ChromeRow {
+        lane_field: Some("device_idx"),
+        ..row("DeviceReconfigStart", Fixed("device_reconfig"), "fleet", "B", LANE_FLEET_DEVICE0)
+    },
+    ChromeRow {
+        lane_field: Some("device_idx"),
+        ..row("DeviceReconfigEnd", Fixed("device_reconfig"), "fleet", "E", LANE_FLEET_DEVICE0)
+    },
+    // Correlated by the trace id, so every request's span tree nests under
+    // one timeline row without fighting the per-thread rules of `B`/`E`.
+    ChromeRow {
+        span: Some(("trace", "begin_s")),
+        ..row("TraceSpan", Field("stage"), "request", "b", LANE_TRACE)
+    },
+    row("SloBurnAlert", Fixed("slo_burn_alert"), "control", "i", LANE_CONTROL),
+    row("BackendEjected", Fixed("backend_ejected"), "fleet", "i", LANE_FLEET),
+    row("BackendReadmitted", Fixed("backend_readmitted"), "fleet", "i", LANE_FLEET),
+    row("FleetImbalanceSample", Fixed("fleet_imbalance"), "fleet", "C", LANE_FLEET),
+];
+
 fn micros(t_s: f64) -> f64 {
     t_s * 1e6
 }
 
-fn args1(key: &str, value: Value) -> BTreeMap<String, Value> {
-    let mut m = BTreeMap::new();
-    m.insert(key.to_string(), value);
-    m
-}
-
-/// Lowers typed events to Chrome trace events.
-///
-/// `FrameArrived` events are aggregated away (they would flood the
-/// timeline); arrivals are visible through the `queue_depth` counter track
-/// instead. Everything else maps one-to-one: drops and decisions become
-/// instants, reconfigurations and explicit spans become `B`/`E` pairs, and
-/// queue samples become a counter series.
+/// Lowers typed events to Chrome trace events through [`CHROME_ROWS`]:
+/// kinds without a row are dropped, the rest map one-to-one (a closed
+/// interval to its `b`/`e` pair). `args` is the variant's serde object
+/// minus the fields lifted into the envelope and minus `null`s.
 #[must_use]
 pub fn to_chrome_trace(events: &[Event]) -> Vec<ChromeTraceEvent> {
     let mut out = Vec::new();
     for e in events {
-        let ts = micros(e.t_s);
-        match &e.kind {
-            EventKind::FrameArrived { .. } => {}
-            EventKind::FrameDropped {
-                count,
-                queue_frames,
-            } => {
-                let mut args = args1("count", Value::F64(*count));
-                args.insert("queue_frames".into(), Value::F64(*queue_frames));
-                out.push(ChromeTraceEvent {
-                    name: "frame_dropped".into(),
-                    cat: "serving".into(),
-                    ph: "i".into(),
-                    ts,
-                    pid: 1,
-                    id: None,
-                    tid: LANE_SERVING,
-                    args,
-                });
-            }
-            EventKind::QueueDepth { frames } => out.push(ChromeTraceEvent {
-                name: "queue_depth".into(),
-                cat: "serving".into(),
-                ph: "C".into(),
-                ts,
-                pid: 1,
-                id: None,
-                tid: LANE_SERVING,
-                args: args1("frames", Value::F64(*frames)),
-            }),
-            EventKind::DecisionMade {
-                model,
-                accelerator,
-                switch,
-                stall_s,
-                incoming_fps,
-            } => {
-                let mut args = args1("model", Value::Str(model.clone()));
-                args.insert("accelerator".into(), Value::Str(accelerator.clone()));
-                args.insert("switch".into(), Value::Str(switch.clone()));
-                args.insert("stall_s".into(), Value::F64(*stall_s));
-                args.insert("incoming_fps".into(), Value::F64(*incoming_fps));
-                out.push(ChromeTraceEvent {
-                    name: "decision_made".into(),
-                    cat: "control".into(),
-                    ph: "i".into(),
-                    ts,
-                    pid: 1,
-                    id: None,
-                    tid: LANE_CONTROL,
-                    args,
-                });
-            }
-            EventKind::ReconfigStart { model } => out.push(ChromeTraceEvent {
-                name: "reconfiguration".into(),
-                cat: "control".into(),
-                ph: "B".into(),
-                ts,
-                pid: 1,
-                id: None,
-                tid: LANE_CONTROL,
-                args: args1("model", Value::Str(model.clone())),
-            }),
-            EventKind::ReconfigEnd { model, stall_s } => {
-                let mut args = args1("model", Value::Str(model.clone()));
-                args.insert("stall_s".into(), Value::F64(*stall_s));
-                out.push(ChromeTraceEvent {
-                    name: "reconfiguration".into(),
-                    cat: "control".into(),
-                    ph: "E".into(),
-                    ts,
-                    pid: 1,
-                    id: None,
-                    tid: LANE_CONTROL,
-                    args,
-                });
-            }
-            EventKind::ModelSwitch { from, to, flexible } => {
-                let mut args = args1("from", Value::Str(from.clone()));
-                args.insert("to".into(), Value::Str(to.clone()));
-                args.insert("flexible".into(), Value::Bool(*flexible));
-                out.push(ChromeTraceEvent {
-                    name: "model_switch".into(),
-                    cat: "control".into(),
-                    ph: "i".into(),
-                    ts,
-                    pid: 1,
-                    id: None,
-                    tid: LANE_CONTROL,
-                    args,
-                });
-            }
-            EventKind::RetrainEpoch { model, epoch, loss } => {
-                let mut args = args1("model", Value::Str(model.clone()));
-                args.insert("epoch".into(), Value::U64(*epoch));
-                args.insert("loss".into(), Value::F64(*loss));
-                out.push(ChromeTraceEvent {
-                    name: "retrain_epoch".into(),
-                    cat: "design".into(),
-                    ph: "i".into(),
-                    ts,
-                    pid: 1,
-                    id: None,
-                    tid: LANE_DESIGN,
-                    args,
-                });
-            }
-            EventKind::SynthReport {
-                accelerator,
-                fmax_mhz,
-                lut,
-                bram36,
-                fits,
-            } => {
-                let mut args = args1("accelerator", Value::Str(accelerator.clone()));
-                args.insert("fmax_mhz".into(), Value::F64(*fmax_mhz));
-                args.insert("lut".into(), Value::U64(*lut));
-                args.insert("bram36".into(), Value::U64(*bram36));
-                args.insert("fits".into(), Value::Bool(*fits));
-                out.push(ChromeTraceEvent {
-                    name: "synth_report".into(),
-                    cat: "design".into(),
-                    ph: "i".into(),
-                    ts,
-                    pid: 1,
-                    id: None,
-                    tid: LANE_DESIGN,
-                    args,
-                });
-            }
-            EventKind::SpanBegin { name } => out.push(ChromeTraceEvent {
-                name: name.clone(),
-                cat: "span".into(),
-                ph: "B".into(),
-                ts,
-                pid: 1,
-                id: None,
-                tid: LANE_SERVING,
-                args: BTreeMap::new(),
-            }),
-            EventKind::SpanEnd { name } => out.push(ChromeTraceEvent {
-                name: name.clone(),
-                cat: "span".into(),
-                ph: "E".into(),
-                ts,
-                pid: 1,
-                id: None,
-                tid: LANE_SERVING,
-                args: BTreeMap::new(),
-            }),
-            // Per-request enqueue/complete events would flood the timeline
-            // the same way FrameArrived does; the request lifecycle is
-            // visible through the batch_closed instants, the queue_depth
-            // counter and the shed instants.
-            EventKind::RequestEnqueued { .. } | EventKind::RequestCompleted { .. } => {}
-            EventKind::BatchClosed {
-                size,
-                oldest_wait_s,
-                model,
-            } => {
-                let mut args = args1("size", Value::U64(*size));
-                args.insert("oldest_wait_s".into(), Value::F64(*oldest_wait_s));
-                args.insert("model".into(), Value::Str(model.clone()));
-                out.push(ChromeTraceEvent {
-                    name: "batch_closed".into(),
-                    cat: "serving".into(),
-                    ph: "i".into(),
-                    ts,
-                    pid: 1,
-                    id: None,
-                    tid: LANE_SERVING,
-                    args,
-                });
-            }
-            EventKind::RequestShed {
-                id,
-                reason,
-                queue_depth,
-            } => {
-                let mut args = args1("id", Value::U64(*id));
-                args.insert("reason".into(), Value::Str(reason.clone()));
-                args.insert("queue_depth".into(), Value::U64(*queue_depth));
-                out.push(ChromeTraceEvent {
-                    name: "request_shed".into(),
-                    cat: "serving".into(),
-                    ph: "i".into(),
-                    ts,
-                    pid: 1,
-                    id: None,
-                    tid: LANE_SERVING,
-                    args,
-                });
-            }
-            // Per-request routing decisions would flood the timeline like
-            // enqueues do; routing is visible through the imbalance counter
-            // and the per-device reconfiguration spans.
-            EventKind::RequestRouted { .. } => {}
-            EventKind::DeviceReconfigStart { device_idx, model } => {
-                out.push(ChromeTraceEvent {
-                    name: "device_reconfig".into(),
-                    cat: "fleet".into(),
-                    ph: "B".into(),
-                    ts,
-                    pid: 1,
-                    id: None,
-                    tid: LANE_FLEET_DEVICE0 + u64::from(*device_idx),
-                    args: args1("model", Value::Str(model.clone())),
-                });
-            }
-            EventKind::DeviceReconfigEnd {
-                device_idx,
-                model,
-                stall_s,
-            } => {
-                let mut args = args1("model", Value::Str(model.clone()));
-                args.insert("stall_s".into(), Value::F64(*stall_s));
-                out.push(ChromeTraceEvent {
-                    name: "device_reconfig".into(),
-                    cat: "fleet".into(),
-                    ph: "E".into(),
-                    ts,
-                    pid: 1,
-                    id: None,
-                    tid: LANE_FLEET_DEVICE0 + u64::from(*device_idx),
-                    args,
-                });
-            }
-            EventKind::TraceSpan {
-                trace,
-                span,
-                parent,
-                stage,
-                begin_s,
-                device_idx,
-            } => {
-                // Async begin/end pair correlated by the trace id, so every
-                // request's span tree nests under one timeline row without
-                // fighting the per-thread nesting rules of `B`/`E`.
-                let mut args = args1("span", Value::U64(*span));
-                if let Some(p) = parent {
-                    args.insert("parent".into(), Value::U64(*p));
-                }
-                args.insert("device_idx".into(), Value::U64(u64::from(*device_idx)));
-                out.push(ChromeTraceEvent {
-                    name: stage.clone(),
-                    cat: "request".into(),
-                    ph: "b".into(),
-                    ts: micros(*begin_s),
-                    pid: 1,
-                    id: Some(*trace),
-                    tid: LANE_TRACE,
-                    args: args.clone(),
-                });
-                out.push(ChromeTraceEvent {
-                    name: stage.clone(),
-                    cat: "request".into(),
-                    ph: "e".into(),
-                    ts,
-                    pid: 1,
-                    id: Some(*trace),
-                    tid: LANE_TRACE,
-                    args,
-                });
-            }
-            EventKind::SloBurnAlert {
-                objective,
-                short_window_s,
-                long_window_s,
-                short_burn,
-                long_burn,
-                budget_consumed_pct,
-            } => {
-                let mut args = args1("objective", Value::Str(objective.clone()));
-                args.insert("short_window_s".into(), Value::F64(*short_window_s));
-                args.insert("long_window_s".into(), Value::F64(*long_window_s));
-                args.insert("short_burn".into(), Value::F64(*short_burn));
-                args.insert("long_burn".into(), Value::F64(*long_burn));
-                args.insert(
-                    "budget_consumed_pct".into(),
-                    Value::F64(*budget_consumed_pct),
-                );
-                out.push(ChromeTraceEvent {
-                    name: "slo_burn_alert".into(),
-                    cat: "control".into(),
-                    ph: "i".into(),
-                    ts,
-                    pid: 1,
-                    id: None,
-                    tid: LANE_CONTROL,
-                    args,
-                });
-            }
-            EventKind::BackendEjected { backend, reason } => {
-                let mut args = args1("backend", Value::U64(u64::from(*backend)));
-                args.insert("reason".into(), Value::Str(reason.clone()));
-                out.push(ChromeTraceEvent {
-                    name: "backend_ejected".into(),
-                    cat: "fleet".into(),
-                    ph: "i".into(),
-                    ts,
-                    pid: 1,
-                    id: None,
-                    tid: LANE_FLEET,
-                    args,
-                });
-            }
-            EventKind::BackendReadmitted {
-                backend,
-                downtime_s,
-            } => {
-                let mut args = args1("backend", Value::U64(u64::from(*backend)));
-                args.insert("downtime_s".into(), Value::F64(*downtime_s));
-                out.push(ChromeTraceEvent {
-                    name: "backend_readmitted".into(),
-                    cat: "fleet".into(),
-                    ph: "i".into(),
-                    ts,
-                    pid: 1,
-                    id: None,
-                    tid: LANE_FLEET,
-                    args,
-                });
-            }
-            EventKind::FleetImbalanceSample {
-                cv,
-                max_queue,
-                min_queue,
-            } => {
-                let mut args = args1("cv", Value::F64(*cv));
-                args.insert("max_queue".into(), Value::U64(*max_queue));
-                args.insert("min_queue".into(), Value::U64(*min_queue));
-                out.push(ChromeTraceEvent {
-                    name: "fleet_imbalance".into(),
-                    cat: "fleet".into(),
-                    ph: "C".into(),
-                    ts,
-                    pid: 1,
-                    id: None,
-                    tid: LANE_FLEET,
-                    args,
-                });
+        // Externally tagged: `{"<Variant>": {<fields>}}`.
+        let Value::Object(tagged) = e.kind.to_value() else {
+            continue;
+        };
+        let Some((tag, Value::Object(mut fields))) = tagged.into_iter().next() else {
+            continue;
+        };
+        let Some(row) = CHROME_ROWS.iter().find(|r| r.kind == tag) else {
+            continue;
+        };
+        let mut lift = |key: &str| {
+            let at = fields.iter().position(|(k, _)| k == key);
+            fields.remove(at.expect("row names a payload field")).1
+        };
+        let name = match row.name {
+            Fixed(name) => name.to_string(),
+            Field(key) => String::from_value(&lift(key)).expect("name field is a string"),
+        };
+        let offset = row.lane_field.map_or(0, |key| {
+            lift(key).as_u64().expect("lane field is an integer")
+        });
+        let span = row.span.map(|(id, begin)| {
+            let id = lift(id).as_u64().expect("id field is an integer");
+            (id, lift(begin).as_f64().expect("begin field is a number"))
+        });
+        let event = |ph: &str, t_s: f64, args| ChromeTraceEvent {
+            name: name.clone(),
+            cat: row.cat.to_string(),
+            ph: ph.to_string(),
+            ts: micros(t_s),
+            pid: 1,
+            tid: row.lane + offset,
+            id: span.map(|(id, _)| id),
+            args,
+        };
+        let args: BTreeMap<String, Value> = fields
+            .into_iter()
+            .filter(|(_, v)| *v != Value::Null)
+            .collect();
+        match span {
+            None => out.push(event(row.ph, e.t_s, args)),
+            Some((_, begin_s)) => {
+                out.push(event(row.ph, begin_s, args.clone()));
+                out.push(event("e", e.t_s, args));
             }
         }
     }
@@ -482,310 +262,18 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
     serde_json::to_string_pretty(&to_chrome_trace(events)).expect("trace serializes")
 }
 
-// ---------------------------------------------------------------------------
-// Prometheus text exposition + summary
-// ---------------------------------------------------------------------------
-
-/// Aggregate view of a trace, used by the Prometheus exporter and the CLI.
-#[derive(Debug, Clone)]
-pub struct TraceSummary {
-    pub frames_arrived: f64,
-    pub frames_dropped: f64,
-    pub decisions: u64,
-    pub reconfigurations: u64,
-    pub model_switches: u64,
-    pub flexible_switches: u64,
-    pub retrain_epochs: u64,
-    pub synth_reports: u64,
-    pub stall_s: f64,
-    /// Requests admitted into the serving queue (request-level mode).
-    pub requests_enqueued: u64,
-    /// Requests that finished service (request-level mode).
-    pub requests_completed: u64,
-    /// Completed requests that missed their deadline budget.
-    pub deadline_misses: u64,
-    /// Requests shed by admission control.
-    pub requests_shed: u64,
-    /// Batches closed by the dynamic batcher.
-    pub batches_closed: u64,
-    /// Requests dispatched by the fleet router (fleet mode).
-    pub requests_routed: u64,
-    /// Fleet device fabric switches (counted at `DeviceReconfigStart`).
-    pub device_reconfigs: u64,
-    /// Fleet load-balance samples observed.
-    pub imbalance_samples: u64,
-    /// Worst sampled fleet load-imbalance coefficient of variation.
-    pub imbalance_cv_max: f64,
-    /// Gateway backend ejections from the healthy rotation.
-    pub backend_ejections: u64,
-    /// Gateway backend readmissions after recovery.
-    pub backend_readmissions: u64,
-    /// Causal request spans emitted by the tracing layer.
-    pub trace_spans: u64,
-    /// SLO burn-rate alerts fired.
-    pub slo_alerts: u64,
-    /// Distribution of per-request end-to-end latencies, seconds.
-    pub request_latency: LogHistogram,
-    /// Distribution of sampled queue depths.
-    pub queue_depth: LogHistogram,
-    /// Largest event timestamp, seconds.
-    pub horizon_s: f64,
-}
-
-impl TraceSummary {
-    /// Folds a trace into totals and distributions.
-    #[must_use]
-    pub fn from_events(events: &[Event]) -> Self {
-        let mut s = TraceSummary {
-            frames_arrived: 0.0,
-            frames_dropped: 0.0,
-            decisions: 0,
-            reconfigurations: 0,
-            model_switches: 0,
-            flexible_switches: 0,
-            retrain_epochs: 0,
-            synth_reports: 0,
-            stall_s: 0.0,
-            requests_enqueued: 0,
-            requests_completed: 0,
-            deadline_misses: 0,
-            requests_shed: 0,
-            batches_closed: 0,
-            requests_routed: 0,
-            device_reconfigs: 0,
-            imbalance_samples: 0,
-            imbalance_cv_max: 0.0,
-            backend_ejections: 0,
-            backend_readmissions: 0,
-            trace_spans: 0,
-            slo_alerts: 0,
-            request_latency: LogHistogram::latency_s(),
-            queue_depth: LogHistogram::queue_frames(),
-            horizon_s: 0.0,
-        };
-        for e in events {
-            s.horizon_s = s.horizon_s.max(e.t_s);
-            match &e.kind {
-                EventKind::FrameArrived { count } => s.frames_arrived += count,
-                EventKind::FrameDropped { count, .. } => s.frames_dropped += count,
-                EventKind::QueueDepth { frames } => s.queue_depth.record(*frames),
-                EventKind::DecisionMade { stall_s, .. } => {
-                    s.decisions += 1;
-                    s.stall_s += stall_s;
-                }
-                EventKind::ReconfigStart { .. } => s.reconfigurations += 1,
-                EventKind::ReconfigEnd { .. } => {}
-                EventKind::ModelSwitch { flexible, .. } => {
-                    s.model_switches += 1;
-                    if *flexible {
-                        s.flexible_switches += 1;
-                    }
-                }
-                EventKind::RetrainEpoch { .. } => s.retrain_epochs += 1,
-                EventKind::SynthReport { .. } => s.synth_reports += 1,
-                EventKind::SpanBegin { .. } | EventKind::SpanEnd { .. } => {}
-                EventKind::RequestEnqueued { queue_depth, .. } => {
-                    s.requests_enqueued += 1;
-                    s.queue_depth.record(*queue_depth as f64);
-                }
-                EventKind::RequestCompleted {
-                    latency_s,
-                    deadline_met,
-                    ..
-                } => {
-                    s.requests_completed += 1;
-                    if !deadline_met {
-                        s.deadline_misses += 1;
-                    }
-                    s.request_latency.record(*latency_s);
-                }
-                EventKind::RequestShed { .. } => s.requests_shed += 1,
-                EventKind::BatchClosed { .. } => s.batches_closed += 1,
-                EventKind::RequestRouted { .. } => s.requests_routed += 1,
-                EventKind::DeviceReconfigStart { .. } => s.device_reconfigs += 1,
-                EventKind::DeviceReconfigEnd { .. } => {}
-                EventKind::TraceSpan { .. } => s.trace_spans += 1,
-                EventKind::SloBurnAlert { .. } => s.slo_alerts += 1,
-                EventKind::BackendEjected { .. } => s.backend_ejections += 1,
-                EventKind::BackendReadmitted { .. } => s.backend_readmissions += 1,
-                EventKind::FleetImbalanceSample { cv, .. } => {
-                    s.imbalance_samples += 1;
-                    s.imbalance_cv_max = s.imbalance_cv_max.max(*cv);
-                }
-            }
-        }
-        s
-    }
-}
-
-/// Renders a summary in the Prometheus text exposition format.
-///
-/// Metric families are emitted in sorted name order (labels included), so
-/// the exposition is byte-stable for a given summary and safe to
-/// snapshot-test or diff between replays.
-#[must_use]
-pub fn to_prometheus(summary: &TraceSummary) -> String {
-    let mut blocks: Vec<(String, String)> = Vec::new();
-    let mut metric = |name: &str, kind: &str, help: &str, value: String| {
-        blocks.push((
-            name.to_string(),
-            format!("# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}\n"),
-        ));
-    };
-    metric(
-        "adaflow_frames_arrived_total",
-        "counter",
-        "Frames offered by the workload.",
-        format!("{}", summary.frames_arrived),
-    );
-    metric(
-        "adaflow_frames_dropped_total",
-        "counter",
-        "Frames lost to buffer overflow.",
-        format!("{}", summary.frames_dropped),
-    );
-    metric(
-        "adaflow_decisions_total",
-        "counter",
-        "Runtime Manager decisions.",
-        format!("{}", summary.decisions),
-    );
-    metric(
-        "adaflow_reconfigurations_total",
-        "counter",
-        "FPGA reconfigurations.",
-        format!("{}", summary.reconfigurations),
-    );
-    metric(
-        "adaflow_model_switches_total",
-        "counter",
-        "CNN model switches (any kind).",
-        format!("{}", summary.model_switches),
-    );
-    metric(
-        "adaflow_flexible_switches_total",
-        "counter",
-        "Fast model switches on the flexible accelerator.",
-        format!("{}", summary.flexible_switches),
-    );
-    metric(
-        "adaflow_stall_seconds_total",
-        "counter",
-        "Serving stall charged by decisions.",
-        format!("{}", summary.stall_s),
-    );
-    metric(
-        "adaflow_retrain_epochs_total",
-        "counter",
-        "Design-time retraining epochs.",
-        format!("{}", summary.retrain_epochs),
-    );
-    metric(
-        "adaflow_synth_reports_total",
-        "counter",
-        "Design-time synthesis reports.",
-        format!("{}", summary.synth_reports),
-    );
-    metric(
-        "adaflow_requests_enqueued_total",
-        "counter",
-        "Requests admitted into the serving queue.",
-        format!("{}", summary.requests_enqueued),
-    );
-    metric(
-        "adaflow_requests_completed_total",
-        "counter",
-        "Requests that finished service.",
-        format!("{}", summary.requests_completed),
-    );
-    metric(
-        "adaflow_deadline_misses_total",
-        "counter",
-        "Completed requests that missed their deadline.",
-        format!("{}", summary.deadline_misses),
-    );
-    metric(
-        "adaflow_requests_shed_total",
-        "counter",
-        "Requests shed by admission control.",
-        format!("{}", summary.requests_shed),
-    );
-    metric(
-        "adaflow_batches_closed_total",
-        "counter",
-        "Batches closed by the dynamic batcher.",
-        format!("{}", summary.batches_closed),
-    );
-    metric(
-        "adaflow_requests_routed_total",
-        "counter",
-        "Requests dispatched by the fleet router.",
-        format!("{}", summary.requests_routed),
-    );
-    metric(
-        "adaflow_device_reconfigs_total",
-        "counter",
-        "Fleet device fabric switches.",
-        format!("{}", summary.device_reconfigs),
-    );
-    metric(
-        "adaflow_trace_spans_total",
-        "counter",
-        "Causal request spans emitted by the tracing layer.",
-        format!("{}", summary.trace_spans),
-    );
-    metric(
-        "adaflow_slo_burn_alerts_total",
-        "counter",
-        "SLO burn-rate alerts fired.",
-        format!("{}", summary.slo_alerts),
-    );
-    metric(
-        "adaflow_backend_ejections_total",
-        "counter",
-        "Gateway backends ejected from the healthy rotation.",
-        format!("{}", summary.backend_ejections),
-    );
-    metric(
-        "adaflow_backend_readmissions_total",
-        "counter",
-        "Gateway backends readmitted after recovery.",
-        format!("{}", summary.backend_readmissions),
-    );
-    if summary.imbalance_samples > 0 {
-        metric(
-            "adaflow_fleet_imbalance_cv_max",
-            "gauge",
-            "Worst sampled fleet load-imbalance coefficient of variation.",
-            format!("{}", summary.imbalance_cv_max),
-        );
-    }
-    if summary.requests_completed > 0 {
-        for (q, label) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
-            metric(
-                &format!("adaflow_request_latency_seconds{{quantile=\"{label}\"}}"),
-                "gauge",
-                "Per-request end-to-end latency quantile.",
-                format!("{}", summary.request_latency.quantile(q)),
-            );
-        }
-    }
-    for (q, label) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
-        metric(
-            &format!("adaflow_queue_depth_frames{{quantile=\"{label}\"}}"),
-            "gauge",
-            "Sampled queue depth quantile.",
-            format!("{}", summary.queue_depth.quantile(q)),
-        );
-    }
-    blocks.sort_by(|a, b| a.0.cmp(&b.0));
-    blocks.into_iter().map(|(_, body)| body).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Event;
+    use crate::event::EventKind;
+    use crate::metrics::{MetricsRegistry, RegistryConfig};
+
+    /// The one fold: what `.prom` and `/metrics` are rendered from.
+    fn folded(events: &[Event]) -> MetricsRegistry {
+        let mut registry = MetricsRegistry::new(RegistryConfig::default());
+        registry.observe_all(events);
+        registry
+    }
 
     fn sample_events() -> Vec<Event> {
         vec![
@@ -870,15 +358,14 @@ mod tests {
 
     #[test]
     fn summary_counts_everything() {
-        let s = TraceSummary::from_events(&sample_events());
-        assert_eq!(s.frames_arrived, 6.0);
-        assert_eq!(s.frames_dropped, 2.5);
-        assert_eq!(s.decisions, 1);
-        assert_eq!(s.reconfigurations, 1);
-        assert_eq!(s.model_switches, 1);
-        assert_eq!(s.flexible_switches, 1);
-        assert!((s.horizon_s - 1.2).abs() < 1e-12);
-        assert!(!s.queue_depth.is_empty());
+        let r = folded(&sample_events());
+        assert_eq!(r.counter("frames_arrived"), 6.0);
+        assert_eq!(r.counter("frames_dropped"), 2.5);
+        assert_eq!(r.counter("decisions"), 1.0);
+        assert_eq!(r.counter("reconfigurations"), 1.0);
+        assert_eq!(r.counter("model_switches"), 1.0);
+        assert_eq!(r.counter("flexible_switches"), 1.0);
+        assert!(!r.histogram("queue_depth").expect("sampled").is_empty());
     }
 
     #[test]
@@ -933,17 +420,18 @@ mod tests {
                 },
             ),
         ];
-        let s = TraceSummary::from_events(&events);
-        assert_eq!(s.requests_enqueued, 2);
-        assert_eq!(s.requests_completed, 2);
-        assert_eq!(s.deadline_misses, 1);
-        assert_eq!(s.requests_shed, 1);
-        assert_eq!(s.batches_closed, 1);
-        assert_eq!(s.request_latency.count(), 2.0);
-        let text = to_prometheus(&s);
+        let r = folded(&events);
+        assert_eq!(r.counter("requests_enqueued"), 2.0);
+        assert_eq!(r.counter("requests_completed"), 2.0);
+        assert_eq!(r.counter("deadline_misses"), 1.0);
+        assert_eq!(r.counter("requests_shed"), 1.0);
+        assert_eq!(r.counter("batches_closed"), 1.0);
+        let latency = r.histogram("request_latency_s").expect("completions");
+        assert_eq!(latency.count(), 2.0);
+        let text = r.to_prometheus();
         assert!(text.contains("adaflow_requests_completed_total 2"));
         assert!(text.contains("adaflow_deadline_misses_total 1"));
-        assert!(text.contains("adaflow_request_latency_seconds{quantile=\"0.95\"}"));
+        assert!(text.contains("adaflow_request_latency_s{quantile=\"0.95\"}"));
         // The chrome trace keeps the batch/shed instants but aggregates the
         // per-request enqueue/complete flood away.
         let trace = to_chrome_trace(&events);
@@ -1021,12 +509,12 @@ mod tests {
             2
         );
         // Prometheus: routed/reconfig counters and the worst-sample gauge.
-        let s = TraceSummary::from_events(&events);
-        assert_eq!(s.requests_routed, 1);
-        assert_eq!(s.device_reconfigs, 1);
-        assert_eq!(s.imbalance_samples, 2);
-        assert!((s.imbalance_cv_max - 0.75).abs() < 1e-12);
-        let text = to_prometheus(&s);
+        let r = folded(&events);
+        assert_eq!(r.counter("requests_routed"), 1.0);
+        assert_eq!(r.counter("device_reconfigs"), 1.0);
+        assert_eq!(r.counter("imbalance_samples"), 2.0);
+        assert_eq!(r.gauge("fleet_imbalance_cv_max"), Some(0.75));
+        let text = r.to_prometheus();
         assert!(text.contains("adaflow_requests_routed_total 1"));
         assert!(text.contains("adaflow_device_reconfigs_total 1"));
         assert!(text.contains("adaflow_fleet_imbalance_cv_max 0.75"));
@@ -1034,11 +522,10 @@ mod tests {
 
     #[test]
     fn prometheus_text_exposition_shape() {
-        let s = TraceSummary::from_events(&sample_events());
-        let text = to_prometheus(&s);
+        let text = folded(&sample_events()).to_prometheus();
         assert!(text.contains("# TYPE adaflow_frames_dropped_total counter"));
         assert!(text.contains("adaflow_frames_dropped_total 2.5"));
-        assert!(text.contains("adaflow_queue_depth_frames{quantile=\"0.95\"}"));
+        assert!(text.contains("adaflow_queue_depth{quantile=\"0.95\"}"));
         // Every non-comment line is `name value`.
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             assert_eq!(line.split_whitespace().count(), 2, "line: {line}");
@@ -1047,7 +534,7 @@ mod tests {
 
     #[test]
     fn prometheus_families_are_sorted() {
-        let text = to_prometheus(&TraceSummary::from_events(&sample_events()));
+        let text = folded(&sample_events()).to_prometheus();
         let families: Vec<&str> = text
             .lines()
             .filter(|l| l.starts_with("# TYPE"))
@@ -1131,11 +618,11 @@ mod tests {
             let is_async = matches!(obj.get("ph"), Some(Value::Str(ph)) if ph == "b" || ph == "e");
             assert_eq!(obj.get("id").is_some(), is_async, "id iff async: {obj:?}");
         }
-        // And the summary counts the new kinds.
-        let s = TraceSummary::from_events(&events);
-        assert_eq!(s.trace_spans, 2);
-        assert_eq!(s.slo_alerts, 1);
-        let text = to_prometheus(&s);
+        // And the registry counts the new kinds.
+        let r = folded(&events);
+        assert_eq!(r.counter("trace_spans"), 2.0);
+        assert_eq!(r.counter("slo_burn_alerts"), 1.0);
+        let text = r.to_prometheus();
         assert!(text.contains("adaflow_trace_spans_total 2"));
         assert!(text.contains("adaflow_slo_burn_alerts_total 1"));
     }

@@ -4,7 +4,10 @@
 //! and log-bucketed histograms (reusing [`LogHistogram`]), plus tumbling
 //! sim-time windows of request outcomes that the SLO engine consumes. It
 //! can be filled offline from a recorded trace ([`MetricsRegistry::observe_all`])
-//! or attached live to an engine via the [`RegistrySink`] adapter.
+//! or attached live to an engine via the [`RegistrySink`] adapter. It is the
+//! only fold of the stream: [`MetricsRegistry::observe`] alone says what an
+//! event kind counts as, and [`MetricsRegistry::to_prometheus`] alone renders
+//! exposition text — for `/metrics` and for every `.prom` export.
 //!
 //! All storage is `BTreeMap`-keyed, so iteration — and therefore the
 //! Prometheus exposition — is deterministically ordered.
