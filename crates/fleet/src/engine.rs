@@ -4,10 +4,13 @@
 //! router. Event sources per step: every device's batch completion,
 //! every device's batch close, the global arrival stream, and the
 //! periodic load-imbalance sampler — processed in global time order by
-//! [`adaflow_serve::next_event`], which owns the tie discipline. The
-//! ordering is a pure function of `(config, library, spec, seed)`, so a
-//! fleet run is bit-reproducible; nothing about it depends on host
-//! threads (the multi-seed experiment shards *runs*, never the event loop).
+//! [`Devices::next_event`], which owns the tie discipline and reads an
+//! index instead of the devices; the router likewise reads one maintained
+//! [`DeviceSnapshot`] row per device, and an event rewrites only the key
+//! and the row of the device it touched. The ordering is a pure function
+//! of `(config, library, spec, seed)`, so a fleet run is bit-reproducible;
+//! nothing about it depends on host threads (the multi-seed experiment
+//! shards *runs*, never the event loop).
 //!
 //! Arrivals are the same per-IoT-device trace the single-device engine
 //! consumes ([`adaflow_serve::generate_requests`]); the router decides
@@ -23,8 +26,8 @@ use crate::summary::{DeviceSummary, FleetSummary};
 use adaflow::{Library, RuntimeConfig};
 use adaflow_edge::WorkloadSpec;
 use adaflow_serve::{
-    generate_requests, next_event, AdaFlowServePolicy, CompletedRequest, DeviceCore,
-    FixedMaxPolicy, FlexibleOnlyPolicy, Pick, ServePolicy,
+    generate_requests, AdaFlowServePolicy, CompletedRequest, DeviceCore, Devices, FixedMaxPolicy,
+    FlexibleOnlyPolicy, Pick, ServePolicy,
 };
 use adaflow_telemetry::{EventKind, LogHistogram, SinkHandle};
 
@@ -105,9 +108,21 @@ impl FleetEngine {
         // Each device's EWMA starts at its even share of the nominal load.
         let share_rate = spec.nominal_fps() / n as f64;
 
-        let mut devices: Vec<DeviceCore> = (0..n)
+        let cores = (0..n)
             .map(|_| DeviceCore::new(cfg.serve.clone(), share_rate))
             .collect();
+        let mut devices: Devices = Devices::new(cores, 0.0);
+        // Cold devices are routed on their even share as throughput prior.
+        let row = |d: &DeviceCore| {
+            DeviceSnapshot::new(
+                d.queue_len(),
+                d.in_flight(),
+                d.next_completion_s(),
+                d.serving_fps(),
+                share_rate,
+            )
+        };
+        let mut rows: Vec<DeviceSnapshot> = devices.cores().iter().map(row).collect();
         let mut policies: Vec<Box<dyn ServePolicy + '_>> = cfg
             .devices
             .iter()
@@ -124,7 +139,7 @@ impl FleetEngine {
                 }
             })
             .collect();
-        let mut router = cfg.router.build(seed, share_rate);
+        let mut router = cfg.router.build(seed);
         let mut coordinator = ReconfigCoordinator::new(cfg.max_concurrent_drains);
 
         let requests = generate_requests(spec, seed);
@@ -132,39 +147,39 @@ impl FleetEngine {
         let mut now = 0.0f64;
         let mut next_sample = IMBALANCE_PERIOD_S;
 
-        let mut fleet_latency = LogHistogram::latency_s();
         let mut request_stall_sum_s = 0.0f64;
         let mut scratch: Vec<CompletedRequest> = Vec::new();
         let mut drains: Vec<(f64, f64)> = Vec::new();
         let mut cv_sum = 0.0f64;
         let mut cv_max = 0.0f64;
         let mut cv_count = 0u64;
-        let mut snaps: Vec<DeviceSnapshot> = Vec::with_capacity(n);
 
         // Until the trace is exhausted, every queue drained, the fleet idle.
         let arrival_s = |next: usize| requests.get(next).map(|r| r.arrival_s);
         while let Some((t, pick)) =
-            next_event(&devices, now, arrival_s(next_arrival), Some(next_sample))
+            devices.next_event(now, arrival_s(next_arrival), Some(next_sample))
         {
             now = t;
-            match pick {
+            // The one device this event touches; its row is rewritten below.
+            let touched = match pick {
                 Pick::Completion(i) => {
-                    devices[i].complete(now, &self.sink, &mut scratch);
+                    devices.update(i, now, |d| d.complete(now, &self.sink, &mut scratch));
                     for d in &scratch {
-                        fleet_latency.record(d.latency_s);
                         request_stall_sum_s += d.stall_s;
                     }
                     adaflow_serve::emit_request_traces(&self.sink, &scratch, i as u32, true);
                     scratch.clear();
+                    i
                 }
                 Pick::Close(i) => {
-                    let device = &mut devices[i];
-                    let close = device.close_batch(
-                        now,
-                        policies[i].as_mut(),
-                        &self.sink,
-                        &mut |drain_now, stall_s| coordinator.acquire(drain_now, stall_s),
-                    );
+                    let close = devices.update(i, now, |d| {
+                        d.close_batch(
+                            now,
+                            policies[i].as_mut(),
+                            &self.sink,
+                            &mut |drain_now, stall_s| coordinator.acquire(drain_now, stall_s),
+                        )
+                    });
                     if close.stall_s > 0.0 {
                         // Every granted stall window counts against the
                         // stagger budget — full fabric reconfigurations
@@ -173,34 +188,30 @@ impl FleetEngine {
                         drains.push((close.drain_start_s, close.start_s));
                     }
                     if close.reconfigured && close.stall_s > 0.0 && self.sink.enabled() {
+                        let model = devices.cores()[i].serving_model();
+                        let model = model.expect("a closed batch has a serving state");
                         self.sink.emit(
                             close.drain_start_s,
                             EventKind::DeviceReconfigStart {
                                 device_idx: i as u32,
-                                model: close.model.clone(),
+                                model: model.to_string(),
                             },
                         );
                         self.sink.emit(
                             close.start_s,
                             EventKind::DeviceReconfigEnd {
                                 device_idx: i as u32,
-                                model: close.model.clone(),
+                                model: model.to_string(),
                                 stall_s: close.stall_s,
                             },
                         );
                     }
+                    i
                 }
                 Pick::Arrival => {
                     let request = requests[next_arrival];
                     next_arrival += 1;
-                    snaps.clear();
-                    snaps.extend(devices.iter().map(|d| DeviceSnapshot {
-                        queue_len: d.queue_len(),
-                        in_flight: d.in_flight(),
-                        busy_until_s: d.next_completion_s(),
-                        serving_fps: d.serving_fps(),
-                    }));
-                    let idx = router.route(now, &snaps);
+                    let idx = router.route(now, &rows);
                     assert!(idx < n, "router returned device {idx} of {n}");
                     if self.sink.enabled() {
                         self.sink.emit(
@@ -208,13 +219,15 @@ impl FleetEngine {
                             EventKind::RequestRouted {
                                 id: request.id,
                                 device_idx: idx as u32,
-                                queue_depth: snaps[idx].queue_len as u64,
+                                queue_depth: devices.cores()[idx].queue_len() as u64,
                             },
                         );
                     }
-                    devices[idx].offer(request, now, &self.sink);
+                    devices.update(idx, now, |d| d.offer(request, now, &self.sink));
+                    idx
                 }
                 Pick::Sample => {
+                    let devices = devices.cores();
                     let depths: Vec<f64> = devices.iter().map(|d| d.queue_len() as f64).collect();
                     let cv = coefficient_of_variation(&depths);
                     cv_sum += cv;
@@ -235,12 +248,24 @@ impl FleetEngine {
                         );
                     }
                     next_sample += IMBALANCE_PERIOD_S;
+                    continue;
                 }
-            }
+            };
+            rows[touched] = row(&devices.cores()[touched]);
         }
 
         let horizon_s = now;
-        let finished: Vec<_> = devices.into_iter().map(DeviceCore::finish).collect();
+        let finished: Vec<_> = devices
+            .into_cores()
+            .into_iter()
+            .map(DeviceCore::finish)
+            .collect();
+        // Quantiles read bucket counts and the extremes, all exact under
+        // merge: the fleet distribution is the union of the devices'.
+        let mut fleet_latency = LogHistogram::latency_s();
+        for (_, latency) in &finished {
+            fleet_latency.merge(latency);
+        }
 
         let sum = |f: fn(&adaflow_serve::DeviceStats) -> f64| -> f64 {
             finished.iter().map(|(s, _)| f(s)).sum()

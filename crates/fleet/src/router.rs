@@ -1,7 +1,7 @@
 //! Fleet routing policies.
 //!
 //! A router sees an immutable [`DeviceSnapshot`] per device — queue
-//! occupancy, in-flight batch, busy horizon and live throughput — and
+//! occupancy, in-flight batch, busy horizon and backlog drain time — and
 //! picks the device index to dispatch the arrival to. All four policies
 //! are deterministic: power-of-two-choices draws from a seeded ChaCha8
 //! stream owned by the router, so a `(config, seed)` pair pins every
@@ -18,24 +18,54 @@ use crate::config::RouterKind;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-/// What a router may observe about one device at dispatch time.
+/// What a router may observe about one device at dispatch time: a row
+/// its owner rewrites when that device changes, laid out so that routing
+/// reads it without branching or dividing.
 #[derive(Debug, Clone, Copy)]
 pub struct DeviceSnapshot {
-    /// Admission-queue occupancy, requests.
-    pub queue_len: usize,
-    /// Requests in the in-flight batch (0 while idle).
-    pub in_flight: usize,
-    /// When the in-flight batch completes (stall included), if any.
-    pub busy_until_s: Option<f64>,
-    /// Live serving throughput, FPS; `None` before the first batch.
-    pub serving_fps: Option<f64>,
+    /// Queued plus in-flight requests.
+    load: usize,
+    /// When the in-flight batch completes (stall included);
+    /// `NEG_INFINITY` while idle, so `.max(now)` is `now`.
+    busy_until_s: f64,
+    /// Time the queued backlog plus one more request take to drain at the
+    /// live throughput, seconds.
+    backlog_s: f64,
 }
 
 impl DeviceSnapshot {
+    /// The row of a device holding `queue_len` queued and `in_flight`
+    /// in-service requests, busy until `busy_until_s` (if a batch is in
+    /// flight) and serving at `serving_fps` — or, before its first batch
+    /// establishes that, at the prior `prior_fps`.
+    #[must_use]
+    pub fn new(
+        queue_len: usize,
+        in_flight: usize,
+        busy_until_s: Option<f64>,
+        serving_fps: Option<f64>,
+        prior_fps: f64,
+    ) -> Self {
+        let fps = serving_fps.unwrap_or(prior_fps.max(1.0)).max(1e-9);
+        Self {
+            load: queue_len + in_flight,
+            busy_until_s: busy_until_s.unwrap_or(f64::NEG_INFINITY),
+            backlog_s: (queue_len as f64 + 1.0) / fps,
+        }
+    }
+
     /// Queued plus in-flight work — the join-shortest-queue load metric.
     #[must_use]
     pub fn load(&self) -> usize {
-        self.queue_len + self.in_flight
+        self.load
+    }
+
+    /// The estimated completion instant of a request dispatched to this
+    /// device at `now_s`: free once the in-flight batch is done, then the
+    /// backlog and the request itself drain.
+    #[must_use]
+    pub fn estimate_done_s(&self, now_s: f64) -> f64 {
+        self.busy_until_s.max(now_s) + self.backlog_s
     }
 }
 
@@ -134,31 +164,8 @@ impl RoutePolicy for PowerOfTwoRouter {
 /// throughput. Picks the earliest estimate, ties to the lowest index —
 /// so a device mid-reconfiguration (large busy horizon) naturally loses
 /// to its peers until the drain is over.
-#[derive(Debug, Clone)]
-pub struct DeadlineAwareRouter {
-    /// Throughput prior used before a device establishes its first
-    /// serving state, FPS.
-    prior_fps: f64,
-}
-
-impl DeadlineAwareRouter {
-    /// Creates the router with a throughput prior for cold devices.
-    #[must_use]
-    pub fn new(prior_fps: f64) -> Self {
-        Self {
-            prior_fps: prior_fps.max(1.0),
-        }
-    }
-
-    /// The estimated completion instant of a request dispatched to `d` at
-    /// `now_s`.
-    #[must_use]
-    pub fn estimate_done_s(&self, now_s: f64, d: &DeviceSnapshot) -> f64 {
-        let fps = d.serving_fps.unwrap_or(self.prior_fps).max(1e-9);
-        let free_s = d.busy_until_s.map_or(now_s, |b| b.max(now_s));
-        free_s + (d.queue_len as f64 + 1.0) / fps
-    }
-}
+#[derive(Debug, Clone, Default)]
+pub struct DeadlineAwareRouter;
 
 impl RoutePolicy for DeadlineAwareRouter {
     fn name(&self) -> &'static str {
@@ -167,9 +174,9 @@ impl RoutePolicy for DeadlineAwareRouter {
 
     fn route(&mut self, now_s: f64, devices: &[DeviceSnapshot]) -> usize {
         let mut best = 0;
-        let mut best_done = self.estimate_done_s(now_s, &devices[0]);
+        let mut best_done = devices[0].estimate_done_s(now_s);
         for (idx, d) in devices.iter().enumerate().skip(1) {
-            let done = self.estimate_done_s(now_s, d);
+            let done = d.estimate_done_s(now_s);
             if done.total_cmp(&best_done).is_lt() {
                 best = idx;
                 best_done = done;
@@ -181,17 +188,16 @@ impl RoutePolicy for DeadlineAwareRouter {
 
 impl RouterKind {
     /// Builds the routing policy. `seed` feeds the power-of-two sampling
-    /// stream; `prior_fps` is the throughput prior the deadline-aware
-    /// router uses for devices that have not served yet. The box is
-    /// `Send` so the live gateway can drive one policy from its
-    /// connection threads (behind a mutex); the DES uses it single-threaded.
+    /// stream. The box is `Send` so the live gateway can drive one policy
+    /// from its connection threads (behind a mutex); the DES uses it
+    /// single-threaded.
     #[must_use]
-    pub fn build(self, seed: u64, prior_fps: f64) -> Box<dyn RoutePolicy + Send> {
+    pub fn build(self, seed: u64) -> Box<dyn RoutePolicy + Send> {
         match self {
             RouterKind::RoundRobin => Box::new(RoundRobinRouter::default()),
             RouterKind::LeastLoaded => Box::new(LeastLoadedRouter),
             RouterKind::PowerOfTwo => Box::new(PowerOfTwoRouter::new(seed)),
-            RouterKind::DeadlineAware => Box::new(DeadlineAwareRouter::new(prior_fps)),
+            RouterKind::DeadlineAware => Box::new(DeadlineAwareRouter),
         }
     }
 }
@@ -201,12 +207,8 @@ mod tests {
     use super::*;
 
     fn snap(queue_len: usize, in_flight: usize) -> DeviceSnapshot {
-        DeviceSnapshot {
-            queue_len,
-            in_flight,
-            busy_until_s: (in_flight > 0).then_some(1.0),
-            serving_fps: Some(100.0),
-        }
+        let busy_until_s = (in_flight > 0).then_some(1.0);
+        DeviceSnapshot::new(queue_len, in_flight, busy_until_s, Some(100.0), 100.0)
     }
 
     #[test]
@@ -245,50 +247,152 @@ mod tests {
 
     #[test]
     fn deadline_aware_avoids_draining_device() {
-        let mut r = DeadlineAwareRouter::new(100.0);
         let devs = [
             // Mid-reconfiguration: free only at t=2.0.
-            DeviceSnapshot {
-                queue_len: 0,
-                in_flight: 4,
-                busy_until_s: Some(2.0),
-                serving_fps: Some(400.0),
-            },
+            DeviceSnapshot::new(0, 4, Some(2.0), Some(400.0), 100.0),
             // Busy but quick, short queue.
-            DeviceSnapshot {
-                queue_len: 2,
-                in_flight: 4,
-                busy_until_s: Some(0.12),
-                serving_fps: Some(400.0),
-            },
+            DeviceSnapshot::new(2, 4, Some(0.12), Some(400.0), 100.0),
         ];
-        assert_eq!(r.route(0.1, &devs), 1, "route around the drain");
+        assert_eq!(
+            DeadlineAwareRouter.route(0.1, &devs),
+            1,
+            "route around the drain"
+        );
     }
 
     #[test]
     fn deadline_aware_prefers_faster_device_at_equal_depth() {
-        let mut r = DeadlineAwareRouter::new(100.0);
         let devs = [
-            DeviceSnapshot {
-                queue_len: 6,
-                in_flight: 0,
-                busy_until_s: None,
-                serving_fps: Some(100.0),
-            },
-            DeviceSnapshot {
-                queue_len: 6,
-                in_flight: 0,
-                busy_until_s: None,
-                serving_fps: Some(500.0),
-            },
+            DeviceSnapshot::new(6, 0, None, Some(100.0), 100.0),
+            DeviceSnapshot::new(6, 0, None, Some(500.0), 100.0),
         ];
-        assert_eq!(r.route(0.0, &devs), 1);
+        assert_eq!(DeadlineAwareRouter.route(0.0, &devs), 1);
+    }
+
+    /// What a router observed before the row was maintained, and the
+    /// estimate the deadline-aware router computed from it per request —
+    /// kept as the reference the row-based route must agree with.
+    #[derive(Clone, Copy)]
+    struct Observed {
+        queue_len: usize,
+        in_flight: usize,
+        busy_until_s: Option<f64>,
+        serving_fps: Option<f64>,
+    }
+
+    impl Observed {
+        fn estimate_done_s(&self, now_s: f64, prior_fps: f64) -> f64 {
+            let fps = self.serving_fps.unwrap_or(prior_fps.max(1.0)).max(1e-9);
+            let free_s = self.busy_until_s.map_or(now_s, |b| b.max(now_s));
+            free_s + (self.queue_len as f64 + 1.0) / fps
+        }
+
+        fn row(&self, prior_fps: f64) -> DeviceSnapshot {
+            DeviceSnapshot::new(
+                self.queue_len,
+                self.in_flight,
+                self.busy_until_s,
+                self.serving_fps,
+                prior_fps,
+            )
+        }
+    }
+
+    /// The lowest index with the earliest reference estimate.
+    fn reference_route(now_s: f64, devices: &[Observed], prior_fps: f64) -> usize {
+        let mut best = 0;
+        for idx in 1..devices.len() {
+            let done = devices[idx].estimate_done_s(now_s, prior_fps);
+            let best_done = devices[best].estimate_done_s(now_s, prior_fps);
+            if done.total_cmp(&best_done).is_lt() {
+                best = idx;
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn rows_route_like_the_option_based_reference() {
+        let mut rng = ChaCha8Rng::seed_from_u64(19);
+        for case in 0..2_000 {
+            let n = rng.gen_range(1..=32usize);
+            // Few distinct values per field, so whole rows repeat and
+            // estimates tie exactly; a prior below 1 exercises its clamp.
+            let prior_fps = [0.25, 93.75, 600.0][case % 3];
+            let now_s = f64::from(rng.gen_range(0..64u32)) / 64.0;
+            let devices: Vec<Observed> = (0..n)
+                .map(|_| {
+                    let busy = rng.gen_bool(0.5);
+                    Observed {
+                        queue_len: rng.gen_range(0..4),
+                        in_flight: if busy { rng.gen_range(1..=4) } else { 0 },
+                        // Before, at and after `now_s`.
+                        busy_until_s: busy.then(|| f64::from(rng.gen_range(0..96u32)) / 64.0),
+                        serving_fps: rng
+                            .gen_bool(0.7)
+                            .then(|| [64.0, 128.0, 0.0][rng.gen_range(0..3usize)]),
+                    }
+                })
+                .collect();
+            let rows: Vec<DeviceSnapshot> = devices.iter().map(|d| d.row(prior_fps)).collect();
+            for (d, row) in devices.iter().zip(&rows) {
+                assert_eq!(
+                    row.estimate_done_s(now_s).to_bits(),
+                    d.estimate_done_s(now_s, prior_fps).to_bits(),
+                    "case {case}: same estimate, bit for bit"
+                );
+            }
+            assert_eq!(
+                DeadlineAwareRouter.route(now_s, &rows),
+                reference_route(now_s, &devices, prior_fps),
+                "case {case}"
+            );
+        }
+    }
+
+    #[test]
+    fn exact_ties_go_to_the_lowest_index() {
+        let idle = DeviceSnapshot::new(2, 0, None, None, 80.0);
+        let busy_past = DeviceSnapshot::new(2, 3, Some(0.25), Some(80.0), 80.0);
+        // An idle uncalibrated device and a calibrated one whose batch is
+        // already over estimate the same instant at `now = 0.5`.
+        assert_eq!(DeadlineAwareRouter.route(0.5, &[idle, busy_past, idle]), 0);
+        assert_eq!(DeadlineAwareRouter.route(0.5, &[busy_past, idle]), 0);
+    }
+
+    #[test]
+    fn load_based_routers_read_only_queue_and_in_flight() {
+        // Same loads, opposite busy horizons and throughputs: the three
+        // load-based policies must not notice.
+        let plain = [snap(3, 1), snap(0, 1), snap(2, 0), snap(0, 1)];
+        let skewed = [
+            DeviceSnapshot::new(3, 1, Some(0.0), Some(1e6), 1.0),
+            DeviceSnapshot::new(0, 1, Some(9e9), None, 1e-3),
+            DeviceSnapshot::new(2, 0, None, Some(1e-12), 1.0),
+            DeviceSnapshot::new(0, 1, Some(5.0), Some(1.0), 1.0),
+        ];
+        for kind in [
+            RouterKind::RoundRobin,
+            RouterKind::LeastLoaded,
+            RouterKind::PowerOfTwo,
+        ] {
+            let (mut a, mut b) = (kind.build(5), kind.build(5));
+            for step in 0..64 {
+                assert_eq!(
+                    a.route(0.0, &plain),
+                    b.route(0.0, &skewed),
+                    "{} step {step}",
+                    kind.name()
+                );
+            }
+        }
+        assert_eq!(LeastLoadedRouter.route(0.0, &plain), 1, "ties stay low");
     }
 
     #[test]
     fn builder_matches_kind_names() {
         for kind in RouterKind::ALL {
-            assert_eq!(kind.build(1, 100.0).name(), kind.name());
+            assert_eq!(kind.build(1).name(), kind.name());
         }
     }
 }

@@ -166,11 +166,10 @@ impl Shared {
         }
         let snaps: Vec<DeviceSnapshot> = healthy
             .iter()
-            .map(|&i| DeviceSnapshot {
-                queue_len: 0,
-                in_flight: self.backends[i].in_flight.load(Ordering::Relaxed),
-                busy_until_s: None,
-                serving_fps: self.backends[i].service_fps(),
+            .map(|&i| {
+                let backend = &self.backends[i];
+                let in_flight = backend.in_flight.load(Ordering::Relaxed);
+                DeviceSnapshot::new(0, in_flight, None, backend.service_fps(), PRIOR_FPS)
             })
             .collect();
         let now_s = self.now_s();
@@ -480,7 +479,7 @@ impl Gateway {
                 rtts: Mutex::new(LogHistogram::latency_s()),
             });
         }
-        let policy = config.router.build(config.seed, PRIOR_FPS);
+        let policy = config.router.build(config.seed);
         let shared = Arc::new(Shared {
             config,
             sink,

@@ -94,8 +94,6 @@ pub struct DeviceStats {
 pub struct BatchClose {
     /// Requests in the closed batch.
     pub size: usize,
-    /// Model serving the batch.
-    pub model: String,
     /// Stall charged by the policy at this close (zero when the policy was
     /// not consulted or did not switch).
     pub stall_s: f64,
@@ -171,6 +169,13 @@ impl<T: Arriving> DeviceCore<T> {
     #[must_use]
     pub fn serving_fps(&self) -> Option<f64> {
         self.state.as_ref().map(|s| s.throughput_fps)
+    }
+
+    /// Model of the currently-applied serving state, if established — the
+    /// one serving the batch in flight.
+    #[must_use]
+    pub fn serving_model(&self) -> Option<&str> {
+        self.state.as_ref().map(|s| s.model.as_str())
     }
 
     /// The device's observed arrival-rate EWMA, FPS.
@@ -457,14 +462,12 @@ impl<T: Arriving> DeviceCore<T> {
             self.state = Some(new_state);
             self.last_control = now;
         }
-        let (model, fps, accuracy) = {
-            let st = self
-                .state
-                .as_ref()
-                .expect("state established at first close");
-            (st.model.clone(), st.throughput_fps, st.accuracy)
-        };
-        let members = self.begin_batch(now, &model, sink);
+        // Lent out of `self` for the call, so the model name is borrowed,
+        // not cloned per close.
+        let st = self.state.take().expect("state established at first close");
+        let members = self.begin_batch(now, &st.model, sink);
+        let (fps, accuracy) = (st.throughput_fps, st.accuracy);
+        self.state = Some(st);
         let drain_start_s = if stall_s > 0.0 {
             drain_gate(now, stall_s).max(now)
         } else {
@@ -474,7 +477,6 @@ impl<T: Arriving> DeviceCore<T> {
         let service_s = members.len() as f64 / fps.max(1e-9);
         let close = BatchClose {
             size: members.len(),
-            model,
             stall_s,
             drain_start_s,
             start_s,

@@ -5,14 +5,15 @@
 //! FIFO queue, get grouped by the dynamic batcher and served at the
 //! currently-loaded accelerator's throughput. Three event sources drive the
 //! loop — batch completions, batch closes and arrivals — processed in
-//! global time order by [`next_event`], the one candidate picker this
-//! engine and the fleet engine share.
+//! global time order by [`Devices::next_event`], the one candidate picker
+//! this engine and the fleet engine share.
 //!
 //! The per-device mechanics (queue, batcher, pressure EWMA, deadline
 //! accounting) live in [`DeviceCore`](crate::device::DeviceCore); this
 //! module is the single-device event loop over one core. The fleet layer
 //! (`adaflow-fleet`) interleaves many cores on one clock through the same
-//! picker.
+//! picker, which reads the root of an index over the cores' pending events
+//! instead of visiting them.
 //!
 //! ## Batching
 //!
@@ -52,8 +53,8 @@ use adaflow_telemetry::SinkHandle;
 #[cfg(test)]
 use adaflow::PressureSignal;
 
-/// The event [`next_event`] picked: a device's batch completion or batch
-/// close (by index into the slice), the next arrival, or the caller's
+/// The event [`Devices::next_event`] picked: a device's batch completion
+/// or batch close (by device index), the next arrival, or the caller's
 /// periodic sampler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pick {
@@ -67,28 +68,150 @@ pub enum Pick {
     Sample,
 }
 
-/// The earliest candidate event over `devices` at `now`, with its instant.
+/// Keeps `chosen` unless `t` is strictly earlier.
+fn consider(chosen: &mut Option<(f64, Pick)>, t: Option<f64>, pick: Pick) {
+    if let Some(t) = t {
+        if chosen.is_none_or(|(best, _)| t.total_cmp(&best).is_lt()) {
+            *chosen = Some((t, pick));
+        }
+    }
+}
+
+/// The device cores of one simulation plus the index of their pending
+/// events, so picking the next one does not visit every device.
 ///
-/// Ties go to the earlier class in *completion < close < arrival < sample*
-/// (finish work before starting more, start work before accepting more,
-/// observe last) and, within a class, to the lowest device index — a
-/// strict-less linear scan in exactly that order. The sampler never keeps
-/// an otherwise-finished simulation alive: it is a candidate only while
-/// some other event is pending. `None` means the run is over.
+/// The index is a winner tree over `2n` leaves, padded to a power of two:
+/// leaf `i < n` is device `i`'s `next_completion_s()`, leaf `n + i` its
+/// `next_close_s(now)`, `INFINITY` where there is no candidate. Every
+/// inner node names the earlier of its two children's leaves under
+/// `total_cmp`, the left one on a tie, so the root is the earliest leaf
+/// and, among equals, the leftmost — leaf order *is* the tie order
+/// (completion before close, then lowest device index).
+///
+/// The cores are only mutable through [`update`](Self::update), which
+/// re-keys the device it touched before returning: a stale key cannot be
+/// written. A stored close key is exact although `next_close_s` takes
+/// `now`: that instant enters only as `.max(now)` (or as `now` itself for
+/// a full queue), so a key `k` stored at `t0` is `>= t0` and a fresh call
+/// returns the same `k` for every `now` in `[t0, k]`; and every pick is
+/// the minimum over all stored keys, so while `k` is pending the clock
+/// never passes it.
+pub struct Devices<T: Arriving = Request> {
+    cores: Vec<DeviceCore<T>>,
+    /// Leaf keys, a power of two of them.
+    keys: Vec<f64>,
+    /// `winner[k]` is the leaf winning the subtree under heap node `k`
+    /// (root 1, children `2k` and `2k + 1`, leaf `j` at `keys.len() + j`).
+    winner: Vec<usize>,
+}
+
+impl<T: Arriving> Devices<T> {
+    /// Indexes `cores` as they stand at `now`.
+    #[must_use]
+    pub fn new(cores: Vec<DeviceCore<T>>, now: f64) -> Self {
+        let leaves = (2 * cores.len()).next_power_of_two();
+        // All keys tie at `INFINITY`: every node's winner is its leftmost leaf.
+        let mut winner: Vec<usize> = (0..2 * leaves).map(|k| k.saturating_sub(leaves)).collect();
+        for k in (1..leaves).rev() {
+            winner[k] = winner[2 * k];
+        }
+        let mut devices = Self {
+            cores,
+            keys: vec![f64::INFINITY; leaves],
+            winner,
+        };
+        for i in 0..devices.cores.len() {
+            devices.update(i, now, |_| ());
+        }
+        devices
+    }
+
+    /// The cores, read-only.
+    #[must_use]
+    pub fn cores(&self) -> &[DeviceCore<T>] {
+        &self.cores
+    }
+
+    /// Gives the cores back once the run is over.
+    #[must_use]
+    pub fn into_cores(self) -> Vec<DeviceCore<T>> {
+        self.cores
+    }
+
+    /// Runs `f` on device `i` at `now` and re-keys that device's two
+    /// leaves — the only mutable access to a core.
+    pub fn update<R>(&mut self, i: usize, now: f64, f: impl FnOnce(&mut DeviceCore<T>) -> R) -> R {
+        let out = f(&mut self.cores[i]);
+        let core = &self.cores[i];
+        let completion_s = core.next_completion_s().unwrap_or(f64::INFINITY);
+        let close_s = core.next_close_s(now).unwrap_or(f64::INFINITY);
+        self.set_key(i, completion_s);
+        self.set_key(self.cores.len() + i, close_s);
+        out
+    }
+
+    /// Stores `key` at `leaf` and replays its matches up to the root.
+    fn set_key(&mut self, leaf: usize, key: f64) {
+        self.keys[leaf] = key;
+        let mut k = (self.keys.len() + leaf) / 2;
+        while k > 0 {
+            let (left, right) = (self.winner[2 * k], self.winner[2 * k + 1]);
+            let left_wins = self.keys[left].total_cmp(&self.keys[right]).is_le();
+            self.winner[k] = if left_wins { left } else { right };
+            k /= 2;
+        }
+    }
+
+    /// The earliest candidate event at `now`, with its instant.
+    ///
+    /// Ties go to the earlier class in *completion < close < arrival <
+    /// sample* (finish work before starting more, start work before
+    /// accepting more, observe last) and, within a class, to the lowest
+    /// device index: the device candidate is the tree's root, and the
+    /// arrival and then the sampler replace it only when strictly
+    /// earlier. The sampler never keeps an otherwise-finished simulation
+    /// alive: it is a candidate only while some other event is pending.
+    /// `None` means the run is over. Debug builds check every pick against
+    /// [`scan_next_event`].
+    #[must_use]
+    pub fn next_event(
+        &self,
+        now: f64,
+        arrival_s: Option<f64>,
+        sample_s: Option<f64>,
+    ) -> Option<(f64, Pick)> {
+        let (n, leaf) = (self.cores.len(), self.winner[1]);
+        let pick = if leaf < n {
+            Pick::Completion(leaf)
+        } else {
+            Pick::Close(leaf - n)
+        };
+        let t = self.keys[leaf];
+        let mut chosen = (t < f64::INFINITY).then_some((t, pick));
+        consider(&mut chosen, arrival_s, Pick::Arrival);
+        if chosen.is_some() {
+            consider(&mut chosen, sample_s, Pick::Sample);
+        }
+        debug_assert_eq!(
+            chosen,
+            scan_next_event(&self.cores, now, arrival_s, sample_s),
+            "event index out of step with the cores"
+        );
+        chosen
+    }
+}
+
+/// The oracle [`Devices::next_event`] is checked against: the same pick
+/// by a strict-less linear scan over fresh candidates of every device,
+/// completions first, then closes. Debug builds run it on every pick and
+/// tests call it; no simulation loop does.
 #[must_use]
-pub fn next_event<T: Arriving>(
+pub fn scan_next_event<T: Arriving>(
     devices: &[DeviceCore<T>],
     now: f64,
     arrival_s: Option<f64>,
     sample_s: Option<f64>,
 ) -> Option<(f64, Pick)> {
-    fn consider(chosen: &mut Option<(f64, Pick)>, t: Option<f64>, pick: Pick) {
-        if let Some(t) = t {
-            if chosen.is_none_or(|(best, _)| t.total_cmp(&best).is_lt()) {
-                *chosen = Some((t, pick));
-            }
-        }
-    }
     let mut chosen = None;
     for (i, d) in devices.iter().enumerate() {
         consider(&mut chosen, d.next_completion_s(), Pick::Completion(i));
@@ -184,34 +307,37 @@ impl ServeEngine {
     ) -> ServeSummary {
         // Observed arrival-rate EWMA seed: the operator's nominal estimate
         // (fleet size × per-device rate) until arrivals teach it.
-        let mut device = [DeviceCore::new(self.config.clone(), spec.nominal_fps())];
+        let core = DeviceCore::new(self.config.clone(), spec.nominal_fps());
+        let mut device = Devices::new(vec![core], 0.0);
         let mut next_arrival = 0usize;
         let mut now = 0.0f64;
 
         // Until the trace is exhausted, the queue drained, the server idle.
         let arrival_s = |next: usize| requests.get(next).map(|r| r.arrival_s);
-        while let Some((t, pick)) = next_event(&device, now, arrival_s(next_arrival), None) {
+        while let Some((t, pick)) = device.next_event(now, arrival_s(next_arrival), None) {
             now = t;
             match pick {
                 Pick::Completion(_) => {
                     let before = details.len();
-                    device[0].complete(now, &self.sink, details);
+                    device.update(0, now, |d| d.complete(now, &self.sink, details));
                     crate::tracing::emit_request_traces(&self.sink, &details[before..], 0, false);
                 }
                 Pick::Close(_) => {
                     // Single device: the drain (if any) starts immediately.
-                    device[0].close_batch(now, policy, &self.sink, &mut |close_now, _| close_now);
+                    device.update(0, now, |d| {
+                        d.close_batch(now, policy, &self.sink, &mut |close_now, _| close_now)
+                    });
                 }
                 Pick::Arrival => {
-                    device[0].offer(requests[next_arrival], now, &self.sink);
+                    device.update(0, now, |d| d.offer(requests[next_arrival], now, &self.sink));
                     next_arrival += 1;
                 }
                 Pick::Sample => unreachable!("no sampler was offered"),
             }
         }
 
-        let [device] = device;
-        let (stats, latency) = device.finish();
+        let core = device.into_cores().pop().expect("the one core");
+        let (stats, latency) = core.finish();
         debug_assert_eq!(stats.arrived, stats.completed + stats.shed, "conservation");
         debug_assert_eq!(
             stats.batched_requests, stats.completed,

@@ -66,7 +66,7 @@ pub mod tracing;
 pub use arrivals::generate_requests;
 pub use config::ServeConfig;
 pub use device::{BatchClose, DeviceCore, DeviceStats};
-pub use engine::{next_event, Pick, ServeEngine};
+pub use engine::{scan_next_event, Devices, Pick, ServeEngine};
 pub use experiment::ServeExperiment;
 pub use policy::{AdaFlowServePolicy, FixedMaxPolicy, FlexibleOnlyPolicy, ServePolicy};
 pub use queue::{Admission, AdmissionQueue, Arriving, OverflowPolicy};
@@ -79,7 +79,7 @@ pub mod prelude {
     pub use crate::arrivals::generate_requests;
     pub use crate::config::ServeConfig;
     pub use crate::device::{BatchClose, DeviceCore, DeviceStats};
-    pub use crate::engine::{next_event, Pick, ServeEngine};
+    pub use crate::engine::{scan_next_event, Devices, Pick, ServeEngine};
     pub use crate::experiment::ServeExperiment;
     pub use crate::policy::{AdaFlowServePolicy, FixedMaxPolicy, FlexibleOnlyPolicy, ServePolicy};
     pub use crate::queue::{Admission, AdmissionQueue, Arriving, OverflowPolicy};

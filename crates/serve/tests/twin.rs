@@ -94,7 +94,7 @@ fn des_calls_and_live_calls_account_identically() {
         let mut policy = Scripted { consults: 0 };
         let (des_sink, des_events) = SinkHandle::recorder(1 << 14);
         let (live_sink, live_events) = SinkHandle::recorder(1 << 14);
-        let mut des = [DeviceCore::new(config.clone(), 100.0)];
+        let mut des = Devices::new(vec![DeviceCore::new(config.clone(), 100.0)], 0.0);
         let mut live: DeviceCore = DeviceCore::new(config, 100.0);
         let mut des_done = Vec::new();
         let mut live_done = Vec::new();
@@ -104,22 +104,26 @@ fn des_calls_and_live_calls_account_identically() {
         // what to do when, as its engine thread would be.
         let (mut next, mut now) = (0usize, 0.0f64);
         let arrival_s = |next: usize| requests.get(next).map(|r| r.arrival_s);
-        while let Some((t, pick)) = next_event(&des, now, arrival_s(next), None) {
+        while let Some((t, pick)) = des.next_event(now, arrival_s(next), None) {
             now = t;
             match pick {
                 Pick::Arrival => {
-                    let a = des[0].offer(requests[next], now, &des_sink);
+                    let a = des.update(0, now, |d| d.offer(requests[next], now, &des_sink));
                     let b = live.offer(requests[next], now, &live_sink);
                     assert_eq!(a, b, "admission of request {next}");
                     next += 1;
                 }
                 Pick::Close(_) => {
-                    let close = des[0].close_batch(now, &mut policy, &des_sink, &mut |t, _| t);
-                    let members = live.begin_batch(now, &close.model, &live_sink);
+                    let close = des.update(0, now, |d| {
+                        d.close_batch(now, &mut policy, &des_sink, &mut |t, _| t)
+                    });
+                    let core = &des.cores()[0];
+                    let model = core.serving_model().expect("state established");
+                    let members = live.begin_batch(now, model, &live_sink);
                     assert_eq!(members.len(), close.size);
                     // The service interval the DES predicted (its own
                     // expression, so the twin sees the same bits).
-                    let fps = des[0].serving_fps().expect("state established");
+                    let fps = core.serving_fps().expect("state established");
                     serving = Some(Served {
                         service_s: close.size as f64 / fps.max(1e-9),
                         members,
@@ -129,7 +133,7 @@ fn des_calls_and_live_calls_account_identically() {
                     });
                 }
                 Pick::Completion(_) => {
-                    des[0].complete(now, &des_sink, &mut des_done);
+                    des.update(0, now, |d| d.complete(now, &des_sink, &mut des_done));
                     let b = serving.take().expect("a begun batch");
                     live.settle_batch(
                         &b.members,
@@ -147,7 +151,7 @@ fn des_calls_and_live_calls_account_identically() {
             }
         }
 
-        let [des] = des;
+        let des = des.into_cores().pop().expect("the one core");
         assert!(des.is_drained() && live.is_drained());
         assert_eq!(
             des.ewma_fps(),
