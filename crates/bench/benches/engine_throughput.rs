@@ -6,9 +6,10 @@
 //!    fresh allocation set per image (`Engine::run` on `ConvStrategy::Direct`);
 //! 2. `scratch` — im2col + blocked integer GEMM with one reusable
 //!    [`EngineScratch`] arena (`run_with_scratch`, zero per-image allocation);
-//! 3. `auto` — the default plan (`ConvStrategy::Auto`): bit-packed popcount
-//!    MVTU kernels on the runtime-dispatched backend wherever the domains
-//!    allow, GEMM elsewhere, same reused scratch arena;
+//! 3. `auto` — the default plan (`ConvStrategy::Auto`): activations stay
+//!    bit-packed between popcount MVTU kernels (runtime-dispatched backend)
+//!    wherever the domains allow, tap rows or GEMM elsewhere, same reused
+//!    scratch arena;
 //! 4. `batch_runner` — the default plan sharded across scoped worker
 //!    threads ([`BatchRunner`] with one scratch per worker).
 //!

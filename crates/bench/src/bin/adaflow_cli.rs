@@ -293,7 +293,7 @@ fn cmd_summary(flags: &Flags) -> Result<(), String> {
     let graph = build_model(required(flags, "model")?, None)?;
     print!("{}", GraphSummary::of(&graph));
     println!();
-    println!("engine kernel plan (`lint` rule AF009 explains each gemm fallback):");
+    println!("engine kernel plan (`lint` rule AF009 explains why a layer does not pack):");
     let engine = Engine::new(&graph).map_err(|e| e.to_string())?;
     for k in engine.kernels() {
         println!("  {:<10} {}", k.layer, k.kernel);

@@ -22,8 +22,10 @@
 
 use crate::config::WarmupSpec;
 use crate::server::{Shared, PROBE_BASE};
+use adaflow_proto::server::WRITE_TIMEOUT;
 use adaflow_proto::{ProtoClient, RequestFrame, ResponseFrame, Status};
 use adaflow_telemetry::EventKind;
+use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, TryRecvError};
 use std::time::{Duration, Instant};
@@ -41,16 +43,25 @@ const READMIT_AFTER: u32 = 2;
 /// (new estimate = (7·old + sample) / 8).
 const EWMA_OLD_WEIGHT: u64 = 7;
 
+/// Opens one backend leg: reads paced by [`POLL_TIMEOUT`], writes bounded by
+/// the skeleton's [`WRITE_TIMEOUT`]. Without the write bound a backend that
+/// stops reading wedges its worker inside `send` once the socket buffers
+/// fill — which also stops that backend's probes, so the probe timeout
+/// that should eject it never fires.
+fn connect_leg(addr: SocketAddr) -> std::io::Result<ProtoClient> {
+    let client = ProtoClient::connect(addr)?;
+    client.set_read_timeout(Some(POLL_TIMEOUT))?;
+    client.set_write_timeout(Some(WRITE_TIMEOUT))?;
+    Ok(client)
+}
+
 /// Connects to backend `idx` and, when warmup is configured, measures its
 /// single-inference service floor with real requests. Any failure —
 /// connect refused, warmup request lost, non-`Ok` warmup status — leaves
 /// the backend out of the initial rotation.
 pub(crate) fn warm_connect(shared: &Shared, idx: usize) -> Result<ProtoClient, ()> {
     let state = &shared.backends[idx];
-    let mut client = ProtoClient::connect(state.addr).map_err(|_| ())?;
-    client
-        .set_read_timeout(Some(POLL_TIMEOUT))
-        .map_err(|_| ())?;
+    let mut client = connect_leg(state.addr).map_err(|_| ())?;
     if let Some(spec) = &shared.config.warmup {
         // First inference may compile/populate caches: give it real time.
         let wait = shared.config.probe_timeout.max(Duration::from_secs(5));
@@ -282,12 +293,10 @@ pub(crate) fn worker(
             None => {
                 if Instant::now() >= next_reconnect {
                     next_reconnect = Instant::now() + shared.config.probe_interval;
-                    if let Ok(client) = ProtoClient::connect(state.addr) {
-                        if client.set_read_timeout(Some(POLL_TIMEOUT)).is_ok() {
-                            // Reconnected, but not yet readmitted: probes
-                            // must succeed `READMIT_AFTER` times first.
-                            conn = Some(client);
-                        }
+                    if let Ok(client) = connect_leg(state.addr) {
+                        // Reconnected, but not yet readmitted: probes
+                        // must succeed `READMIT_AFTER` times first.
+                        conn = Some(client);
                     }
                 }
                 std::thread::sleep(POLL_TIMEOUT);

@@ -1,7 +1,8 @@
 //! End-to-end gateway tests over real localhost sockets: closed-loop
 //! serving through the routing tier, deterministic kill-one-backend
 //! failover with ejection and readmission, retryable-reject failover,
-//! the no-healthy-backend degraded mode, and typed startup errors.
+//! a backend that stops reading, the no-healthy-backend degraded mode, and
+//! typed startup errors.
 //!
 //! Backends and the gateway run inside `std::thread::scope`, so a
 //! returning test proves every worker joined.
@@ -10,10 +11,13 @@ use adaflow_gateway::{Gateway, GatewayConfig, GatewayReport, WarmupSpec};
 use adaflow_model::{topology, QuantSpec, TensorShape};
 use adaflow_net::{LiveConfig, LiveServer, LoadConfig};
 use adaflow_proto::server::{serve_requests, Conn};
-use adaflow_proto::{ProtoClient, RequestFrame, ResponseFrame, Status};
+use adaflow_proto::{
+    encode_frame, Frame, FrameReader, ProtoClient, RequestFrame, ResponseFrame, Status,
+};
 use adaflow_serve::ServeConfig;
 use adaflow_telemetry::{EventKind, SinkHandle};
-use std::net::TcpListener;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -400,6 +404,131 @@ fn retries_forward_the_remaining_deadline_budget() {
     );
     assert!(second < first, "retry must shrink the budget: {seen:?}");
     assert!(second > 0, "a live deadline never degrades to `none` (0)");
+}
+
+/// A fake backend that answers the gateway's warm-up on its first
+/// connection and then never reads another byte. It keeps every connection
+/// it accepts open until `stop`, so nothing ever closes or resets: the only
+/// sign of trouble the gateway can see is its own writes backing up.
+fn warms_up_then_never_reads(listener: &TcpListener, stop: &AtomicBool, warmups: u32) {
+    listener.set_nonblocking(true).expect("nonblocking");
+    let mut held: Vec<TcpStream> = Vec::new();
+    while !stop.load(Ordering::SeqCst) {
+        match listener.accept() {
+            Ok((mut stream, _)) => {
+                stream.set_nonblocking(false).expect("blocking");
+                if held.is_empty() {
+                    let mut reader = FrameReader::new();
+                    let mut buf = [0u8; 4096];
+                    let mut answered = 0;
+                    while answered < warmups {
+                        let n = stream.read(&mut buf).expect("warm-up bytes");
+                        assert!(n > 0, "gateway hung up during warm-up");
+                        reader.feed(&buf[..n]);
+                        while let Some(Frame::Request(r)) = reader.next_frame().expect("frame") {
+                            let ok = ResponseFrame {
+                                status: Status::Ok,
+                                service_us: 50,
+                                latency_us: 60,
+                                ..ResponseFrame::reject(r.id, Status::Ok)
+                            };
+                            stream
+                                .write_all(&encode_frame(&Frame::Response(ok)))
+                                .expect("warm-up answer");
+                            answered += 1;
+                        }
+                    }
+                }
+                held.push(stream);
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            Err(e) => panic!("accept failed: {e}"),
+        }
+    }
+}
+
+/// A backend leg has a write timeout. Without one, a backend that passes
+/// warm-up and then stops reading wedges its worker inside `send` as soon
+/// as the socket buffers fill; a wedged worker sends no probes either, so
+/// the backend is never ejected and everything routed to it is never
+/// answered. The probe timeout here is far longer than the test, so only
+/// the failed write can eject the backend.
+#[test]
+fn backend_that_stops_reading_is_ejected_and_its_requests_answered() {
+    const REQUESTS: u64 = 48;
+    let graph = tiny_graph();
+    let real = LiveServer::bind(
+        "127.0.0.1:0",
+        &graph,
+        backend_config(64),
+        SinkHandle::null(),
+    )
+    .expect("binds");
+    let fake_listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+    let backends = [
+        fake_listener.local_addr().expect("addr"),
+        real.local_addr().expect("addr"),
+    ];
+    let hr = real.handle();
+    let stop = AtomicBool::new(false);
+
+    let mut config = fast_gateway("rr");
+    config.warmup = Some(warmup_spec(graph.input_shape()));
+    config.probe_timeout = Duration::from_secs(60);
+    let gateway =
+        Gateway::bind("127.0.0.1:0", &backends, config, SinkHandle::null()).expect("binds");
+    let front = gateway.local_addr().expect("addr");
+    let gh = gateway.handle();
+
+    // Half a megabyte per frame: round-robin sends 12 MB at the fake, three
+    // times what a loopback socket pair buffers for a peer that never reads.
+    // The real backend rejects the shape (`BadRequest`), which is an answer.
+    let big = TensorShape::new(2, 512, 512);
+    let (report, answered, elapsed) = std::thread::scope(|scope| {
+        let ft = scope.spawn(|| warms_up_then_never_reads(&fake_listener, &stop, 2));
+        let rt = scope.spawn(|| real.run());
+        let gt = scope.spawn(|| gateway.run());
+
+        let mut client = ProtoClient::connect(front).expect("connects");
+        client
+            .set_read_timeout(Some(Duration::from_millis(50)))
+            .expect("timeout");
+        let started = Instant::now();
+        for id in 0..REQUESTS {
+            client.send(&request(id, big)).expect("send");
+        }
+        let mut answered = 0;
+        while answered < REQUESTS && started.elapsed() < Duration::from_secs(20) {
+            if let Some(response) = client.try_recv().expect("front stays up") {
+                assert_eq!(response.status, Status::BadRequest, "{response:?}");
+                answered += 1;
+            }
+        }
+        let elapsed = started.elapsed();
+
+        gh.shutdown();
+        let report = gt.join().expect("no panic").expect("gateway serves");
+        hr.shutdown();
+        rt.join().expect("no panic").expect("backend serves");
+        stop.store(true, Ordering::SeqCst);
+        ft.join().expect("no panic");
+        (report, answered, elapsed)
+    });
+
+    assert_eq!(
+        answered, REQUESTS,
+        "unanswered after {elapsed:?}: {report:?}"
+    );
+    assert!(elapsed < Duration::from_secs(10), "took {elapsed:?}");
+    assert!(report.conservation_holds(), "{report:?}");
+    assert_eq!(report.received, REQUESTS);
+    assert_eq!(report.rejects.bad_request, REQUESTS, "{report:?}");
+    assert!(report.backends[0].ejections >= 1, "{report:?}");
+    assert!(!report.backends[0].healthy_at_exit, "{report:?}");
+    assert!(report.retries >= 1, "{report:?}");
+    assert!(report.backends[1].healthy_at_exit, "{report:?}");
 }
 
 #[test]

@@ -10,12 +10,11 @@
 //! ## Throughput layers
 //!
 //! The engine is the hot path under accuracy evaluation, threshold
-//! calibration and the pruning retrain loop, so it is built in three
+//! calibration and the pruning retrain loop, so it is built in four
 //! performance levels, each bit-identical to the plain path:
 //!
-//! 1. **Scratch-arena reuse** — [`EngineScratch`] holds the im2col window
-//!    matrix, the accumulator buffer and two ping-pong activation buffers,
-//!    sized once from the graph's maximum layer footprint.
+//! 1. **Scratch-arena reuse** — [`EngineScratch`] holds every intermediate
+//!    buffer, sized once from the engine's kernel plan.
 //!    [`Engine::run_with_scratch`] allocates nothing per call beyond the
 //!    returned logits.
 //! 2. **Blocked integer GEMM** — im2col convolution and dense layers share
@@ -23,12 +22,17 @@
 //!    inner loop unrolled over the window dimension), used whenever the
 //!    problem fills one tile. Integer accumulation is order-independent, so
 //!    tiling cannot change a single bit of the result.
-//! 3. **Parallel batch evaluation** — [`BatchRunner`] shards an image set
+//! 3. **Packed dataflow** — under [`ConvStrategy::Auto`] activations stay
+//!    bit-packed from the first threshold to the classifier: implicit-GEMM
+//!    popcount convolutions with the threshold in their epilogue and
+//!    max-pooling on bitplanes ([`crate::packed`]); the 8-bit input layer
+//!    runs a tap-row direct convolution. No window matrix is built.
+//! 4. **Parallel batch evaluation** — [`BatchRunner`] shards an image set
 //!    across scoped worker threads, one scratch arena per worker, preserving
 //!    input order.
 
 use crate::error::NnError;
-use crate::packed::{self, PackedBackend};
+use crate::packed::{self, PackedBackend, PackedThresholds, Run};
 use crate::parallel;
 use crate::tensor::Activations;
 use adaflow_model::{CnnGraph, Conv2d, Layer, MvtuDomain, Node, TensorShape};
@@ -67,8 +71,10 @@ impl Eq for InferenceResult {}
 pub struct KernelAttribution {
     /// Layer name.
     pub layer: String,
-    /// Kernel label: `direct`, `gemm`, `packed-scalar` or `packed-avx2`
-    /// for MVTU layers; `threshold`, `maxpool` or `argmax` otherwise.
+    /// Kernel label: `direct`, `gemm`, `taps`, `packed-scalar` or
+    /// `packed-avx2` for MVTU layers; `threshold` (to `u8`),
+    /// `threshold-pack` (to planes) or `fused` (applied by the packed MVTU
+    /// before it) for thresholds; `maxpool` or `argmax` otherwise.
     pub kernel: &'static str,
 }
 
@@ -81,16 +87,19 @@ pub struct KernelAttribution {
 ///   an MVTU whose verifier-established domains fit the packed contract
 ///   (≤2-bit weights and activations) and that has at least
 ///   [`packed_min_rows`](crate::KernelThresholds::packed_min_rows) weight
-///   rows runs the packed popcount kernel; every other conv/dense layer
-///   runs the im2col + i32 GEMM lowering;
+///   rows runs the packed popcount kernel on packed feature maps, with the
+///   threshold that follows in its epilogue; a convolution that cannot pack
+///   but has ≤2-bit weights (the 8-bit input layer) runs by tap rows; every
+///   other conv/dense layer runs the im2col + i32 GEMM lowering;
 /// * [`ConvStrategy::Direct`] walks the input in place (no scratch memory)
 ///   — the reference the other lowerings are tested against;
 /// * [`ConvStrategy::Im2col`] lowers each convolution to a dense
 ///   matrix-matrix product over an explicit window matrix — the classic GEMM
 ///   lowering, at the cost of `out_pixels x k^2 x ch_in` scratch bytes.
 ///
-/// `Direct` and `Im2col` never touch the packed kernels, so they double as
-/// the equivalence oracles the packed proptests compare against.
+/// `Direct` and `Im2col` never touch the packed kernels or the tap-row
+/// convolution, so they double as the equivalence oracles the packed
+/// proptests compare against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ConvStrategy {
     /// Packed popcount kernels where the domains allow, GEMM elsewhere.
@@ -104,54 +113,75 @@ pub enum ConvStrategy {
 
 /// Reusable scratch memory for [`Engine::run_with_scratch`].
 ///
-/// Sized once from the graph's largest layer footprint; repeated inferences
-/// through the same scratch allocate nothing. One scratch serves exactly one
-/// in-flight inference — use one per worker thread (see [`BatchRunner`]).
-#[derive(Debug, Clone)]
+/// Sized once from an engine's kernel plan ([`Engine::scratch`]); repeated
+/// inferences through the same scratch allocate nothing. A scratch built
+/// for another graph or strategy is grown on first use instead. One scratch
+/// serves exactly one in-flight inference — use one per worker thread (see
+/// [`BatchRunner`]).
+#[derive(Debug, Clone, Default)]
 pub struct EngineScratch {
-    /// im2col window matrix of the widest convolution.
+    /// im2col window matrix of the widest GEMM-planned convolution.
     cols: Vec<u8>,
-    /// MVTU accumulators of the widest conv/dense layer.
+    /// Channel-major MVTU accumulators of the widest layer that stores them.
     accum: Vec<i32>,
-    /// Ping-pong quantized-activation buffers.
+    /// Ping-pong `u8` activation buffers.
     act_a: Vec<u8>,
     act_b: Vec<u8>,
-    /// Activation bitplanes of the widest layer [`ConvStrategy::Auto`] packs
-    /// (empty when none does); the other strategies pack nothing.
-    packed: Vec<u64>,
+    /// Ping-pong packed feature maps (pixel-major bitplanes).
+    map_a: Vec<u64>,
+    map_b: Vec<u64>,
+    /// One pixel's accumulators, between the packed micro-kernel and its
+    /// threshold epilogue.
+    pixel: Vec<i32>,
+    /// The runs of one window (one per kernel row at most).
+    runs: Vec<Run>,
+    /// Working set of the widest tap-row convolution (`conv_taps_work`).
+    taps: Vec<i32>,
+}
+
+/// Element counts of every [`EngineScratch`] buffer one kernel plan needs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct ScratchSizes {
+    cols: usize,
+    accum: usize,
+    act: usize,
+    map: usize,
+    pixel: usize,
+    runs: usize,
+    taps: usize,
 }
 
 impl EngineScratch {
-    /// Allocates scratch buffers covering every layer of `graph`.
+    /// The scratch of `graph`'s default ([`ConvStrategy::Auto`]) plan.
     #[must_use]
     pub fn for_graph(graph: &CnnGraph) -> Self {
-        let mut act = graph.input_shape().elements();
-        let mut accum = 0usize;
-        let mut cols = 0usize;
-        let mut packed = 0usize;
-        for (node, mvtu) in mvtu_walk(graph) {
-            match mvtu {
-                Some((m, d)) => {
-                    accum = accum.max(m.rows * m.n);
-                    if m.conv.is_some() {
-                        cols = cols.max(m.n * m.k);
-                    }
-                    if packs(&d) {
-                        let planes = d.act_in_planes as usize;
-                        packed = packed.max(packed::act_pack_words(m.n, m.k, planes));
-                    }
-                }
-                None if matches!(node.layer, Layer::LabelSelect(_)) => {}
-                None => act = act.max(node.output_shape.elements()),
+        let (_, _, sizes) = build_plan(graph, ConvStrategy::Auto, PackedBackend::Scalar);
+        Self::sized(&sizes)
+    }
+
+    fn sized(sizes: &ScratchSizes) -> Self {
+        let mut scratch = Self::default();
+        scratch.grow(sizes);
+        scratch
+    }
+
+    /// Grows every buffer that is shorter than `sizes` asks; a no-op on a
+    /// scratch the same plan sized.
+    fn grow(&mut self, sizes: &ScratchSizes) {
+        fn at_least<T: Clone + Default>(buf: &mut Vec<T>, len: usize) {
+            if buf.len() < len {
+                buf.resize(len, T::default());
             }
         }
-        Self {
-            cols: vec![0; cols],
-            accum: vec![0; accum],
-            act_a: vec![0; act],
-            act_b: vec![0; act],
-            packed: vec![0; packed],
-        }
+        at_least(&mut self.cols, sizes.cols);
+        at_least(&mut self.accum, sizes.accum);
+        at_least(&mut self.act_a, sizes.act);
+        at_least(&mut self.act_b, sizes.act);
+        at_least(&mut self.map_a, sizes.map);
+        at_least(&mut self.map_b, sizes.map);
+        at_least(&mut self.pixel, sizes.pixel);
+        at_least(&mut self.runs, sizes.runs);
+        at_least(&mut self.taps, sizes.taps);
     }
 
     /// Total scratch bytes held (diagnostics / capacity planning).
@@ -160,8 +190,9 @@ impl EngineScratch {
         self.cols.len()
             + self.act_a.len()
             + self.act_b.len()
-            + 4 * self.accum.len()
-            + 8 * self.packed.len()
+            + 4 * (self.accum.len() + self.pixel.len() + self.taps.len())
+            + 8 * (self.map_a.len() + self.map_b.len())
+            + std::mem::size_of::<Run>() * self.runs.len()
     }
 }
 
@@ -186,6 +217,7 @@ pub struct Engine<'g> {
     sink: SinkHandle,
     plan: Arc<Vec<NodePlan<'g>>>,
     kernels: Arc<[KernelAttribution]>,
+    scratch: ScratchSizes,
     /// Debug builds carry the AF010 per-channel accumulator intervals
     /// (one `Some` entry per MVTU node) and assert every computed
     /// accumulator lands inside them — a live cross-check of the abstract
@@ -200,19 +232,36 @@ pub struct Engine<'g> {
 type LayerIntervals = Vec<Option<Vec<(i64, i64)>>>;
 
 /// Value state machine of [`Engine::run_with_scratch`]: the current value
-/// is either quantized activations living in one of the two ping-pong
-/// buffers, or raw accumulators living in the scratch accumulator.
+/// is quantized activations — `u8` in one of the two ping-pong buffers, or
+/// a packed map of so many planes in one of the two map buffers — or raw
+/// accumulators living in the scratch accumulator.
 #[derive(Clone, Copy, PartialEq)]
 enum Kind {
-    ActA,
-    ActB,
+    Bytes(Buf),
+    Planes(Buf, usize),
     Accum,
 }
 
+/// One half of a ping-pong buffer pair.
+#[derive(Clone, Copy, PartialEq)]
+enum Buf {
+    A,
+    B,
+}
+
+impl Buf {
+    fn other(self) -> Self {
+        match self {
+            Self::A => Self::B,
+            Self::B => Self::A,
+        }
+    }
+}
+
 /// One MVTU step: `rows × k` weights against `n` activation columns of
-/// length `k`. A convolution's columns are its im2col windows (`n` output
-/// pixels); a dense layer is the `n = 1` case whose single column is the
-/// input vector itself.
+/// length `k`. A convolution's columns are its windows (`n` output pixels);
+/// a dense layer is the `n = 1` case whose single column is the input
+/// vector itself.
 #[derive(Debug, Clone, Copy)]
 struct Mvtu<'g> {
     /// The convolution to lower, `None` for dense.
@@ -255,60 +304,219 @@ fn packs(domain: &MvtuDomain) -> bool {
     domain.packed_eligible() && domain.rows >= PACKED_MIN_ROWS
 }
 
-/// Which micro-kernel the planner chose for an MVTU layer.
-#[derive(Debug, Clone)]
-enum MvtuKernel {
+/// Which kernel turns `u8` activations into channel-major accumulators.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum ByteKernel {
     /// Reference direct convolution — [`ConvStrategy::Direct`] on a conv.
-    DirectConv,
+    Direct,
+    /// im2col (convolutions) + the blocked `i32` GEMM.
     Gemm,
-    /// Popcount GEMM over weight planes packed once at plan time.
-    Packed {
-        weights: packed::PackedWeights,
-        planes: usize,
-    },
+    /// Direct convolution by tap rows — [`ConvStrategy::Auto`] on a
+    /// convolution that cannot pack but whose weights are ≤ 2-bit.
+    Taps,
 }
 
-/// Per-node execution plan: the MVTU step and its kernel (conv/dense nodes
-/// only) and the precomputed telemetry span name.
+/// A packed MVTU: the convolution (or the dense layer, as the convolution
+/// whose kernel covers its whole input map) over a pixel-major packed map.
+#[derive(Debug, Clone)]
+struct PackedMvtu {
+    weights: packed::PackedWeights,
+    /// Words per input pixel in each plane.
+    cw: usize,
+    in_hw: (usize, usize),
+    kernel_hw: (usize, usize),
+    stride: usize,
+    padding: usize,
+    /// The threshold node that follows, when it emits planes: thresholded
+    /// in the kernel's epilogue, pixel by pixel.
+    fused: Option<PackedThresholds>,
+}
+
+impl PackedMvtu {
+    /// Writes the window of output pixel `(oy, ox)` as runs — the in-bounds
+    /// part of each kernel row, joined to the previous run where both
+    /// operands continue (a kernel as wide as the map) — and returns how
+    /// many. Padding taps are simply absent: they would add zero.
+    fn window_runs(&self, oy: usize, ox: usize, runs: &mut [Run]) -> usize {
+        let ((ih, iw), (kh, kw)) = (self.in_hw, self.kernel_hw);
+        let base_y = (oy * self.stride) as isize - self.padding as isize;
+        let base_x = (ox * self.stride) as isize - self.padding as isize;
+        let kx_lo = (-base_x).max(0);
+        let kx_hi = (iw as isize - base_x).min(kw as isize);
+        let mut used = 0;
+        for ky in 0..kh {
+            let sy = base_y + ky as isize;
+            if sy < 0 || sy >= ih as isize || kx_lo >= kx_hi {
+                continue;
+            }
+            let run = Run {
+                act: (sy * iw as isize + base_x + kx_lo) as usize * self.cw,
+                tap: (ky * kw + kx_lo as usize) * self.cw,
+                len: (kx_hi - kx_lo) as usize * self.cw,
+            };
+            match runs[..used].last_mut() {
+                Some(last) if last.act + last.len == run.act && last.tap + last.len == run.tap => {
+                    last.len += run.len;
+                }
+                _ => {
+                    runs[used] = run;
+                    used += 1;
+                }
+            }
+        }
+        used
+    }
+}
+
+/// `(current, other)` of a ping-pong pair whose current value lives in
+/// `buf`.
+fn ping_pong<'a, T>(buf: Buf, a: &'a mut [T], b: &'a mut [T]) -> (&'a [T], &'a mut [T]) {
+    match buf {
+        Buf::A => (a, b),
+        Buf::B => (b, a),
+    }
+}
+
+/// What one node does at run time.
+#[derive(Debug, Clone)]
+enum Step<'g> {
+    /// `u8` activations → channel-major accumulators.
+    Bytes(Mvtu<'g>, ByteKernel),
+    /// Packed map → packed map (fused threshold) or accumulators.
+    Packed(PackedMvtu),
+    /// Accumulators → packed map: a threshold whose consumer packs.
+    ThresholdPack(PackedThresholds),
+    /// A threshold the preceding packed MVTU already applied.
+    Fused,
+    /// Threshold to `u8`, max-pool in the current representation, or
+    /// label-select: run from the node's own layer.
+    Plain,
+}
+
+/// Per-node execution plan: the step and the precomputed telemetry span
+/// name.
 #[derive(Debug, Clone)]
 struct NodePlan<'g> {
-    mvtu: Option<(Mvtu<'g>, MvtuKernel)>,
+    step: Step<'g>,
     span: String,
 }
 
-/// Builds the per-node plan (kernel choices, packed weights, span names)
-/// and the shared attribution table — a pure function of its arguments.
+/// Builds the per-node plan (kernel choices, packed weights and thresholds,
+/// span names), the shared attribution table and the scratch the plan needs
+/// — a pure function of its arguments.
+///
+/// Representation is a property of each edge: a threshold emits planes iff
+/// the MVTU that consumes it, through any pools, is planned packed (pools
+/// keep the representation they are given), and a packed MVTU applies such
+/// a threshold itself when it is the next node.
 fn build_plan(
     graph: &CnnGraph,
     strategy: ConvStrategy,
     backend: PackedBackend,
-) -> (Vec<NodePlan<'_>>, Arc<[KernelAttribution]>) {
-    let mut plan = Vec::with_capacity(graph.len());
-    let mut attributions = Vec::with_capacity(graph.len());
-    for (node, mvtu) in mvtu_walk(graph) {
-        let mvtu = mvtu.map(|(m, d)| {
-            let kernel = match strategy {
-                ConvStrategy::Direct if m.conv.is_some() => MvtuKernel::DirectConv,
-                ConvStrategy::Auto if packs(&d) => MvtuKernel::Packed {
-                    weights: packed::PackedWeights::pack(m.weights, m.rows, m.k),
-                    planes: d.act_in_planes as usize,
-                },
-                ConvStrategy::Auto | ConvStrategy::Direct | ConvStrategy::Im2col => {
-                    MvtuKernel::Gemm
+) -> (Vec<NodePlan<'_>>, Arc<[KernelAttribution]>, ScratchSizes) {
+    let nodes: Vec<_> = mvtu_walk(graph).collect();
+    let is_packed = |i: usize| {
+        strategy == ConvStrategy::Auto && nodes[i].1.as_ref().is_some_and(|(_, d)| packs(d))
+    };
+    // The thresholds of node `i` in packed form, when it is a threshold
+    // whose value reaches a packed MVTU.
+    let packed_thresholds = |i: usize| match nodes.get(i).map(|(node, _)| &node.layer) {
+        Some(Layer::MultiThreshold(t)) => (i + 1..nodes.len())
+            .find(|&j| !matches!(nodes[j].0.layer, Layer::MaxPool2d(_)))
+            .is_some_and(is_packed)
+            .then(|| PackedThresholds::pack(&t.table)),
+        _ => None,
+    };
+
+    let mut plan = Vec::with_capacity(nodes.len());
+    let mut attributions = Vec::with_capacity(nodes.len());
+    let mut sizes = ScratchSizes {
+        act: graph.input_shape().elements(),
+        ..ScratchSizes::default()
+    };
+    let mut shape = graph.input_shape();
+    // Planes of the current value when it is a packed map, and of the map
+    // the packed MVTU just planned writes in place of the next threshold.
+    let mut planes = None;
+    let mut fused_planes = None;
+    for (i, (node, mvtu)) in nodes.iter().enumerate() {
+        let out = node.output_shape;
+        let map_words = |planes: usize| planes * out.spatial() * packed::plane_words(out.channels);
+        let (step, label) = match (mvtu, &node.layer) {
+            (Some((m, _)), _) if is_packed(i) => {
+                let (kernel_hw, stride, padding) = match m.conv {
+                    Some(c) => ((c.kernel, c.kernel), c.stride, c.padding),
+                    None => ((shape.height, shape.width), 1, 0),
+                };
+                let taps = kernel_hw.0 * kernel_hw.1;
+                let weights =
+                    packed::PackedWeights::pack_taps(m.weights, m.rows, shape.channels, taps);
+                let fused = packed_thresholds(i + 1);
+                fused_planes = fused.as_ref().map(PackedThresholds::planes);
+                if fused.is_none() {
+                    sizes.accum = sizes.accum.max(m.rows * m.n);
                 }
-            };
-            (m, kernel)
-        });
-        let label = match (&mvtu, &node.layer) {
-            (Some((_, MvtuKernel::DirectConv)), _) => "direct",
-            (Some((_, MvtuKernel::Gemm)), _) => "gemm",
-            (Some((_, MvtuKernel::Packed { .. })), _) => match backend {
-                PackedBackend::Scalar => "packed-scalar",
-                PackedBackend::Avx2 => "packed-avx2",
-            },
-            (None, Layer::MultiThreshold(_)) => "threshold",
-            (None, Layer::MaxPool2d(_)) => "maxpool",
-            (None, _) => "argmax",
+                sizes.pixel = sizes.pixel.max(weights.acc_len());
+                sizes.runs = sizes.runs.max(kernel_hw.0);
+                let step = Step::Packed(PackedMvtu {
+                    weights,
+                    cw: packed::plane_words(shape.channels),
+                    in_hw: (shape.height, shape.width),
+                    kernel_hw,
+                    stride,
+                    padding,
+                    fused,
+                });
+                let label = match backend {
+                    PackedBackend::Scalar => "packed-scalar",
+                    PackedBackend::Avx2 => "packed-avx2",
+                };
+                (step, label)
+            }
+            (Some((m, d)), _) => {
+                let (kernel, label) = match (strategy, m.conv) {
+                    (ConvStrategy::Direct, Some(_)) => (ByteKernel::Direct, "direct"),
+                    (ConvStrategy::Auto, Some(_)) if d.weight_bits <= 2 => {
+                        (ByteKernel::Taps, "taps")
+                    }
+                    _ => (ByteKernel::Gemm, "gemm"),
+                };
+                sizes.accum = sizes.accum.max(m.rows * m.n);
+                match (kernel, m.conv) {
+                    (ByteKernel::Gemm, Some(_)) => sizes.cols = sizes.cols.max(m.n * m.k),
+                    (ByteKernel::Taps, Some(c)) => {
+                        sizes.taps = sizes.taps.max(conv_taps_work(c, shape, out));
+                    }
+                    _ => {}
+                }
+                (Step::Bytes(*m, kernel), label)
+            }
+            (None, Layer::MultiThreshold(_)) => {
+                let (step, label) = if let Some(p) = fused_planes.take() {
+                    planes = Some(p);
+                    (Step::Fused, "fused")
+                } else if let Some(t) = packed_thresholds(i) {
+                    planes = Some(t.planes());
+                    sizes.pixel = sizes.pixel.max(t.acc_len());
+                    (Step::ThresholdPack(t), "threshold-pack")
+                } else {
+                    planes = None;
+                    sizes.act = sizes.act.max(out.elements());
+                    (Step::Plain, "threshold")
+                };
+                if let Some(p) = planes {
+                    sizes.map = sizes.map.max(map_words(p));
+                }
+                (step, label)
+            }
+            (None, Layer::MaxPool2d(_)) => {
+                match planes {
+                    Some(p) => sizes.map = sizes.map.max(map_words(p)),
+                    None => sizes.act = sizes.act.max(out.elements()),
+                }
+                (Step::Plain, "maxpool")
+            }
+            (None, _) => (Step::Plain, "argmax"),
         };
         let span = if mvtu.is_some() {
             format!("{}[{label}]", node.name)
@@ -319,9 +527,10 @@ fn build_plan(
             layer: node.name.clone(),
             kernel: label,
         });
-        plan.push(NodePlan { mvtu, span });
+        plan.push(NodePlan { step, span });
+        shape = out;
     }
-    (plan, attributions.into())
+    (plan, attributions.into(), sizes)
 }
 
 /// Per-node AF010 accumulator intervals for the runtime debug asserts:
@@ -349,8 +558,9 @@ fn layer_intervals(graph: &CnnGraph) -> LayerIntervals {
 impl<'g> Engine<'g> {
     /// Asserts every freshly computed accumulator lies inside the layer's
     /// statically derived AF010 interval. `spatial` is the number of output
-    /// positions sharing one channel (1 for dense); the accumulator layout
-    /// is channel-major.
+    /// positions sharing one channel in `accums` (channel-major): 1 for a
+    /// dense layer, and for the one output pixel a packed MVTU holds before
+    /// its epilogue thresholds it.
     #[cfg(debug_assertions)]
     fn assert_accum_intervals(&self, node_idx: usize, name: &str, accums: &[i32], spatial: usize) {
         let Some(Some(per_channel)) = self.intervals.get(node_idx) else {
@@ -434,7 +644,7 @@ impl<'g> Engine<'g> {
         }
         let strategy = ConvStrategy::default();
         let backend = packed::default_backend();
-        let (plan, kernels) = build_plan(graph, strategy, backend);
+        let (plan, kernels, scratch) = build_plan(graph, strategy, backend);
         Ok(Self {
             graph,
             strategy,
@@ -442,6 +652,7 @@ impl<'g> Engine<'g> {
             sink: SinkHandle::null(),
             plan: Arc::new(plan),
             kernels,
+            scratch,
             #[cfg(debug_assertions)]
             intervals: Arc::new(layer_intervals(graph)),
         })
@@ -472,9 +683,10 @@ impl<'g> Engine<'g> {
     }
 
     fn replan(&mut self) {
-        let (plan, kernels) = build_plan(self.graph, self.strategy, self.backend);
+        let (plan, kernels, scratch) = build_plan(self.graph, self.strategy, self.backend);
         self.plan = Arc::new(plan);
         self.kernels = kernels;
+        self.scratch = scratch;
     }
 
     /// The per-layer kernel attribution of the current plan (one entry per
@@ -505,10 +717,10 @@ impl<'g> Engine<'g> {
         self.graph
     }
 
-    /// A scratch arena sized for this engine's graph.
+    /// A scratch arena sized for this engine's kernel plan.
     #[must_use]
     pub fn scratch(&self) -> EngineScratch {
-        EngineScratch::for_graph(self.graph)
+        EngineScratch::sized(&self.scratch)
     }
 
     /// Runs one inference, allocating fresh intermediate buffers.
@@ -548,9 +760,20 @@ impl<'g> Engine<'g> {
         }
         let timing = self.sink.enabled();
         let started = Instant::now();
-        let n_in = input.shape().elements();
-        scratch.act_a[..n_in].copy_from_slice(input.as_slice());
-        let mut kind = Kind::ActA;
+        scratch.grow(&self.scratch);
+        let EngineScratch {
+            cols,
+            accum,
+            act_a,
+            act_b,
+            map_a,
+            map_b,
+            pixel,
+            runs,
+            taps,
+        } = scratch;
+        act_a[..input.shape().elements()].copy_from_slice(input.as_slice());
+        let mut kind = Kind::Bytes(Buf::A);
         let mut shape = input.shape();
         let mut result = None;
 
@@ -561,63 +784,105 @@ impl<'g> Engine<'g> {
                 0.0
             };
             let out_shape = node.output_shape;
-            match (&plan.mvtu, &node.layer, kind) {
-                (Some((m, kernel)), _, Kind::ActA | Kind::ActB) => {
-                    let src = if kind == Kind::ActA {
-                        &scratch.act_a[..shape.elements()]
-                    } else {
-                        &scratch.act_b[..shape.elements()]
-                    };
-                    let out = &mut scratch.accum[..m.rows * m.n];
-                    if let (MvtuKernel::DirectConv, Some(c)) = (kernel, m.conv) {
-                        conv_direct_into(c, src, shape, out_shape, out);
-                    } else {
-                        let cols = match m.conv {
-                            Some(c) => {
-                                let cols = &mut scratch.cols[..m.n * m.k];
-                                im2col_into(c, src, shape, out_shape, cols);
-                                &*cols
-                            }
-                            None => src,
-                        };
-                        if let MvtuKernel::Packed { weights, planes } = kernel {
-                            packed::pack_act_rows(cols, m.n, m.k, *planes, &mut scratch.packed);
-                            packed::packed_gemm(
-                                weights,
-                                &scratch.packed,
-                                m.n,
-                                *planes,
-                                out,
-                                self.backend,
-                            );
-                        } else {
+            match (&plan.step, &node.layer, kind) {
+                (Step::Bytes(m, kernel), _, Kind::Bytes(buf)) => {
+                    let (src, _) = ping_pong(buf, act_a, act_b);
+                    let src = &src[..shape.elements()];
+                    let out = &mut accum[..m.rows * m.n];
+                    match (kernel, m.conv) {
+                        (ByteKernel::Direct, Some(c)) => {
+                            conv_direct_into(c, src, shape, out_shape, out);
+                        }
+                        (ByteKernel::Taps, Some(c)) => {
+                            conv_taps_into(c, src, shape, out_shape, taps, out);
+                        }
+                        (_, Some(c)) => {
+                            let cols = &mut cols[..m.n * m.k];
+                            im2col_into(c, src, shape, out_shape, cols);
                             gemm_i32(m.weights, cols, m.rows, m.n, m.k, out);
                         }
+                        (_, None) => gemm_i32(m.weights, src, m.rows, m.n, m.k, out),
                     }
                     #[cfg(debug_assertions)]
                     self.assert_accum_intervals(_node_idx, &node.name, out, m.n);
                     kind = Kind::Accum;
                 }
-                (None, Layer::MultiThreshold(t), Kind::Accum) => {
-                    let accums = &scratch.accum[..out_shape.elements()];
-                    let out = &mut scratch.act_a[..out_shape.elements()];
+                (Step::Packed(p), _, Kind::Planes(buf, planes)) => {
+                    let (src, dst) = ping_pong(buf, map_a, map_b);
+                    let n = out_shape.spatial();
+                    let rows = p.weights.rows();
+                    let in_stride = shape.spatial() * p.cw;
+                    let out_cw = packed::plane_words(rows);
+                    for at in 0..n {
+                        let used = p.window_runs(at / out_shape.width, at % out_shape.width, runs);
+                        let window = &runs[..used];
+                        p.weights
+                            .window_dots(src, in_stride, planes, window, pixel, self.backend);
+                        #[cfg(debug_assertions)]
+                        self.assert_accum_intervals(_node_idx, &node.name, &pixel[..rows], 1);
+                        match &p.fused {
+                            Some(t) => {
+                                t.emit(pixel, &mut dst[at * out_cw..], n * out_cw, self.backend);
+                            }
+                            None => {
+                                for (c, &v) in pixel[..rows].iter().enumerate() {
+                                    accum[c * n + at] = v;
+                                }
+                            }
+                        }
+                    }
+                    kind = match &p.fused {
+                        Some(t) => Kind::Planes(buf.other(), t.planes()),
+                        None => Kind::Accum,
+                    };
+                }
+                (Step::ThresholdPack(t), _, Kind::Accum) => {
+                    // The pixel-major epilogue over channel-major
+                    // accumulators: gather one pixel's row, then emit it.
+                    let n = out_shape.spatial();
+                    let out_cw = packed::plane_words(t.rows());
+                    for at in 0..n {
+                        for (c, v) in pixel[..t.rows()].iter_mut().enumerate() {
+                            *v = accum[c * n + at];
+                        }
+                        t.emit(pixel, &mut map_a[at * out_cw..], n * out_cw, self.backend);
+                    }
+                    kind = Kind::Planes(Buf::A, t.planes());
+                }
+                (Step::Fused, _, Kind::Planes(..)) => {}
+                (Step::Plain, Layer::MultiThreshold(t), Kind::Accum) => {
+                    let accums = &accum[..out_shape.elements()];
+                    let out = &mut act_a[..out_shape.elements()];
                     threshold_into(t, out_shape, accums, out);
-                    kind = Kind::ActA;
+                    kind = Kind::Bytes(Buf::A);
                 }
-                (None, Layer::MaxPool2d(p), Kind::ActA) => {
-                    let src = &scratch.act_a[..shape.elements()];
-                    let out = &mut scratch.act_b[..out_shape.elements()];
-                    pool_into(p.kernel, p.stride, src, shape, out_shape, out);
-                    kind = Kind::ActB;
+                (Step::Plain, Layer::MaxPool2d(p), Kind::Bytes(buf)) => {
+                    let (src, dst) = ping_pong(buf, act_a, act_b);
+                    let out = &mut dst[..out_shape.elements()];
+                    pool_into(
+                        p.kernel,
+                        p.stride,
+                        &src[..shape.elements()],
+                        shape,
+                        out_shape,
+                        out,
+                    );
+                    kind = Kind::Bytes(buf.other());
                 }
-                (None, Layer::MaxPool2d(p), Kind::ActB) => {
-                    let src = &scratch.act_b[..shape.elements()];
-                    let out = &mut scratch.act_a[..out_shape.elements()];
-                    pool_into(p.kernel, p.stride, src, shape, out_shape, out);
-                    kind = Kind::ActA;
+                (Step::Plain, Layer::MaxPool2d(p), Kind::Planes(buf, planes)) => {
+                    let (src, dst) = ping_pong(buf, map_a, map_b);
+                    packed::pool_planes(
+                        (p.kernel, p.stride),
+                        src,
+                        (shape.height, shape.width),
+                        (out_shape.height, out_shape.width),
+                        (packed::plane_words(shape.channels), planes),
+                        dst,
+                    );
+                    kind = Kind::Planes(buf.other(), planes);
                 }
-                (None, Layer::LabelSelect(_), Kind::Accum) => {
-                    let logits = scratch.accum[..shape.elements()].to_vec();
+                (Step::Plain, Layer::LabelSelect(_), Kind::Accum) => {
+                    let logits = accum[..shape.elements()].to_vec();
                     let label = argmax(&logits);
                     result = Some(InferenceResult {
                         label,
@@ -905,6 +1170,70 @@ fn conv_direct_into(
                 }
                 out[(o * oh + y) * ow + x] = acc;
             }
+        }
+    }
+}
+
+/// `i32` words [`conv_taps_into`] needs for `c` over `in_shape`: the widened,
+/// zero-padded input and one output channel's accumulator strip.
+fn conv_taps_work(c: &Conv2d, in_shape: TensorShape, out_shape: TensorShape) -> usize {
+    let pitch = in_shape.width + 2 * c.padding;
+    let padded = c.in_channels * (in_shape.height + 2 * c.padding) * pitch;
+    padded + (out_shape.height - 1) * pitch + out_shape.width
+}
+
+/// Direct convolution by tap rows. The input is widened to `i32` and
+/// zero-padded once; an output channel then accumulates in a strip with the
+/// padded input's row pitch, where output `(y, x)` is strip element
+/// `j = y·pitch + x` and every filter tap reads input element
+/// `stride·j + offset` — so one tap is one contiguous
+/// `strip[j] ±= input[j + offset]` over the whole map that the compiler
+/// vectorises (taps outside `{-1, +1}` multiply), with no window matrix.
+/// The strip's columns past the output width hold sums nobody reads.
+/// Accumulators are channel-major, as every other `u8` kernel writes them.
+fn conv_taps_into(
+    c: &Conv2d,
+    input: &[u8],
+    in_shape: TensorShape,
+    out_shape: TensorShape,
+    work: &mut [i32],
+    out: &mut [i32],
+) {
+    let (k, stride, pad) = (c.kernel, c.stride, c.padding);
+    let (ih, iw) = (in_shape.height, in_shape.width);
+    let (oh, ow) = (out_shape.height, out_shape.width);
+    let pitch = iw + 2 * pad;
+    let plane = (ih + 2 * pad) * pitch;
+    let (padded, strip) = work.split_at_mut(c.in_channels * plane);
+    let strip = &mut strip[..(oh - 1) * pitch + ow];
+    if pad > 0 {
+        padded.fill(0);
+    }
+    for (i, rows) in input.chunks_exact(ih * iw).enumerate() {
+        for (y, row) in rows.chunks_exact(iw).enumerate() {
+            let at = i * plane + (y + pad) * pitch + pad;
+            for (d, &v) in padded[at..at + iw].iter_mut().zip(row) {
+                *d = i32::from(v);
+            }
+        }
+    }
+    for (o, out_map) in out.chunks_exact_mut(oh * ow).enumerate() {
+        strip.fill(0);
+        for (tap, &w) in c.weights.filter(o).iter().enumerate() {
+            let (i, ky, kx) = (tap / (k * k), tap / k % k, tap % k);
+            let taps = &padded[i * plane + ky * pitch + kx..];
+            match (w, stride) {
+                (0, _) => {}
+                (1, 1) => strip.iter_mut().zip(taps).for_each(|(a, &v)| *a += v),
+                (-1, 1) => strip.iter_mut().zip(taps).for_each(|(a, &v)| *a -= v),
+                _ => strip
+                    .iter_mut()
+                    .zip(taps.iter().step_by(stride))
+                    .for_each(|(a, &v)| *a += i32::from(w) * v),
+            }
+        }
+        for (out_row, strip_row) in out_map.chunks_exact_mut(ow).zip(strip.chunks(pitch)) {
+            out_row.copy_from_slice(&strip_row[..ow]);
         }
     }
 }
@@ -1350,10 +1679,64 @@ mod tests {
     fn scratch_is_sized_for_the_graph() {
         let g = topology::cnv_w2a2_cifar10().expect("builds");
         let scratch = EngineScratch::for_graph(&g);
-        assert!(scratch.bytes() > 0);
         // Must cover the input image itself.
         assert!(scratch.act_a.len() >= g.input_shape().elements());
         assert_eq!(scratch.act_a.len(), scratch.act_b.len());
+        assert_eq!(scratch.map_a.len(), scratch.map_b.len());
+        // The default plan is the engine's, and it builds no window matrix.
+        let engine = Engine::new(&g).expect("engine");
+        assert_eq!(scratch.bytes(), engine.scratch().bytes());
+        assert!(scratch.cols.is_empty(), "Auto planned an im2col layer");
+        // The oracle strategies still get their window matrix.
+        let im2col = engine.clone().with_strategy(ConvStrategy::Im2col).scratch();
+        assert_eq!(im2col.cols.len(), 28 * 28 * 576);
+    }
+
+    #[test]
+    fn foreign_scratch_is_grown_not_indexed_out_of_bounds() {
+        let tiny = tiny_graph();
+        let cnv = topology::cnv_scaled(QuantSpec::w2a2(), 6, 0.25)
+            .build()
+            .expect("builds");
+        let tiny_auto = Engine::new(&tiny).expect("engine");
+        let tiny_im2col = tiny_auto.clone().with_strategy(ConvStrategy::Im2col);
+        let cnv_auto = Engine::new(&cnv).expect("engine");
+        let cnv_direct = cnv_auto.clone().with_strategy(ConvStrategy::Direct);
+        let (tiny_img, cnv_img) = (
+            random_image(tiny.input_shape(), 1),
+            random_image(cnv.input_shape(), 2),
+        );
+        // An Im2col engine through an Auto-sized scratch, then a CNV engine
+        // through what began as a tiny scratch — and back again.
+        let mut scratch = tiny_auto.scratch();
+        let tiny_oracle = tiny_im2col.run(&tiny_img).expect("oracle");
+        let cnv_oracle = cnv_direct.run(&cnv_img).expect("oracle");
+        for _ in 0..2 {
+            assert_eq!(
+                tiny_im2col
+                    .run_with_scratch(&tiny_img, &mut scratch)
+                    .expect("im2col through an auto scratch"),
+                tiny_oracle
+            );
+            assert_eq!(
+                cnv_auto
+                    .run_with_scratch(&cnv_img, &mut scratch)
+                    .expect("cnv through a tiny scratch"),
+                cnv_oracle
+            );
+            assert_eq!(
+                tiny_auto
+                    .run_with_scratch(&tiny_img, &mut scratch)
+                    .expect("tiny through the grown scratch"),
+                tiny_oracle
+            );
+        }
+        // Growing happens once: the second round found every buffer sized.
+        let grown = scratch.bytes();
+        cnv_auto
+            .run_with_scratch(&cnv_img, &mut scratch)
+            .expect("runs");
+        assert_eq!(scratch.bytes(), grown);
     }
 
     #[test]
@@ -1493,20 +1876,24 @@ mod tests {
     #[test]
     fn packed_strategy_skips_the_input_layer_only() {
         // The first MVTU sees 8-bit pixels, so the packed contract cannot
-        // hold there; every later W2A2 MVTU packs.
+        // hold there; every later W2A2 MVTU packs, and every threshold
+        // between two packed MVTUs is applied by the first one.
         let g = tiny_graph();
         let engine = Engine::new(&g).expect("engine");
         let label = format!("packed-{}", engine.packed_backend().label());
-        let mvtu: Vec<&KernelAttribution> = engine
-            .kernels()
-            .iter()
-            .filter(|k| k.kernel != "threshold" && k.kernel != "maxpool" && k.kernel != "argmax")
-            .collect();
-        assert!(mvtu.len() >= 2, "tiny graph has several MVTUs");
-        assert_eq!(mvtu[0].kernel, "gemm", "input layer must not pack");
-        for k in &mvtu[1..] {
-            assert_eq!(k.kernel, label, "layer {} should pack", k.layer);
-        }
+        let kernels: Vec<&str> = engine.kernels().iter().map(|k| k.kernel).collect();
+        assert_eq!(
+            kernels,
+            [
+                "taps",
+                "threshold-pack",
+                "maxpool",
+                label.as_str(),
+                "fused",
+                label.as_str(),
+                "argmax"
+            ]
+        );
     }
 
     #[test]
@@ -1566,6 +1953,28 @@ mod tests {
             spans.iter().any(|s| s.contains(&format!("[{label}]"))),
             "no packed span in {spans:?}"
         );
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "escapes the AF010 interval")]
+    fn fused_kernel_checks_accumulators_before_thresholding() {
+        // conv2 of tiny is packed with its threshold fused: nothing but the
+        // per-pixel check sees its accumulators. Shrink its interval to one
+        // no input satisfies and the run must trip the assertion.
+        let g = tiny_graph();
+        let mut engine = Engine::new(&g).expect("engine");
+        let conv2 = engine
+            .plan
+            .iter()
+            .position(|p| matches!(&p.step, Step::Packed(m) if m.fused.is_some()))
+            .expect("a fused packed MVTU");
+        let mut intervals = (*engine.intervals).clone();
+        for bound in intervals[conv2].as_mut().expect("MVTU interval") {
+            *bound = (i64::MAX, i64::MAX);
+        }
+        engine.intervals = Arc::new(intervals);
+        let _ = engine.run(&random_image(g.input_shape(), 1));
     }
 
     #[test]

@@ -1,42 +1,55 @@
-//! Bit-packed SWAR/popcount MVTU kernels.
+//! Bit-packed popcount MVTU kernels over pixel-major bitplanes.
 //!
 //! The FINN matrix-vector compute unit that AdaFlow's accelerators
 //! instantiate never multiplies: for 1–2-bit domains it ANDs packed
-//! bitplanes and popcounts the result ("On the RTL Implementation of FINN
-//! Matrix Vector Compute Unit"; Umuroglu et al., FINN). This module is the
-//! software mirror of that datapath.
+//! bitplanes and popcounts the result, its sliding-window unit streams
+//! windows straight into it, and its thresholds sit in its own output stage
+//! ("On the RTL Implementation of FINN Matrix Vector Compute Unit";
+//! Umuroglu et al., FINN). This module is the software mirror of that
+//! datapath: activations stay packed from one MVTU to the next.
 //!
 //! ## Representation
 //!
-//! A weight row `w ∈ {-1, 0, +1}ᵏ` is stored as two disjoint bitplanes
-//! packed into `u64` lanes: `plus` has bit `i` set iff `wᵢ = +1`, `minus`
-//! iff `wᵢ = -1`, so `w = plus − minus`. An activation vector
-//! `a ∈ {0..=3}ᵏ` is decomposed into bitplanes `a = a⁰ + 2·a¹`. The dot
-//! product then recombines plane-pair popcounts:
+//! A weight `w ∈ {-1, 0, +1}` is one bit in a `+1` plane or one bit in a
+//! `-1` plane; an activation `a ∈ {0..=3}` is one bit in each of the planes
+//! `a = a⁰ + 2·a¹`. A dot product recombines plane-pair popcounts:
 //!
 //! ```text
 //! dot(w, a) = Σ_p 2^p · (popcount(plus & aᵖ) − popcount(minus & aᵖ))
 //! ```
 //!
-//! — four popcounts per 64 elements in the 2-bit case, two in the 1-bit
-//! case. Lanes past `k` are zero in every plane, so they contribute
-//! nothing and fan-in need not be a multiple of 64.
+//! A packed **feature map** is pixel-major: per plane, pixel `(y, x)` owns
+//! the `cw = ⌈C/64⌉` words at `(y·W + x)·cw`, channel `c` is bit `c % 64` of
+//! word `c / 64`, and plane `p` starts `H·W·cw` words after plane `p − 1`.
+//! [`PackedWeights`] stores each row tap-major (`[ky][kx][c/64]`, a free
+//! permutation of the dot product), so the in-bounds part of one kernel row
+//! of a window is one contiguous [`Run`] of words in both operands and no
+//! window matrix is ever built. A dense layer is the convolution whose
+//! kernel covers its whole input map, and [`packed_gemm`]'s row operand is
+//! the one-tap window, so one micro-kernel ([`PackedWeights::window_dots`])
+//! serves all three. Lanes past `C` are zero in every plane and contribute
+//! nothing.
 //!
-//! All kernels here are bit-identical to the i32 GEMM in
-//! [`crate::engine`], which stays as the equivalence oracle; eligibility
-//! (≤2-bit weights *and* activations, established by
-//! [`adaflow_model::mvtu_domains`]) is enforced by the engine's kernel
-//! planner, not here.
+//! Thresholding the accumulators of one pixel ([`PackedThresholds::emit`])
+//! writes the code bits of 64 channels straight into the next map's words,
+//! and max-pooling 2-bit codes ([`pool_planes`]) is a bitwise
+//! compare-select per word. Every step is an exact integer identity, so the
+//! chain is bit-identical to the `u8`/`i32` kernels in [`crate::engine`],
+//! which stay as the equivalence oracles; eligibility (≤2-bit weights *and*
+//! activations, established by [`adaflow_model::mvtu_domains`]) is enforced
+//! by the engine's kernel planner, not here.
 //!
 //! ## Dispatch
 //!
 //! [`default_backend`] probes AVX2 at runtime (`is_x86_feature_detected!`)
 //! and can be overridden with the `ADAFLOW_FORCE_SCALAR` environment
 //! variable; the AVX2 path lives in the one `unsafe`-allowing module of
-//! the workspace ([`self::avx2`]). Which layers reach these kernels is the
-//! engine planner's decision, a pure function of the graph;
-//! [`kernel_thresholds`] reports the two constants it uses.
+//! the workspace ([`self::avx2`]) and every kernel there has a scalar twin
+//! here. Which layers reach these kernels is the engine planner's decision,
+//! a pure function of the graph; [`kernel_thresholds`] reports the two
+//! constants it uses.
 
+use adaflow_model::ThresholdTable;
 use std::sync::OnceLock;
 
 #[cfg(target_arch = "x86_64")]
@@ -44,6 +57,13 @@ pub(crate) mod avx2;
 
 /// Bits per packed lane.
 pub const LANE: usize = 64;
+
+/// Weight rows interleaved per tap word: one 256-bit vector holds the same
+/// tap of this many output channels.
+const GROUP: usize = 4;
+
+/// Accumulators thresholded per compare: one 256-bit vector of `i32`.
+const BLOCK: usize = 8;
 
 /// Number of `u64` words one plane of a length-`k` vector occupies.
 #[must_use]
@@ -77,6 +97,11 @@ impl PackedBackend {
             Self::Avx2 => "avx2",
         }
     }
+
+    /// Whether this backend runs the AVX2 kernels on this machine.
+    fn runs_avx2(self) -> bool {
+        self == Self::Avx2 && simd_available()
+    }
 }
 
 /// Whether `ADAFLOW_FORCE_SCALAR` is set (to anything but `0`/empty),
@@ -89,7 +114,7 @@ pub fn force_scalar() -> bool {
     })
 }
 
-/// Whether the running CPU offers the AVX2+POPCNT path.
+/// Whether the running CPU offers the AVX2 path.
 #[must_use]
 pub fn simd_available() -> bool {
     #[cfg(target_arch = "x86_64")]
@@ -117,21 +142,22 @@ pub fn default_backend() -> PackedBackend {
 // Weight packing.
 // ---------------------------------------------------------------------------
 
-/// The bitplane form of an MVTU weight matrix: per row, a `+1` plane and a
-/// `-1` plane of [`plane_words`]`(k)` lanes each. Built once at
-/// `Engine::new` time.
+/// The bitplane form of an MVTU weight matrix, built once at `Engine::new`
+/// time: per row and tap word a `+1` lane and a `-1` lane, tap-major, rows
+/// interleaved in groups of four (`[group][tap word][+1 | -1][row]`) so one
+/// vector load fetches the same tap of four output channels. The last
+/// group is padded with all-zero rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedWeights {
     rows: usize,
     k: usize,
     words: usize,
-    plus: Vec<u64>,
-    minus: Vec<u64>,
+    lanes: Vec<u64>,
 }
 
 impl PackedWeights {
     /// Packs a row-major `rows × k` weight matrix with entries in
-    /// `{-1, 0, +1}`.
+    /// `{-1, 0, +1}` as one tap of `k` channels.
     ///
     /// # Panics
     ///
@@ -140,18 +166,26 @@ impl PackedWeights {
     /// eligibility analysis has already established.
     #[must_use]
     pub fn pack(weights: &[i8], rows: usize, k: usize) -> Self {
+        Self::pack_taps(weights, rows, k, 1)
+    }
+
+    /// Packs `rows` filters laid out `[channel][tap]` (the model's
+    /// `[in][kh][kw]`, and a dense row over a `C×H×W` input) into tap-major
+    /// words `tap · ⌈channels/64⌉ + c / 64`.
+    pub(crate) fn pack_taps(weights: &[i8], rows: usize, channels: usize, taps: usize) -> Self {
+        let k = channels * taps;
         assert_eq!(weights.len(), rows * k, "weight geometry");
-        let words = plane_words(k);
-        let mut plus = vec![0u64; rows * words];
-        let mut minus = vec![0u64; rows * words];
+        let cw = plane_words(channels);
+        let words = taps * cw;
+        let mut lanes = vec![0u64; rows.div_ceil(GROUP) * words * 2 * GROUP];
         for r in 0..rows {
             for (i, &w) in weights[r * k..(r + 1) * k].iter().enumerate() {
                 assert!((-1..=1).contains(&w), "weight {w} outside packed domain");
-                let bit = 1u64 << (i % LANE);
-                if w > 0 {
-                    plus[r * words + i / LANE] |= bit;
-                } else if w < 0 {
-                    minus[r * words + i / LANE] |= bit;
+                if w != 0 {
+                    let (c, tap) = (i / taps, i % taps);
+                    let word = r / GROUP * words + tap * cw + c / LANE;
+                    let sign = usize::from(w < 0);
+                    lanes[(word * 2 + sign) * GROUP + r % GROUP] |= 1u64 << (c % LANE);
                 }
             }
         }
@@ -159,8 +193,7 @@ impl PackedWeights {
             rows,
             k,
             words,
-            plus,
-            minus,
+            lanes,
         }
     }
 
@@ -176,7 +209,7 @@ impl PackedWeights {
         self.k
     }
 
-    /// Lanes per plane.
+    /// Lanes per plane of one row: taps × words per tap.
     #[must_use]
     pub fn words(&self) -> usize {
         self.words
@@ -185,23 +218,241 @@ impl PackedWeights {
     /// Heap bytes held by the planes.
     #[must_use]
     pub fn bytes(&self) -> usize {
-        (self.plus.len() + self.minus.len()) * std::mem::size_of::<u64>()
+        self.lanes.len() * std::mem::size_of::<u64>()
     }
 
-    /// The `(+1, -1)` planes of row `r`.
-    #[must_use]
-    pub fn row(&self, r: usize) -> (&[u64], &[u64]) {
-        let span = r * self.words..(r + 1) * self.words;
-        (&self.plus[span.clone()], &self.minus[span])
+    /// Accumulators [`Self::window_dots`] writes: the rows rounded up to
+    /// whole groups, and on to whole [`PackedThresholds::emit`] blocks.
+    pub(crate) fn acc_len(&self) -> usize {
+        self.rows.next_multiple_of(BLOCK)
+    }
+
+    /// The micro-kernel: `acc[r] = dot(row r, window)` for every row, where
+    /// the window is the concatenation of `runs` read from each of the
+    /// `planes` bitplanes of `acts` (plane `p` starts at word `p · stride`).
+    /// Accumulators of the padding rows past [`Self::rows`] are zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a run leaves the tap words or a plane, or `acc` is shorter
+    /// than [`Self::acc_len`].
+    pub(crate) fn window_dots(
+        &self,
+        acts: &[u64],
+        stride: usize,
+        planes: usize,
+        runs: &[Run],
+        acc: &mut [i32],
+        backend: PackedBackend,
+    ) {
+        assert!((1..=2).contains(&planes), "packed contract is 1–2 planes");
+        assert!(acc.len() >= self.acc_len(), "accumulator row too short");
+        for run in runs {
+            assert!(run.tap + run.len <= self.words, "run leaves the taps");
+            let end = (planes - 1) * stride + run.act + run.len;
+            assert!(end <= acts.len(), "run leaves the activation planes");
+        }
+        #[cfg(target_arch = "x86_64")]
+        if backend.runs_avx2() {
+            avx2::window_dots(&self.lanes, self.words, acts, stride, planes, runs, acc);
+            return;
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = backend;
+        for (group, out) in self
+            .lanes
+            .chunks_exact(self.words * 2 * GROUP)
+            .zip(acc.chunks_exact_mut(GROUP))
+        {
+            let mut sums = [0i32; GROUP];
+            for run in runs {
+                let taps = &group[run.tap * 2 * GROUP..(run.tap + run.len) * 2 * GROUP];
+                for p in 0..planes {
+                    let plane = &acts[p * stride + run.act..][..run.len];
+                    for (tap, &a) in taps.chunks_exact(2 * GROUP).zip(plane) {
+                        for (lane, sum) in sums.iter_mut().enumerate() {
+                            let pos = (tap[lane] & a).count_ones() as i32;
+                            let neg = (tap[GROUP + lane] & a).count_ones() as i32;
+                            // |pos − neg| ≤ k per plane and AF006 bounds the
+                            // full sum, so nothing here can overflow.
+                            *sum += (pos - neg) << p;
+                        }
+                    }
+                }
+            }
+            out.copy_from_slice(&sums);
+        }
+    }
+}
+
+/// One contiguous stretch of a window: `len` words of every activation
+/// plane starting at word `act`, against tap words `tap..tap + len` of
+/// every weight row.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Run {
+    pub act: usize,
+    pub tap: usize,
+    pub len: usize,
+}
+
+// ---------------------------------------------------------------------------
+// Threshold → pack.
+// ---------------------------------------------------------------------------
+
+/// A multi-threshold table laid out for the packed epilogue: per block of
+/// eight channels, one vector of thresholds per level. The activation code
+/// of channel `c` — the number of its thresholds the accumulator meets, as
+/// [`ThresholdTable::apply`] — is written as bit `c % 64` of word `c / 64`
+/// in each plane of the output map.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct PackedThresholds {
+    rows: usize,
+    levels: usize,
+    /// `[block][level][channel in block]`.
+    blocks: Vec<i32>,
+}
+
+impl PackedThresholds {
+    /// Lays `table` out for [`Self::emit`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table has more than three levels: its codes would not
+    /// fit two planes, and the planner only packs what feeds a packed MVTU.
+    pub(crate) fn pack(table: &ThresholdTable) -> Self {
+        let (rows, levels) = (table.channels(), table.levels());
+        assert!(levels <= 3, "{levels} threshold levels exceed two planes");
+        let mut blocks = vec![i32::MAX; rows.div_ceil(BLOCK) * levels * BLOCK];
+        for r in 0..rows {
+            for (level, &t) in table.row(r).iter().enumerate() {
+                blocks[(r / BLOCK * levels + level) * BLOCK + r % BLOCK] = t;
+            }
+        }
+        Self {
+            rows,
+            levels,
+            blocks,
+        }
+    }
+
+    /// Channels thresholded.
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Accumulators [`Self::emit`] reads: the channels rounded up to whole
+    /// blocks.
+    pub(crate) fn acc_len(&self) -> usize {
+        self.rows.next_multiple_of(BLOCK)
+    }
+
+    /// Planes the codes `0..=levels` occupy.
+    pub(crate) fn planes(&self) -> usize {
+        if self.levels > 1 {
+            2
+        } else {
+            1
+        }
+    }
+
+    /// Thresholds one pixel's accumulators (`acc[c]` for channel `c`, padded
+    /// to whole blocks) and stores its code words: plane `p` of the pixel is
+    /// `out[p · stride..][..⌈rows/64⌉]`. Whole words are assigned, so a
+    /// reused map needs no clearing.
+    ///
+    /// With ascending thresholds the met ones form a prefix, so the code's
+    /// high bit is "meets level 1" and its low bit the parity of the count.
+    pub(crate) fn emit(&self, acc: &[i32], out: &mut [u64], stride: usize, backend: PackedBackend) {
+        assert!(acc.len() >= self.acc_len(), "accumulator row too short");
+        let blocks = self.acc_len() / BLOCK;
+        let per_word = LANE / BLOCK;
+        for word in 0..plane_words(self.rows) {
+            let first = word * per_word;
+            let n = per_word.min(blocks - first);
+            let thresholds = &self.blocks[first * self.levels * BLOCK..][..n * self.levels * BLOCK];
+            let acc = &acc[first * BLOCK..][..n * BLOCK];
+            let (lo, hi) = self.code_bits(thresholds, acc, backend);
+            // Padding channels past `rows` hold whatever the last layer left.
+            let live = u64::MAX >> (LANE - (self.rows - word * LANE).min(LANE));
+            out[word] = lo & live;
+            if self.levels > 1 {
+                out[stride + word] = hi & live;
+            }
+        }
+    }
+
+    /// `(low, high)` code bits of up to eight blocks, block `b` in byte `b`.
+    fn code_bits(&self, thresholds: &[i32], acc: &[i32], backend: PackedBackend) -> (u64, u64) {
+        #[cfg(target_arch = "x86_64")]
+        if backend.runs_avx2() {
+            return avx2::code_bits(thresholds, self.levels, acc);
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = backend;
+        let (mut lo, mut hi) = (0u64, 0u64);
+        for (i, &a) in acc.iter().enumerate() {
+            let block = &thresholds[i / BLOCK * self.levels * BLOCK..];
+            let code = (0..self.levels)
+                .filter(|l| a >= block[l * BLOCK + i % BLOCK])
+                .count() as u64;
+            lo |= (code & 1) << i;
+            hi |= (code >> 1) << i;
+        }
+        (lo, hi)
     }
 }
 
 // ---------------------------------------------------------------------------
-// Activation packing.
+// Max-pool on planes.
+// ---------------------------------------------------------------------------
+
+/// Max-pooling over a packed map, 64 channels per word: on 2-bit codes the
+/// larger of two is a bitwise compare-select, on 1-bit codes an OR. Windows
+/// are clamped to the input extent exactly as the `u8` pool clamps them.
+pub(crate) fn pool_planes(
+    (kernel, stride): (usize, usize),
+    input: &[u64],
+    (ih, iw): (usize, usize),
+    (oh, ow): (usize, usize),
+    (cw, planes): (usize, usize),
+    out: &mut [u64],
+) {
+    let (in_plane, out_plane) = (ih * iw * cw, oh * ow * cw);
+    for y in 0..oh {
+        for x in 0..ow {
+            let (sy, sx) = (y * stride, x * stride);
+            for word in 0..cw {
+                let (mut m0, mut m1) = (0u64, 0u64);
+                for ky in 0..kernel.min(ih - sy) {
+                    for kx in 0..kernel.min(iw - sx) {
+                        let at = ((sy + ky) * iw + sx + kx) * cw + word;
+                        let a0 = input[at];
+                        if planes == 1 {
+                            m0 |= a0;
+                            continue;
+                        }
+                        let a1 = input[in_plane + at];
+                        let gt = (a1 & !m1) | (!(a1 ^ m1) & a0 & !m0);
+                        m0 = (gt & a0) | (!gt & m0);
+                        m1 |= a1;
+                    }
+                }
+                let at = (y * ow + x) * cw + word;
+                out[at] = m0;
+                if planes == 2 {
+                    out[out_plane + at] = m1;
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Row-major activation packing and the packed GEMM over it.
 // ---------------------------------------------------------------------------
 
 /// `u64` words needed to pack `rows` activation vectors of length `k` into
-/// `planes` bitplanes — the scratch budget of one packed layer.
+/// `planes` bitplanes.
 #[must_use]
 pub const fn act_pack_words(rows: usize, k: usize, planes: usize) -> usize {
     rows * planes * plane_words(k)
@@ -278,71 +529,11 @@ fn pack_act_row(bytes: &[u8], planes: usize, dst: &mut [u64]) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Popcount dot products.
-// ---------------------------------------------------------------------------
-
-/// One packed dot product over the portable SWAR path:
-/// `Σ_p 2^p · (popcount(plus & actᵖ) − popcount(minus & actᵖ))`.
-#[must_use]
-pub fn dot_packed_scalar(
-    plus: &[u64],
-    minus: &[u64],
-    act: &[u64],
-    planes: usize,
-    words: usize,
-) -> i32 {
-    debug_assert_eq!(plus.len(), words);
-    debug_assert_eq!(minus.len(), words);
-    debug_assert!(act.len() >= planes * words);
-    let mut acc = 0i32;
-    for p in 0..planes {
-        let plane = &act[p * words..(p + 1) * words];
-        let mut pos = 0u32;
-        let mut neg = 0u32;
-        for w in 0..words {
-            pos += (plus[w] & plane[w]).count_ones();
-            neg += (minus[w] & plane[w]).count_ones();
-        }
-        // Shift-weighted recombination; |pos-neg| ≤ k so no plane term can
-        // overflow, and AF006 bounds the full sum.
-        acc += (pos as i32 - neg as i32) << p;
-    }
-    acc
-}
-
-/// One packed dot product on the chosen backend. The AVX2 path re-checks
-/// CPU capability and falls back to scalar, so any backend value is safe
-/// on any machine.
-#[inline]
-#[must_use]
-pub fn dot_packed(
-    plus: &[u64],
-    minus: &[u64],
-    act: &[u64],
-    planes: usize,
-    words: usize,
-    backend: PackedBackend,
-) -> i32 {
-    match backend {
-        PackedBackend::Scalar => dot_packed_scalar(plus, minus, act, planes, words),
-        PackedBackend::Avx2 => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                avx2::dot(plus, minus, act, planes, words)
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                dot_packed_scalar(plus, minus, act, planes, words)
-            }
-        }
-    }
-}
-
-/// Packed GEMM: `out[i*n + j] = dot(weights.row(i), acts[j])` where
-/// `acts` holds `n` packed activation vectors laid out by
-/// [`pack_act_rows`]. Bit-identical to `gemm_i32` over the unpacked
-/// operands.
+/// Packed GEMM: `out[i*n + j] = dot(weights row i, acts[j])` where `acts`
+/// holds `n` packed activation vectors laid out by [`pack_act_rows`] and
+/// `weights` came from [`PackedWeights::pack`]. Each vector is the one-run
+/// window of the micro-kernel the engine's convolutions use. Bit-identical
+/// to `gemm_i32` over the unpacked operands.
 pub fn packed_gemm(
     weights: &PackedWeights,
     acts: &[u64],
@@ -353,23 +544,19 @@ pub fn packed_gemm(
 ) {
     let words = weights.words;
     let stride = planes * words;
-    debug_assert!(acts.len() >= n * stride);
-    debug_assert!(out.len() >= weights.rows * n);
-    #[cfg(target_arch = "x86_64")]
-    if backend == PackedBackend::Avx2 && avx2::available() {
-        for i in 0..weights.rows {
-            let (wp, wn) = weights.row(i);
-            avx2::gemm_row(wp, wn, acts, n, planes, words, &mut out[i * n..(i + 1) * n]);
-        }
-        return;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = backend;
-    for i in 0..weights.rows {
-        let (wp, wn) = weights.row(i);
-        for j in 0..n {
-            out[i * n + j] =
-                dot_packed_scalar(wp, wn, &acts[j * stride..(j + 1) * stride], planes, words);
+    assert!(acts.len() >= n * stride, "activation geometry");
+    assert!(out.len() >= weights.rows * n, "output geometry");
+    let window = [Run {
+        act: 0,
+        tap: 0,
+        len: words,
+    }];
+    let mut acc = vec![0i32; weights.acc_len()];
+    for j in 0..n {
+        let row = &acts[j * stride..(j + 1) * stride];
+        weights.window_dots(row, words, planes, &window, &mut acc, backend);
+        for (i, &v) in acc[..weights.rows].iter().enumerate() {
+            out[i * n + j] = v;
         }
     }
 }
@@ -429,6 +616,16 @@ mod tests {
             .sum()
     }
 
+    /// One packed dot product through the micro-kernel.
+    fn dot(w: &[i8], a: &[u8], planes: usize, backend: PackedBackend) -> i32 {
+        let pw = PackedWeights::pack(w, 1, w.len());
+        let mut acts = vec![0u64; act_pack_words(1, a.len(), planes)];
+        pack_act_rows(a, 1, a.len(), planes, &mut acts);
+        let mut out = [0i32];
+        packed_gemm(&pw, &acts, 1, planes, &mut out, backend);
+        out[0]
+    }
+
     #[test]
     fn scalar_dot_matches_reference_across_fan_ins() {
         // Fan-ins straddling lane boundaries, including non-multiples of 64.
@@ -436,12 +633,8 @@ mod tests {
             for planes in 1..=2usize {
                 let max_act = if planes == 1 { 1 } else { 3 };
                 let (w, a) = random_case(k as u64 * 7 + planes as u64, 1, k, max_act);
-                let pw = PackedWeights::pack(&w, 1, k);
-                let mut acts = vec![0u64; act_pack_words(1, k, planes)];
-                pack_act_rows(&a, 1, k, planes, &mut acts);
-                let (wp, wn) = pw.row(0);
                 assert_eq!(
-                    dot_packed_scalar(wp, wn, &acts, planes, pw.words()),
+                    dot(&w, &a, planes, PackedBackend::Scalar),
                     reference_dot(&w, &a),
                     "k={k} planes={planes}"
                 );
@@ -463,11 +656,7 @@ mod tests {
             (&w_zeros, &a_max, 0),
             (&w_ones, &a_zero, 0),
         ] {
-            let pw = PackedWeights::pack(w, 1, k);
-            let mut acts = vec![0u64; act_pack_words(1, k, 2)];
-            pack_act_rows(a, 1, k, 2, &mut acts);
-            let (wp, wn) = pw.row(0);
-            assert_eq!(dot_packed_scalar(wp, wn, &acts, 2, pw.words()), expect);
+            assert_eq!(dot(w, a, 2, PackedBackend::Scalar), expect);
         }
     }
 
@@ -477,17 +666,16 @@ mod tests {
             eprintln!("skipping: no AVX2 on this machine");
             return;
         }
+        // 4096 words of fan-in cross many byte-accumulator folds.
         for &k in &[1usize, 64, 65, 200, 576, 1000, 4096] {
             for planes in 1..=2usize {
                 let max_act = if planes == 1 { 1 } else { 3 };
                 let (w, a) = random_case(k as u64 * 31 + planes as u64, 1, k, max_act);
-                let pw = PackedWeights::pack(&w, 1, k);
-                let mut acts = vec![0u64; act_pack_words(1, k, planes)];
-                pack_act_rows(&a, 1, k, planes, &mut acts);
-                let (wp, wn) = pw.row(0);
-                let scalar = dot_packed_scalar(wp, wn, &acts, planes, pw.words());
-                let simd = dot_packed(wp, wn, &acts, planes, pw.words(), PackedBackend::Avx2);
-                assert_eq!(simd, scalar, "k={k} planes={planes}");
+                assert_eq!(
+                    dot(&w, &a, planes, PackedBackend::Avx2),
+                    dot(&w, &a, planes, PackedBackend::Scalar),
+                    "k={k} planes={planes}"
+                );
             }
         }
     }
@@ -520,22 +708,14 @@ mod tests {
     #[test]
     fn accumulator_saturation_is_exact_at_large_fan_in() {
         // Worst case the AF006 domain bound admits for packed layers:
-        // all +1 weights against all-3 activations at a huge fan-in. The
-        // plane counts approach words·64 without wrapping the i32.
+        // all +1 weights against all-3 activations at a huge fan-in. Every
+        // byte accumulator runs to its fold limit without wrapping.
         let k = 1 << 20; // 1Mi elements → dot = 3·2^20 ≈ 3.1e6
         let w = vec![1i8; k];
         let a = vec![3u8; k];
-        let pw = PackedWeights::pack(&w, 1, k);
-        let mut acts = vec![0u64; act_pack_words(1, k, 2)];
-        pack_act_rows(&a, 1, k, 2, &mut acts);
-        let (wp, wn) = pw.row(0);
         let expect = 3 * k as i32;
-        assert_eq!(dot_packed_scalar(wp, wn, &acts, 2, pw.words()), expect);
-        if simd_available() {
-            assert_eq!(
-                dot_packed(wp, wn, &acts, 2, pw.words(), PackedBackend::Avx2),
-                expect
-            );
+        for backend in [PackedBackend::Scalar, PackedBackend::Avx2] {
+            assert_eq!(dot(&w, &a, 2, backend), expect, "{backend:?}");
         }
     }
 
@@ -551,12 +731,170 @@ mod tests {
         pack_act_rows(&big, 1, k_big, planes, &mut acts);
         pack_act_rows(&small, 1, k_small, planes, &mut acts);
         let pw = PackedWeights::pack(&ones, 1, k_small);
-        let (wp, wn) = pw.row(0);
+        let mut out = [0i32];
+        packed_gemm(&pw, &acts, 1, planes, &mut out, PackedBackend::Scalar);
         assert_eq!(
-            dot_packed_scalar(wp, wn, &acts, planes, pw.words()),
-            k_small as i32,
+            out[0], k_small as i32,
             "stale bits from the longer vector must not leak"
         );
+    }
+
+    #[test]
+    fn tap_major_rows_dot_windows_given_as_runs() {
+        // 3 taps of 70 channels: tap words are [tap][c/64], and a window
+        // may arrive as any split of them into runs, or miss a tap (padding).
+        let (channels, taps, rows) = (70usize, 3usize, 6usize);
+        let (w, _) = random_case(11, rows, channels * taps, 3);
+        let pw = PackedWeights::pack_taps(&w, rows, channels, taps);
+        let cw = plane_words(channels);
+        assert_eq!(pw.words(), taps * cw);
+        // A map of 5 pixels; the window takes pixels 1, 2 and 4 as taps 0..3.
+        let mut s = 5u64;
+        let pixels: Vec<Vec<u8>> = (0..5)
+            .map(|_| {
+                (0..channels)
+                    .map(|_| (xorshift(&mut s) % 4) as u8)
+                    .collect()
+            })
+            .collect();
+        let flat: Vec<u8> = pixels.concat();
+        let mut rows_packed = vec![0u64; act_pack_words(5, channels, 2)];
+        pack_act_rows(&flat, 5, channels, 2, &mut rows_packed);
+        // Re-lay [pixel][plane][cw] as the pixel-major map [plane][pixel][cw].
+        let mut map = vec![0u64; 2 * 5 * cw];
+        for px in 0..5 {
+            for p in 0..2 {
+                let from = &rows_packed[(px * 2 + p) * cw..][..cw];
+                map[(p * 5 + px) * cw..][..cw].copy_from_slice(from);
+            }
+        }
+        let runs = [
+            Run {
+                act: cw,
+                tap: 0,
+                len: 2 * cw,
+            },
+            Run {
+                act: 4 * cw,
+                tap: 2 * cw,
+                len: cw,
+            },
+        ];
+        for (used, window) in [
+            (&runs[..], [1usize, 2, 4].as_slice()),
+            (&runs[..1], &[1, 2]),
+        ] {
+            for backend in [PackedBackend::Scalar, PackedBackend::Avx2] {
+                let mut acc = vec![7i32; pw.acc_len()];
+                pw.window_dots(&map, 5 * cw, 2, used, &mut acc, backend);
+                for r in 0..rows {
+                    let expect: i32 = window
+                        .iter()
+                        .enumerate()
+                        .map(|(tap, &px)| {
+                            (0..channels)
+                                .map(|c| {
+                                    i32::from(w[r * channels * taps + c * taps + tap])
+                                        * i32::from(pixels[px][c])
+                                })
+                                .sum::<i32>()
+                        })
+                        .sum();
+                    assert_eq!(acc[r], expect, "row {r} {backend:?} window {window:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn threshold_emit_matches_table_apply_around_every_threshold() {
+        // Accumulators exactly on, one below and one above every threshold
+        // of every channel, at channel counts below, at and across lanes.
+        for (channels, levels) in [
+            (1usize, 1usize),
+            (7, 3),
+            (64, 2),
+            (65, 3),
+            (130, 1),
+            (130, 3),
+        ] {
+            let rows: Vec<Vec<i32>> = (0..channels)
+                .map(|c| {
+                    let base = (c as i32 * 37) % 101 - 50;
+                    // Ascending with a repeated level when `c` is even.
+                    (0..levels as i32)
+                        .map(|l| base + l / (1 + (c as i32 + 1) % 2) * 9)
+                        .collect()
+                })
+                .collect();
+            let table = ThresholdTable::from_rows(&rows).expect("ascending");
+            let packed = PackedThresholds::pack(&table);
+            let cw = plane_words(channels);
+            for level in 0..levels {
+                for delta in [-1i32, 0, 1] {
+                    let mut acc: Vec<i32> = rows.iter().map(|row| row[level] + delta).collect();
+                    acc.resize(packed.acc_len(), i32::MIN);
+                    for backend in [PackedBackend::Scalar, PackedBackend::Avx2] {
+                        let mut out = vec![u64::MAX; 2 * cw];
+                        packed.emit(&acc, &mut out, cw, backend);
+                        for c in 0..channels {
+                            let bit = |p: usize| (out[p * cw + c / LANE] >> (c % LANE)) & 1;
+                            let code = if levels > 1 {
+                                bit(0) + 2 * bit(1)
+                            } else {
+                                bit(0)
+                            };
+                            assert_eq!(
+                                code,
+                                u64::from(table.apply(c, acc[c])),
+                                "{channels}x{levels} channel {c} level {level} delta {delta} {backend:?}"
+                            );
+                        }
+                        // Lanes past the last channel stay clear.
+                        let tail = channels % LANE;
+                        if tail != 0 {
+                            assert_eq!(out[cw - 1] >> tail, 0);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn plane_pool_matches_byte_pool_over_all_code_pairs() {
+        // A 1x2 map pooled 2x2/stride-2 (the window overhangs the single
+        // row): channel c = 4·a + b holds code a at x=0 and code b at x=1.
+        let shape = adaflow_model::TensorShape::new(16, 1, 2);
+        let mut bytes = crate::tensor::Activations::zeroed(shape);
+        for a in 0..4u8 {
+            for b in 0..4u8 {
+                bytes.set(usize::from(4 * a + b), 0, 0, a);
+                bytes.set(usize::from(4 * a + b), 0, 1, b);
+            }
+        }
+        let out_shape = adaflow_model::TensorShape::new(16, 1, 1);
+        let expect = crate::engine::pool_forward(2, 2, &bytes, out_shape);
+        // Pixel-major planes of the same map.
+        let mut map = vec![0u64; 2 * 2];
+        for c in 0..16 {
+            for x in 0..2 {
+                let v = u64::from(bytes.at(c, 0, x));
+                map[x] |= (v & 1) << c;
+                map[2 + x] |= (v >> 1) << c;
+            }
+        }
+        let mut out = vec![u64::MAX; 2];
+        pool_planes((2, 2), &map, (1, 2), (1, 1), (1, 2), &mut out);
+        for c in 0..16 {
+            let code = ((out[0] >> c) & 1) + 2 * ((out[1] >> c) & 1);
+            assert_eq!(code, u64::from(expect.at(c, 0, 0)), "channel {c}");
+        }
+        assert_eq!(out[0] >> 16, 0);
+        // One plane: the max of 1-bit codes is their OR.
+        let mut out = vec![u64::MAX; 1];
+        pool_planes((2, 2), &map[..2], (1, 2), (1, 1), (1, 1), &mut out);
+        assert_eq!(out[0], map[0] | map[1]);
     }
 
     #[test]

@@ -215,6 +215,159 @@ proptest! {
     }
 }
 
+/// Xorshift stream for the graph generator below.
+struct Stream(u64);
+
+impl Stream {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+        from[(self.next() % from.len() as u64) as usize]
+    }
+
+    /// Channel counts below, at and across the 64-bit lane boundaries.
+    fn channels(&mut self) -> usize {
+        if self.next().is_multiple_of(3) {
+            1 + (self.next() % 130) as usize
+        } else {
+            self.pick(&[1, 2, 7, 63, 64, 65, 127, 128, 129, 130])
+        }
+    }
+
+    fn weights(&mut self, quant: QuantSpec, into: &mut [i8]) {
+        for w in into {
+            *w = if quant.weight_bits == 1 {
+                self.pick(&[-1, 1])
+            } else {
+                self.pick(&[-1, 0, 1])
+            };
+        }
+    }
+
+    /// `levels` ascending thresholds per channel inside `±span`, some tied.
+    fn thresholds(&mut self, channels: usize, levels: usize, span: i32) -> MultiThreshold {
+        let rows: Vec<Vec<i32>> = (0..channels)
+            .map(|_| {
+                let mut row: Vec<i32> = (0..levels)
+                    .map(|_| (self.next() % (2 * span as u64 + 1)) as i32 - span)
+                    .collect();
+                row.sort_unstable();
+                row
+            })
+            .collect();
+        MultiThreshold {
+            channels,
+            table: ThresholdTable::from_rows(&rows).expect("ascending rows"),
+        }
+    }
+}
+
+/// conv → threshold → [pool] → conv → threshold → [pool] → [dense →
+/// threshold →] dense → label-select over shapes the packed dataflow finds
+/// awkward: channel counts off the lane, 1/3/5 kernels with stride and
+/// padding, overlapping pools, 1- and 3-level threshold tables, single-row
+/// MVTUs that cannot pack in the middle of the chain, and a dense layer over
+/// a map that is not 1×1.
+fn hostile_graph(seed: u64) -> CnnGraph {
+    let mut s = Stream(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+    let weight_bits = s.pick(&[1, 2]);
+    // A layer's activation bits fix the level count of the threshold after
+    // it (AF005): one level or three.
+    let quant = |s: &mut Stream| {
+        let spec = QuantSpec::new(weight_bits, s.pick(&[1, 2]));
+        (spec, spec.threshold_levels())
+    };
+    let mut shape = TensorShape::new(s.pick(&[1, 3]), 6 + (s.next() % 6) as usize, 0);
+    shape.width = shape.height;
+    let mut builder = GraphBuilder::new("hostile", shape);
+    let mut act_max = 255;
+    for _ in 0..2 {
+        let out_channels = s.channels();
+        let (kernel, stride, padding) = loop {
+            let geometry = (s.pick(&[1, 3, 5]), s.pick(&[1, 1, 2]), s.pick(&[0, 1]));
+            if shape.windowed(geometry.0, geometry.1, geometry.2).is_some() {
+                break geometry;
+            }
+        };
+        let (quant, levels) = quant(&mut s);
+        let mut conv = Conv2d::new(shape.channels, out_channels, kernel, stride, padding, quant);
+        s.weights(quant, conv.weights.as_mut_slice());
+        let span = (kernel * kernel * shape.channels) as i32 * act_max / 4;
+        shape = shape
+            .windowed(kernel, stride, padding)
+            .expect("fits")
+            .with_channels(out_channels);
+        builder = builder
+            .conv2d(conv)
+            .threshold(s.thresholds(out_channels, levels, span.max(1)));
+        act_max = levels as i32;
+        let (pool, pool_stride) = s.pick(&[(0, 0), (2, 2), (3, 3), (3, 2)]);
+        if let Some(pooled) = shape.windowed(pool, pool_stride, 0) {
+            builder = builder.max_pool(MaxPool2d::new(pool, pool_stride));
+            shape = pooled;
+        }
+    }
+    if s.next().is_multiple_of(2) {
+        let features = s.pick(&[1, 5, 64, 70]);
+        let (quant, levels) = quant(&mut s);
+        let mut dense = Dense::new(shape.elements(), features, quant);
+        s.weights(quant, dense.weights.as_mut_slice());
+        let span = (shape.elements() as i32 * act_max / 8).max(1);
+        builder = builder
+            .dense(dense)
+            .threshold(s.thresholds(features, levels, span));
+        shape = TensorShape::flat(features);
+    }
+    let classes = 2 + (s.next() % 5) as usize;
+    let (quant, _) = quant(&mut s);
+    let mut dense = Dense::new(shape.elements(), classes, quant);
+    s.weights(quant, dense.weights.as_mut_slice());
+    builder
+        .dense(dense)
+        .label_select(classes)
+        .build()
+        .expect("structurally valid by construction")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The packed dataflow (`Auto`, AVX2 and forced scalar) produces the
+    /// logits of both oracles on hostile shapes, across worker counts.
+    #[test]
+    fn packed_pipeline_matches_oracles_on_hostile_shapes(seed in 0u64..1_000_000) {
+        let graph = hostile_graph(seed);
+        let images: Vec<Activations> = (0..3)
+            .map(|i| random_image(graph.input_shape(), seed.wrapping_add(i)))
+            .collect();
+        let engine = |strategy| Engine::new(&graph).expect("engine").with_strategy(strategy);
+        let direct = engine(ConvStrategy::Direct);
+        let oracle: Vec<InferenceResult> =
+            images.iter().map(|img| direct.run(img).expect("direct")).collect();
+        let im2col = BatchRunner::new(engine(ConvStrategy::Im2col)).with_threads(2);
+        prop_assert_eq!(&im2col.run_full(&images).expect("im2col"), &oracle);
+        for backend in [PackedBackend::Avx2, PackedBackend::Scalar] {
+            for threads in [1usize, 2, 3] {
+                let auto = engine(ConvStrategy::Auto).with_packed_backend(backend);
+                let runner = BatchRunner::new(auto).with_threads(threads);
+                prop_assert_eq!(
+                    &runner.run_full(&images).expect("auto"),
+                    &oracle,
+                    "{:?} on {} threads, plan {:?}",
+                    backend,
+                    threads,
+                    runner.engine().kernels().iter().map(|k| k.kernel).collect::<Vec<_>>()
+                );
+            }
+        }
+    }
+}
+
 /// Deterministic Fisher-Yates shuffle driven by an xorshift stream.
 fn shuffled(mut items: Vec<Activations>, seed: u64) -> Vec<Activations> {
     let mut state = seed | 1;

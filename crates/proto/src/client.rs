@@ -112,6 +112,17 @@ impl ProtoClient {
         self.stream.set_read_timeout(timeout)
     }
 
+    /// Bounds how long [`send`](Self::send) may block on a peer that has
+    /// stopped reading; past it the write fails and the stream (possibly
+    /// mid-frame) must be dropped. `None` blocks forever, the default.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors from the socket option call.
+    pub fn set_write_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
+        self.stream.set_write_timeout(timeout)
+    }
+
     /// Requests written to the wire so far.
     #[must_use]
     pub fn sent(&self) -> u64 {

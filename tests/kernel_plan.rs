@@ -2,13 +2,17 @@
 //!
 //! Under `ConvStrategy::Auto` every MVTU whose verifier-established domains
 //! fit the packed contract and that has at least `packed_min_rows` weight
-//! rows runs the popcount kernel, every other conv/dense layer runs the
-//! im2col + i32 GEMM, and direct convolution is never planned. Nothing
-//! measured at startup and no environment variable can change that.
+//! rows runs the popcount kernel on packed feature maps, a convolution that
+//! cannot pack but has ≤2-bit weights runs by tap rows, every other
+//! conv/dense layer runs the im2col + i32 GEMM, and the reference direct
+//! convolution is never planned. A threshold is packed iff a packed MVTU
+//! consumes it, and fused iff a packed MVTU also produces its input.
+//! Nothing measured at startup and no environment variable can change that.
 
 use adaflow_model::prelude::*;
-use adaflow_nn::{kernel_thresholds, Engine};
+use adaflow_nn::{kernel_thresholds, Activations, ConvStrategy, Engine};
 use adaflow_pruning::{DataflowAwarePruner, FinnConfig};
+use adaflow_telemetry::{EventKind, SinkHandle};
 
 fn models() -> Vec<(&'static str, CnnGraph)> {
     let cnv = topology::cnv_w2a2_cifar10().expect("builds");
@@ -43,13 +47,33 @@ fn assert_golden_plan(name: &str, graph: &CnnGraph) -> Vec<&'static str> {
     let plan: Vec<&'static str> = domains.iter().map(|d| kernels[d.layer].kernel).collect();
     for (d, kernel) in domains.iter().zip(&plan) {
         let packs = d.packed_eligible() && d.rows >= kernel_thresholds().packed_min_rows;
-        let expected = if packs { packed.as_str() } else { "gemm" };
+        let conv = matches!(
+            graph.iter().nth(d.layer).expect("node").layer,
+            Layer::Conv2d(_)
+        );
+        let expected = match (packs, conv && d.weight_bits <= 2) {
+            (true, _) => packed.as_str(),
+            (false, true) => "taps",
+            (false, false) => "gemm",
+        };
         assert_eq!(*kernel, expected, "{name}: layer {}", d.name);
     }
     // Every shipped model is ≤2-bit past its 8-bit first layer: conv1 runs
-    // the GEMM and everything after it packs.
-    assert_eq!(plan[0], "gemm", "{name}: {plan:?}");
+    // by tap rows and everything after it packs, so the first threshold
+    // packs the accumulators and every later one is its producer's epilogue.
+    assert_eq!(plan[0], "taps", "{name}: {plan:?}");
     assert!(plan[1..].iter().all(|k| *k == packed), "{name}: {plan:?}");
+    let thresholds: Vec<&str> = graph
+        .iter()
+        .zip(kernels)
+        .filter(|(node, _)| matches!(node.layer, Layer::MultiThreshold(_)))
+        .map(|(_, k)| k.kernel)
+        .collect();
+    assert_eq!(thresholds[0], "threshold-pack", "{name}: {thresholds:?}");
+    assert!(
+        thresholds[1..].iter().all(|k| *k == "fused"),
+        "{name}: {thresholds:?}"
+    );
     assert!(
         kernels.iter().all(|k| k.kernel != "direct"),
         "{name}: Auto planned a direct convolution"
@@ -75,4 +99,64 @@ fn auto_plan_ignores_the_retired_env_knobs_and_repeats() {
         let second = assert_golden_plan(name, &graph);
         assert_eq!(first, second, "{name}: plan differs between engines");
     }
+}
+
+#[test]
+fn unpackable_weights_keep_the_gemm_everywhere() {
+    // 4-bit weights fit neither the popcount kernel nor the tap rows: the
+    // whole plan stays on the GEMM and every threshold on `u8`.
+    let graph = topology::lenet(QuantSpec::new(4, 2), 10).expect("builds");
+    let engine = Engine::new(&graph).expect("engine");
+    for (node, k) in graph.iter().zip(engine.kernels()) {
+        let expected = match node.layer {
+            Layer::Conv2d(_) | Layer::Dense(_) => "gemm",
+            Layer::MultiThreshold(_) => "threshold",
+            Layer::MaxPool2d(_) => "maxpool",
+            Layer::LabelSelect(_) => "argmax",
+        };
+        assert_eq!(k.kernel, expected, "layer {}", k.layer);
+    }
+    let image = Activations::zeroed(graph.input_shape());
+    let oracle = engine.clone().with_strategy(ConvStrategy::Direct);
+    assert_eq!(
+        engine.run(&image).expect("auto"),
+        oracle.run(&image).expect("direct")
+    );
+}
+
+#[test]
+fn cnv_scratch_holds_no_window_matrix() {
+    // 910 080 bytes while conv2's 784 x 576 window matrix, its bitplanes and
+    // the u8 maps were in it; what is left is conv1's channel-major
+    // accumulators (230 400 bytes) and two packed maps.
+    let cnv = topology::cnv_w2a2_cifar10().expect("builds");
+    let bytes = Engine::new(&cnv).expect("engine").scratch().bytes();
+    assert!(bytes < 300_000, "CNV scratch grew to {bytes} bytes");
+}
+
+#[test]
+fn every_cnv_layer_reports_one_span_under_its_own_name() {
+    // The benchmark's traced pass fails on any `nn.layer_us.<layer>` it
+    // cannot find, fused thresholds included.
+    let cnv = topology::cnv_w2a2_cifar10().expect("builds");
+    let (sink, recorder) = SinkHandle::recorder(256);
+    let engine = Engine::new(&cnv).expect("engine").with_sink(sink);
+    engine
+        .run(&Activations::zeroed(cnv.input_shape()))
+        .expect("runs");
+    let spans: Vec<String> = recorder
+        .drain()
+        .into_iter()
+        .filter_map(|e| match e.kind {
+            EventKind::SpanEnd { name } => Some(name),
+            _ => None,
+        })
+        .collect();
+    let layers: Vec<&str> = spans
+        .iter()
+        .map(|s| s.split('[').next().expect("nonempty"))
+        .collect();
+    let names: Vec<&str> = cnv.iter().map(|n| n.name.as_str()).collect();
+    assert_eq!(layers, names);
+    assert!(spans.contains(&"conv1[taps]".to_string()), "{spans:?}");
 }
