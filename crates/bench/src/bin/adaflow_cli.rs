@@ -131,6 +131,7 @@ fn usage() -> String {
      \x20          [--deadline-ms N] [--queue-cap N] [--shed block|oldest|newest] [--batch N]\n\
      \x20          [--batch-wait-ms N] [--seed N] [--runs N] [--format text|json] [--out prefix]\n\
      \x20          [--allow codes] [--deny codes] [--check 1]   request-level serving run\n\
+     \x20          (--batch-wait-ms defaults to 20 in the simulators: serve, fleet, report, lint)\n\
      \x20 fleet    --library <file> [--scenario 1|2|1+2] [--fleet adaflow,fixed,flexible,..]\n\
      \x20          [--router rr|jsq|p2c|deadline] [--max-drains K] [--deadline-ms N] [--queue-cap N]\n\
      \x20          [--shed block|oldest|newest] [--batch N] [--batch-wait-ms N] [--seed N] [--runs N]\n\
@@ -151,7 +152,9 @@ fn usage() -> String {
      \x20          [--metrics-port P] [--nominal-fps F] [--deadline-ms N] [--queue-cap N]\n\
      \x20          [--batch N] [--batch-wait-ms N] [--shed block|oldest|newest]\n\
      \x20          [--allow codes] [--deny codes] [--format text|json] [--out prefix]\n\
-     \x20          real TCP serving over the live engine (verify-gated at startup)\n\
+     \x20          real TCP serving over the live engine (verify-gated at startup);\n\
+     \x20          --batch-wait-ms defaults to 0 on the live commands (serve-live, soak, gateway,\n\
+     \x20          gateway-soak): an idle engine serves at once, batches fill while it is busy\n\
      \x20 load     --addr host:port --model <name> [--requests N | --rate-fps F --duration-s N]\n\
      \x20          [--connections N] [--deadline-ms N] [--seed N] [--format text|json]\n\
      \x20          seeded closed/open-loop load generator with reason-coded summary\n\
@@ -456,7 +459,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let format = parse_format(flags)?;
     let check = flags.get("check").is_some_and(|v| v == "1");
 
-    let config = parse_serve_knobs(flags)?;
+    let config = sim_serve_knobs(flags)?;
     let deadline_ms = config.deadline_s * 1e3;
     let spec = WorkloadSpec::paper_edge(scenario);
 
@@ -569,25 +572,44 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses the shared serving knobs (`--deadline-ms`, `--queue-cap`,
-/// `--batch`, `--batch-wait-ms`, `--shed`) into a [`ServeConfig`].
-fn parse_serve_knobs(flags: &Flags) -> Result<adaflow_serve::ServeConfig, String> {
-    use adaflow_serve::{OverflowPolicy, ServeConfig};
-    let deadline_ms: f64 = parse_num(flags, "deadline-ms", 250.0)?;
-    let queue_cap: usize = parse_num(flags, "queue-cap", 256)?;
-    let max_batch: usize = parse_num(flags, "batch", 16)?;
-    let batch_wait_ms: f64 = parse_num(flags, "batch-wait-ms", 20.0)?;
-    let shed_name = flags.get("shed").map_or("block", String::as_str);
-    let overflow = OverflowPolicy::parse(shed_name)
-        .ok_or_else(|| format!("unknown --shed `{shed_name}` (block | oldest | newest)"))?;
-    Ok(ServeConfig {
-        deadline_s: deadline_ms / 1e3,
-        queue_capacity: queue_cap,
-        max_batch,
-        max_wait_s: batch_wait_ms / 1e3,
-        overflow,
-        ..ServeConfig::default()
-    })
+/// Applies the shared serving knobs (`--deadline-ms`, `--queue-cap`,
+/// `--batch`, `--batch-wait-ms`, `--shed`) to `base`, which supplies every
+/// knob the flags leave out — see [`sim_serve_knobs`] and
+/// [`live_serve_knobs`], the two families of commands that share the flags.
+fn parse_serve_knobs(
+    flags: &Flags,
+    mut base: adaflow_serve::ServeConfig,
+) -> Result<adaflow_serve::ServeConfig, String> {
+    let seconds = |name: &str, base_s: f64| {
+        flags.get(name).map_or(Ok(base_s), |v| {
+            let ms: Result<f64, _> = v.parse();
+            ms.map(|ms| ms / 1e3)
+                .map_err(|e| format!("bad --{name}: {e}"))
+        })
+    };
+    base.deadline_s = seconds("deadline-ms", base.deadline_s)?;
+    base.queue_capacity = parse_num(flags, "queue-cap", base.queue_capacity)?;
+    base.max_batch = parse_num(flags, "batch", base.max_batch)?;
+    base.max_wait_s = seconds("batch-wait-ms", base.max_wait_s)?;
+    if let Some(name) = flags.get("shed") {
+        base.overflow = adaflow_serve::OverflowPolicy::parse(name)
+            .ok_or_else(|| format!("unknown --shed `{name}` (block | oldest | newest)"))?;
+    }
+    Ok(base)
+}
+
+/// The serving knobs of the simulator commands (`serve`, `fleet`, `report`,
+/// `lint`), over `ServeConfig::default()`: `--batch-wait-ms` defaults to 20.
+fn sim_serve_knobs(flags: &Flags) -> Result<adaflow_serve::ServeConfig, String> {
+    parse_serve_knobs(flags, adaflow_serve::ServeConfig::default())
+}
+
+/// The serving knobs of the live commands (`serve-live`, `soak`, `gateway`,
+/// `gateway-soak`), over `LiveConfig::default()`: the same flags as the
+/// simulators, but `--batch-wait-ms` defaults to 0 — an idle engine serves
+/// at once.
+fn live_serve_knobs(flags: &Flags) -> Result<adaflow_serve::ServeConfig, String> {
+    parse_serve_knobs(flags, adaflow_net::LiveConfig::default().serve)
 }
 
 /// Parses the `--allow` / `--deny` lint policy flags.
@@ -622,7 +644,7 @@ fn parse_fleet_config(flags: &Flags) -> Result<adaflow_fleet::FleetConfig, Strin
     Ok(FleetConfig {
         devices,
         router,
-        serve: parse_serve_knobs(flags)?,
+        serve: sim_serve_knobs(flags)?,
         max_concurrent_drains: max_drains,
     })
 }
@@ -800,7 +822,7 @@ fn cmd_report(flags: &Flags) -> Result<(), String> {
             .map_err(|e| e.to_string())?,
     };
     let spec = WorkloadSpec::paper_edge(scenario);
-    let config = parse_serve_knobs(flags)?;
+    let config = sim_serve_knobs(flags)?;
 
     // One traced run; returns (summary JSON, headline, events).
     let run_once = || -> Result<(String, String, Vec<Event>), String> {
@@ -1210,12 +1232,11 @@ fn cmd_serve_live(flags: &Flags) -> Result<(), String> {
     use adaflow_net::{preflight, LiveConfig, LiveServer, MetricsEndpoint};
     use adaflow_telemetry::RegistrySink;
     use adaflow_verify::Severity;
-    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
     let model_name = required(flags, "model")?.to_string();
     let graph = build_model(&model_name, None)?;
-    let serve = parse_serve_knobs(flags)?;
+    let serve = live_serve_knobs(flags)?;
     let lint = parse_lint_flags(flags);
     let nominal_fps: f64 = parse_num(flags, "nominal-fps", 100.0)?;
     let duration_s: f64 = parse_num(flags, "duration-s", 0.0)?;
@@ -1243,7 +1264,7 @@ fn cmd_serve_live(flags: &Flags) -> Result<(), String> {
     let handle = server.handle();
 
     // Optional Prometheus scrape endpoint, on its own thread.
-    let metrics_stop = Arc::new(AtomicBool::new(false));
+    let metrics_stop = Arc::new(adaflow_proto::server::Stop::new());
     let metrics_thread = match flags.get("metrics-port") {
         Some(port) => {
             let port: u16 = port
@@ -1284,7 +1305,7 @@ fn cmd_serve_live(flags: &Flags) -> Result<(), String> {
     }
 
     let report = server.run().map_err(|e| e.to_string())?;
-    metrics_stop.store(true, Ordering::SeqCst);
+    metrics_stop.raise();
     if let Some(t) = metrics_thread {
         let _ = t.join();
     }
@@ -1463,7 +1484,7 @@ fn cmd_soak(flags: &Flags) -> Result<(), String> {
         .map_or("tiny-w2a2", String::as_str)
         .to_string();
     let graph = build_model(&model_name, None)?;
-    let serve = parse_serve_knobs(flags)?;
+    let serve = live_serve_knobs(flags)?;
     let lint = parse_lint_flags(flags);
     let rate_fps: f64 = parse_num(flags, "rate-fps", 200.0)?;
     let duration_s: f64 = parse_num(flags, "duration-s", 3.0)?;
@@ -1629,7 +1650,7 @@ fn cmd_gateway(flags: &Flags) -> Result<(), String> {
 
     let model_name = required(flags, "model")?.to_string();
     let graph = build_model(&model_name, None)?;
-    let serve = parse_serve_knobs(flags)?;
+    let serve = live_serve_knobs(flags)?;
     let lint = parse_lint_flags(flags);
     let nominal_fps: f64 = parse_num(flags, "nominal-fps", 100.0)?;
     let duration_s: f64 = parse_num(flags, "duration-s", 0.0)?;
@@ -1714,7 +1735,7 @@ fn cmd_gateway_soak(flags: &Flags) -> Result<(), String> {
         .map_or("tiny-w2a2", String::as_str)
         .to_string();
     let graph = build_model(&model_name, None)?;
-    let serve = parse_serve_knobs(flags)?;
+    let serve = live_serve_knobs(flags)?;
     let lint = parse_lint_flags(flags);
     let rate_fps: f64 = parse_num(flags, "rate-fps", 300.0)?;
     let duration_s: f64 = parse_num(flags, "duration-s", 3.0)?;
@@ -2076,6 +2097,40 @@ mod tests {
                 assert!(text.contains(&format!("--{flag} ")), "{name}: --{flag}");
             }
         }
+    }
+
+    #[test]
+    fn live_and_simulator_commands_default_the_batch_wait_differently() {
+        use adaflow_serve::ServeConfig;
+        // One flag table under both families ...
+        let reads_knobs = |command: &str| {
+            let (_, _, groups) = COMMANDS.iter().find(|(name, ..)| *name == command).unwrap();
+            groups.contains(&SERVE_KNOBS)
+        };
+        let simulators = ["serve", "fleet", "report", "lint"];
+        let live = ["serve-live", "soak", "gateway", "gateway-soak"];
+        assert!(simulators.iter().chain(&live).all(|c| reads_knobs(c)));
+        // ... two defaults: each family's own config type, which differ in
+        // the batching wait and in nothing else.
+        let none = Flags::new();
+        let sim = sim_serve_knobs(&none).expect("defaults");
+        let served = live_serve_knobs(&none).expect("defaults");
+        assert_eq!(sim, ServeConfig::default());
+        assert_eq!(served, adaflow_net::LiveConfig::default().serve);
+        assert_eq!((sim.max_wait_s, served.max_wait_s), (0.02, 0.0));
+        assert_eq!(
+            served,
+            ServeConfig {
+                max_wait_s: 0.0,
+                ..sim
+            }
+        );
+        // A wait that is asked for is the wait, in both.
+        let asked = flags(&[("batch-wait-ms", "150")]);
+        assert_eq!(sim_serve_knobs(&asked).expect("parses").max_wait_s, 0.15);
+        assert_eq!(live_serve_knobs(&asked).expect("parses").max_wait_s, 0.15);
+        assert!(usage().contains("--batch-wait-ms defaults to 20"));
+        assert!(usage().contains("--batch-wait-ms defaults to 0"));
     }
 
     #[test]

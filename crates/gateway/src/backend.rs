@@ -306,7 +306,7 @@ pub(crate) fn worker(
             conn = None;
             on_connection_lost(shared, idx, &mut probes, "probe-send-failed");
         }
-        if shared.shutdown.load(Ordering::SeqCst) && state.in_flight.load(Ordering::SeqCst) == 0 {
+        if shared.stop.is_raised() && state.in_flight.load(Ordering::SeqCst) == 0 {
             break;
         }
     }

@@ -30,14 +30,14 @@
 use crate::backend;
 use crate::config::GatewayConfig;
 use adaflow_fleet::router::{DeviceSnapshot, RoutePolicy};
-use adaflow_proto::server::{serve_requests, Conn, WireStats, POLL_INTERVAL};
+use adaflow_proto::server::{serve_requests, Conn, Stop, WireStats};
 use adaflow_proto::{RequestFrame, ResponseFrame, Status};
 use adaflow_telemetry::{EventKind, LogHistogram, SinkHandle};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use thiserror::Error;
 
@@ -128,10 +128,13 @@ pub(crate) struct Shared {
     pub(crate) config: GatewayConfig,
     pub(crate) sink: SinkHandle,
     epoch: Instant,
-    pub(crate) shutdown: AtomicBool,
+    pub(crate) stop: Stop,
     /// Set after the drain window: workers exit even with work pending.
     pub(crate) abort: AtomicBool,
     pub(crate) pending: Mutex<HashMap<u64, InFlight>>,
+    /// Signalled by the last answer of a stopping gateway; the shutdown
+    /// drain waits on it.
+    drained: Condvar,
     next_id: AtomicU64,
     pub(crate) backends: Vec<BackendState>,
     policy: Mutex<Box<dyn RoutePolicy + Send>>,
@@ -255,6 +258,13 @@ impl Shared {
             }
         }
         entry.client.send(&response);
+        // Every request's one answer passes here, after its entry left the
+        // registry. The drain first looks at the registry after the stop
+        // went up, so an entry it saw is answered by a call that sees the
+        // stop too — and an answer before the stop has no drain to wake.
+        if self.stop.is_raised() && self.pending.lock().expect("pending lock").is_empty() {
+            self.drained.notify_all();
+        }
     }
 
     /// Answers the client with a gateway-synthesized reject.
@@ -307,13 +317,13 @@ impl GatewayHandle {
     /// drain timeout) for in-flight requests, answer stragglers with
     /// `ShuttingDown`, join all workers.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.stop.raise();
     }
 
     /// Whether shutdown has been requested.
     #[must_use]
     pub fn is_shutdown(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
+        self.shared.stop.is_raised()
     }
 
     /// Whether backend `idx` is currently in the healthy rotation.
@@ -484,9 +494,10 @@ impl Gateway {
             config,
             sink,
             epoch: Instant::now(),
-            shutdown: AtomicBool::new(false),
+            stop: Stop::new(),
             abort: AtomicBool::new(false),
             pending: Mutex::new(HashMap::new()),
+            drained: Condvar::new(),
             next_id: AtomicU64::new(1),
             backends: states,
             policy: Mutex::new(policy),
@@ -567,20 +578,19 @@ impl Gateway {
             serve_requests(
                 scope,
                 &self.listener,
-                &shared.shutdown,
+                &shared.stop,
                 &shared.wire,
                 &route_request,
             );
-            // Graceful drain: give in-flight requests the drain window,
-            // then abort the workers. Client readers exit on the shutdown
-            // flag at their next read timeout.
-            let drain_start = Instant::now();
-            while drain_start.elapsed() < shared.config.drain_timeout {
-                if shared.pending.lock().expect("pending lock").is_empty() {
-                    break;
-                }
-                std::thread::sleep(POLL_INTERVAL);
-            }
+            // Graceful drain: in-flight requests get the drain window to
+            // settle, then the workers are aborted. The stop already ended
+            // the client readers; their write halves carry the answers.
+            let pending = shared.pending.lock().expect("pending lock");
+            let window = shared.config.drain_timeout;
+            let drained = shared
+                .drained
+                .wait_timeout_while(pending, window, |p| !p.is_empty()); // timer-ok: a deadline
+            drop(drained.expect("pending lock"));
             shared.abort.store(true, Ordering::SeqCst);
         });
 

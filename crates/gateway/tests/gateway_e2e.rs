@@ -10,7 +10,7 @@
 use adaflow_gateway::{Gateway, GatewayConfig, GatewayReport, WarmupSpec};
 use adaflow_model::{topology, QuantSpec, TensorShape};
 use adaflow_net::{LiveConfig, LiveServer, LoadConfig};
-use adaflow_proto::server::{serve_requests, Conn};
+use adaflow_proto::server::{serve_requests, Conn, Stop};
 use adaflow_proto::{
     encode_frame, Frame, FrameReader, ProtoClient, RequestFrame, ResponseFrame, Status,
 };
@@ -269,7 +269,7 @@ fn killed_backend_is_ejected_then_readmitted_after_restart() {
 /// serving, which is exactly the shape that exercises the retry path.
 /// The `deadline_us` of every non-probe request frame it sees is pushed
 /// into `deadlines`, so tests can observe the budget the gateway forwards.
-fn always_queue_full(listener: &TcpListener, stop: &AtomicBool, deadlines: &Mutex<Vec<u64>>) {
+fn always_queue_full(listener: &TcpListener, stop: &Stop, deadlines: &Mutex<Vec<u64>>) {
     let stats = Arc::default();
     let answer = |conn: &Arc<Conn>, r: RequestFrame| {
         if r.id & (1 << 63) == 0 {
@@ -302,7 +302,7 @@ fn retryable_reject_fails_over_to_another_backend() {
         real.local_addr().expect("addr"),
     ];
     let hr = real.handle();
-    let stop = AtomicBool::new(false);
+    let stop = Stop::new();
 
     let gateway = Gateway::bind(
         "127.0.0.1:0",
@@ -326,7 +326,7 @@ fn retryable_reject_fails_over_to_another_backend() {
         let report = gt.join().expect("no panic").expect("gateway serves");
         hr.shutdown();
         rt.join().expect("no panic").expect("backend serves");
-        stop.store(true, Ordering::SeqCst);
+        stop.raise();
         ft.join().expect("no panic");
         (report, summary)
     });
@@ -358,7 +358,7 @@ fn retries_forward_the_remaining_deadline_budget() {
         fake0.local_addr().expect("addr"),
         fake1.local_addr().expect("addr"),
     ];
-    let stop = AtomicBool::new(false);
+    let stop = Stop::new();
     let (d0, d1) = (Mutex::new(Vec::new()), Mutex::new(Vec::new()));
 
     let mut config = fast_gateway("rr");
@@ -388,7 +388,7 @@ fn retries_forward_the_remaining_deadline_budget() {
 
         gh.shutdown();
         gt.join().expect("no panic").expect("gateway serves");
-        stop.store(true, Ordering::SeqCst);
+        stop.raise();
     });
 
     let seen: Vec<u64> = {

@@ -7,11 +7,10 @@
 //! registry exposition, close. Anything fancier belongs behind a real
 //! reverse proxy.
 
-use adaflow_proto::server::accept_until;
+use adaflow_proto::server::{accept_until, Stop};
 use adaflow_telemetry::RegistrySink;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -19,11 +18,12 @@ use std::time::Duration;
 pub struct MetricsEndpoint {
     listener: TcpListener,
     registry: Arc<RegistrySink>,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Stop>,
 }
 
 impl MetricsEndpoint {
-    /// Binds the endpoint (port 0 for ephemeral).
+    /// Binds the endpoint (port 0 for ephemeral); [`Stop::raise`] on `stop`
+    /// ends [`serve`](Self::serve).
     ///
     /// # Errors
     ///
@@ -31,7 +31,7 @@ impl MetricsEndpoint {
     pub fn bind(
         addr: impl ToSocketAddrs,
         registry: Arc<RegistrySink>,
-        stop: Arc<AtomicBool>,
+        stop: Arc<Stop>,
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         Ok(Self {
@@ -50,9 +50,9 @@ impl MetricsEndpoint {
         self.listener.local_addr()
     }
 
-    /// Serves scrapes until the stop flag is raised. Run on its own
-    /// thread; returns when stopped. A dead listener ends scraping and
-    /// raises the flag itself.
+    /// Serves scrapes until the stop is raised. Run on its own thread;
+    /// returns when stopped. A dead listener ends scraping and raises the
+    /// stop itself.
     pub fn serve(&self) {
         // Scrapes are rare and cheap; handle inline.
         let _ = accept_until(&self.listener, &self.stop, |stream| {
@@ -94,7 +94,6 @@ mod tests {
     use super::*;
     use adaflow_telemetry::{EventKind, RegistryConfig, SinkHandle};
     use std::net::TcpStream;
-    use std::sync::atomic::Ordering;
 
     #[test]
     fn scrape_returns_prometheus_exposition() {
@@ -116,7 +115,7 @@ mod tests {
                 deadline_met: true,
             },
         );
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(Stop::new());
         let endpoint = MetricsEndpoint::bind("127.0.0.1:0", registry, stop.clone()).expect("binds");
         let addr = endpoint.local_addr().expect("addr");
         let server = std::thread::spawn(move || endpoint.serve());
@@ -136,7 +135,7 @@ mod tests {
         assert!(body.contains("adaflow_request_latency_s{quantile=\"0.5\"}"));
         exposition::check_exposition(body).unwrap_or_else(|e| panic!("{e}\n{body}"));
 
-        stop.store(true, Ordering::SeqCst);
+        stop.raise();
         server.join().expect("joins");
     }
 }

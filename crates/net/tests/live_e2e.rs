@@ -430,3 +430,73 @@ fn a_request_with_its_own_deadline_is_judged_against_it() {
         "only the 5 s budget is met; the server default would have failed it too"
     );
 }
+
+/// The default live configuration is work-conserving: a lone request on an
+/// idle engine is served the moment it is admitted, not when a batch timer
+/// fires. Under the 20 ms `ServeConfig` default every `queue_us` below
+/// reads 20 000.
+#[test]
+fn lone_requests_are_served_at_once_under_the_default_config() {
+    let shape = tiny_graph().input_shape();
+    let (report, queue_us) = with_server(LiveConfig::default(), SinkHandle::null(), |addr| {
+        let mut stream = TcpStream::connect(addr).expect("connects");
+        let mut frames = FrameReader::new();
+        (0..8)
+            .map(|id| {
+                std::thread::sleep(Duration::from_millis(30));
+                stream.write_all(&request(id, shape, 0)).expect("writes");
+                let r = read_response(&mut stream, &mut frames);
+                assert_eq!(r.status, Status::Ok);
+                r.queue_us
+            })
+            .collect::<Vec<_>>()
+    });
+    assert!(
+        queue_us.iter().all(|&us| us < 5_000),
+        "an idle engine held requests back: queue_us {queue_us:?}"
+    );
+    assert_eq!(report.summary.completed, 8.0);
+    assert_eq!(report.summary.batches, 8.0, "one batch per lone request");
+}
+
+/// Nothing in the server polls, so a shutdown nobody is awake for would
+/// hang: the engine thread parked on an empty queue, a reader parked in
+/// `read` on an idle connection, the accept loop parked in `accept`. The
+/// stop has to reach all three wherever it finds them, so it is swept from
+/// before the engine thread exists to after everything has parked. (The
+/// one interleaving no sweep can aim at — between the engine's check of
+/// the stop and its wait — is forced in `net/src/server.rs`'s
+/// `shutdown_wakes_the_engine_under_the_core_lock`.)
+#[test]
+fn immediate_shutdown_never_hangs_with_or_without_an_idle_connection() {
+    let graph: &'static adaflow_model::CnnGraph = Box::leak(Box::new(tiny_graph()));
+    for round in 0..300 {
+        let server = LiveServer::bind(
+            "127.0.0.1:0",
+            graph,
+            LiveConfig::default(),
+            SinkHandle::null(),
+        )
+        .expect("binds");
+        let addr = server.local_addr().expect("addr");
+        let handle = server.handle();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(server.run()).ok());
+        // Odd rounds hold a connection open and silent across the shutdown.
+        let idle = (round % 2 == 1).then(|| TcpStream::connect(addr).expect("connects"));
+        // Sweep the shutdown across the server's start-up: before the
+        // engine thread exists, while it parks, after it parked.
+        let started = std::time::Instant::now();
+        while started.elapsed() < Duration::from_micros(20 * (round / 2)) {
+            std::hint::spin_loop();
+        }
+        handle.shutdown();
+        let report = rx
+            .recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("round {round}: run() never returned"))
+            .expect("serves");
+        assert_eq!(report.summary.arrived, 0.0);
+        assert!(report.connections <= u64::from(idle.is_some()));
+        drop(idle);
+    }
+}

@@ -37,7 +37,7 @@ use crate::parallel;
 use crate::tensor::Activations;
 use adaflow_model::{CnnGraph, Conv2d, Layer, MvtuDomain, Node, TensorShape};
 use adaflow_telemetry::SinkHandle;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Result of one inference.
@@ -934,6 +934,12 @@ impl<'g> Engine<'g> {
 /// those of the serial path, independent of the thread count — integer
 /// inference is a pure per-image function and the sharding preserves order.
 ///
+/// The runner owns its scratch arenas: a worker leases one for its share of
+/// a batch and hands it back when done — also on an error — so a runner
+/// that has seen its widest batch allocates nothing per batch, whatever
+/// the batch size. A server that closes batches of one pays per request
+/// whatever a batch costs.
+///
 /// ```
 /// use adaflow_model::prelude::*;
 /// use adaflow_nn::{Activations, BatchRunner, Engine};
@@ -945,17 +951,41 @@ impl<'g> Engine<'g> {
 /// assert_eq!(labels.len(), 8);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct BatchRunner<'g> {
     engine: Engine<'g>,
     threads: usize,
+    /// Arenas no worker holds right now; never more than the widest batch
+    /// had workers.
+    idle: Mutex<Vec<EngineScratch>>,
+}
+
+/// One worker's hold on a scratch arena, returned to the runner on drop —
+/// so on every way out of a batch.
+struct ScratchLease<'r> {
+    scratch: EngineScratch,
+    idle: &'r Mutex<Vec<EngineScratch>>,
+}
+
+impl Drop for ScratchLease<'_> {
+    fn drop(&mut self) {
+        // A poisoned pool means a worker panicked and the batch is lost
+        // anyway; never panic in drop.
+        if let Ok(mut idle) = self.idle.lock() {
+            idle.push(std::mem::take(&mut self.scratch));
+        }
+    }
 }
 
 impl<'g> BatchRunner<'g> {
     /// Wraps an engine; uses one thread per available core by default.
     #[must_use]
     pub fn new(engine: Engine<'g>) -> Self {
-        Self { engine, threads: 0 }
+        Self {
+            engine,
+            threads: 0,
+            idle: Mutex::default(),
+        }
     }
 
     /// Sets the worker-thread count (`0` = one per available core).
@@ -986,7 +1016,7 @@ impl<'g> BatchRunner<'g> {
     ///
     /// Propagates the first engine error (e.g. a shape mismatch).
     pub fn run(&self, images: &[Activations]) -> Result<Vec<usize>, NnError> {
-        self.map_batch(images, |r| r.label)
+        self.map_batch(images, |image| image, |r| r.label)
     }
 
     /// Runs full inference on `images`, returning logits and labels in input
@@ -996,20 +1026,42 @@ impl<'g> BatchRunner<'g> {
     ///
     /// Propagates the first engine error (e.g. a shape mismatch).
     pub fn run_full(&self, images: &[Activations]) -> Result<Vec<InferenceResult>, NnError> {
-        self.map_batch(images, |r| r)
+        self.run_full_by(images, |image| image)
     }
 
-    fn map_batch<R: Send>(
+    /// [`run_full`](Self::run_full) over a batch whose images sit inside
+    /// larger items (a server's queued requests): `image` borrows each
+    /// item's input where it is, so assembling a batch copies no image.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first engine error (e.g. a shape mismatch).
+    pub fn run_full_by<T: Sync>(
         &self,
-        images: &[Activations],
+        items: &[T],
+        image: impl Fn(&T) -> &Activations + Sync,
+    ) -> Result<Vec<InferenceResult>, NnError> {
+        self.map_batch(items, image, |r| r)
+    }
+
+    fn map_batch<T: Sync, R: Send>(
+        &self,
+        items: &[T],
+        image: impl Fn(&T) -> &Activations + Sync,
         project: impl Fn(InferenceResult) -> R + Sync,
     ) -> Result<Vec<R>, NnError> {
-        parallel::par_map_init(
-            images,
-            self.threads,
-            || self.engine.scratch(),
-            |scratch, image| self.engine.run_with_scratch(image, scratch).map(&project),
-        )
+        let lease = || ScratchLease {
+            scratch: {
+                let mut idle = self.idle.lock().expect("a batch worker panicked");
+                idle.pop().unwrap_or_else(|| self.engine.scratch())
+            },
+            idle: &self.idle,
+        };
+        parallel::par_map_init(items, self.threads, lease, |lease, item| {
+            self.engine
+                .run_with_scratch(image(item), &mut lease.scratch)
+                .map(&project)
+        })
         .into_iter()
         .collect()
     }
@@ -1793,6 +1845,57 @@ mod tests {
         let runner = BatchRunner::new(Engine::new(&g).expect("engine"));
         let bad = vec![Activations::zeroed(TensorShape::new(3, 12, 12))];
         assert!(matches!(runner.run(&bad), Err(NnError::InputShape { .. })));
+    }
+
+    /// One runner across batches of every size a server closes — with a
+    /// failing batch in between — answers what a fresh scratch answers and
+    /// gets every arena back: the idle pool never shrinks, and never holds
+    /// more than one arena per worker.
+    #[test]
+    fn batch_runner_reuses_its_scratches_across_batches_and_errors() {
+        let g = tiny_graph();
+        let engine = Engine::new(&g).expect("engine");
+        let images: Vec<Activations> = (0..64)
+            .map(|s| random_image(g.input_shape(), 300 + s))
+            .collect();
+        let fresh: Vec<InferenceResult> = images
+            .iter()
+            .map(|img| engine.run(img).expect("fresh scratch"))
+            .collect();
+        let mut bad = images[..5].to_vec();
+        bad[3] = Activations::zeroed(TensorShape::new(3, 12, 12));
+
+        for threads in [1usize, 2, 3] {
+            let runner = BatchRunner::new(engine.clone()).with_threads(threads);
+            let mut held = 0;
+            let mut check_pool = |what: &str| {
+                let idle = runner.idle.lock().expect("pool").len();
+                assert!(
+                    idle >= held.max(1) && idle <= threads,
+                    "{what} on {threads} thread(s) left {idle} arenas of {held}"
+                );
+                held = idle;
+            };
+            for n in [1, 3, 64, 1] {
+                assert_eq!(
+                    runner.run_full(&images[..n]).expect("batch"),
+                    fresh[..n],
+                    "{n} images on {threads} thread(s)"
+                );
+                check_pool("a batch");
+                assert!(matches!(
+                    runner.run_full(&bad),
+                    Err(NnError::InputShape { .. })
+                ));
+                check_pool("a failed batch");
+            }
+            // Borrowing images out of larger items is the same batch.
+            let items: Vec<(u64, Activations)> = (0u64..).zip(images.iter().cloned()).collect();
+            assert_eq!(
+                runner.run_full_by(&items, |item| &item.1).expect("by"),
+                fresh
+            );
+        }
     }
 
     #[test]

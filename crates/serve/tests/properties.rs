@@ -14,24 +14,25 @@ use adaflow_telemetry::{Event, EventKind, SinkHandle};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
-/// A scripted policy: constant throughput, optional periodic stalls.
-struct ConstPolicy {
-    fps: f64,
+/// A scripted policy: throughputs cycled one per consult, optional
+/// periodic stalls.
+struct ScriptPolicy {
+    fps: Vec<f64>,
     stall_every: usize,
     stall_s: f64,
     calls: usize,
 }
 
-impl ServePolicy for ConstPolicy {
+impl ServePolicy for ScriptPolicy {
     fn name(&self) -> &str {
-        "const"
+        "script"
     }
 
     fn on_pressure(&mut self, _now: f64, _signal: &PressureSignal) -> ServingState {
         self.calls += 1;
         let switch = self.stall_every > 0 && self.calls.is_multiple_of(self.stall_every);
         ServingState {
-            throughput_fps: self.fps,
+            throughput_fps: self.fps[self.calls % self.fps.len()],
             stall_s: if switch { self.stall_s } else { 0.0 },
             accuracy: 80.0,
             power: PowerModel::new(ResourceEstimate {
@@ -41,7 +42,7 @@ impl ServePolicy for ConstPolicy {
                 dsp: 0,
             }),
             activity: 1.0,
-            model: "const".into(),
+            model: "script".into(),
             accelerator: AcceleratorKind::Finn,
             model_switched: switch,
             reconfigured: switch,
@@ -76,8 +77,8 @@ fn recorded_run(
 ) -> (ServeSummary, Vec<Event>) {
     let (sink, recorder) = SinkHandle::recorder(1 << 18);
     let engine = ServeEngine::new(config).with_sink(sink);
-    let mut policy = ConstPolicy {
-        fps,
+    let mut policy = ScriptPolicy {
+        fps: vec![fps],
         stall_every,
         stall_s,
         calls: 0,
@@ -86,8 +87,116 @@ fn recorded_run(
     (summary, recorder.drain())
 }
 
+/// Drives one core with `max_wait_s = 0` over `arrivals` (ascending
+/// instants) the way the DES does — the earlier of next arrival and next
+/// completion, then whatever close that instant enables — and checks at
+/// every event instant that the close rule is work-conserving: a close is
+/// due exactly when the device is idle with work queued, it is due *now*,
+/// and once taken the device is never idle with a non-empty queue.
+/// Returns the drained core's counters and every batch size in order.
+fn drive_work_conserving(
+    config: ServeConfig,
+    arrivals: &[f64],
+    fps: Vec<f64>,
+) -> Result<(DeviceStats, Vec<usize>), TestCaseError> {
+    assert_eq!(config.max_wait_s, 0.0);
+    let sink = SinkHandle::null();
+    let mut core: DeviceCore = DeviceCore::new(config, 0.0);
+    let mut policy = ScriptPolicy {
+        fps,
+        stall_every: 0,
+        stall_s: 0.0,
+        calls: 0,
+    };
+    let (mut next, mut sizes, mut done) = (0usize, Vec::new(), Vec::new());
+    loop {
+        let arrival = arrivals.get(next).copied();
+        let completion = core.next_completion_s();
+        let Some(now) = arrival.into_iter().chain(completion).reduce(f64::min) else {
+            break;
+        };
+        if completion == Some(now) {
+            core.complete(now, &sink, &mut done);
+        } else {
+            let request = Request {
+                id: next as u64,
+                device: 0,
+                arrival_s: now,
+            };
+            core.offer(request, now, &sink);
+            next += 1;
+        }
+        let idle_with_work = core.in_flight() == 0 && core.queue_len() > 0;
+        prop_assert_eq!(core.next_close_s(now), idle_with_work.then_some(now));
+        if idle_with_work {
+            let close = core.close_batch(now, &mut policy, &sink, &mut |t, _| t);
+            prop_assert_eq!(close.start_s, now, "an idle device starts at the close");
+            sizes.push(close.size);
+        }
+        prop_assert!(
+            core.in_flight() > 0 || core.queue_len() == 0,
+            "idle with {} queued at {now}",
+            core.queue_len()
+        );
+    }
+    prop_assert!(core.is_drained());
+    prop_assert_eq!(done.len() as u64, core.stats().completed);
+    Ok((core.stats().clone(), sizes))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The live tier's default close rule (`max_wait_s = 0`): over random
+    /// arrival and service scripts the device never idles on queued work
+    /// and nothing is lost; a lightly loaded device serves batches of one,
+    /// and once arrivals outpace service the batches fill to `max_batch`
+    /// with no timer to fill them.
+    #[test]
+    fn zero_wait_close_rule_is_work_conserving(
+        seed in 0u64..1_000,
+        max_batch in 1usize..12,
+        spare in 0usize..24,
+        choice in 0u8..3,
+        fps in proptest::collection::vec(50.0f64..800.0, 1..6),
+    ) {
+        use rand::{Rng, SeedableRng};
+        let config = ServeConfig {
+            max_batch,
+            max_wait_s: 0.0,
+            queue_capacity: 2 * max_batch + spare,
+            overflow: overflow(choice),
+            control_period_s: 0.0, // consult the script at every close
+            ..ServeConfig::default()
+        };
+        // Bursts and lulls around the script's mean service rate.
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let mean_gap_s = fps.len() as f64 / fps.iter().sum::<f64>();
+        let mut t = 0.0;
+        let random: Vec<f64> = (0..300)
+            .map(|_| {
+                t += rng.gen_range(0.0..2.0 * mean_gap_s) * f64::from(rng.gen_range(0u8..3));
+                t
+            })
+            .collect();
+        let (stats, sizes) = drive_work_conserving(config.clone(), &random, fps)?;
+        prop_assert_eq!(stats.arrived, 300);
+        prop_assert_eq!(stats.arrived, stats.completed + stats.shed);
+        prop_assert_eq!(sizes.iter().sum::<usize>() as u64, stats.completed);
+        prop_assert!(sizes.iter().all(|&size| (1..=max_batch).contains(&size)));
+
+        // A quarter of capacity: every request finds the device idle.
+        let paced = |rate_fps: f64| (0..40 * max_batch).map(|i| i as f64 / rate_fps).collect::<Vec<_>>();
+        let (_, light) = drive_work_conserving(config.clone(), &paced(25.0), vec![100.0])?;
+        prop_assert!(light.iter().all(|&size| size == 1), "{light:?}");
+        // Twice capacity: the queue grows while each batch is served, so
+        // batch sizes climb (1, 1, 2, 4, ..) and then stay at `max_batch`.
+        let (_, heavy) = drive_work_conserving(config, &paced(200.0), vec![100.0])?;
+        // (The very last batch is whatever the drain left over.)
+        let settled = &heavy[heavy.len() / 2..heavy.len() - 1];
+        prop_assert!(settled.iter().all(|&size| size == max_batch), "{heavy:?}");
+        prop_assert_eq!(heavy[0], 1, "the first arrival found an idle device");
+    }
 
     /// No request is lost or duplicated: ids are enqueued at most once,
     /// completed at most once, never both completed and shed, and the
