@@ -71,8 +71,8 @@ impl Eq for InferenceResult {}
 pub struct KernelAttribution {
     /// Layer name.
     pub layer: String,
-    /// Kernel label: `direct`, `gemm`, `taps`, `packed-scalar` or
-    /// `packed-avx2` for MVTU layers; `threshold` (to `u8`),
+    /// Kernel label: `direct`, `gemm`, `taps`, `packed-scalar`,
+    /// `packed-avx2` or `packed-avx512` for MVTU layers; `threshold` (to `u8`),
     /// `threshold-pack` (to planes) or `fused` (applied by the packed MVTU
     /// before it) for thresholds; `maxpool` or `argmax` otherwise.
     pub kernel: &'static str,
@@ -470,6 +470,7 @@ fn build_plan(
                 let label = match backend {
                     PackedBackend::Scalar => "packed-scalar",
                     PackedBackend::Avx2 => "packed-avx2",
+                    PackedBackend::Avx512 => "packed-avx512",
                 };
                 (step, label)
             }
@@ -668,16 +669,13 @@ impl<'g> Engine<'g> {
     }
 
     /// Returns this engine with an explicit packed-kernel backend,
-    /// re-planning so span names and attributions stay honest. Requesting
-    /// [`PackedBackend::Avx2`] on a machine without AVX2 pins scalar
-    /// instead — the choice can never make dispatch unsound.
+    /// re-planning so span names and attributions stay honest. A backend
+    /// the CPU cannot run steps down to the next one it can
+    /// ([`PackedBackend::effective`]), so the label always names the kernel
+    /// that runs.
     #[must_use]
     pub fn with_packed_backend(mut self, backend: PackedBackend) -> Self {
-        self.backend = if backend == PackedBackend::Avx2 && packed::simd_available() {
-            PackedBackend::Avx2
-        } else {
-            PackedBackend::Scalar
-        };
+        self.backend = backend.effective();
         self.replan();
         self
     }
@@ -1392,16 +1390,9 @@ fn pool_into(
 // Vec-returning wrappers shared with the trainer's calibration pass and the
 // unit tests.
 
-/// Direct convolution producing MVTU accumulators — the test reference.
-#[cfg(test)]
-pub(crate) fn conv_forward(c: &Conv2d, input: &Activations, out_shape: TensorShape) -> Vec<i32> {
-    let mut out = vec![0i32; out_shape.elements()];
-    conv_direct_into(c, input.as_slice(), input.shape(), out_shape, &mut out);
-    out
-}
-
-/// GEMM-lowered convolution via im2col: the lowering inference runs, so
-/// calibration through it sees exactly the production accumulators.
+/// GEMM-lowered convolution via im2col (`ConvStrategy::Im2col`). Every
+/// kernel inference plans is bit-identical to it, so calibration through it
+/// sees exactly the production accumulators.
 pub(crate) fn conv_forward_im2col(
     c: &Conv2d,
     input: &Activations,
@@ -1570,8 +1561,10 @@ mod tests {
         for w in conv.weights.as_mut_slice() {
             *w = 1;
         }
-        let input = Activations::from_vec(TensorShape::new(1, 2, 2), vec![1, 2, 3, 4]);
-        let out = conv_forward(&conv, &input, TensorShape::new(1, 2, 2));
+        let input = [1, 2, 3, 4];
+        let shape = TensorShape::new(1, 2, 2);
+        let mut out = vec![0i32; 4];
+        conv_direct_into(&conv, &input, shape, shape, &mut out);
         // All four windows cover the entire 2x2 input.
         assert_eq!(out, vec![10, 10, 10, 10]);
     }
@@ -1657,10 +1650,15 @@ mod tests {
             (0..50).map(|i| (i * 7 % 256) as u8).collect(),
         );
         let out_shape = TensorShape::new(3, 3, 3);
-        assert_eq!(
-            conv_forward(&conv, &input, out_shape),
-            conv_forward_im2col(&conv, &input, out_shape)
+        let mut direct = vec![0i32; out_shape.elements()];
+        conv_direct_into(
+            &conv,
+            input.as_slice(),
+            input.shape(),
+            out_shape,
+            &mut direct,
         );
+        assert_eq!(direct, conv_forward_im2col(&conv, &input, out_shape));
     }
 
     #[test]
@@ -1673,10 +1671,15 @@ mod tests {
         }
         let input = random_image(TensorShape::new(8, 6, 6), 5);
         let out_shape = TensorShape::new(8, 6, 6);
-        assert_eq!(
-            conv_forward(&conv, &input, out_shape),
-            conv_forward_im2col(&conv, &input, out_shape)
+        let mut direct = vec![0i32; out_shape.elements()];
+        conv_direct_into(
+            &conv,
+            input.as_slice(),
+            input.shape(),
+            out_shape,
+            &mut direct,
         );
+        assert_eq!(direct, conv_forward_im2col(&conv, &input, out_shape));
     }
 
     #[test]
@@ -1938,7 +1941,7 @@ mod tests {
     #[test]
     fn packed_strategy_matches_direct_and_im2col() {
         // The blocked i32 GEMM is the bit-identity oracle for the packed
-        // popcount kernels, across both dispatchable backends.
+        // popcount kernels, across every backend this CPU runs.
         let g = topology::cnv_scaled(QuantSpec::w2a2(), 6, 0.25)
             .build()
             .expect("builds");
@@ -1948,19 +1951,11 @@ mod tests {
         let gemm = Engine::new(&g)
             .expect("engine")
             .with_strategy(ConvStrategy::Im2col);
-        let mut engines = vec![
-            Engine::new(&g)
-                .expect("engine")
-                .with_packed_backend(PackedBackend::Scalar),
-            Engine::new(&g).expect("engine"), // default backend
-        ];
-        if crate::packed::simd_available() {
-            engines.push(
-                Engine::new(&g)
-                    .expect("engine")
-                    .with_packed_backend(PackedBackend::Avx2),
-            );
-        }
+        let mut engines: Vec<_> = PackedBackend::runnable()
+            .into_iter()
+            .map(|b| Engine::new(&g).expect("engine").with_packed_backend(b))
+            .collect();
+        engines.push(Engine::new(&g).expect("engine")); // default backend
         for seed in 0..4u64 {
             let img = random_image(g.input_shape(), seed);
             let oracle = direct.run(&img).expect("direct");
@@ -1997,6 +1992,32 @@ mod tests {
                 "argmax"
             ]
         );
+    }
+
+    #[test]
+    fn requested_backend_steps_down_to_one_the_cpu_runs() {
+        let g = tiny_graph();
+        let runnable = PackedBackend::runnable();
+        for requested in PackedBackend::ALL {
+            let engine = Engine::new(&g)
+                .expect("engine")
+                .with_packed_backend(requested);
+            let got = engine.packed_backend();
+            // The fastest runnable backend no faster than the request.
+            let expect = *runnable.iter().rfind(|&&b| b <= requested).expect("scalar");
+            assert_eq!(got, expect, "requested {requested:?}");
+            let label = format!("packed-{}", got.label());
+            let packed: Vec<&str> = engine
+                .kernels()
+                .iter()
+                .map(|k| k.kernel)
+                .filter(|k| k.starts_with("packed-"))
+                .collect();
+            assert!(
+                !packed.is_empty() && packed.iter().all(|k| *k == label),
+                "requested {requested:?}, {label} runs, the plan names {packed:?}"
+            );
+        }
     }
 
     #[test]
@@ -2083,7 +2104,7 @@ mod tests {
     #[test]
     fn scratch_run_matches_fresh_run_for_packed_strategies() {
         let g = tiny_graph();
-        for backend in [PackedBackend::Scalar, PackedBackend::Avx2] {
+        for backend in PackedBackend::runnable() {
             let engine = Engine::new(&g)
                 .expect("engine")
                 .with_packed_backend(backend);

@@ -35,9 +35,10 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-// `deny` rather than `forbid`: the one cfg-gated AVX2 intrinsics module
-// ([`packed::avx2`]) re-allows `unsafe` locally under a documented safety
-// contract; everything else in the crate stays unsafe-free.
+// `deny` rather than `forbid`: the two cfg-gated SIMD intrinsics modules
+// ([`packed::avx2`] and [`packed::avx512`]) re-allow `unsafe` locally under
+// a documented safety contract; everything else in the crate stays
+// unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

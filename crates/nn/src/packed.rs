@@ -41,25 +41,32 @@
 //!
 //! ## Dispatch
 //!
-//! [`default_backend`] probes AVX2 at runtime (`is_x86_feature_detected!`)
-//! and can be overridden with the `ADAFLOW_FORCE_SCALAR` environment
-//! variable; the AVX2 path lives in the one `unsafe`-allowing module of
-//! the workspace ([`self::avx2`]) and every kernel there has a scalar twin
-//! here. Which layers reach these kernels is the engine planner's decision,
-//! a pure function of the graph; [`kernel_thresholds`] reports the two
-//! constants it uses.
+//! [`default_backend`] picks the fastest [`PackedBackend`] the CPU can run,
+//! from cached runtime probes (`is_x86_feature_detected!`): AVX-512 with
+//! `vpopcntq`, then AVX2, then the portable scalar kernels. Setting the
+//! `ADAFLOW_FORCE_SCALAR` environment variable pins scalar. The SIMD paths
+//! live in the only two `unsafe`-allowing modules of the workspace
+//! ([`self::avx512`] and [`self::avx2`]; the AVX-512 backend shares the AVX2
+//! threshold epilogue) and every kernel there has a scalar twin here. A
+//! requested backend the CPU cannot run steps down to the next one it can
+//! ([`PackedBackend::effective`]), so the choice is never unsound. Which
+//! layers reach these kernels is the engine planner's decision, a pure
+//! function of the graph; [`kernel_thresholds`] reports the two constants
+//! it uses.
 
 use adaflow_model::ThresholdTable;
 use std::sync::OnceLock;
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2;
+#[cfg(target_arch = "x86_64")]
+pub(crate) mod avx512;
 
 /// Bits per packed lane.
 pub const LANE: usize = 64;
 
 /// Weight rows interleaved per tap word: one 256-bit vector holds the same
-/// tap of this many output channels.
+/// tap of this many output channels, one 512-bit vector both its signs.
 const GROUP: usize = 4;
 
 /// Accumulators thresholded per compare: one 256-bit vector of `i32`.
@@ -75,32 +82,67 @@ pub const fn plane_words(k: usize) -> usize {
 // Backend selection.
 // ---------------------------------------------------------------------------
 
-/// Which implementation computes the plane-pair popcounts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Which implementation computes the plane-pair popcounts, slowest first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum PackedBackend {
     /// Portable `u64` SWAR with `count_ones()`.
     #[default]
     Scalar,
-    /// 256-bit AVX2 path (vpshufb nibble-LUT popcount). Requesting it on a
-    /// machine without AVX2 silently computes with the scalar kernel — the
-    /// safe wrapper re-checks the capability, so the choice is never
-    /// unsound, only advisory.
+    /// 256-bit AVX2 path (vpshufb nibble-LUT popcount).
     Avx2,
+    /// 512-bit AVX-512 path (`vpopcntq`, one row group per vector); needs
+    /// AVX-512F, AVX-512VL and AVX-512 VPOPCNTDQ.
+    Avx512,
 }
 
 impl PackedBackend {
-    /// Short human-readable label (`"scalar"` / `"avx2"`).
+    /// Every backend, slowest first.
+    pub const ALL: [Self; 3] = [Self::Scalar, Self::Avx2, Self::Avx512];
+
+    /// Short human-readable label (`"scalar"` / `"avx2"` / `"avx512"`).
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
             Self::Scalar => "scalar",
             Self::Avx2 => "avx2",
+            Self::Avx512 => "avx512",
         }
     }
 
-    /// Whether this backend runs the AVX2 kernels on this machine.
-    fn runs_avx2(self) -> bool {
-        self == Self::Avx2 && simd_available()
+    /// Whether the running CPU can run this backend's kernels.
+    #[must_use]
+    pub fn is_runnable(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        {
+            match self {
+                Self::Scalar => true,
+                Self::Avx2 => avx2::available(),
+                Self::Avx512 => avx512::available(),
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            self == Self::Scalar
+        }
+    }
+
+    /// The backends the running CPU can run, slowest first: the list every
+    /// bit-identity test iterates.
+    #[must_use]
+    pub fn runnable() -> Vec<Self> {
+        Self::ALL.into_iter().filter(|b| b.is_runnable()).collect()
+    }
+
+    /// The backend that computes when `self` is requested: `self` if the
+    /// CPU can run it, else the next one down (`Avx512` → `Avx2` →
+    /// `Scalar`).
+    #[must_use]
+    pub fn effective(self) -> Self {
+        match self {
+            Self::Avx512 if Self::Avx512.is_runnable() => Self::Avx512,
+            Self::Avx512 | Self::Avx2 if Self::Avx2.is_runnable() => Self::Avx2,
+            _ => Self::Scalar,
+        }
     }
 }
 
@@ -114,27 +156,14 @@ pub fn force_scalar() -> bool {
     })
 }
 
-/// Whether the running CPU offers the AVX2 path.
-#[must_use]
-pub fn simd_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        avx2::available()
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// The backend the engine uses unless overridden: AVX2 when the CPU has it
-/// and `ADAFLOW_FORCE_SCALAR` is not set, scalar otherwise.
+/// The backend the engine uses unless overridden: the fastest one the CPU
+/// can run, or scalar when `ADAFLOW_FORCE_SCALAR` is set.
 #[must_use]
 pub fn default_backend() -> PackedBackend {
-    if !force_scalar() && simd_available() {
-        PackedBackend::Avx2
-    } else {
+    if force_scalar() {
         PackedBackend::Scalar
+    } else {
+        PackedBackend::Avx512.effective()
     }
 }
 
@@ -253,9 +282,16 @@ impl PackedWeights {
             assert!(end <= acts.len(), "run leaves the activation planes");
         }
         #[cfg(target_arch = "x86_64")]
-        if backend.runs_avx2() {
-            avx2::window_dots(&self.lanes, self.words, acts, stride, planes, runs, acc);
-            return;
+        match backend.effective() {
+            PackedBackend::Avx512 => {
+                avx512::window_dots(&self.lanes, self.words, acts, stride, planes, runs, acc);
+                return;
+            }
+            PackedBackend::Avx2 => {
+                avx2::window_dots(&self.lanes, self.words, acts, stride, planes, runs, acc);
+                return;
+            }
+            PackedBackend::Scalar => {}
         }
         #[cfg(not(target_arch = "x86_64"))]
         let _ = backend;
@@ -383,8 +419,10 @@ impl PackedThresholds {
 
     /// `(low, high)` code bits of up to eight blocks, block `b` in byte `b`.
     fn code_bits(&self, thresholds: &[i32], acc: &[i32], backend: PackedBackend) -> (u64, u64) {
+        // The AVX-512 backend keeps this AVX2 epilogue: its probe requires
+        // AVX2, and the epilogue is a sliver of a layer's time.
         #[cfg(target_arch = "x86_64")]
-        if backend.runs_avx2() {
+        if backend.effective() != PackedBackend::Scalar {
             return avx2::code_bits(thresholds, self.levels, acc);
         }
         #[cfg(not(target_arch = "x86_64"))]
@@ -661,21 +699,76 @@ mod tests {
     }
 
     #[test]
-    fn avx2_matches_scalar_when_available() {
-        if !simd_available() {
-            eprintln!("skipping: no AVX2 on this machine");
-            return;
+    fn runnable_backends_start_scalar_and_end_at_the_default() {
+        let runnable = PackedBackend::runnable();
+        // Printed so a `--nocapture` run shows which kernels were exercised.
+        eprintln!(
+            "packed backends runnable on this CPU: {:?}",
+            runnable.iter().map(|b| b.label()).collect::<Vec<_>>()
+        );
+        assert_eq!(runnable[0], PackedBackend::Scalar);
+        if !force_scalar() {
+            assert_eq!(runnable.last(), Some(&default_backend()));
         }
-        // 4096 words of fan-in cross many byte-accumulator folds.
+    }
+
+    #[test]
+    fn every_backend_matches_scalar() {
+        // 4096 words of fan-in cross many AVX2 byte-accumulator folds; the
+        // W1 rows (no zero weight) fill both sign planes densely.
         for &k in &[1usize, 64, 65, 200, 576, 1000, 4096] {
             for planes in 1..=2usize {
                 let max_act = if planes == 1 { 1 } else { 3 };
                 let (w, a) = random_case(k as u64 * 31 + planes as u64, 1, k, max_act);
-                assert_eq!(
-                    dot(&w, &a, planes, PackedBackend::Avx2),
-                    dot(&w, &a, planes, PackedBackend::Scalar),
-                    "k={k} planes={planes}"
-                );
+                let w1: Vec<i8> = w.iter().map(|&v| if v < 0 { -1 } else { 1 }).collect();
+                for backend in PackedBackend::runnable() {
+                    for w in [&w, &w1] {
+                        assert_eq!(
+                            dot(w, &a, planes, backend),
+                            dot(w, &a, planes, PackedBackend::Scalar),
+                            "k={k} planes={planes} {backend:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn padding_rows_and_empty_runs_leave_zero_accumulators() {
+        // 6 rows: the second group carries two all-zero padding rows, whose
+        // accumulators must come out 0; an empty run contributes nothing.
+        let (rows, k) = (6usize, 130usize);
+        let (w, a) = random_case(17, rows, k, 3);
+        let pw = PackedWeights::pack(&w, rows, k);
+        for planes in 1..=2usize {
+            let a: Vec<u8> = a.iter().map(|&v| v >> (2 - planes)).collect();
+            let mut acts = vec![0u64; act_pack_words(1, k, planes)];
+            pack_act_rows(&a, 1, k, planes, &mut acts);
+            let words = plane_words(k);
+            let whole = Run {
+                act: 0,
+                tap: 0,
+                len: words,
+            };
+            let empty = Run {
+                act: words,
+                tap: words,
+                len: 0,
+            };
+            for backend in PackedBackend::runnable() {
+                for (runs, covers) in [(&[whole, empty][..], true), (&[empty], false)] {
+                    let mut acc = vec![7i32; pw.acc_len()];
+                    pw.window_dots(&acts, words, planes, runs, &mut acc, backend);
+                    for r in 0..rows.next_multiple_of(GROUP) {
+                        let expect = if covers && r < rows {
+                            reference_dot(&w[r * k..(r + 1) * k], &a)
+                        } else {
+                            0
+                        };
+                        assert_eq!(acc[r], expect, "row {r} planes={planes} {backend:?}");
+                    }
+                }
             }
         }
     }
@@ -697,7 +790,7 @@ mod tests {
             let pw = PackedWeights::pack(&w, rows, k);
             let mut packed_acts = vec![0u64; act_pack_words(n, k, 2)];
             pack_act_rows(&acts, n, k, 2, &mut packed_acts);
-            for backend in [PackedBackend::Scalar, PackedBackend::Avx2] {
+            for backend in PackedBackend::runnable() {
                 let mut out = vec![0i32; rows * n];
                 packed_gemm(&pw, &packed_acts, n, 2, &mut out, backend);
                 assert_eq!(out, oracle, "rows={rows} n={n} k={k} {backend:?}");
@@ -709,12 +802,12 @@ mod tests {
     fn accumulator_saturation_is_exact_at_large_fan_in() {
         // Worst case the AF006 domain bound admits for packed layers:
         // all +1 weights against all-3 activations at a huge fan-in. Every
-        // byte accumulator runs to its fold limit without wrapping.
+        // AVX2 byte accumulator runs to its fold limit without wrapping.
         let k = 1 << 20; // 1Mi elements → dot = 3·2^20 ≈ 3.1e6
         let w = vec![1i8; k];
         let a = vec![3u8; k];
         let expect = 3 * k as i32;
-        for backend in [PackedBackend::Scalar, PackedBackend::Avx2] {
+        for backend in PackedBackend::runnable() {
             assert_eq!(dot(&w, &a, 2, backend), expect, "{backend:?}");
         }
     }
@@ -784,7 +877,7 @@ mod tests {
             (&runs[..], [1usize, 2, 4].as_slice()),
             (&runs[..1], &[1, 2]),
         ] {
-            for backend in [PackedBackend::Scalar, PackedBackend::Avx2] {
+            for backend in PackedBackend::runnable() {
                 let mut acc = vec![7i32; pw.acc_len()];
                 pw.window_dots(&map, 5 * cw, 2, used, &mut acc, backend);
                 for r in 0..rows {
@@ -834,7 +927,7 @@ mod tests {
                 for delta in [-1i32, 0, 1] {
                     let mut acc: Vec<i32> = rows.iter().map(|row| row[level] + delta).collect();
                     acc.resize(packed.acc_len(), i32::MIN);
-                    for backend in [PackedBackend::Scalar, PackedBackend::Avx2] {
+                    for backend in PackedBackend::runnable() {
                         let mut out = vec![u64::MAX; 2 * cw];
                         packed.emit(&acc, &mut out, cw, backend);
                         for c in 0..channels {

@@ -115,12 +115,11 @@ proptest! {
                 .collect(),
             seed ^ 0xD1B5_4A32_D192_ED03,
         );
-        for (strategy, backend) in [
-            (ConvStrategy::Direct, PackedBackend::Scalar),
-            (ConvStrategy::Im2col, PackedBackend::Scalar),
-            (ConvStrategy::Auto, PackedBackend::Scalar),
-            (ConvStrategy::Auto, PackedBackend::Avx2),
-        ] {
+        let configs = [ConvStrategy::Direct, ConvStrategy::Im2col]
+            .map(|s| (s, PackedBackend::Scalar))
+            .into_iter()
+            .chain(PackedBackend::runnable().into_iter().map(|b| (ConvStrategy::Auto, b)));
+        for (strategy, backend) in configs {
             let engine = Engine::new(&graph)
                 .expect("engine")
                 .with_strategy(strategy)
@@ -152,11 +151,7 @@ proptest! {
             .with_strategy(ConvStrategy::Im2col)
             .run(&img)
             .expect("oracle");
-        let mut backends = vec![PackedBackend::Scalar];
-        if adaflow_nn::packed::simd_available() {
-            backends.push(PackedBackend::Avx2);
-        }
-        for backend in backends {
+        for backend in PackedBackend::runnable() {
             let engine = Engine::new(&graph)
                 .expect("engine")
                 .with_packed_backend(backend);
@@ -337,8 +332,8 @@ fn hostile_graph(seed: u64) -> CnnGraph {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// The packed dataflow (`Auto`, AVX2 and forced scalar) produces the
-    /// logits of both oracles on hostile shapes, across worker counts.
+    /// The packed dataflow (`Auto`, on every backend this CPU runs) produces
+    /// the logits of both oracles on hostile shapes, across worker counts.
     #[test]
     fn packed_pipeline_matches_oracles_on_hostile_shapes(seed in 0u64..1_000_000) {
         let graph = hostile_graph(seed);
@@ -351,7 +346,7 @@ proptest! {
             images.iter().map(|img| direct.run(img).expect("direct")).collect();
         let im2col = BatchRunner::new(engine(ConvStrategy::Im2col)).with_threads(2);
         prop_assert_eq!(&im2col.run_full(&images).expect("im2col"), &oracle);
-        for backend in [PackedBackend::Avx2, PackedBackend::Scalar] {
+        for backend in PackedBackend::runnable() {
             for threads in [1usize, 2, 3] {
                 let auto = engine(ConvStrategy::Auto).with_packed_backend(backend);
                 let runner = BatchRunner::new(auto).with_threads(threads);

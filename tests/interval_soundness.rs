@@ -121,11 +121,11 @@ fn assert_sound(graph: &CnnGraph, input_seeds: &[u64]) {
     let analysis = interval_analysis(graph);
     assert!(analysis.stats.converged);
     let classifier = analysis.mvtus.last().expect("graph has MVTUs");
-    let configs = [
-        (ConvStrategy::Im2col, PackedBackend::Scalar),
-        (ConvStrategy::Auto, PackedBackend::Scalar),
-        (ConvStrategy::Auto, PackedBackend::Avx2),
-    ];
+    let configs = std::iter::once((ConvStrategy::Im2col, PackedBackend::Scalar)).chain(
+        PackedBackend::runnable()
+            .into_iter()
+            .map(|b| (ConvStrategy::Auto, b)),
+    );
     for (strategy, backend) in configs {
         let engine = Engine::new(graph)
             .expect("verified graph runs")

@@ -101,6 +101,36 @@ fn auto_plan_ignores_the_retired_env_knobs_and_repeats() {
     }
 }
 
+/// Bit-identity cannot see a probe that silently falls back (a misspelled
+/// feature string computes correctly on the next backend down), so on a
+/// CPU whose kernel-reported flags name the AVX-512 popcount the default
+/// must be the AVX-512 kernel, conv2 through fc3.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+#[test]
+fn avx512_cpus_plan_the_avx512_kernel() {
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").expect("readable /proc/cpuinfo");
+    let flags: Vec<&str> = cpuinfo
+        .lines()
+        .find_map(|l| l.strip_prefix("flags").and_then(|l| l.split_once(':')))
+        .map(|(_, flags)| flags.split_whitespace().collect())
+        .unwrap_or_default();
+    let listed = ["avx2", "avx512f", "avx512vl", "avx512_vpopcntdq"]
+        .iter()
+        .all(|f| flags.contains(f));
+    if !listed || adaflow_nn::packed::force_scalar() {
+        eprintln!("skipping: no AVX-512 VPOPCNTDQ here, or scalar forced");
+        return;
+    }
+    assert_eq!(
+        adaflow_nn::default_backend(),
+        adaflow_nn::PackedBackend::Avx512
+    );
+    let cnv = topology::cnv_w2a2_cifar10().expect("builds");
+    let plan = assert_golden_plan("cnv-w2a2", &cnv);
+    assert_eq!(plan.len(), 9, "{plan:?}");
+    assert!(plan[1..].iter().all(|k| *k == "packed-avx512"), "{plan:?}");
+}
+
 #[test]
 fn unpackable_weights_keep_the_gemm_everywhere() {
     // 4-bit weights fit neither the popcount kernel nor the tap rows: the
