@@ -1,31 +1,31 @@
 //! `adaflow_cli` — command-line front end to the framework.
 //!
-//! ```text
-//! adaflow_cli summary  --model cnv-w2a2                     # per-layer model card
-//! adaflow_cli generate --model cnv-w2a2 --dataset cifar10 \
-//!                      --out library.json                   # design-time library
-//! adaflow_cli inspect  --library library.json               # print the library table
-//! adaflow_cli simulate --library library.json --scenario 2 \
-//!                      --policy adaflow --runs 100          # serving experiment
-//! adaflow_cli trace    --library library.json --scenario 2 \
-//!                      --out run                            # traced single run
-//! adaflow_cli explore  --model cnv-w2a2 --target-fps 600    # folding search
-//! ```
-//!
-//! Run any subcommand with wrong/missing flags to get its usage line.
+//! `adaflow_cli help` prints every subcommand's usage, generated from
+//! [`COMMANDS`]; a subcommand given a flag it does not read says so.
 
 use adaflow::prelude::*;
 use adaflow_edge::prelude::*;
+use adaflow_fleet::{FleetConfig, FleetExperiment, FleetSummary, RouterKind};
 use adaflow_hls::FpgaDevice;
 use adaflow_model::prelude::*;
 use adaflow_model::GraphSummary;
+use adaflow_net::{LiveConfig, LoadConfig, LoadMode, LoadSummary};
 use adaflow_nn::{DatasetKind, Engine};
+use adaflow_serve::{
+    AdaFlowServePolicy, FixedMaxPolicy, FlexibleOnlyPolicy, ServeConfig, ServeExperiment,
+    ServePolicy, ServeSummary,
+};
 use adaflow_telemetry::{
     chrome_trace_json, events_to_jsonl, Event, MetricsRegistry, Recorder, RegistryConfig,
     SinkHandle,
 };
+use adaflow_verify::{LintConfig, Report, Severity};
+use serde::Serialize;
 use std::collections::HashMap;
+use std::fmt::Display;
+use std::net::SocketAddr;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 fn main() -> ExitCode {
@@ -39,63 +39,103 @@ fn main() -> ExitCode {
     }
 }
 
-type Flags = HashMap<String, String>;
 type Handler = fn(&Flags) -> Result<(), String>;
 
-/// Flag groups shared between subcommands: what `parse_serve_knobs`,
-/// `parse_lint_flags` and `parse_fleet_config` (beyond the serving knobs)
-/// read.
-const SERVE_KNOBS: &str = "deadline-ms queue-cap batch batch-wait-ms shed";
-const LINT_FLAGS: &str = "allow deny";
-const FLEET_FLAGS: &str = "fleet router max-drains";
+/// Every model `build_model` knows, which `lint --model all` expands to.
+const MODELS: &str = "cnv-w2a2 cnv-w1a2 lenet-w2a2 lenet-w1a2 tiny-w2a2";
 
-/// Every subcommand: its name, its handler and the flags it reads, as
-/// space-separated groups. A flag outside its command's groups is an
-/// error, not a silently stored no-op.
+/// Usage lines of the flag groups several subcommands share, each group
+/// parsed in one place: [`parse_serve_knobs`], [`parse_lint_flags`],
+/// [`parse_fleet_config`], [`SimRun`], [`LiveTier`] and [`Soak`].
+const SERVE_KNOBS: &str =
+    "[--deadline-ms N] [--queue-cap N] [--batch N] [--batch-wait-ms N] [--shed block|oldest|newest]";
+const LINT_FLAGS: &str = "[--allow codes] [--deny codes]";
+const FLEET_FLAGS: &str =
+    "[--fleet adaflow,fixed,flexible,..] [--router rr|jsq|p2c|deadline] [--max-drains K]";
+const SIM_RUN: &str = "[--seed N] [--runs N] [--format text|json] [--out prefix] [--check 1]";
+const LIVE_TIER: &str = "[--nominal-fps F] [--duration-s N] [--format text|json] [--out prefix]";
+const SOAK: &str = "[--rate-fps F] [--duration-s N] [--connections N] [--min-hit-pct P] [--seed N]";
+
+/// Every subcommand: its name, its handler and its usage lines, which
+/// [`usage`] prints. A subcommand accepts exactly the `--name` tokens of its
+/// own lines; any other flag is an error, not a silently stored no-op.
 #[rustfmt::skip]
 const COMMANDS: &[(&str, Handler, &[&str])] = &[
-    ("summary", cmd_summary, &["model"]),
-    ("generate", cmd_generate, &["model dataset rates out"]),
-    ("inspect", cmd_inspect, &["library"]),
-    ("simulate", cmd_simulate, &["library scenario policy runs"]),
+    ("summary", cmd_summary, &["--model <name>   print the per-layer model card"]),
+    ("generate", cmd_generate, &["--model <name> --dataset <d> [--rates a,b,..] [--out file]"]),
+    ("inspect", cmd_inspect, &["--library <file>   print a generated library table"]),
+    ("simulate", cmd_simulate,
+     &["--library <file> [--scenario 1|2|1+2] [--policy adaflow|finn|reconf:<ms>] [--runs N]"]),
     ("serve", cmd_serve,
-     &["library scenario policy seed runs format out check", SERVE_KNOBS, LINT_FLAGS]),
+     &["--library <file> [--scenario 1|2|1+2] [--policy adaflow|fixed-max|flexible-only]",
+       SERVE_KNOBS, SIM_RUN, LINT_FLAGS,
+       "request-level serving run (--batch-wait-ms defaults to 20 in the simulators)"]),
     ("fleet", cmd_fleet,
-     &["library scenario seed runs format out check", FLEET_FLAGS, SERVE_KNOBS, LINT_FLAGS]),
+     &["--library <file> [--scenario 1|2|1+2]", FLEET_FLAGS, SERVE_KNOBS, SIM_RUN, LINT_FLAGS,
+       "multi-device fleet simulation behind a load-balancing router"]),
     ("report", cmd_report,
-     &["mode library scenario seed policy top slo-target slo-objective format out check",
-       FLEET_FLAGS, SERVE_KNOBS]),
-    ("trace", cmd_trace, &["library scenario policy seed out"]),
-    ("explore", cmd_explore, &["model target-fps cap"]),
+     &["[--mode serve|fleet] [--library <file>] [--scenario 1|2|1+2] [--seed N]",
+       "[--policy adaflow|fixed-max|flexible-only] [--top K] [--slo-target 0.97]",
+       "[--slo-objective deadline|latency] [--format text|json] [--out prefix] [--check 1]",
+       FLEET_FLAGS, SERVE_KNOBS,
+       "per-stage latency waterfall, SLO error-budget burn and span-tree exports"]),
+    ("trace", cmd_trace,
+     &["--library <file> [--scenario 1|2|1+2] [--policy adaflow|finn|reconf:<ms>] [--seed N]",
+       "[--out prefix]   writes <prefix>.trace.json (Perfetto), <prefix>.jsonl, <prefix>.prom"]),
+    ("explore", cmd_explore, &["--model <name> [--target-fps F] [--cap 0.7]"]),
     ("lint", cmd_lint,
-     &["model rates library format explain", FLEET_FLAGS, SERVE_KNOBS, LINT_FLAGS]),
+     &["[--model <name>|all] [--rates a,b,..] [--library <file>] [--format text|json]",
+       FLEET_FLAGS, SERVE_KNOBS, LINT_FLAGS,
+       "[--explain CODE|all]   static verification of graphs (AF/DF) and, given any fleet",
+       "or serving flag, of fleet/serving configs (FL/SV); --explain prints a rule's catalog entry"]),
     ("serve-live", cmd_serve_live,
-     &["model addr duration-s threads metrics-port nominal-fps format out",
-       SERVE_KNOBS, LINT_FLAGS]),
+     &["--model <name> [--addr host:port] [--threads N] [--metrics-port P]", LIVE_TIER,
+       SERVE_KNOBS, LINT_FLAGS, "real TCP serving over the live engine (verify-gated at startup);",
+       "--batch-wait-ms defaults to 0 on the live commands: an idle engine serves at once"]),
     ("load", cmd_load,
-     &["addr model requests rate-fps duration-s connections deadline-ms seed format"]),
+     &["--addr host:port --model <name> [--requests N | --rate-fps F --duration-s N]",
+       "[--connections N] [--deadline-ms N] [--seed N] [--format text|json]",
+       "seeded closed/open-loop load generator with reason-coded summary"]),
     ("soak", cmd_soak,
-     &["model rate-fps duration-s connections min-hit-pct seed", SERVE_KNOBS, LINT_FLAGS]),
+     &["[--model <name>]", SOAK, SERVE_KNOBS, LINT_FLAGS,
+       "in-process server + load soak with hard floors (protocol, hit rate, shutdown)"]),
     ("gateway", cmd_gateway,
-     &["model backends addr router retry-budget warmup-iters nominal-fps duration-s seed",
-       "format out", SERVE_KNOBS, LINT_FLAGS]),
+     &["--model <name> --backends h:p,h:p,.. [--addr host:port] [--router rr|jsq|p2c|deadline]",
+       "[--retry-budget N] [--warmup-iters N] [--seed N]", LIVE_TIER, SERVE_KNOBS, LINT_FLAGS,
+       "live routing tier over running serve-live backends (verify-gated at startup)"]),
     ("gateway-soak", cmd_gateway_soak,
-     &["model backends router rate-fps duration-s connections min-hit-pct failover hetero",
-       "load-deadline-ms seed", SERVE_KNOBS, LINT_FLAGS]),
+     &["[--model <name>] [--backends N] [--router rr|jsq|p2c|deadline] [--failover 1] [--hetero 1]",
+       "[--load-deadline-ms N]", SOAK, SERVE_KNOBS, LINT_FLAGS,
+       "in-process backends + gateway + open-loop load with hard floors; --failover 1",
+       "kills backend 0 at t/3, restarts it at 2t/3, and requires ejection+readmission"]),
 ];
 
+/// The `--name` tokens of `lines`, sorted, each once: the flags a usage
+/// entry (or a flag group) names.
+fn flag_names<'a>(lines: &[&'a str]) -> Vec<&'a str> {
+    let mut names: Vec<&str> = lines
+        .iter()
+        .flat_map(|line| line.split(|c: char| !c.is_ascii_alphanumeric() && c != '-'))
+        .filter_map(|word| word.strip_prefix("--"))
+        .collect();
+    names.sort_unstable();
+    names.dedup();
+    names
+}
+
 /// Looks `args` up in [`COMMANDS`]: the handler to call and its parsed
-/// flags, every one of which the subcommand reads.
+/// flags, every one of which the subcommand's usage entry names.
 fn resolve(args: &[String]) -> Result<(Handler, Flags), String> {
     let Some((command, rest)) = args.split_first() else {
         return Err(usage());
     };
-    let Some((name, handler, groups)) = COMMANDS.iter().find(|(name, ..)| name == command) else {
+    let Some((name, handler, lines)) = COMMANDS.iter().find(|(name, ..)| name == command) else {
         return Err(format!("unknown command `{command}`\n{}", usage()));
     };
     let flags = parse_flags(rest)?;
-    let accepted: Vec<&str> = groups.iter().flat_map(|g| g.split_whitespace()).collect();
+    let accepted = flag_names(lines);
     if let Some(stray) = flags
+        .0
         .keys()
         .filter(|k| !accepted.contains(&k.as_str()))
         .min()
@@ -109,10 +149,7 @@ fn resolve(args: &[String]) -> Result<(Handler, Flags), String> {
 }
 
 fn run(args: &[String]) -> Result<(), String> {
-    if matches!(
-        args.first().map(String::as_str),
-        Some("help" | "--help" | "-h")
-    ) {
+    if let Some("help" | "--help" | "-h") = args.first().map(String::as_str) {
         println!("{}", usage());
         return Ok(());
     }
@@ -120,62 +157,57 @@ fn run(args: &[String]) -> Result<(), String> {
     handler(&flags)
 }
 
+/// The usage text, printed from [`COMMANDS`].
 fn usage() -> String {
-    "usage: adaflow_cli <command> [flags]\n\
-     commands:\n\
-     \x20 summary  --model <name>                  print the per-layer model card\n\
-     \x20 generate --model <name> --dataset <d> [--rates a,b,..] [--out file]\n\
-     \x20 inspect  --library <file>                print a generated library table\n\
-     \x20 simulate --library <file> [--scenario 1|2|1+2] [--policy adaflow|finn|reconf:<ms>] [--runs N]\n\
-     \x20 serve    --library <file> [--scenario 1|2|1+2] [--policy adaflow|fixed-max|flexible-only]\n\
-     \x20          [--deadline-ms N] [--queue-cap N] [--shed block|oldest|newest] [--batch N]\n\
-     \x20          [--batch-wait-ms N] [--seed N] [--runs N] [--format text|json] [--out prefix]\n\
-     \x20          [--allow codes] [--deny codes] [--check 1]   request-level serving run\n\
-     \x20          (--batch-wait-ms defaults to 20 in the simulators: serve, fleet, report, lint)\n\
-     \x20 fleet    --library <file> [--scenario 1|2|1+2] [--fleet adaflow,fixed,flexible,..]\n\
-     \x20          [--router rr|jsq|p2c|deadline] [--max-drains K] [--deadline-ms N] [--queue-cap N]\n\
-     \x20          [--shed block|oldest|newest] [--batch N] [--batch-wait-ms N] [--seed N] [--runs N]\n\
-     \x20          [--format text|json] [--out prefix] [--allow codes] [--deny codes] [--check 1]\n\
-     \x20          multi-device fleet simulation behind a load-balancing router\n\
-     \x20 report   [--mode serve|fleet] [--library <file>] [--scenario 1|2|1+2] [--seed N]\n\
-     \x20          [--policy ...] [--fleet kinds] [--router r] [--top K] [--slo-target 0.97]\n\
-     \x20          [--slo-objective deadline|latency] [--format text|json] [--out prefix] [--check 1]\n\
-     \x20          per-stage latency waterfall, SLO error-budget burn and span-tree exports\n\
-     \x20 trace    --library <file> [--scenario 1|2|1+2] [--policy ...] [--seed N] [--out prefix]\n\
-     \x20          writes <prefix>.trace.json (Perfetto), <prefix>.jsonl, <prefix>.prom\n\
-     \x20 explore  --model <name> [--target-fps F] [--cap 0.7]\n\
-     \x20 lint     [--model <name>|all] [--rates a,b,..] [--fleet kinds] [--router r] [--deadline-ms N]\n\
-     \x20          [--max-drains K] [--format text|json] [--allow codes] [--deny codes]\n\
-     \x20          [--explain CODE|all]   static verification of graphs (AF/DF) and\n\
-     \x20          fleet/serving configs (FL/SV); --explain prints a rule's catalog entry\n\
-     \x20 serve-live --model <name> [--addr host:port] [--duration-s N] [--threads N]\n\
-     \x20          [--metrics-port P] [--nominal-fps F] [--deadline-ms N] [--queue-cap N]\n\
-     \x20          [--batch N] [--batch-wait-ms N] [--shed block|oldest|newest]\n\
-     \x20          [--allow codes] [--deny codes] [--format text|json] [--out prefix]\n\
-     \x20          real TCP serving over the live engine (verify-gated at startup);\n\
-     \x20          --batch-wait-ms defaults to 0 on the live commands (serve-live, soak, gateway,\n\
-     \x20          gateway-soak): an idle engine serves at once, batches fill while it is busy\n\
-     \x20 load     --addr host:port --model <name> [--requests N | --rate-fps F --duration-s N]\n\
-     \x20          [--connections N] [--deadline-ms N] [--seed N] [--format text|json]\n\
-     \x20          seeded closed/open-loop load generator with reason-coded summary\n\
-     \x20 soak     [--model <name>] [--rate-fps F] [--duration-s N] [--connections N]\n\
-     \x20          [--min-hit-pct P] [--seed N]     in-process server + load soak with\n\
-     \x20          hard floors (zero protocol errors, hit-rate, clean shutdown) — CI gate\n\
-     \x20 gateway  --model <name> --backends h:p,h:p,.. [--addr host:port] [--router rr|jsq|p2c|deadline]\n\
-     \x20          [--retry-budget N] [--warmup-iters N] [--duration-s N] [--seed N]\n\
-     \x20          [--format text|json] [--out prefix]  live routing tier over running\n\
-     \x20          serve-live backends (verify-gated at startup)\n\
-     \x20 gateway-soak [--model <name>] [--backends N] [--router r] [--rate-fps F] [--duration-s N]\n\
-     \x20          [--connections N] [--min-hit-pct P] [--failover 1] [--hetero 1]\n\
-     \x20          [--load-deadline-ms N] [--seed N]\n\
-     \x20          in-process backends + gateway + open-loop load with hard floors; --failover 1\n\
-     \x20          kills backend 0 at t/3, restarts it at 2t/3, and requires ejection+readmission\n\
-     models: cnv-w2a2, cnv-w1a2, lenet-w2a2, lenet-w1a2, tiny-w2a2; datasets: cifar10, gtsrb"
-        .to_string()
+    let mut text = "usage: adaflow_cli <command> [flags]\ncommands:\n".to_string();
+    for (name, _, lines) in COMMANDS {
+        for (i, line) in lines.iter().enumerate() {
+            let head = if i == 0 { name } else { "" };
+            text += &format!("  {head:<8} {line}\n");
+        }
+    }
+    let models = MODELS.replace(' ', ", ");
+    text + &format!("models: {models}; datasets: cifar10, gtsrb")
 }
 
-/// Parses `--key value` pairs.
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// One invocation's `--name value` pairs.
+#[derive(Debug)]
+struct Flags(HashMap<String, String>);
+
+impl Flags {
+    fn get(&self, name: &str) -> Option<&str> {
+        self.0.get(name).map(String::as_str)
+    }
+
+    /// `--name`, else `default`.
+    fn or<'f>(&'f self, name: &str, default: &'f str) -> &'f str {
+        self.get(name).unwrap_or(default)
+    }
+
+    fn required(&self, name: &str) -> Result<&str, String> {
+        self.get(name)
+            .ok_or_else(|| format!("missing --{name}\n{}", usage()))
+    }
+
+    /// A numeric `--name`, if given.
+    fn opt_num<T: FromStr<Err: Display>>(&self, name: &str) -> Result<Option<T>, String> {
+        let parse = |v: &str| v.parse().map_err(|e| format!("bad --{name}: {e}"));
+        self.get(name).map(parse).transpose()
+    }
+
+    /// A numeric `--name`, else `default`.
+    fn num<T: FromStr<Err: Display>>(&self, name: &str, default: T) -> Result<T, String> {
+        Ok(self.opt_num(name)?.unwrap_or(default))
+    }
+
+    /// Whether the switch `--name 1` is on.
+    fn on(&self, name: &str) -> bool {
+        self.get(name) == Some("1")
+    }
+}
+
+/// Parses `--key value` pairs; a flag given twice is an error.
+fn parse_flags(args: &[String]) -> Result<Flags, String> {
     let mut flags = HashMap::new();
     let mut it = args.iter();
     while let Some(key) = it.next() {
@@ -185,25 +217,41 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
         let value = it
             .next()
             .ok_or_else(|| format!("flag --{name} needs a value"))?;
-        flags.insert(name.to_string(), value.clone());
+        if flags.insert(name.to_string(), value.clone()).is_some() {
+            return Err(format!("flag --{name} given twice"));
+        }
     }
-    Ok(flags)
-}
-
-fn required<'f>(flags: &'f HashMap<String, String>, name: &str) -> Result<&'f str, String> {
-    flags
-        .get(name)
-        .map(String::as_str)
-        .ok_or_else(|| format!("missing --{name}\n{}", usage()))
+    Ok(Flags(flags))
 }
 
 /// `--format text|json` (default `text`).
 fn parse_format(flags: &Flags) -> Result<&str, String> {
-    let format = flags.get("format").map_or("text", String::as_str);
-    if matches!(format, "text" | "json") {
-        Ok(format)
+    match flags.or("format", "text") {
+        format @ ("text" | "json") => Ok(format),
+        other => Err(format!("unknown --format `{other}` (text | json)")),
+    }
+}
+
+fn to_json(value: &impl Serialize) -> Result<String, String> {
+    serde_json::to_string(value).map_err(|e| e.to_string())
+}
+
+/// Prints `value` as one line of JSON under `--format json`, else runs
+/// `text`.
+fn print_as(format: &str, value: &impl Serialize, text: impl FnOnce()) -> Result<(), String> {
+    if format == "json" {
+        println!("{}", to_json(value)?);
     } else {
-        Err(format!("unknown --format `{format}` (text | json)"))
+        text();
+    }
+    Ok(())
+}
+
+/// Prints `report` under `--format text` when it holds a warning or an
+/// error.
+fn print_findings(report: &Report, format: &str) {
+    if format == "text" && report.count(Severity::Warn) + report.count(Severity::Error) > 0 {
+        print!("{report}");
     }
 }
 
@@ -292,8 +340,20 @@ fn parse_scenario(name: &str) -> Result<Scenario, String> {
     }
 }
 
+/// `--rates a,b,..`: pruning rates.
+fn parse_rates(rates: &str) -> Result<Vec<f64>, String> {
+    rates
+        .split(',')
+        .map(|r| {
+            r.trim()
+                .parse::<f64>()
+                .map_err(|e| format!("bad rate `{r}`: {e}"))
+        })
+        .collect()
+}
+
 fn cmd_summary(flags: &Flags) -> Result<(), String> {
-    let graph = build_model(required(flags, "model")?, None)?;
+    let graph = build_model(flags.required("model")?, None)?;
     print!("{}", GraphSummary::of(&graph));
     println!();
     println!("engine kernel plan (`lint` rule AF009 explains why a layer does not pack):");
@@ -305,28 +365,19 @@ fn cmd_summary(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_generate(flags: &Flags) -> Result<(), String> {
-    let dataset = parse_dataset(required(flags, "dataset")?)?;
-    let graph = build_model(required(flags, "model")?, Some(dataset))?;
+    let dataset = parse_dataset(flags.required("dataset")?)?;
+    let graph = build_model(flags.required("model")?, Some(dataset))?;
     let mut generator = LibraryGenerator::default_edge_setup();
     if let Some(rates) = flags.get("rates") {
-        generator.pruning_rates = rates
-            .split(',')
-            .map(|r| {
-                r.trim()
-                    .parse::<f64>()
-                    .map_err(|e| format!("bad rate `{r}`: {e}"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        generator.pruning_rates = parse_rates(rates)?;
     }
     let library = generator
         .generate(&graph, dataset)
         .map_err(|e| e.to_string())?;
+    let models = library.entries().len();
     println!(
-        "generated {} models for {} on {} (baseline {:.0} FPS)",
-        library.entries().len(),
-        library.initial_model,
-        library.device,
-        library.baseline.throughput_fps
+        "generated {models} models for {} on {} (baseline {:.0} FPS)",
+        library.initial_model, library.device, library.baseline.throughput_fps
     );
     if let Some(path) = flags.get("out") {
         let json = library.to_json().map_err(|e| e.to_string())?;
@@ -337,34 +388,27 @@ fn cmd_generate(flags: &Flags) -> Result<(), String> {
 }
 
 fn load_library(flags: &Flags) -> Result<Library, String> {
-    let path = required(flags, "library")?;
+    let path = flags.required("library")?;
     let json = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     Library::from_json(&json).map_err(|e| e.to_string())
 }
 
 fn cmd_inspect(flags: &Flags) -> Result<(), String> {
     let library = load_library(flags)?;
+    let (models, fabric) = (library.entries().len(), &library.flexible.resources);
     println!(
-        "{} on {} — {} models, flexible fabric {} LUT / {} BRAM36",
-        library.initial_model,
-        library.device,
-        library.entries().len(),
-        library.flexible.resources.lut,
-        library.flexible.resources.bram36
+        "{} on {} — {models} models, flexible fabric {} LUT / {} BRAM36",
+        library.initial_model, library.device, fabric.lut, fabric.bram36
     );
     println!(
         "{:>6} {:>9} {:>9} {:>9} {:>10} {:>8}",
         "rate%", "achieved%", "accuracy", "FPS", "LUT", "BRAM"
     );
     for e in library.entries() {
+        let (rate, achieved) = (e.requested_rate * 100.0, e.achieved_rate * 100.0);
         println!(
-            "{:>6.0} {:>9.1} {:>9.2} {:>9.0} {:>10} {:>8}",
-            e.requested_rate * 100.0,
-            e.achieved_rate * 100.0,
-            e.accuracy,
-            e.fixed.throughput_fps,
-            e.fixed.resources.lut,
-            e.fixed.resources.bram36
+            "{rate:>6.0} {achieved:>9.1} {:>9.2} {:>9.0} {:>10} {:>8}",
+            e.accuracy, e.fixed.throughput_fps, e.fixed.resources.lut, e.fixed.resources.bram36
         );
     }
     Ok(())
@@ -372,21 +416,14 @@ fn cmd_inspect(flags: &Flags) -> Result<(), String> {
 
 fn cmd_simulate(flags: &Flags) -> Result<(), String> {
     let library = load_library(flags)?;
-    let scenario = parse_scenario(flags.get("scenario").map_or("2", String::as_str))?;
-    let runs: usize = parse_num(flags, "runs", 100)?;
-    let policy = flags.get("policy").map_or("adaflow", String::as_str);
-    let experiment = Experiment::new(&library, WorkloadSpec::paper_edge(scenario)).runs(runs);
-    let metrics = match policy {
-        "adaflow" => experiment.run_adaflow(RuntimeConfig::default()),
-        "finn" => experiment.run_original_finn(),
-        other => match other.strip_prefix("reconf:") {
-            Some(ms) => {
-                let ms: u64 = ms.parse().map_err(|e| format!("bad reconf time: {e}"))?;
-                experiment.run_pruning_reconf(Duration::from_millis(ms))
-            }
-            None => return Err(format!("unknown policy `{other}`")),
-        },
-    };
+    let scenario = parse_scenario(flags.or("scenario", "2"))?;
+    let runs: usize = flags.num("runs", 100)?;
+    let policy = flags.or("policy", "adaflow");
+    let sink = SinkHandle::null();
+    build_policy(policy, &library, &sink)?; // validate the name before the runs
+    let metrics = Experiment::new(&library, WorkloadSpec::paper_edge(scenario))
+        .runs(runs)
+        .run_with(|| build_policy(policy, &library, &sink).expect("name validated above"));
     println!(
         "{policy} under {} ({runs} runs): loss {:.2}%  QoE {:.2}  power {:.2} W  \
          {:.0} inf/J  switches {:.1} (reconf {:.1}, flexible {:.1})  latency {:.1} ms",
@@ -403,193 +440,287 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds a pressure-driven request-level policy by name. `deadline_s`
-/// arms the AdaFlow policy's deadline-aware reconfiguration guard.
+/// Builds a serving policy by name, attaching a telemetry sink.
+fn build_policy<'l>(
+    name: &str,
+    library: &'l Library,
+    sink: &SinkHandle,
+) -> Result<Box<dyn ServerPolicy + 'l>, String> {
+    let sink = sink.clone();
+    Ok(match name {
+        "adaflow" => {
+            Box::new(AdaFlowPolicy::new(library, RuntimeConfig::default()).with_sink(sink))
+        }
+        "finn" => Box::new(OriginalFinnPolicy::new(library).with_sink(sink)),
+        other => {
+            let ms = other
+                .strip_prefix("reconf:")
+                .ok_or_else(|| format!("unknown policy `{other}`"))?;
+            let ms: u64 = ms.parse().map_err(|e| format!("bad reconf time: {e}"))?;
+            Box::new(PruningReconfPolicy::new(library, Duration::from_millis(ms)).with_sink(sink))
+        }
+    })
+}
+
+/// Builds a pressure-driven request-level policy by name, with the
+/// worst-case service stall it can cause — the backlog bound fed to the
+/// SV002 queue-capacity rule. `deadline_s` arms the AdaFlow policy's
+/// deadline-aware reconfiguration guard.
 fn build_serve_policy<'l>(
     name: &str,
     library: &'l Library,
     deadline_s: f64,
-) -> Result<Box<dyn adaflow_serve::ServePolicy + 'l>, String> {
-    use adaflow_serve::{AdaFlowServePolicy, FixedMaxPolicy, FlexibleOnlyPolicy};
+) -> Result<(Box<dyn ServePolicy + 'l>, f64), String> {
+    let runtime = RuntimeConfig::default();
     match name {
-        "adaflow" => Ok(Box::new(
-            AdaFlowServePolicy::new(library, RuntimeConfig::default()).with_deadline(deadline_s),
-        )),
-        "fixed-max" => Ok(Box::new(FixedMaxPolicy::new(library))),
-        "flexible-only" => Ok(Box::new(FlexibleOnlyPolicy::new(
-            library,
-            RuntimeConfig::default(),
-        ))),
+        "adaflow" => {
+            let stall = runtime
+                .reconfig
+                .reconfiguration_time(&library.baseline.bitstream);
+            let policy = AdaFlowServePolicy::new(library, runtime).with_deadline(deadline_s);
+            Ok((Box::new(policy), stall.as_secs_f64()))
+        }
+        "fixed-max" => Ok((Box::new(FixedMaxPolicy::new(library)), 0.0)),
+        "flexible-only" => {
+            let policy = FlexibleOnlyPolicy::new(library, runtime);
+            let stall = policy.worst_stall_s();
+            Ok((Box::new(policy), stall))
+        }
         other => Err(format!(
             "unknown serve policy `{other}` (adaflow | fixed-max | flexible-only)"
         )),
     }
 }
 
-/// Worst-case service stall the named policy can cause — the backlog bound
-/// fed to the SV002 queue-capacity rule.
-fn worst_policy_stall_s(policy: &str, library: &Library) -> f64 {
-    match policy {
-        "fixed-max" => 0.0,
-        "flexible-only" => {
-            adaflow_serve::FlexibleOnlyPolicy::new(library, RuntimeConfig::default())
-                .worst_stall_s()
-        }
-        _ => RuntimeConfig::default()
-            .reconfig
-            .reconfiguration_time(&library.baseline.bitstream)
-            .as_secs_f64(),
+/// The simulator run ([`SIM_RUN`] and `--scenario`), parsed once for
+/// `serve`, `fleet`, `report` and `trace`, and the skeleton the first three
+/// share: conservation check, `--check 1` replay, output and exports (and,
+/// for `serve` and `fleet`, the config-lint gate).
+struct SimRun<'f> {
+    scenario_name: &'f str,
+    scenario: Scenario,
+    seed: u64,
+    runs: usize,
+    format: &'f str,
+    check: bool,
+    out: Option<&'f str>,
+    /// Capacity of the trace ring a single run records into.
+    ring: usize,
+}
+
+impl<'f> SimRun<'f> {
+    fn parse(flags: &'f Flags, seed: u64, ring: usize) -> Result<Self, String> {
+        let scenario_name = flags.or("scenario", "2");
+        Ok(SimRun {
+            scenario_name,
+            scenario: parse_scenario(scenario_name)?,
+            seed: flags.num("seed", seed)?,
+            runs: flags.num("runs", 1_usize)?.max(1),
+            format: parse_format(flags)?,
+            check: flags.on("check"),
+            out: flags.get("out"),
+            ring,
+        })
     }
+
+    fn spec(&self) -> WorkloadSpec {
+        WorkloadSpec::paper_edge(self.scenario)
+    }
+
+    /// The config-lint gate: prints the findings worth reading and refuses
+    /// an Error-level one with `refusal`.
+    fn gate(&self, report: &Report, refusal: &str) -> Result<(), String> {
+        print_findings(report, self.format);
+        if report.has_errors() {
+            return Err(format!("{refusal} (see findings above)"));
+        }
+        Ok(())
+    }
+
+    /// Runs `run` — with a recording sink when this is a single run — holds
+    /// its `what` ledger to `arrived == completed + shed` and, under
+    /// `--check 1`, replays it to the same summary and the same events.
+    fn execute<S: PartialEq>(
+        &self,
+        run: impl Fn(Option<SinkHandle>) -> S,
+        what: &str,
+        ledger: impl Fn(&S) -> (bool, f64, f64, f64),
+    ) -> Result<(S, Vec<Event>), String> {
+        let once = || {
+            if self.runs == 1 {
+                let (sink, recorder) = SinkHandle::recorder(self.ring);
+                (run(Some(sink)), drain_events(&recorder))
+            } else {
+                (run(None), Vec::new())
+            }
+        };
+        let first = once();
+        let (holds, arrived, completed, shed) = ledger(&first.0);
+        if !holds {
+            return Err(format!(
+                "{what} conservation violated: arrived {arrived} != completed {completed} + shed {shed}"
+            ));
+        }
+        if self.check && once() != first {
+            return Err("determinism check failed: repeated run diverged".to_string());
+        }
+        Ok(first)
+    }
+
+    /// `seed N, K run(s)` for a headline.
+    fn runs_label(&self) -> String {
+        let plural = if self.runs == 1 { "" } else { "s" };
+        format!("seed {}, {} run{plural}", self.seed, self.runs)
+    }
+
+    /// The `--format json` document of a `serve` or `fleet` run.
+    fn json(&self, summary: &impl Serialize, events: usize) -> Result<String, String> {
+        let (s, runs) = (to_json(summary)?, self.runs);
+        let json = format!("{{\"summary\":{s},\"runs\":{runs},\"events\":{events}}}");
+        Ok(json)
+    }
+
+    /// Prints the outcome — `json()` under `--format json`, else `text()`
+    /// and the replay's verdict — then [`export`](Self::export)s `events`.
+    fn finish(
+        &self,
+        json: impl FnOnce() -> Result<String, String>,
+        text: impl FnOnce(),
+        events: &[Event],
+    ) -> Result<(), String> {
+        if self.format == "json" {
+            println!("{}", json()?);
+        } else {
+            text();
+            if self.check {
+                println!("  determinism: repeated run identical");
+            }
+        }
+        self.export(events)
+    }
+
+    /// The `--out <prefix>` exports of `events`, which only a single run
+    /// records.
+    fn export(&self, events: &[Event]) -> Result<(), String> {
+        let Some(prefix) = self.out else {
+            return Ok(());
+        };
+        if events.is_empty() {
+            return Err("--out requires a single run (--runs 1) to record events".to_string());
+        }
+        write_exports(prefix, self.format, events, &[])
+    }
+}
+
+/// One serve simulation — the run `serve` and `report --mode serve` share.
+fn run_serve(
+    sim: &SimRun,
+    library: &Library,
+    policy: &str,
+    config: &ServeConfig,
+) -> Result<(ServeSummary, Vec<Event>), String> {
+    build_serve_policy(policy, library, config.deadline_s)?; // validate the name
+    let experiment = ServeExperiment::new(library, sim.spec())
+        .runs(sim.runs)
+        .seed(sim.seed)
+        .config(config.clone());
+    let make_policy = || {
+        build_serve_policy(policy, library, config.deadline_s)
+            .expect("name validated")
+            .0
+    };
+    sim.execute(
+        |sink| match sink {
+            Some(sink) => experiment.run_traced(sim.seed, sink, make_policy),
+            None => experiment.run_with(make_policy),
+        },
+        "request",
+        |s| (s.conservation_holds(), s.arrived, s.completed, s.shed),
+    )
+}
+
+/// One fleet simulation — the run `fleet` and `report --mode fleet` share.
+fn run_fleet(
+    sim: &SimRun,
+    library: &Library,
+    config: &FleetConfig,
+) -> Result<(FleetSummary, Vec<Event>), String> {
+    let experiment = FleetExperiment::new(library, sim.spec())
+        .config(config.clone())
+        .runs(sim.runs)
+        .seed(sim.seed);
+    sim.execute(
+        |sink| match sink {
+            Some(sink) => experiment.run_traced(sim.seed, sink),
+            None => experiment.run(),
+        },
+        "fleet",
+        |s| (s.conservation_holds(), s.arrived, s.completed, s.shed),
+    )
 }
 
 /// Request-level serving: deadline accounting, admission control and
 /// dynamic batching over the paper's workload scenarios.
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
-    use adaflow_serve::ServeExperiment;
-    use adaflow_telemetry::Event;
-    use adaflow_verify::Severity;
-
     let library = load_library(flags)?;
-    let scenario = parse_scenario(flags.get("scenario").map_or("2", String::as_str))?;
-    let policy_name = flags.get("policy").map_or("adaflow", String::as_str);
-    build_serve_policy(policy_name, &library, 0.25)?; // validate the name early
-    let seed: u64 = parse_num(flags, "seed", 1)?;
-    let runs: usize = parse_num(flags, "runs", 1)?;
-    let shed_name = flags.get("shed").map_or("block", String::as_str);
-    let format = parse_format(flags)?;
-    let check = flags.get("check").is_some_and(|v| v == "1");
-
+    let sim = SimRun::parse(flags, 1, 1 << 18)?;
+    let policy = flags.or("policy", "adaflow");
+    let (_, worst_stall_s) = build_serve_policy(policy, &library, 0.25)?;
     let config = sim_serve_knobs(flags)?;
-    let deadline_ms = config.deadline_s * 1e3;
-    let spec = WorkloadSpec::paper_edge(scenario);
 
     // Static SV001/SV002 validation through the shared lint machinery.
     let lint = parse_lint_flags(flags);
-    let report = config.validate(
-        spec.nominal_fps(),
-        worst_policy_stall_s(policy_name, &library),
-        lint,
-    );
-    if format == "text" && report.count(Severity::Warn) + report.count(Severity::Error) > 0 {
-        print!("{report}");
-    }
-    if report.has_errors() {
-        return Err("serve configuration failed SV lint (see findings above)".to_string());
-    }
+    let report = config.validate(sim.spec().nominal_fps(), worst_stall_s, lint);
+    sim.gate(&report, "serve configuration failed SV lint")?;
 
-    let experiment = ServeExperiment::new(&library, spec)
-        .runs(runs.max(1))
-        .seed(seed)
-        .config(config.clone());
-    let execute = || -> (adaflow_serve::ServeSummary, Vec<Event>) {
-        if runs <= 1 {
-            let (sink, recorder) = SinkHandle::recorder(1 << 18);
-            let summary = experiment.run_traced(seed, sink, || {
-                build_serve_policy(policy_name, &library, config.deadline_s)
-                    .expect("name validated above")
-            });
-            (summary, drain_events(&recorder))
-        } else {
-            let summary = experiment.run_with(|| {
-                build_serve_policy(policy_name, &library, config.deadline_s)
-                    .expect("name validated")
-            });
-            (summary, Vec::new())
-        }
-    };
-    let (summary, events) = execute();
-    if !summary.conservation_holds() {
-        return Err(format!(
-            "request conservation violated: arrived {} != completed {} + shed {}",
-            summary.arrived, summary.completed, summary.shed
-        ));
-    }
-    if check {
-        let (summary2, events2) = execute();
-        if summary != summary2 || events != events2 {
-            return Err("determinism check failed: repeated run diverged".to_string());
-        }
-    }
-
-    if format == "json" {
-        let json = serde_json::to_string(&summary).map_err(|e| e.to_string())?;
+    let (summary, events) = run_serve(&sim, &library, policy, &config)?;
+    let json = || sim.json(&summary, events.len());
+    let text = || {
+        let (s, name, runs) = (&summary, sim.scenario.name(), sim.runs_label());
+        println!("{policy} under {name} ({runs}): {:.0} requests", s.arrived);
+        let (p50, p95) = (s.latency_p50_s * 1e3, s.latency_p95_s * 1e3);
+        let (p99, mean) = (s.latency_p99_s * 1e3, s.latency_mean_s * 1e3);
         println!(
-            "{{\"summary\":{json},\"runs\":{},\"events\":{}}}",
-            runs.max(1),
-            events.len()
+            "  deadline: {:.2}% hits within {:.0} ms (latency p50 {p50:.1} ms, p95 {p95:.1} ms, \
+             p99 {p99:.1} ms, mean {mean:.1} ms)",
+            s.deadline_hit_pct,
+            config.deadline_s * 1e3
         );
-    } else {
+        let overflow = flags.or("shed", "block");
         println!(
-            "{policy_name} under {} (seed {seed}, {} run{}): {:.0} requests",
-            scenario.name(),
-            runs.max(1),
-            if runs.max(1) == 1 { "" } else { "s" },
-            summary.arrived
+            "  shed: {:.2}% ({:.0} requests, overflow {overflow})",
+            s.shed_pct, s.shed
         );
+        let (wait, service) = (s.queue_wait_mean_s * 1e3, s.service_mean_s * 1e3);
         println!(
-            "  deadline: {:.2}% hits within {deadline_ms:.0} ms \
-             (latency p50 {:.1} ms, p95 {:.1} ms, p99 {:.1} ms, mean {:.1} ms)",
-            summary.deadline_hit_pct,
-            summary.latency_p50_s * 1e3,
-            summary.latency_p95_s * 1e3,
-            summary.latency_p99_s * 1e3,
-            summary.latency_mean_s * 1e3
-        );
-        println!(
-            "  shed: {:.2}% ({:.0} requests, overflow {shed_name})",
-            summary.shed_pct, summary.shed
-        );
-        println!(
-            "  batches: {:.0} closed, mean size {:.1}, queue wait {:.1} ms, service {:.1} ms",
-            summary.batches,
-            summary.mean_batch_size,
-            summary.queue_wait_mean_s * 1e3,
-            summary.service_mean_s * 1e3
+            "  batches: {:.0} closed, mean size {:.1}, queue wait {wait:.1} ms, service {service:.1} ms",
+            s.batches, s.mean_batch_size
         );
         println!(
             "  control: {:.1} switches ({:.1} reconf, {:.1} flexible), stall {:.3} s, \
              accuracy {:.2}%",
-            summary.model_switches,
-            summary.reconfigurations,
-            summary.flexible_switches,
-            summary.stall_total_s,
-            summary.mean_accuracy_pct
+            s.model_switches,
+            s.reconfigurations,
+            s.flexible_switches,
+            s.stall_total_s,
+            s.mean_accuracy_pct
         );
         if !events.is_empty() {
             println!("  events: {} recorded", events.len());
         }
-        if check {
-            println!("  determinism: repeated run identical");
-        }
-    }
-
-    if let Some(prefix) = flags.get("out") {
-        if events.is_empty() {
-            return Err("--out requires a single run (--runs 1) to record events".to_string());
-        }
-        write_exports(prefix, format, &events, &[])?;
-    }
-    Ok(())
+    };
+    sim.finish(json, text, &events)
 }
 
-/// Applies the shared serving knobs (`--deadline-ms`, `--queue-cap`,
-/// `--batch`, `--batch-wait-ms`, `--shed`) to `base`, which supplies every
-/// knob the flags leave out — see [`sim_serve_knobs`] and
-/// [`live_serve_knobs`], the two families of commands that share the flags.
-fn parse_serve_knobs(
-    flags: &Flags,
-    mut base: adaflow_serve::ServeConfig,
-) -> Result<adaflow_serve::ServeConfig, String> {
+/// Applies the serving knobs ([`SERVE_KNOBS`]) to `base`, which supplies
+/// every knob left out: see [`sim_serve_knobs`] and [`LiveStack`].
+fn parse_serve_knobs(flags: &Flags, mut base: ServeConfig) -> Result<ServeConfig, String> {
     let seconds = |name: &str, base_s: f64| {
-        flags.get(name).map_or(Ok(base_s), |v| {
-            let ms: Result<f64, _> = v.parse();
-            ms.map(|ms| ms / 1e3)
-                .map_err(|e| format!("bad --{name}: {e}"))
-        })
+        Ok::<f64, String>(flags.opt_num::<f64>(name)?.map_or(base_s, |ms| ms / 1e3))
     };
     base.deadline_s = seconds("deadline-ms", base.deadline_s)?;
-    base.queue_capacity = parse_num(flags, "queue-cap", base.queue_capacity)?;
-    base.max_batch = parse_num(flags, "batch", base.max_batch)?;
+    base.queue_capacity = flags.num("queue-cap", base.queue_capacity)?;
+    base.max_batch = flags.num("batch", base.max_batch)?;
     base.max_wait_s = seconds("batch-wait-ms", base.max_wait_s)?;
     if let Some(name) = flags.get("shed") {
         base.overflow = adaflow_serve::OverflowPolicy::parse(name)
@@ -600,290 +731,181 @@ fn parse_serve_knobs(
 
 /// The serving knobs of the simulator commands (`serve`, `fleet`, `report`,
 /// `lint`), over `ServeConfig::default()`: `--batch-wait-ms` defaults to 20.
-fn sim_serve_knobs(flags: &Flags) -> Result<adaflow_serve::ServeConfig, String> {
-    parse_serve_knobs(flags, adaflow_serve::ServeConfig::default())
+fn sim_serve_knobs(flags: &Flags) -> Result<ServeConfig, String> {
+    parse_serve_knobs(flags, ServeConfig::default())
 }
 
-/// The serving knobs of the live commands (`serve-live`, `soak`, `gateway`,
-/// `gateway-soak`), over `LiveConfig::default()`: the same flags as the
-/// simulators, but `--batch-wait-ms` defaults to 0 — an idle engine serves
-/// at once.
-fn live_serve_knobs(flags: &Flags) -> Result<adaflow_serve::ServeConfig, String> {
-    parse_serve_knobs(flags, adaflow_net::LiveConfig::default().serve)
-}
-
-/// Parses the `--allow` / `--deny` lint policy flags.
-fn parse_lint_flags(flags: &Flags) -> adaflow_verify::LintConfig {
-    use adaflow_verify::LintConfig;
+/// The `--allow` / `--deny` lint policy ([`LINT_FLAGS`]).
+fn parse_lint_flags(flags: &Flags) -> LintConfig {
+    let codes = |name| {
+        flags
+            .get(name)
+            .map(LintConfig::parse_codes)
+            .unwrap_or_default()
+    };
     LintConfig {
-        allow: flags
-            .get("allow")
-            .map(|codes| LintConfig::parse_codes(codes))
-            .unwrap_or_default(),
-        deny: flags
-            .get("deny")
-            .map(|codes| LintConfig::parse_codes(codes))
-            .unwrap_or_default(),
+        allow: codes("allow"),
+        deny: codes("deny"),
     }
 }
 
-/// Builds a [`adaflow_fleet::FleetConfig`] from the fleet CLI flags
-/// (`--fleet`, `--router`, `--max-drains` plus the shared serving knobs).
-fn parse_fleet_config(flags: &Flags) -> Result<adaflow_fleet::FleetConfig, String> {
-    use adaflow_fleet::{DeviceKind, FleetConfig, RouterKind};
-    let fleet_list = flags
-        .get("fleet")
-        .map_or("adaflow,adaflow,flexible,fixed", String::as_str);
-    let devices = DeviceKind::parse_fleet(fleet_list).ok_or_else(|| {
-        format!("bad --fleet `{fleet_list}` (comma-separated adaflow | fixed | flexible)")
+fn parse_router(flags: &Flags) -> Result<RouterKind, String> {
+    let name = flags.or("router", "deadline");
+    RouterKind::parse(name)
+        .ok_or_else(|| format!("unknown --router `{name}` (rr | jsq | p2c | deadline)"))
+}
+
+/// The fleet ([`FLEET_FLAGS`]) over the simulators' serving knobs.
+fn parse_fleet_config(flags: &Flags) -> Result<FleetConfig, String> {
+    let fleet = flags.or("fleet", "adaflow,adaflow,flexible,fixed");
+    let devices = adaflow_fleet::DeviceKind::parse_fleet(fleet).ok_or_else(|| {
+        format!("bad --fleet `{fleet}` (comma-separated adaflow | fixed | flexible)")
     })?;
-    let router_name = flags.get("router").map_or("deadline", String::as_str);
-    let router = RouterKind::parse(router_name)
-        .ok_or_else(|| format!("unknown --router `{router_name}` (rr | jsq | p2c | deadline)"))?;
-    let max_drains: usize = parse_num(flags, "max-drains", 1)?;
     Ok(FleetConfig {
         devices,
-        router,
+        router: parse_router(flags)?,
         serve: sim_serve_knobs(flags)?,
-        max_concurrent_drains: max_drains,
+        max_concurrent_drains: flags.num("max-drains", 1)?,
     })
+}
+
+/// The FL fleet rules, then the SV serving rules of one device, which sees
+/// its share of `nominal_fps` and can stall for `worst_stall_s`.
+fn lint_fleet(
+    config: &FleetConfig,
+    nominal_fps: f64,
+    worst_stall_s: f64,
+    lint: &LintConfig,
+) -> [Report; 2] {
+    let share_fps = nominal_fps / config.devices.len().max(1) as f64;
+    let serving = config
+        .serve
+        .validate(share_fps, worst_stall_s, lint.clone());
+    [config.validate(lint.clone()), serving]
 }
 
 /// Fleet-level serving: N simulated accelerator devices behind a
 /// load-balancing router, with staggered reconfiguration drains.
 fn cmd_fleet(flags: &Flags) -> Result<(), String> {
-    use adaflow_fleet::{FleetExperiment, FleetSummary};
-    use adaflow_telemetry::Event;
-    use adaflow_verify::Severity;
-
     let library = load_library(flags)?;
-    let scenario = parse_scenario(flags.get("scenario").map_or("2", String::as_str))?;
-    let seed: u64 = parse_num(flags, "seed", 1)?;
-    let runs: usize = parse_num(flags, "runs", 1)?;
-    let format = parse_format(flags)?;
-    let check = flags.get("check").is_some_and(|v| v == "1");
+    let sim = SimRun::parse(flags, 1, 1 << 18)?;
     let config = parse_fleet_config(flags)?;
-    let spec = WorkloadSpec::paper_edge(scenario);
+    let (_, worst_stall_s) = build_serve_policy("adaflow", &library, 0.0)?;
 
-    // Static validation: the FL fleet rules plus the per-device SV serving
-    // rules (each device sees its share of the offered load and can stall
-    // as long as a full reconfiguration).
+    // Static validation; a device can stall as long as a full
+    // reconfiguration.
     let lint = parse_lint_flags(flags);
-    let mut report = config.validate(lint.clone());
-    let share_fps = spec.nominal_fps() / config.devices.len().max(1) as f64;
-    report.merge(
-        config
-            .serve
-            .validate(share_fps, worst_policy_stall_s("adaflow", &library), lint),
-    );
-    if format == "text" && report.count(Severity::Warn) + report.count(Severity::Error) > 0 {
-        print!("{report}");
-    }
-    if report.has_errors() {
-        return Err("fleet configuration failed FL/SV lint (see findings above)".to_string());
-    }
+    let [mut report, serving] = lint_fleet(&config, sim.spec().nominal_fps(), worst_stall_s, &lint);
+    report.merge(serving);
+    sim.gate(&report, "fleet configuration failed FL/SV lint")?;
 
-    let experiment = FleetExperiment::new(&library, spec)
-        .config(config.clone())
-        .runs(runs.max(1))
-        .seed(seed);
-    let execute = || -> (FleetSummary, Vec<Event>) {
-        if runs <= 1 {
-            let (sink, recorder) = SinkHandle::recorder(1 << 18);
-            (experiment.run_traced(seed, sink), drain_events(&recorder))
-        } else {
-            (experiment.run(), Vec::new())
-        }
-    };
-    let (summary, events) = execute();
-    if !summary.conservation_holds() {
-        return Err(format!(
-            "fleet conservation violated: arrived {} != completed {} + shed {}",
-            summary.arrived, summary.completed, summary.shed
-        ));
-    }
-    if check {
-        let (summary2, events2) = execute();
-        if summary != summary2 || events != events2 {
-            return Err("determinism check failed: repeated fleet run diverged".to_string());
-        }
-    }
-
-    if format == "json" {
-        let json = serde_json::to_string(&summary).map_err(|e| e.to_string())?;
-        println!(
-            "{{\"summary\":{json},\"runs\":{},\"events\":{}}}",
-            runs.max(1),
-            events.len()
-        );
-    } else {
+    let (summary, events) = run_fleet(&sim, &library, &config)?;
+    let json = || sim.json(&summary, events.len());
+    let text = || {
+        let s = &summary;
         let kinds: Vec<&str> = config.devices.iter().map(|k| k.name()).collect();
+        let (devices, kinds) = (kinds.len(), kinds.join(","));
+        let (name, runs) = (sim.scenario.name(), sim.runs_label());
         println!(
-            "fleet of {} [{}] under {} via {} (seed {seed}, {} run{}): {:.0} requests",
-            config.devices.len(),
-            kinds.join(","),
-            scenario.name(),
-            summary.router,
-            runs.max(1),
-            if runs.max(1) == 1 { "" } else { "s" },
-            summary.arrived
+            "fleet of {devices} [{kinds}] under {name} via {} ({runs}): {:.0} requests",
+            s.router, s.arrived
         );
+        let (p50, p95) = (s.latency_p50_s * 1e3, s.latency_p95_s * 1e3);
+        let (p99, mean) = (s.latency_p99_s * 1e3, s.latency_mean_s * 1e3);
         println!(
-            "  deadline: {:.2}% hits within {:.0} ms (latency p50 {:.1} ms, p95 {:.1} ms, \
-             p99 {:.1} ms, mean {:.1} ms)",
-            summary.deadline_hit_pct,
-            config.serve.deadline_s * 1e3,
-            summary.latency_p50_s * 1e3,
-            summary.latency_p95_s * 1e3,
-            summary.latency_p99_s * 1e3,
-            summary.latency_mean_s * 1e3
+            "  deadline: {:.2}% hits within {:.0} ms (latency p50 {p50:.1} ms, p95 {p95:.1} ms, \
+             p99 {p99:.1} ms, mean {mean:.1} ms)",
+            s.deadline_hit_pct,
+            config.serve.deadline_s * 1e3
         );
         println!(
             "  shed: {:.2}% ({:.0} requests); batches {:.0}, mean size {:.1}",
-            summary.shed_pct, summary.shed, summary.batches, summary.mean_batch_size
+            s.shed_pct, s.shed, s.batches, s.mean_batch_size
         );
         println!(
             "  balance: imbalance cv mean {:.3} / max {:.3}, routed-share cv {:.3}",
-            summary.imbalance_cv_mean, summary.imbalance_cv_max, summary.routed_share_cv
+            s.imbalance_cv_mean, s.imbalance_cv_max, s.routed_share_cv
         );
         println!(
             "  stagger: max {:.0} concurrent drain(s) under a budget of {}; \
              {:.1} switches ({:.1} reconf, {:.1} flexible), stall {:.3} s",
-            summary.observed_max_drains,
+            s.observed_max_drains,
             config.max_concurrent_drains,
-            summary.model_switches,
-            summary.reconfigurations,
-            summary.flexible_switches,
-            summary.stall_total_s
+            s.model_switches,
+            s.reconfigurations,
+            s.flexible_switches,
+            s.stall_total_s
         );
-        for (idx, d) in summary.per_device.iter().enumerate() {
+        for (idx, d) in s.per_device.iter().enumerate() {
+            let (hit, util) = (d.deadline_hit_pct, d.utilization_pct);
             println!(
-                "  device {idx} {:>13}: {:>6.0} routed, hit {:>6.2}%, util {:>5.1}%, \
+                "  device {idx} {:>13}: {:>6.0} routed, hit {hit:>6.2}%, util {util:>5.1}%, \
                  shed {:.0}, reconf {:.1}",
-                d.kind,
-                d.arrived,
-                d.deadline_hit_pct,
-                d.utilization_pct,
-                d.shed,
-                d.reconfigurations
+                d.kind, d.arrived, d.shed, d.reconfigurations
             );
         }
-        if check {
-            println!("  determinism: repeated run identical");
-        }
-    }
-
-    if let Some(prefix) = flags.get("out") {
-        if events.is_empty() {
-            return Err("--out requires a single run (--runs 1) to record events".to_string());
-        }
-        write_exports(prefix, format, &events, &[])?;
-    }
-    Ok(())
+    };
+    sim.finish(json, text, &events)
 }
 
 /// Causal latency attribution: runs one traced serve or fleet simulation,
 /// reconstructs the span forest, and reports the per-stage waterfall plus
 /// the SLO error-budget burn — bit-identical per seed.
-#[allow(clippy::too_many_lines)]
 fn cmd_report(flags: &Flags) -> Result<(), String> {
     use adaflow_telemetry::{Objective, SloConfig, SloEngine, TraceForest, Waterfall};
 
-    let mode = flags.get("mode").map_or("serve", String::as_str);
+    let mode = flags.or("mode", "serve");
     if !matches!(mode, "serve" | "fleet") {
         return Err(format!("unknown --mode `{mode}` (serve | fleet)"));
     }
-    let scenario_name = flags.get("scenario").map_or("2", String::as_str);
-    let scenario = parse_scenario(scenario_name)?;
-    let seed: u64 = parse_num(flags, "seed", 7)?;
-    let top: usize = parse_num(flags, "top", 3)?;
-    let format = parse_format(flags)?;
-    let check = flags.get("check").is_some_and(|v| v == "1");
-    let target: f64 = parse_num(flags, "slo-target", 0.97)?;
+    let sim = SimRun::parse(flags, 7, 1 << 20)?;
+    let top: usize = flags.num("top", 3)?;
+    let target: f64 = flags.num("slo-target", 0.97)?;
     if !(target > 0.0 && target < 1.0) {
         return Err("--slo-target must lie strictly inside (0, 1)".to_string());
     }
-    let objective_name = flags
-        .get("slo-objective")
-        .map_or("deadline", String::as_str);
+    let objective_name = flags.or("slo-objective", "deadline");
     let objective = Objective::from_label(objective_name).ok_or_else(|| {
         format!("unknown --slo-objective `{objective_name}` (deadline | latency)")
     })?;
 
     // An explicit library wins; otherwise generate the default edge setup
     // in process so `report` works standalone.
+    let cifar = DatasetKind::Cifar10;
     let library = match flags.get("library") {
         Some(_) => load_library(flags)?,
         None => LibraryGenerator::default_edge_setup()
-            .generate(
-                &build_model("cnv-w2a2", Some(DatasetKind::Cifar10))?,
-                DatasetKind::Cifar10,
-            )
+            .generate(&build_model("cnv-w2a2", Some(cifar))?, cifar)
             .map_err(|e| e.to_string())?,
     };
-    let spec = WorkloadSpec::paper_edge(scenario);
     let config = sim_serve_knobs(flags)?;
+    let (name, seed) = (sim.scenario.name(), sim.seed);
 
-    // One traced run; returns (summary JSON, headline, events).
-    let run_once = || -> Result<(String, String, Vec<Event>), String> {
-        let (sink, recorder) = SinkHandle::recorder(1 << 20);
-        if mode == "serve" {
-            let policy_name = flags.get("policy").map_or("adaflow", String::as_str);
-            build_serve_policy(policy_name, &library, config.deadline_s)?;
-            let experiment = adaflow_serve::ServeExperiment::new(&library, spec.clone())
-                .runs(1)
-                .seed(seed)
-                .config(config.clone());
-            let summary = experiment.run_traced(seed, sink, || {
-                build_serve_policy(policy_name, &library, config.deadline_s)
-                    .expect("name validated above")
-            });
-            if !summary.conservation_holds() {
-                return Err("request conservation violated in traced run".to_string());
-            }
-            let headline = format!(
-                "serve/{policy_name} under {} (seed {seed}): {:.0} arrived, {:.0} completed \
-                 ({:.2}% deadline hits), {:.0} shed",
-                scenario.name(),
-                summary.arrived,
-                summary.completed,
-                summary.deadline_hit_pct,
-                summary.shed
-            );
-            let json = serde_json::to_string(&summary).map_err(|e| e.to_string())?;
-            Ok((json, headline, drain_events(&recorder)))
-        } else {
-            let fleet_config = parse_fleet_config(flags)?;
-            let experiment = adaflow_fleet::FleetExperiment::new(&library, spec.clone())
-                .config(fleet_config.clone())
-                .runs(1)
-                .seed(seed);
-            let summary = experiment.run_traced(seed, sink);
-            if !summary.conservation_holds() {
-                return Err("fleet conservation violated in traced run".to_string());
-            }
-            let headline = format!(
-                "fleet of {} via {} under {} (seed {seed}): {:.0} arrived, {:.0} completed \
-                 ({:.2}% deadline hits), {:.0} shed; stage means queue {:.2} ms / \
-                 batch-wait {:.2} ms (stall {:.2} ms) / service {:.2} ms",
-                fleet_config.devices.len(),
-                summary.router,
-                scenario.name(),
-                summary.arrived,
-                summary.completed,
-                summary.deadline_hit_pct,
-                summary.shed,
-                summary.queue_wait_mean_s * 1e3,
-                summary.batch_wait_mean_s * 1e3,
-                summary.stall_mean_s * 1e3,
-                summary.service_mean_s * 1e3
-            );
-            let json = serde_json::to_string(&summary).map_err(|e| e.to_string())?;
-            Ok((json, headline, drain_events(&recorder)))
-        }
+    // One traced run: (summary JSON, headline, events).
+    let (summary_json, headline, events) = if mode == "serve" {
+        let policy = flags.or("policy", "adaflow");
+        let (s, events) = run_serve(&sim, &library, policy, &config)?;
+        let headline = format!(
+            "serve/{policy} under {name} (seed {seed}): {:.0} arrived, {:.0} completed \
+             ({:.2}% deadline hits), {:.0} shed",
+            s.arrived, s.completed, s.deadline_hit_pct, s.shed
+        );
+        (to_json(&s)?, headline, events)
+    } else {
+        let fleet = parse_fleet_config(flags)?;
+        let (s, events) = run_fleet(&sim, &library, &fleet)?;
+        let (devices, queue) = (fleet.devices.len(), s.queue_wait_mean_s * 1e3);
+        let (batch, stall) = (s.batch_wait_mean_s * 1e3, s.stall_mean_s * 1e3);
+        let service = s.service_mean_s * 1e3;
+        let headline = format!(
+            "fleet of {devices} via {} under {name} (seed {seed}): {:.0} arrived, {:.0} completed \
+             ({:.2}% deadline hits), {:.0} shed; stage means queue {queue:.2} ms / \
+             batch-wait {batch:.2} ms (stall {stall:.2} ms) / service {service:.2} ms",
+            s.router, s.arrived, s.completed, s.deadline_hit_pct, s.shed
+        );
+        (to_json(&s)?, headline, events)
     };
 
-    let (summary_json, headline, events) = run_once()?;
     let forest = TraceForest::from_events(&events);
     forest
         .validate()
@@ -900,31 +922,24 @@ fn cmd_report(flags: &Flags) -> Result<(), String> {
         ..SloConfig::default()
     })
     .evaluate(&registry);
-    let waterfall_json = serde_json::to_string(&waterfall).map_err(|e| e.to_string())?;
-    let slo_json = serde_json::to_string(&slo).map_err(|e| e.to_string())?;
 
-    if check {
-        let (summary2, _, events2) = run_once()?;
-        if summary_json != summary2 || events != events2 {
-            return Err("determinism check failed: repeated traced run diverged".to_string());
-        }
-    }
-
-    if format == "json" {
-        println!(
-            "{{\"mode\":\"{mode}\",\"scenario\":\"{scenario_name}\",\"seed\":{seed},\
-             \"summary\":{summary_json},\"waterfall\":{waterfall_json},\"slo\":{slo_json}}}"
-        );
-    } else {
+    let json = || {
+        Ok(format!(
+            "{{\"mode\":\"{mode}\",\"scenario\":\"{}\",\"seed\":{seed},\
+             \"summary\":{summary_json},\"waterfall\":{},\"slo\":{}}}",
+            sim.scenario_name,
+            to_json(&waterfall)?,
+            to_json(&slo)?
+        ))
+    };
+    let text = || {
         println!("{headline}");
         print!("{}", waterfall.render_text());
+        let (target, good) = (slo.target * 100.0, slo.good_fraction * 100.0);
         println!(
-            "slo ({}, target {:.2}%): good {:.2}%, error budget {:.1} requests, consumed {:.1}%",
-            slo.objective,
-            slo.target * 100.0,
-            slo.good_fraction * 100.0,
-            slo.error_budget,
-            slo.budget_consumed_pct
+            "slo ({}, target {target:.2}%): good {good:.2}%, error budget {:.1} requests, \
+             consumed {:.1}%",
+            slo.objective, slo.error_budget, slo.budget_consumed_pct
         );
         println!(
             "  burn: overall {:.2}x, worst short({:.0}s) {:.2}x, worst long({:.0}s) {:.2}x, \
@@ -937,45 +952,12 @@ fn cmd_report(flags: &Flags) -> Result<(), String> {
             slo.alert_burn_rate,
             slo.alerts.len()
         );
-        if check {
-            println!("  determinism: repeated run identical");
-        }
-    }
-
-    if let Some(prefix) = flags.get("out") {
-        // Fold the SLO alerts into the exported stream (they carry their
-        // own sim timestamps), so the Perfetto view shows burns in place.
-        let mut exported = events.clone();
-        exported.extend(slo.alerts.iter().cloned());
-        write_exports(prefix, format, &exported, &[])?;
-    }
-    Ok(())
-}
-
-/// Builds a serving policy by name, attaching a telemetry sink.
-fn build_policy<'l>(
-    name: &str,
-    library: &'l Library,
-    sink: &SinkHandle,
-) -> Result<Box<dyn ServerPolicy + 'l>, String> {
-    match name {
-        "adaflow" => Ok(Box::new(
-            AdaFlowPolicy::new(library, RuntimeConfig::default()).with_sink(sink.clone()),
-        )),
-        "finn" => Ok(Box::new(
-            OriginalFinnPolicy::new(library).with_sink(sink.clone()),
-        )),
-        other => match other.strip_prefix("reconf:") {
-            Some(ms) => {
-                let ms: u64 = ms.parse().map_err(|e| format!("bad reconf time: {e}"))?;
-                Ok(Box::new(
-                    PruningReconfPolicy::new(library, Duration::from_millis(ms))
-                        .with_sink(sink.clone()),
-                ))
-            }
-            None => Err(format!("unknown policy `{other}`")),
-        },
-    }
+    };
+    // Fold the SLO alerts into the exported stream (they carry their own
+    // sim timestamps), so the Perfetto view shows burns in place.
+    let mut exported = events;
+    exported.extend(slo.alerts.iter().cloned());
+    sim.finish(json, text, &exported)
 }
 
 /// One fully-traced serving run: records every telemetry event, prints a
@@ -983,24 +965,20 @@ fn build_policy<'l>(
 /// Prometheus exports.
 fn cmd_trace(flags: &Flags) -> Result<(), String> {
     let library = load_library(flags)?;
-    let scenario = parse_scenario(flags.get("scenario").map_or("2", String::as_str))?;
-    let seed: u64 = parse_num(flags, "seed", 1)?;
-    let policy_name = flags.get("policy").map_or("adaflow", String::as_str);
+    let sim = SimRun::parse(flags, 1, 1 << 18)?;
+    let policy_name = flags.or("policy", "adaflow");
 
-    let (sink, recorder) = SinkHandle::recorder(1 << 18);
+    let (sink, recorder) = SinkHandle::recorder(sim.ring);
     let mut policy = build_policy(policy_name, &library, &sink)?;
-    let segments = WorkloadSpec::paper_edge(scenario).generate(seed);
-    let sim = EdgeSim::new(SimConfig::default()).with_sink(sink);
-    let (metrics, _) = sim.run(policy.as_mut(), &segments);
+    let segments = sim.spec().generate(sim.seed);
+    let edge = EdgeSim::new(SimConfig::default()).with_sink(sink);
+    let (metrics, _) = edge.run(policy.as_mut(), &segments);
 
     let events = drain_events(&recorder);
     let registry = fold_events(&events);
-    println!(
-        "{policy_name} under {} (seed {seed}): {} events over {:.1} s",
-        scenario.name(),
-        events.len(),
-        events.iter().fold(0.0_f64, |end, e| end.max(e.t_s))
-    );
+    let end_s = events.iter().fold(0.0_f64, |end, e| end.max(e.t_s));
+    let (name, seed, n) = (sim.scenario.name(), sim.seed, events.len());
+    println!("{policy_name} under {name} (seed {seed}): {n} events over {end_s:.1} s");
     println!(
         "  frames: {:.0} arrived, {:.1} dropped (run lost {:.1}, {:.2}%)",
         registry.counter("frames_arrived"),
@@ -1016,12 +994,10 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
         registry.counter("flexible_switches"),
         registry.counter("stall_seconds")
     );
+    let m = &metrics;
     println!(
         "  latency: mean {:.1} ms, p50 {:.1} ms, p95 {:.1} ms, p99 {:.1} ms",
-        metrics.mean_latency_ms,
-        metrics.latency_p50_ms,
-        metrics.latency_p95_ms,
-        metrics.latency_p99_ms
+        m.mean_latency_ms, m.latency_p50_ms, m.latency_p95_ms, m.latency_p99_ms
     );
     // A run that sampled no depth prints the zeros an empty histogram reads.
     let depth = |q| {
@@ -1029,35 +1005,15 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
             .histogram("queue_depth")
             .map_or(0.0, |h| h.quantile(q))
     };
-    println!(
-        "  queue depth: p50 {:.1}, p95 {:.1}, p99 {:.1} frames",
-        depth(0.5),
-        depth(0.95),
-        depth(0.99)
-    );
-
-    if let Some(prefix) = flags.get("out") {
-        write_exports(prefix, "text", &events, &[])?;
-    }
-    Ok(())
+    let [p50, p95, p99] = [0.5, 0.95, 0.99].map(depth);
+    println!("  queue depth: p50 {p50:.1}, p95 {p95:.1}, p99 {p99:.1} frames");
+    sim.export(&events)
 }
-
-/// All model names `lint --model all` expands to.
-const LINT_MODELS: [&str; 5] = [
-    "cnv-w2a2",
-    "cnv-w1a2",
-    "lenet-w2a2",
-    "lenet-w1a2",
-    "tiny-w2a2",
-];
 
 /// Lints one graph end to end: the `AF` graph rules, the `DF` folding rule
 /// against the model's reference folding, and — when the accelerator
 /// compiles — the `DF` pipeline rules. Returns one merged report.
-fn lint_graph(
-    graph: &adaflow_model::CnnGraph,
-    lint: &adaflow_verify::LintConfig,
-) -> Result<adaflow_verify::Report, String> {
+fn lint_graph(graph: &CnnGraph, lint: &LintConfig) -> Result<Report, String> {
     use adaflow_dataflow::{verify_dataflow, AcceleratorKind, DataflowAccelerator};
     use adaflow_pruning::FinnConfig;
 
@@ -1093,78 +1049,60 @@ fn cmd_explain(code: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_lint(flags: &Flags) -> Result<(), String> {
+/// The reports `lint` prints: the fleet/serving config rules (FL + SV)
+/// when any flag of [`FLEET_FLAGS`] or [`SERVE_KNOBS`] asks for them, then
+/// each `--model` graph at each `--rates` pruning rate.
+fn lint_reports(flags: &Flags) -> Result<Vec<Report>, String> {
     use adaflow_pruning::{DataflowAwarePruner, FinnConfig};
-    use adaflow_verify::Severity;
 
-    if let Some(code) = flags.get("explain") {
-        return cmd_explain(code);
-    }
-
-    // Fleet/serving config linting (FL + SV rule families) rides on the
-    // same allow/deny policy and error exit as the graph rules. It is
-    // requested by any fleet-shaped flag; `--model` is then optional.
-    let fleet_requested = ["fleet", "router", "deadline-ms", "max-drains"]
+    // The config rules ride on the same allow/deny policy and error exit as
+    // the graph rules; when they are asked for, `--model` is optional.
+    let config_requested = flag_names(&[FLEET_FLAGS, SERVE_KNOBS])
         .iter()
-        .any(|f| flags.contains_key(*f));
-    let models: Vec<&str> = match flags.get("model").map(String::as_str) {
-        Some("all") => LINT_MODELS.to_vec(),
+        .any(|f| flags.get(f).is_some());
+    let models: Vec<&str> = match flags.get("model") {
+        Some("all") => MODELS.split(' ').collect(),
         Some(name) => vec![name],
-        None if fleet_requested => Vec::new(),
+        None if config_requested => Vec::new(),
         None => return Err(format!("missing --model\n{}", usage())),
     };
-    let rates: Vec<f64> = flags.get("rates").map_or(Ok(vec![0.0]), |rates| {
-        rates
-            .split(',')
-            .map(|r| {
-                r.trim()
-                    .parse::<f64>()
-                    .map_err(|e| format!("bad rate `{r}`: {e}"))
-            })
-            .collect()
-    })?;
-    let format = parse_format(flags)?;
+    let rates = flags.get("rates").map_or(Ok(vec![0.0]), parse_rates)?;
     let lint = parse_lint_flags(flags);
 
     let mut reports = Vec::new();
-    if fleet_requested {
-        let config = parse_fleet_config(flags)?;
-        reports.push(config.validate(lint.clone()));
-        // SV serving rules on the per-device share of the paper's edge
-        // load. The worst-case stall needs a concrete library; without
-        // `--library` only the deadline-local SV001 can fire.
+    if config_requested {
+        // On the paper's edge load. The worst-case stall needs a concrete
+        // library; without `--library` only the deadline-local SV001 fires.
         let worst_stall_s = match flags.get("library") {
-            Some(_) => worst_policy_stall_s("adaflow", &load_library(flags)?),
+            Some(_) => build_serve_policy("adaflow", &load_library(flags)?, 0.0)?.1,
             None => 0.0,
         };
-        let share_fps = WorkloadSpec::paper_edge(Scenario::Unpredictable).nominal_fps()
-            / config.devices.len().max(1) as f64;
-        reports.push(
-            config
-                .serve
-                .validate(share_fps, worst_stall_s, lint.clone()),
-        );
+        let fps = WorkloadSpec::paper_edge(Scenario::Unpredictable).nominal_fps();
+        let config = parse_fleet_config(flags)?;
+        reports.extend(lint_fleet(&config, fps, worst_stall_s, &lint));
     }
     for name in models {
         let graph = build_model(name, None)?;
         reports.push(lint_graph(&graph, &lint)?);
-        let config = FinnConfig::cnv_reference(&graph).map_err(|e| e.to_string())?;
-        let pruner = DataflowAwarePruner::new(config);
-        for &rate in &rates {
-            if rate == 0.0 {
-                continue;
-            }
+        let pruner =
+            DataflowAwarePruner::new(FinnConfig::cnv_reference(&graph).map_err(|e| e.to_string())?);
+        for &rate in rates.iter().filter(|&&rate| rate != 0.0) {
             let pruned = pruner.prune(&graph, rate).map_err(|e| e.to_string())?;
             reports.push(lint_graph(&pruned.graph, &lint)?);
         }
     }
+    Ok(reports)
+}
 
+fn cmd_lint(flags: &Flags) -> Result<(), String> {
+    if let Some(code) = flags.get("explain") {
+        return cmd_explain(code);
+    }
+    let format = parse_format(flags)?;
+    let reports = lint_reports(flags)?;
     let errors: usize = reports.iter().map(|r| r.count(Severity::Error)).sum();
     if format == "json" {
-        let docs: Result<Vec<String>, _> = reports
-            .iter()
-            .map(adaflow_verify::Report::to_json)
-            .collect();
+        let docs: Result<Vec<String>, _> = reports.iter().map(Report::to_json).collect();
         println!("[{}]", docs.map_err(|e| e.to_string())?.join(",\n"));
     } else {
         for report in &reports {
@@ -1183,98 +1121,162 @@ fn cmd_lint(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_explore(flags: &Flags) -> Result<(), String> {
-    let graph = build_model(required(flags, "model")?, None)?;
-    let target_fps: f64 = parse_num(flags, "target-fps", 600.0)?;
-    let cap: f64 = parse_num(flags, "cap", 0.7)?;
+    let graph = build_model(flags.required("model")?, None)?;
     let goal = ExplorationGoal {
-        target_fps,
+        target_fps: flags.num("target-fps", 600.0)?,
         device: FpgaDevice::zcu104(),
-        utilization_cap: cap,
+        utilization_cap: flags.num("cap", 0.7)?,
     };
     let result = FoldingExplorer::new(goal)
         .explore(&graph)
         .map_err(|e| e.to_string())?;
+    let met = if result.target_met { "met" } else { "NOT met" };
     println!(
-        "explored folding in {} moves: {:.0} FPS (target {}) — {} LUT, {} BRAM36",
-        result.moves,
-        result.throughput_fps,
-        if result.target_met { "met" } else { "NOT met" },
-        result.resources.lut,
-        result.resources.bram36
+        "explored folding in {} moves: {:.0} FPS (target {met}) — {} LUT, {} BRAM36",
+        result.moves, result.throughput_fps, result.resources.lut, result.resources.bram36
     );
     for (id, f) in result.folding.entries() {
-        println!(
-            "  {}: PE {}, SIMD {}",
-            graph.nodes()[id.0].name,
-            f.pe,
-            f.simd
-        );
+        let name = &graph.nodes()[id.0].name;
+        println!("  {name}: PE {}, SIMD {}", f.pe, f.simd);
     }
     Ok(())
 }
 
-/// Parses an optional numeric flag, falling back to `default`.
-fn parse_num<T: std::str::FromStr>(flags: &Flags, name: &str, default: T) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    flags.get(name).map_or(Ok(default), |v| {
-        v.parse().map_err(|e| format!("bad --{name}: {e}"))
-    })
+/// The live stack of `serve-live`, `soak`, `gateway` and `gateway-soak`:
+/// `--model` and its graph, the serving knobs over `LiveConfig::default()`
+/// (`--batch-wait-ms` 0) and the lint policy of the start-up verify gate.
+struct LiveStack {
+    model: String,
+    graph: CnnGraph,
+    serve: ServeConfig,
+    lint: LintConfig,
 }
 
-/// Serves a model over real TCP sockets on the live inference engine.
-///
-/// The startup path is verify-gated: the full graph lint plus the serving
-/// config lint run first, and any Error-level diagnostic refuses to open
-/// the socket (nonzero exit) — the live counterpart of `serve`'s SV gate.
+impl LiveStack {
+    /// `default_model` is `None` where `--model` is required.
+    fn parse(flags: &Flags, default_model: Option<&str>) -> Result<Self, String> {
+        let model = match default_model {
+            Some(default) => flags.or("model", default),
+            None => flags.required("model")?,
+        };
+        Ok(LiveStack {
+            model: model.to_string(),
+            graph: build_model(model, None)?,
+            serve: parse_serve_knobs(flags, LiveConfig::default().serve)?,
+            lint: parse_lint_flags(flags),
+        })
+    }
+
+    /// The verify gate at `nominal_fps`: an Error-level finding refuses to
+    /// start. Worst stall is zero — a live tier serves a single model.
+    fn preflight(&self, nominal_fps: f64) -> Result<Report, String> {
+        adaflow_net::preflight(&self.graph, &self.serve, nominal_fps, 0.0, &self.lint)
+            .map_err(|e| e.to_string())
+    }
+
+    fn config(&self) -> LiveConfig {
+        LiveConfig {
+            serve: self.serve.clone(),
+            model_id: self.model.clone(),
+            ..LiveConfig::default()
+        }
+    }
+
+    /// The gateway's warm-up of each backend: `iters` requests (0 = none).
+    fn warmup(&self, iters: u32) -> Option<adaflow_gateway::WarmupSpec> {
+        let shape = self.graph.input_shape();
+        (iters > 0).then(|| adaflow_gateway::WarmupSpec {
+            model: self.model.clone(),
+            channels: shape.channels as u16,
+            height: shape.height as u16,
+            width: shape.width as u16,
+            iters,
+        })
+    }
+}
+
+/// What `serve-live` and `gateway` share around their listener
+/// ([`LIVE_TIER`]): the preflight at `--nominal-fps`, the `--duration-s`
+/// stop timer (0 = run until killed) and the exports with `report.json`.
+struct LiveTier<'f> {
+    nominal_fps: f64,
+    duration_s: f64,
+    format: &'f str,
+    out: Option<&'f str>,
+}
+
+impl<'f> LiveTier<'f> {
+    fn parse(flags: &'f Flags) -> Result<Self, String> {
+        Ok(LiveTier {
+            nominal_fps: flags.num("nominal-fps", 100.0)?,
+            duration_s: flags.num("duration-s", 0.0)?,
+            format: parse_format(flags)?,
+            out: flags.get("out"),
+        })
+    }
+
+    /// Calls `stop` on a timer thread after `--duration-s`, if set, and
+    /// returns the `, for N s` the start-up line then ends with.
+    fn stop_after(&self, stop: impl FnOnce() + Send + 'static) -> String {
+        if self.duration_s <= 0.0 {
+            return String::new();
+        }
+        let duration = Duration::from_secs_f64(self.duration_s);
+        std::thread::spawn(move || {
+            std::thread::sleep(duration);
+            stop();
+        });
+        format!(", for {:.0} s", self.duration_s)
+    }
+
+    /// The `--out` exports of the run's `events`, plus its `report` as
+    /// `<prefix>.report.json`.
+    fn export(
+        &self,
+        events: impl FnOnce() -> Vec<Event>,
+        report: &impl Serialize,
+    ) -> Result<(), String> {
+        let Some(prefix) = self.out else {
+            return Ok(());
+        };
+        let extra = [("report.json", to_json(report)?)];
+        write_exports(prefix, self.format, &events(), &extra)
+    }
+}
+
+/// Serves a model over real TCP sockets on the live inference engine,
+/// verify-gated at start-up like `serve`.
 fn cmd_serve_live(flags: &Flags) -> Result<(), String> {
-    use adaflow_net::{preflight, LiveConfig, LiveServer, MetricsEndpoint};
+    use adaflow_net::{LiveServer, MetricsEndpoint};
     use adaflow_telemetry::RegistrySink;
-    use adaflow_verify::Severity;
     use std::sync::Arc;
 
-    let model_name = required(flags, "model")?.to_string();
-    let graph = build_model(&model_name, None)?;
-    let serve = live_serve_knobs(flags)?;
-    let lint = parse_lint_flags(flags);
-    let nominal_fps: f64 = parse_num(flags, "nominal-fps", 100.0)?;
-    let duration_s: f64 = parse_num(flags, "duration-s", 0.0)?;
-    let threads: usize = parse_num(flags, "threads", 0)?;
-    let addr = flags.get("addr").map_or("127.0.0.1:7878", String::as_str);
-    let format = parse_format(flags)?;
-
-    // Hard gate: a live endpoint must not come up on a config the verifier
-    // rejects. Worst stall is zero — live serving runs a single model.
-    let report = preflight(&graph, &serve, nominal_fps, 0.0, &lint).map_err(|e| e.to_string())?;
-    if format == "text" && report.count(Severity::Warn) > 0 {
-        print!("{report}");
-    }
+    let stack = LiveStack::parse(flags, None)?;
+    let tier = LiveTier::parse(flags)?;
+    let threads: usize = flags.num("threads", 0)?;
+    let metrics_port: Option<u16> = flags.opt_num("metrics-port")?;
+    let addr = flags.or("addr", "127.0.0.1:7878");
+    print_findings(&stack.preflight(tier.nominal_fps)?, tier.format);
 
     let (trace_sink, recorder) = SinkHandle::recorder(1 << 18);
     let registry = RegistrySink::new(RegistryConfig::default());
     let sink = SinkHandle::fanout(vec![trace_sink, SinkHandle::new(registry.clone())]);
     let config = LiveConfig {
-        serve: serve.clone(),
-        model_id: model_name.clone(),
         threads,
+        ..stack.config()
     };
-    let server = LiveServer::bind(addr, &graph, config, sink).map_err(|e| e.to_string())?;
+    let server = LiveServer::bind(addr, &stack.graph, config, sink).map_err(|e| e.to_string())?;
     let bound = server.local_addr().map_err(|e| e.to_string())?;
-    let handle = server.handle();
 
     // Optional Prometheus scrape endpoint, on its own thread.
     let metrics_stop = Arc::new(adaflow_proto::server::Stop::new());
-    let metrics_thread = match flags.get("metrics-port") {
+    let metrics_thread = match metrics_port {
         Some(port) => {
-            let port: u16 = port
-                .parse()
-                .map_err(|e| format!("bad --metrics-port: {e}"))?;
             let endpoint =
                 MetricsEndpoint::bind(("127.0.0.1", port), registry, metrics_stop.clone())
                     .map_err(|e| format!("binding metrics endpoint: {e}"))?;
             let metrics_addr = endpoint.local_addr().map_err(|e| e.to_string())?;
-            if format == "text" {
+            if tier.format == "text" {
                 println!("metrics: http://{metrics_addr}/metrics");
             }
             Some(std::thread::spawn(move || endpoint.serve()))
@@ -1282,26 +1284,15 @@ fn cmd_serve_live(flags: &Flags) -> Result<(), String> {
         None => None,
     };
 
-    if format == "text" {
+    let handle = server.handle();
+    let timed = tier.stop_after(move || handle.shutdown());
+    if tier.format == "text" {
+        let serve = &stack.serve;
+        let (deadline, wait) = (serve.deadline_s * 1e3, serve.max_wait_s * 1e3);
         println!(
-            "serving {model_name} on {bound}: deadline {:.0} ms, queue {}, batch {} / {:.0} ms{}",
-            serve.deadline_s * 1e3,
-            serve.queue_capacity,
-            serve.max_batch,
-            serve.max_wait_s * 1e3,
-            if duration_s > 0.0 {
-                format!(", for {duration_s:.0} s")
-            } else {
-                String::new()
-            }
+            "serving {} on {bound}: deadline {deadline:.0} ms, queue {}, batch {} / {wait:.0} ms{timed}",
+            stack.model, serve.queue_capacity, serve.max_batch
         );
-    }
-    if duration_s > 0.0 {
-        let timer = handle.clone();
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_secs_f64(duration_s));
-            timer.shutdown();
-        });
     }
 
     let report = server.run().map_err(|e| e.to_string())?;
@@ -1311,12 +1302,7 @@ fn cmd_serve_live(flags: &Flags) -> Result<(), String> {
     }
     let events = drain_events(&recorder);
 
-    if format == "json" {
-        println!(
-            "{}",
-            serde_json::to_string(&report).map_err(|e| e.to_string())?
-        );
-    } else {
+    print_as(tier.format, &report, || {
         let s = &report.summary;
         println!(
             "live: {:.0} arrived over {:.1} s — {:.0} served ({:.1} req/s), {:.0} shed",
@@ -1329,14 +1315,12 @@ fn cmd_serve_live(flags: &Flags) -> Result<(), String> {
             s.latency_p95_s * 1e3,
             s.latency_p99_s * 1e3
         );
+        let (wait, service) = (s.queue_wait_mean_s * 1e3, s.service_mean_s * 1e3);
+        let floor = report.min_service_s * 1e3;
         println!(
-            "  batches: {:.0} closed, mean size {:.1}, queue wait {:.1} ms, service {:.1} ms \
-             (floor {:.2} ms)",
-            s.batches,
-            s.mean_batch_size,
-            s.queue_wait_mean_s * 1e3,
-            s.service_mean_s * 1e3,
-            report.min_service_s * 1e3
+            "  batches: {:.0} closed, mean size {:.1}, queue wait {wait:.1} ms, \
+             service {service:.1} ms (floor {floor:.2} ms)",
+            s.batches, s.mean_batch_size
         );
         let r = &report.rejects;
         println!(
@@ -1344,80 +1328,98 @@ fn cmd_serve_live(flags: &Flags) -> Result<(), String> {
              unknown-model {}, bad-request {}",
             r.queue_full, r.deadline_infeasible, r.shutting_down, r.unknown_model, r.bad_request
         );
+        let recorded = events.len();
         println!(
             "  wire: {} connection(s), {} protocol error(s), {} send error(s), \
-             {} accept error(s), {} event(s) recorded",
-            report.connections,
-            report.protocol_errors,
-            report.send_errors,
-            report.accept_errors,
-            events.len()
+             {} accept error(s), {recorded} event(s) recorded",
+            report.connections, report.protocol_errors, report.send_errors, report.accept_errors
         );
+    })?;
+    tier.export(|| events, &report)
+}
+
+/// The seeded load `load`, `soak` and `gateway-soak` offer: `--requests`
+/// round trips per connection (`load` only), else `--rate-fps` for
+/// `--duration-s`; over `--connections`, seeded by `--seed`.
+struct LoadPlan {
+    requests: Option<u64>,
+    rate_fps: f64,
+    duration_s: f64,
+    connections: usize,
+    seed: u64,
+}
+
+impl LoadPlan {
+    /// Parses the plan over the command's `(rate_fps, duration_s,
+    /// connections)` defaults.
+    fn parse(flags: &Flags, defaults: (f64, f64, usize)) -> Result<Self, String> {
+        Ok(LoadPlan {
+            requests: flags.opt_num("requests")?,
+            rate_fps: flags.num("rate-fps", defaults.0)?,
+            duration_s: flags.num("duration-s", defaults.1)?,
+            connections: flags.num("connections", defaults.2)?,
+            seed: flags.num("seed", 7)?,
+        })
     }
 
-    if let Some(prefix) = flags.get("out") {
-        let report_json = serde_json::to_string(&report).map_err(|e| e.to_string())?;
-        write_exports(prefix, format, &events, &[("report.json", report_json)])?;
+    /// The load generator's config: `model` requests of `shape` against
+    /// `addr`, each with a `deadline_ms` budget (0 = the server's default).
+    fn config(
+        &self,
+        addr: SocketAddr,
+        model: &str,
+        shape: TensorShape,
+        deadline_ms: f64,
+    ) -> LoadConfig {
+        let (rate_fps, duration_s) = (self.rate_fps, self.duration_s);
+        let mode = match self.requests {
+            Some(requests) => LoadMode::Closed { requests },
+            None => LoadMode::Open {
+                rate_fps,
+                duration_s,
+            },
+        };
+        LoadConfig {
+            connections: self.connections,
+            mode,
+            deadline_us: (deadline_ms * 1e3).max(0.0) as u64,
+            seed: self.seed,
+            ..LoadConfig::closed(addr, model, shape, 0)
+        }
     }
-    Ok(())
+}
+
+impl Display for LoadPlan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{:.0} req/s x {:.0} s over {} connection(s), seed {}",
+            self.rate_fps, self.duration_s, self.connections, self.seed
+        )
+    }
 }
 
 /// Drives seeded load against a live endpoint and prints the
 /// reason-coded summary.
 fn cmd_load(flags: &Flags) -> Result<(), String> {
-    use adaflow_net::{run_load, LoadConfig, LoadMode};
-
-    let addr_str = required(flags, "addr")?;
-    let addr: std::net::SocketAddr = addr_str
+    let addr = flags.required("addr")?;
+    let addr: SocketAddr = addr
         .parse()
-        .map_err(|e| format!("bad --addr `{addr_str}`: {e}"))?;
-    let model_name = required(flags, "model")?.to_string();
-    let graph = build_model(&model_name, None)?;
-    let connections: usize = parse_num(flags, "connections", 1)?;
-    let seed: u64 = parse_num(flags, "seed", 7)?;
-    let deadline_ms: f64 = parse_num(flags, "deadline-ms", 0.0)?;
+        .map_err(|e| format!("bad --addr `{addr}`: {e}"))?;
+    let model = flags.required("model")?;
+    let shape = build_model(model, None)?.input_shape();
+    let plan = LoadPlan::parse(flags, (100.0, 5.0, 1))?;
+    let deadline_ms: f64 = flags.num("deadline-ms", 0.0)?;
     let format = parse_format(flags)?;
-    let mode = if let Some(requests) = flags.get("requests") {
-        LoadMode::Closed {
-            requests: requests
-                .parse()
-                .map_err(|e| format!("bad --requests: {e}"))?,
-        }
-    } else {
-        LoadMode::Open {
-            rate_fps: parse_num(flags, "rate-fps", 100.0)?,
-            duration_s: parse_num(flags, "duration-s", 5.0)?,
-        }
-    };
-    let config = LoadConfig {
-        addr,
-        model: model_name,
-        shape: graph.input_shape(),
-        connections,
-        mode,
-        deadline_us: (deadline_ms * 1e3).max(0.0) as u64,
-        seed,
-        recv_grace: Duration::from_secs(5),
-    };
-    let summary = run_load(&config);
-    print_load_summary(&summary, format)
+    let summary = adaflow_net::run_load(&plan.config(addr, model, shape, deadline_ms));
+    print_as(format, &summary, || print_load_summary(&summary))
 }
 
-fn print_load_summary(summary: &adaflow_net::LoadSummary, format: &str) -> Result<(), String> {
-    if format == "json" {
-        println!(
-            "{}",
-            serde_json::to_string(summary).map_err(|e| e.to_string())?
-        );
-        return Ok(());
-    }
+fn print_load_summary(summary: &LoadSummary) {
+    let (rejected, hit_pct) = (summary.rejected(), summary.hit_pct());
     println!(
-        "load: {} sent — {} ok, {} rejected, {} missing ({:.2}% hit within budget)",
-        summary.sent,
-        summary.ok,
-        summary.rejected(),
-        summary.missing,
-        summary.hit_pct()
+        "load: {} sent — {} ok, {rejected} rejected, {} missing ({hit_pct:.2}% hit within budget)",
+        summary.sent, summary.ok, summary.missing
     );
     println!(
         "  rejects: queue-full {}, deadline-infeasible {}, shutting-down {}, \
@@ -1432,292 +1434,196 @@ fn print_load_summary(summary: &adaflow_net::LoadSummary, format: &str) -> Resul
         "  errors: protocol {}, io {}",
         summary.protocol_errors, summary.io_errors
     );
+    let (p50, p95) = (summary.rtt_p50_s * 1e3, summary.rtt_p95_s * 1e3);
+    let p99 = summary.rtt_p99_s * 1e3;
     println!(
-        "  rtt: p50 {:.1} ms, p95 {:.1} ms, p99 {:.1} ms — {:.1} req/s over {:.1} s",
-        summary.rtt_p50_s * 1e3,
-        summary.rtt_p95_s * 1e3,
-        summary.rtt_p99_s * 1e3,
-        summary.throughput_rps,
-        summary.elapsed_s
+        "  rtt: p50 {p50:.1} ms, p95 {p95:.1} ms, p99 {p99:.1} ms — {:.1} req/s over {:.1} s",
+        summary.throughput_rps, summary.elapsed_s
     );
-    Ok(())
 }
 
 /// The client-side floors `soak` and `gateway-soak` share: what the load
 /// generator itself saw go wrong, whatever tier answered it.
-fn client_floor_failures(summary: &adaflow_net::LoadSummary, min_hit_pct: f64) -> Vec<String> {
-    let mut failures = Vec::new();
-    if summary.protocol_errors > 0 {
-        failures.push(format!(
-            "client decoded {} malformed frame(s)",
-            summary.protocol_errors
-        ));
+fn client_floor_failures(s: &LoadSummary, min_hit_pct: f64) -> Vec<String> {
+    [
+        (s.protocol_errors > 0)
+            .then(|| format!("client decoded {} malformed frame(s)", s.protocol_errors)),
+        (s.io_errors > 0).then(|| format!("{} socket error(s) on the client", s.io_errors)),
+        (s.missing > 0).then(|| format!("{} request(s) never got a response", s.missing)),
+        (s.hit_pct() < min_hit_pct).then(|| {
+            format!(
+                "hit rate {:.2}% below the {min_hit_pct:.2}% floor",
+                s.hit_pct()
+            )
+        }),
+    ]
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
+/// What `soak` and `gateway-soak` share ([`SOAK`]): the live stack
+/// (`tiny-w2a2` by default), the load offered to it and its hit-rate floor.
+struct Soak {
+    stack: LiveStack,
+    load: LoadPlan,
+    min_hit_pct: f64,
+}
+
+impl Soak {
+    /// Parses the shared flags over the command's default offered rate.
+    fn parse(flags: &Flags, rate_fps: f64) -> Result<Self, String> {
+        Ok(Soak {
+            stack: LiveStack::parse(flags, Some("tiny-w2a2"))?,
+            load: LoadPlan::parse(flags, (rate_fps, 3.0, 2))?,
+            min_hit_pct: flags.num("min-hit-pct", 50.0)?,
+        })
     }
-    if summary.io_errors > 0 {
-        failures.push(format!(
-            "{} socket error(s) on the client",
-            summary.io_errors
-        ));
+
+    /// The floors, any violation a red CI: the client's, no connection the
+    /// `tier` dropped on `protocol_errors`, then the tier's own `failures`.
+    fn verdict(
+        &self,
+        command: &str,
+        summary: &LoadSummary,
+        (tier, protocol_errors): (&str, u64),
+        failures: impl IntoIterator<Item = Option<String>>,
+        pass: &str,
+    ) -> Result<(), String> {
+        let mut failed = client_floor_failures(summary, self.min_hit_pct);
+        failed.extend(
+            (protocol_errors > 0).then(|| {
+                format!("{tier} dropped {protocol_errors} connection(s) on protocol errors")
+            }),
+        );
+        failed.extend(failures.into_iter().flatten());
+        if !failed.is_empty() {
+            return Err(format!("{command} FAILED: {}", failed.join("; ")));
+        }
+        println!(
+            "{command}: PASS ({:.2}% hits >= {:.2}% floor, zero protocol errors, {pass})",
+            summary.hit_pct(),
+            self.min_hit_pct
+        );
+        Ok(())
     }
-    if summary.missing > 0 {
-        failures.push(format!(
-            "{} request(s) never got a response",
-            summary.missing
-        ));
-    }
-    if summary.hit_pct() < min_hit_pct {
-        failures.push(format!(
-            "hit rate {:.2}% below the {min_hit_pct:.2}% floor",
-            summary.hit_pct()
-        ));
-    }
-    failures
 }
 
 /// In-process server + seeded load with hard pass/fail floors — the CI
 /// gate for the live serving path.
 fn cmd_soak(flags: &Flags) -> Result<(), String> {
-    use adaflow_net::{preflight, run_load, LiveConfig, LiveServer, LoadConfig, LoadMode};
+    use adaflow_net::{run_load, LiveServer};
 
-    let model_name = flags
-        .get("model")
-        .map_or("tiny-w2a2", String::as_str)
-        .to_string();
-    let graph = build_model(&model_name, None)?;
-    let serve = live_serve_knobs(flags)?;
-    let lint = parse_lint_flags(flags);
-    let rate_fps: f64 = parse_num(flags, "rate-fps", 200.0)?;
-    let duration_s: f64 = parse_num(flags, "duration-s", 3.0)?;
-    let connections: usize = parse_num(flags, "connections", 2)?;
-    let min_hit_pct: f64 = parse_num(flags, "min-hit-pct", 50.0)?;
-    let seed: u64 = parse_num(flags, "seed", 7)?;
-
-    preflight(&graph, &serve, rate_fps, 0.0, &lint).map_err(|e| e.to_string())?;
+    let soak = Soak::parse(flags, 200.0)?;
+    let Soak { stack, load, .. } = &soak;
+    stack.preflight(load.rate_fps)?;
 
     let (sink, recorder) = SinkHandle::recorder(1 << 18);
-    let config = LiveConfig {
-        serve,
-        model_id: model_name.clone(),
-        ..LiveConfig::default()
-    };
-    let server =
-        LiveServer::bind("127.0.0.1:0", &graph, config, sink).map_err(|e| e.to_string())?;
+    let server = LiveServer::bind("127.0.0.1:0", &stack.graph, stack.config(), sink)
+        .map_err(|e| e.to_string())?;
     let addr = server.local_addr().map_err(|e| e.to_string())?;
     let handle = server.handle();
-    let shape = graph.input_shape();
 
-    println!(
-        "soak: {model_name} on {addr}, {rate_fps:.0} req/s x {duration_s:.0} s \
-         over {connections} connection(s), seed {seed}"
-    );
+    println!("soak: {} on {addr}, {load}", stack.model);
     let (server_result, summary) = std::thread::scope(|scope| {
         let server_thread = scope.spawn(move || server.run());
-        let load = LoadConfig {
-            addr,
-            model: model_name,
-            shape,
-            connections,
-            mode: LoadMode::Open {
-                rate_fps,
-                duration_s,
-            },
-            deadline_us: 0,
-            seed,
-            recv_grace: Duration::from_secs(5),
-        };
-        let summary = run_load(&load);
+        let summary = run_load(&load.config(addr, &stack.model, stack.graph.input_shape(), 0.0));
         handle.shutdown();
         (server_thread.join().expect("server thread"), summary)
     });
     let report = server_result.map_err(|e| format!("server failed: {e}"))?;
-    let events = drain_events(&recorder);
+    let recorded = drain_events(&recorder).len();
 
-    print_load_summary(&summary, "text")?;
+    print_load_summary(&summary);
+    let s = &report.summary;
     println!(
-        "  server: {:.0} arrived, {:.0} served, {:.0} shed, {} event(s) recorded",
-        report.summary.arrived,
-        report.summary.completed,
-        report.summary.shed,
-        events.len()
+        "  server: {:.0} arrived, {:.0} served, {:.0} shed, {recorded} event(s) recorded",
+        s.arrived, s.completed, s.shed
     );
-
-    // The floors. Any violation is a red CI.
-    let mut failures = client_floor_failures(&summary, min_hit_pct);
-    if report.protocol_errors > 0 {
-        failures.push(format!(
-            "server dropped {} connection(s) on protocol errors",
-            report.protocol_errors
-        ));
-    }
-    if !report.summary.conservation_holds() {
-        failures.push(format!(
+    let conservation = (!s.conservation_holds()).then(|| {
+        format!(
             "request conservation violated: arrived {:.0} != completed {:.0} + shed {:.0}",
-            report.summary.arrived, report.summary.completed, report.summary.shed
-        ));
-    }
-    if failures.is_empty() {
-        println!(
-            "soak: PASS ({:.2}% hits >= {min_hit_pct:.2}% floor, zero protocol errors, \
-             clean shutdown)",
-            summary.hit_pct()
-        );
-        Ok(())
-    } else {
-        Err(format!("soak FAILED: {}", failures.join("; ")))
-    }
+            s.arrived, s.completed, s.shed
+        )
+    });
+    let tier = ("server", report.protocol_errors);
+    soak.verdict("soak", &summary, tier, [conservation], "clean shutdown")
 }
 
-fn parse_router_flag(flags: &Flags) -> Result<adaflow_fleet::RouterKind, String> {
-    let name = flags.get("router").map_or("deadline", String::as_str);
-    adaflow_fleet::RouterKind::parse(name)
-        .ok_or_else(|| format!("unknown --router `{name}` (rr | jsq | p2c | deadline)"))
-}
-
-fn gateway_warmup(
-    model: &str,
-    shape: adaflow_model::TensorShape,
-    iters: u32,
-) -> Option<adaflow_gateway::WarmupSpec> {
-    (iters > 0).then(|| adaflow_gateway::WarmupSpec {
-        model: model.to_string(),
-        channels: shape.channels as u16,
-        height: shape.height as u16,
-        width: shape.width as u16,
-        iters,
-    })
-}
-
-fn print_gateway_report(
-    report: &adaflow_gateway::GatewayReport,
-    format: &str,
-) -> Result<(), String> {
-    if format == "json" {
-        println!(
-            "{}",
-            serde_json::to_string(report).map_err(|e| e.to_string())?
-        );
-        return Ok(());
-    }
+fn print_gateway_report(report: &adaflow_gateway::GatewayReport) {
+    let rejected = report.rejects.total();
     println!(
-        "gateway: {} received over {:.1} s — {} ok, {} rejected, {} retries ({} router)",
-        report.received,
-        report.duration_s,
-        report.answered_ok,
-        report.rejects.total(),
-        report.retries,
-        report.router
+        "gateway: {} received over {:.1} s — {} ok, {rejected} rejected, {} retries ({} router)",
+        report.received, report.duration_s, report.answered_ok, report.retries, report.router
     );
-    let r = &report.rejects;
+    let (r, no_backend) = (&report.rejects, report.no_backend);
     println!(
-        "  rejects: queue-full {}, deadline-infeasible {}, shutting-down {} ({} with no backend), \
-         unknown-model {}, bad-request {}",
-        r.queue_full,
-        r.deadline_infeasible,
-        r.shutting_down,
-        report.no_backend,
-        r.unknown_model,
-        r.bad_request
+        "  rejects: queue-full {}, deadline-infeasible {}, shutting-down {} ({no_backend} with no \
+         backend), unknown-model {}, bad-request {}",
+        r.queue_full, r.deadline_infeasible, r.shutting_down, r.unknown_model, r.bad_request
     );
     println!(
         "  wire: {} connection(s), {} protocol error(s), {} send error(s), {} accept error(s)",
         report.connections, report.protocol_errors, report.send_errors, report.accept_errors
     );
     for (idx, b) in report.backends.iter().enumerate() {
+        let (floor, p50) = (b.floor_s * 1e3, b.rtt_p50_s * 1e3);
+        let (p95, p99) = (b.rtt_p95_s * 1e3, b.rtt_p99_s * 1e3);
+        let ejected = if b.healthy_at_exit { "" } else { " [ejected]" };
         println!(
             "  backend[{idx}] {}: {} routed, {} ok, {} retryable, {} ejection(s), \
-             {} readmission(s), floor {:.2} ms, rtt p50 {:.1} ms / p95 {:.1} ms / p99 {:.1} ms{}",
-            b.addr,
-            b.routed,
-            b.ok,
-            b.retryable,
-            b.ejections,
-            b.readmissions,
-            b.floor_s * 1e3,
-            b.rtt_p50_s * 1e3,
-            b.rtt_p95_s * 1e3,
-            b.rtt_p99_s * 1e3,
-            if b.healthy_at_exit { "" } else { " [ejected]" }
+             {} readmission(s), floor {floor:.2} ms, rtt p50 {p50:.1} ms / p95 {p95:.1} ms \
+             / p99 {p99:.1} ms{ejected}",
+            b.addr, b.routed, b.ok, b.retryable, b.ejections, b.readmissions
         );
     }
-    Ok(())
 }
 
 /// Live routing tier over already-running `serve-live` backends.
 fn cmd_gateway(flags: &Flags) -> Result<(), String> {
     use adaflow_gateway::{Gateway, GatewayConfig};
-    use adaflow_net::preflight;
-    use adaflow_verify::Severity;
 
-    let model_name = required(flags, "model")?.to_string();
-    let graph = build_model(&model_name, None)?;
-    let serve = live_serve_knobs(flags)?;
-    let lint = parse_lint_flags(flags);
-    let nominal_fps: f64 = parse_num(flags, "nominal-fps", 100.0)?;
-    let duration_s: f64 = parse_num(flags, "duration-s", 0.0)?;
-    let retry_budget: u32 = parse_num(flags, "retry-budget", 1)?;
-    let warmup_iters: u32 = parse_num(flags, "warmup-iters", 3)?;
-    let seed: u64 = parse_num(flags, "seed", 7)?;
-    let addr = flags.get("addr").map_or("127.0.0.1:7979", String::as_str);
-    let format = parse_format(flags)?;
-    let backends_flag = required(flags, "backends")?;
-    let backends: Vec<std::net::SocketAddr> = backends_flag
+    let stack = LiveStack::parse(flags, None)?;
+    let tier = LiveTier::parse(flags)?;
+    let retry_budget: u32 = flags.num("retry-budget", 1)?;
+    let config = GatewayConfig {
+        model_id: stack.model.clone(),
+        router: parse_router(flags)?,
+        seed: flags.num("seed", 7)?,
+        retry_budget,
+        warmup: stack.warmup(flags.num("warmup-iters", 3)?),
+        ..GatewayConfig::default()
+    };
+    let addr = flags.or("addr", "127.0.0.1:7979");
+    let parse = |s: &str| {
+        s.parse()
+            .map_err(|e| format!("bad backend address `{s}`: {e}"))
+    };
+    let backends: Vec<SocketAddr> = flags
+        .required("backends")?
         .split(',')
         .map(str::trim)
         .filter(|s| !s.is_empty())
-        .map(|s| {
-            s.parse()
-                .map_err(|e| format!("bad backend address `{s}`: {e}"))
-        })
+        .map(parse)
         .collect::<Result<_, _>>()?;
+    print_findings(&stack.preflight(tier.nominal_fps)?, tier.format);
 
-    // Same hard gate as serve-live: the routing tier refuses to front a
-    // model/serve configuration the verifier rejects.
-    let report = preflight(&graph, &serve, nominal_fps, 0.0, &lint).map_err(|e| e.to_string())?;
-    if format == "text" && report.count(Severity::Warn) > 0 {
-        print!("{report}");
-    }
-
-    let config = GatewayConfig {
-        model_id: model_name.clone(),
-        router: parse_router_flag(flags)?,
-        seed,
-        retry_budget,
-        warmup: gateway_warmup(&model_name, graph.input_shape(), warmup_iters),
-        ..GatewayConfig::default()
-    };
     let (sink, recorder) = SinkHandle::recorder(1 << 18);
     let gateway = Gateway::bind(addr, &backends, config, sink).map_err(|e| e.to_string())?;
     let bound = gateway.local_addr().map_err(|e| e.to_string())?;
     let handle = gateway.handle();
-
-    if format == "text" {
+    let timed = tier.stop_after(move || handle.shutdown());
+    if tier.format == "text" {
         println!(
-            "gateway for {model_name} on {bound}: {} backend(s), retry budget {retry_budget}{}",
-            backends.len(),
-            if duration_s > 0.0 {
-                format!(", for {duration_s:.0} s")
-            } else {
-                String::new()
-            }
+            "gateway for {} on {bound}: {} backend(s), retry budget {retry_budget}{timed}",
+            stack.model,
+            backends.len()
         );
-    }
-    if duration_s > 0.0 {
-        let timer = handle.clone();
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_secs_f64(duration_s));
-            timer.shutdown();
-        });
     }
 
     let report = gateway.run().map_err(|e| e.to_string())?;
-    print_gateway_report(&report, format)?;
-
-    if let Some(prefix) = flags.get("out") {
-        let events = drain_events(&recorder);
-        let report_json = serde_json::to_string(&report).map_err(|e| e.to_string())?;
-        write_exports(prefix, format, &events, &[("report.json", report_json)])?;
-    }
-    Ok(())
+    print_as(tier.format, &report, || print_gateway_report(&report))?;
+    tier.export(|| drain_events(&recorder), &report)
 }
 
 /// In-process backends + gateway + seeded open-loop load with hard
@@ -1727,68 +1633,48 @@ fn cmd_gateway(flags: &Flags) -> Result<(), String> {
 /// ejection and one readmission.
 fn cmd_gateway_soak(flags: &Flags) -> Result<(), String> {
     use adaflow_gateway::{Gateway, GatewayConfig};
-    use adaflow_net::{preflight, run_load, LiveConfig, LiveServer, LoadConfig, LoadMode};
+    use adaflow_net::{run_load, LiveServer};
     use std::time::Instant;
 
-    let model_name = flags
-        .get("model")
-        .map_or("tiny-w2a2", String::as_str)
-        .to_string();
-    let graph = build_model(&model_name, None)?;
-    let serve = live_serve_knobs(flags)?;
-    let lint = parse_lint_flags(flags);
-    let rate_fps: f64 = parse_num(flags, "rate-fps", 300.0)?;
-    let duration_s: f64 = parse_num(flags, "duration-s", 3.0)?;
-    let connections: usize = parse_num(flags, "connections", 2)?;
-    let min_hit_pct: f64 = parse_num(flags, "min-hit-pct", 50.0)?;
-    let seed: u64 = parse_num(flags, "seed", 7)?;
-    let backends_n: usize = parse_num(flags, "backends", 2)?;
+    let soak = Soak::parse(flags, 300.0)?;
+    let Soak { stack, load, .. } = &soak;
+    let backends_n: usize = flags.num("backends", 2)?;
     // Per-request wire deadline for the generated load (0 = none): with a
     // budget set, the client's hit rate measures RTT against it, so the
     // floor becomes a latency gate rather than an answered-ok gate.
-    let load_deadline_ms: f64 = parse_num(flags, "load-deadline-ms", 0.0)?;
-    let failover = flags.get("failover").map(String::as_str) == Some("1");
-    let hetero = flags.get("hetero").map(String::as_str) == Some("1");
-    let router = parse_router_flag(flags)?;
+    let load_deadline_ms: f64 = flags.num("load-deadline-ms", 0.0)?;
+    let failover = flags.on("failover");
+    let hetero = flags.on("hetero");
+    let router = parse_router(flags)?;
     if backends_n == 0 {
         return Err("--backends must be at least 1".to_string());
     }
     if failover && backends_n < 2 {
         return Err("--failover 1 needs at least 2 backends".to_string());
     }
+    stack.preflight(load.rate_fps)?;
 
-    preflight(&graph, &serve, rate_fps, 0.0, &lint).map_err(|e| e.to_string())?;
-
-    // With --hetero 1, backends past index 0 serve unbatched — a slower
-    // tier the router has to notice and route around.
-    let backend_cfg = |idx: usize| {
-        let mut cfg = LiveConfig {
-            serve: serve.clone(),
-            model_id: model_name.clone(),
-            ..LiveConfig::default()
-        };
+    let mut servers = Vec::new();
+    let mut addrs = Vec::new();
+    for idx in 0..backends_n {
+        // With --hetero 1, backends past index 0 serve unbatched — a slower
+        // tier the router has to notice and route around.
+        let mut cfg = stack.config();
         if hetero && idx > 0 {
             cfg.serve.max_batch = 1;
         }
-        cfg
-    };
-    let mut servers = Vec::new();
-    let mut addrs = Vec::new();
-    let mut handles = Vec::new();
-    for idx in 0..backends_n {
-        let server = LiveServer::bind("127.0.0.1:0", &graph, backend_cfg(idx), SinkHandle::null())
+        let server = LiveServer::bind("127.0.0.1:0", &stack.graph, cfg, SinkHandle::null())
             .map_err(|e| e.to_string())?;
         addrs.push(server.local_addr().map_err(|e| e.to_string())?);
-        handles.push(server.handle());
         servers.push(server);
     }
 
     let config = GatewayConfig {
-        model_id: model_name.clone(),
+        model_id: stack.model.clone(),
         router,
-        seed,
+        seed: load.seed,
         retry_budget: 1,
-        warmup: gateway_warmup(&model_name, graph.input_shape(), 3),
+        warmup: stack.warmup(3),
         probe_interval: Duration::from_millis(50),
         probe_timeout: Duration::from_millis(500),
         ..GatewayConfig::default()
@@ -1798,58 +1684,45 @@ fn cmd_gateway_soak(flags: &Flags) -> Result<(), String> {
     let front = gateway.local_addr().map_err(|e| e.to_string())?;
     let gh = gateway.handle();
 
+    let drill = if failover { ", failover drill" } else { "" };
+    let mixed = if hetero { ", heterogeneous" } else { "" };
     println!(
-        "gateway-soak: {model_name} x {backends_n} backend(s) behind {front} ({} router), \
-         {rate_fps:.0} req/s x {duration_s:.0} s over {connections} connection(s), seed {seed}{}{}",
-        router.name(),
-        if failover { ", failover drill" } else { "" },
-        if hetero { ", heterogeneous" } else { "" },
+        "gateway-soak: {} x {backends_n} backend(s) behind {front} ({} router), {load}{drill}{mixed}",
+        stack.model,
+        router.name()
     );
 
-    let shape = graph.input_shape();
+    let third = Duration::from_secs_f64(load.duration_s / 3.0);
     let (gateway_result, summary) = std::thread::scope(|scope| {
-        let mut backend_threads: Vec<Option<std::thread::ScopedJoinHandle<'_, _>>> = servers
-            .into_iter()
-            .map(|server| Some(scope.spawn(move || server.run())))
-            .collect();
+        // A path call, so `server` keeps the bound servers' lifetime.
+        let serve = |server| {
+            let handle = LiveServer::handle(&server);
+            (
+                handle,
+                scope.spawn(move || server.run().expect("backend serves")),
+            )
+        };
+        let mut backends: Vec<_> = servers.into_iter().map(serve).collect();
         let gateway_thread = scope.spawn(move || gateway.run());
 
         // The failover drill runs on its own thread so the load below is
         // uninterrupted: kill backend 0 at t/3, restart it at 2t/3.
         let drill = failover.then(|| {
-            let bt0 = backend_threads[0].take().expect("backend 0 thread");
-            let h0 = handles[0].clone();
-            let addr0 = addrs[0];
-            let cfg0 = backend_cfg(0);
-            let graph = &graph;
+            let (handle, thread) = backends.remove(0);
+            let (addr, cfg, graph) = (addrs[0], stack.config(), &stack.graph);
             scope.spawn(move || {
-                std::thread::sleep(Duration::from_secs_f64(duration_s / 3.0));
-                h0.shutdown();
-                bt0.join()
-                    .expect("backend 0 thread")
-                    .expect("backend 0 serves");
-                std::thread::sleep(Duration::from_secs_f64(duration_s / 3.0));
-                let server = LiveServer::bind(addr0, graph, cfg0, SinkHandle::null())
+                std::thread::sleep(third);
+                handle.shutdown();
+                thread.join().expect("backend 0 thread");
+                std::thread::sleep(third);
+                let server = LiveServer::bind(addr, graph, cfg, SinkHandle::null())
                     .expect("rebinding backend 0's address");
-                let handle = server.handle();
-                let thread = scope.spawn(move || server.run());
-                (handle, thread)
+                serve(server)
             })
         });
 
-        let summary = run_load(&LoadConfig {
-            addr: front,
-            model: model_name.clone(),
-            shape,
-            connections,
-            mode: LoadMode::Open {
-                rate_fps,
-                duration_s,
-            },
-            deadline_us: (load_deadline_ms * 1e3).max(0.0) as u64,
-            seed,
-            recv_grace: Duration::from_secs(5),
-        });
+        let shape = stack.graph.input_shape();
+        let summary = run_load(&load.config(front, &stack.model, shape, load_deadline_ms));
 
         // Under the drill, give the probes a chance to readmit the
         // restarted backend before the books close.
@@ -1861,75 +1734,44 @@ fn cmd_gateway_soak(flags: &Flags) -> Result<(), String> {
         }
         gh.shutdown();
         let gateway_result = gateway_thread.join().expect("gateway thread");
-
-        if let Some(drill) = drill {
-            let (handle, thread) = drill.join().expect("failover drill thread");
+        backends.extend(drill.map(|drill| drill.join().expect("failover drill thread")));
+        for (handle, thread) in backends {
             handle.shutdown();
-            thread
-                .join()
-                .expect("restarted backend thread")
-                .expect("restarted backend serves");
-        }
-        for (handle, thread) in handles.iter().zip(backend_threads) {
-            if let Some(thread) = thread {
-                handle.shutdown();
-                thread
-                    .join()
-                    .expect("backend thread")
-                    .expect("backend serves");
-            }
+            thread.join().expect("backend thread");
         }
         (gateway_result, summary)
     });
     let report = gateway_result.map_err(|e| format!("gateway failed: {e}"))?;
-    let events = drain_events(&recorder);
+    let recorded = drain_events(&recorder).len();
 
-    print_load_summary(&summary, "text")?;
-    print_gateway_report(&report, "text")?;
-    println!("  {} event(s) recorded", events.len());
+    print_load_summary(&summary);
+    print_gateway_report(&report);
+    println!("  {recorded} event(s) recorded");
 
-    // The floors. Any violation is a red CI.
-    let mut failures = client_floor_failures(&summary, min_hit_pct);
-    if report.protocol_errors > 0 {
-        failures.push(format!(
-            "gateway dropped {} connection(s) on protocol errors",
-            report.protocol_errors
-        ));
-    }
-    if !report.conservation_holds() {
-        failures.push(format!(
-            "request conservation violated: received {} != ok {} + rejected {}",
-            report.received,
-            report.answered_ok,
-            report.rejects.total()
-        ));
-    }
-    if failover {
-        if report.backends[0].ejections == 0 {
-            failures.push("killed backend was never ejected".to_string());
+    let (drilled, rejected) = (&report.backends[0], report.rejects.total());
+    let failures = [
+        (!report.conservation_holds()).then(|| {
+            format!(
+                "request conservation violated: received {} != ok {} + rejected {rejected}",
+                report.received, report.answered_ok
+            )
+        }),
+        (failover && drilled.ejections == 0).then(|| "killed backend was never ejected".into()),
+        (failover && drilled.readmissions == 0)
+            .then(|| "restarted backend was never readmitted".into()),
+        (failover && !drilled.healthy_at_exit)
+            .then(|| "restarted backend not healthy at exit".into()),
+    ];
+    let pass = format!(
+        "conservation holds{}",
+        if failover {
+            ", failover drill survived"
+        } else {
+            ""
         }
-        if report.backends[0].readmissions == 0 {
-            failures.push("restarted backend was never readmitted".to_string());
-        }
-        if !report.backends[0].healthy_at_exit {
-            failures.push("restarted backend not healthy at exit".to_string());
-        }
-    }
-    if failures.is_empty() {
-        println!(
-            "gateway-soak: PASS ({:.2}% hits >= {min_hit_pct:.2}% floor, zero protocol errors, \
-             conservation holds{})",
-            summary.hit_pct(),
-            if failover {
-                ", failover drill survived"
-            } else {
-                ""
-            }
-        );
-        Ok(())
-    } else {
-        Err(format!("gateway-soak FAILED: {}", failures.join("; ")))
-    }
+    );
+    let tier = ("gateway", report.protocol_errors);
+    soak.verdict("gateway-soak", &summary, tier, failures, &pass)
 }
 
 #[cfg(test)]
@@ -1993,28 +1835,35 @@ mod tests {
         );
     }
 
-    fn flags(pairs: &[(&str, &str)]) -> HashMap<String, String> {
-        pairs
-            .iter()
-            .map(|&(k, v)| (k.to_string(), v.to_string()))
-            .collect()
-    }
-
-    #[test]
-    fn flag_parsing() {
-        let args: Vec<String> = ["--model", "cnv-w2a2", "--runs", "5"]
-            .iter()
-            .map(std::string::ToString::to_string)
-            .collect();
-        let parsed = parse_flags(&args).expect("parses");
-        assert_eq!(parsed.get("model").map(String::as_str), Some("cnv-w2a2"));
-        assert_eq!(parsed.get("runs").map(String::as_str), Some("5"));
-        assert!(parse_flags(&["oops".to_string()]).is_err());
-        assert!(parse_flags(&["--dangling".to_string()]).is_err());
+    fn flags(pairs: &[(&str, &str)]) -> Flags {
+        Flags(
+            pairs
+                .iter()
+                .map(|&(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+        )
     }
 
     fn args(line: &str) -> Vec<String> {
         line.split_whitespace().map(str::to_string).collect()
+    }
+
+    #[test]
+    fn flag_parsing() {
+        let parsed = parse_flags(&args("--model cnv-w2a2 --runs 5")).expect("parses");
+        assert_eq!(parsed.get("model"), Some("cnv-w2a2"));
+        assert_eq!(parsed.num("runs", 1), Ok(5));
+        assert!(parse_flags(&["oops".to_string()]).is_err());
+        assert!(parse_flags(&["--dangling".to_string()]).is_err());
+    }
+
+    #[test]
+    fn a_repeated_flag_is_an_error() {
+        // Was last-one-wins: `serve --seed 1 --seed 2` ran seed 2 silently.
+        let err = parse_flags(&args("--seed 1 --runs 3 --seed 2")).expect_err("refused");
+        assert_eq!(err, "flag --seed given twice");
+        let err = run(&args("serve --library lib.json --seed 1 --seed 2")).unwrap_err();
+        assert!(err.contains("--seed"), "{err}");
     }
 
     #[test]
@@ -2035,84 +1884,114 @@ mod tests {
         assert!(resolve(&args("teleport --model tiny-w2a2")).is_err());
     }
 
+    /// Every `adaflow_cli` invocation in `text` — its subcommand and flags,
+    /// across `\` line continuations and `#` comment markers. Values are
+    /// kept verbatim (`"$wide"` too): `resolve` reads only flag names.
+    fn invocations(text: &str) -> Vec<Vec<String>> {
+        let commands: Vec<&str> = COMMANDS.iter().map(|(name, ..)| *name).collect();
+        text.split("adaflow_cli")
+            .skip(1)
+            .filter_map(|rest| {
+                let mut tokens = rest
+                    .split_whitespace()
+                    .filter(|t| !matches!(*t, "\\" | "#"))
+                    .peekable();
+                tokens.next_if_eq(&"--"); // cargo's separator
+                let command = tokens.next().filter(|t| commands.contains(t))?;
+                let mut line = vec![command.to_string()];
+                while let Some(flag) = tokens.next_if(|t| t.starts_with("--")) {
+                    line.push(flag.to_string());
+                    line.extend(tokens.next().map(str::to_string));
+                }
+                Some(line)
+            })
+            .collect()
+    }
+
     #[test]
     fn every_ci_invocation_resolves() {
-        // The flag sets .github/workflows/ci.yml and the verify skill run.
-        for line in [
-            "generate --model cnv-w2a2 --dataset cifar10 --out library.json",
-            "summary --model cnv-w2a2",
-            "inspect --library library.json",
-            "simulate --library library.json --scenario 2 --policy adaflow --runs 10",
-            "trace --library library.json --scenario 2 --seed 1 --out run",
-            "explore --model cnv-w2a2 --target-fps 600 --cap 0.7",
-            "serve --library library.json --scenario 1+2 --seed 7 --check 1 --format json",
-            "serve --library library.json --policy fixed-max --runs 20 --shed oldest --batch 8 \
-             --batch-wait-ms 10 --queue-cap 64 --deadline-ms 100 --out run --deny SV002",
-            "fleet --library library.json --scenario 2 --seed 7 --fleet adaflow,adaflow,flexible,fixed \
-             --router deadline --check 1 --format json",
-            "lint --library library.json --router deadline --deadline-ms 250 \
-             --fleet adaflow,adaflow,flexible,fixed --deny FL001,FL002",
-            "lint --model all --rates 0,0.25,0.5",
-            "lint --explain all",
-            "report --library library.json --mode serve --scenario 2 --seed 7 --check 1 --format json",
-            "report --library library.json --mode fleet --scenario 2 --seed 7 --check 1 --format json \
-             --out fleet_run",
-            "soak --model cnv-w2a2 --rate-fps 120 --duration-s 10 --connections 4 --min-hit-pct 90 \
-             --seed 7",
-            "serve-live --model cnv-w2a2 --addr 127.0.0.1:0 --batch-wait-ms 150 --deny SV001",
-            "serve-live --model cnv-w2a2 --addr 127.0.0.1:7878 --duration-s 10 --metrics-port 7880 \
-             --out live",
-            "load --addr 127.0.0.1:7878 --model cnv-w2a2 --requests 40",
-            "load --addr 127.0.0.1:7878 --model cnv-w2a2 --rate-fps 120 --duration-s 10 \
-             --connections 4 --seed 7",
-            "gateway-soak --model cnv-w2a2 --backends 2 --router deadline --rate-fps 120 \
-             --duration-s 10 --connections 4 --min-hit-pct 90 --seed 7",
-            "gateway-soak --model cnv-w2a2 --backends 2 --router rr --rate-fps 100 --duration-s 12 \
-             --connections 4 --min-hit-pct 90 --failover 1 --seed 7",
-            "gateway-soak --model cnv-w2a2 --backends 2 --hetero 1 --router deadline \
-             --load-deadline-ms 50",
-            "gateway --model cnv-w2a2 --backends 127.0.0.1:9 --addr 127.0.0.1:0 --batch-wait-ms 150 \
-             --deny SV001",
+        // What CI, the verify skill and the README run, read from the files.
+        for (file, text) in [
+            (
+                "ci.yml",
+                include_str!("../../../../.github/workflows/ci.yml"),
+            ),
+            (
+                "SKILL.md",
+                include_str!("../../../../.claude/skills/verify/SKILL.md"),
+            ),
+            ("README.md", include_str!("../../../../README.md")),
         ] {
-            if let Err(e) = resolve(&args(line)) {
-                panic!("`{line}` no longer resolves: {e}");
+            let found = invocations(text);
+            assert!(
+                found.len() >= 10,
+                "{file}: only {} invocations",
+                found.len()
+            );
+            for line in found {
+                if let Err(e) = resolve(&line) {
+                    panic!("{file}: `{}` no longer resolves: {e}", line.join(" "));
+                }
             }
         }
+        // The extraction itself: continuation lines, the cargo separator,
+        // shell values and the pipe that ends an invocation.
+        let step = "cargo run --bin adaflow_cli -- \\\n  fleet --fleet \"$wide\" \\\n  \
+                    --check 1 | tee f.json\n# adaflow_cli.rs is the source";
+        assert_eq!(
+            invocations(step),
+            [args("fleet --fleet \"$wide\" --check 1")]
+        );
     }
 
     #[test]
     fn command_table_and_usage_name_the_same_subcommands() {
         // A usage entry starts at column two; continuation lines indent on.
         let text = usage();
-        let listed: Vec<&str> = text
-            .lines()
-            .filter(|l| l.starts_with("  ") && !l.starts_with("   "))
-            .filter_map(|l| l.split_whitespace().next())
-            .collect();
+        let mut entries: Vec<(&str, Vec<&str>)> = Vec::new();
+        for line in text.lines().filter(|l| l.starts_with("  ")) {
+            match line.strip_prefix("   ") {
+                Some(_) => entries.last_mut().expect("entry first").1.push(line),
+                None => entries.push((line.split_whitespace().next().unwrap(), vec![line])),
+            }
+        }
+        let listed: Vec<&str> = entries.iter().map(|(name, _)| *name).collect();
         let table: Vec<&str> = COMMANDS.iter().map(|(name, ..)| *name).collect();
         assert_eq!(listed, table, "usage() and COMMANDS drifted apart");
-        // Every accepted flag is spelled somewhere in the usage text.
-        for (name, _, groups) in COMMANDS {
-            for flag in groups.iter().flat_map(|g| g.split_whitespace()) {
-                assert!(text.contains(&format!("--{flag} ")), "{name}: --{flag}");
+        // Each printed entry names exactly the flags `resolve` accepts for
+        // its command: every flag of the table and the text is tried on each.
+        let usage_lines: Vec<&str> = COMMANDS
+            .iter()
+            .flat_map(|(.., lines)| *lines)
+            .copied()
+            .collect();
+        let mut every_flag = flag_names(&usage_lines);
+        every_flag.extend(flag_names(&[text.as_str()]));
+        for (name, lines) in &entries {
+            let named = flag_names(lines);
+            assert!(!named.is_empty(), "{name} lists no flag");
+            for flag in &every_flag {
+                let accepted = resolve(&args(&format!("{name} --{flag} x"))).is_ok();
+                assert_eq!(accepted, named.contains(flag), "{name} --{flag}");
             }
         }
     }
 
     #[test]
     fn live_and_simulator_commands_default_the_batch_wait_differently() {
-        use adaflow_serve::ServeConfig;
         // One flag table under both families ...
         let reads_knobs = |command: &str| {
-            let (_, _, groups) = COMMANDS.iter().find(|(name, ..)| *name == command).unwrap();
-            groups.contains(&SERVE_KNOBS)
+            let (_, _, lines) = COMMANDS.iter().find(|(name, ..)| *name == command).unwrap();
+            lines.contains(&SERVE_KNOBS)
         };
         let simulators = ["serve", "fleet", "report", "lint"];
         let live = ["serve-live", "soak", "gateway", "gateway-soak"];
         assert!(simulators.iter().chain(&live).all(|c| reads_knobs(c)));
         // ... two defaults: each family's own config type, which differ in
         // the batching wait and in nothing else.
-        let none = Flags::new();
+        let live_serve_knobs =
+            |flags: &Flags| LiveStack::parse(flags, Some("tiny-w2a2")).map(|stack| stack.serve);
+        let none = flags(&[]);
         let sim = sim_serve_knobs(&none).expect("defaults");
         let served = live_serve_knobs(&none).expect("defaults");
         assert_eq!(sim, ServeConfig::default());
@@ -2463,6 +2342,26 @@ mod tests {
         assert!(cmd_lint(&flags(&[("model", "tiny-w2a2"), ("router", "jsq")])).is_ok());
         // Without fleet flags, --model stays mandatory.
         assert!(cmd_lint(&flags(&[])).is_err());
+    }
+
+    #[test]
+    fn a_serving_knob_alone_requests_the_config_rules() {
+        // Was: only --fleet/--router/--deadline-ms/--max-drains did, so a
+        // zero batch passed `lint` silently, or failed on a missing --model.
+        let fired = |line: &str| -> Vec<String> {
+            let (_, flags) = resolve(&args(line)).expect("resolves");
+            let reports = lint_reports(&flags).expect("lints");
+            reports
+                .iter()
+                .flat_map(Report::codes)
+                .map(ToString::to_string)
+                .collect()
+        };
+        for line in ["lint --model tiny-w2a2 --batch 0", "lint --batch 0"] {
+            assert!(fired(line).contains(&"SV001".to_string()), "{line}");
+            let err = run(&args(line)).expect_err("batch 0 is an SV001 error");
+            assert!(err.starts_with("lint found"), "{line}: {err}");
+        }
     }
 
     #[test]
