@@ -4,7 +4,9 @@
 
 use adaflow::{LibraryGenerator, RuntimeConfig, RuntimeManager};
 use adaflow_dataflow::AcceleratorKind;
-use adaflow_edge::{AdaFlowPolicy, EdgeSim, OriginalFinnPolicy, Scenario, SimConfig, WorkloadSpec};
+use adaflow_edge::{
+    AdaFlowServePolicy, EdgeSim, FixedMaxPolicy, Scenario, SimConfig, WorkloadSpec,
+};
 use adaflow_model::topology;
 use adaflow_nn::DatasetKind;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -26,7 +28,7 @@ fn bench_edge(c: &mut Criterion) {
         let segments = spec.generate(1);
         c.bench_function(&format!("serve_adaflow_{}", scenario.name()), |b| {
             b.iter(|| {
-                let mut policy = AdaFlowPolicy::new(&library, RuntimeConfig::default());
+                let mut policy = AdaFlowServePolicy::new(&library, RuntimeConfig::default());
                 EdgeSim::new(SimConfig::default())
                     .run(&mut policy, black_box(&segments))
                     .0
@@ -38,7 +40,7 @@ fn bench_edge(c: &mut Criterion) {
     let segments = spec.generate(1);
     c.bench_function("serve_original_finn_scenario-1", |b| {
         b.iter(|| {
-            let mut policy = OriginalFinnPolicy::new(&library);
+            let mut policy = FixedMaxPolicy::new(&library);
             EdgeSim::new(SimConfig::default())
                 .run(&mut policy, black_box(&segments))
                 .0

@@ -6,7 +6,7 @@
 //! and (b) a live ring-buffer `Recorder` capturing every event.
 
 use adaflow::{LibraryGenerator, RuntimeConfig};
-use adaflow_edge::{AdaFlowPolicy, EdgeSim, Scenario, SimConfig, WorkloadSpec};
+use adaflow_edge::{AdaFlowServePolicy, EdgeSim, Scenario, SimConfig, WorkloadSpec};
 use adaflow_model::topology;
 use adaflow_nn::DatasetKind;
 use adaflow_telemetry::SinkHandle;
@@ -23,7 +23,7 @@ fn bench_telemetry(c: &mut Criterion) {
 
     c.bench_function("edge_run_null_sink", |b| {
         b.iter(|| {
-            let mut policy = AdaFlowPolicy::new(&library, RuntimeConfig::default());
+            let mut policy = AdaFlowServePolicy::new(&library, RuntimeConfig::default());
             EdgeSim::new(SimConfig::default())
                 .run(&mut policy, black_box(&segments))
                 .0
@@ -34,7 +34,7 @@ fn bench_telemetry(c: &mut Criterion) {
         b.iter(|| {
             let (sink, recorder) = SinkHandle::recorder(1 << 16);
             let mut policy =
-                AdaFlowPolicy::new(&library, RuntimeConfig::default()).with_sink(sink.clone());
+                AdaFlowServePolicy::new(&library, RuntimeConfig::default()).with_sink(sink.clone());
             let metrics = EdgeSim::new(SimConfig::default())
                 .with_sink(sink)
                 .run(&mut policy, black_box(&segments))

@@ -11,10 +11,7 @@ use adaflow_model::prelude::*;
 use adaflow_model::GraphSummary;
 use adaflow_net::{LiveConfig, LoadConfig, LoadMode, LoadSummary};
 use adaflow_nn::{DatasetKind, Engine};
-use adaflow_serve::{
-    AdaFlowServePolicy, FixedMaxPolicy, FlexibleOnlyPolicy, ServeConfig, ServeExperiment,
-    ServePolicy, ServeSummary,
-};
+use adaflow_serve::{ServeConfig, ServeExperiment, ServeSummary};
 use adaflow_telemetry::{
     chrome_trace_json, events_to_jsonl, Event, MetricsRegistry, Recorder, RegistryConfig,
     SinkHandle,
@@ -55,6 +52,8 @@ const FLEET_FLAGS: &str =
 const SIM_RUN: &str = "[--seed N] [--runs N] [--format text|json] [--out prefix] [--check 1]";
 const LIVE_TIER: &str = "[--nominal-fps F] [--duration-s N] [--format text|json] [--out prefix]";
 const SOAK: &str = "[--rate-fps F] [--duration-s N] [--connections N] [--min-hit-pct P] [--seed N]";
+/// The policy names [`build_policy`] resolves, for every simulator command.
+const POLICY: &str = "[--policy adaflow|fixed-max|flexible-only|reconf:<ms>]";
 
 /// Every subcommand: its name, its handler and its usage lines, which
 /// [`usage`] prints. A subcommand accepts exactly the `--name` tokens of its
@@ -65,22 +64,21 @@ const COMMANDS: &[(&str, Handler, &[&str])] = &[
     ("generate", cmd_generate, &["--model <name> --dataset <d> [--rates a,b,..] [--out file]"]),
     ("inspect", cmd_inspect, &["--library <file>   print a generated library table"]),
     ("simulate", cmd_simulate,
-     &["--library <file> [--scenario 1|2|1+2] [--policy adaflow|finn|reconf:<ms>] [--runs N]"]),
+     &["--library <file> [--scenario 1|2|1+2] [--runs N]", POLICY]),
     ("serve", cmd_serve,
-     &["--library <file> [--scenario 1|2|1+2] [--policy adaflow|fixed-max|flexible-only]",
-       SERVE_KNOBS, SIM_RUN, LINT_FLAGS,
+     &["--library <file> [--scenario 1|2|1+2]", POLICY, SERVE_KNOBS, SIM_RUN, LINT_FLAGS,
        "request-level serving run (--batch-wait-ms defaults to 20 in the simulators)"]),
     ("fleet", cmd_fleet,
      &["--library <file> [--scenario 1|2|1+2]", FLEET_FLAGS, SERVE_KNOBS, SIM_RUN, LINT_FLAGS,
        "multi-device fleet simulation behind a load-balancing router"]),
     ("report", cmd_report,
      &["[--mode serve|fleet] [--library <file>] [--scenario 1|2|1+2] [--seed N]",
-       "[--policy adaflow|fixed-max|flexible-only] [--top K] [--slo-target 0.97]",
+       POLICY, "[--top K] [--slo-target 0.97]",
        "[--slo-objective deadline|latency] [--format text|json] [--out prefix] [--check 1]",
        FLEET_FLAGS, SERVE_KNOBS,
        "per-stage latency waterfall, SLO error-budget burn and span-tree exports"]),
     ("trace", cmd_trace,
-     &["--library <file> [--scenario 1|2|1+2] [--policy adaflow|finn|reconf:<ms>] [--seed N]",
+     &["--library <file> [--scenario 1|2|1+2] [--seed N]", POLICY,
        "[--out prefix]   writes <prefix>.trace.json (Perfetto), <prefix>.jsonl, <prefix>.prom"]),
     ("explore", cmd_explore, &["--model <name> [--target-fps F] [--cap 0.7]"]),
     ("lint", cmd_lint,
@@ -419,11 +417,11 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
     let scenario = parse_scenario(flags.or("scenario", "2"))?;
     let runs: usize = flags.num("runs", 100)?;
     let policy = flags.or("policy", "adaflow");
-    let sink = SinkHandle::null();
-    build_policy(policy, &library, &sink)?; // validate the name before the runs
+    let make_policy = || build_policy(policy, &library, 0.0, &SinkHandle::null());
+    make_policy()?; // validate the name before the runs
     let metrics = Experiment::new(&library, WorkloadSpec::paper_edge(scenario))
         .runs(runs)
-        .run_with(|| build_policy(policy, &library, &sink).expect("name validated above"));
+        .run_with(|| make_policy().expect("name validated above").0);
     println!(
         "{policy} under {} ({runs} runs): loss {:.2}%  QoE {:.2}  power {:.2} W  \
          {:.0} inf/J  switches {:.1} (reconf {:.1}, flexible {:.1})  latency {:.1} ms",
@@ -440,56 +438,45 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds a serving policy by name, attaching a telemetry sink.
+/// The one policy name table ([`POLICY`]) of `simulate`, `trace`, `serve`
+/// and `report`: the policy, with the worst-case service stall it can
+/// cause — the backlog bound fed to the SV002 queue-capacity rule.
+/// `finn` is accepted as the fluid commands' older spelling of
+/// `fixed-max`. `deadline_s > 0` arms the AdaFlow policy's deadline guard
+/// (the fluid commands pass 0); `sink` receives its manager's decisions.
 fn build_policy<'l>(
     name: &str,
     library: &'l Library,
-    sink: &SinkHandle,
-) -> Result<Box<dyn ServerPolicy + 'l>, String> {
-    let sink = sink.clone();
-    Ok(match name {
-        "adaflow" => {
-            Box::new(AdaFlowPolicy::new(library, RuntimeConfig::default()).with_sink(sink))
-        }
-        "finn" => Box::new(OriginalFinnPolicy::new(library).with_sink(sink)),
-        other => {
-            let ms = other
-                .strip_prefix("reconf:")
-                .ok_or_else(|| format!("unknown policy `{other}`"))?;
-            let ms: u64 = ms.parse().map_err(|e| format!("bad reconf time: {e}"))?;
-            Box::new(PruningReconfPolicy::new(library, Duration::from_millis(ms)).with_sink(sink))
-        }
-    })
-}
-
-/// Builds a pressure-driven request-level policy by name, with the
-/// worst-case service stall it can cause — the backlog bound fed to the
-/// SV002 queue-capacity rule. `deadline_s` arms the AdaFlow policy's
-/// deadline-aware reconfiguration guard.
-fn build_serve_policy<'l>(
-    name: &str,
-    library: &'l Library,
     deadline_s: f64,
+    sink: &SinkHandle,
 ) -> Result<(Box<dyn ServePolicy + 'l>, f64), String> {
     let runtime = RuntimeConfig::default();
-    match name {
+    Ok(match name {
         "adaflow" => {
             let stall = runtime
                 .reconfig
                 .reconfiguration_time(&library.baseline.bitstream);
-            let policy = AdaFlowServePolicy::new(library, runtime).with_deadline(deadline_s);
-            Ok((Box::new(policy), stall.as_secs_f64()))
+            let policy = AdaFlowServePolicy::new(library, runtime)
+                .with_deadline(deadline_s)
+                .with_sink(sink.clone());
+            (Box::new(policy), stall.as_secs_f64())
         }
-        "fixed-max" => Ok((Box::new(FixedMaxPolicy::new(library)), 0.0)),
+        "fixed-max" | "finn" => (Box::new(FixedMaxPolicy::new(library)), 0.0),
         "flexible-only" => {
             let policy = FlexibleOnlyPolicy::new(library, runtime);
             let stall = policy.worst_stall_s();
-            Ok((Box::new(policy), stall))
+            (Box::new(policy), stall)
         }
-        other => Err(format!(
-            "unknown serve policy `{other}` (adaflow | fixed-max | flexible-only)"
-        )),
-    }
+        other => {
+            let ms = other
+                .strip_prefix("reconf:")
+                .ok_or_else(|| format!("unknown policy `{other}`; expected {POLICY}"))?;
+            let ms: u64 = ms.parse().map_err(|e| format!("bad reconf time: {e}"))?;
+            let stall = Duration::from_millis(ms);
+            let policy = PruningReconfPolicy::new(library, stall);
+            (Box::new(policy), stall.as_secs_f64())
+        }
+    })
 }
 
 /// The simulator run ([`SIM_RUN`] and `--scenario`), parsed once for
@@ -619,16 +606,13 @@ fn run_serve(
     policy: &str,
     config: &ServeConfig,
 ) -> Result<(ServeSummary, Vec<Event>), String> {
-    build_serve_policy(policy, library, config.deadline_s)?; // validate the name
+    let build = || build_policy(policy, library, config.deadline_s, &SinkHandle::null());
+    build()?; // validate the name
     let experiment = ServeExperiment::new(library, sim.spec())
         .runs(sim.runs)
         .seed(sim.seed)
         .config(config.clone());
-    let make_policy = || {
-        build_serve_policy(policy, library, config.deadline_s)
-            .expect("name validated")
-            .0
-    };
+    let make_policy = || build().expect("name validated").0;
     sim.execute(
         |sink| match sink {
             Some(sink) => experiment.run_traced(sim.seed, sink, make_policy),
@@ -665,7 +649,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let library = load_library(flags)?;
     let sim = SimRun::parse(flags, 1, 1 << 18)?;
     let policy = flags.or("policy", "adaflow");
-    let (_, worst_stall_s) = build_serve_policy(policy, &library, 0.25)?;
+    let (_, worst_stall_s) = build_policy(policy, &library, 0.0, &SinkHandle::null())?;
     let config = sim_serve_knobs(flags)?;
 
     // Static SV001/SV002 validation through the shared lint machinery.
@@ -790,7 +774,7 @@ fn cmd_fleet(flags: &Flags) -> Result<(), String> {
     let library = load_library(flags)?;
     let sim = SimRun::parse(flags, 1, 1 << 18)?;
     let config = parse_fleet_config(flags)?;
-    let (_, worst_stall_s) = build_serve_policy("adaflow", &library, 0.0)?;
+    let (_, worst_stall_s) = build_policy("adaflow", &library, 0.0, &SinkHandle::null())?;
 
     // Static validation; a device can stall as long as a full
     // reconfiguration.
@@ -969,7 +953,7 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
     let policy_name = flags.or("policy", "adaflow");
 
     let (sink, recorder) = SinkHandle::recorder(sim.ring);
-    let mut policy = build_policy(policy_name, &library, &sink)?;
+    let (mut policy, _) = build_policy(policy_name, &library, 0.0, &sink)?;
     let segments = sim.spec().generate(sim.seed);
     let edge = EdgeSim::new(SimConfig::default()).with_sink(sink);
     let (metrics, _) = edge.run(policy.as_mut(), &segments);
@@ -1074,7 +1058,7 @@ fn lint_reports(flags: &Flags) -> Result<Vec<Report>, String> {
         // On the paper's edge load. The worst-case stall needs a concrete
         // library; without `--library` only the deadline-local SV001 fires.
         let worst_stall_s = match flags.get("library") {
-            Some(_) => build_serve_policy("adaflow", &load_library(flags)?, 0.0)?.1,
+            Some(_) => build_policy("adaflow", &load_library(flags)?, 0.0, &SinkHandle::null())?.1,
             None => 0.0,
         };
         let fps = WorkloadSpec::paper_edge(Scenario::Unpredictable).nominal_fps();
@@ -2101,6 +2085,48 @@ mod tests {
         }
     }
 
+    /// Every name of the one policy table ([`POLICY`], plus the `finn`
+    /// spelling) runs under the fluid commands; an unknown name's error
+    /// lists the table. `serve_command_runs_all_policies` is the
+    /// request-level half.
+    #[test]
+    fn fluid_commands_resolve_every_policy_name() {
+        let lib_path = std::env::temp_dir().join("adaflow_cli_policy_test_library.json");
+        let lib_str = lib_path.to_string_lossy().to_string();
+        cmd_generate(&flags(&[
+            ("model", "cnv-w2a2"),
+            ("dataset", "cifar10"),
+            ("rates", "0,0.25,0.5"),
+            ("out", &lib_str),
+        ]))
+        .expect("generate");
+        for policy in POLICY_NAMES {
+            let run = [("library", lib_str.as_str()), ("policy", policy)];
+            cmd_simulate(&flags(&[&run[..], &[("runs", "1")]].concat()))
+                .unwrap_or_else(|e| panic!("simulate {policy}: {e}"));
+            cmd_trace(&flags(&run)).unwrap_or_else(|e| panic!("trace {policy}: {e}"));
+        }
+        for command in [cmd_simulate, cmd_trace] {
+            let err = command(&flags(&[("library", &lib_str), ("policy", "turbo")]));
+            assert_unknown_policy(err);
+        }
+        let _ = std::fs::remove_file(lib_path);
+    }
+
+    /// Every name [`build_policy`] accepts.
+    const POLICY_NAMES: [&str; 5] = [
+        "adaflow",
+        "fixed-max",
+        "flexible-only",
+        "reconf:145",
+        "finn",
+    ];
+
+    fn assert_unknown_policy(result: Result<(), String>) {
+        let err = result.expect_err("unknown policy");
+        assert!(err.contains("`turbo`") && err.contains(POLICY), "{err}");
+    }
+
     #[test]
     fn serve_command_runs_all_policies() {
         let lib_path = std::env::temp_dir().join("adaflow_cli_serve_test_library.json");
@@ -2112,7 +2138,9 @@ mod tests {
             ("out", &lib_str),
         ]))
         .expect("generate");
-        for policy in ["adaflow", "fixed-max", "flexible-only"] {
+        // `--check 1` holds each run to `arrived == completed + shed` and
+        // replays it.
+        for policy in POLICY_NAMES {
             cmd_serve(&flags(&[
                 ("library", &lib_str),
                 ("scenario", "2"),
@@ -2133,7 +2161,10 @@ mod tests {
             ("format", "json"),
         ]))
         .expect("serve json");
-        assert!(cmd_serve(&flags(&[("library", &lib_str), ("policy", "turbo")])).is_err());
+        assert_unknown_policy(cmd_serve(&flags(&[
+            ("library", &lib_str),
+            ("policy", "turbo"),
+        ])));
         assert!(cmd_serve(&flags(&[("library", &lib_str), ("shed", "lifo")])).is_err());
         // SV001 hard failure: max-wait beyond the deadline budget.
         assert!(cmd_serve(&flags(&[

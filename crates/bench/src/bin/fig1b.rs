@@ -11,7 +11,7 @@
 //! ```
 
 use adaflow_bench::{header, row, runs_from_args, Combo};
-use adaflow_edge::{Experiment, OriginalFinnPolicy, PruningReconfPolicy, Scenario, WorkloadSpec};
+use adaflow_edge::{Experiment, FixedMaxPolicy, PruningReconfPolicy, Scenario, WorkloadSpec};
 use adaflow_model::QuantSpec;
 use adaflow_nn::DatasetKind;
 use std::time::Duration;
@@ -86,7 +86,7 @@ fn main() {
             })
             .1,
         experiment
-            .trace_with(1, move || Box::new(OriginalFinnPolicy::new(lib)))
+            .trace_with(1, move || Box::new(FixedMaxPolicy::new(lib)))
             .1,
     ];
     for i in (0..traces[0].len()).step_by(100) {

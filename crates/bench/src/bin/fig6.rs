@@ -9,7 +9,7 @@
 use adaflow::RuntimeConfig;
 use adaflow_bench::Combo;
 use adaflow_edge::{
-    trace_to_csv, AdaFlowPolicy, Experiment, OriginalFinnPolicy, Scenario, WorkloadSpec,
+    trace_to_csv, AdaFlowServePolicy, Experiment, FixedMaxPolicy, Scenario, WorkloadSpec,
 };
 use adaflow_model::QuantSpec;
 use adaflow_nn::DatasetKind;
@@ -36,9 +36,9 @@ fn main() {
         let lib = &library;
         let config = RuntimeConfig::default();
         let (ada_metrics, ada_trace) =
-            experiment.trace_with(1, move || Box::new(AdaFlowPolicy::new(lib, config)));
+            experiment.trace_with(1, move || Box::new(AdaFlowServePolicy::new(lib, config)));
         let (finn_metrics, finn_trace) =
-            experiment.trace_with(1, move || Box::new(OriginalFinnPolicy::new(lib)));
+            experiment.trace_with(1, move || Box::new(FixedMaxPolicy::new(lib)));
 
         // Model-switch annotations: points where the serving model changes.
         println!("AdaFlow events:");

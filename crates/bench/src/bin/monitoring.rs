@@ -13,7 +13,7 @@
 use adaflow::RuntimeConfig;
 use adaflow_bench::{header, row, runs_from_args, Combo};
 use adaflow_edge::{
-    AdaFlowPolicy, Experiment, MonitoredPolicy, RateMonitor, Scenario, WorkloadSpec,
+    AdaFlowServePolicy, Experiment, MonitoredPolicy, RateMonitor, Scenario, WorkloadSpec,
 };
 use adaflow_model::QuantSpec;
 use adaflow_nn::DatasetKind;
@@ -51,7 +51,7 @@ fn main() {
         let lib = &library;
         let monitored = experiment.run_with(|| {
             Box::new(MonitoredPolicy::new(
-                AdaFlowPolicy::new(lib, RuntimeConfig::default()),
+                AdaFlowServePolicy::new(lib, RuntimeConfig::default()),
                 RateMonitor::default_edge(),
             ))
         });

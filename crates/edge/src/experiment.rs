@@ -5,7 +5,7 @@
 //! per core via `std::thread::scope`) and averages the metrics.
 
 use crate::metrics::{RunMetrics, TracePoint};
-use crate::policy::{AdaFlowPolicy, OriginalFinnPolicy, PruningReconfPolicy, ServerPolicy};
+use crate::policy::{AdaFlowServePolicy, FixedMaxPolicy, PruningReconfPolicy, ServePolicy};
 use crate::sim::{EdgeSim, SimConfig};
 use crate::workload::WorkloadSpec;
 use adaflow::{Library, RuntimeConfig};
@@ -88,7 +88,7 @@ impl<'l> Experiment<'l> {
     /// averaged metrics are identical to a serial sweep over the seeds.
     pub fn run_with<F>(&self, make_policy: F) -> RunMetrics
     where
-        F: Fn() -> Box<dyn ServerPolicy + 'l> + Sync,
+        F: Fn() -> Box<dyn ServePolicy + 'l> + Sync,
     {
         let seeds: Vec<u64> = (0..self.runs as u64).map(|i| self.base_seed + i).collect();
         let all = adaflow_nn::parallel::par_map(&seeds, 0, |&seed| {
@@ -100,18 +100,19 @@ impl<'l> Experiment<'l> {
         RunMetrics::mean(&all).expect("at least one run")
     }
 
-    /// Averaged metrics of the AdaFlow policy.
+    /// Averaged metrics of the AdaFlow policy (no deadline guard: every
+    /// manager decision applies at once).
     #[must_use]
     pub fn run_adaflow(&self, config: RuntimeConfig) -> RunMetrics {
         let library = self.library;
-        self.run_with(move || Box::new(AdaFlowPolicy::new(library, config.clone())))
+        self.run_with(move || Box::new(AdaFlowServePolicy::new(library, config.clone())))
     }
 
-    /// Averaged metrics of the original FINN baseline.
+    /// Averaged metrics of the original FINN baseline ([`FixedMaxPolicy`]).
     #[must_use]
     pub fn run_original_finn(&self) -> RunMetrics {
         let library = self.library;
-        self.run_with(move || Box::new(OriginalFinnPolicy::new(library)))
+        self.run_with(move || Box::new(FixedMaxPolicy::new(library)))
     }
 
     /// Averaged metrics of the Pruning-Reconf policy at a reconfiguration
@@ -125,7 +126,7 @@ impl<'l> Experiment<'l> {
     /// A single traced run (for the Fig. 1(b)/Fig. 6 time-series curves).
     pub fn trace_with<F>(&self, seed: u64, make_policy: F) -> (RunMetrics, Vec<TracePoint>)
     where
-        F: FnOnce() -> Box<dyn ServerPolicy + 'l>,
+        F: FnOnce() -> Box<dyn ServePolicy + 'l>,
     {
         let segments = self.workload.generate(seed);
         let mut policy = make_policy();
@@ -219,7 +220,9 @@ mod tests {
         let exp = Experiment::new(&lib, WorkloadSpec::paper_edge(Scenario::Shifting));
         let config = RuntimeConfig::default();
         let lib_ref = &lib;
-        let (_, trace) = exp.trace_with(1, move || Box::new(AdaFlowPolicy::new(lib_ref, config)));
+        let (_, trace) = exp.trace_with(1, move || {
+            Box::new(AdaFlowServePolicy::new(lib_ref, config))
+        });
         assert!(!trace.is_empty());
         let last_t = trace.last().expect("nonempty").t_s;
         assert!((last_t - 25.0).abs() < 0.02, "trace ends at {last_t}");

@@ -3,14 +3,20 @@
 //! Reproduces the paper's evaluation environment (§V): an FPGA-equipped
 //! Edge server receiving camera frames from 20 IoT devices at a nominal
 //! 30 FPS each, under fluctuating workload scenarios, serving CNN
-//! inferences through one of three policies:
+//! inferences through one of the paper's policies:
 //!
-//! * **Original FINN** — the static baseline, synthesized once;
+//! * **Original FINN** — the static baseline, synthesized once
+//!   ([`FixedMaxPolicy`]);
 //! * **Pruning-Reconf** — model switching with fixed accelerators only,
 //!   paying a configurable FPGA reconfiguration time per switch (the
-//!   Fig. 1(b) motivation experiment);
+//!   Fig. 1(b) motivation experiment; [`PruningReconfPolicy`]);
 //! * **AdaFlow** — the full Runtime Manager with fixed *and* flexible
-//!   accelerators.
+//!   accelerators ([`AdaFlowServePolicy`]).
+//!
+//! [`policy`] holds these, [`FlexibleOnlyPolicy`] and the one
+//! [`ServePolicy`] trait they share with the request-level simulators
+//! (`adaflow-serve`, `adaflow-fleet`) and the live server; this crate
+//! consults them with each workload segment's nominal rate.
 //!
 //! The server is modelled as a fluid queue with a finite frame buffer:
 //! frames arrive at the workload rate, are served at the loaded
@@ -53,7 +59,8 @@ pub use experiment::Experiment;
 pub use metrics::{trace_to_csv, RunMetrics, TracePoint};
 pub use monitor::{FpsMonitor, MonitoredPolicy, RateMonitor};
 pub use policy::{
-    AdaFlowPolicy, OriginalFinnPolicy, PruningReconfPolicy, ServerPolicy, ServingState,
+    AdaFlowServePolicy, FixedMaxPolicy, FlexibleOnlyPolicy, PruningReconfPolicy, ServePolicy,
+    ServingState,
 };
 pub use sim::{EdgeSim, SimConfig};
 pub use workload::{Scenario, WorkloadSegment, WorkloadSpec};
@@ -64,7 +71,8 @@ pub mod prelude {
     pub use crate::metrics::{trace_to_csv, RunMetrics, TracePoint};
     pub use crate::monitor::{FpsMonitor, MonitoredPolicy, RateMonitor};
     pub use crate::policy::{
-        AdaFlowPolicy, OriginalFinnPolicy, PruningReconfPolicy, ServerPolicy, ServingState,
+        AdaFlowServePolicy, FixedMaxPolicy, FlexibleOnlyPolicy, PruningReconfPolicy, ServePolicy,
+        ServingState,
     };
     pub use crate::sim::{EdgeSim, SimConfig};
     pub use crate::workload::{Scenario, WorkloadSegment, WorkloadSpec};

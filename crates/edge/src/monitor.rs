@@ -2,15 +2,17 @@
 //!
 //! The paper's Runtime Manager acts on workload changes "flagged by
 //! performance monitors added to the software in charge of the incoming
-//! inferences" (§IV-B2). The serving policies in [`crate::policy`] receive
-//! oracle per-segment rates; this module provides the realistic counterpart:
-//! a sliding-window FPS estimator with hysteresis-based change detection,
-//! plus a policy adapter that feeds *estimated* rates to any inner policy.
+//! inferences" (§IV-B2). The fluid simulator hands the serving policies in
+//! [`crate::policy`] oracle per-segment rates; this module provides the
+//! realistic counterpart: a sliding-window FPS estimator with
+//! hysteresis-based change detection, plus a policy adapter that feeds
+//! *estimated* rates to any inner policy.
 //!
 //! Comparing oracle vs monitored serving quantifies the cost of estimation
 //! lag (see the `monitoring` bench binary).
 
-use crate::policy::{ServerPolicy, ServingState};
+use crate::policy::{ServePolicy, ServingState};
+use adaflow::PressureSignal;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -190,15 +192,16 @@ impl RateMonitor {
 }
 
 /// Wraps a policy so it sees *monitored* rates: the inner policy is only
-/// re-invoked when the monitor flags a change, and receives the smoothed
-/// estimate instead of the oracle value.
+/// re-invoked when the monitor flags a change in the demanded rate, and then
+/// receives the smoothed estimate as a nominal signal instead of the
+/// observed one.
 pub struct MonitoredPolicy<P> {
     inner: P,
     monitor: RateMonitor,
     held: Option<ServingState>,
 }
 
-impl<P: ServerPolicy> MonitoredPolicy<P> {
+impl<P: ServePolicy> MonitoredPolicy<P> {
     /// Wraps `inner` behind `monitor`.
     #[must_use]
     pub fn new(inner: P, monitor: RateMonitor) -> Self {
@@ -210,33 +213,22 @@ impl<P: ServerPolicy> MonitoredPolicy<P> {
     }
 }
 
-impl<P: ServerPolicy> ServerPolicy for MonitoredPolicy<P> {
+impl<P: ServePolicy> ServePolicy for MonitoredPolicy<P> {
     fn name(&self) -> &str {
         self.inner.name()
     }
 
-    fn on_workload_change(&mut self, now_s: f64, incoming_fps: f64) -> ServingState {
-        match (self.monitor.observe_rate(now_s, incoming_fps), &self.held) {
-            (Some(estimate), _) => {
-                let state = self.inner.on_workload_change(now_s, estimate);
-                self.held = Some(state.clone());
-                state
-            }
-            (None, Some(state)) => {
-                // No flagged change: hold the previous serving state with
-                // the switch costs already paid.
-                let mut held = state.clone();
-                held.stall_s = 0.0;
-                held.model_switched = false;
-                held.reconfigured = false;
-                held
-            }
-            (None, None) => {
-                let state = self.inner.on_workload_change(now_s, incoming_fps);
-                self.held = Some(state.clone());
-                state
-            }
+    fn on_pressure(&mut self, now_s: f64, signal: &PressureSignal) -> ServingState {
+        let flagged = self.monitor.observe_rate(now_s, signal.demand_fps());
+        if let (None, Some(held)) = (flagged, &self.held) {
+            // No flagged change: hold the previous serving state with the
+            // switch costs already paid.
+            return held.clone();
         }
+        let signal = flagged.map_or(*signal, PressureSignal::nominal);
+        let state = self.inner.on_pressure(now_s, &signal);
+        self.held = Some(state.held());
+        state
     }
 }
 

@@ -1,12 +1,36 @@
-//! Serving policies: how the Edge server reacts to workload changes.
+//! Serving policies: the one policy trait every simulator consults.
+//!
+//! A policy sees a [`PressureSignal`] and answers with the [`ServingState`]
+//! to serve under. The fluid simulator ([`crate::EdgeSim`]) hands it the
+//! workload's *nominal* rate ([`PressureSignal::nominal`] — an oracle a
+//! real server does not have); the request-level layers (`adaflow-serve`,
+//! `adaflow-fleet` and the live server) derive the signal from what they
+//! observe (arrival EWMA plus queue backlog). Four policies:
+//!
+//! * [`AdaFlowServePolicy`] — the full Runtime Manager, driven through
+//!   [`RuntimeManager::decide_from_pressure`]: fixed *and* flexible
+//!   accelerators, hysteresis, reconfiguration stalls, and an optional
+//!   deadline guard for request-level serving;
+//! * [`FixedMaxPolicy`] — the static original-FINN baseline: the unpruned
+//!   max-accuracy model on its fixed accelerator, loaded once, never
+//!   switched;
+//! * [`FlexibleOnlyPolicy`] — pinned to the flexible fabric: model
+//!   switches are weight reloads over the PS-PL bus, never a
+//!   reconfiguration;
+//! * [`PruningReconfPolicy`] — the Fig. 1(b) baseline: model switching
+//!   restricted to fixed accelerators, paying a configurable
+//!   reconfiguration time per switch.
+//!
+//! Every policy assumes the first image resident when the serving window
+//! opens: the first consult never stalls and never counts as a switch.
 
-use adaflow::{Library, RuntimeConfig, RuntimeManager, SwitchKind};
+use adaflow::{Library, ModelEntry, PressureSignal, RuntimeConfig, RuntimeManager, SwitchKind};
 use adaflow_dataflow::AcceleratorKind;
 use adaflow_hls::PowerModel;
-use adaflow_telemetry::{EventKind, SinkHandle};
+use adaflow_telemetry::SinkHandle;
 use std::time::Duration;
 
-/// The serving state a policy establishes after a workload change.
+/// The serving state a policy establishes when consulted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServingState {
     /// Serving throughput once the stall (if any) completes.
@@ -30,92 +54,271 @@ pub struct ServingState {
     pub reconfigured: bool,
 }
 
-/// Emits the telemetry events implied by a freshly-established serving
-/// state: a [`EventKind::ModelSwitch`] when the model changed, and a
-/// [`EventKind::ReconfigStart`]/[`EventKind::ReconfigEnd`] pair spanning the
-/// stall when the FPGA was reconfigured.
-fn emit_switch_events(sink: &SinkHandle, now_s: f64, from: &str, state: &ServingState) {
-    if !sink.enabled() {
-        return;
-    }
-    if state.model_switched {
-        sink.emit(
-            now_s,
-            EventKind::ModelSwitch {
-                from: from.to_string(),
-                to: state.model.clone(),
-                flexible: !state.reconfigured
-                    && state.accelerator == AcceleratorKind::FlexiblePruning,
-            },
-        );
-    }
-    if state.reconfigured {
-        sink.emit(
-            now_s,
-            EventKind::ReconfigStart {
-                model: state.model.clone(),
-            },
-        );
-        sink.emit(
-            now_s + state.stall_s,
-            EventKind::ReconfigEnd {
-                model: state.model.clone(),
-                stall_s: state.stall_s,
-            },
-        );
-    }
-}
-
-/// A serving policy driven by workload-change events.
-pub trait ServerPolicy {
-    /// Policy display name.
-    fn name(&self) -> &str;
-
-    /// Reacts to a workload estimate observed at `now_s`.
-    fn on_workload_change(&mut self, now_s: f64, incoming_fps: f64) -> ServingState;
-}
-
-/// The static baseline: the original FINN accelerator, loaded once and
-/// never changed.
-#[derive(Debug, Clone)]
-pub struct OriginalFinnPolicy<'l> {
-    library: &'l Library,
-    loaded: bool,
-    sink: SinkHandle,
-}
-
-impl<'l> OriginalFinnPolicy<'l> {
-    /// Creates the baseline policy over a library (uses only its baseline
-    /// accelerator and unpruned accuracy).
+impl ServingState {
+    /// Library entry `entry_index` served on `accelerator`, with no stall
+    /// and no switch.
     #[must_use]
-    pub fn new(library: &'l Library) -> Self {
+    pub fn steady(library: &Library, entry_index: usize, accelerator: AcceleratorKind) -> Self {
+        let entry = &library.entries()[entry_index];
+        let (throughput_fps, power, activity) = match accelerator {
+            AcceleratorKind::FlexiblePruning => (
+                entry.flexible_fps,
+                library.flexible.power,
+                entry.flexible_activity,
+            ),
+            _ => (entry.fixed.throughput_fps, entry.fixed.power, 1.0),
+        };
         Self {
-            library,
-            loaded: false,
-            sink: SinkHandle::default(),
+            throughput_fps,
+            stall_s: 0.0,
+            accuracy: entry.accuracy,
+            power,
+            activity,
+            model: entry.name.clone(),
+            accelerator,
+            model_switched: false,
+            reconfigured: false,
         }
     }
 
-    /// Attaches a telemetry sink (the static baseline never switches, so it
-    /// only ever emits the shared switch/reconfiguration events vacuously).
+    /// This state held on after it was applied: the switch costs are paid.
     #[must_use]
-    pub fn with_sink(mut self, sink: SinkHandle) -> Self {
-        self.sink = sink;
-        self
+    pub fn held(&self) -> Self {
+        Self {
+            stall_s: 0.0,
+            model_switched: false,
+            reconfigured: false,
+            ..self.clone()
+        }
+    }
+
+    /// Whether this change was a model switch served by the flexible
+    /// fabric's weight reload — the one rule every switch ledger counts
+    /// flexible switches by. A fixed-accelerator switch that happens to
+    /// cost no reconfiguration (Pruning-Reconf at 0 ms) is not one.
+    #[must_use]
+    pub fn is_flexible_switch(&self) -> bool {
+        self.model_switched
+            && !self.reconfigured
+            && self.accelerator == AcceleratorKind::FlexiblePruning
     }
 }
 
-impl ServerPolicy for OriginalFinnPolicy<'_> {
-    fn name(&self) -> &str {
-        "original-finn"
+/// Seconds to stream `entry`'s weights over a bus of the given bandwidth.
+fn weight_reload_s(entry: &ModelEntry, bus_bytes_per_second: f64) -> f64 {
+    entry.weight_bits as f64 / 8.0 / bus_bytes_per_second
+}
+
+/// A serving policy, consulted with the pressure its simulator observes.
+pub trait ServePolicy {
+    /// Policy display name (stable; used in summaries and the CLI).
+    fn name(&self) -> &str;
+
+    /// Reacts to the pressure observed at `now_s`, returning the serving
+    /// state to run under next.
+    fn on_pressure(&mut self, now_s: f64, signal: &PressureSignal) -> ServingState;
+}
+
+/// The full AdaFlow Runtime Manager under pressure drive, with an optional
+/// deadline-aware reconfiguration guard.
+///
+/// Without a deadline every manager decision is applied the instant it is
+/// made — the fluid simulator's behaviour. At request granularity that is
+/// wrong, because a reconfiguration stall taken while the queue is deep
+/// pushes every queued request past its deadline. With a deadline
+/// configured (see [`Self::with_deadline`]), the policy separates the
+/// manager's *target* from the *live* fabric state:
+///
+/// * capacity **upgrades** (higher throughput than the live state) are
+///   applied immediately — they are what drains the backlog;
+/// * any other switch is **deferred** unless it is deadline-safe: the
+///   target must keep throughput headroom over demanded service rate (a
+///   tier sized exactly to the current rate becomes a backlog trap on the
+///   next rate jump), and the stall plus the backlog drain at the new rate
+///   must fit inside the deadline;
+/// * if the manager's target reverts to the live state before a safe
+///   window opens (a transient lull), the stall is never paid at all.
+///
+/// Transition costs are always charged against the fabric state that is
+/// physically live, not against the manager's bookkeeping, so a deferred
+/// decision cannot turn a fabric change into a free weight reload.
+#[derive(Debug, Clone)]
+pub struct AdaFlowServePolicy<'l> {
+    library: &'l Library,
+    manager: RuntimeManager<'l>,
+    config: RuntimeConfig,
+    deadline_s: Option<f64>,
+    /// The serving state physically live on the fabric (flags and stall
+    /// zeroed); `None` until the first consult.
+    applied: Option<ServingState>,
+    /// Decayed peak of demanded service rate — what a capacity decision
+    /// must stay safe against, since reversing it costs another stall.
+    peak_demand_fps: f64,
+    last_consult_s: f64,
+}
+
+impl<'l> AdaFlowServePolicy<'l> {
+    /// Creates the policy from a library and runtime configuration. Without
+    /// [`Self::with_deadline`], every manager decision is applied
+    /// immediately, exactly like the fluid simulator.
+    #[must_use]
+    pub fn new(library: &'l Library, config: RuntimeConfig) -> Self {
+        Self {
+            library,
+            manager: RuntimeManager::new(library, config.clone()),
+            config,
+            deadline_s: None,
+            applied: None,
+            peak_demand_fps: 0.0,
+            last_consult_s: 0.0,
+        }
     }
 
-    fn on_workload_change(&mut self, now_s: f64, _incoming_fps: f64) -> ServingState {
-        self.loaded = true;
+    /// Enables the deadline-aware reconfiguration guard for requests with
+    /// the given end-to-end deadline (a non-positive deadline leaves it
+    /// off).
+    #[must_use]
+    pub fn with_deadline(mut self, deadline_s: f64) -> Self {
+        self.deadline_s = (deadline_s > 0.0).then_some(deadline_s);
+        self
+    }
+
+    /// Attaches a telemetry sink to the [`RuntimeManager`], which emits one
+    /// `DecisionMade` event (with its stall accounting) per consult.
+    #[must_use]
+    pub fn with_sink(mut self, sink: SinkHandle) -> Self {
+        self.manager = self.manager.with_sink(sink);
+        self
+    }
+
+    /// The decision's serving state with the *physical* transition cost
+    /// from `applied` (not the manager's internal books, which may have
+    /// drifted ahead while decisions were deferred).
+    fn target_state(&self, entry_index: usize, accelerator: AcceleratorKind) -> ServingState {
+        let mut state = ServingState::steady(self.library, entry_index, accelerator);
+        let Some(live) = &self.applied else {
+            return state; // the first image is resident
+        };
+        if live.model == state.model && live.accelerator == state.accelerator {
+            return state;
+        }
+        state.model_switched = true;
+        if live.accelerator == AcceleratorKind::FlexiblePruning
+            && accelerator == AcceleratorKind::FlexiblePruning
+        {
+            // Same flexible fabric: stream the new weights over the bus.
+            let entry = &self.library.entries()[entry_index];
+            state.stall_s = weight_reload_s(entry, self.config.weight_bus_bytes_per_second);
+        } else {
+            // Any fabric change loads the target bitstream.
+            let bitstream = match accelerator {
+                AcceleratorKind::FlexiblePruning => &self.library.flexible.bitstream,
+                _ => &self.library.entries()[entry_index].fixed.bitstream,
+            };
+            state.stall_s = self
+                .config
+                .reconfig
+                .reconfiguration_time(bitstream)
+                .as_secs_f64();
+            state.reconfigured = true;
+        }
+        state
+    }
+}
+
+/// Throughput headroom a non-upgrade switch must keep over the demand peak
+/// before the guard lets capacity go: a tier sized to the current rate is
+/// a backlog trap the moment the rate jumps again.
+const SWITCH_HEADROOM: f64 = 1.15;
+
+/// Decay horizon of the peak-demand tracker, seconds — roughly how long a
+/// capacity decision stays binding (reversing it costs another stall).
+const PEAK_WINDOW_S: f64 = 10.0;
+
+/// Throughput gain factor above which a switch counts as a capacity
+/// upgrade and bypasses the deadline guard.
+const UPGRADE_MARGIN: f64 = 1.05;
+
+/// Whether taking `state` now is deadline-safe: the target must keep
+/// [`SWITCH_HEADROOM`] over the recent demand *peak* (the EWMA alone is
+/// blind to the rate jumping back within the decision's lifetime), and the
+/// worst-case wait — the head of the queue rides out the whole stall and
+/// then drains at the *new* rate — must fit inside the deadline.
+fn deadline_safe(
+    state: &ServingState,
+    signal: &PressureSignal,
+    peak_demand_fps: f64,
+    deadline_s: f64,
+) -> bool {
+    let new_fps = state.throughput_fps.max(1.0);
+    if new_fps < SWITCH_HEADROOM * signal.demand_fps().max(peak_demand_fps) {
+        return false;
+    }
+    state.stall_s + signal.queue_depth / new_fps <= deadline_s
+}
+
+impl ServePolicy for AdaFlowServePolicy<'_> {
+    fn name(&self) -> &str {
+        "adaflow"
+    }
+
+    fn on_pressure(&mut self, now_s: f64, signal: &PressureSignal) -> ServingState {
+        let dt = (now_s - self.last_consult_s).max(0.0);
+        self.last_consult_s = now_s;
+        self.peak_demand_fps =
+            (self.peak_demand_fps * (-dt / PEAK_WINDOW_S).exp()).max(signal.demand_fps());
+        let decision = self.manager.decide_from_pressure(now_s, signal);
+        debug_assert!(
+            decision.switch == SwitchKind::None || decision.stall_s >= 0.0,
+            "manager stalls are non-negative"
+        );
+        let state = self.target_state(decision.entry_index, decision.accelerator);
+        if let (Some(deadline), Some(live)) = (self.deadline_s, &self.applied) {
+            // A fabric-only move for the model already being served is
+            // strictly dominated: identical accuracy, near-identical
+            // throughput, and a full reconfiguration stall.
+            if state.reconfigured && state.model == live.model {
+                return live.clone();
+            }
+            // Only a material capacity gain justifies stalling without the
+            // safety check; marginal "upgrades" (e.g. the ~0.5 % fixed-vs-
+            // flexible gap) go through the guard like any other switch.
+            let upgrade = state.throughput_fps > live.throughput_fps * UPGRADE_MARGIN;
+            if !upgrade && !deadline_safe(&state, signal, self.peak_demand_fps, deadline) {
+                return live.clone();
+            }
+        }
+        self.applied = Some(state.held());
+        state
+    }
+}
+
+/// The static baseline: the unpruned maximum-accuracy model on the original
+/// FINN accelerator, resident for the whole run.
+#[derive(Debug, Clone)]
+pub struct FixedMaxPolicy<'l> {
+    library: &'l Library,
+}
+
+impl<'l> FixedMaxPolicy<'l> {
+    /// Creates the baseline over a library (uses only its baseline
+    /// accelerator and unpruned accuracy).
+    #[must_use]
+    pub fn new(library: &'l Library) -> Self {
+        Self { library }
+    }
+}
+
+impl ServePolicy for FixedMaxPolicy<'_> {
+    fn name(&self) -> &str {
+        "fixed-max"
+    }
+
+    fn on_pressure(&mut self, _now_s: f64, _signal: &PressureSignal) -> ServingState {
         let baseline = &self.library.baseline;
-        let state = ServingState {
+        ServingState {
             throughput_fps: baseline.throughput_fps,
-            stall_s: 0.0, // assumed resident before the evaluation window
+            stall_s: 0.0,
             accuracy: self.library.base_accuracy(),
             power: baseline.power,
             activity: 1.0,
@@ -123,8 +326,62 @@ impl ServerPolicy for OriginalFinnPolicy<'_> {
             accelerator: AcceleratorKind::Finn,
             model_switched: false,
             reconfigured: false,
-        };
-        emit_switch_events(&self.sink, now_s, &self.library.initial_model, &state);
+        }
+    }
+}
+
+/// Model switching pinned to the flexible fabric: every switch streams new
+/// weights over the PS-PL bus (fast, but the fabric's worst-case sizing
+/// costs throughput on every model).
+#[derive(Debug, Clone)]
+pub struct FlexibleOnlyPolicy<'l> {
+    library: &'l Library,
+    manager: RuntimeManager<'l>,
+    bus_bytes_per_second: f64,
+    current: Option<usize>,
+}
+
+impl<'l> FlexibleOnlyPolicy<'l> {
+    /// Creates the policy; model selection reuses the Runtime Manager's
+    /// accuracy-threshold logic restricted to the flexible fabric.
+    #[must_use]
+    pub fn new(library: &'l Library, config: RuntimeConfig) -> Self {
+        let bus = config.weight_bus_bytes_per_second;
+        Self {
+            library,
+            manager: RuntimeManager::new(library, config),
+            bus_bytes_per_second: bus,
+            current: None,
+        }
+    }
+
+    /// Worst-case weight-reload stall over this library, seconds.
+    #[must_use]
+    pub fn worst_stall_s(&self) -> f64 {
+        self.library
+            .entries()
+            .iter()
+            .map(|e| weight_reload_s(e, self.bus_bytes_per_second))
+            .fold(0.0, f64::max)
+    }
+}
+
+impl ServePolicy for FlexibleOnlyPolicy<'_> {
+    fn name(&self) -> &str {
+        "flexible-only"
+    }
+
+    fn on_pressure(&mut self, _now_s: f64, signal: &PressureSignal) -> ServingState {
+        let kind = AcceleratorKind::FlexiblePruning;
+        let idx = self.manager.select_model(signal.demand_fps(), kind);
+        let mut state = ServingState::steady(self.library, idx, kind);
+        if self.current.is_some_and(|current| current != idx) {
+            // Service stalls while the new weights stream over the bus.
+            let entry = &self.library.entries()[idx];
+            state.stall_s = weight_reload_s(entry, self.bus_bytes_per_second);
+            state.model_switched = true;
+        }
+        self.current = Some(idx);
         state
     }
 }
@@ -137,7 +394,6 @@ pub struct PruningReconfPolicy<'l> {
     manager: RuntimeManager<'l>,
     reconfiguration_time: Duration,
     current: Option<usize>,
-    sink: SinkHandle,
 }
 
 impl<'l> PruningReconfPolicy<'l> {
@@ -150,156 +406,25 @@ impl<'l> PruningReconfPolicy<'l> {
             manager: RuntimeManager::new(library, RuntimeConfig::default()),
             reconfiguration_time,
             current: None,
-            sink: SinkHandle::default(),
         }
-    }
-
-    /// Attaches a telemetry sink; model switches and their reconfiguration
-    /// spans are emitted at decision time on the simulation clock.
-    #[must_use]
-    pub fn with_sink(mut self, sink: SinkHandle) -> Self {
-        self.sink = sink;
-        self
     }
 }
 
-impl ServerPolicy for PruningReconfPolicy<'_> {
+impl ServePolicy for PruningReconfPolicy<'_> {
     fn name(&self) -> &str {
         "pruning-reconf"
     }
 
-    fn on_workload_change(&mut self, now_s: f64, incoming_fps: f64) -> ServingState {
-        let idx = self
-            .manager
-            .select_model(incoming_fps, AcceleratorKind::FixedPruning);
-        let entry = &self.library.entries()[idx];
-        // The very first load is assumed resident (like the baseline);
-        // subsequent switches pay the reconfiguration time and count.
-        let switched = self.current.is_some() && self.current != Some(idx);
-        let stall_s = if switched {
-            self.reconfiguration_time.as_secs_f64()
-        } else {
-            0.0
-        };
-        let from = self.current.map_or_else(
-            || entry.name.clone(),
-            |i| self.library.entries()[i].name.clone(),
-        );
+    fn on_pressure(&mut self, _now_s: f64, signal: &PressureSignal) -> ServingState {
+        let kind = AcceleratorKind::FixedPruning;
+        let idx = self.manager.select_model(signal.demand_fps(), kind);
+        let mut state = ServingState::steady(self.library, idx, kind);
+        if self.current.is_some_and(|current| current != idx) {
+            state.stall_s = self.reconfiguration_time.as_secs_f64();
+            state.model_switched = true;
+            state.reconfigured = state.stall_s > 0.0;
+        }
         self.current = Some(idx);
-        let state = ServingState {
-            throughput_fps: entry.fixed.throughput_fps,
-            stall_s,
-            accuracy: entry.accuracy,
-            power: entry.fixed.power,
-            activity: 1.0,
-            model: entry.name.clone(),
-            accelerator: AcceleratorKind::FixedPruning,
-            model_switched: switched,
-            reconfigured: switched && stall_s > 0.0,
-        };
-        emit_switch_events(&self.sink, now_s, &from, &state);
-        state
-    }
-}
-
-/// The full AdaFlow policy: wraps the [`RuntimeManager`].
-#[derive(Debug, Clone)]
-pub struct AdaFlowPolicy<'l> {
-    library: &'l Library,
-    manager: RuntimeManager<'l>,
-    first: bool,
-    /// Scheduled accuracy-threshold changes `(time, points)`, sorted by
-    /// time; applied before the decision at the first event at or past the
-    /// scheduled instant (the paper's user-driven threshold events).
-    threshold_schedule: Vec<(f64, f64)>,
-    sink: SinkHandle,
-}
-
-impl<'l> AdaFlowPolicy<'l> {
-    /// Creates the policy from a library and runtime configuration.
-    #[must_use]
-    pub fn new(library: &'l Library, config: RuntimeConfig) -> Self {
-        Self {
-            library,
-            manager: RuntimeManager::new(library, config),
-            first: true,
-            threshold_schedule: Vec::new(),
-            sink: SinkHandle::default(),
-        }
-    }
-
-    /// Attaches a telemetry sink to both the policy (model-switch and
-    /// reconfiguration-span events) and its [`RuntimeManager`]
-    /// (`DecisionMade` events with stall accounting).
-    #[must_use]
-    pub fn with_sink(mut self, sink: SinkHandle) -> Self {
-        self.manager = self.manager.with_sink(sink.clone());
-        self.sink = sink;
-        self
-    }
-
-    /// Schedules accuracy-threshold changes over the run: each `(t, points)`
-    /// pair updates the manager's threshold at the first decision at or
-    /// after `t`.
-    #[must_use]
-    pub fn with_threshold_schedule(mut self, mut schedule: Vec<(f64, f64)>) -> Self {
-        schedule.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("times are finite"));
-        self.threshold_schedule = schedule;
-        self
-    }
-
-    /// Access to the underlying manager (e.g. to change the threshold
-    /// mid-run).
-    pub fn manager_mut(&mut self) -> &mut RuntimeManager<'l> {
-        &mut self.manager
-    }
-}
-
-impl ServerPolicy for AdaFlowPolicy<'_> {
-    fn name(&self) -> &str {
-        "adaflow"
-    }
-
-    fn on_workload_change(&mut self, now_s: f64, incoming_fps: f64) -> ServingState {
-        while let Some(&(t, points)) = self.threshold_schedule.first() {
-            if t <= now_s {
-                self.manager.set_accuracy_threshold(points);
-                self.threshold_schedule.remove(0);
-            } else {
-                break;
-            }
-        }
-        let from = self
-            .manager
-            .current()
-            .map(|(i, _)| self.library.entries()[i].name.clone());
-        let decision = self.manager.decide(now_s, incoming_fps);
-        let entry = &self.library.entries()[decision.entry_index];
-        let (power, activity) = match decision.accelerator {
-            AcceleratorKind::FlexiblePruning => {
-                (self.library.flexible.power, entry.flexible_activity)
-            }
-            _ => (entry.fixed.power, 1.0),
-        };
-        // Like the baselines, the initial image is assumed resident when
-        // the evaluation window opens.
-        let stall_s = if self.first { 0.0 } else { decision.stall_s };
-        let reconfigured = !self.first && decision.switch == SwitchKind::Reconfiguration;
-        let model_switched = !self.first && decision.switch != SwitchKind::None;
-        self.first = false;
-        let state = ServingState {
-            throughput_fps: decision.throughput_fps,
-            stall_s,
-            accuracy: decision.accuracy,
-            power,
-            activity,
-            model: decision.model_name,
-            accelerator: decision.accelerator,
-            model_switched,
-            reconfigured,
-        };
-        let from = from.unwrap_or_else(|| state.model.clone());
-        emit_switch_events(&self.sink, now_s, &from, &state);
         state
     }
 }
@@ -320,16 +445,42 @@ mod tests {
             .expect("generates")
     }
 
+    fn signal(rate: f64, depth: f64) -> PressureSignal {
+        PressureSignal {
+            arrival_fps_ewma: rate,
+            queue_depth: depth,
+            drain_target_s: 0.5,
+        }
+    }
+
     #[test]
-    fn finn_policy_is_static() {
+    fn fixed_max_never_switches() {
         let lib = library();
-        let mut p = OriginalFinnPolicy::new(&lib);
-        let a = p.on_workload_change(0.0, 100.0);
-        let b = p.on_workload_change(5.0, 1000.0);
-        assert_eq!(a.throughput_fps, b.throughput_fps);
-        assert_eq!(b.stall_s, 0.0);
+        let mut p = FixedMaxPolicy::new(&lib);
+        let a = p.on_pressure(0.0, &signal(100.0, 0.0));
+        let b = p.on_pressure(5.0, &signal(2000.0, 200.0));
+        assert_eq!(a, b);
         assert!(!b.model_switched);
-        assert_eq!(a.accuracy, lib.base_accuracy());
+        assert_eq!(b.stall_s, 0.0);
+        assert_eq!(b.accelerator, AcceleratorKind::Finn);
+        assert_eq!(b.accuracy, lib.base_accuracy());
+    }
+
+    #[test]
+    fn flexible_only_stays_on_flexible_fabric() {
+        let lib = library();
+        let mut p = FlexibleOnlyPolicy::new(&lib, RuntimeConfig::default());
+        let low = p.on_pressure(0.0, &signal(100.0, 0.0));
+        let high = p.on_pressure(1.0, &signal(900.0, 100.0));
+        assert_eq!(low.accelerator, AcceleratorKind::FlexiblePruning);
+        assert_eq!(high.accelerator, AcceleratorKind::FlexiblePruning);
+        assert!(!high.reconfigured, "flexible switches never reconfigure");
+        if high.model_switched {
+            assert!(high.stall_s > 0.0, "weight reload takes bus time");
+            assert!(high.stall_s < 0.05, "weight reload must be fast");
+            assert!(high.is_flexible_switch());
+        }
+        assert!(p.worst_stall_s() > 0.0);
     }
 
     #[test]
@@ -337,74 +488,86 @@ mod tests {
         let lib = library();
         let mut p = PruningReconfPolicy::new(&lib, Duration::from_millis(290));
         let base_fps = lib.unpruned().fixed.throughput_fps;
-        let first = p.on_workload_change(0.0, 100.0);
+        let first = p.on_pressure(0.0, &PressureSignal::nominal(100.0));
         assert_eq!(first.stall_s, 0.0, "initial image resident");
-        let up = p.on_workload_change(5.0, base_fps * 1.4);
-        assert!(up.model_switched);
+        let up = p.on_pressure(5.0, &PressureSignal::nominal(base_fps * 1.4));
+        assert!(up.model_switched && up.reconfigured);
         assert!((up.stall_s - 0.29).abs() < 1e-9);
-        let same = p.on_workload_change(10.0, base_fps * 1.35);
+        let same = p.on_pressure(10.0, &PressureSignal::nominal(base_fps * 1.35));
         assert!(!same.model_switched);
         assert_eq!(same.stall_s, 0.0);
     }
 
     #[test]
+    fn zero_ms_fixed_switches_are_not_flexible() {
+        let lib = library();
+        let mut p = PruningReconfPolicy::new(&lib, Duration::ZERO);
+        let base_fps = lib.unpruned().fixed.throughput_fps;
+        p.on_pressure(0.0, &PressureSignal::nominal(100.0));
+        let up = p.on_pressure(5.0, &PressureSignal::nominal(base_fps * 1.4));
+        assert!(up.model_switched);
+        assert!(!up.reconfigured, "a 0 ms switch stalls nothing");
+        assert!(!up.is_flexible_switch(), "it is still a fixed switch");
+    }
+
+    #[test]
+    fn adaflow_backlog_escalates_model_choice() {
+        let lib = library();
+        let mut a = AdaFlowServePolicy::new(&lib, RuntimeConfig::default());
+        let mut b = AdaFlowServePolicy::new(&lib, RuntimeConfig::default());
+        let calm = a.on_pressure(0.0, &signal(430.0, 0.0));
+        // Same arrival rate but a deep backlog: pressure demands drain
+        // capacity, so the selected model must be at least as fast.
+        let pressed = b.on_pressure(0.0, &signal(430.0, 200.0));
+        assert!(pressed.throughput_fps >= calm.throughput_fps);
+    }
+
+    /// AdaFlow's first load is free, like every baseline's.
+    #[test]
+    fn adaflow_first_load_is_free() {
+        let lib = library();
+        let mut policies: [Box<dyn ServePolicy>; 4] = [
+            Box::new(AdaFlowServePolicy::new(&lib, RuntimeConfig::default())),
+            Box::new(FixedMaxPolicy::new(&lib)),
+            Box::new(FlexibleOnlyPolicy::new(&lib, RuntimeConfig::default())),
+            Box::new(PruningReconfPolicy::new(&lib, Duration::from_millis(145))),
+        ];
+        for p in &mut policies {
+            let s = p.on_pressure(0.0, &PressureSignal::nominal(600.0));
+            assert_eq!(s.stall_s, 0.0, "{}", p.name());
+            assert!(!s.model_switched && !s.reconfigured, "{}", p.name());
+        }
+    }
+
+    #[test]
     fn adaflow_policy_uses_flexible_under_rapid_change() {
         let lib = library();
-        let mut p = AdaFlowPolicy::new(&lib, RuntimeConfig::default());
+        let mut p = AdaFlowServePolicy::new(&lib, RuntimeConfig::default());
         let base_fps = lib.unpruned().fixed.throughput_fps;
-        p.on_workload_change(0.0, 100.0);
+        p.on_pressure(0.0, &PressureSignal::nominal(100.0));
         // First switch establishes the cadence (fixed), second goes
         // flexible, third is a fast in-fabric switch.
-        p.on_workload_change(0.4, base_fps * 1.4);
-        let d = p.on_workload_change(0.8, 100.0);
+        p.on_pressure(0.4, &PressureSignal::nominal(base_fps * 1.4));
+        let d = p.on_pressure(0.8, &PressureSignal::nominal(100.0));
         assert_eq!(d.accelerator, AcceleratorKind::FlexiblePruning);
-        let d2 = p.on_workload_change(1.2, base_fps * 1.4);
+        let d2 = p.on_pressure(1.2, &PressureSignal::nominal(base_fps * 1.4));
         assert_eq!(d2.accelerator, AcceleratorKind::FlexiblePruning);
         assert!(d2.stall_s < 0.005, "flexible switch must be fast");
         assert!(d2.model_switched);
         assert!(!d2.reconfigured);
-    }
-
-    #[test]
-    fn threshold_schedule_changes_selection_mid_run() {
-        let lib = library();
-        let base_fps = lib.unpruned().fixed.throughput_fps;
-        let overload = base_fps * 1.4;
-        // Tight threshold first (no model can match the overload), loosened
-        // at t = 10: the policy must upgrade to a faster pruned model.
-        let mut p = AdaFlowPolicy::new(
-            &lib,
-            RuntimeConfig {
-                accuracy_threshold_points: 2.0,
-                ..RuntimeConfig::default()
-            },
-        )
-        .with_threshold_schedule(vec![(10.0, 15.0)]);
-        let before = p.on_workload_change(0.0, overload);
-        let after = p.on_workload_change(10.0, overload);
-        assert!(after.throughput_fps > before.throughput_fps);
-        assert!(after.accuracy < before.accuracy);
-    }
-
-    #[test]
-    fn adaflow_first_load_is_free_like_baselines() {
-        let lib = library();
-        let mut p = AdaFlowPolicy::new(&lib, RuntimeConfig::default());
-        let d = p.on_workload_change(0.0, 600.0);
-        assert_eq!(d.stall_s, 0.0);
-        assert!(!d.reconfigured);
+        assert!(d2.is_flexible_switch());
     }
 
     #[test]
     fn flexible_power_uses_flexible_fabric() {
         let lib = library();
-        let mut p = AdaFlowPolicy::new(&lib, RuntimeConfig::default());
+        let mut p = AdaFlowServePolicy::new(&lib, RuntimeConfig::default());
         let base_fps = lib.unpruned().fixed.throughput_fps;
-        p.on_workload_change(0.0, 100.0);
-        p.on_workload_change(0.4, base_fps * 1.4);
-        p.on_workload_change(0.8, 100.0);
+        p.on_pressure(0.0, &PressureSignal::nominal(100.0));
+        p.on_pressure(0.4, &PressureSignal::nominal(base_fps * 1.4));
+        p.on_pressure(0.8, &PressureSignal::nominal(100.0));
         // Pruned model loaded on the flexible fabric.
-        let d = p.on_workload_change(1.2, base_fps * 1.4);
+        let d = p.on_pressure(1.2, &PressureSignal::nominal(base_fps * 1.4));
         assert_eq!(d.accelerator, AcceleratorKind::FlexiblePruning);
         // Flexible fabric's peak dynamic power exceeds any fixed one's.
         assert!(
@@ -415,5 +578,45 @@ mod tests {
             d.activity < 1.0,
             "pruned model leaves fabric partially idle"
         );
+    }
+
+    #[test]
+    fn deadline_guard_blocks_downswitch_under_recent_peak() {
+        let lib = library();
+        let mut p = AdaFlowServePolicy::new(&lib, RuntimeConfig::default()).with_deadline(0.25);
+        // High demand pins a fast tier; a brief lull must NOT give the
+        // capacity back — the decayed peak says the rate can jump again
+        // within the decision's lifetime.
+        let fast = p.on_pressure(0.0, &signal(620.0, 10.0));
+        let lull = p.on_pressure(0.5, &signal(380.0, 0.0));
+        assert_eq!(lull.model, fast.model, "capacity surrendered in a lull");
+        assert_eq!(lull.stall_s, 0.0);
+        assert!(!lull.model_switched);
+        assert!(!lull.reconfigured);
+    }
+
+    #[test]
+    fn deadline_guard_lets_capacity_upgrades_through() {
+        let lib = library();
+        let mut p = AdaFlowServePolicy::new(&lib, RuntimeConfig::default()).with_deadline(0.25);
+        let low = p.on_pressure(0.0, &signal(430.0, 0.0));
+        // Demand far beyond the live tier: the upgrade must apply
+        // immediately, stall and all.
+        let high = p.on_pressure(0.5, &signal(900.0, 150.0));
+        assert!(high.throughput_fps > low.throughput_fps);
+        assert!(high.model_switched);
+        assert!(high.stall_s > 0.0, "a real fabric change costs a stall");
+    }
+
+    #[test]
+    fn unguarded_policy_applies_manager_decisions_directly() {
+        let lib = library();
+        let mut p = AdaFlowServePolicy::new(&lib, RuntimeConfig::default());
+        let fast = p.on_pressure(0.0, &signal(620.0, 10.0));
+        // Without a deadline the lull decision is applied as decided, like
+        // the fluid simulator does.
+        let lull = p.on_pressure(0.5, &signal(380.0, 0.0));
+        assert_ne!(lull.model, fast.model, "manager adapts on the lull");
+        assert!(lull.model_switched);
     }
 }

@@ -2,9 +2,9 @@
 //! stalls and power integration.
 
 use crate::metrics::{RunMetrics, TracePoint};
-use crate::policy::{ServerPolicy, ServingState};
+use crate::policy::{ServePolicy, ServingState};
 use crate::workload::WorkloadSegment;
-use adaflow_dataflow::AcceleratorKind;
+use adaflow::PressureSignal;
 use adaflow_telemetry::{EventKind, LogHistogram, SinkHandle};
 
 /// Simulation parameters.
@@ -47,9 +47,11 @@ impl EdgeSim {
     }
 
     /// Attaches a telemetry sink; the simulator emits frame-arrival,
-    /// frame-drop, queue-depth and stall-span events stamped with the
-    /// simulation clock. With the default [`SinkHandle::null`] the
-    /// instrumentation reduces to a branch per step.
+    /// frame-drop, queue-depth and stall-span events, plus the model-switch
+    /// and reconfiguration events of every serving state the policy
+    /// establishes, stamped with the simulation clock. With the default
+    /// [`SinkHandle::null`] the instrumentation reduces to a branch per
+    /// step.
     #[must_use]
     pub fn with_sink(mut self, sink: SinkHandle) -> Self {
         self.sink = sink;
@@ -57,7 +59,10 @@ impl EdgeSim {
     }
 
     /// Runs one serving simulation of `policy` against a piecewise-constant
-    /// workload, returning metrics and (if enabled) the trace.
+    /// workload, returning metrics and (if enabled) the trace. The policy
+    /// is consulted at the start of every segment with the segment's rate
+    /// as a [`PressureSignal::nominal`] — the oracle the fluid model
+    /// grants.
     ///
     /// # Panics
     ///
@@ -65,7 +70,7 @@ impl EdgeSim {
     #[must_use]
     pub fn run(
         &self,
-        policy: &mut dyn ServerPolicy,
+        policy: &mut dyn ServePolicy,
         segments: &[WorkloadSegment],
     ) -> (RunMetrics, Vec<TracePoint>) {
         assert!(!segments.is_empty(), "workload must have segments");
@@ -90,18 +95,21 @@ impl EdgeSim {
         let telemetry = self.sink.enabled();
 
         let mut stall_until = 0.0f64;
+        let mut serving: Option<ServingState> = None;
         for segment in segments {
-            let state: ServingState = policy.on_workload_change(segment.start_s, segment.fps);
+            let next = policy.on_pressure(segment.start_s, &PressureSignal::nominal(segment.fps));
+            if telemetry {
+                let from = serving.as_ref().unwrap_or(&next);
+                emit_transition_events(&self.sink, segment.start_s, &from.model, &next);
+            }
+            let state = serving.insert(next);
             if state.model_switched {
                 switches += 1.0;
             }
             if state.reconfigured {
                 reconfigs += 1.0;
             }
-            if state.model_switched
-                && !state.reconfigured
-                && state.accelerator == AcceleratorKind::FlexiblePruning
-            {
+            if state.is_flexible_switch() {
                 flex_switches += 1.0;
             }
             acc_max = acc_max.max(state.accuracy);
@@ -253,6 +261,38 @@ impl EdgeSim {
     }
 }
 
+/// Emits the events a freshly established serving state implies: a
+/// [`EventKind::ModelSwitch`] from the previous state's model when the
+/// model changed, and a [`EventKind::ReconfigStart`] / [`EventKind::ReconfigEnd`]
+/// pair spanning the stall when the FPGA was reconfigured.
+fn emit_transition_events(sink: &SinkHandle, now_s: f64, from: &str, state: &ServingState) {
+    if state.model_switched {
+        sink.emit(
+            now_s,
+            EventKind::ModelSwitch {
+                from: from.to_string(),
+                to: state.model.clone(),
+                flexible: state.is_flexible_switch(),
+            },
+        );
+    }
+    if state.reconfigured {
+        sink.emit(
+            now_s,
+            EventKind::ReconfigStart {
+                model: state.model.clone(),
+            },
+        );
+        sink.emit(
+            now_s + state.stall_s,
+            EventKind::ReconfigEnd {
+                model: state.model.clone(),
+                stall_s: state.stall_s,
+            },
+        );
+    }
+}
+
 /// Exact fluid-queue step: arrival rate `lambda`, service rate `mu`,
 /// initial queue `q0`, horizon `dt`, buffer `b`.
 ///
@@ -290,7 +330,6 @@ fn fluid_step(q0: f64, lambda: f64, mu: f64, dt: f64, b: f64) -> (f64, f64, f64)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::ServingState;
     use adaflow_hls::{PowerModel, ResourceEstimate};
 
     /// A scripted test policy serving at a constant rate.
@@ -310,12 +349,13 @@ mod tests {
         }
     }
 
-    impl ServerPolicy for ConstPolicy {
+    impl ServePolicy for ConstPolicy {
         fn name(&self) -> &str {
             "const"
         }
 
-        fn on_workload_change(&mut self, _now: f64, incoming: f64) -> ServingState {
+        fn on_pressure(&mut self, _now: f64, signal: &PressureSignal) -> ServingState {
+            let incoming = signal.demand_fps();
             let changed = self.last_fps.is_some_and(|f| (f - incoming).abs() > 1e-9);
             self.last_fps = Some(incoming);
             ServingState {

@@ -1,5 +1,6 @@
 //! Property-based tests on workload generation and the serving simulation.
 
+use adaflow::PressureSignal;
 use adaflow_dataflow::AcceleratorKind;
 use adaflow_edge::prelude::*;
 use adaflow_hls::{PowerModel, ResourceEstimate};
@@ -13,12 +14,13 @@ struct ConstPolicy {
     last: Option<f64>,
 }
 
-impl ServerPolicy for ConstPolicy {
+impl ServePolicy for ConstPolicy {
     fn name(&self) -> &str {
         "const"
     }
 
-    fn on_workload_change(&mut self, _now: f64, incoming: f64) -> ServingState {
+    fn on_pressure(&mut self, _now: f64, signal: &PressureSignal) -> ServingState {
+        let incoming = signal.demand_fps();
         let changed = self.last.is_some_and(|f| (f - incoming).abs() > 1e-9);
         self.last = Some(incoming);
         ServingState {

@@ -25,7 +25,7 @@ fn library() -> Library {
 /// plus the recorded events.
 fn traced_scenario2_run(lib: &Library) -> (RunMetrics, Vec<adaflow_telemetry::Event>) {
     let (sink, recorder) = SinkHandle::recorder(1 << 16);
-    let mut policy = AdaFlowPolicy::new(lib, RuntimeConfig::default()).with_sink(sink.clone());
+    let mut policy = AdaFlowServePolicy::new(lib, RuntimeConfig::default()).with_sink(sink.clone());
     let segments = WorkloadSpec::paper_edge(Scenario::Unpredictable).generate(1);
     let sim = EdgeSim::default().with_sink(sink);
     let (metrics, _) = sim.run(&mut policy, &segments);
@@ -128,7 +128,7 @@ fn null_sink_run_matches_traced_run_metrics() {
     // without a recording sink yields identical metrics.
     let lib = library();
     let (traced, _) = traced_scenario2_run(&lib);
-    let mut policy = AdaFlowPolicy::new(&lib, RuntimeConfig::default());
+    let mut policy = AdaFlowServePolicy::new(&lib, RuntimeConfig::default());
     let segments = WorkloadSpec::paper_edge(Scenario::Unpredictable).generate(1);
     let (silent, _) = EdgeSim::default().run(&mut policy, &segments);
     assert_eq!(traced, silent);

@@ -22,11 +22,10 @@
 //! passes the identity gate (drain starts immediately).
 
 use crate::config::ServeConfig;
-use crate::policy::ServePolicy;
 use crate::queue::{Admission, AdmissionQueue, Arriving};
 use crate::request::{CompletedRequest, Request};
 use adaflow::PressureSignal;
-use adaflow_edge::ServingState;
+use adaflow_edge::{ServePolicy, ServingState};
 use adaflow_telemetry::{EventKind, LogHistogram, SinkHandle};
 
 /// Absolute slack for deadline and timer comparisons, seconds.
@@ -451,7 +450,7 @@ impl<T: Arriving> DeviceCore<T> {
                 self.stats.model_switches += 1;
                 if new_state.reconfigured {
                     self.stats.reconfigurations += 1;
-                } else {
+                } else if new_state.is_flexible_switch() {
                     self.stats.flexible_switches += 1;
                 }
             }

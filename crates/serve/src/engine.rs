@@ -43,11 +43,10 @@
 use crate::arrivals::generate_requests;
 use crate::config::ServeConfig;
 use crate::device::DeviceCore;
-use crate::policy::ServePolicy;
 use crate::queue::Arriving;
 use crate::request::{CompletedRequest, Request};
 use crate::summary::ServeSummary;
-use adaflow_edge::WorkloadSpec;
+use adaflow_edge::{ServePolicy, WorkloadSpec};
 use adaflow_telemetry::SinkHandle;
 
 #[cfg(test)]

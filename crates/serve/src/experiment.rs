@@ -6,10 +6,11 @@
 
 use crate::config::ServeConfig;
 use crate::engine::ServeEngine;
-use crate::policy::{AdaFlowServePolicy, FixedMaxPolicy, FlexibleOnlyPolicy, ServePolicy};
 use crate::summary::ServeSummary;
 use adaflow::{Library, RuntimeConfig};
-use adaflow_edge::{Experiment, WorkloadSpec};
+use adaflow_edge::{
+    AdaFlowServePolicy, Experiment, FixedMaxPolicy, FlexibleOnlyPolicy, ServePolicy, WorkloadSpec,
+};
 use adaflow_telemetry::SinkHandle;
 
 /// A repeated, seeded serving experiment over one library and workload.
@@ -192,5 +193,29 @@ mod tests {
             "scenario 1 hit {}",
             s.deadline_hit_pct
         );
+    }
+
+    /// The DES and the fluid simulator count flexible switches by one
+    /// rule: a fixed-accelerator switch that costs no reconfiguration
+    /// (Pruning-Reconf at 0 ms) is a switch, but not a flexible one.
+    #[test]
+    fn zero_ms_reconf_switches_are_not_flexible() {
+        use adaflow_edge::PruningReconfPolicy;
+        use std::time::Duration;
+
+        let lib = library();
+        let spec = WorkloadSpec::paper_edge(Scenario::Unpredictable);
+        let s = ServeExperiment::new(&lib, spec.clone())
+            .runs(1)
+            .run_with(|| Box::new(PruningReconfPolicy::new(&lib, Duration::ZERO)));
+        assert!(s.conservation_holds());
+        assert!(s.model_switches > 0.0, "scenario 2 must switch");
+        assert_eq!(s.reconfigurations, 0.0);
+        assert_eq!(s.flexible_switches, 0.0);
+        let fluid = Experiment::new(&lib, spec)
+            .runs(1)
+            .run_pruning_reconf(Duration::ZERO);
+        assert!(fluid.model_switches > 0.0);
+        assert_eq!(fluid.flexible_switches, 0.0);
     }
 }

@@ -19,8 +19,10 @@
 //! * [`queue`] — bounded FIFO admission with block / shed-oldest /
 //!   shed-newest overflow;
 //! * [`config`] — [`ServeConfig`] plus the SV001/SV002 lint rules;
-//! * [`policy`] — pressure-driven policies (AdaFlow, fixed-max,
-//!   flexible-only);
+//! * the policies — [`ServePolicy`] and its four implementations
+//!   (AdaFlow, fixed-max, flexible-only, Pruning-Reconf), re-exported from
+//!   `adaflow_edge::policy`, where the fluid simulator consults the same
+//!   objects;
 //! * [`device`] — the reusable per-device core (admission, batch close,
 //!   completion accounting) that the single-device engine, the
 //!   `adaflow-fleet` simulator and the live server (`adaflow-net`) all
@@ -57,18 +59,19 @@ pub mod config;
 pub mod device;
 pub mod engine;
 pub mod experiment;
-pub mod policy;
 pub mod queue;
 pub mod request;
 pub mod summary;
 pub mod tracing;
 
+pub use adaflow_edge::policy::{
+    AdaFlowServePolicy, FixedMaxPolicy, FlexibleOnlyPolicy, PruningReconfPolicy, ServePolicy,
+};
 pub use arrivals::generate_requests;
 pub use config::ServeConfig;
 pub use device::{BatchClose, DeviceCore, DeviceStats};
 pub use engine::{scan_next_event, Devices, Pick, ServeEngine};
 pub use experiment::ServeExperiment;
-pub use policy::{AdaFlowServePolicy, FixedMaxPolicy, FlexibleOnlyPolicy, ServePolicy};
 pub use queue::{Admission, AdmissionQueue, Arriving, OverflowPolicy};
 pub use request::{CompletedRequest, Request};
 pub use summary::ServeSummary;
@@ -81,9 +84,11 @@ pub mod prelude {
     pub use crate::device::{BatchClose, DeviceCore, DeviceStats};
     pub use crate::engine::{scan_next_event, Devices, Pick, ServeEngine};
     pub use crate::experiment::ServeExperiment;
-    pub use crate::policy::{AdaFlowServePolicy, FixedMaxPolicy, FlexibleOnlyPolicy, ServePolicy};
     pub use crate::queue::{Admission, AdmissionQueue, Arriving, OverflowPolicy};
     pub use crate::request::{CompletedRequest, Request};
     pub use crate::summary::ServeSummary;
     pub use crate::tracing::{emit_request_trace, emit_request_traces};
+    pub use adaflow_edge::policy::{
+        AdaFlowServePolicy, FixedMaxPolicy, FlexibleOnlyPolicy, PruningReconfPolicy, ServePolicy,
+    };
 }

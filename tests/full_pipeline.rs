@@ -28,7 +28,7 @@ fn cnn_to_accelerator_to_serving() {
     // Run time: one full scenario-2 serving run end to end.
     let spec = WorkloadSpec::paper_edge(Scenario::Unpredictable);
     let segments = spec.generate(42);
-    let mut policy = AdaFlowPolicy::new(&library, RuntimeConfig::default());
+    let mut policy = AdaFlowServePolicy::new(&library, RuntimeConfig::default());
     let (metrics, trace) = EdgeSim::new(SimConfig {
         record_trace: true,
         ..SimConfig::default()

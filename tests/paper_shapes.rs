@@ -196,7 +196,7 @@ fn fig6_change_of_dataflow_after_regime_shift() {
     let lib = &library;
     let config = RuntimeConfig::default();
     let (metrics, trace) =
-        experiment.trace_with(1, move || Box::new(AdaFlowPolicy::new(lib, config)));
+        experiment.trace_with(1, move || Box::new(AdaFlowServePolicy::new(lib, config)));
 
     // Early phase on fixed, late phase on flexible.
     let early: Vec<&str> = trace
@@ -218,8 +218,7 @@ fn fig6_change_of_dataflow_after_regime_shift() {
     );
     assert!(metrics.flexible_switches >= 1.0);
     // Quality shape: better than FINN in the same run.
-    let (finn_metrics, _) =
-        experiment.trace_with(1, move || Box::new(OriginalFinnPolicy::new(lib)));
+    let (finn_metrics, _) = experiment.trace_with(1, move || Box::new(FixedMaxPolicy::new(lib)));
     assert!(metrics.frame_loss_pct < finn_metrics.frame_loss_pct);
     assert!(metrics.qoe_pct > finn_metrics.qoe_pct);
 }
