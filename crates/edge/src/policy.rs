@@ -466,6 +466,19 @@ mod tests {
         assert_eq!(b.accuracy, lib.base_accuracy());
     }
 
+    /// The fluid simulator's `finn` policy is fixed-max fed nominal signals.
+    #[test]
+    fn finn_policy_is_static() {
+        let lib = library();
+        let mut p = FixedMaxPolicy::new(&lib);
+        let a = p.on_pressure(0.0, &PressureSignal::nominal(100.0));
+        let b = p.on_pressure(5.0, &PressureSignal::nominal(1000.0));
+        assert_eq!(a.throughput_fps, b.throughput_fps);
+        assert_eq!(b.stall_s, 0.0);
+        assert!(!b.model_switched);
+        assert_eq!(a.accuracy, lib.base_accuracy());
+    }
+
     #[test]
     fn flexible_only_stays_on_flexible_fabric() {
         let lib = library();
@@ -522,9 +535,18 @@ mod tests {
         assert!(pressed.throughput_fps >= calm.throughput_fps);
     }
 
-    /// AdaFlow's first load is free, like every baseline's.
     #[test]
     fn adaflow_first_load_is_free() {
+        let lib = library();
+        let mut p = AdaFlowServePolicy::new(&lib, RuntimeConfig::default());
+        let s = p.on_pressure(0.0, &signal(600.0, 0.0));
+        assert_eq!(s.stall_s, 0.0);
+        assert!(!s.model_switched);
+    }
+
+    /// AdaFlow's first load is free, like every baseline's.
+    #[test]
+    fn adaflow_first_load_is_free_like_baselines() {
         let lib = library();
         let mut policies: [Box<dyn ServePolicy>; 4] = [
             Box::new(AdaFlowServePolicy::new(&lib, RuntimeConfig::default())),
