@@ -1,22 +1,18 @@
-//! Criterion bench: closed-loop capacity through the `adaflow-gateway`
-//! routing tier over two live backends, against a direct single-backend
-//! baseline — the measured cost (and win) of the extra hop.
+//! Closed-loop capacity through the `adaflow-gateway` routing tier over
+//! two live backends, against a direct single-backend baseline — the
+//! measured cost (and win) of the extra hop.
 //!
-//! Set `ADAFLOW_BENCH_SMOKE=1` for a fast configuration (tiny model,
-//! few requests, tight measurement window) — used as the CI smoke check.
-//! The default full mode serves CNV-W2A2 shapes and sweeps the offered
-//! concurrency, tracing the gateway's capacity curve.
+//! Each sweep point is one `run_load`; the line it prints is that run's
+//! own `LoadSummary` (throughput, p50 and p99 round trip). Set
+//! `ADAFLOW_BENCH_SMOKE=1` for a fast configuration (tiny model, few
+//! requests, 1/2 connections) — used as the CI smoke check. The default
+//! full mode serves CNV-W2A2 shapes and sweeps 1/2/4/8 connections.
 
 use adaflow_gateway::{Gateway, GatewayConfig, GatewayHandle, WarmupSpec};
 use adaflow_model::{topology, QuantSpec};
 use adaflow_net::{run_load, LiveConfig, LiveServer, LoadConfig, ServerHandle};
 use adaflow_telemetry::SinkHandle;
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use std::time::Duration;
-
-fn smoke_mode() -> bool {
-    std::env::var("ADAFLOW_BENCH_SMOKE").is_ok_and(|v| v == "1")
-}
+use std::hint::black_box;
 
 /// Shuts the gateway and backends down even when a bench assertion
 /// panics — otherwise `thread::scope` would wait forever on server
@@ -35,8 +31,20 @@ impl Drop for ShutdownGuard {
     }
 }
 
-fn bench_gateway(c: &mut Criterion) {
-    let smoke = smoke_mode();
+/// Runs one closed loop of `requests` per connection and prints its summary.
+fn sweep_point(name: &str, load: &LoadConfig, expected: u64) {
+    let summary = run_load(black_box(load));
+    assert_eq!(summary.ok, expected, "every request served: {summary:?}");
+    println!(
+        "{name:<40} {:>9.1} req/s  rtt p50 {:.3} ms  p99 {:.3} ms",
+        summary.throughput_rps,
+        summary.rtt_p50_s * 1e3,
+        summary.rtt_p99_s * 1e3,
+    );
+}
+
+fn main() {
+    let smoke = std::env::var("ADAFLOW_BENCH_SMOKE").is_ok_and(|v| v == "1");
     let tag = if smoke { "smoke" } else { "paper" };
     let graph = if smoke {
         topology::tiny(QuantSpec::w2a2(), 10).expect("builds")
@@ -95,31 +103,20 @@ fn bench_gateway(c: &mut Criterion) {
         };
 
         // Baseline: the same closed loop straight at one backend.
-        c.bench_function(&format!("direct_1backend_{requests}req_{tag}"), |b| {
-            b.iter(|| {
-                let load = LoadConfig::closed(backends[0], "bench", shape, black_box(requests));
-                let summary = run_load(&load);
-                assert_eq!(summary.ok, requests, "every request served: {summary:?}");
-                summary.throughput_rps
-            });
-        });
-
+        sweep_point(
+            &format!("direct_1backend_{requests}req_{tag}"),
+            &LoadConfig::closed(backends[0], "bench", shape, requests),
+            requests,
+        );
         for &conns in sweep {
             // Closed-loop `requests` is per connection: K connections
             // each drive their own request chain.
-            let expected = requests * conns as u64;
-            c.bench_function(
+            let mut load = LoadConfig::closed(front, "bench", shape, requests);
+            load.connections = conns;
+            sweep_point(
                 &format!("gateway_2backends_{conns}conn_{requests}req_{tag}"),
-                |b| {
-                    b.iter(|| {
-                        let mut load =
-                            LoadConfig::closed(front, "bench", shape, black_box(requests));
-                        load.connections = conns;
-                        let summary = run_load(&load);
-                        assert_eq!(summary.ok, expected, "every request served: {summary:?}");
-                        summary.throughput_rps
-                    });
-                },
+                &load,
+                requests * conns as u64,
             );
         }
 
@@ -137,20 +134,3 @@ fn bench_gateway(c: &mut Criterion) {
         bt1.join().expect("backend thread").expect("clean shutdown");
     });
 }
-
-criterion_group! {
-    name = benches;
-    // Each iteration is a full closed-loop batch over real sockets; keep
-    // sampling CI-friendly, and tighter still in smoke mode.
-    config = {
-        let c = Criterion::default().sample_size(10);
-        if smoke_mode() {
-            c.measurement_time(Duration::from_millis(400))
-                .warm_up_time(Duration::from_millis(100))
-        } else {
-            c
-        }
-    };
-    targets = bench_gateway
-}
-criterion_main!(benches);

@@ -1,7 +1,7 @@
 //! # adaflow-bench — benchmark harness for every table and figure
 //!
-//! One binary per evaluation artifact of the paper, plus Criterion benches
-//! of the framework's hot paths:
+//! One binary per evaluation artifact of the paper (the hot paths are timed
+//! by the repo benchmark under `benchmark/`):
 //!
 //! | Paper artifact | Binary | What it prints |
 //! |---|---|---|

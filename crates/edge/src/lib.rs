@@ -57,7 +57,7 @@ pub mod workload;
 
 pub use experiment::Experiment;
 pub use metrics::{trace_to_csv, RunMetrics, TracePoint};
-pub use monitor::{FpsMonitor, MonitoredPolicy, RateMonitor};
+pub use monitor::{MonitoredPolicy, RateMonitor};
 pub use policy::{
     AdaFlowServePolicy, FixedMaxPolicy, FlexibleOnlyPolicy, PruningReconfPolicy, ServePolicy,
     ServingState,
@@ -69,7 +69,7 @@ pub use workload::{Scenario, WorkloadSegment, WorkloadSpec};
 pub mod prelude {
     pub use crate::experiment::Experiment;
     pub use crate::metrics::{trace_to_csv, RunMetrics, TracePoint};
-    pub use crate::monitor::{FpsMonitor, MonitoredPolicy, RateMonitor};
+    pub use crate::monitor::{MonitoredPolicy, RateMonitor};
     pub use crate::policy::{
         AdaFlowServePolicy, FixedMaxPolicy, FlexibleOnlyPolicy, PruningReconfPolicy, ServePolicy,
         ServingState,

@@ -4,9 +4,9 @@
 //! performance monitors added to the software in charge of the incoming
 //! inferences" (§IV-B2). The fluid simulator hands the serving policies in
 //! [`crate::policy`] oracle per-segment rates; this module provides the
-//! realistic counterpart: a sliding-window FPS estimator with
-//! hysteresis-based change detection, plus a policy adapter that feeds
-//! *estimated* rates to any inner policy.
+//! realistic counterpart: an EWMA rate estimator with hysteresis-based
+//! change detection, plus a policy adapter that feeds *estimated* rates to
+//! any inner policy.
 //!
 //! Comparing oracle vs monitored serving quantifies the cost of estimation
 //! lag (see the `monitoring` bench binary).
@@ -14,117 +14,12 @@
 use crate::policy::{ServePolicy, ServingState};
 use adaflow::PressureSignal;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
-/// Sliding-window estimator of the incoming frame rate with change
-/// flagging.
-///
-/// Feed it arrival counts with [`FpsMonitor::observe`]; it maintains a
-/// windowed rate estimate and reports a *change event* when the estimate
-/// departs from the last flagged level by more than the relative
-/// hysteresis.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FpsMonitor {
-    window_s: f64,
-    hysteresis: f64,
-    /// `(timestamp, frames)` observations inside the window.
-    samples: VecDeque<(f64, f64)>,
-    last_flagged: Option<f64>,
-}
-
-impl FpsMonitor {
-    /// Creates a monitor with an averaging window (seconds) and a relative
-    /// change-detection hysteresis (e.g. `0.1` = flag on ±10 % moves).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is not positive or the hysteresis is negative.
-    #[must_use]
-    pub fn new(window_s: f64, hysteresis: f64) -> Self {
-        assert!(window_s > 0.0, "window must be positive");
-        assert!(hysteresis >= 0.0, "hysteresis must be nonnegative");
-        Self {
-            window_s,
-            hysteresis,
-            samples: VecDeque::new(),
-            last_flagged: None,
-        }
-    }
-
-    /// The paper-flavoured default: 250 ms window, 10 % hysteresis —
-    /// responsive enough for Scenario 2's 500 ms deviations.
-    #[must_use]
-    pub fn default_edge() -> Self {
-        Self::new(0.25, 0.1)
-    }
-
-    /// Records `frames` arrivals at time `now_s` and returns the flagged
-    /// rate if this observation constitutes a change event.
-    pub fn observe(&mut self, now_s: f64, frames: f64) -> Option<f64> {
-        self.samples.push_back((now_s, frames));
-        while let Some(&(t, _)) = self.samples.front() {
-            if now_s - t > self.window_s {
-                self.samples.pop_front();
-            } else {
-                break;
-            }
-        }
-        let estimate = self.estimate(now_s);
-        let changed = match self.last_flagged {
-            None => true,
-            Some(level) => {
-                let rel = if level.abs() < 1e-9 {
-                    if estimate.abs() < 1e-9 {
-                        0.0
-                    } else {
-                        f64::INFINITY
-                    }
-                } else {
-                    (estimate - level).abs() / level
-                };
-                rel > self.hysteresis
-            }
-        };
-        if changed {
-            self.last_flagged = Some(estimate);
-            Some(estimate)
-        } else {
-            None
-        }
-    }
-
-    /// Current windowed rate estimate at `now_s` (frames per second).
-    ///
-    /// Each observation represents the arrivals of the interval *ending* at
-    /// its timestamp, so the rate is the frames observed **after** the
-    /// oldest in-window timestamp divided by the elapsed span (the oldest
-    /// sample only anchors the span — counting it too would overestimate by
-    /// `n/(n-1)`).
-    #[must_use]
-    pub fn estimate(&self, now_s: f64) -> f64 {
-        match self.samples.front() {
-            None => 0.0,
-            Some(&(t0, f0)) if self.samples.len() > 1 => {
-                let total: f64 = self.samples.iter().map(|&(_, f)| f).sum();
-                let span = (now_s - t0).max(1e-3);
-                (total - f0) / span
-            }
-            Some(&(_, f0)) => f0 / self.window_s,
-        }
-    }
-
-    /// The level of the last flagged change, if any.
-    #[must_use]
-    pub fn last_flagged(&self) -> Option<f64> {
-        self.last_flagged
-    }
-}
-
-/// Rate-level monitor for sparse observations: smooths direct rate readings
-/// with a time-constant EWMA (estimation lag) and flags hysteresis-crossing
-/// changes. This is the form the [`MonitoredPolicy`] adapter uses, since the
-/// serving simulator reports rates at segment boundaries rather than
-/// individual arrivals.
+/// Rate monitor for sparse observations: smooths direct rate readings with
+/// a time-constant EWMA (estimation lag) and flags hysteresis-crossing
+/// changes. The [`MonitoredPolicy`] adapter uses it, since the serving
+/// simulator reports rates at segment boundaries rather than individual
+/// arrivals.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RateMonitor {
     /// Smoothing time constant in seconds.
@@ -238,115 +133,95 @@ mod tests {
 
     #[test]
     fn first_observation_flags() {
-        let mut m = FpsMonitor::default_edge();
-        assert!(m.observe(0.0, 60.0).is_some());
+        let mut m = RateMonitor::default_edge();
+        assert!(m.observe_rate(0.0, 600.0).is_some());
     }
 
     #[test]
     fn steady_rate_flags_once() {
-        let mut m = FpsMonitor::new(0.5, 0.1);
-        let mut flags = 0;
-        for i in 0..50 {
-            let t = i as f64 * 0.1;
-            if m.observe(t, 60.0).is_some() {
-                flags += 1;
-            }
-        }
-        assert!(flags <= 2, "steady input flagged {flags} times");
+        let mut m = RateMonitor::new(0.5, 0.1);
+        let flags = (0..50)
+            .filter(|&i| m.observe_rate(f64::from(i) * 0.1, 600.0).is_some())
+            .count();
+        assert_eq!(flags, 1, "steady input flagged {flags} times");
     }
 
     #[test]
     fn rate_jump_is_flagged() {
-        let mut m = FpsMonitor::new(0.3, 0.1);
+        let mut m = RateMonitor::new(0.3, 0.1);
         for i in 0..10 {
-            m.observe(i as f64 * 0.1, 60.0);
+            m.observe_rate(f64::from(i) * 0.1, 600.0);
         }
-        let before = m.last_flagged().expect("flagged");
-        let mut flagged_after = None;
-        for i in 10..20 {
-            if let Some(level) = m.observe(i as f64 * 0.1, 120.0) {
-                flagged_after = Some(level);
-                break;
-            }
-        }
-        let after = flagged_after.expect("jump must be flagged");
-        assert!(after > before * 1.3, "estimate {after} vs {before}");
+        let before = m.estimate().expect("has estimate");
+        let after = (10..20)
+            .find_map(|i| m.observe_rate(f64::from(i) * 0.1, 1200.0))
+            .expect("jump must be flagged");
+        // Past the hysteresis, but still lagging the new level.
+        assert!(
+            after > before * 1.1 && after < 1200.0,
+            "{after} vs {before}"
+        );
     }
 
     #[test]
     fn estimate_tracks_rate() {
-        let mut m = FpsMonitor::new(0.5, 0.05);
-        for i in 0..20 {
-            m.observe(i as f64 * 0.1, 60.0); // 600 FPS
+        let mut m = RateMonitor::new(0.5, 0.05);
+        m.observe_rate(0.0, 300.0);
+        for i in 1..=20 {
+            m.observe_rate(f64::from(i) * 0.1, 600.0);
         }
-        let est = m.estimate(1.9);
-        assert!((est - 600.0).abs() < 120.0, "estimate {est}");
+        // Four time constants after the step: within 2 % of its height.
+        let est = m.estimate().expect("has estimate");
+        assert!((est - 600.0).abs() < 12.0, "estimate {est}");
     }
 
     #[test]
     fn small_wiggle_not_flagged() {
-        let mut m = FpsMonitor::new(0.5, 0.2);
-        m.observe(0.0, 60.0);
+        let mut m = RateMonitor::new(0.5, 0.2);
+        m.observe_rate(0.0, 600.0);
         for i in 1..30 {
-            let t = i as f64 * 0.1;
-            let wiggle = 60.0 + (i % 3) as f64; // < 5% variation
-            assert!(
-                m.observe(t, wiggle).is_none() || i < 6,
-                "wiggle flagged at {t}"
-            );
+            let t = f64::from(i) * 0.1;
+            let wiggle = 600.0 + f64::from(i % 3) * 10.0; // < 5 % variation
+            assert!(m.observe_rate(t, wiggle).is_none(), "wiggle flagged at {t}");
         }
     }
 
+    /// The EWMA time constant is the monitor's averaging window.
     #[test]
-    #[should_panic(expected = "window must be positive")]
+    #[should_panic(expected = "time constant must be positive")]
     fn zero_window_rejected() {
-        let _ = FpsMonitor::new(0.0, 0.1);
-    }
-
-    #[test]
-    fn window_eviction_boundary_is_exclusive() {
-        let mut m = FpsMonitor::new(1.0, 0.1);
-        m.observe(0.0, 999.0);
-        m.observe(1.0, 1.0);
-        // The t=0 sample is exactly window_s old: eviction is strict `>`,
-        // so it stays to anchor the span and its frames are excluded.
-        assert!((m.estimate(1.0) - 1.0).abs() < 1e-9, "{}", m.estimate(1.0));
-        // One step past the window it is gone; the estimate now spans only
-        // the newer samples: (1 + 1 - 1) frames over 0.5 s.
-        m.observe(1.5, 1.0);
-        assert!((m.estimate(1.5) - 2.0).abs() < 1e-9, "{}", m.estimate(1.5));
+        let _ = RateMonitor::new(0.0, 0.1);
     }
 
     #[test]
     fn hysteresis_boundary_is_exclusive() {
-        // Window long enough that nothing is evicted; the estimate is then
-        // exactly controllable through the observed frame counts.
-        let mut m = FpsMonitor::new(10.0, 0.1);
-        // Single sample: estimate = 50 / 10 s = 5.0, first observation flags.
-        assert_eq!(m.observe(0.0, 50.0), Some(5.0));
-        // Estimate moves to exactly 5.5 = +10.0 %: NOT flagged (strict `>`).
-        assert_eq!(m.observe(1.0, 5.5), None);
-        assert_eq!(m.last_flagged(), Some(5.0));
-        // Estimate moves to ~5.6 = +12 % over the flagged level: flagged.
-        let flagged = m.observe(2.0, 5.7).expect("12 % move flags");
+        // Readings 1 s apart under a 1 ms time constant: the smoothing
+        // factor rounds to exactly 1, so the estimate is the reading.
+        let mut m = RateMonitor::new(1e-3, 0.1);
+        assert_eq!(m.observe_rate(0.0, 5.0), Some(5.0));
+        // Exactly +10.0 % over the flagged level: NOT flagged (strict `>`).
+        assert_eq!(m.observe_rate(1.0, 5.5), None);
+        // +12 % over the flagged level (not over the last reading): flagged.
+        let flagged = m.observe_rate(2.0, 5.6).expect("12 % move flags");
         assert!((flagged - 5.6).abs() < 1e-9, "{flagged}");
     }
 
     #[test]
     fn idle_gap_flags_zero_rate_once() {
-        let mut m = FpsMonitor::new(0.5, 0.1);
+        let mut m = RateMonitor::new(0.1, 0.1);
         for i in 0..5 {
-            m.observe(i as f64 * 0.1, 60.0);
+            m.observe_rate(f64::from(i) * 0.1, 600.0);
         }
-        assert!(m.estimate(0.4) > 0.0);
-        // A long idle gap evicts the whole window; the zero observation
-        // flags the collapse to 0 FPS exactly once.
-        assert_eq!(m.observe(10.0, 0.0), Some(0.0));
-        assert_eq!(m.estimate(10.0), 0.0);
-        assert!(m.observe(10.1, 0.0).is_none(), "steady zero re-flagged");
+        // A long idle gap decays the estimate fully; the collapse to 0 FPS
+        // flags exactly once.
+        assert_eq!(m.observe_rate(10.0, 0.0), Some(0.0));
+        assert!(
+            m.observe_rate(10.1, 0.0).is_none(),
+            "steady zero re-flagged"
+        );
         // Recovery from zero is flagged again (relative move from 0 is
         // treated as infinite).
-        assert!(m.observe(10.2, 60.0).is_some());
+        assert!(m.observe_rate(10.2, 600.0).is_some());
     }
 
     mod properties {
@@ -354,22 +229,22 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            /// Feeding a constant offered rate in fixed steps converges the
-            /// windowed estimate to that rate (equally-spaced samples make
-            /// the span arithmetic exact, so only float error remains).
+            /// Feeding a constant rate after a start from zero converges the
+            /// estimate to that rate (eight time constants: within 0.04 %).
             #[test]
             fn estimate_converges_to_constant_rate(
                 rate in 10.0f64..2000.0,
                 dt in 0.01f64..0.2,
             ) {
-                let mut m = FpsMonitor::new(0.5, 0.1);
+                let mut m = RateMonitor::new(0.25, 0.1);
+                m.observe_rate(0.0, 0.0);
                 let steps = (2.0 / dt).ceil() as usize;
                 let mut t = 0.0;
                 for _ in 0..steps {
                     t += dt;
-                    m.observe(t, rate * dt);
+                    m.observe_rate(t, rate);
                 }
-                let est = m.estimate(t);
+                let est = m.estimate().expect("has estimate");
                 prop_assert!(
                     (est - rate).abs() <= rate * 0.05 + 1e-6,
                     "estimate {} for offered rate {}", est, rate
@@ -383,19 +258,18 @@ mod tests {
                 rate in 50.0f64..1000.0,
                 wiggle in 0.0f64..0.05,
             ) {
-                let mut m = FpsMonitor::new(0.5, 0.2);
-                let dt = 0.05;
+                let mut m = RateMonitor::new(0.25, 0.2);
                 let mut flags = 0;
                 for i in 0..60u32 {
-                    let t = f64::from(i) * dt;
-                    let f = rate * dt * (1.0 + if i % 2 == 0 { wiggle } else { -wiggle });
-                    if m.observe(t, f).is_some() {
+                    let t = f64::from(i) * 0.05;
+                    let f = rate * (1.0 + if i % 2 == 0 { wiggle } else { -wiggle });
+                    if m.observe_rate(t, f).is_some() {
                         flags += 1;
                     }
                 }
-                // The first observation always flags; the ±5 % wiggle stays
-                // inside the 20 % band thereafter (allow one settling flag).
-                prop_assert!(flags <= 2, "flagged {} times", flags);
+                // Only the first reading flags: a ±5 % wiggle stays inside
+                // the 20 % band.
+                prop_assert!(flags == 1, "flagged {} times", flags);
             }
         }
     }

@@ -87,12 +87,6 @@ impl FleetEngine {
         self
     }
 
-    /// The engine's fleet configuration.
-    #[must_use]
-    pub fn config(&self) -> &FleetConfig {
-        &self.config
-    }
-
     /// Runs one seeded fleet simulation to completion (trace exhausted,
     /// every queue drained) and returns the fleet summary.
     ///

@@ -45,6 +45,4 @@ pub mod config;
 pub mod server;
 
 pub use config::{GatewayConfig, WarmupSpec};
-pub use server::{
-    BackendReport, Gateway, GatewayError, GatewayHandle, GatewayRejects, GatewayReport,
-};
+pub use server::{BackendReport, Gateway, GatewayError, GatewayHandle, GatewayReport};

@@ -31,7 +31,7 @@ use crate::backend;
 use crate::config::GatewayConfig;
 use adaflow_fleet::router::{DeviceSnapshot, RoutePolicy};
 use adaflow_proto::server::{serve_requests, Conn, Stop, WireStats};
-use adaflow_proto::{RequestFrame, ResponseFrame, Status};
+use adaflow_proto::{RejectCounts, RequestFrame, ResponseFrame, Status};
 use adaflow_telemetry::{EventKind, LogHistogram, SinkHandle};
 use serde::Serialize;
 use std::collections::HashMap;
@@ -346,35 +346,6 @@ impl GatewayHandle {
     }
 }
 
-/// Reject tallies by the machine-readable status answered to the client
-/// (forwarded backend rejects and gateway-synthesized ones alike).
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
-pub struct GatewayRejects {
-    /// `QueueFull` answers (retry budget exhausted or no alternative).
-    pub queue_full: u64,
-    /// `DeadlineInfeasible` answers (terminal, forwarded as-is).
-    pub deadline_infeasible: u64,
-    /// `ShuttingDown` answers (backend drain, backend death past the
-    /// budget, empty rotation, or gateway drain).
-    pub shutting_down: u64,
-    /// `UnknownModel` answers.
-    pub unknown_model: u64,
-    /// `BadRequest` answers.
-    pub bad_request: u64,
-}
-
-impl GatewayRejects {
-    /// Total rejects across every reason.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.queue_full
-            + self.deadline_infeasible
-            + self.shutting_down
-            + self.unknown_model
-            + self.bad_request
-    }
-}
-
 /// Per-backend accounting at gateway exit.
 #[derive(Debug, Clone, Serialize)]
 pub struct BackendReport {
@@ -410,8 +381,9 @@ pub struct GatewayReport {
     pub received: u64,
     /// `Ok` responses answered to clients.
     pub answered_ok: u64,
-    /// Reject answers by reason.
-    pub rejects: GatewayRejects,
+    /// Reject answers by the status answered to the client (forwarded
+    /// backend rejects and gateway-synthesized ones alike).
+    pub rejects: RejectCounts,
     /// Requests that found no healthy backend at dispatch (answered
     /// `ShuttingDown`; also counted in `rejects.shutting_down`).
     pub no_backend: u64,
@@ -605,19 +577,14 @@ impl Gateway {
         }
 
         let duration_s = start.elapsed().as_secs_f64();
-        let reject_at = |status: Status| {
-            shared.reject_counts[usize::from(status.code()) - 1].load(Ordering::SeqCst)
-        };
+        let mut rejects = RejectCounts::default();
+        for (status, count) in Status::ALL[1..].iter().zip(&shared.reject_counts) {
+            *rejects.of(*status) = count.load(Ordering::SeqCst);
+        }
         Ok(GatewayReport {
             received: shared.received.load(Ordering::SeqCst),
             answered_ok: shared.answered_ok.load(Ordering::SeqCst),
-            rejects: GatewayRejects {
-                queue_full: reject_at(Status::QueueFull),
-                deadline_infeasible: reject_at(Status::DeadlineInfeasible),
-                shutting_down: reject_at(Status::ShuttingDown),
-                unknown_model: reject_at(Status::UnknownModel),
-                bad_request: reject_at(Status::BadRequest),
-            },
+            rejects,
             no_backend: shared.no_backend.load(Ordering::SeqCst),
             retries: shared.retries.load(Ordering::SeqCst),
             connections: shared.wire.connections.load(Ordering::Relaxed),

@@ -41,8 +41,9 @@ pub mod loadgen;
 pub mod preflight;
 pub mod server;
 
+pub use adaflow_proto::RejectCounts;
 pub use clock::WallClock;
 pub use http::MetricsEndpoint;
 pub use loadgen::{run_load, LoadConfig, LoadMode, LoadSummary};
 pub use preflight::{preflight, PreflightError};
-pub use server::{LiveConfig, LiveReport, LiveServer, NetError, RejectCounts, ServerHandle};
+pub use server::{LiveConfig, LiveReport, LiveServer, NetError, ServerHandle};

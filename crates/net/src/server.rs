@@ -38,7 +38,7 @@ use crate::clock::WallClock;
 use adaflow_model::CnnGraph;
 use adaflow_nn::{Activations, BatchRunner, Engine, NnError};
 use adaflow_proto::server::{serve_requests, Conn, Stop, WireStats};
-use adaflow_proto::{RequestFrame, ResponseFrame, Status};
+use adaflow_proto::{RejectCounts, RequestFrame, ResponseFrame, Status};
 use adaflow_serve::{
     emit_request_traces, Admission, Arriving, DeviceCore, ServeConfig, ServeSummary,
 };
@@ -101,57 +101,17 @@ impl Default for LiveConfig {
     }
 }
 
-/// Machine-readable reject tallies, by reason code.
-///
-/// `queue_full`, `deadline_infeasible` and `shutting_down` are load sheds
-/// and also counted in the summary's `shed` (conservation holds over
-/// them); `unknown_model` and `bad_request` are client errors rejected
-/// before admission and tallied only here.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RejectCounts {
-    /// Queue at capacity (includes displaced victims under shed policies).
-    pub queue_full: u64,
-    /// Deadline budget below the measured single-inference floor.
-    pub deadline_infeasible: u64,
-    /// Arrived or still queued while the server was draining.
-    pub shutting_down: u64,
-    /// Named a model this server is not serving.
-    pub unknown_model: u64,
-    /// Structurally valid frame with unusable semantics (shape mismatch).
-    pub bad_request: u64,
-}
-
-impl RejectCounts {
-    /// The tally of `status` (which must be a reject).
-    fn of(&mut self, status: Status) -> &mut u64 {
-        match status {
-            Status::Ok => unreachable!("Ok is not a reject"),
-            Status::QueueFull => &mut self.queue_full,
-            Status::DeadlineInfeasible => &mut self.deadline_infeasible,
-            Status::ShuttingDown => &mut self.shutting_down,
-            Status::UnknownModel => &mut self.unknown_model,
-            Status::BadRequest => &mut self.bad_request,
-        }
-    }
-
-    /// Total rejects across every reason.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.queue_full
-            + self.deadline_infeasible
-            + self.shutting_down
-            + self.unknown_model
-            + self.bad_request
-    }
-}
-
 /// What one live run did, in DES-comparable terms plus wall-clock facts.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LiveReport {
     /// The same summary type the DES produces — field-for-field
     /// comparable with simulated runs in EXPERIMENTS.md.
     pub summary: ServeSummary,
-    /// Reject tallies by machine-readable reason.
+    /// Reject tallies by machine-readable reason. `queue_full`,
+    /// `deadline_infeasible` and `shutting_down` are load sheds and also
+    /// counted in the summary's `shed` (conservation holds over them);
+    /// `unknown_model` and `bad_request` are client errors rejected before
+    /// admission and tallied only here.
     pub rejects: RejectCounts,
     /// Wall-clock duration of the run, bind to joined, seconds.
     pub duration_s: f64,

@@ -905,24 +905,6 @@ impl<'g> Engine<'g> {
         }
         result.ok_or_else(|| NnError::Unsupported("graph has no label-select output".into()))
     }
-
-    /// Classifies a batch serially through one shared scratch arena,
-    /// returning the predicted label per sample. For multi-core batch
-    /// evaluation use [`BatchRunner`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first error from [`Engine::run_with_scratch`].
-    pub fn run_batch<'a, I>(&self, inputs: I) -> Result<Vec<usize>, NnError>
-    where
-        I: IntoIterator<Item = &'a Activations>,
-    {
-        let mut scratch = self.scratch();
-        inputs
-            .into_iter()
-            .map(|x| self.run_with_scratch(x, &mut scratch).map(|r| r.label))
-            .collect()
-    }
 }
 
 /// Parallel batch evaluator: shards an image set across scoped worker
@@ -1616,7 +1598,10 @@ mod tests {
         let imgs: Vec<Activations> = (0..3)
             .map(|_| Activations::zeroed(g.input_shape()))
             .collect();
-        let labels = engine.run_batch(imgs.iter()).expect("batch");
+        let labels = BatchRunner::new(engine)
+            .with_threads(1)
+            .run(&imgs)
+            .expect("batch");
         assert_eq!(labels.len(), 3);
     }
 

@@ -9,9 +9,10 @@ use adaflow_nn::{evaluate_confusion, evaluate_confusion_batched, ConvStrategy};
 fn lenet_runs_on_mnist_like_samples() {
     let graph = topology::lenet(QuantSpec::w2a2(), 10).expect("builds");
     let data = SyntheticDataset::new(DatasetSpec::mnist_like(), 7);
-    let engine = Engine::new(&graph).expect("engine");
-    let labels = engine
-        .run_batch(data.batch(0, 8).iter().map(|s| &s.image))
+    let images: Vec<_> = data.batch(0, 8).into_iter().map(|s| s.image).collect();
+    let labels = BatchRunner::new(Engine::new(&graph).expect("engine"))
+        .with_threads(1)
+        .run(&images)
         .expect("batch");
     assert_eq!(labels.len(), 8);
     assert!(labels.iter().all(|&l| l < 10));

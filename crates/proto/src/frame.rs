@@ -6,6 +6,7 @@
 //! [`ProtoError`], never a panic.
 
 use crate::error::ProtoError;
+use serde::{Deserialize, Serialize};
 
 /// Protocol magic: the first two bytes of every frame.
 pub const MAGIC: [u8; 2] = [0xAD, 0xF1];
@@ -117,6 +118,49 @@ impl Status {
     #[must_use]
     pub fn is_retryable(self) -> bool {
         matches!(self, Status::QueueFull | Status::ShuttingDown)
+    }
+}
+
+/// Reject tallies, one per non-`Ok` [`Status`], in wire-code order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct RejectCounts {
+    /// [`Status::QueueFull`] answers.
+    pub queue_full: u64,
+    /// [`Status::DeadlineInfeasible`] answers.
+    pub deadline_infeasible: u64,
+    /// [`Status::ShuttingDown`] answers.
+    pub shutting_down: u64,
+    /// [`Status::UnknownModel`] answers.
+    pub unknown_model: u64,
+    /// [`Status::BadRequest`] answers.
+    pub bad_request: u64,
+}
+
+impl RejectCounts {
+    /// The tally of `status`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`Status::Ok`], which is not a reject.
+    pub fn of(&mut self, status: Status) -> &mut u64 {
+        match status {
+            Status::Ok => unreachable!("Ok is not a reject"),
+            Status::QueueFull => &mut self.queue_full,
+            Status::DeadlineInfeasible => &mut self.deadline_infeasible,
+            Status::ShuttingDown => &mut self.shutting_down,
+            Status::UnknownModel => &mut self.unknown_model,
+            Status::BadRequest => &mut self.bad_request,
+        }
+    }
+
+    /// Total rejects across every reason.
+    #[must_use]
+    pub fn total(&self) -> u64 {
+        self.queue_full
+            + self.deadline_infeasible
+            + self.shutting_down
+            + self.unknown_model
+            + self.bad_request
     }
 }
 
@@ -578,5 +622,26 @@ mod tests {
         let mut corrupt = bytes.clone();
         corrupt[HEADER_LEN + 17] = 0xFF;
         assert_eq!(decode_frame(&corrupt), Err(ProtoError::ModelNotUtf8));
+    }
+
+    #[test]
+    fn reject_counts_of_maps_each_reject_to_its_field() {
+        let mut r = RejectCounts::default();
+        let rejects = Status::ALL.into_iter().filter(|s| !s.is_ok());
+        for (n, status) in (1..).zip(rejects) {
+            *r.of(status) = n;
+        }
+        // Each reject landed in its own field: 1 + 2 + 3 + 4 + 5.
+        assert_eq!(r.total(), 15);
+        assert_eq!(
+            [
+                r.queue_full,
+                r.deadline_infeasible,
+                r.shutting_down,
+                r.unknown_model,
+                r.bad_request
+            ],
+            [1, 2, 3, 4, 5]
+        );
     }
 }

@@ -57,7 +57,7 @@ pub mod server;
 pub use client::{ClientError, ProtoClient};
 pub use error::ProtoError;
 pub use frame::{
-    decode_frame, encode_frame, Frame, RequestFrame, ResponseFrame, Status, HEADER_LEN, MAGIC,
-    MAX_PAYLOAD, VERSION,
+    decode_frame, encode_frame, Frame, RejectCounts, RequestFrame, ResponseFrame, Status,
+    HEADER_LEN, MAGIC, MAX_PAYLOAD, VERSION,
 };
 pub use reader::FrameReader;

@@ -182,19 +182,6 @@ impl DataflowAwarePruner {
             original_macs,
         })
     }
-
-    /// Prunes at every rate in `rates`, returning one model per rate.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first pruning failure.
-    pub fn prune_sweep(
-        &self,
-        graph: &CnnGraph,
-        rates: &[f64],
-    ) -> Result<Vec<PrunedModel>, PruneError> {
-        rates.iter().map(|&r| self.prune(graph, r)).collect()
-    }
 }
 
 /// Channel-granularity modulus imposed by the next MVTU's SIMD lanes on the
@@ -434,8 +421,9 @@ mod tests {
     #[test]
     fn sweep_generates_all_rates() {
         let (g, pruner) = cnv_pruner();
-        let rates: Vec<f64> = (0..18).map(|s| s as f64 * 0.05).collect();
-        let models = pruner.prune_sweep(&g, &rates).expect("sweep");
+        let models: Vec<_> = (0..18)
+            .map(|s| pruner.prune(&g, s as f64 * 0.05).expect("prunes"))
+            .collect();
         assert_eq!(models.len(), 18);
         // The paper's library: models get strictly smaller at the top end.
         assert!(models[17].graph.total_macs() < models[0].graph.total_macs() / 4);

@@ -251,12 +251,6 @@ impl ServeEngine {
         self
     }
 
-    /// The engine's configuration.
-    #[must_use]
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
-    }
-
     /// Runs one seeded serving simulation to completion (trace exhausted
     /// and queue drained) and returns the run summary.
     ///
