@@ -8,17 +8,18 @@
 //! bound yields the provably minimal capacity per edge —
 //! [`adaflow_verify::required_edge_capacity`], the same bound the `DF005`
 //! deadlock-freedom rule certifies. The uniform allocation the stream model
-//! uses is the maximum of those per-edge bounds, and a cycle-accurate
-//! [`StreamSimulator`] probe cross-validates that the analytic depth really
-//! achieves the bottleneck II before it is reported.
+//! uses is the maximum of those per-edge bounds. It never exceeds 2, since
+//! `c_i + c_{i+1} ≤ 2·max_i c_i`. The cycle-accurate [`StreamSimulator`]
+//! is the reference the test suite checks these closed forms against.
+//!
+//! [`StreamSimulator`]: crate::stream::StreamSimulator
 
 use crate::accel::DataflowAccelerator;
-use crate::module::ModuleSpec;
-use crate::stream::StreamSimulator;
-use adaflow_verify::required_edge_capacity;
+use crate::verify::module_stages;
+use adaflow_verify::{rate_balance_uniform, required_edge_capacity};
 use serde::{Deserialize, Serialize};
 
-/// Result of the FIFO sizing search.
+/// Result of the FIFO sizing analysis.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FifoSizing {
     /// Minimal uniform FIFO depth (frames of slack per edge) sustaining the
@@ -26,11 +27,13 @@ pub struct FifoSizing {
     pub depth: usize,
     /// The bottleneck (analytical) initiation interval in cycles.
     pub target_ii: u64,
-    /// Observed II at the chosen depth (equals `target_ii`).
+    /// Steady-state II at the chosen depth (equals `target_ii`).
     pub achieved_ii: u64,
-    /// Observed II at depth 1, for comparison (the cost of under-buffering).
+    /// Steady-state II at depth 1, for comparison (the cost of
+    /// under-buffering).
     pub depth1_ii: u64,
-    /// Pipeline fill latency at the chosen depth, cycles.
+    /// Pipeline fill latency, cycles: the first frame meets no
+    /// back-pressure, so it is the sum of the module cycles.
     pub fill_latency: u64,
     /// Number of buffered frames across the pipeline at the chosen depth
     /// (edges × depth) — proportional to FIFO memory cost.
@@ -43,68 +46,28 @@ pub struct FifoSizing {
     pub proven_frames: usize,
 }
 
-/// Frames simulated per sizing probe; enough to reach steady state for any
-/// pipeline whose depth search stays below `PROBE_FRAMES / 2`.
-const PROBE_FRAMES: usize = 48;
-/// Upper bound on the depth search (a chain pipeline never needs more).
-const MAX_DEPTH: usize = 16;
-
-/// Sizes the inter-module FIFOs of `accel`.
-///
-/// # Panics
-///
-/// Panics if no depth up to an internal bound sustains the bottleneck II
-/// (cannot happen for chain pipelines, where depth 2 always suffices; the
-/// bound guards future non-chain topologies). The verifier's `DF003` rule
-/// wraps the non-panicking [`try_size_fifos`] to report this as a
-/// diagnostic instead.
+/// Sizes the inter-module FIFOs of `accel` from the per-edge pair-cycle
+/// bounds: the uniform depth is their maximum (at most 2).
 #[must_use]
 pub fn size_fifos(accel: &DataflowAccelerator) -> FifoSizing {
-    try_size_fifos(accel).expect("a chain pipeline reaches its bottleneck II by depth 2")
-}
-
-/// Sizes the inter-module FIFOs of `accel`, returning `None` when no depth
-/// up to the internal search bound sustains the bottleneck II.
-///
-/// The per-edge capacities come from the analytic pair-cycle bound; the
-/// uniform depth starts at their maximum and a simulator probe confirms it
-/// (widening within the search bound if the analytic model were ever
-/// optimistic, which the test suite pins it never is for chain pipelines).
-#[must_use]
-pub fn try_size_fifos(accel: &DataflowAccelerator) -> Option<FifoSizing> {
     let target_ii = accel.initiation_interval();
-    let cycles: Vec<u64> = accel
-        .modules()
-        .iter()
-        .map(ModuleSpec::cycles_per_frame)
-        .collect();
-    let per_edge_depths: Vec<usize> = cycles
+    let stages = module_stages(accel);
+    let per_edge_depths: Vec<usize> = stages
         .windows(2)
-        .map(|pair| required_edge_capacity(pair[0], pair[1], target_ii))
+        .map(|pair| required_edge_capacity(pair[0].cycles, pair[1].cycles, target_ii))
         .collect();
     let proven_frames = per_edge_depths.iter().sum();
-    let analytic_depth = per_edge_depths.iter().copied().max().unwrap_or(1);
-    let depth1 = StreamSimulator::new(accel, 1).run(PROBE_FRAMES);
-    let mut chosen = None;
-    for depth in analytic_depth..=MAX_DEPTH {
-        let stats = StreamSimulator::new(accel, depth).run(PROBE_FRAMES);
-        if stats.observed_ii == target_ii {
-            chosen = Some((depth, stats));
-            break;
-        }
-    }
-    let (depth, stats) = chosen?;
-    let edges = accel.modules().len().saturating_sub(1);
-    Some(FifoSizing {
+    let depth = per_edge_depths.iter().copied().max().unwrap_or(1);
+    FifoSizing {
         depth,
         target_ii,
-        achieved_ii: stats.observed_ii,
-        depth1_ii: depth1.observed_ii,
-        fill_latency: stats.first_frame_cycles,
-        buffered_frames: edges * depth,
+        achieved_ii: rate_balance_uniform(&stages, depth).steady_ii,
+        depth1_ii: rate_balance_uniform(&stages, 1).steady_ii,
+        fill_latency: accel.latency_cycles(),
+        buffered_frames: per_edge_depths.len() * depth,
         per_edge_depths,
         proven_frames,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -151,11 +114,20 @@ mod tests {
     #[test]
     fn analytic_depth_matches_simulated_minimum() {
         // The uniform depth is the max per-edge pair-cycle bound, and the
-        // simulator accepts it without widening: for the CNV reference the
-        // worst pair is swu2+mvtu2 over mvtu2's own II, giving exactly 2.
-        let sizing = size_fifos(&cnv_accel());
+        // simulator reaches the bottleneck II there but not one frame
+        // shallower: for the CNV reference the worst pair is swu2+mvtu2
+        // over mvtu2's own II, giving exactly 2.
+        let accel = cnv_accel();
+        let sizing = size_fifos(&accel);
         let analytic = sizing.per_edge_depths.iter().copied().max().unwrap();
         assert_eq!(sizing.depth, analytic);
+        let simulated = |depth| {
+            crate::StreamSimulator::new(&accel, depth)
+                .run(48)
+                .observed_ii
+        };
+        assert_eq!(simulated(sizing.depth), sizing.target_ii);
+        assert!(simulated(sizing.depth - 1) > sizing.target_ii);
         assert!(sizing.per_edge_depths.iter().all(|&d| d >= 1));
         assert_eq!(
             sizing.proven_frames,

@@ -42,7 +42,7 @@ pub mod verify;
 
 pub use accel::{AcceleratorKind, DataflowAccelerator, PerfReport};
 pub use error::DataflowError;
-pub use fifo::{size_fifos, try_size_fifos, FifoSizing};
+pub use fifo::{size_fifos, FifoSizing};
 pub use module::{ModuleKind, ModuleSpec};
 pub use stream::{StreamSimulator, StreamStats};
 pub use verify::{

@@ -10,31 +10,32 @@
 //! * `DF002` — stream-width consistency: each SWU emits windows at exactly
 //!   the width its consumer MVTU ingests (`SIMD` lanes, `k²·ch_in`
 //!   columns), and MVTU folding never exceeds the matrix geometry;
-//! * `DF003` — FIFO sizing: a uniform FIFO depth within the search bound
-//!   sustains the analytical bottleneck initiation interval, reported with
-//!   the chosen depth and buffering cost; warns when the uniform
-//!   allocation exceeds twice the proven-safe per-edge total;
-//! * `DF004` — steady-state rate balance: the max-plus fixpoint over the
-//!   SWU↔MVTU↔pool stages under the compiled folding, reporting the
+//! * `DF003` — FIFO sizing: the uniform FIFO depth that sustains the
+//!   analytical bottleneck initiation interval (the largest per-edge
+//!   pair-cycle bound, at most 2), reported with its buffering cost; warns
+//!   when the uniform allocation exceeds twice the proven-safe per-edge
+//!   total;
+//! * `DF004` — steady-state rate balance: the closed-form II of the
+//!   SWU↔MVTU↔pool chain under the compiled folding, reporting the
 //!   bottleneck stage, its utilization and the mismatch severity;
-//! * `DF005` — FIFO deadlock-freedom: the allocated capacities are proven
-//!   live on the timed-marked-graph model (no zero-token cycle), with a
-//!   concrete counterexample token trace when they are not.
+//! * `DF005` — FIFO deadlock-freedom: a chain is live iff every FIFO has a
+//!   nonzero capacity; otherwise the lowest zero-capacity edge is reported
+//!   as a blocked producer/consumer pair with a token-trace counterexample.
 //!
 //! All five share the diagnostics engine, severity policy and report
 //! format of `adaflow-verify`, so the CLI can merge graph and dataflow
-//! passes into one lint report. The `DF004`/`DF005` engines themselves
-//! (the fixpoint solver, `rate_balance`, `TimedMarkedGraph`) live in
-//! `adaflow-verify` and are fed module cycle counts from here.
+//! passes into one lint report. The `DF004`/`DF005` analyses themselves
+//! (`rate_balance`, `chain_liveness`) live in `adaflow-verify` and are fed
+//! module cycle counts from here.
 
 use crate::accel::DataflowAccelerator;
-use crate::fifo::try_size_fifos;
+use crate::fifo::size_fifos;
 use crate::module::ModuleKind;
 use adaflow_model::{CnnGraph, Layer};
 use adaflow_pruning::FinnConfig;
 use adaflow_verify::{
-    rate_balance_uniform, Diagnostics, LintConfig, Liveness, MismatchSeverity, Report, Severity,
-    Stage, TimedMarkedGraph,
+    chain_liveness, rate_balance_uniform, Diagnostics, LintConfig, Liveness, MismatchSeverity,
+    Report, Severity, Stage,
 };
 
 /// `DF001`: checks folding divisibility of `config` against `graph`,
@@ -98,9 +99,9 @@ pub fn check_folding(graph: &CnnGraph, config: &FinnConfig, diag: &mut Diagnosti
     }
 }
 
-/// `DF002` + `DF003`: checks the compiled module pipeline — stream widths
-/// between producers and consumers, folding-vs-geometry sanity, and FIFO
-/// sizing convergence.
+/// `DF002`–`DF005`: checks the compiled module pipeline — stream widths
+/// between producers and consumers, folding-vs-geometry sanity, FIFO
+/// sizing, and at the sized depth the rate balance and liveness.
 pub fn check_accelerator(accel: &DataflowAccelerator, diag: &mut Diagnostics) {
     let modules = accel.modules();
     for (idx, module) in modules.iter().enumerate() {
@@ -184,88 +185,64 @@ pub fn check_accelerator(accel: &DataflowAccelerator, diag: &mut Diagnostics) {
             ModuleKind::MaxPool { .. } | ModuleKind::LabelSelect { .. } => {}
         }
     }
-    match try_size_fifos(accel) {
-        Some(sizing) => {
-            diag.report(
-                "DF003",
-                Severity::Info,
-                None,
-                format!(
-                    "FIFO depth {} sustains the bottleneck II of {} cycles \
-                     ({} buffered frames across the pipeline; per-edge analysis \
-                     proves {} suffice)",
-                    sizing.depth, sizing.target_ii, sizing.buffered_frames, sizing.proven_frames,
-                ),
-                None,
-            );
-            if sizing.buffered_frames > 2 * sizing.proven_frames.max(1) {
-                diag.report(
-                    "DF003",
-                    Severity::Warn,
-                    None,
-                    format!(
-                        "uniform FIFO depth {} allocates {} buffered frames, more than \
-                         twice the {} the per-edge pair-cycle bound proves safe",
-                        sizing.depth, sizing.buffered_frames, sizing.proven_frames,
-                    ),
-                    Some(
-                        "size each FIFO from its own pair-cycle bound \
-                         (FifoSizing::per_edge_depths) instead of the uniform maximum"
-                            .into(),
-                    ),
-                );
-            }
-            check_rate_balance(accel, sizing.depth, &mut *diag);
-            check_fifo_liveness(
-                accel,
-                &vec![sizing.depth; modules.len().saturating_sub(1)],
-                diag,
-            );
-        }
-        None => diag.report(
-            "DF003",
-            Severity::Error,
-            None,
-            "no uniform FIFO depth within the search bound sustains the bottleneck \
-             initiation interval",
-            Some("rebalance the module pipeline or deepen the FIFO search bound".into()),
+    let sizing = size_fifos(accel);
+    diag.report(
+        "DF003",
+        Severity::Info,
+        None,
+        format!(
+            "FIFO depth {} sustains the bottleneck II of {} cycles \
+             ({} buffered frames across the pipeline; per-edge analysis \
+             proves {} suffice)",
+            sizing.depth, sizing.target_ii, sizing.buffered_frames, sizing.proven_frames,
         ),
+        None,
+    );
+    if sizing.buffered_frames > 2 * sizing.proven_frames.max(1) {
+        diag.report(
+            "DF003",
+            Severity::Warn,
+            None,
+            format!(
+                "uniform FIFO depth {} allocates {} buffered frames, more than \
+                 twice the {} the per-edge pair-cycle bound proves safe",
+                sizing.depth, sizing.buffered_frames, sizing.proven_frames,
+            ),
+            Some(
+                "size each FIFO from its own pair-cycle bound \
+                 (FifoSizing::per_edge_depths) instead of the uniform maximum"
+                    .into(),
+            ),
+        );
     }
+    check_rate_balance(accel, sizing.depth, &mut *diag);
+    check_fifo_liveness(
+        accel,
+        &vec![sizing.depth; sizing.per_edge_depths.len()],
+        diag,
+    );
 }
 
-/// The `(name, cycles-per-frame)` stage list of a compiled pipeline.
-fn module_stages(accel: &DataflowAccelerator) -> Vec<(String, u64)> {
+/// The stage list (module name, cycles per frame) of a compiled pipeline.
+pub(crate) fn module_stages(accel: &DataflowAccelerator) -> Vec<Stage> {
     accel
         .modules()
         .iter()
-        .map(|m| (m.name.clone(), m.cycles_per_frame()))
+        .map(|m| Stage::new(m.name.clone(), m.cycles_per_frame()))
         .collect()
 }
 
-/// `DF004`: solves the steady-state rate equations across the module chain
-/// at a uniform FIFO depth and reports the bottleneck stage plus mismatch
-/// severity. The fixpoint's II is cross-checked against the accelerator's
-/// analytic initiation interval — a disagreement is a Warn, since it means
-/// the performance model and the rate analysis have diverged.
+/// `DF004`: evaluates the steady-state II of the module chain at a uniform
+/// FIFO depth and reports the bottleneck stage plus mismatch severity. The
+/// II is cross-checked against the accelerator's analytic initiation
+/// interval — a disagreement is a Warn, since it means the performance
+/// model and the rate analysis have diverged.
 pub fn check_rate_balance(accel: &DataflowAccelerator, depth: usize, diag: &mut Diagnostics) {
-    let stages: Vec<Stage> = module_stages(accel)
-        .into_iter()
-        .map(|(name, cycles)| Stage::new(name, cycles))
-        .collect();
+    let stages = module_stages(accel);
     if stages.is_empty() {
         return;
     }
     let rate = rate_balance_uniform(&stages, depth);
-    if !rate.stats.converged {
-        diag.report(
-            "DF004",
-            Severity::Warn,
-            None,
-            "rate-balance fixpoint did not converge; no steady-state verdict",
-            None,
-        );
-        return;
-    }
     let utilization = rate
         .stages
         .get(rate.bottleneck)
@@ -310,11 +287,11 @@ pub fn check_rate_balance(accel: &DataflowAccelerator, depth: usize, diag: &mut 
 }
 
 /// `DF005`: proves the given per-edge FIFO `capacities` admit a
-/// deadlock-free schedule on the timed-marked-graph model of the pipeline,
-/// or reports the blocked cycle with a token-trace counterexample.
+/// deadlock-free schedule (every capacity nonzero), or reports the lowest
+/// zero-capacity edge's blocked pair with a token-trace counterexample.
 ///
 /// `check_accelerator` calls this with the uniform allocation chosen by
-/// `try_size_fifos`; callers probing hypothetical allocations (the CLI, the
+/// `size_fifos`; callers probing hypothetical allocations (the CLI, the
 /// under-sizing tests) can pass any capacity vector with one entry per
 /// adjacent module pair.
 ///
@@ -331,8 +308,7 @@ pub fn check_fifo_liveness(
     if stages.len() < 2 {
         return;
     }
-    let graph = TimedMarkedGraph::chain(&stages, capacities);
-    match graph.check_liveness() {
+    match chain_liveness(&stages, capacities) {
         Liveness::Live {
             min_capacity,
             zero_token_edges,
@@ -430,21 +406,21 @@ mod tests {
 
     #[test]
     fn rate_fixpoint_agrees_with_stream_simulation() {
-        // The DF004 fixpoint and the cycle-accurate stream simulator must
+        // The DF004 closed form and the cycle-accurate stream simulator must
         // land on the same steady-state II at the sized FIFO depth.
         let (_, _, accel) = cnv_setup();
         let sizing = crate::fifo::size_fifos(&accel);
-        let stages: Vec<Stage> = accel
-            .modules()
-            .iter()
-            .map(|m| Stage::new(m.name.clone(), m.cycles_per_frame()))
-            .collect();
+        let stages = module_stages(&accel);
+        let simulated = |depth| {
+            crate::StreamSimulator::new(&accel, depth)
+                .run(48)
+                .observed_ii
+        };
         let rate = rate_balance_uniform(&stages, sizing.depth);
-        assert!(rate.stats.converged);
-        assert_eq!(rate.steady_ii, sizing.achieved_ii);
+        assert_eq!(rate.steady_ii, simulated(sizing.depth));
         // And at depth 1 both models agree on the degraded II too.
         let rate1 = rate_balance_uniform(&stages, 1);
-        assert_eq!(rate1.steady_ii, sizing.depth1_ii);
+        assert_eq!(rate1.steady_ii, simulated(1));
     }
 
     #[test]

@@ -3,7 +3,80 @@
 use adaflow_dataflow::{size_fifos, AcceleratorKind, DataflowAccelerator, StreamSimulator};
 use adaflow_model::prelude::*;
 use adaflow_pruning::FinnConfig;
+use adaflow_verify::{rate_balance_uniform, Stage};
 use proptest::prelude::*;
+
+/// A compiled accelerator drawn from the small builtins: tiny or LeNet,
+/// W1A2 or W2A2, any class count, any of the three accelerator kinds.
+fn arb_accel() -> impl Strategy<Value = DataflowAccelerator> {
+    (0usize..2, proptest::bool::ANY, 2usize..10, 0usize..3).prop_map(
+        |(model, w1, classes, kind)| {
+            let quant = if w1 {
+                QuantSpec::w1a2()
+            } else {
+                QuantSpec::w2a2()
+            };
+            let graph = match model {
+                0 => topology::tiny(quant, classes),
+                _ => topology::lenet(quant, classes),
+            }
+            .expect("builds");
+            let cfg = FinnConfig::auto(&graph).expect("auto");
+            let kind = [
+                AcceleratorKind::Finn,
+                AcceleratorKind::FixedPruning,
+                AcceleratorKind::FlexiblePruning,
+            ][kind];
+            DataflowAccelerator::compile(&graph, &cfg, kind).expect("compiles")
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The DF004 closed form is the simulator's steady state: for any chain
+    /// and uniform FIFO depth, `max(max c_i, max ⌈(c_i + c_{i+1}) / d⌉)`
+    /// equals the II the max-plus recurrence settles to within 48 frames.
+    #[test]
+    fn closed_form_ii_is_the_simulated_ii(
+        cycles in proptest::collection::vec(1u64..=1000, 1..=12),
+        depth in 1usize..=4,
+    ) {
+        let stages: Vec<Stage> = cycles
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| Stage::new(format!("s{i}"), c))
+            .collect();
+        let simulated = StreamSimulator::from_cycles(cycles.clone(), depth, 1_000).run(48);
+        prop_assert_eq!(
+            rate_balance_uniform(&stages, depth).steady_ii,
+            simulated.observed_ii,
+            "cycles {:?} at depth {}",
+            cycles,
+            depth,
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// DF003's closed-form depth is what the simulator needs: at that depth
+    /// the pipeline streams at the analytic II, and the first frame leaves
+    /// after exactly the sum of module cycles.
+    #[test]
+    fn sized_depth_simulates_to_the_analytic_ii(accel in arb_accel()) {
+        let sizing = size_fifos(&accel);
+        prop_assert!(sizing.depth <= 2, "depth {}", sizing.depth);
+        let simulated = StreamSimulator::new(&accel, sizing.depth).run(48);
+        prop_assert_eq!(simulated.observed_ii, accel.initiation_interval());
+        prop_assert_eq!(simulated.first_frame_cycles, accel.latency_cycles());
+        prop_assert_eq!(sizing.fill_latency, simulated.first_frame_cycles);
+        let depth1 = StreamSimulator::new(&accel, 1).run(48);
+        prop_assert_eq!(sizing.depth1_ii, depth1.observed_ii);
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]

@@ -74,24 +74,16 @@ pub fn synthesize_traced(
     // a malformed pipeline here is a compiler bug, not a user error.
     #[cfg(debug_assertions)]
     adaflow_dataflow::verify::debug_assert_accelerator(accel, "synthesize");
-    // And cross-check the DF004 rate fixpoint against the performance
+    // And cross-check the DF004 rate analysis against the performance
     // model: at the sized FIFO depth the max-plus steady state must equal
     // the analytic initiation interval the throughput figures below use.
     #[cfg(debug_assertions)]
-    if let Some(sizing) = adaflow_dataflow::try_size_fifos(accel) {
-        let stages: Vec<adaflow_verify::Stage> = accel
-            .modules()
-            .iter()
-            .map(|m| adaflow_verify::Stage::new(m.name.clone(), m.cycles_per_frame()))
-            .collect();
-        let rate = adaflow_verify::rate_balance_uniform(&stages, sizing.depth);
-        assert_eq!(
-            rate.steady_ii,
-            accel.initiation_interval(),
-            "rate fixpoint and performance model disagree at synthesize for {}",
-            accel.name(),
-        );
-    }
+    assert_eq!(
+        adaflow_dataflow::size_fifos(accel).achieved_ii,
+        accel.initiation_interval(),
+        "rate analysis and performance model disagree at synthesize for {}",
+        accel.name(),
+    );
     let report = |fmax_mhz: f64, res: Option<&ResourceEstimate>, fits: bool| {
         if sink.enabled() {
             sink.emit(

@@ -14,10 +14,10 @@
 //!   stream, never qualifies.
 //!
 //! This module derives that eligibility per MVTU layer by walking the
-//! graph the same way the verifier's accumulator analysis does: the input
-//! contributes activations up to 255, each `MultiThreshold` re-quantizes
-//! to `0..=levels`, and pooling preserves the bound. Both the inference
-//! engine (kernel dispatch) and verify rule `AF009` (lint) consume the
+//! graph once: the input contributes activations up to 255, each
+//! `MultiThreshold` re-quantizes to `0..=levels`, and pooling preserves the
+//! bound. The inference engine (kernel dispatch), verify rule `AF009`
+//! (lint) and the verifier's accumulator bounds (`AF006`) all consume the
 //! result, so "the verifier-established domains fit" and "the engine
 //! selects the packed kernel" are the same predicate by construction.
 
@@ -33,8 +33,7 @@ pub const PACKED_MAX_ACT: i64 = 3;
 pub const PACKED_MAX_WEIGHT: i64 = 1;
 
 /// Largest value an input activation can take: the engine consumes `u8`
-/// pixel streams. (Mirrors `adaflow_verify::INPUT_ACT_MAX`, duplicated
-/// here because `adaflow-verify` depends on this crate, not vice versa.)
+/// pixel streams, so the first MVTU accumulates against `0..=255`.
 pub const INPUT_ACT_MAX: i64 = u8::MAX as i64;
 
 /// Why an MVTU layer cannot use the packed popcount kernels.
@@ -129,10 +128,9 @@ fn classify(weight_bits: u8, weights: &[i8], act_in_max: i64) -> Option<PackedFa
 }
 
 /// Derives the packed-kernel domain metadata of every MVTU layer, in
-/// dataflow order. The activation bound tracking mirrors
-/// `adaflow_verify::accumulator_bounds`: input pixels contribute up to
-/// 255, `MultiThreshold` resets the bound to its level count, pooling and
-/// label-select preserve it.
+/// dataflow order. Input pixels contribute up to 255, `MultiThreshold`
+/// resets the bound to its level count, pooling and label-select preserve
+/// it. `adaflow_verify::accumulator_bounds` is built on this walk.
 #[must_use]
 pub fn mvtu_domains(graph: &CnnGraph) -> Vec<MvtuDomain> {
     let mut out = Vec::new();

@@ -541,9 +541,6 @@ fn build_plan(
 fn layer_intervals(graph: &CnnGraph) -> LayerIntervals {
     let clamp = |v: i128| v.clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64;
     let analysis = adaflow_verify::interval_analysis(graph);
-    if !analysis.stats.converged {
-        return vec![None; graph.len()];
-    }
     (0..graph.len())
         .map(|i| {
             analysis.mvtu(i).map(|m| {

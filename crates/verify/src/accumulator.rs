@@ -19,15 +19,15 @@
 //! * the **tight bound** uses the actual weights (`max_row Σ|w| · max|a|`),
 //!   the margin a calibrated deployment really has.
 //!
-//! The activation maximum is tracked through the graph: the network input
-//! is an 8-bit pixel stream (`max = 255`), and every `MultiThreshold`
-//! re-quantizes to `0..=levels`, so inner layers see far smaller inputs.
+//! The activation maximum and fan-in come from [`adaflow_model::mvtu_domains`],
+//! the one walk of the graph's threshold structure the engine's kernel
+//! dispatch also reads: the network input is an 8-bit pixel stream
+//! (`max = 255`), and every `MultiThreshold` re-quantizes to `0..=levels`,
+//! so inner layers see far smaller inputs.
 
 use adaflow_model::{CnnGraph, Layer};
 
-/// Largest value an input activation can take: the engine consumes `u8`
-/// pixel streams, so the first MVTU accumulates against `0..=255`.
-pub const INPUT_ACT_MAX: i64 = u8::MAX as i64;
+pub use adaflow_model::domains::INPUT_ACT_MAX;
 
 /// Worst-case accumulator analysis of one MVTU layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,72 +76,47 @@ fn significant_bits(v: i128) -> i32 {
 }
 
 /// Computes the worst-case accumulator bound of every MVTU layer, in
-/// dataflow order. Non-MVTU layers contribute nothing; `MultiThreshold`
-/// layers reset the tracked activation maximum to their level count.
+/// dataflow order: fan-in and incoming activation maximum from
+/// [`adaflow_model::mvtu_domains`], weight domain and stored weights from
+/// the layer itself.
 #[must_use]
 pub fn accumulator_bounds(graph: &CnnGraph) -> Vec<AccumulatorBound> {
-    let mut bounds = Vec::new();
-    let mut act_max = INPUT_ACT_MAX;
-    for node in graph.iter() {
-        match &node.layer {
-            Layer::Conv2d(c) => {
-                let fan_in = c.kernel * c.kernel * c.in_channels;
-                let max_w = domain_abs_max(c.quant.weight_domain());
-                let tight = (0..c.weights.out_channels())
-                    .map(|o| {
-                        c.weights
-                            .filter(o)
-                            .iter()
-                            .map(|&w| i128::from(w).unsigned_abs())
-                            .sum::<u128>()
-                    })
-                    .max()
-                    .unwrap_or(0);
-                bounds.push(AccumulatorBound {
-                    layer: node.id.0,
-                    name: node.name.clone(),
-                    fan_in,
-                    max_weight: max_w,
-                    max_activation: act_max,
-                    worst_abs: fan_in as i128 * i128::from(max_w) * i128::from(act_max),
-                    tight_abs: tight as i128 * i128::from(act_max),
-                });
-                // Until a threshold re-quantizes, the value is an
-                // accumulator, not an activation; the default covers the
-                // (invalid) MVTU-feeds-MVTU case without underestimating.
-                act_max = c.quant.act_domain().max;
+    let mvtus = graph.iter().filter(|n| n.layer.is_mvtu());
+    adaflow_model::mvtu_domains(graph)
+        .into_iter()
+        .zip(mvtus)
+        .map(|(domain, node)| {
+            let row_abs_sum = |row: &[i8]| row.iter().map(|&w| u128::from(w.unsigned_abs())).sum();
+            let (quant, tight): (_, u128) = match &node.layer {
+                Layer::Conv2d(c) => (
+                    c.quant,
+                    (0..c.weights.out_channels())
+                        .map(|o| row_abs_sum(c.weights.filter(o)))
+                        .max()
+                        .unwrap_or(0),
+                ),
+                Layer::Dense(d) => (
+                    d.quant,
+                    (0..d.weights.out_features())
+                        .map(|o| row_abs_sum(d.weights.row(o)))
+                        .max()
+                        .unwrap_or(0),
+                ),
+                _ => unreachable!("mvtu_domains yields exactly the MVTU layers"),
+            };
+            let max_w = domain_abs_max(quant.weight_domain());
+            let act_max = domain.act_in_max;
+            AccumulatorBound {
+                layer: domain.layer,
+                name: domain.name,
+                fan_in: domain.fan_in,
+                max_weight: max_w,
+                max_activation: act_max,
+                worst_abs: domain.fan_in as i128 * i128::from(max_w) * i128::from(act_max),
+                tight_abs: tight as i128 * i128::from(act_max),
             }
-            Layer::Dense(d) => {
-                let fan_in = d.in_features;
-                let max_w = domain_abs_max(d.quant.weight_domain());
-                let tight = (0..d.weights.out_features())
-                    .map(|o| {
-                        d.weights
-                            .row(o)
-                            .iter()
-                            .map(|&w| i128::from(w).unsigned_abs())
-                            .sum::<u128>()
-                    })
-                    .max()
-                    .unwrap_or(0);
-                bounds.push(AccumulatorBound {
-                    layer: node.id.0,
-                    name: node.name.clone(),
-                    fan_in,
-                    max_weight: max_w,
-                    max_activation: act_max,
-                    worst_abs: fan_in as i128 * i128::from(max_w) * i128::from(act_max),
-                    tight_abs: tight as i128 * i128::from(act_max),
-                });
-                act_max = d.quant.act_domain().max;
-            }
-            Layer::MultiThreshold(t) => {
-                act_max = t.table.levels() as i64;
-            }
-            Layer::MaxPool2d(_) | Layer::LabelSelect(_) => {}
-        }
-    }
-    bounds
+        })
+        .collect()
 }
 
 fn domain_abs_max(d: adaflow_model::QuantizedDomain) -> i64 {

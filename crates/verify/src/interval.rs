@@ -7,7 +7,9 @@
 //! tap pulled in the same direction at the activation maximum. This module
 //! runs the precise counterpart on the *actual* stored weights: an abstract
 //! interpretation over per-channel value intervals, propagated through the
-//! whole graph with the shared worklist solver from [`crate::fixpoint`].
+//! whole graph in one forward pass. A CNN graph is a chain, so each layer's
+//! output is its transfer function applied to the previous layer's output;
+//! no layer is ever revisited, and there is nothing to join or widen.
 //!
 //! The abstract domain is a vector of integer intervals, one per channel of
 //! the tensor flowing along the edge (per feature once flattened). Transfer
@@ -29,13 +31,9 @@
 //! containing all concretely reachable values under the per-channel
 //! abstraction), so the analysis is sound by construction and never looser
 //! than the AF006 domain bound — a fact the test suite pins down per
-//! builtin model. The widening operator jumps a still-growing interval
-//! straight to the layer's conservative domain cap (the AF006-style bound),
-//! so widened chains stabilize in one step; on today's feed-forward chains
-//! widening never actually triggers.
+//! builtin model.
 
 use crate::diag::{Diagnostics, Severity};
-use crate::fixpoint::{self, Lattice};
 use adaflow_model::{CnnGraph, Layer};
 
 /// A closed integer interval `[lo, hi]`, kept in `i128` so that even the
@@ -106,22 +104,11 @@ impl Interval {
 /// channel of the flowing tensor.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AbsVal {
-    /// Nothing has reached this edge yet (the lattice bottom).
+    /// Nothing reaches this edge: a malformed layer upstream stopped the
+    /// analysis.
     Bottom,
     /// Per-channel reachable-value intervals.
     Channels(Vec<Interval>),
-}
-
-impl Lattice for AbsVal {
-    fn join(&self, other: &Self) -> Self {
-        match (self, other) {
-            (AbsVal::Bottom, x) | (x, AbsVal::Bottom) => x.clone(),
-            (AbsVal::Channels(a), AbsVal::Channels(b)) => {
-                debug_assert_eq!(a.len(), b.len(), "joining mismatched channel counts");
-                AbsVal::Channels(a.iter().zip(b.iter()).map(|(x, y)| x.hull(y)).collect())
-            }
-        }
-    }
 }
 
 /// Exact accumulator analysis of one MVTU (conv or dense) layer.
@@ -184,9 +171,7 @@ pub struct IntervalAnalysis {
     pub mvtus: Vec<MvtuInterval>,
     /// Per-threshold-layer liveness findings, in dataflow order.
     pub thresholds: Vec<ThresholdLiveness>,
-    /// Solver iteration statistics.
-    pub stats: fixpoint::FixpointStats,
-    /// Solved per-node *output* abstract values (one entry per layer).
+    /// Per-node *output* abstract values (one entry per layer).
     pub node_out: Vec<AbsVal>,
 }
 
@@ -207,44 +192,6 @@ fn input_val(channels: usize) -> AbsVal {
         );
         channels
     ])
-}
-
-/// Conservative per-node output caps, used as the widening target: the
-/// AF006-style domain bound for MVTUs, the structural output domain for
-/// everything else. Sound for any weight assignment, so jumping to the cap
-/// can never cut off a reachable value.
-fn widening_caps(graph: &CnnGraph) -> Vec<Interval> {
-    let mut caps = Vec::with_capacity(graph.len());
-    let mut act_cap = Interval::new(0, i128::from(crate::accumulator::INPUT_ACT_MAX));
-    for node in graph.iter() {
-        let cap = match &node.layer {
-            Layer::Conv2d(c) => {
-                let fan_in = c.kernel * c.kernel * c.in_channels;
-                let max_w = domain_abs_max(c.quant.weight_domain());
-                let worst = fan_in as i128 * i128::from(max_w) * act_cap.abs_max();
-                act_cap = Interval::new(0, i128::from(c.quant.act_domain().max));
-                Interval::new(-worst, worst)
-            }
-            Layer::Dense(d) => {
-                let max_w = domain_abs_max(d.quant.weight_domain());
-                let worst = d.in_features as i128 * i128::from(max_w) * act_cap.abs_max();
-                act_cap = Interval::new(0, i128::from(d.quant.act_domain().max));
-                Interval::new(-worst, worst)
-            }
-            Layer::MultiThreshold(t) => {
-                act_cap = Interval::new(0, t.table.levels() as i128);
-                act_cap
-            }
-            Layer::MaxPool2d(_) => act_cap,
-            Layer::LabelSelect(l) => Interval::new(0, l.classes.saturating_sub(1) as i128),
-        };
-        caps.push(cap);
-    }
-    caps
-}
-
-fn domain_abs_max(d: adaflow_model::QuantizedDomain) -> i64 {
-    d.min.unsigned_abs().max(d.max.unsigned_abs()) as i64
 }
 
 /// Dot-product interval of one weight row against per-tap input intervals.
@@ -295,8 +242,8 @@ fn well_formed(node: &adaflow_model::Node, input: &[Interval]) -> bool {
 }
 
 /// Transfer function of one layer: input abstract value → output abstract
-/// value. Returns [`AbsVal::Bottom`] while the input is unreachable (or the
-/// node is structurally malformed — see [`well_formed`]).
+/// value. Returns [`AbsVal::Bottom`] when the input is unreachable or the
+/// node is structurally malformed (see [`well_formed`]).
 fn transfer(node: &adaflow_model::Node, input: &AbsVal) -> AbsVal {
     let AbsVal::Channels(input) = input else {
         return AbsVal::Bottom;
@@ -359,51 +306,25 @@ fn clamp_i32(v: i128) -> i32 {
 /// Runs the whole-graph interval analysis.
 #[must_use]
 pub fn interval_analysis(graph: &CnnGraph) -> IntervalAnalysis {
-    let nodes = graph.nodes();
-    let n = nodes.len();
-    let edges: Vec<(usize, usize)> = (1..n).map(|i| (i - 1, i)).collect();
-    // The widening target: the hull of every node's conservative domain
-    // cap. The solver's widen signature is value-only (it cannot know which
-    // node it runs on), so the jump target is the loosest cap in the graph
-    // — still sound, and still height-one, which is all termination needs.
-    // Today's feed-forward chains converge before widening ever triggers.
-    let cap = widening_caps(graph)
-        .into_iter()
-        .reduce(|a, b| a.hull(&b))
-        .unwrap_or(Interval::point(0));
-    let input0 = input_val(graph.input_shape().channels);
-    let solution = fixpoint::solve(
-        vec![AbsVal::Bottom; n],
-        &edges,
-        fixpoint::Config::default(),
-        |i, env| {
-            let input = if i == 0 { &input0 } else { &env[i - 1] };
-            transfer(&nodes[i], input)
-        },
-        |old, new| match (old, new) {
-            (AbsVal::Channels(a), AbsVal::Channels(b)) if a.len() == b.len() => AbsVal::Channels(
-                a.iter()
-                    .zip(b.iter())
-                    .map(|(x, y)| Interval {
-                        lo: if y.lo < x.lo { x.lo.min(cap.lo) } else { x.lo },
-                        hi: if y.hi > x.hi { x.hi.max(cap.hi) } else { x.hi },
-                    })
-                    .collect(),
-            ),
-            _ => old.join(new),
-        },
-    );
-    collect(graph, solution)
+    let mut node_out: Vec<AbsVal> = Vec::with_capacity(graph.len());
+    for node in graph.iter() {
+        let out = match node_out.last() {
+            Some(input) => transfer(node, input),
+            None => transfer(node, &input_val(graph.input_shape().channels)),
+        };
+        node_out.push(out);
+    }
+    collect(graph, node_out)
 }
 
-fn collect(graph: &CnnGraph, solution: fixpoint::Solution<AbsVal>) -> IntervalAnalysis {
+fn collect(graph: &CnnGraph, node_out: Vec<AbsVal>) -> IntervalAnalysis {
     let domain = crate::accumulator::accumulator_bounds(graph);
     let mut mvtus = Vec::new();
     let mut thresholds = Vec::new();
     for (i, node) in graph.iter().enumerate() {
         match &node.layer {
             Layer::Conv2d(_) | Layer::Dense(_) => {
-                let AbsVal::Channels(per_channel) = &solution.values[i] else {
+                let AbsVal::Channels(per_channel) = &node_out[i] else {
                     continue;
                 };
                 let acc = per_channel
@@ -429,7 +350,7 @@ fn collect(graph: &CnnGraph, solution: fixpoint::Solution<AbsVal>) -> IntervalAn
                 let input = if i == 0 {
                     input_val(graph.input_shape().channels)
                 } else {
-                    solution.values[i - 1].clone()
+                    node_out[i - 1].clone()
                 };
                 let AbsVal::Channels(input) = input else {
                     continue;
@@ -475,12 +396,11 @@ fn collect(graph: &CnnGraph, solution: fixpoint::Solution<AbsVal>) -> IntervalAn
     IntervalAnalysis {
         mvtus,
         thresholds,
-        stats: solution.stats,
-        node_out: solution.values,
+        node_out,
     }
 }
 
-/// `AF010` — exact accumulator intervals: the fixed-point interval of every
+/// `AF010` — exact accumulator intervals: the reachable interval of every
 /// MVTU accumulator under the actual weights must fit `i32`; the minimal
 /// accumulator width and spare-bit margin are surfaced per layer.
 pub struct ExactAccumulatorIntervals;
@@ -496,20 +416,6 @@ impl crate::rules::Rule for ExactAccumulatorIntervals {
 
     fn check(&self, graph: &CnnGraph, diag: &mut Diagnostics) {
         let analysis = interval_analysis(graph);
-        if !analysis.stats.converged {
-            diag.report(
-                "AF010",
-                Severity::Warn,
-                None,
-                format!(
-                    "interval fixpoint did not converge within {} iterations; \
-                     falling back to the AF006 domain bound",
-                    analysis.stats.iterations
-                ),
-                None,
-            );
-            return;
-        }
         for m in &analysis.mvtus {
             let at = Some((m.layer, m.name.as_str()));
             if m.fits_i32() {
@@ -562,9 +468,6 @@ impl crate::rules::Rule for ThresholdReachability {
 
     fn check(&self, graph: &CnnGraph, diag: &mut Diagnostics) {
         let analysis = interval_analysis(graph);
-        if !analysis.stats.converged {
-            return; // AF010 already reports the non-convergence.
-        }
         for t in &analysis.thresholds {
             let at = Some((t.layer, t.name.as_str()));
             if t.dead_channels > 0 {
@@ -628,9 +531,6 @@ pub fn demote_af006_false_positives(graph: &CnnGraph, report: &mut crate::Report
         return;
     }
     let analysis = interval_analysis(graph);
-    if !analysis.stats.converged {
-        return;
-    }
     for d in &mut report.diagnostics {
         if d.code != "AF006" || d.severity != Severity::Error {
             continue;
@@ -667,7 +567,6 @@ mod tests {
     #[test]
     fn zero_weights_give_point_intervals() {
         let analysis = interval_analysis(&small());
-        assert!(analysis.stats.converged);
         assert_eq!(analysis.mvtus.len(), 2);
         for m in &analysis.mvtus {
             assert_eq!(m.acc, Interval::point(0), "{}", m.name);
@@ -752,7 +651,6 @@ mod tests {
             topology::tiny(QuantSpec::w2a2(), 4).expect("builds"),
         ] {
             let analysis = interval_analysis(&g);
-            assert!(analysis.stats.converged);
             for m in &analysis.mvtus {
                 assert!(
                     m.acc.abs_max() <= m.domain_worst_abs,

@@ -23,13 +23,15 @@
 //! which sit above this crate in the dependency order. Both share the
 //! [`Diagnostics`] engine defined here.
 //!
-//! Beyond the structural rules, the crate carries an abstract-
-//! interpretation layer (DESIGN.md §13): a generic worklist fixed-point
-//! solver ([`fixpoint`]) with three analyses on top — exact per-channel
-//! value intervals and minimal accumulator widths ([`interval`], rules
-//! `AF010`/`AF011`), steady-state rate balance over pipeline stages
-//! ([`rate`], consumed by `DF004`), and FIFO deadlock-freedom proofs over
-//! timed marked graphs ([`liveness`], consumed by `DF005`). The
+//! Beyond the structural rules, the crate carries three deeper analyses
+//! (DESIGN.md §13). Every graph and every accelerator pipeline here is a
+//! linear chain, so each is one straight pass in closed form: exact
+//! per-channel value intervals and minimal accumulator widths
+//! ([`interval`], rules `AF010`/`AF011`; one forward fold of the layer
+//! transfer functions), the steady-state initiation interval of a module
+//! chain ([`rate`], consumed by `DF004`; `max(max c_i, max ⌈(c_i +
+//! c_{i+1}) / d_i⌉)`), and FIFO deadlock-freedom ([`liveness`], consumed by
+//! `DF005`; a chain deadlocks iff some FIFO capacity is 0). The
 //! [`explain`] module documents every code any workspace validator emits,
 //! backing the CLI's `lint --explain`.
 //!
@@ -50,7 +52,6 @@
 pub mod accumulator;
 pub mod diag;
 pub mod explain;
-pub mod fixpoint;
 pub mod interval;
 pub mod liveness;
 pub mod rate;
@@ -59,9 +60,8 @@ pub mod rules;
 pub use accumulator::{accumulator_bounds, AccumulatorBound, INPUT_ACT_MAX};
 pub use diag::{Diagnostic, Diagnostics, LintConfig, Report, Severity};
 pub use explain::{explain, rule_docs, RuleDoc};
-pub use fixpoint::{FixpointStats, Lattice};
 pub use interval::{interval_analysis, Interval, IntervalAnalysis, MvtuInterval};
-pub use liveness::{required_edge_capacity, Liveness, TimedMarkedGraph};
+pub use liveness::{chain_liveness, required_edge_capacity, Liveness};
 pub use rate::{rate_balance, rate_balance_uniform, MismatchSeverity, RateReport, Stage};
 pub use rules::Rule;
 

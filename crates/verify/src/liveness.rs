@@ -5,54 +5,23 @@
 //! from producer `p` to consumer `c` contributes two edges — a *data* edge
 //! `p → c` carrying 0 initial tokens (nothing buffered at reset) and a
 //! *space* edge `c → p` carrying `d` tokens (all slots free at reset).
-//! A transition fires when every incoming edge holds a token; firing moves
-//! one token along every adjacent edge.
 //!
 //! The classic liveness theorem for marked graphs (Commoner/Murata): the
 //! system is deadlock-free **iff every directed cycle carries at least one
-//! initial token** — equivalently, iff the subgraph of zero-token edges is
-//! acyclic. Token counts on a cycle are invariant under firing, so a
-//! zero-token cycle can never fire any of its transitions: each waits on
-//! the previous forever. Conversely, if every cycle is marked, some
-//! transition is always enabled.
+//! initial token**. Token counts on a cycle are invariant under firing, so
+//! a zero-token cycle can never fire any of its transitions.
 //!
-//! [`check_liveness`] runs a DFS over the zero-token subgraph. When it
-//! finds a zero-token cycle it reconstructs the concrete counterexample: a
-//! token trace at `t = 0` showing each module in the cycle blocked on the
-//! next — the schedule prefix that can never be extended. `DF003`'s FIFO
-//! sizing consumes [`required_edge_capacity`], the inverse of the rate
-//! analysis' pair-cycle bound, so "the sizing heuristic" and "the proof
-//! obligation" are the same arithmetic.
+//! On a chain the data edges all point downstream, so every directed cycle
+//! must use a space edge, and the shortest ones are the producer/consumer
+//! pairs `i → i+1 → i`. Such a pair carries exactly `d_i` tokens, and any
+//! longer cycle contains one. Hence a chain deadlocks **iff some capacity is
+//! 0**; [`chain_liveness`] reports the lowest such edge as the blocked pair,
+//! with a token trace at `t = 0` showing each module waiting on the other.
+//! `DF003`'s FIFO sizing consumes [`required_edge_capacity`], the inverse of
+//! the rate analysis' pair-cycle bound, so "the sizing heuristic" and "the
+//! proof obligation" are the same arithmetic.
 
-/// One module (transition) of the stream graph.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamNode {
-    /// Module name.
-    pub name: String,
-    /// Cycles per frame (annotates traces; liveness itself is untimed).
-    pub cycles: u64,
-}
-
-/// One edge of the marked graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamEdge {
-    /// Producer node index.
-    pub from: usize,
-    /// Consumer node index.
-    pub to: usize,
-    /// Initial tokens (buffered items on data edges, free slots on space
-    /// edges).
-    pub tokens: usize,
-    /// Whether this is a data edge (`p → c`) or a space edge (`c → p`).
-    pub is_data: bool,
-}
-
-/// A timed marked graph modelling a streaming accelerator.
-#[derive(Debug, Clone, Default)]
-pub struct TimedMarkedGraph {
-    nodes: Vec<StreamNode>,
-    edges: Vec<StreamEdge>,
-}
+use crate::rate::Stage;
 
 /// Outcome of the deadlock-freedom analysis.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,7 +31,7 @@ pub enum Liveness {
     Live {
         /// Smallest token count over any FIFO (the tightest margin).
         min_capacity: usize,
-        /// Number of zero-token edges examined by the acyclicity check.
+        /// Number of zero-token edges at reset: the chain's data edges.
         zero_token_edges: usize,
     },
     /// A zero-token cycle exists: the modules on it block each other
@@ -83,185 +52,41 @@ impl Liveness {
     }
 }
 
-impl TimedMarkedGraph {
-    /// An empty graph.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a module; returns its index.
-    pub fn add_node(&mut self, name: impl Into<String>, cycles: u64) -> usize {
-        self.nodes.push(StreamNode {
-            name: name.into(),
-            cycles,
-        });
-        self.nodes.len() - 1
-    }
-
-    /// Adds a FIFO of capacity `capacity` from `from` to `to`: a zero-token
-    /// data edge plus a `capacity`-token space edge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either endpoint is out of range.
-    pub fn add_fifo(&mut self, from: usize, to: usize, capacity: usize) {
-        assert!(
-            from < self.nodes.len() && to < self.nodes.len(),
-            "fifo endpoint out of range"
-        );
-        self.edges.push(StreamEdge {
-            from,
-            to,
-            tokens: 0,
-            is_data: true,
-        });
-        self.edges.push(StreamEdge {
-            from: to,
-            to: from,
-            tokens: capacity,
-            is_data: false,
-        });
-    }
-
-    /// The modules.
-    #[must_use]
-    pub fn nodes(&self) -> &[StreamNode] {
-        &self.nodes
-    }
-
-    /// All edges (data and space).
-    #[must_use]
-    pub fn edges(&self) -> &[StreamEdge] {
-        &self.edges
-    }
-
-    /// Builds the marked graph of a linear pipeline: `stages[i]` feeds
-    /// `stages[i+1]` through a FIFO of capacity `capacities[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacities.len() + 1 != stages.len()` for a non-empty
-    /// chain.
-    #[must_use]
-    pub fn chain(stages: &[(String, u64)], capacities: &[usize]) -> Self {
-        assert!(
-            stages.is_empty() || capacities.len() + 1 == stages.len(),
-            "need exactly one capacity per adjacent stage pair"
-        );
-        let mut g = Self::new();
-        for (name, cycles) in stages {
-            g.add_node(name.clone(), *cycles);
-        }
-        for (i, &cap) in capacities.iter().enumerate() {
-            g.add_fifo(i, i + 1, cap);
-        }
-        g
-    }
-
-    /// Checks deadlock-freedom: DFS for a cycle in the zero-token subgraph.
-    #[must_use]
-    pub fn check_liveness(&self) -> Liveness {
-        // Colors of the iterative three-color DFS below; a back edge to a
-        // gray node closes a zero-token cycle.
-        #[derive(Clone, Copy, PartialEq)]
-        enum Color {
-            White,
-            Gray,
-            Black,
-        }
-        let n = self.nodes.len();
-        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut zero_token_edges = 0usize;
-        for e in &self.edges {
-            if e.tokens == 0 {
-                succ[e.from].push(e.to);
-                zero_token_edges += 1;
-            }
-        }
-        let mut color = vec![Color::White; n];
-        let mut parent = vec![usize::MAX; n];
-        for root in 0..n {
-            if color[root] != Color::White {
-                continue;
-            }
-            // Stack of (node, next successor index to try).
-            let mut stack = vec![(root, 0usize)];
-            color[root] = Color::Gray;
-            while let Some(&(node, next)) = stack.last() {
-                if next < succ[node].len() {
-                    stack.last_mut().expect("just peeked").1 += 1;
-                    let t = succ[node][next];
-                    match color[t] {
-                        Color::White => {
-                            color[t] = Color::Gray;
-                            parent[t] = node;
-                            stack.push((t, 0));
-                        }
-                        Color::Gray => {
-                            // Reconstruct the cycle t → ... → node → t.
-                            let mut cycle = vec![node];
-                            let mut cur = node;
-                            while cur != t {
-                                cur = parent[cur];
-                                cycle.push(cur);
-                            }
-                            cycle.reverse();
-                            let trace = self.deadlock_trace(&cycle);
-                            return Liveness::Deadlock { cycle, trace };
-                        }
-                        Color::Black => {}
-                    }
-                } else {
-                    color[node] = Color::Black;
-                    stack.pop();
-                }
-            }
-        }
-        Liveness::Live {
-            min_capacity: self
-                .edges
-                .iter()
-                .filter(|e| !e.is_data)
-                .map(|e| e.tokens)
-                .min()
-                .unwrap_or(usize::MAX),
-            zero_token_edges,
-        }
-    }
-
-    /// The `t = 0` token trace around an unmarked cycle: why each module is
-    /// blocked, and on whom.
-    fn deadlock_trace(&self, cycle: &[usize]) -> Vec<String> {
-        let mut trace = Vec::with_capacity(cycle.len() + 1);
-        trace.push(format!(
-            "t=0: no module on the cycle can ever fire — every edge below holds 0 tokens \
-             and firing preserves cycle token counts ({} modules involved)",
-            cycle.len()
-        ));
-        for (k, &a) in cycle.iter().enumerate() {
-            let b = cycle[(k + 1) % cycle.len()];
-            // The zero-token edge a → b blocks b. Name the FIFO it models.
-            let blocking = self
-                .edges
-                .iter()
-                .find(|e| e.from == a && e.to == b && e.tokens == 0);
-            let why = match blocking {
-                Some(e) if e.is_data => format!(
-                    "'{}' is blocked: its input FIFO from '{}' is empty \
-                     (0 tokens buffered) and '{}' never produces",
-                    self.nodes[b].name, self.nodes[a].name, self.nodes[a].name
-                ),
-                Some(_) => format!(
-                    "'{}' is blocked: its output FIFO toward '{}' has capacity 0 \
-                     (no free slot) and '{}' never consumes",
-                    self.nodes[b].name, self.nodes[a].name, self.nodes[a].name
-                ),
-                None => format!("'{}' waits on '{}'", self.nodes[b].name, self.nodes[a].name),
-            };
-            trace.push(format!("t=0: {why}"));
-        }
-        trace
+/// Checks deadlock-freedom of a linear pipeline: `stages[i]` feeds
+/// `stages[i+1]` through a FIFO of capacity `capacities[i]`.
+///
+/// # Panics
+///
+/// Panics if `capacities.len() + 1 != stages.len()` for a non-empty chain.
+#[must_use]
+pub fn chain_liveness(stages: &[Stage], capacities: &[usize]) -> Liveness {
+    assert!(
+        stages.is_empty() || capacities.len() + 1 == stages.len(),
+        "need exactly one capacity per adjacent stage pair"
+    );
+    let Some(i) = capacities.iter().position(|&c| c == 0) else {
+        return Liveness::Live {
+            min_capacity: capacities.iter().copied().min().unwrap_or(usize::MAX),
+            zero_token_edges: capacities.len(),
+        };
+    };
+    let (up, down) = (&stages[i].name, &stages[i + 1].name);
+    let trace = vec![
+        "t=0: no module on the cycle can ever fire — every edge below holds 0 tokens \
+         and firing preserves cycle token counts (2 modules involved)"
+            .to_string(),
+        format!(
+            "t=0: '{down}' is blocked: its input FIFO from '{up}' is empty \
+             (0 tokens buffered) and '{up}' never produces"
+        ),
+        format!(
+            "t=0: '{up}' is blocked: its output FIFO toward '{down}' has capacity 0 \
+             (no free slot) and '{down}' never consumes"
+        ),
+    ];
+    Liveness::Deadlock {
+        cycle: vec![i, i + 1],
+        trace,
     }
 }
 
@@ -282,19 +107,18 @@ pub fn required_edge_capacity(c_up: u64, c_down: u64, target_ii: u64) -> usize {
 mod tests {
     use super::*;
 
-    fn chain(cycles: &[u64], caps: &[usize]) -> TimedMarkedGraph {
-        let stages: Vec<(String, u64)> = cycles
+    fn chain(cycles: &[u64], caps: &[usize]) -> Liveness {
+        let stages: Vec<Stage> = cycles
             .iter()
             .enumerate()
-            .map(|(i, &c)| (format!("m{i}"), c))
+            .map(|(i, &c)| Stage::new(format!("m{i}"), c))
             .collect();
-        TimedMarkedGraph::chain(&stages, caps)
+        chain_liveness(&stages, caps)
     }
 
     #[test]
     fn positive_capacities_are_live() {
-        let g = chain(&[5, 40, 5], &[1, 1]);
-        match g.check_liveness() {
+        match chain(&[5, 40, 5], &[1, 1]) {
             Liveness::Live {
                 min_capacity,
                 zero_token_edges,
@@ -308,8 +132,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_fifo_deadlocks_with_trace() {
-        let g = chain(&[5, 40, 5], &[1, 0]);
-        match g.check_liveness() {
+        match chain(&[5, 40, 5], &[1, 0]) {
             Liveness::Deadlock { cycle, trace } => {
                 assert_eq!(cycle.len(), 2, "producer/consumer two-cycle");
                 assert!(cycle.contains(&1) && cycle.contains(&2));
@@ -326,71 +149,7 @@ mod tests {
 
     #[test]
     fn single_module_has_no_cycles() {
-        let g = chain(&[7], &[]);
-        assert!(g.check_liveness().is_live());
-    }
-
-    #[test]
-    fn handmade_zero_token_ring_deadlocks() {
-        // Three modules in a ring of empty data edges (no space edges):
-        // the classic circular wait.
-        let mut g = TimedMarkedGraph::new();
-        let a = g.add_node("a", 1);
-        let b = g.add_node("b", 1);
-        let c = g.add_node("c", 1);
-        g.edges.push(StreamEdge {
-            from: a,
-            to: b,
-            tokens: 0,
-            is_data: true,
-        });
-        g.edges.push(StreamEdge {
-            from: b,
-            to: c,
-            tokens: 0,
-            is_data: true,
-        });
-        g.edges.push(StreamEdge {
-            from: c,
-            to: a,
-            tokens: 0,
-            is_data: true,
-        });
-        match g.check_liveness() {
-            Liveness::Deadlock { cycle, trace } => {
-                assert_eq!(cycle.len(), 3);
-                assert_eq!(trace.len(), 4, "preamble + one line per module");
-            }
-            Liveness::Live { .. } => panic!("ring must deadlock"),
-        }
-    }
-
-    #[test]
-    fn marked_ring_is_live() {
-        // Same ring, but one edge carries a token: every cycle is marked.
-        let mut g = TimedMarkedGraph::new();
-        let a = g.add_node("a", 1);
-        let b = g.add_node("b", 1);
-        let c = g.add_node("c", 1);
-        g.edges.push(StreamEdge {
-            from: a,
-            to: b,
-            tokens: 0,
-            is_data: true,
-        });
-        g.edges.push(StreamEdge {
-            from: b,
-            to: c,
-            tokens: 0,
-            is_data: true,
-        });
-        g.edges.push(StreamEdge {
-            from: c,
-            to: a,
-            tokens: 1,
-            is_data: true,
-        });
-        assert!(g.check_liveness().is_live());
+        assert!(chain(&[7], &[]).is_live());
     }
 
     #[test]

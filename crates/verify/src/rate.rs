@@ -22,20 +22,15 @@
 //! II = max( max_i c_i,  max_i ⌈(c_i + c_{i+1}) / d_i⌉ )
 //! ```
 //!
-//! This module computes that II as a fixed point on the shared worklist
-//! solver ([`crate::fixpoint`]): the abstract value per stage is its
-//! locally-required II (a `u64` max-lattice), the transfer takes the max of
-//! the stage's own cost, its pair-cycle bounds, and its neighbors' values
-//! (stages in a chain sustain one common rate), and iteration spreads the
-//! global maximum to every stage. The lattice is finite (bounded by the
-//! largest pair sum), so the solver terminates without ever widening.
+//! This module evaluates that formula in one pass over the stages and
+//! edges (a depth of 0 counts as 1 here; `DF005` owns zero capacities).
+//! The stream simulator in `adaflow-dataflow` is the reference it is
+//! tested against.
 //!
 //! The dataflow crate builds [`Stage`] lists from compiled module specs
 //! and feeds the verdict to rule `DF004`; `fifo.rs` inverts the pair-cycle
 //! bound to size each FIFO (`required_edge_capacity` in
 //! [`crate::liveness`]).
-
-use crate::fixpoint::{self, Lattice};
 
 /// One pipeline stage, abstractly: a name and its cycles-per-frame cost.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,7 +88,7 @@ impl std::fmt::Display for MismatchSeverity {
     }
 }
 
-/// Result of the steady-state rate-balance fixpoint.
+/// Result of the steady-state rate-balance analysis.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RateReport {
     /// Steady-state initiation interval (cycles per frame) of the chain.
@@ -111,8 +106,6 @@ pub struct RateReport {
     /// balanced pipeline; ∞ degenerates to the bottleneck cycles when
     /// there is a single stage).
     pub mismatch_ratio: f64,
-    /// Solver iteration statistics.
-    pub stats: fixpoint::FixpointStats,
 }
 
 impl RateReport {
@@ -139,23 +132,15 @@ impl RateReport {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct MaxU64(u64);
-
-impl Lattice for MaxU64 {
-    fn join(&self, other: &Self) -> Self {
-        MaxU64(self.0.max(other.0))
-    }
-}
-
 fn pair_bound(a: u64, b: u64, depth: usize) -> u64 {
     let d = depth.max(1) as u64;
     (a + b).div_ceil(d)
 }
 
-/// Solves the steady-state rate equations for a chain of `stages` coupled
-/// by FIFOs of per-edge capacity `depths` (`depths.len() == stages.len() -
-/// 1`; an empty chain or single stage needs no FIFOs).
+/// The steady-state II of a chain of `stages` coupled by FIFOs of per-edge
+/// capacity `depths` (`depths.len() == stages.len() - 1`; an empty chain or
+/// single stage needs no FIFOs):
+/// `max(max_i c_i, max_i ⌈(c_i + c_{i+1}) / d_i⌉)`.
 ///
 /// # Panics
 ///
@@ -168,41 +153,16 @@ pub fn rate_balance(stages: &[Stage], depths: &[usize]) -> RateReport {
         stages.len(),
         depths.len(),
     );
-    let n = stages.len();
-    // Producer/consumer coupling runs both ways: upstream back-pressure and
-    // downstream starvation.
-    let mut edges = Vec::with_capacity(2 * n.saturating_sub(1));
-    for i in 1..n {
-        edges.push((i - 1, i));
-        edges.push((i, i - 1));
-    }
-    let solution = fixpoint::solve(
-        stages.iter().map(|s| MaxU64(s.cycles)).collect(),
-        &edges,
-        fixpoint::Config::default(),
-        |i, env| {
-            let mut ii = stages[i].cycles;
-            if i > 0 {
-                ii = ii.max(env[i - 1].0).max(pair_bound(
-                    stages[i - 1].cycles,
-                    stages[i].cycles,
-                    depths[i - 1],
-                ));
-            }
-            if i + 1 < n {
-                ii = ii.max(env[i + 1].0).max(pair_bound(
-                    stages[i].cycles,
-                    stages[i + 1].cycles,
-                    depths[i],
-                ));
-            }
-            MaxU64(ii)
-        },
-        // The lattice is finite (bounded by the largest pair sum), so
-        // widening is plain replacement; it never actually runs.
-        |_, new| *new,
-    );
-    let steady_ii = solution.values.first().map_or(0, |v| v.0);
+    let pairs = stages
+        .windows(2)
+        .zip(depths)
+        .map(|(pair, &d)| pair_bound(pair[0].cycles, pair[1].cycles, d));
+    let steady_ii = stages
+        .iter()
+        .map(|s| s.cycles)
+        .chain(pairs)
+        .max()
+        .unwrap_or(0);
     let bottleneck = stages
         .iter()
         .enumerate()
@@ -240,7 +200,6 @@ pub fn rate_balance(stages: &[Stage], depths: &[usize]) -> RateReport {
             })
             .collect(),
         mismatch_ratio,
-        stats: solution.stats,
     }
 }
 
@@ -263,7 +222,7 @@ mod tests {
             .collect()
     }
 
-    // The analytic fixpoint must reproduce the stream simulator's measured
+    // The closed form must reproduce the stream simulator's measured
     // steady-state IIs (see adaflow-dataflow stream.rs tests): [5,40,5] at
     // depth 1 → 45, at depth 2 → 40; [1,1,100] at depth 1 → 101;
     // [10,10,10] at depth 1 → 20.
@@ -287,8 +246,6 @@ mod tests {
         let r = rate_balance_uniform(&s, 4);
         assert_eq!(r.steady_ii, 10, "depth 4 kills every pair cycle");
         assert!(!r.fifo_bound);
-        assert!(r.stats.converged);
-        assert_eq!(r.stats.widenings, 0);
     }
 
     #[test]

@@ -193,6 +193,82 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// DF005 liveness against the marked-graph token game
+// ---------------------------------------------------------------------------
+
+/// Plays the token game of a chain whose FIFO `i` has capacity `caps[i]`:
+/// module `j` fires when its input FIFO holds an item and its output FIFO
+/// a free slot. Returns which modules ever fired, and whether the game
+/// reached a marking where no module can fire.
+fn token_game(caps: &[usize]) -> (Vec<bool>, bool) {
+    let n = caps.len() + 1;
+    let mut items = vec![0usize; caps.len()];
+    let mut free = caps.to_vec();
+    let mut fired = vec![false; n];
+    // Every FIFO fills or drains within Σcaps + 1 firings of its
+    // neighbours, so a chain that can still fire after this many rounds
+    // never stops.
+    let rounds = (caps.iter().sum::<usize>() + 2) * n;
+    for _ in 0..rounds {
+        let mut any = false;
+        for j in 0..n {
+            let has_input = j == 0 || items[j - 1] > 0;
+            let has_space = j + 1 == n || free[j] > 0;
+            if has_input && has_space {
+                if j > 0 {
+                    items[j - 1] -= 1;
+                    free[j - 1] += 1;
+                }
+                if j + 1 < n {
+                    free[j] -= 1;
+                    items[j] += 1;
+                }
+                fired[j] = true;
+                any = true;
+            }
+        }
+        if !any {
+            return (fired, true);
+        }
+    }
+    (fired, false)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A chain deadlocks iff some FIFO capacity is 0, and the reported
+    /// cycle is the pair around the lowest zero-capacity edge — a pair the
+    /// token game never fires.
+    #[test]
+    fn chain_deadlocks_iff_a_capacity_is_zero(
+        caps in proptest::collection::vec(0usize..=3, 1..=11),
+    ) {
+        let stages: Vec<adaflow_verify::Stage> = (0..=caps.len())
+            .map(|i| adaflow_verify::Stage::new(format!("m{i}"), 1))
+            .collect();
+        let (fired, dead) = token_game(&caps);
+        match adaflow_verify::chain_liveness(&stages, &caps) {
+            adaflow_verify::Liveness::Deadlock { cycle, trace } => {
+                let lowest = caps.iter().position(|&c| c == 0);
+                prop_assert_eq!(lowest, Some(cycle[0]), "caps {:?}", caps);
+                prop_assert_eq!(cycle.len(), 2);
+                prop_assert_eq!(cycle[1], cycle[0] + 1);
+                prop_assert_eq!(trace.len(), 3);
+                prop_assert!(dead, "token game kept firing: caps {:?}", caps);
+                prop_assert!(!fired[cycle[0]] && !fired[cycle[1]], "caps {:?}", caps);
+            }
+            adaflow_verify::Liveness::Live { min_capacity, zero_token_edges } => {
+                prop_assert!(caps.iter().all(|&c| c > 0), "caps {:?}", caps);
+                prop_assert_eq!(Some(min_capacity), caps.iter().copied().min());
+                prop_assert_eq!(zero_token_edges, caps.len());
+                prop_assert!(!dead, "token game stopped: caps {:?}", caps);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Negative: one deterministic corruption per remaining rule code
 // ---------------------------------------------------------------------------
 

@@ -119,7 +119,6 @@ fn arb_graph() -> impl Strategy<Value = CnnGraph> {
 /// asserts cover every intermediate layer on the same runs.
 fn assert_sound(graph: &CnnGraph, input_seeds: &[u64]) {
     let analysis = interval_analysis(graph);
-    assert!(analysis.stats.converged);
     let classifier = analysis.mvtus.last().expect("graph has MVTUs");
     let configs = std::iter::once((ConvStrategy::Im2col, PackedBackend::Scalar)).chain(
         PackedBackend::runnable()
@@ -199,10 +198,10 @@ fn pruned_builtins_stay_sound() {
     }
 }
 
-/// CI wall-clock budget: all three fixed-point analyses over every builtin
-/// model × pruning sweep must stay under 5 s per model (they run inside
-/// every debug engine construction and lint pass, so they have to be
-/// cheap).
+/// CI wall-clock budget: all three chain analyses (intervals, rate
+/// balance, liveness) over every builtin model × pruning sweep must stay
+/// under 5 s per model (they run inside every debug engine construction
+/// and lint pass, so they have to be cheap).
 #[test]
 fn fixpoint_analyses_fit_wall_clock_budget() {
     let builtins = [
@@ -223,7 +222,7 @@ fn fixpoint_analyses_fit_wall_clock_budget() {
                 pruner.prune(graph, rate).expect("prunes").graph
             };
             let analysis = interval_analysis(&g);
-            assert!(analysis.stats.converged, "{}", g.name());
+            assert_eq!(analysis.node_out.len(), g.len(), "{}", g.name());
             let accel = adaflow_dataflow::DataflowAccelerator::compile(
                 &g,
                 &FinnConfig::cnv_reference(&g).expect("folding"),
@@ -238,7 +237,7 @@ fn fixpoint_analyses_fit_wall_clock_budget() {
         }
         assert!(
             start.elapsed().as_secs_f64() < 5.0,
-            "{}: fixed-point sweep took {:.2} s (budget 5 s)",
+            "{}: analysis sweep took {:.2} s (budget 5 s)",
             graph.name(),
             start.elapsed().as_secs_f64(),
         );
