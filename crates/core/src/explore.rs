@@ -31,17 +31,6 @@ pub struct ExplorationGoal {
 }
 
 impl ExplorationGoal {
-    /// The paper-flavoured default: serve the nominal 600 FPS Edge workload
-    /// on a ZCU104 using at most 70 % of the fabric.
-    #[must_use]
-    pub fn edge_default() -> Self {
-        Self {
-            target_fps: 600.0,
-            device: FpgaDevice::zcu104(),
-            utilization_cap: 0.7,
-        }
-    }
-
     fn fits(&self, res: &ResourceEstimate) -> bool {
         let cap = |used: u64, avail: u64| used as f64 <= avail as f64 * self.utilization_cap;
         cap(res.lut, self.device.lut)
@@ -190,6 +179,16 @@ mod tests {
     use super::*;
     use adaflow_model::prelude::*;
 
+    /// The Edge setting: `target_fps` on a ZCU104 using at most 70 % of the
+    /// fabric.
+    fn edge_goal(target_fps: f64) -> ExplorationGoal {
+        ExplorationGoal {
+            target_fps,
+            device: FpgaDevice::zcu104(),
+            utilization_cap: 0.7,
+        }
+    }
+
     #[test]
     fn next_divisor_steps_through_divisors() {
         assert_eq!(next_divisor(1, 3), Some(3));
@@ -201,7 +200,7 @@ mod tests {
     #[test]
     fn explorer_reaches_edge_target_on_cnv() {
         let graph = topology::cnv_w2a2_cifar10().expect("builds");
-        let result = FoldingExplorer::new(ExplorationGoal::edge_default())
+        let result = FoldingExplorer::new(edge_goal(600.0))
             .explore(&graph)
             .expect("explores");
         assert!(
@@ -258,12 +257,9 @@ mod tests {
     fn higher_target_spends_more_resources() {
         let graph = topology::cnv_w2a2_cifar10().expect("builds");
         let explore_at = |fps: f64| {
-            FoldingExplorer::new(ExplorationGoal {
-                target_fps: fps,
-                ..ExplorationGoal::edge_default()
-            })
-            .explore(&graph)
-            .expect("explores")
+            FoldingExplorer::new(edge_goal(fps))
+                .explore(&graph)
+                .expect("explores")
         };
         let low = explore_at(50.0);
         let high = explore_at(600.0);

@@ -174,12 +174,6 @@ impl<'l> RuntimeManager<'l> {
         self
     }
 
-    /// The library being managed.
-    #[must_use]
-    pub fn library(&self) -> &Library {
-        self.library
-    }
-
     /// Currently loaded `(entry index, accelerator kind)`, if any.
     #[must_use]
     pub fn current(&self) -> Option<(usize, AcceleratorKind)> {
@@ -202,6 +196,47 @@ impl<'l> RuntimeManager<'l> {
                 .reconfig
                 .reconfiguration_time(&self.library.baseline.bitstream)
                 .as_secs_f64()
+    }
+
+    /// What moving the fabric from `from` to `to` costs, each side an
+    /// `(entry index, accelerator kind)`: nothing for the same state; a
+    /// weight reload over the PS-PL bus for a model switch on the flexible
+    /// fabric; otherwise a full reconfiguration with the target bitstream.
+    /// The one switch price: the manager's own decisions and the serving
+    /// policies that move between the library's fabrics are charged by it.
+    #[must_use]
+    pub fn switch_price(
+        &self,
+        from: (usize, AcceleratorKind),
+        to: (usize, AcceleratorKind),
+    ) -> (SwitchKind, f64) {
+        let flexible = AcceleratorKind::FlexiblePruning;
+        if from == to {
+            (SwitchKind::None, 0.0)
+        } else if from.1 == flexible && to.1 == flexible {
+            let bytes = self.library.entries()[to.0].weight_bits as f64 / 8.0;
+            (
+                SwitchKind::FlexibleModelSwitch,
+                bytes / self.config.weight_bus_bytes_per_second,
+            )
+        } else {
+            (
+                SwitchKind::Reconfiguration,
+                self.reconfiguration_s(to.0, to.1),
+            )
+        }
+    }
+
+    /// Seconds to load the bitstream serving entry `idx` on `kind`.
+    fn reconfiguration_s(&self, idx: usize, kind: AcceleratorKind) -> f64 {
+        let bitstream = match kind {
+            AcceleratorKind::FlexiblePruning => &self.library.flexible.bitstream,
+            _ => &self.library.entries()[idx].fixed.bitstream,
+        };
+        self.config
+            .reconfig
+            .reconfiguration_time(bitstream)
+            .as_secs_f64()
     }
 
     /// Pure model selection (paper §IV-B2): among entries within the
@@ -320,50 +355,12 @@ impl<'l> RuntimeManager<'l> {
         let entry = &self.library.entries()[idx];
 
         let (switch, stall_s) = match self.current {
-            None => {
-                // Initial load: one reconfiguration to bring the fabric up.
-                let bitstream = match kind {
-                    AcceleratorKind::FlexiblePruning => &self.library.flexible.bitstream,
-                    _ => &entry.fixed.bitstream,
-                };
-                (
-                    SwitchKind::Reconfiguration,
-                    self.config
-                        .reconfig
-                        .reconfiguration_time(bitstream)
-                        .as_secs_f64(),
-                )
-            }
-            Some((cur_idx, cur_kind)) if cur_idx == idx && cur_kind == kind => {
-                (SwitchKind::None, 0.0)
-            }
-            Some((cur_idx, cur_kind)) => {
-                if kind == AcceleratorKind::FlexiblePruning
-                    && cur_kind == AcceleratorKind::FlexiblePruning
-                {
-                    // Fast model switch: stream the new weights in.
-                    let _ = cur_idx;
-                    let bytes = entry.weight_bits as f64 / 8.0;
-                    (
-                        SwitchKind::FlexibleModelSwitch,
-                        bytes / self.config.weight_bus_bytes_per_second,
-                    )
-                } else {
-                    // Any fabric change or fixed-accelerator switch is a
-                    // full reconfiguration.
-                    let bitstream = match kind {
-                        AcceleratorKind::FlexiblePruning => &self.library.flexible.bitstream,
-                        _ => &entry.fixed.bitstream,
-                    };
-                    (
-                        SwitchKind::Reconfiguration,
-                        self.config
-                            .reconfig
-                            .reconfiguration_time(bitstream)
-                            .as_secs_f64(),
-                    )
-                }
-            }
+            // Initial load: one reconfiguration to bring the fabric up.
+            None => (
+                SwitchKind::Reconfiguration,
+                self.reconfiguration_s(idx, kind),
+            ),
+            Some(live) => self.switch_price(live, (idx, kind)),
         };
 
         // The initial load is not a model *switch*: cadence tracking starts
@@ -509,6 +506,51 @@ mod tests {
         let criterion = manager.switch_criterion_s();
         let d = manager.decide(0.5 + 3.0 * criterion, 100.0);
         assert_eq!(d.accelerator, AcceleratorKind::FixedPruning);
+    }
+
+    #[test]
+    fn switch_price_pins_its_three_arms_over_the_library() {
+        let lib = library();
+        let config = RuntimeConfig::default();
+        let manager = RuntimeManager::new(&lib, config.clone());
+        let kinds = [
+            AcceleratorKind::FixedPruning,
+            AcceleratorKind::FlexiblePruning,
+        ];
+        let states: Vec<(usize, AcceleratorKind)> = (0..lib.entries().len())
+            .flat_map(|i| kinds.map(|k| (i, k)))
+            .collect();
+        let mut arms = [0usize; 3];
+        for &from in &states {
+            for &to in &states {
+                let (switch, stall_s) = manager.switch_price(from, to);
+                let entry = &lib.entries()[to.0];
+                let (want, want_s) = if from == to {
+                    arms[0] += 1;
+                    (SwitchKind::None, 0.0)
+                } else if from.1 == AcceleratorKind::FlexiblePruning
+                    && to.1 == AcceleratorKind::FlexiblePruning
+                {
+                    arms[1] += 1;
+                    (
+                        SwitchKind::FlexibleModelSwitch,
+                        entry.weight_bits as f64 / 8.0 / config.weight_bus_bytes_per_second,
+                    )
+                } else {
+                    arms[2] += 1;
+                    let bitstream = match to.1 {
+                        AcceleratorKind::FlexiblePruning => &lib.flexible.bitstream,
+                        _ => &entry.fixed.bitstream,
+                    };
+                    let reconfig = config.reconfig.reconfiguration_time(bitstream);
+                    (SwitchKind::Reconfiguration, reconfig.as_secs_f64())
+                };
+                assert_eq!(switch, want, "{from:?} -> {to:?}");
+                assert_eq!(stall_s.to_bits(), want_s.to_bits(), "{from:?} -> {to:?}");
+            }
+        }
+        let n = lib.entries().len();
+        assert_eq!(arms, [2 * n, n * (n - 1), 4 * n * n - 2 * n - n * (n - 1)]);
     }
 
     #[test]

@@ -154,34 +154,6 @@ impl ModuleSpec {
             base
         }
     }
-
-    /// Total weight storage bits of this module (MVTUs only).
-    #[must_use]
-    pub fn weight_storage_bits(&self) -> u64 {
-        match &self.kind {
-            ModuleKind::Mvtu {
-                rows,
-                cols,
-                weight_bits,
-                ..
-            } => (*rows as u64) * (*cols as u64) * u64::from(*weight_bits),
-            _ => 0,
-        }
-    }
-
-    /// MAC operations per frame (MVTUs only).
-    #[must_use]
-    pub fn macs_per_frame(&self) -> u64 {
-        match &self.kind {
-            ModuleKind::Mvtu {
-                rows,
-                cols,
-                out_pixels,
-                ..
-            } => (*rows as u64) * (*cols as u64) * (*out_pixels as u64),
-            _ => 0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -268,29 +240,6 @@ mod tests {
             rel < 0.037,
             "flexible overhead {rel} exceeds the paper's 3.7% bound"
         );
-    }
-
-    #[test]
-    fn weight_storage_counts_bits() {
-        let m = mvtu(64, 576, 16, 8, 784);
-        assert_eq!(m.weight_storage_bits(), 64 * 576 * 2);
-        let pool = ModuleSpec {
-            name: "p".into(),
-            kind: ModuleKind::MaxPool {
-                channels: 4,
-                kernel: 2,
-                in_pixels: 16,
-                act_bits: 2,
-            },
-            flexible: false,
-        };
-        assert_eq!(pool.weight_storage_bits(), 0);
-    }
-
-    #[test]
-    fn macs_per_frame() {
-        let m = mvtu(64, 576, 16, 8, 784);
-        assert_eq!(m.macs_per_frame(), 64 * 576 * 784);
     }
 
     #[test]

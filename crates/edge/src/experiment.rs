@@ -56,30 +56,6 @@ impl<'l> Experiment<'l> {
         self
     }
 
-    /// The model library this experiment serves from.
-    #[must_use]
-    pub fn library(&self) -> &'l Library {
-        self.library
-    }
-
-    /// The workload specification under evaluation.
-    #[must_use]
-    pub fn workload(&self) -> &WorkloadSpec {
-        &self.workload
-    }
-
-    /// The base seed (run `i` uses `base_seed + i`).
-    #[must_use]
-    pub fn base_seed(&self) -> u64 {
-        self.base_seed
-    }
-
-    /// The number of seeded repetitions.
-    #[must_use]
-    pub fn run_count(&self) -> usize {
-        self.runs
-    }
-
     /// Runs the experiment with a policy factory (one fresh policy per run)
     /// and returns the averaged metrics.
     ///

@@ -24,7 +24,7 @@
 //! Every policy assumes the first image resident when the serving window
 //! opens: the first consult never stalls and never counts as a switch.
 
-use adaflow::{Library, ModelEntry, PressureSignal, RuntimeConfig, RuntimeManager, SwitchKind};
+use adaflow::{Library, PressureSignal, RuntimeConfig, RuntimeManager, SwitchKind};
 use adaflow_dataflow::AcceleratorKind;
 use adaflow_hls::PowerModel;
 use adaflow_telemetry::SinkHandle;
@@ -104,11 +104,6 @@ impl ServingState {
     }
 }
 
-/// Seconds to stream `entry`'s weights over a bus of the given bandwidth.
-fn weight_reload_s(entry: &ModelEntry, bus_bytes_per_second: f64) -> f64 {
-    entry.weight_bits as f64 / 8.0 / bus_bytes_per_second
-}
-
 /// A serving policy, consulted with the pressure its simulator observes.
 pub trait ServePolicy {
     /// Policy display name (stable; used in summaries and the CLI).
@@ -141,16 +136,16 @@ pub trait ServePolicy {
 ///
 /// Transition costs are always charged against the fabric state that is
 /// physically live, not against the manager's bookkeeping, so a deferred
-/// decision cannot turn a fabric change into a free weight reload.
+/// decision cannot turn a fabric change into a free weight reload. The
+/// price itself is the manager's [`RuntimeManager::switch_price`].
 #[derive(Debug, Clone)]
 pub struct AdaFlowServePolicy<'l> {
     library: &'l Library,
     manager: RuntimeManager<'l>,
-    config: RuntimeConfig,
     deadline_s: Option<f64>,
-    /// The serving state physically live on the fabric (flags and stall
-    /// zeroed); `None` until the first consult.
-    applied: Option<ServingState>,
+    /// The library entry and serving state physically live on the fabric
+    /// (flags and stall zeroed); `None` until the first consult.
+    applied: Option<(usize, ServingState)>,
     /// Decayed peak of demanded service rate — what a capacity decision
     /// must stay safe against, since reversing it costs another stall.
     peak_demand_fps: f64,
@@ -165,8 +160,7 @@ impl<'l> AdaFlowServePolicy<'l> {
     pub fn new(library: &'l Library, config: RuntimeConfig) -> Self {
         Self {
             library,
-            manager: RuntimeManager::new(library, config.clone()),
-            config,
+            manager: RuntimeManager::new(library, config),
             deadline_s: None,
             applied: None,
             peak_demand_fps: 0.0,
@@ -196,32 +190,18 @@ impl<'l> AdaFlowServePolicy<'l> {
     /// drifted ahead while decisions were deferred).
     fn target_state(&self, entry_index: usize, accelerator: AcceleratorKind) -> ServingState {
         let mut state = ServingState::steady(self.library, entry_index, accelerator);
-        let Some(live) = &self.applied else {
+        let Some((live_index, live)) = &self.applied else {
             return state; // the first image is resident
         };
         if live.model == state.model && live.accelerator == state.accelerator {
             return state;
         }
+        let (switch, stall_s) = self
+            .manager
+            .switch_price((*live_index, live.accelerator), (entry_index, accelerator));
         state.model_switched = true;
-        if live.accelerator == AcceleratorKind::FlexiblePruning
-            && accelerator == AcceleratorKind::FlexiblePruning
-        {
-            // Same flexible fabric: stream the new weights over the bus.
-            let entry = &self.library.entries()[entry_index];
-            state.stall_s = weight_reload_s(entry, self.config.weight_bus_bytes_per_second);
-        } else {
-            // Any fabric change loads the target bitstream.
-            let bitstream = match accelerator {
-                AcceleratorKind::FlexiblePruning => &self.library.flexible.bitstream,
-                _ => &self.library.entries()[entry_index].fixed.bitstream,
-            };
-            state.stall_s = self
-                .config
-                .reconfig
-                .reconfiguration_time(bitstream)
-                .as_secs_f64();
-            state.reconfigured = true;
-        }
+        state.stall_s = stall_s;
+        state.reconfigured = switch == SwitchKind::Reconfiguration;
         state
     }
 }
@@ -273,7 +253,7 @@ impl ServePolicy for AdaFlowServePolicy<'_> {
             "manager stalls are non-negative"
         );
         let state = self.target_state(decision.entry_index, decision.accelerator);
-        if let (Some(deadline), Some(live)) = (self.deadline_s, &self.applied) {
+        if let (Some(deadline), Some((_, live))) = (self.deadline_s, &self.applied) {
             // A fabric-only move for the model already being served is
             // strictly dominated: identical accuracy, near-identical
             // throughput, and a full reconfiguration stall.
@@ -288,7 +268,7 @@ impl ServePolicy for AdaFlowServePolicy<'_> {
                 return live.clone();
             }
         }
-        self.applied = Some(state.held());
+        self.applied = Some((decision.entry_index, state.held()));
         state
     }
 }
@@ -337,7 +317,6 @@ impl ServePolicy for FixedMaxPolicy<'_> {
 pub struct FlexibleOnlyPolicy<'l> {
     library: &'l Library,
     manager: RuntimeManager<'l>,
-    bus_bytes_per_second: f64,
     current: Option<usize>,
 }
 
@@ -346,22 +325,22 @@ impl<'l> FlexibleOnlyPolicy<'l> {
     /// accuracy-threshold logic restricted to the flexible fabric.
     #[must_use]
     pub fn new(library: &'l Library, config: RuntimeConfig) -> Self {
-        let bus = config.weight_bus_bytes_per_second;
         Self {
             library,
             manager: RuntimeManager::new(library, config),
-            bus_bytes_per_second: bus,
             current: None,
         }
     }
 
-    /// Worst-case weight-reload stall over this library, seconds.
+    /// Worst-case weight-reload stall over this library, seconds: the
+    /// largest switch price between two entries on the flexible fabric.
     #[must_use]
     pub fn worst_stall_s(&self) -> f64 {
-        self.library
-            .entries()
-            .iter()
-            .map(|e| weight_reload_s(e, self.bus_bytes_per_second))
+        let flexible = AcceleratorKind::FlexiblePruning;
+        let n = self.library.entries().len();
+        (0..n)
+            .flat_map(|from| (0..n).map(move |to| ((from, flexible), (to, flexible))))
+            .map(|(from, to)| self.manager.switch_price(from, to).1)
             .fold(0.0, f64::max)
     }
 }
@@ -375,11 +354,11 @@ impl ServePolicy for FlexibleOnlyPolicy<'_> {
         let kind = AcceleratorKind::FlexiblePruning;
         let idx = self.manager.select_model(signal.demand_fps(), kind);
         let mut state = ServingState::steady(self.library, idx, kind);
-        if self.current.is_some_and(|current| current != idx) {
+        if let Some(current) = self.current {
             // Service stalls while the new weights stream over the bus.
-            let entry = &self.library.entries()[idx];
-            state.stall_s = weight_reload_s(entry, self.bus_bytes_per_second);
-            state.model_switched = true;
+            let (switch, stall_s) = self.manager.switch_price((current, kind), (idx, kind));
+            state.stall_s = stall_s;
+            state.model_switched = switch != SwitchKind::None;
         }
         self.current = Some(idx);
         state

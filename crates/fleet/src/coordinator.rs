@@ -81,16 +81,6 @@ impl ReconfigCoordinator {
             start = earliest_end;
         }
     }
-
-    /// Number of granted windows overlapping instant `t_s` — test and
-    /// telemetry helper.
-    #[must_use]
-    pub fn active_at(&self, t_s: f64) -> usize {
-        self.windows
-            .iter()
-            .filter(|&&(s, e)| s <= t_s && t_s < e)
-            .count()
-    }
 }
 
 /// Maximum number of intervals overlapping at any instant — the witness
@@ -159,7 +149,8 @@ mod tests {
         assert_eq!(a, 0.0);
         // A zero-length "drain" neither waits nor consumes the budget.
         assert_eq!(c.acquire(0.1, 0.0), 0.1);
-        assert_eq!(c.active_at(0.1), 1);
+        let active = c.windows.iter().filter(|&&(s, e)| s <= 0.1 && 0.1 < e);
+        assert_eq!(active.count(), 1);
     }
 
     #[test]

@@ -79,12 +79,6 @@ impl<'l> FleetExperiment<'l> {
         self
     }
 
-    /// The fleet configuration in effect.
-    #[must_use]
-    pub fn fleet_config(&self) -> &FleetConfig {
-        &self.config
-    }
-
     /// Runs the experiment and returns the averaged fleet summary.
     #[must_use]
     pub fn run(&self) -> FleetSummary {

@@ -320,12 +320,6 @@ impl GatewayHandle {
         self.shared.stop.raise();
     }
 
-    /// Whether shutdown has been requested.
-    #[must_use]
-    pub fn is_shutdown(&self) -> bool {
-        self.shared.stop.is_raised()
-    }
-
     /// Whether backend `idx` is currently in the healthy rotation.
     #[must_use]
     pub fn backend_healthy(&self, idx: usize) -> bool {

@@ -97,18 +97,6 @@ impl ReconfigurationModel {
         }
     }
 
-    /// A model with a fixed reconfiguration time regardless of bitstream
-    /// size — used to sweep reconfiguration times as in Fig. 1(b).
-    #[must_use]
-    pub fn fixed_time(time: Duration) -> Self {
-        // Infinite-throughput port: only the overhead term remains.
-        Self {
-            bytes_per_second: f64::INFINITY,
-            overhead: time,
-            region_fraction: 1.0,
-        }
-    }
-
     /// Time to load `bitstream` (scaled by the partial region, if any).
     #[must_use]
     pub fn reconfiguration_time(&self, bitstream: &Bitstream) -> Duration {
@@ -148,7 +136,8 @@ mod tests {
 
     #[test]
     fn fixed_time_model_ignores_size() {
-        let model = ReconfigurationModel::fixed_time(Duration::from_millis(290));
+        // Infinite-throughput port: only the overhead term remains.
+        let model = ReconfigurationModel::new(f64::INFINITY, Duration::from_millis(290));
         let big = Bitstream::full_device("a", &FpgaDevice::zcu104());
         let tiny = Bitstream {
             accelerator: "a".into(),
@@ -181,7 +170,7 @@ mod tests {
     #[test]
     fn zero_time_model_for_ideal_switching() {
         // The 0 ms curve of Fig. 1(b).
-        let model = ReconfigurationModel::fixed_time(Duration::ZERO);
+        let model = ReconfigurationModel::new(f64::INFINITY, Duration::ZERO);
         let bs = Bitstream::full_device("a", &FpgaDevice::zcu104());
         assert_eq!(model.reconfiguration_time(&bs), Duration::ZERO);
     }

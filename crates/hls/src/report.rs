@@ -70,20 +70,6 @@ impl UtilizationReport {
     pub fn of(synth: &SynthesizedAccelerator, device: &FpgaDevice) -> Self {
         Self::new(synth.name.clone(), synth.resources, device)
     }
-
-    /// The resource class with the highest utilization — the paper's
-    /// "limiting factor" (BRAM for CNV-class dataflows).
-    ///
-    /// # Panics
-    ///
-    /// Never panics: reports always have four rows.
-    #[must_use]
-    pub fn limiting_resource(&self) -> &UtilizationRow {
-        self.rows
-            .iter()
-            .max_by(|a, b| a.percent.partial_cmp(&b.percent).expect("finite"))
-            .expect("reports have rows")
-    }
 }
 
 impl fmt::Display for UtilizationReport {
@@ -137,7 +123,13 @@ mod tests {
     #[test]
     fn bram_is_the_limiting_resource_for_cnv() {
         let report = cnv_report();
-        assert_eq!(report.limiting_resource().resource, "BRAM36");
+        // The paper's "limiting factor": the most utilized resource class.
+        let limiting = report
+            .rows
+            .iter()
+            .max_by(|a, b| a.percent.total_cmp(&b.percent))
+            .expect("reports have rows");
+        assert_eq!(limiting.resource, "BRAM36");
     }
 
     #[test]

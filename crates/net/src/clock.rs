@@ -10,7 +10,7 @@
 
 use std::time::Instant;
 
-/// A shared epoch translating [`Instant`]s into telemetry seconds.
+/// A shared epoch whose elapsed seconds are telemetry seconds.
 #[derive(Debug, Clone, Copy)]
 pub struct WallClock {
     epoch: Instant,
@@ -29,13 +29,6 @@ impl WallClock {
     #[must_use]
     pub fn now_s(&self) -> f64 {
         self.epoch.elapsed().as_secs_f64()
-    }
-
-    /// Translates an arbitrary instant (e.g. captured on another thread)
-    /// into seconds on this clock's axis.
-    #[must_use]
-    pub fn at_s(&self, instant: Instant) -> f64 {
-        instant.duration_since(self.epoch).as_secs_f64()
     }
 }
 
@@ -57,13 +50,5 @@ mod tests {
         assert!(a >= 0.0);
         assert!(b >= a);
         assert!(a < 1.0, "epoch is 'now', not Unix time");
-    }
-
-    #[test]
-    fn at_s_translates_instants() {
-        let clock = WallClock::start();
-        let mark = Instant::now();
-        assert!(clock.at_s(mark) >= 0.0);
-        assert!(clock.at_s(mark) <= clock.now_s());
     }
 }

@@ -139,19 +139,6 @@ impl LoadSummary {
             .sum()
     }
 
-    /// Rejects a client (or a gateway in front of us) could have safely
-    /// retried elsewhere — the [`Status::is_retryable`] subset. When the
-    /// load runs *through* the gateway this should be ~0: the gateway
-    /// absorbs retryable statuses into its own retry budget.
-    #[must_use]
-    pub fn rejected_retryable(&self) -> u64 {
-        Status::ALL
-            .into_iter()
-            .filter(|s| s.is_retryable())
-            .map(|s| self.count_for(s))
-            .sum()
-    }
-
     /// The counter a given status lands in.
     fn count_for(&self, status: Status) -> u64 {
         match status {
@@ -425,7 +412,12 @@ mod tests {
             ..LoadSummary::default()
         };
         // Exactly the `Status::is_retryable` subset counts.
-        assert_eq!(s.rejected_retryable(), 5);
+        let retryable: u64 = Status::ALL
+            .into_iter()
+            .filter(|status| status.is_retryable())
+            .map(|status| s.count_for(status))
+            .sum();
+        assert_eq!(retryable, 5);
         assert_eq!(s.rejected(), 13);
     }
 

@@ -216,12 +216,6 @@ impl ServerHandle {
         self.shared.stop.raise();
         self.shared.wake_engine_for_stop();
     }
-
-    /// Whether shutdown has been requested.
-    #[must_use]
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.stop.is_raised()
-    }
 }
 
 /// A bound-but-not-yet-serving live server.

@@ -978,15 +978,6 @@ impl<'g> BatchRunner<'g> {
         &self.engine
     }
 
-    /// The batch size this runner prefers to be fed: enough images to keep
-    /// every worker busy (see [`parallel::preferred_batch`]) without
-    /// inflating batch-assembly latency. Dynamic batchers upstream (the
-    /// serving layer) use this as their max-size hint.
-    #[must_use]
-    pub fn batch_size_hint(&self) -> usize {
-        parallel::preferred_batch(self.threads)
-    }
-
     /// Classifies `images`, returning one label per image in input order.
     ///
     /// # Errors
@@ -1810,18 +1801,6 @@ mod tests {
             .collect();
         let runner = BatchRunner::new(engine).with_threads(3);
         assert_eq!(runner.run_full(&images).expect("batch"), serial);
-    }
-
-    #[test]
-    fn batch_runner_hints_batch_size_from_threads() {
-        let g = tiny_graph();
-        let runner = BatchRunner::new(Engine::new(&g).expect("engine")).with_threads(2);
-        assert_eq!(
-            runner.batch_size_hint(),
-            2 * crate::parallel::ITEMS_PER_WORKER_HINT
-        );
-        let auto = BatchRunner::new(Engine::new(&g).expect("engine"));
-        assert!(auto.batch_size_hint() >= crate::parallel::ITEMS_PER_WORKER_HINT);
     }
 
     #[test]

@@ -11,9 +11,6 @@
 //!   [`engine`];
 //! * order-preserving scoped-thread helpers shared by the batch runner, the
 //!   trainer and the edge experiment driver — [`parallel`];
-//! * an emulation of the *flexible* accelerator's runtime-controllable
-//!   channel execution, with idle-lane accounting, used to prove functional
-//!   equivalence between pruned-fixed and flexible execution — [`flexible`];
 //! * seeded synthetic datasets standing in for CIFAR-10 and GTSRB (see
 //!   DESIGN.md for the substitution rationale) — [`dataset`];
 //! * a small straight-through-estimator SGD trainer used to exercise the
@@ -46,8 +43,6 @@ pub mod accuracy;
 pub mod dataset;
 pub mod engine;
 pub mod error;
-pub mod flexible;
-pub mod metrics;
 pub mod packed;
 pub mod parallel;
 pub mod tensor;
@@ -59,8 +54,6 @@ pub use engine::{
     BatchRunner, ConvStrategy, Engine, EngineScratch, InferenceResult, KernelAttribution,
 };
 pub use error::NnError;
-pub use flexible::{FlexibleExecution, FlexibleExecutor};
-pub use metrics::{evaluate_confusion, evaluate_confusion_batched, ConfusionMatrix};
 pub use packed::{default_backend, kernel_thresholds, KernelThresholds, PackedBackend};
 pub use tensor::Activations;
 pub use train::{Trainer, TrainingConfig, TrainingReport};
@@ -73,8 +66,6 @@ pub mod prelude {
         BatchRunner, ConvStrategy, Engine, EngineScratch, InferenceResult, KernelAttribution,
     };
     pub use crate::error::NnError;
-    pub use crate::flexible::{FlexibleExecution, FlexibleExecutor};
-    pub use crate::metrics::{evaluate_confusion, evaluate_confusion_batched, ConfusionMatrix};
     pub use crate::packed::{default_backend, PackedBackend};
     pub use crate::tensor::Activations;
     pub use crate::train::{Trainer, TrainingConfig, TrainingReport};

@@ -18,20 +18,6 @@ pub fn thread_count(requested: usize, items: usize) -> usize {
     threads.clamp(1, items.max(1))
 }
 
-/// Items each worker should receive per batch for the sharding overhead to
-/// amortize without inflating batch-assembly latency (used by the
-/// batch-size hint consumed by dynamic batchers upstream).
-pub const ITEMS_PER_WORKER_HINT: usize = 4;
-
-/// Preferred batch size for `threads` workers (`0` = one per available
-/// core): enough items that every worker gets [`ITEMS_PER_WORKER_HINT`] of
-/// them, so a batch of this size keeps the whole pool busy while staying
-/// small enough for low queueing latency.
-#[must_use]
-pub fn preferred_batch(threads: usize) -> usize {
-    thread_count(threads, usize::MAX) * ITEMS_PER_WORKER_HINT
-}
-
 /// Maps `f` over `items` on `threads` scoped workers, preserving item order.
 ///
 /// Each worker first builds its own state with `init` (e.g. a scratch arena)
@@ -135,14 +121,5 @@ mod tests {
         assert_eq!(thread_count(2, 100), 2);
         assert_eq!(thread_count(0, 0), 1);
         assert!(thread_count(0, 100) >= 1);
-    }
-
-    #[test]
-    fn preferred_batch_scales_with_workers() {
-        assert_eq!(preferred_batch(1), ITEMS_PER_WORKER_HINT);
-        assert_eq!(preferred_batch(4), 4 * ITEMS_PER_WORKER_HINT);
-        // Auto thread count: one batch-chunk per available core.
-        assert!(preferred_batch(0) >= ITEMS_PER_WORKER_HINT);
-        assert_eq!(preferred_batch(0) % ITEMS_PER_WORKER_HINT, 0);
     }
 }

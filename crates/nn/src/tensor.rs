@@ -88,21 +88,6 @@ impl Activations {
         self.data[i] = value;
     }
 
-    /// Element at `(channel, y, x)`, treating out-of-bounds spatial
-    /// coordinates as zero padding. `y`/`x` are signed for this reason.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is out of bounds.
-    #[must_use]
-    pub fn at_padded(&self, c: usize, y: isize, x: isize) -> u8 {
-        if y < 0 || x < 0 || y as usize >= self.shape.height || x as usize >= self.shape.width {
-            0
-        } else {
-            self.at(c, y as usize, x as usize)
-        }
-    }
-
     /// One channel plane as a flat row-major slice.
     ///
     /// # Panics
@@ -137,16 +122,6 @@ mod tests {
         assert_eq!(t.at(2, 3, 4), 255);
         assert_eq!(t.at(0, 0, 0), 1);
         assert_eq!(t.at(1, 2, 2), 0);
-    }
-
-    #[test]
-    fn padded_access() {
-        let mut t = Activations::zeroed(TensorShape::new(1, 2, 2));
-        t.set(0, 0, 0, 9);
-        assert_eq!(t.at_padded(0, -1, 0), 0);
-        assert_eq!(t.at_padded(0, 0, -1), 0);
-        assert_eq!(t.at_padded(0, 2, 0), 0);
-        assert_eq!(t.at_padded(0, 0, 0), 9);
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! LeNet on the MNIST-like dataset: engine + metrics smoke coverage for the
-//! second topology family.
+//! LeNet on the MNIST-like dataset: engine smoke coverage for the second
+//! topology family.
 
 use adaflow_model::prelude::*;
 use adaflow_nn::prelude::*;
-use adaflow_nn::{evaluate_confusion, evaluate_confusion_batched, ConvStrategy};
 
 #[test]
 fn lenet_runs_on_mnist_like_samples() {
@@ -32,30 +31,4 @@ fn lenet_strategies_agree_on_dataset_samples() {
             gemm.run(&sample.image).expect("im2col")
         );
     }
-}
-
-#[test]
-fn confusion_matrix_over_lenet_predictions() {
-    let graph = topology::lenet(QuantSpec::w2a2(), 10).expect("builds");
-    let data = SyntheticDataset::new(DatasetSpec::mnist_like(), 13);
-    let runner = BatchRunner::new(
-        Engine::new(&graph)
-            .expect("engine")
-            .with_strategy(ConvStrategy::Im2col),
-    );
-    let cm = evaluate_confusion_batched(&data, 0, 40, &runner).expect("batched eval");
-    assert_eq!(cm.total(), 40);
-    assert_eq!(cm.classes(), 10);
-    // Untrained random weights: no accuracy claim, but the bookkeeping must
-    // be consistent.
-    assert!(cm.accuracy() <= 1.0);
-    assert!(cm.macro_recall() <= 1.0);
-
-    // The threaded batch evaluation matches the serial closure-based path
-    // bit for bit.
-    let engine = Engine::new(&graph).expect("engine");
-    let serial = evaluate_confusion(&data, 0, 40, |img| {
-        engine.run(img).map(|r| r.label).unwrap_or(0)
-    });
-    assert_eq!(cm, serial);
 }

@@ -89,17 +89,6 @@ proptest! {
         }
     }
 
-    /// Flexible execution reports full occupancy exactly when nothing is
-    /// pruned.
-    #[test]
-    fn flexible_occupancy_of_self_is_full(classes in 2usize..8) {
-        let graph = topology::tiny(QuantSpec::w2a2(), classes).expect("builds");
-        let fabric = FlexibleExecutor::new(graph.clone());
-        let occ = fabric.occupancy(&graph);
-        prop_assert!(occ.iter().all(|o| o.idle_unit_fraction.abs() < 1e-12));
-        prop_assert!(occ.iter().all(|o| o.iteration_saving.abs() < 1e-12));
-    }
-
     /// Reusing one scratch arena across a shuffled batch is bit-identical to
     /// a fresh `run` per image, for every strategy and packed backend.
     #[test]

@@ -61,13 +61,6 @@ impl PrunedModel {
         }
     }
 
-    /// MAC reduction factor versus the original model (`>= 1`).
-    #[must_use]
-    pub fn mac_reduction(&self) -> f64 {
-        let macs = self.graph.total_macs().max(1);
-        self.original_macs as f64 / macs as f64
-    }
-
     /// Per-conv-layer channel counts of the pruned model — the runtime
     /// `channels` vector shipped to flexible accelerators.
     #[must_use]
@@ -379,7 +372,7 @@ mod tests {
         let p = pruner.prune(&g, 0.5).expect("prunes");
         let achieved = p.achieved_rate();
         let keep = 1.0 - achieved;
-        let reduction = p.mac_reduction();
+        let reduction = g.total_macs() as f64 / p.graph.total_macs() as f64;
         // Pure quadratic would give 1/keep^2; first layer (fixed 3 input
         // channels) and FC tail dilute it. Expect clearly superlinear.
         assert!(

@@ -50,15 +50,6 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Sizes the batcher to feed an `adaflow-nn` batch runner: `max_batch`
-    /// becomes [`adaflow_nn::parallel::preferred_batch`] for the given
-    /// worker count (`0` = one per core).
-    #[must_use]
-    pub fn with_batch_hint(mut self, threads: usize) -> Self {
-        self.max_batch = adaflow_nn::parallel::preferred_batch(threads);
-        self
-    }
-
     /// Statically validates the configuration against the serving context:
     /// `nominal_fps` is the workload's nominal offered rate and
     /// `worst_stall_s` the longest service suspension a policy can cause
@@ -256,14 +247,5 @@ mod tests {
         };
         let report = config.validate(600.0, 0.145, lint);
         assert!(report.has_errors());
-    }
-
-    #[test]
-    fn batch_hint_tracks_nn_preference() {
-        let config = ServeConfig::default().with_batch_hint(2);
-        assert_eq!(
-            config.max_batch,
-            2 * adaflow_nn::parallel::ITEMS_PER_WORKER_HINT
-        );
     }
 }

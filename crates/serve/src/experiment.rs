@@ -9,7 +9,7 @@ use crate::engine::ServeEngine;
 use crate::summary::ServeSummary;
 use adaflow::{Library, RuntimeConfig};
 use adaflow_edge::{
-    AdaFlowServePolicy, Experiment, FixedMaxPolicy, FlexibleOnlyPolicy, ServePolicy, WorkloadSpec,
+    AdaFlowServePolicy, FixedMaxPolicy, FlexibleOnlyPolicy, ServePolicy, WorkloadSpec,
 };
 use adaflow_telemetry::SinkHandle;
 
@@ -35,20 +35,6 @@ impl<'l> ServeExperiment<'l> {
             config: ServeConfig::default(),
             runs: 100,
             base_seed: 1,
-            threads: 0,
-        }
-    }
-
-    /// Adapts a fluid-level experiment: same library, workload and seeding,
-    /// so request-level results sit next to the frame-level tables.
-    #[must_use]
-    pub fn from_edge(experiment: &Experiment<'l>) -> Self {
-        Self {
-            library: experiment.library(),
-            workload: experiment.workload().clone(),
-            config: ServeConfig::default(),
-            runs: experiment.run_count(),
-            base_seed: experiment.base_seed(),
             threads: 0,
         }
     }
@@ -82,12 +68,6 @@ impl<'l> ServeExperiment<'l> {
     pub fn config(mut self, config: ServeConfig) -> Self {
         self.config = config;
         self
-    }
-
-    /// The serving configuration in effect.
-    #[must_use]
-    pub fn serve_config(&self) -> &ServeConfig {
-        &self.config
     }
 
     /// Runs the experiment with a policy factory (one fresh policy per
@@ -146,7 +126,7 @@ impl<'l> ServeExperiment<'l> {
 mod tests {
     use super::*;
     use adaflow::LibraryGenerator;
-    use adaflow_edge::Scenario;
+    use adaflow_edge::{Experiment, Scenario};
     use adaflow_model::prelude::*;
     use adaflow_nn::DatasetKind;
 
@@ -168,18 +148,6 @@ mod tests {
         let auto = exp.threads(0).run_fixed_max();
         assert_eq!(serial, two);
         assert_eq!(serial, auto);
-    }
-
-    #[test]
-    fn from_edge_inherits_setup() {
-        let lib = library();
-        let edge = Experiment::new(&lib, WorkloadSpec::paper_edge(Scenario::Shifting))
-            .runs(7)
-            .seed(42);
-        let serve = ServeExperiment::from_edge(&edge);
-        assert_eq!(serve.runs, 7);
-        assert_eq!(serve.base_seed, 42);
-        assert_eq!(serve.workload, *edge.workload());
     }
 
     #[test]

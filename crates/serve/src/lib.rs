@@ -3,8 +3,8 @@
 //! Turns the fluid frame-mass model of `adaflow-edge` into a
 //! request-granular serving layer: every frame from the paper's 20 IoT
 //! devices becomes a timestamped [`Request`] that passes through a bounded
-//! admission queue, a dynamic batcher sized for `adaflow_nn::BatchRunner`,
-//! and a policy-controlled accelerator — with per-request deadline
+//! admission queue, a dynamic batcher and a policy-controlled accelerator
+//! — with per-request deadline
 //! accounting rather than aggregate loss percentages.
 //!
 //! The layer answers the question the fluid model cannot: *which* requests

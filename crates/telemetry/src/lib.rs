@@ -51,6 +51,6 @@ pub use export::{chrome_trace_json, events_from_jsonl, events_to_jsonl, ChromeTr
 pub use histogram::LogHistogram;
 pub use metrics::{MetricsRegistry, RegistryConfig, RegistrySink, WindowStats};
 pub use sink::{Fanout, NullSink, Recorder, SinkHandle, TelemetrySink};
-pub use slo::{Objective, SloConfig, SloEngine, SloReport, WindowBurn};
+pub use slo::{Objective, SloConfig, SloEngine, SloReport};
 pub use span::{SpanRecord, Stage, TraceBuilder};
 pub use trace::{SpanId, Trace, TraceError, TraceForest, TraceId};

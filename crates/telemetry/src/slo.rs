@@ -72,19 +72,6 @@ impl Default for SloConfig {
     }
 }
 
-/// Burn over one trailing window, sampled at a base-window boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct WindowBurn {
-    /// Boundary time (end of the base window), seconds.
-    pub end_s: f64,
-    /// Completions inside the trailing window.
-    pub completed: u64,
-    /// Bad completions inside the trailing window.
-    pub bad: u64,
-    /// Observed bad fraction over allowed bad fraction (0 when idle).
-    pub burn_rate: f64,
-}
-
 /// The evaluated SLO state of one run.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SloReport {

@@ -107,12 +107,6 @@ impl SpanRecord {
     pub fn duration_s(&self) -> f64 {
         self.end_s - self.begin_s
     }
-
-    /// The parsed stage, when the label is one of the fixed taxonomy.
-    #[must_use]
-    pub fn stage_kind(&self) -> Option<Stage> {
-        Stage::from_label(&self.stage)
-    }
 }
 
 /// Builds one request's span tree and emits it as telemetry events.

@@ -66,11 +66,6 @@ impl Trace {
         self.root().map_or(0.0, SpanRecord::duration_s)
     }
 
-    /// The direct children of `parent`, in span-id order.
-    pub fn children_of(&self, parent: SpanId) -> impl Iterator<Item = &SpanRecord> {
-        self.spans.iter().filter(move |s| s.parent == Some(parent))
-    }
-
     /// Checks this trace is well-formed: exactly one root, every parent
     /// link resolves to a span of the same trace, no duplicate span ids,
     /// no negative durations, and every child interval nests inside its
@@ -267,7 +262,8 @@ mod tests {
         let t7 = forest.get(TraceId(7)).expect("trace 7");
         assert!((t7.duration_s() - 0.5).abs() < 1e-12);
         assert_eq!(t7.root().expect("root").stage, Stage::Request.label());
-        assert_eq!(t7.children_of(Stage::Request.span_id()).count(), 2);
+        let root = Some(Stage::Request.span_id());
+        assert_eq!(t7.spans.iter().filter(|s| s.parent == root).count(), 2);
     }
 
     #[test]

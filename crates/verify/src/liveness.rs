@@ -44,14 +44,6 @@ pub enum Liveness {
     },
 }
 
-impl Liveness {
-    /// Whether the graph is deadlock-free.
-    #[must_use]
-    pub fn is_live(&self) -> bool {
-        matches!(self, Liveness::Live { .. })
-    }
-}
-
 /// Checks deadlock-freedom of a linear pipeline: `stages[i]` feeds
 /// `stages[i+1]` through a FIFO of capacity `capacities[i]`.
 ///
@@ -149,7 +141,7 @@ mod tests {
 
     #[test]
     fn single_module_has_no_cycles() {
-        assert!(chain(&[7], &[]).is_live());
+        assert!(matches!(chain(&[7], &[]), Liveness::Live { .. }));
     }
 
     #[test]

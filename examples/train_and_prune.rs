@@ -1,6 +1,6 @@
 //! End-to-end small-scale flow on real tensors: train a tiny quantized CNN
-//! on a synthetic dataset, prune it dataflow-aware, retrain, and verify
-//! that the flexible fabric computes the pruned model bit-exactly while the
+//! on a synthetic dataset, prune it dataflow-aware, retrain, load the
+//! retrained model on the worst-case flexible fabric, and verify that the
 //! fixed accelerator of the pruned model gets faster and smaller.
 //!
 //! This exercises the *real* training/retraining path (STE SGD + threshold
@@ -51,19 +51,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         outcome.accuracy
     );
 
-    // 3. The flexible fabric (synthesized for the unpruned worst case)
-    //    computes the pruned model bit-exactly.
-    let fabric = FlexibleExecutor::new(trained.clone());
-    let sample = data.sample(99_999);
-    let flexible = fabric.execute(&outcome.model.graph, &sample.image)?;
-    let fixed = Engine::new(&outcome.model.graph)?.run(&sample.image)?;
-    assert_eq!(
-        flexible.result, fixed,
-        "flexible and fixed execution must agree"
-    );
+    // 3. The flexible fabric, synthesized once for the unpruned worst
+    //    case, takes the retrained model's channel counts at run time.
+    let fabric =
+        DataflowAccelerator::compile(&trained, &folding, AcceleratorKind::FlexiblePruning)?;
+    let on_fabric = fabric.performance_for(&outcome.model.graph, &folding)?;
     println!(
-        "flexible == fixed execution verified; mean idle fraction {:.1}%",
-        flexible.mean_idle_fraction() * 100.0
+        "flexible fabric (worst case {:?}) runs the retrained model at {:.0} FPS",
+        trained.conv_channels(),
+        on_fabric.throughput_fps
     );
 
     // 4. Hardware effect on a small device (Zynq-7020 class).
