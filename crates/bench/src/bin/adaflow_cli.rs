@@ -897,15 +897,9 @@ fn cmd_report(flags: &Flags) -> Result<(), String> {
     let waterfall = Waterfall::from_forest(&forest, top);
     let mut registry = MetricsRegistry::new(RegistryConfig {
         latency_objective_s: config.deadline_s,
-        ..RegistryConfig::default()
     });
     registry.observe_all(&events);
-    let slo = SloEngine::new(SloConfig {
-        objective,
-        target,
-        ..SloConfig::default()
-    })
-    .evaluate(&registry);
+    let slo = SloEngine::new(SloConfig { objective, target }).evaluate(&registry);
 
     let json = || {
         Ok(format!(

@@ -21,7 +21,7 @@ use adaflow_hls::ReconfigurationModel;
 use adaflow_telemetry::{EventKind, SinkHandle};
 use serde::{Deserialize, Serialize};
 
-/// Default weight-bus bandwidth for flexible model switches (DMA over the
+/// Weight-bus bandwidth for flexible model switches (DMA over the
 /// PS-PL AXI HP port), bytes per second.
 pub const WEIGHT_BUS_BYTES_PER_SECOND: f64 = 1.2e9;
 
@@ -37,8 +37,6 @@ pub struct RuntimeConfig {
     pub switch_interval_multiple: f64,
     /// FPGA reconfiguration timing model.
     pub reconfig: ReconfigurationModel,
-    /// Weight-bus bandwidth used for flexible model switches.
-    pub weight_bus_bytes_per_second: f64,
 }
 
 impl Default for RuntimeConfig {
@@ -47,7 +45,6 @@ impl Default for RuntimeConfig {
             accuracy_threshold_points: 10.0,
             switch_interval_multiple: 10.0,
             reconfig: ReconfigurationModel::default(),
-            weight_bus_bytes_per_second: WEIGHT_BUS_BYTES_PER_SECOND,
         }
     }
 }
@@ -217,7 +214,7 @@ impl<'l> RuntimeManager<'l> {
             let bytes = self.library.entries()[to.0].weight_bits as f64 / 8.0;
             (
                 SwitchKind::FlexibleModelSwitch,
-                bytes / self.config.weight_bus_bytes_per_second,
+                bytes / WEIGHT_BUS_BYTES_PER_SECOND,
             )
         } else {
             (
@@ -534,7 +531,7 @@ mod tests {
                     arms[1] += 1;
                     (
                         SwitchKind::FlexibleModelSwitch,
-                        entry.weight_bits as f64 / 8.0 / config.weight_bus_bytes_per_second,
+                        entry.weight_bits as f64 / 8.0 / WEIGHT_BUS_BYTES_PER_SECOND,
                     )
                 } else {
                     arms[2] += 1;

@@ -7,14 +7,15 @@ use crate::workload::WorkloadSegment;
 use adaflow::PressureSignal;
 use adaflow_telemetry::{EventKind, LogHistogram, SinkHandle};
 
+/// Integration / trace step in seconds.
+const STEP_S: f64 = 0.01;
+
 /// Simulation parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Frame buffer capacity in frames (requests queued beyond it are
     /// dropped). Defaults to 64 (~100 ms at the nominal 600 FPS).
     pub buffer_frames: f64,
-    /// Integration / trace step in seconds.
-    pub step_s: f64,
     /// Whether to record a trace (one [`TracePoint`] per step).
     pub record_trace: bool,
 }
@@ -23,7 +24,6 @@ impl Default for SimConfig {
     fn default() -> Self {
         Self {
             buffer_frames: 64.0,
-            step_s: 0.01,
             record_trace: false,
         }
     }
@@ -74,7 +74,6 @@ impl EdgeSim {
         segments: &[WorkloadSegment],
     ) -> (RunMetrics, Vec<TracePoint>) {
         assert!(!segments.is_empty(), "workload must have segments");
-        assert!(self.config.step_s > 0.0, "step must be positive");
         let buffer = self.config.buffer_frames;
 
         let mut q = 0.0f64;
@@ -136,7 +135,7 @@ impl EdgeSim {
             let end = segment.start_s + segment.duration_s;
             let mut t = segment.start_s;
             while t < end - 1e-12 {
-                let dt = self.config.step_s.min(end - t);
+                let dt = STEP_S.min(end - t);
                 let lambda = segment.fps;
                 // Service is suspended while the stall lasts; a stall
                 // boundary inside the step is handled by splitting.

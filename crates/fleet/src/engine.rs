@@ -49,33 +49,23 @@ fn coefficient_of_variation(xs: &[f64]) -> f64 {
     var.sqrt() / mean
 }
 
-/// The fleet engine: composition, runtime configuration and an optional
-/// telemetry sink.
+/// The fleet engine: composition and an optional telemetry sink. The
+/// adaptive device policies run under the default runtime-manager
+/// configuration.
 #[derive(Debug, Clone)]
 pub struct FleetEngine {
     config: FleetConfig,
-    runtime: RuntimeConfig,
     sink: SinkHandle,
 }
 
 impl FleetEngine {
-    /// Creates an engine over a fleet configuration with the default
-    /// runtime-manager configuration.
+    /// Creates an engine over a fleet configuration.
     #[must_use]
     pub fn new(config: FleetConfig) -> Self {
         Self {
             config,
-            runtime: RuntimeConfig::default(),
             sink: SinkHandle::default(),
         }
-    }
-
-    /// Overrides the runtime-manager configuration the adaptive device
-    /// policies run under.
-    #[must_use]
-    pub fn with_runtime(mut self, runtime: RuntimeConfig) -> Self {
-        self.runtime = runtime;
-        self
     }
 
     /// Attaches a telemetry sink receiving the full fleet lifecycle:
@@ -123,12 +113,12 @@ impl FleetEngine {
             .map(|kind| -> Box<dyn ServePolicy> {
                 match kind {
                     DeviceKind::AdaFlow => Box::new(
-                        AdaFlowServePolicy::new(library, self.runtime.clone())
+                        AdaFlowServePolicy::new(library, RuntimeConfig::default())
                             .with_deadline(cfg.serve.deadline_s),
                     ),
                     DeviceKind::FixedMax => Box::new(FixedMaxPolicy::new(library)),
                     DeviceKind::FlexibleOnly => {
-                        Box::new(FlexibleOnlyPolicy::new(library, self.runtime.clone()))
+                        Box::new(FlexibleOnlyPolicy::new(library, RuntimeConfig::default()))
                     }
                 }
             })

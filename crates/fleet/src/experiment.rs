@@ -8,7 +8,7 @@
 use crate::config::FleetConfig;
 use crate::engine::FleetEngine;
 use crate::summary::FleetSummary;
-use adaflow::{Library, RuntimeConfig};
+use adaflow::Library;
 use adaflow_edge::WorkloadSpec;
 use adaflow_telemetry::SinkHandle;
 
@@ -18,7 +18,6 @@ pub struct FleetExperiment<'l> {
     library: &'l Library,
     workload: WorkloadSpec,
     config: FleetConfig,
-    runtime: RuntimeConfig,
     runs: usize,
     base_seed: u64,
     threads: usize,
@@ -33,7 +32,6 @@ impl<'l> FleetExperiment<'l> {
             library,
             workload,
             config: FleetConfig::default(),
-            runtime: RuntimeConfig::default(),
             runs: 20,
             base_seed: 1,
             threads: 0,
@@ -71,19 +69,11 @@ impl<'l> FleetExperiment<'l> {
         self
     }
 
-    /// Overrides the runtime-manager configuration the adaptive devices
-    /// run under.
-    #[must_use]
-    pub fn runtime(mut self, runtime: RuntimeConfig) -> Self {
-        self.runtime = runtime;
-        self
-    }
-
     /// Runs the experiment and returns the averaged fleet summary.
     #[must_use]
     pub fn run(&self) -> FleetSummary {
         let seeds: Vec<u64> = (0..self.runs as u64).map(|i| self.base_seed + i).collect();
-        let engine = FleetEngine::new(self.config.clone()).with_runtime(self.runtime.clone());
+        let engine = FleetEngine::new(self.config.clone());
         let all = adaflow_nn::parallel::par_map(&seeds, self.threads, |&seed| {
             engine.run(self.library, &self.workload, seed)
         });
@@ -94,10 +84,11 @@ impl<'l> FleetExperiment<'l> {
     /// the CLI's trace exports and the `--check` replay.
     #[must_use]
     pub fn run_traced(&self, seed: u64, sink: SinkHandle) -> FleetSummary {
-        FleetEngine::new(self.config.clone())
-            .with_runtime(self.runtime.clone())
-            .with_sink(sink)
-            .run(self.library, &self.workload, seed)
+        FleetEngine::new(self.config.clone()).with_sink(sink).run(
+            self.library,
+            &self.workload,
+            seed,
+        )
     }
 }
 

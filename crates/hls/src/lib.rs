@@ -40,7 +40,6 @@ pub mod device;
 pub mod error;
 pub mod power;
 pub mod reconfig;
-pub mod report;
 pub mod resources;
 pub mod synth;
 
@@ -48,6 +47,5 @@ pub use device::FpgaDevice;
 pub use error::HlsError;
 pub use power::{PowerModel, PowerReport};
 pub use reconfig::{Bitstream, ReconfigurationModel};
-pub use report::{UtilizationReport, UtilizationRow};
 pub use resources::{estimate_accelerator, estimate_module, ResourceEstimate};
 pub use synth::{synthesize, synthesize_traced, SynthesizedAccelerator};

@@ -62,10 +62,6 @@ pub enum ModelError {
     /// A layer id does not exist in the graph.
     #[error("unknown layer id {0}")]
     UnknownLayer(usize),
-
-    /// Import of a serialized graph failed.
-    #[error("import error: {0}")]
-    Import(String),
 }
 
 #[cfg(test)]

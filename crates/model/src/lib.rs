@@ -30,7 +30,6 @@
 
 pub mod domains;
 pub mod error;
-pub mod export;
 pub mod graph;
 pub mod layer;
 pub mod quant;

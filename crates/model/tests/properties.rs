@@ -1,6 +1,5 @@
 //! Property-based tests on the model IR.
 
-use adaflow_model::export::{export_json, import_json};
 use adaflow_model::prelude::*;
 use proptest::prelude::*;
 
@@ -85,15 +84,5 @@ proptest! {
         let (x, y) = if a <= b { (a, b) } else { (b, a) };
         prop_assert!(t.apply(0, x) <= t.apply(0, y));
         prop_assert!(usize::from(t.apply(0, y)) <= levels);
-    }
-
-    /// Export/import round-trips arbitrary scaled CNV graphs.
-    #[test]
-    fn export_round_trip(classes in 2usize..20, w1 in proptest::bool::ANY) {
-        let quant = if w1 { QuantSpec::w1a2() } else { QuantSpec::w2a2() };
-        let graph = topology::tiny(quant, classes).expect("builds");
-        let json = export_json(&graph).expect("export");
-        let back = import_json(&json).expect("import");
-        prop_assert_eq!(graph, back);
     }
 }

@@ -43,6 +43,9 @@ pub enum LoadMode {
     },
 }
 
+/// How long to wait for straggler responses after the last send.
+const RECV_GRACE: Duration = Duration::from_secs(5);
+
 /// Load-generator configuration.
 #[derive(Debug, Clone)]
 pub struct LoadConfig {
@@ -60,8 +63,6 @@ pub struct LoadConfig {
     pub deadline_us: u64,
     /// RNG seed; same seed + same config = same schedule and payloads.
     pub seed: u64,
-    /// How long to wait for straggler responses after the last send.
-    pub recv_grace: Duration,
 }
 
 impl LoadConfig {
@@ -76,7 +77,6 @@ impl LoadConfig {
             mode: LoadMode::Closed { requests },
             deadline_us: 0,
             seed: 7,
-            recv_grace: Duration::from_secs(5),
         }
     }
 }
@@ -268,9 +268,7 @@ fn closed_loop(
     outcome: &mut ConnOutcome,
 ) {
     let mut rng = conn_rng(config.seed, conn_idx);
-    client
-        .set_read_timeout(Some(config.recv_grace.max(Duration::from_millis(1))))
-        .ok();
+    client.set_read_timeout(Some(RECV_GRACE)).ok();
     for seq in 0..requests {
         let id = conn_idx << 32 | seq;
         let request = build_request(config, id, &mut rng);
@@ -282,7 +280,7 @@ fn closed_loop(
         outcome.summary.sent += 1;
         // Block until this request's response arrives or the grace window
         // expires; a timeout is a missing response, not an error.
-        match client.recv_id(id, config.recv_grace) {
+        match client.recv_id(id, RECV_GRACE) {
             Ok(Some(response)) => {
                 settle(config, outcome, &response, sent_at.elapsed().as_secs_f64());
             }
@@ -344,9 +342,7 @@ fn open_loop(
             }
             continue;
         }
-        if !sending
-            && (in_flight.is_empty() || now_s > duration_s + config.recv_grace.as_secs_f64())
-        {
+        if !sending && (in_flight.is_empty() || now_s > duration_s + RECV_GRACE.as_secs_f64()) {
             break;
         }
         match client.try_recv() {

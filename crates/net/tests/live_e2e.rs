@@ -368,7 +368,6 @@ fn open_loop_every_request_gets_exactly_one_answer() {
             },
             deadline_us: 0,
             seed: 11,
-            recv_grace: Duration::from_secs(5),
         };
         adaflow_net::loadgen::run_load(&lc)
     });

@@ -18,11 +18,12 @@ use crate::sink::TelemetrySink;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
+/// Tumbling window length, simulation seconds.
+pub(crate) const WINDOW_S: f64 = 1.0;
+
 /// Registry parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RegistryConfig {
-    /// Tumbling window length, simulation seconds.
-    pub window_s: f64,
     /// Latency objective used to classify completions as good/bad in the
     /// per-window counts (alongside the deadline verdict carried by the
     /// event itself).
@@ -32,7 +33,6 @@ pub struct RegistryConfig {
 impl Default for RegistryConfig {
     fn default() -> Self {
         RegistryConfig {
-            window_s: 1.0,
             latency_objective_s: 0.25,
         }
     }
@@ -41,7 +41,7 @@ impl Default for RegistryConfig {
 /// Request outcomes inside one tumbling window `[index·w, (index+1)·w)`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WindowStats {
-    /// Window ordinal (`floor(t / window_s)`).
+    /// Window ordinal (`floor(t / 1 s)`).
     pub index: u64,
     /// Requests completed in the window.
     pub completed: u64,
@@ -69,7 +69,6 @@ impl MetricsRegistry {
     /// An empty registry.
     #[must_use]
     pub fn new(config: RegistryConfig) -> Self {
-        assert!(config.window_s > 0.0, "window must be positive");
         assert!(
             config.latency_objective_s > 0.0,
             "latency objective must be positive"
@@ -115,7 +114,7 @@ impl MetricsRegistry {
         let index = if t_s <= 0.0 {
             0
         } else {
-            (t_s / self.config.window_s).floor() as u64
+            (t_s / WINDOW_S).floor() as u64
         };
         let pos = match self.windows.binary_search_by_key(&index, |w| w.index) {
             Ok(pos) => pos,
@@ -345,7 +344,6 @@ mod tests {
     #[test]
     fn registry_folds_counters_windows_and_histograms() {
         let mut r = MetricsRegistry::new(RegistryConfig {
-            window_s: 1.0,
             latency_objective_s: 0.1,
         });
         r.observe_all(&[

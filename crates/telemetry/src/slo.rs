@@ -45,6 +45,13 @@ impl Objective {
     }
 }
 
+/// Short alert window, seconds.
+const SHORT_WINDOW_S: f64 = 5.0;
+/// Long alert window, seconds.
+const LONG_WINDOW_S: f64 = 25.0;
+/// Fire when both windows burn at or above this rate.
+const ALERT_BURN_RATE: f64 = 2.0;
+
 /// SLO parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloConfig {
@@ -52,12 +59,6 @@ pub struct SloConfig {
     pub objective: Objective,
     /// Required good fraction, strictly inside `(0, 1)`.
     pub target: f64,
-    /// Short alert window, seconds.
-    pub short_window_s: f64,
-    /// Long alert window, seconds.
-    pub long_window_s: f64,
-    /// Fire when both windows burn at or above this rate.
-    pub alert_burn_rate: f64,
 }
 
 impl Default for SloConfig {
@@ -65,9 +66,6 @@ impl Default for SloConfig {
         SloConfig {
             objective: Objective::Deadline,
             target: 0.97,
-            short_window_s: 5.0,
-            long_window_s: 25.0,
-            alert_burn_rate: 2.0,
         }
     }
 }
@@ -119,11 +117,6 @@ impl SloEngine {
             config.target > 0.0 && config.target < 1.0,
             "SLO target must be strictly inside (0, 1)"
         );
-        assert!(
-            config.short_window_s > 0.0 && config.long_window_s >= config.short_window_s,
-            "windows must be positive and long >= short"
-        );
-        assert!(config.alert_burn_rate > 0.0, "alert rate must be positive");
         SloEngine { config }
     }
 
@@ -139,7 +132,7 @@ impl SloEngine {
     pub fn evaluate(&self, registry: &MetricsRegistry) -> SloReport {
         let cfg = &self.config;
         let allowed_frac = 1.0 - cfg.target;
-        let base_s = registry.config().window_s;
+        let base_s = crate::metrics::WINDOW_S;
         // Densify the sparse window list so trailing sums see idle gaps.
         let last_index = registry.windows().last().map_or(0, |w| w.index);
         let mut completed = vec![0u64; last_index as usize + 1];
@@ -157,8 +150,8 @@ impl SloEngine {
         };
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let span_windows = |len_s: f64| ((len_s / base_s).ceil() as usize).max(1);
-        let short_n = span_windows(cfg.short_window_s);
-        let long_n = span_windows(cfg.long_window_s);
+        let short_n = span_windows(SHORT_WINDOW_S);
+        let long_n = span_windows(LONG_WINDOW_S);
         let trailing = |sums: &[u64], i: usize, n: usize| -> u64 {
             sums[i.saturating_sub(n - 1)..=i].iter().sum()
         };
@@ -175,15 +168,15 @@ impl SloEngine {
             let long_burn = burn(trailing(&completed, i, long_n), trailing(&bad, i, long_n));
             worst_short = worst_short.max(short_burn);
             worst_long = worst_long.max(long_burn);
-            let over = short_burn >= cfg.alert_burn_rate && long_burn >= cfg.alert_burn_rate;
+            let over = short_burn >= ALERT_BURN_RATE && long_burn >= ALERT_BURN_RATE;
             if over && !firing {
                 let budget = allowed_frac * cumulative_completed as f64;
                 alerts.push(Event::new(
                     (i as f64 + 1.0) * base_s,
                     EventKind::SloBurnAlert {
                         objective: cfg.objective.label().to_string(),
-                        short_window_s: cfg.short_window_s,
-                        long_window_s: cfg.long_window_s,
+                        short_window_s: SHORT_WINDOW_S,
+                        long_window_s: LONG_WINDOW_S,
                         short_burn,
                         long_burn,
                         budget_consumed_pct: if budget > 0.0 {
@@ -216,9 +209,9 @@ impl SloEngine {
                 0.0
             },
             overall_burn_rate: burn(total, total_bad),
-            short_window_s: cfg.short_window_s,
-            long_window_s: cfg.long_window_s,
-            alert_burn_rate: cfg.alert_burn_rate,
+            short_window_s: SHORT_WINDOW_S,
+            long_window_s: LONG_WINDOW_S,
+            alert_burn_rate: ALERT_BURN_RATE,
             worst_short_burn: worst_short,
             worst_long_burn: worst_long,
             alerts,
@@ -233,7 +226,6 @@ mod tests {
 
     fn registry_with(misses: &[(f64, bool)]) -> MetricsRegistry {
         let mut r = MetricsRegistry::new(RegistryConfig {
-            window_s: 1.0,
             latency_objective_s: 0.1,
         });
         for (i, &(latency_s, deadline_met)) in misses.iter().enumerate() {

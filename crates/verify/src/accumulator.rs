@@ -25,7 +25,7 @@
 //! (`max = 255`), and every `MultiThreshold` re-quantizes to `0..=levels`,
 //! so inner layers see far smaller inputs.
 
-use adaflow_model::{CnnGraph, Layer};
+use adaflow_model::{CnnGraph, Layer, MvtuDomain};
 
 pub use adaflow_model::domains::INPUT_ACT_MAX;
 
@@ -81,9 +81,14 @@ fn significant_bits(v: i128) -> i32 {
 /// the layer itself.
 #[must_use]
 pub fn accumulator_bounds(graph: &CnnGraph) -> Vec<AccumulatorBound> {
+    bounds_from(graph, &adaflow_model::mvtu_domains(graph))
+}
+
+/// [`accumulator_bounds`] over the graph's already computed MVTU domains.
+pub(crate) fn bounds_from(graph: &CnnGraph, domains: &[MvtuDomain]) -> Vec<AccumulatorBound> {
     let mvtus = graph.iter().filter(|n| n.layer.is_mvtu());
-    adaflow_model::mvtu_domains(graph)
-        .into_iter()
+    domains
+        .iter()
         .zip(mvtus)
         .map(|(domain, node)| {
             let row_abs_sum = |row: &[i8]| row.iter().map(|&w| u128::from(w.unsigned_abs())).sum();
@@ -108,7 +113,7 @@ pub fn accumulator_bounds(graph: &CnnGraph) -> Vec<AccumulatorBound> {
             let act_max = domain.act_in_max;
             AccumulatorBound {
                 layer: domain.layer,
-                name: domain.name,
+                name: domain.name.clone(),
                 fan_in: domain.fan_in,
                 max_weight: max_w,
                 max_activation: act_max,

@@ -42,7 +42,7 @@ impl fmt::Display for Severity {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Diagnostic {
     /// Stable rule code (e.g. `"AF006"`). The catalog lives in
-    /// [`crate::rules`] and DESIGN.md.
+    /// [`crate::explain`] and DESIGN.md.
     pub code: String,
     /// Severity after the [`LintConfig`] policy has been applied.
     pub severity: Severity,
@@ -127,6 +127,11 @@ impl Diagnostics {
             d.severity = Severity::Error;
         }
         self.items.push(d);
+    }
+
+    /// Whether the policy denies `code`.
+    pub(crate) fn denies(&self, code: &str) -> bool {
+        self.config.deny.contains(code)
     }
 
     /// Shorthand for emitting a finding against a specific layer.

@@ -254,9 +254,8 @@ mod tests {
 
     #[test]
     fn every_graph_rule_code_has_a_doc() {
-        for (code, summary) in crate::Verifier::new().catalog() {
-            let doc = explain(code).unwrap_or_else(|| panic!("no doc for {code}"));
-            assert_eq!(doc.summary, summary, "{code}: catalog/doc summary drift");
+        for &(code, _) in crate::rules::RULES {
+            assert!(explain(code).is_some(), "no doc for {code}");
         }
     }
 

@@ -33,7 +33,7 @@
 //! than the AF006 domain bound — a fact the test suite pins down per
 //! builtin model.
 
-use crate::diag::{Diagnostics, Severity};
+use crate::accumulator::AccumulatorBound;
 use adaflow_model::{CnnGraph, Layer};
 
 /// A closed integer interval `[lo, hi]`, kept in `i128` so that even the
@@ -306,6 +306,12 @@ fn clamp_i32(v: i128) -> i32 {
 /// Runs the whole-graph interval analysis.
 #[must_use]
 pub fn interval_analysis(graph: &CnnGraph) -> IntervalAnalysis {
+    analyse(graph, &crate::accumulator::accumulator_bounds(graph))
+}
+
+/// The interval analysis of `graph`, given its AF006 domain bounds (for
+/// each MVTU's tightness comparison).
+pub(crate) fn analyse(graph: &CnnGraph, bounds: &[AccumulatorBound]) -> IntervalAnalysis {
     let mut node_out: Vec<AbsVal> = Vec::with_capacity(graph.len());
     for node in graph.iter() {
         let out = match node_out.last() {
@@ -314,11 +320,6 @@ pub fn interval_analysis(graph: &CnnGraph) -> IntervalAnalysis {
         };
         node_out.push(out);
     }
-    collect(graph, node_out)
-}
-
-fn collect(graph: &CnnGraph, node_out: Vec<AbsVal>) -> IntervalAnalysis {
-    let domain = crate::accumulator::accumulator_bounds(graph);
     let mut mvtus = Vec::new();
     let mut thresholds = Vec::new();
     for (i, node) in graph.iter().enumerate() {
@@ -340,7 +341,7 @@ fn collect(graph: &CnnGraph, node_out: Vec<AbsVal>) -> IntervalAnalysis {
                     acc,
                     required_bits,
                     spare_bits: 32 - required_bits as i32,
-                    domain_worst_abs: domain
+                    domain_worst_abs: bounds
                         .iter()
                         .find(|b| b.layer == node.id.0)
                         .map_or(0, |b| b.worst_abs),
@@ -397,155 +398,6 @@ fn collect(graph: &CnnGraph, node_out: Vec<AbsVal>) -> IntervalAnalysis {
         mvtus,
         thresholds,
         node_out,
-    }
-}
-
-/// `AF010` — exact accumulator intervals: the reachable interval of every
-/// MVTU accumulator under the actual weights must fit `i32`; the minimal
-/// accumulator width and spare-bit margin are surfaced per layer.
-pub struct ExactAccumulatorIntervals;
-
-impl crate::rules::Rule for ExactAccumulatorIntervals {
-    fn code(&self) -> &'static str {
-        "AF010"
-    }
-
-    fn summary(&self) -> &'static str {
-        "exact fixed-point accumulator intervals fit i32 (minimal width + spare bits)"
-    }
-
-    fn check(&self, graph: &CnnGraph, diag: &mut Diagnostics) {
-        let analysis = interval_analysis(graph);
-        for m in &analysis.mvtus {
-            let at = Some((m.layer, m.name.as_str()));
-            if m.fits_i32() {
-                diag.report(
-                    "AF010",
-                    Severity::Info,
-                    at,
-                    format!(
-                        "exact accumulator interval [{}, {}] needs a {}-bit accumulator; \
-                         {} spare bits in i32 (AF006 domain bound ±{})",
-                        m.acc.lo, m.acc.hi, m.required_bits, m.spare_bits, m.domain_worst_abs,
-                    ),
-                    None,
-                );
-            } else {
-                diag.report(
-                    "AF010",
-                    Severity::Error,
-                    at,
-                    format!(
-                        "exact accumulator interval [{}, {}] needs a {}-bit accumulator \
-                         and overflows i32 under the current weights",
-                        m.acc.lo, m.acc.hi, m.required_bits,
-                    ),
-                    Some(
-                        "reduce fan-in or re-quantize the weights; the overflow is reachable, \
-                         not a domain-bound artifact"
-                            .into(),
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// `AF011` — threshold liveness: flags threshold levels the reachable
-/// accumulator interval can never cross (inert levels waste comparator
-/// hardware and quantization codes) and channels whose thresholded output
-/// is constant (dead channels — prime pruning candidates).
-pub struct ThresholdReachability;
-
-impl crate::rules::Rule for ThresholdReachability {
-    fn code(&self) -> &'static str {
-        "AF011"
-    }
-
-    fn summary(&self) -> &'static str {
-        "threshold levels are reachable and no channel's activation is constant"
-    }
-
-    fn check(&self, graph: &CnnGraph, diag: &mut Diagnostics) {
-        let analysis = interval_analysis(graph);
-        for t in &analysis.thresholds {
-            let at = Some((t.layer, t.name.as_str()));
-            if t.dead_channels > 0 {
-                diag.report(
-                    "AF011",
-                    Severity::Warn,
-                    at,
-                    format!(
-                        "{} channel(s) produce a constant activation over the whole \
-                         reachable accumulator range (first: channel {}); they carry \
-                         no information downstream",
-                        t.dead_channels,
-                        t.first_dead.unwrap_or(0),
-                    ),
-                    Some(
-                        "prune the dead channels or re-calibrate the thresholds into the \
-                         reachable range"
-                            .into(),
-                    ),
-                );
-            } else if t.inert_thresholds > 0 {
-                diag.report(
-                    "AF011",
-                    Severity::Info,
-                    at,
-                    format!(
-                        "{} of {} threshold level slots never discriminate \
-                         ({} of {} channels affected); the implied quantization codes \
-                         are unused",
-                        t.inert_thresholds,
-                        t.levels * graph_channels(graph, t.layer),
-                        t.channels_with_inert,
-                        graph_channels(graph, t.layer),
-                    ),
-                    None,
-                );
-            }
-        }
-    }
-}
-
-fn graph_channels(graph: &CnnGraph, layer: usize) -> usize {
-    graph.nodes().get(layer).map_or(0, |n| match &n.layer {
-        Layer::MultiThreshold(t) => t.channels,
-        _ => 0,
-    })
-}
-
-/// Post-pass over a finished report: AF006 judges the retraining-proof
-/// domain bound, so it errors on graphs whose *actual* weights are
-/// perfectly safe. When the exact interval analysis proves every reachable
-/// accumulator value fits `i32`, the AF006 error is a false positive for
-/// the deployed weights and is demoted to Warn (the domain-level concern —
-/// retraining could still overflow — stays on record).
-pub fn demote_af006_false_positives(graph: &CnnGraph, report: &mut crate::Report) {
-    if !report
-        .diagnostics
-        .iter()
-        .any(|d| d.code == "AF006" && d.severity == Severity::Error)
-    {
-        return;
-    }
-    let analysis = interval_analysis(graph);
-    for d in &mut report.diagnostics {
-        if d.code != "AF006" || d.severity != Severity::Error {
-            continue;
-        }
-        let proven = d
-            .layer
-            .and_then(|l| analysis.mvtu(l))
-            .is_some_and(MvtuInterval::fits_i32);
-        if proven {
-            d.severity = Severity::Warn;
-            d.message.push_str(
-                " — demoted: AF010 interval analysis proves the current weights cannot \
-                 overflow i32 (retraining under this spec may still overflow)",
-            );
-        }
     }
 }
 

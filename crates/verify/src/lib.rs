@@ -17,7 +17,10 @@
 //! adaflow_cli lint --model cnv-w2a2 --rates 0,0.25,0.5
 //! ```
 //!
-//! The graph rule catalog is `AF001`–`AF011` (see [`rules`]); the
+//! The graph rules are `AF001`–`AF011`: one code-ordered table of private
+//! functions that [`Verifier::verify`] runs in a single pass over facts it
+//! computes once per graph (MVTU domains, AF006 domain bounds, the exact
+//! interval analysis); each code's summary lives in [`explain`]. The
 //! dataflow-level rules `DF001`–`DF005` live in `adaflow-dataflow::verify`
 //! because they need the folding configuration and compiled accelerator,
 //! which sit above this crate in the dependency order. Both share the
@@ -55,7 +58,7 @@ pub mod explain;
 pub mod interval;
 pub mod liveness;
 pub mod rate;
-pub mod rules;
+mod rules;
 
 pub use accumulator::{accumulator_bounds, AccumulatorBound, INPUT_ACT_MAX};
 pub use diag::{Diagnostic, Diagnostics, LintConfig, Report, Severity};
@@ -63,30 +66,21 @@ pub use explain::{explain, rule_docs, RuleDoc};
 pub use interval::{interval_analysis, Interval, IntervalAnalysis, MvtuInterval};
 pub use liveness::{chain_liveness, required_edge_capacity, Liveness};
 pub use rate::{rate_balance, rate_balance_uniform, MismatchSeverity, RateReport, Stage};
-pub use rules::Rule;
 
 use adaflow_model::CnnGraph;
 
-/// A configured verification pass: a rule catalog plus a lint policy.
+/// A configured verification pass: the graph rule table under a lint
+/// policy.
+#[derive(Default)]
 pub struct Verifier {
-    rules: Vec<Box<dyn Rule>>,
     config: LintConfig,
 }
 
-impl Default for Verifier {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Verifier {
-    /// A verifier with the full default rule catalog and a neutral policy.
+    /// A verifier with the full rule table and a neutral policy.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            rules: rules::catalog(),
-            config: LintConfig::default(),
-        }
+        Self::default()
     }
 
     /// Sets the allow/deny policy applied while collecting diagnostics.
@@ -96,30 +90,38 @@ impl Verifier {
         self
     }
 
-    /// `(code, invariant)` pairs of the loaded catalog, for `--explain`
-    /// output and documentation.
+    /// `(code, invariant)` pairs of the graph rules, in code order, for
+    /// `--explain` output and documentation. The summaries are the
+    /// [`explain`] registry's.
     #[must_use]
     pub fn catalog(&self) -> Vec<(&'static str, &'static str)> {
-        self.rules.iter().map(|r| (r.code(), r.summary())).collect()
+        rules::RULES
+            .iter()
+            .map(|&(code, _)| (code, explain(code).map_or("", |d| d.summary)))
+            .collect()
     }
 
     /// Runs every rule over `graph` and returns the combined report.
     ///
-    /// After the rule sweep, AF006 errors whose layer the exact interval
-    /// analysis (AF010) proves safe for the *current* weights are demoted
-    /// to warnings — unless the policy explicitly denies AF006, in which
-    /// case the conservative verdict stands.
+    /// The graph's facts — MVTU domains, AF006 domain bounds and the exact
+    /// interval analysis built on them — are computed here, once, and every
+    /// rule reads the same copy.
     #[must_use]
     pub fn verify(&self, graph: &CnnGraph) -> Report {
+        let domains = adaflow_model::mvtu_domains(graph);
+        let bounds = accumulator::bounds_from(graph, &domains);
+        let intervals = interval::analyse(graph, &bounds);
+        let facts = rules::Facts {
+            graph,
+            domains,
+            bounds,
+            intervals,
+        };
         let mut diag = Diagnostics::with_config(self.config.clone());
-        for rule in &self.rules {
-            rule.check(graph, &mut diag);
+        for &(code, check) in rules::RULES {
+            check(code, &facts, &mut diag);
         }
-        let mut report = diag.into_report(graph.name());
-        if !self.config.deny.contains("AF006") {
-            interval::demote_af006_false_positives(graph, &mut report);
-        }
-        report
+        diag.into_report(graph.name())
     }
 }
 
@@ -320,6 +322,87 @@ mod tests {
             .diagnostics
             .iter()
             .any(|d| d.code == "AF006" && d.severity == Severity::Error));
+    }
+
+    /// The whole report of the demotion fixture under four policies: the
+    /// Warn carries the demotion suffix; `deny AF006` keeps the plain Error;
+    /// `allow AF006` drops it; `allow AF010` still demotes (the proof does
+    /// not depend on AF010's own findings being kept).
+    #[test]
+    fn af006_demotion_bytes_pinned_under_each_policy() {
+        let g = GraphBuilder::new("overflow-demoted", TensorShape::flat(1 << 22))
+            .dense(Dense::new(1 << 22, 1, QuantSpec::new(8, 8)))
+            .label_select(1)
+            .build()
+            .expect("builds");
+        let cases = [
+            (
+                "",
+                "",
+                concat!(
+                    "overflow-demoted: 0 error(s), 1 warning(s), 2 info\n",
+                    "  warn[AF006] L0 (fc1): worst-case accumulator ±135832535040 (fan-in 4194304 × ",
+                    "max|w| 127 × max|a| 255), actual weights reach ±0: exceeds i32::MAX by 63.3x — ",
+                    "demoted: AF010 interval analysis proves the current weights cannot overflow i32 ",
+                    "(retraining under this spec may still overflow) — reduce fan-in or quantization ",
+                    "bit widths, or widen the accumulator type\n",
+                    "  info[AF009] L0 (fc1): GEMM fallback: declared 8-bit weights exceed the ≤2-bit ",
+                    "packed contract\n",
+                    "  info[AF010] L0 (fc1): exact accumulator interval [0, 0] needs a 1-bit ",
+                    "accumulator; 31 spare bits in i32 (AF006 domain bound ±135832535040)\n",
+                ),
+            ),
+            (
+                "",
+                "AF006",
+                concat!(
+                    "overflow-demoted: 1 error(s), 0 warning(s), 2 info\n",
+                    "  error[AF006] L0 (fc1): worst-case accumulator ±135832535040 (fan-in 4194304 × ",
+                    "max|w| 127 × max|a| 255), actual weights reach ±0: exceeds i32::MAX by 63.3x — ",
+                    "reduce fan-in or quantization bit widths, or widen the accumulator type\n",
+                    "  info[AF009] L0 (fc1): GEMM fallback: declared 8-bit weights exceed the ≤2-bit ",
+                    "packed contract\n",
+                    "  info[AF010] L0 (fc1): exact accumulator interval [0, 0] needs a 1-bit ",
+                    "accumulator; 31 spare bits in i32 (AF006 domain bound ±135832535040)\n",
+                ),
+            ),
+            (
+                "AF006",
+                "",
+                concat!(
+                    "overflow-demoted: 0 error(s), 0 warning(s), 2 info\n",
+                    "  info[AF009] L0 (fc1): GEMM fallback: declared 8-bit weights exceed the ≤2-bit ",
+                    "packed contract\n",
+                    "  info[AF010] L0 (fc1): exact accumulator interval [0, 0] needs a 1-bit ",
+                    "accumulator; 31 spare bits in i32 (AF006 domain bound ±135832535040)\n",
+                ),
+            ),
+            (
+                "AF010",
+                "",
+                concat!(
+                    "overflow-demoted: 0 error(s), 1 warning(s), 1 info\n",
+                    "  warn[AF006] L0 (fc1): worst-case accumulator ±135832535040 (fan-in 4194304 × ",
+                    "max|w| 127 × max|a| 255), actual weights reach ±0: exceeds i32::MAX by 63.3x — ",
+                    "demoted: AF010 interval analysis proves the current weights cannot overflow i32 ",
+                    "(retraining under this spec may still overflow) — reduce fan-in or quantization ",
+                    "bit widths, or widen the accumulator type\n",
+                    "  info[AF009] L0 (fc1): GEMM fallback: declared 8-bit weights exceed the ≤2-bit ",
+                    "packed contract\n",
+                ),
+            ),
+        ];
+        for (allow, deny, expected) in cases {
+            let v = Verifier::new().with_config(LintConfig {
+                allow: LintConfig::parse_codes(allow),
+                deny: LintConfig::parse_codes(deny),
+            });
+            assert_eq!(
+                v.verify(&g).to_string(),
+                expected,
+                "allow={allow} deny={deny}"
+            );
+        }
     }
 
     #[test]
