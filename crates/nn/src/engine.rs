@@ -25,14 +25,15 @@
 //! 3. **Packed dataflow** — under [`ConvStrategy::Auto`] activations stay
 //!    bit-packed from the first threshold to the classifier: implicit-GEMM
 //!    popcount convolutions with the threshold in their epilogue and
-//!    max-pooling on bitplanes ([`crate::packed`]); the 8-bit input layer
-//!    runs a tap-row direct convolution. No window matrix is built.
+//!    max-pooling on bitplanes ([`crate::packed`]). The 8-bit input layer is
+//!    the same windowed MVTU over a pixel-major byte map, with its threshold
+//!    in its epilogue too. No window matrix is built.
 //! 4. **Parallel batch evaluation** — [`BatchRunner`] shards an image set
 //!    across scoped worker threads, one scratch arena per worker, preserving
 //!    input order.
 
 use crate::error::NnError;
-use crate::packed::{self, PackedBackend, PackedThresholds, Run};
+use crate::packed::{self, ByteWeights, PackedBackend, PackedThresholds, PackedWeights, Run};
 use crate::parallel;
 use crate::tensor::Activations;
 use adaflow_model::{CnnGraph, Conv2d, Layer, MvtuDomain, Node, TensorShape};
@@ -71,10 +72,11 @@ impl Eq for InferenceResult {}
 pub struct KernelAttribution {
     /// Layer name.
     pub layer: String,
-    /// Kernel label: `direct`, `gemm`, `taps`, `packed-scalar`,
-    /// `packed-avx2` or `packed-avx512` for MVTU layers; `threshold` (to `u8`),
-    /// `threshold-pack` (to planes) or `fused` (applied by the packed MVTU
-    /// before it) for thresholds; `maxpool` or `argmax` otherwise.
+    /// Kernel label: `direct`, `gemm`, `bytes-scalar`, `bytes-avx2`,
+    /// `packed-scalar`, `packed-avx2` or `packed-avx512` for MVTU layers;
+    /// `threshold` (to `u8`), `threshold-pack` (to planes) or `fused`
+    /// (applied by the windowed MVTU before it) for thresholds; `maxpool` or
+    /// `argmax` otherwise.
     pub kernel: &'static str,
 }
 
@@ -89,17 +91,18 @@ pub struct KernelAttribution {
 ///   [`packed_min_rows`](crate::KernelThresholds::packed_min_rows) weight
 ///   rows runs the packed popcount kernel on packed feature maps, with the
 ///   threshold that follows in its epilogue; a convolution that cannot pack
-///   but has ≤2-bit weights (the 8-bit input layer) runs by tap rows; every
-///   other conv/dense layer runs the im2col + i32 GEMM lowering;
+///   but has ≤2-bit weights (the 8-bit input layer) runs the byte-window
+///   MVTU over a pixel-major byte map, with the same epilogue; every other
+///   conv/dense layer runs the im2col + i32 GEMM lowering;
 /// * [`ConvStrategy::Direct`] walks the input in place (no scratch memory)
 ///   — the reference the other lowerings are tested against;
 /// * [`ConvStrategy::Im2col`] lowers each convolution to a dense
 ///   matrix-matrix product over an explicit window matrix — the classic GEMM
 ///   lowering, at the cost of `out_pixels x k^2 x ch_in` scratch bytes.
 ///
-/// `Direct` and `Im2col` never touch the packed kernels or the tap-row
-/// convolution, so they double as the equivalence oracles the packed
-/// proptests compare against.
+/// `Direct` and `Im2col` never touch the packed or byte-window kernels, so
+/// they double as the equivalence oracles the packed proptests compare
+/// against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ConvStrategy {
     /// Packed popcount kernels where the domains allow, GEMM elsewhere.
@@ -122,21 +125,24 @@ pub enum ConvStrategy {
 pub struct EngineScratch {
     /// im2col window matrix of the widest GEMM-planned convolution.
     cols: Vec<u8>,
-    /// Channel-major MVTU accumulators of the widest layer that stores them.
+    /// Channel-major MVTU accumulators of the widest layer that stores them:
+    /// a GEMM or direct layer, or a windowed one whose threshold is not
+    /// fused (the classifier).
     accum: Vec<i32>,
-    /// Ping-pong `u8` activation buffers.
+    /// Ping-pong `u8` activation buffers; `act_a` starts as the input image.
     act_a: Vec<u8>,
     act_b: Vec<u8>,
     /// Ping-pong packed feature maps (pixel-major bitplanes).
     map_a: Vec<u64>,
     map_b: Vec<u64>,
-    /// One pixel's accumulators, between the packed micro-kernel and its
+    /// Pixel-major byte map of the widest byte-window MVTU's input, the
+    /// `u8` activations transposed once per inference.
+    byte_map: Vec<u32>,
+    /// One pixel's accumulators, between a windowed micro-kernel and its
     /// threshold epilogue.
     pixel: Vec<i32>,
     /// The runs of one window (one per kernel row at most).
     runs: Vec<Run>,
-    /// Working set of the widest tap-row convolution (`conv_taps_work`).
-    taps: Vec<i32>,
 }
 
 /// Element counts of every [`EngineScratch`] buffer one kernel plan needs.
@@ -146,9 +152,9 @@ struct ScratchSizes {
     accum: usize,
     act: usize,
     map: usize,
+    byte_map: usize,
     pixel: usize,
     runs: usize,
-    taps: usize,
 }
 
 impl EngineScratch {
@@ -179,9 +185,9 @@ impl EngineScratch {
         at_least(&mut self.act_b, sizes.act);
         at_least(&mut self.map_a, sizes.map);
         at_least(&mut self.map_b, sizes.map);
+        at_least(&mut self.byte_map, sizes.byte_map);
         at_least(&mut self.pixel, sizes.pixel);
         at_least(&mut self.runs, sizes.runs);
-        at_least(&mut self.taps, sizes.taps);
     }
 
     /// Total scratch bytes held (diagnostics / capacity planning).
@@ -190,7 +196,7 @@ impl EngineScratch {
         self.cols.len()
             + self.act_a.len()
             + self.act_b.len()
-            + 4 * (self.accum.len() + self.pixel.len() + self.taps.len())
+            + 4 * (self.accum.len() + self.byte_map.len() + self.pixel.len())
             + 8 * (self.map_a.len() + self.map_b.len())
             + std::mem::size_of::<Run>() * self.runs.len()
     }
@@ -311,17 +317,16 @@ enum ByteKernel {
     Direct,
     /// im2col (convolutions) + the blocked `i32` GEMM.
     Gemm,
-    /// Direct convolution by tap rows — [`ConvStrategy::Auto`] on a
-    /// convolution that cannot pack but whose weights are ≤ 2-bit.
-    Taps,
 }
 
-/// A packed MVTU: the convolution (or the dense layer, as the convolution
-/// whose kernel covers its whole input map) over a pixel-major packed map.
+/// A windowed MVTU: the convolution (or the dense layer, as the convolution
+/// whose kernel covers its whole input map) over a pixel-major map — packed
+/// bitplanes for [`PackedWeights`], a byte map for [`ByteWeights`].
 #[derive(Debug, Clone)]
-struct PackedMvtu {
-    weights: packed::PackedWeights,
-    /// Words per input pixel in each plane.
+struct PackedMvtu<W> {
+    weights: W,
+    rows: usize,
+    /// Words (bitplanes) or dwords (bytes) per input pixel.
     cw: usize,
     in_hw: (usize, usize),
     kernel_hw: (usize, usize),
@@ -332,7 +337,31 @@ struct PackedMvtu {
     fused: Option<PackedThresholds>,
 }
 
-impl PackedMvtu {
+impl<W> PackedMvtu<W> {
+    /// The MVTU `m` over an input of `shape`, `cw` words per pixel.
+    fn new(
+        weights: W,
+        m: &Mvtu,
+        shape: TensorShape,
+        cw: usize,
+        fused: Option<PackedThresholds>,
+    ) -> Self {
+        let (kernel_hw, stride, padding) = match m.conv {
+            Some(c) => ((c.kernel, c.kernel), c.stride, c.padding),
+            None => ((shape.height, shape.width), 1, 0),
+        };
+        Self {
+            weights,
+            rows: m.rows,
+            cw,
+            in_hw: (shape.height, shape.width),
+            kernel_hw,
+            stride,
+            padding,
+            fused,
+        }
+    }
+
     /// Writes the window of output pixel `(oy, ox)` as runs — the in-bounds
     /// part of each kernel row, joined to the previous run where both
     /// operands continue (a kernel as wide as the map) — and returns how
@@ -383,7 +412,10 @@ enum Step<'g> {
     /// `u8` activations → channel-major accumulators.
     Bytes(Mvtu<'g>, ByteKernel),
     /// Packed map → packed map (fused threshold) or accumulators.
-    Packed(PackedMvtu),
+    Packed(PackedMvtu<PackedWeights>),
+    /// `u8` activations → byte map → packed map (fused threshold) or
+    /// accumulators.
+    ByteWindow(PackedMvtu<ByteWeights>),
     /// Accumulators → packed map: a threshold whose consumer packs.
     ThresholdPack(PackedThresholds),
     /// A threshold the preceding packed MVTU already applied.
@@ -418,6 +450,11 @@ fn build_plan(
     let is_packed = |i: usize| {
         strategy == ConvStrategy::Auto && nodes[i].1.as_ref().is_some_and(|(_, d)| packs(d))
     };
+    // A convolution that cannot pack but has ≤ 2-bit weights (the 8-bit
+    // input layer) runs the byte window.
+    let is_byte_window = |m: &Mvtu, d: &MvtuDomain| {
+        strategy == ConvStrategy::Auto && m.conv.is_some() && d.weight_bits <= 2
+    };
     // The thresholds of node `i` in packed form, when it is a threshold
     // whose value reaches a packed MVTU.
     let packed_thresholds = |i: usize| match nodes.get(i).map(|(node, _)| &node.layer) {
@@ -443,52 +480,51 @@ fn build_plan(
         let out = node.output_shape;
         let map_words = |planes: usize| planes * out.spatial() * packed::plane_words(out.channels);
         let (step, label) = match (mvtu, &node.layer) {
-            (Some((m, _)), _) if is_packed(i) => {
-                let (kernel_hw, stride, padding) = match m.conv {
-                    Some(c) => ((c.kernel, c.kernel), c.stride, c.padding),
-                    None => ((shape.height, shape.width), 1, 0),
-                };
-                let taps = kernel_hw.0 * kernel_hw.1;
-                let weights =
-                    packed::PackedWeights::pack_taps(m.weights, m.rows, shape.channels, taps);
+            (Some((m, d)), _) if is_packed(i) || is_byte_window(m, d) => {
                 let fused = packed_thresholds(i + 1);
                 fused_planes = fused.as_ref().map(PackedThresholds::planes);
                 if fused.is_none() {
                     sizes.accum = sizes.accum.max(m.rows * m.n);
                 }
-                sizes.pixel = sizes.pixel.max(weights.acc_len());
-                sizes.runs = sizes.runs.max(kernel_hw.0);
-                let step = Step::Packed(PackedMvtu {
-                    weights,
-                    cw: packed::plane_words(shape.channels),
-                    in_hw: (shape.height, shape.width),
-                    kernel_hw,
-                    stride,
-                    padding,
-                    fused,
-                });
-                let label = match backend {
-                    PackedBackend::Scalar => "packed-scalar",
-                    PackedBackend::Avx2 => "packed-avx2",
-                    PackedBackend::Avx512 => "packed-avx512",
-                };
-                (step, label)
+                let taps = m.conv.map_or(shape.spatial(), |c| c.kernel * c.kernel);
+                sizes.runs = sizes.runs.max(m.conv.map_or(shape.height, |c| c.kernel));
+                if is_packed(i) {
+                    let weights = PackedWeights::pack_taps(m.weights, m.rows, shape.channels, taps);
+                    sizes.pixel = sizes.pixel.max(weights.acc_len());
+                    let cw = packed::plane_words(shape.channels);
+                    let label = match backend {
+                        PackedBackend::Scalar => "packed-scalar",
+                        PackedBackend::Avx2 => "packed-avx2",
+                        PackedBackend::Avx512 => "packed-avx512",
+                    };
+                    (
+                        Step::Packed(PackedMvtu::new(weights, m, shape, cw, fused)),
+                        label,
+                    )
+                } else {
+                    let weights = ByteWeights::pack_taps(m.weights, m.rows, shape.channels, taps);
+                    sizes.pixel = sizes.pixel.max(weights.acc_len());
+                    let cw = packed::byte_words(shape.channels);
+                    sizes.byte_map = sizes.byte_map.max(shape.spatial() * cw);
+                    // Every SIMD backend runs the AVX2 byte kernel.
+                    let label = match backend {
+                        PackedBackend::Scalar => "bytes-scalar",
+                        PackedBackend::Avx2 | PackedBackend::Avx512 => "bytes-avx2",
+                    };
+                    (
+                        Step::ByteWindow(PackedMvtu::new(weights, m, shape, cw, fused)),
+                        label,
+                    )
+                }
             }
-            (Some((m, d)), _) => {
+            (Some((m, _)), _) => {
                 let (kernel, label) = match (strategy, m.conv) {
                     (ConvStrategy::Direct, Some(_)) => (ByteKernel::Direct, "direct"),
-                    (ConvStrategy::Auto, Some(_)) if d.weight_bits <= 2 => {
-                        (ByteKernel::Taps, "taps")
-                    }
                     _ => (ByteKernel::Gemm, "gemm"),
                 };
                 sizes.accum = sizes.accum.max(m.rows * m.n);
-                match (kernel, m.conv) {
-                    (ByteKernel::Gemm, Some(_)) => sizes.cols = sizes.cols.max(m.n * m.k),
-                    (ByteKernel::Taps, Some(c)) => {
-                        sizes.taps = sizes.taps.max(conv_taps_work(c, shape, out));
-                    }
-                    _ => {}
+                if kernel == ByteKernel::Gemm && m.conv.is_some() {
+                    sizes.cols = sizes.cols.max(m.n * m.k);
                 }
                 (Step::Bytes(*m, kernel), label)
             }
@@ -577,6 +613,40 @@ impl<'g> Engine<'g> {
                 i / spatial,
             );
         }
+    }
+
+    /// The pixel loop of a windowed MVTU: `dots` computes one output
+    /// pixel's accumulators from its window runs, debug builds check them
+    /// against the AF010 interval of `node` (index, name), and the fused
+    /// threshold emits them as the pixel's code words in `dst` — or they
+    /// are scattered channel-major into `accum`. Returns the planes
+    /// emitted, `None` when scattered.
+    fn run_windows<W>(
+        &self,
+        _node: (usize, &str),
+        p: &PackedMvtu<W>,
+        out: TensorShape,
+        (runs, pixel): (&mut [Run], &mut [i32]),
+        (dst, accum): (&mut [u64], &mut [i32]),
+        dots: impl Fn(&[Run], &mut [i32]),
+    ) -> Option<usize> {
+        let n = out.spatial();
+        let out_cw = packed::plane_words(p.rows);
+        for at in 0..n {
+            let used = p.window_runs(at / out.width, at % out.width, runs);
+            dots(&runs[..used], pixel);
+            #[cfg(debug_assertions)]
+            self.assert_accum_intervals(_node.0, _node.1, &pixel[..p.rows], 1);
+            match &p.fused {
+                Some(t) => t.emit(pixel, &mut dst[at * out_cw..], n * out_cw, self.backend),
+                None => {
+                    for (c, &v) in pixel[..p.rows].iter().enumerate() {
+                        accum[c * n + at] = v;
+                    }
+                }
+            }
+        }
+        p.fused.as_ref().map(PackedThresholds::planes)
     }
 
     /// Prepares an engine for `graph`, checking that the layer arrangement
@@ -763,9 +833,9 @@ impl<'g> Engine<'g> {
             act_b,
             map_a,
             map_b,
+            byte_map,
             pixel,
             runs,
-            taps,
         } = scratch;
         act_a[..input.shape().elements()].copy_from_slice(input.as_slice());
         let mut kind = Kind::Bytes(Buf::A);
@@ -788,9 +858,6 @@ impl<'g> Engine<'g> {
                         (ByteKernel::Direct, Some(c)) => {
                             conv_direct_into(c, src, shape, out_shape, out);
                         }
-                        (ByteKernel::Taps, Some(c)) => {
-                            conv_taps_into(c, src, shape, out_shape, taps, out);
-                        }
                         (_, Some(c)) => {
                             let cols = &mut cols[..m.n * m.k];
                             im2col_into(c, src, shape, out_shape, cols);
@@ -804,32 +871,33 @@ impl<'g> Engine<'g> {
                 }
                 (Step::Packed(p), _, Kind::Planes(buf, planes)) => {
                     let (src, dst) = ping_pong(buf, map_a, map_b);
-                    let n = out_shape.spatial();
-                    let rows = p.weights.rows();
                     let in_stride = shape.spatial() * p.cw;
-                    let out_cw = packed::plane_words(rows);
-                    for at in 0..n {
-                        let used = p.window_runs(at / out_shape.width, at % out_shape.width, runs);
-                        let window = &runs[..used];
-                        p.weights
-                            .window_dots(src, in_stride, planes, window, pixel, self.backend);
-                        #[cfg(debug_assertions)]
-                        self.assert_accum_intervals(_node_idx, &node.name, &pixel[..rows], 1);
-                        match &p.fused {
-                            Some(t) => {
-                                t.emit(pixel, &mut dst[at * out_cw..], n * out_cw, self.backend);
-                            }
-                            None => {
-                                for (c, &v) in pixel[..rows].iter().enumerate() {
-                                    accum[c * n + at] = v;
-                                }
-                            }
-                        }
-                    }
-                    kind = match &p.fused {
-                        Some(t) => Kind::Planes(buf.other(), t.planes()),
-                        None => Kind::Accum,
-                    };
+                    let emitted = self.run_windows(
+                        (_node_idx, &node.name),
+                        p,
+                        out_shape,
+                        (runs, pixel),
+                        (dst, accum),
+                        |window, acc| {
+                            let backend = self.backend;
+                            p.weights
+                                .window_dots(src, in_stride, planes, window, acc, backend);
+                        },
+                    );
+                    kind = emitted.map_or(Kind::Accum, |planes| Kind::Planes(buf.other(), planes));
+                }
+                (Step::ByteWindow(p), _, Kind::Bytes(buf)) => {
+                    let (src, _) = ping_pong(buf, act_a, act_b);
+                    packed::byte_map(&src[..shape.elements()], shape.channels, byte_map);
+                    let emitted = self.run_windows(
+                        (_node_idx, &node.name),
+                        p,
+                        out_shape,
+                        (runs, pixel),
+                        (map_a, accum),
+                        |window, acc| p.weights.window_dots(byte_map, window, acc, self.backend),
+                    );
+                    kind = emitted.map_or(Kind::Accum, |planes| Kind::Planes(Buf::A, planes));
                 }
                 (Step::ThresholdPack(t), _, Kind::Accum) => {
                     // The pixel-major epilogue over channel-major
@@ -1190,70 +1258,6 @@ fn conv_direct_into(
                 }
                 out[(o * oh + y) * ow + x] = acc;
             }
-        }
-    }
-}
-
-/// `i32` words [`conv_taps_into`] needs for `c` over `in_shape`: the widened,
-/// zero-padded input and one output channel's accumulator strip.
-fn conv_taps_work(c: &Conv2d, in_shape: TensorShape, out_shape: TensorShape) -> usize {
-    let pitch = in_shape.width + 2 * c.padding;
-    let padded = c.in_channels * (in_shape.height + 2 * c.padding) * pitch;
-    padded + (out_shape.height - 1) * pitch + out_shape.width
-}
-
-/// Direct convolution by tap rows. The input is widened to `i32` and
-/// zero-padded once; an output channel then accumulates in a strip with the
-/// padded input's row pitch, where output `(y, x)` is strip element
-/// `j = y·pitch + x` and every filter tap reads input element
-/// `stride·j + offset` — so one tap is one contiguous
-/// `strip[j] ±= input[j + offset]` over the whole map that the compiler
-/// vectorises (taps outside `{-1, +1}` multiply), with no window matrix.
-/// The strip's columns past the output width hold sums nobody reads.
-/// Accumulators are channel-major, as every other `u8` kernel writes them.
-fn conv_taps_into(
-    c: &Conv2d,
-    input: &[u8],
-    in_shape: TensorShape,
-    out_shape: TensorShape,
-    work: &mut [i32],
-    out: &mut [i32],
-) {
-    let (k, stride, pad) = (c.kernel, c.stride, c.padding);
-    let (ih, iw) = (in_shape.height, in_shape.width);
-    let (oh, ow) = (out_shape.height, out_shape.width);
-    let pitch = iw + 2 * pad;
-    let plane = (ih + 2 * pad) * pitch;
-    let (padded, strip) = work.split_at_mut(c.in_channels * plane);
-    let strip = &mut strip[..(oh - 1) * pitch + ow];
-    if pad > 0 {
-        padded.fill(0);
-    }
-    for (i, rows) in input.chunks_exact(ih * iw).enumerate() {
-        for (y, row) in rows.chunks_exact(iw).enumerate() {
-            let at = i * plane + (y + pad) * pitch + pad;
-            for (d, &v) in padded[at..at + iw].iter_mut().zip(row) {
-                *d = i32::from(v);
-            }
-        }
-    }
-    for (o, out_map) in out.chunks_exact_mut(oh * ow).enumerate() {
-        strip.fill(0);
-        for (tap, &w) in c.weights.filter(o).iter().enumerate() {
-            let (i, ky, kx) = (tap / (k * k), tap / k % k, tap % k);
-            let taps = &padded[i * plane + ky * pitch + kx..];
-            match (w, stride) {
-                (0, _) => {}
-                (1, 1) => strip.iter_mut().zip(taps).for_each(|(a, &v)| *a += v),
-                (-1, 1) => strip.iter_mut().zip(taps).for_each(|(a, &v)| *a -= v),
-                _ => strip
-                    .iter_mut()
-                    .zip(taps.iter().step_by(stride))
-                    .for_each(|(a, &v)| *a += i32::from(w) * v),
-            }
-        }
-        for (out_row, strip_row) in out_map.chunks_exact_mut(ow).zip(strip.chunks(pitch)) {
-            out_row.copy_from_slice(&strip_row[..ow]);
         }
     }
 }
@@ -1715,6 +1719,10 @@ mod tests {
         let engine = Engine::new(&g).expect("engine");
         assert_eq!(scratch.bytes(), engine.scratch().bytes());
         assert!(scratch.cols.is_empty(), "Auto planned an im2col layer");
+        // conv1 fuses thresh1, so no layer stores a map of accumulators: the
+        // byte map of the image and two packed maps are most of what is left.
+        assert_eq!(scratch.byte_map.len(), 32 * 32);
+        assert!(scratch.bytes() < 100_000, "{} bytes", scratch.bytes());
         // The oracle strategies still get their window matrix.
         let im2col = engine.clone().with_strategy(ConvStrategy::Im2col).scratch();
         assert_eq!(im2col.cols.len(), 28 * 28 * 576);
@@ -1935,17 +1943,22 @@ mod tests {
     #[test]
     fn packed_strategy_skips_the_input_layer_only() {
         // The first MVTU sees 8-bit pixels, so the packed contract cannot
-        // hold there; every later W2A2 MVTU packs, and every threshold
-        // between two packed MVTUs is applied by the first one.
+        // hold there and it runs the byte window; every later W2A2 MVTU
+        // packs, and every threshold before a packed MVTU is applied by the
+        // windowed MVTU that produces it.
         let g = tiny_graph();
         let engine = Engine::new(&g).expect("engine");
         let label = format!("packed-{}", engine.packed_backend().label());
+        let bytes = match engine.packed_backend() {
+            PackedBackend::Scalar => "bytes-scalar",
+            PackedBackend::Avx2 | PackedBackend::Avx512 => "bytes-avx2",
+        };
         let kernels: Vec<&str> = engine.kernels().iter().map(|k| k.kernel).collect();
         assert_eq!(
             kernels,
             [
-                "taps",
-                "threshold-pack",
+                bytes,
+                "fused",
                 "maxpool",
                 label.as_str(),
                 "fused",
@@ -2040,26 +2053,42 @@ mod tests {
         );
     }
 
+    /// Shrinks the AF010 interval of the first node `pick` selects to one
+    /// no input satisfies, then runs tiny: the per-pixel check must trip.
+    #[cfg(debug_assertions)]
+    fn run_with_an_unsatisfiable_interval(pick: impl Fn(&Step) -> bool) {
+        let g = tiny_graph();
+        let mut engine = Engine::new(&g).expect("engine");
+        let node = engine
+            .plan
+            .iter()
+            .position(|p| pick(&p.step))
+            .expect("a planned node");
+        let mut intervals = (*engine.intervals).clone();
+        for bound in intervals[node].as_mut().expect("MVTU interval") {
+            *bound = (i64::MAX, i64::MAX);
+        }
+        engine.intervals = Arc::new(intervals);
+        let _ = engine.run(&random_image(g.input_shape(), 1));
+    }
+
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "escapes the AF010 interval")]
     fn fused_kernel_checks_accumulators_before_thresholding() {
         // conv2 of tiny is packed with its threshold fused: nothing but the
-        // per-pixel check sees its accumulators. Shrink its interval to one
-        // no input satisfies and the run must trip the assertion.
-        let g = tiny_graph();
-        let mut engine = Engine::new(&g).expect("engine");
-        let conv2 = engine
-            .plan
-            .iter()
-            .position(|p| matches!(&p.step, Step::Packed(m) if m.fused.is_some()))
-            .expect("a fused packed MVTU");
-        let mut intervals = (*engine.intervals).clone();
-        for bound in intervals[conv2].as_mut().expect("MVTU interval") {
-            *bound = (i64::MAX, i64::MAX);
-        }
-        engine.intervals = Arc::new(intervals);
-        let _ = engine.run(&random_image(g.input_shape(), 1));
+        // per-pixel check sees its accumulators.
+        run_with_an_unsatisfiable_interval(|s| matches!(s, Step::Packed(m) if m.fused.is_some()));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "escapes the AF010 interval")]
+    fn byte_window_checks_accumulators_before_thresholding() {
+        // conv1 of tiny is the byte window with thresh1 fused.
+        run_with_an_unsatisfiable_interval(
+            |s| matches!(s, Step::ByteWindow(m) if m.fused.is_some()),
+        );
     }
 
     #[test]

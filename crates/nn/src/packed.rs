@@ -39,6 +39,16 @@
 //! activations, established by [`adaflow_model::mvtu_domains`]) is enforced
 //! by the engine's kernel planner, not here.
 //!
+//! ## The byte window
+//!
+//! The first layer reads 8-bit pixels, which no pair of bitplanes holds. It
+//! runs the same windowed MVTU over a **byte map** ([`byte_map`]): per
+//! pixel `⌈C/4⌉` dwords, channel `c` in byte `c % 4` of dword `c / 4`.
+//! [`ByteWeights`] stores each row tap-major as whole dwords, so a window
+//! is the same [`Run`]s, in dwords, and its micro-kernel
+//! ([`ByteWeights::window_dots`]) multiplies bytes instead of popcounting
+//! planes; its accumulators go through the same [`PackedThresholds::emit`].
+//!
 //! ## Dispatch
 //!
 //! [`default_backend`] picks the fastest [`PackedBackend`] the CPU can run,
@@ -47,12 +57,12 @@
 //! `ADAFLOW_FORCE_SCALAR` environment variable pins scalar. The SIMD paths
 //! live in the only two `unsafe`-allowing modules of the workspace
 //! ([`self::avx512`] and [`self::avx2`]; the AVX-512 backend shares the AVX2
-//! threshold epilogue) and every kernel there has a scalar twin here. A
-//! requested backend the CPU cannot run steps down to the next one it can
-//! ([`PackedBackend::effective`]), so the choice is never unsound. Which
-//! layers reach these kernels is the engine planner's decision, a pure
-//! function of the graph; [`kernel_thresholds`] reports the two constants
-//! it uses.
+//! threshold epilogue and byte kernel) and every kernel there has a scalar
+//! twin here. A requested backend the CPU cannot run steps down to the next
+//! one it can ([`PackedBackend::effective`]), so the choice is never
+//! unsound. Which layers reach these kernels is the engine planner's
+//! decision, a pure function of the graph; [`kernel_thresholds`] reports
+//! the two constants it uses.
 
 use adaflow_model::ThresholdTable;
 use std::sync::OnceLock;
@@ -329,6 +339,138 @@ pub(crate) struct Run {
     pub act: usize,
     pub tap: usize,
     pub len: usize,
+}
+
+// ---------------------------------------------------------------------------
+// The byte window.
+// ---------------------------------------------------------------------------
+
+/// Channels per dword of a byte map.
+const DWORD: usize = 4;
+
+/// Largest weight magnitude [`ByteWeights`] holds: the 2-bit domain with
+/// its two's-complement `−2`. A `vpmaddubsw` pair sum over inputs ≤ 255 is
+/// then at most `2 · 255 · 2 = 1 020` and never saturates `i16`.
+const BYTE_WEIGHT_MAX: i8 = 2;
+
+/// Dwords one pixel of a `channels`-deep byte map occupies.
+pub(crate) const fn byte_words(channels: usize) -> usize {
+    channels.div_ceil(DWORD)
+}
+
+/// Transposes a channel-major `u8` map (`[channel][pixel]`) into the
+/// pixel-major byte map: pixel `p` owns the `cw = ⌈C/4⌉` little-endian
+/// dwords at `p · cw`, channel `c` is byte `c % 4` of dword `c / 4`, and pad
+/// bytes are zero — the byte analogue of a packed map's words.
+pub(crate) fn byte_map(input: &[u8], channels: usize, out: &mut [u32]) {
+    let cw = byte_words(channels);
+    let pixels = input.len() / channels;
+    let out = &mut out[..pixels * cw];
+    out.fill(0);
+    for (c, plane) in input.chunks_exact(pixels).enumerate() {
+        let shift = 8 * (c % DWORD);
+        for (word, &v) in out[c / DWORD..].iter_mut().step_by(cw).zip(plane) {
+            *word |= u32::from(v) << shift;
+        }
+    }
+}
+
+/// The byte form of an MVTU weight matrix, for windows over a byte map
+/// (8-bit inputs the bitplanes cannot hold): tap-major
+/// `[tap dword][row][4 × i8]`, rows padded with zeros to whole 8-row
+/// blocks, so one 256-bit load fetches the same tap dword of eight rows.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct ByteWeights {
+    /// Rows rounded up to whole blocks: the rows of one tap dword.
+    pitch: usize,
+    /// Tap dwords per row.
+    words: usize,
+    bytes: Vec<i8>,
+}
+
+impl ByteWeights {
+    /// Packs `rows` filters laid out `[channel][tap]` (the model's
+    /// `[in][kh][kw]`) into tap dwords `tap · ⌈channels/4⌉ + c / 4`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights.len() != rows · channels · taps` or an entry's
+    /// magnitude exceeds 2 — the engine plans this kernel only where the
+    /// declared weights are ≤ 2-bit, which the verifier holds them to.
+    pub(crate) fn pack_taps(weights: &[i8], rows: usize, channels: usize, taps: usize) -> Self {
+        let k = channels * taps;
+        assert_eq!(weights.len(), rows * k, "weight geometry");
+        let cw = byte_words(channels);
+        let pitch = rows.next_multiple_of(BLOCK);
+        let mut bytes = vec![0i8; taps * cw * pitch * DWORD];
+        for r in 0..rows {
+            for (i, &w) in weights[r * k..(r + 1) * k].iter().enumerate() {
+                assert!(
+                    (-BYTE_WEIGHT_MAX..=BYTE_WEIGHT_MAX).contains(&w),
+                    "weight {w} outside the byte kernel's domain"
+                );
+                let (c, tap) = (i / taps, i % taps);
+                let word = tap * cw + c / DWORD;
+                bytes[(word * pitch + r) * DWORD + c % DWORD] = w;
+            }
+        }
+        Self {
+            pitch,
+            words: taps * cw,
+            bytes,
+        }
+    }
+
+    /// Accumulators [`Self::window_dots`] writes: the rows rounded up to
+    /// whole [`PackedThresholds::emit`] blocks.
+    pub(crate) fn acc_len(&self) -> usize {
+        self.pitch
+    }
+
+    /// The micro-kernel: `acc[r] = dot(row r, window)` for every row, where
+    /// the window is the concatenation of `runs` read from the byte map.
+    /// Accumulators of the padding rows are zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a run leaves the tap dwords or the map, or `acc` is shorter
+    /// than [`Self::acc_len`].
+    pub(crate) fn window_dots(
+        &self,
+        map: &[u32],
+        runs: &[Run],
+        acc: &mut [i32],
+        backend: PackedBackend,
+    ) {
+        let acc = &mut acc[..self.pitch];
+        for run in runs {
+            assert!(run.tap + run.len <= self.words, "run leaves the taps");
+            assert!(run.act + run.len <= map.len(), "run leaves the byte map");
+        }
+        // The AVX-512 backend runs this AVX2 kernel: its probe requires AVX2.
+        #[cfg(target_arch = "x86_64")]
+        if backend.effective() != PackedBackend::Scalar {
+            avx2::byte_window_dots(&self.bytes, self.pitch, map, runs, acc);
+            return;
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = backend;
+        acc.fill(0);
+        let tap_len = self.pitch * DWORD;
+        for run in runs {
+            let taps = &self.bytes[run.tap * tap_len..(run.tap + run.len) * tap_len];
+            for (tap, &a) in taps.chunks_exact(tap_len).zip(&map[run.act..][..run.len]) {
+                let a = a.to_le_bytes();
+                for (sum, w) in acc.iter_mut().zip(tap.chunks_exact(DWORD)) {
+                    *sum += w
+                        .iter()
+                        .zip(a)
+                        .map(|(&w, a)| i32::from(w) * i32::from(a))
+                        .sum::<i32>();
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -895,6 +1037,52 @@ mod tests {
                         .sum();
                     assert_eq!(acc[r], expect, "row {r} {backend:?} window {window:?}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn byte_map_puts_channel_c_in_byte_c_mod_4_and_zeroes_the_pad() {
+        // Two pixels of five channels: two dwords per pixel, three pad bytes.
+        let image: Vec<u8> = (1..=10).collect(); // [channel][pixel]
+        let mut map = vec![u32::MAX; 4];
+        byte_map(&image, 5, &mut map);
+        assert_eq!(
+            map,
+            [
+                u32::from_le_bytes([1, 3, 5, 7]),
+                9,
+                u32::from_le_bytes([2, 4, 6, 8]),
+                10
+            ]
+        );
+    }
+
+    #[test]
+    fn byte_window_pair_sums_at_their_bound_are_exact() {
+        // An all-255 window against weights at ±2, the largest magnitude
+        // the byte kernel takes: every vpmaddubsw pair sum sits at ±1 020.
+        // 72 rows are one full 64-row pass and one tail block.
+        let (channels, taps, rows) = (8usize, 9usize, 72usize);
+        let k = channels * taps;
+        let w: Vec<i8> = (0..rows * k)
+            .map(|i| if i / k % 2 == 0 { 2 } else { -2 })
+            .collect();
+        let weights = ByteWeights::pack_taps(&w, rows, channels, taps);
+        let mut map = vec![0u32; taps * byte_words(channels)];
+        byte_map(&vec![255u8; taps * channels], channels, &mut map);
+        let window = [Run {
+            act: 0,
+            tap: 0,
+            len: map.len(),
+        }];
+        let bound = 2 * 255 * k as i32;
+        for backend in PackedBackend::runnable() {
+            let mut acc = vec![7i32; weights.acc_len()];
+            weights.window_dots(&map, &window, &mut acc, backend);
+            for (r, &v) in acc.iter().enumerate() {
+                let expect = if r % 2 == 0 { bound } else { -bound };
+                assert_eq!(v, expect, "row {r} {backend:?}");
             }
         }
     }

@@ -352,6 +352,73 @@ proptest! {
     }
 }
 
+/// conv → threshold → dense → label-select, where the conv reads the 8-bit
+/// input and so runs as the byte-window MVTU: channel counts off the dword,
+/// 1/3/5 kernels with stride 2 and padding up to 2, row counts around the
+/// 8-row blocks and the 64-row pass. A W1/W2 dense consumes the threshold
+/// packed (the conv fuses it); a W4 dense does not (the conv scatters its
+/// accumulators channel-major).
+fn byte_window_graph(seed: u64) -> CnnGraph {
+    let mut s = Stream(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+    let side = 4 + (s.next() % 8) as usize;
+    let shape = TensorShape::new(s.pick(&[1, 2, 3, 5]), side, side);
+    let (kernel, stride, padding) = loop {
+        let geometry = (s.pick(&[1, 3, 5]), s.pick(&[1, 2]), s.pick(&[0, 1, 2]));
+        if shape.windowed(geometry.0, geometry.1, geometry.2).is_some() {
+            break geometry;
+        }
+    };
+    let rows = s.pick(&[1, 7, 9, 33, 64, 72]);
+    let quant = QuantSpec::new(s.pick(&[1, 2]), s.pick(&[1, 2]));
+    let mut conv = Conv2d::new(shape.channels, rows, kernel, stride, padding, quant);
+    s.weights(quant, conv.weights.as_mut_slice());
+    let span = (kernel * kernel * shape.channels) as i32 * 255 / 4;
+    let out = shape
+        .windowed(kernel, stride, padding)
+        .expect("fits")
+        .with_channels(rows);
+    let classes = 2 + (s.next() % 5) as usize;
+    let dense_quant = QuantSpec::new(s.pick(&[1, 2, 4]), 2);
+    let mut dense = Dense::new(out.elements(), classes, dense_quant);
+    s.weights(dense_quant, dense.weights.as_mut_slice());
+    GraphBuilder::new("byte-window", shape)
+        .conv2d(conv)
+        .threshold(s.thresholds(rows, quant.threshold_levels(), span.max(1)))
+        .dense(dense)
+        .label_select(classes)
+        .build()
+        .expect("structurally valid by construction")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The input layer under `Auto` produces the logits of the `Direct` and
+    /// `Im2col` oracles on every backend this CPU runs, scalar included.
+    #[test]
+    fn byte_window_mvtu_matches_oracles_on_hostile_shapes(seed in 0u64..1_000_000) {
+        let graph = byte_window_graph(seed);
+        let engine = |strategy| Engine::new(&graph).expect("engine").with_strategy(strategy);
+        let (direct, im2col) = (engine(ConvStrategy::Direct), engine(ConvStrategy::Im2col));
+        for i in 0..3 {
+            let img = random_image(graph.input_shape(), seed.wrapping_add(i));
+            let oracle = direct.run(&img).expect("direct");
+            prop_assert_eq!(&im2col.run(&img).expect("im2col"), &oracle);
+            for backend in PackedBackend::runnable() {
+                let auto = engine(ConvStrategy::Auto).with_packed_backend(backend);
+                prop_assert!(auto.kernels()[0].kernel.starts_with("bytes-"));
+                prop_assert_eq!(
+                    &auto.run(&img).expect("auto"),
+                    &oracle,
+                    "{:?}, plan {:?}",
+                    backend,
+                    auto.kernels().iter().map(|k| k.kernel).collect::<Vec<_>>()
+                );
+            }
+        }
+    }
+}
+
 /// Deterministic Fisher-Yates shuffle driven by an xorshift stream.
 fn shuffled(mut items: Vec<Activations>, seed: u64) -> Vec<Activations> {
     let mut state = seed | 1;

@@ -3,14 +3,15 @@
 //! Under `ConvStrategy::Auto` every MVTU whose verifier-established domains
 //! fit the packed contract and that has at least `packed_min_rows` weight
 //! rows runs the popcount kernel on packed feature maps, a convolution that
-//! cannot pack but has ≤2-bit weights runs by tap rows, every other
-//! conv/dense layer runs the im2col + i32 GEMM, and the reference direct
-//! convolution is never planned. A threshold is packed iff a packed MVTU
-//! consumes it, and fused iff a packed MVTU also produces its input.
+//! cannot pack but has ≤2-bit weights runs the byte-window MVTU over a byte
+//! map, every other conv/dense layer runs the im2col + i32 GEMM, and the
+//! reference direct convolution is never planned. A threshold is packed iff
+//! a packed MVTU consumes it, and fused iff a windowed MVTU (packed or byte)
+//! also produces its input.
 //! Nothing measured at startup and no environment variable can change that.
 
 use adaflow_model::prelude::*;
-use adaflow_nn::{kernel_thresholds, Activations, ConvStrategy, Engine};
+use adaflow_nn::{kernel_thresholds, Activations, ConvStrategy, Engine, PackedBackend};
 use adaflow_pruning::{DataflowAwarePruner, FinnConfig};
 use adaflow_telemetry::{EventKind, SinkHandle};
 
@@ -42,6 +43,7 @@ fn models() -> Vec<(&'static str, CnnGraph)> {
 fn assert_golden_plan(name: &str, graph: &CnnGraph) -> Vec<&'static str> {
     let engine = Engine::new(graph).expect("engine");
     let packed = format!("packed-{}", engine.packed_backend().label());
+    let bytes = bytes_label(engine.packed_backend());
     let domains = mvtu_domains(graph);
     let kernels = engine.kernels();
     let plan: Vec<&'static str> = domains.iter().map(|d| kernels[d.layer].kernel).collect();
@@ -53,15 +55,15 @@ fn assert_golden_plan(name: &str, graph: &CnnGraph) -> Vec<&'static str> {
         );
         let expected = match (packs, conv && d.weight_bits <= 2) {
             (true, _) => packed.as_str(),
-            (false, true) => "taps",
+            (false, true) => bytes,
             (false, false) => "gemm",
         };
         assert_eq!(*kernel, expected, "{name}: layer {}", d.name);
     }
     // Every shipped model is ≤2-bit past its 8-bit first layer: conv1 runs
-    // by tap rows and everything after it packs, so the first threshold
-    // packs the accumulators and every later one is its producer's epilogue.
-    assert_eq!(plan[0], "taps", "{name}: {plan:?}");
+    // the byte window and everything after it packs, so every threshold is
+    // its producer's epilogue.
+    assert_eq!(plan[0], bytes, "{name}: {plan:?}");
     assert!(plan[1..].iter().all(|k| *k == packed), "{name}: {plan:?}");
     let thresholds: Vec<&str> = graph
         .iter()
@@ -69,9 +71,8 @@ fn assert_golden_plan(name: &str, graph: &CnnGraph) -> Vec<&'static str> {
         .filter(|(node, _)| matches!(node.layer, Layer::MultiThreshold(_)))
         .map(|(_, k)| k.kernel)
         .collect();
-    assert_eq!(thresholds[0], "threshold-pack", "{name}: {thresholds:?}");
     assert!(
-        thresholds[1..].iter().all(|k| *k == "fused"),
+        thresholds.iter().all(|k| *k == "fused"),
         "{name}: {thresholds:?}"
     );
     assert!(
@@ -81,10 +82,51 @@ fn assert_golden_plan(name: &str, graph: &CnnGraph) -> Vec<&'static str> {
     plan
 }
 
+/// The byte-window label under `backend`: every SIMD backend runs the AVX2
+/// byte kernel.
+fn bytes_label(backend: PackedBackend) -> &'static str {
+    match backend {
+        PackedBackend::Scalar => "bytes-scalar",
+        PackedBackend::Avx2 | PackedBackend::Avx512 => "bytes-avx2",
+    }
+}
+
 #[test]
 fn auto_plan_is_golden_on_every_shipped_model() {
     for (name, graph) in models() {
         assert_golden_plan(name, &graph);
+    }
+}
+
+#[test]
+fn auto_plan_matches_the_oracles_on_every_shipped_model() {
+    // Labels and logits of the byte window and the packed kernels, on every
+    // backend this CPU runs, against both oracles on a full-range image.
+    for (name, graph) in models() {
+        let mut image = Activations::zeroed(graph.input_shape());
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for v in image.as_mut_slice() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            *v = (state >> 56) as u8;
+        }
+        let engine = Engine::new(&graph).expect("engine");
+        let oracle = engine
+            .clone()
+            .with_strategy(ConvStrategy::Direct)
+            .run(&image)
+            .expect("direct");
+        let im2col = engine.clone().with_strategy(ConvStrategy::Im2col);
+        assert_eq!(im2col.run(&image).expect("im2col"), oracle, "{name}");
+        for backend in PackedBackend::runnable() {
+            let auto = engine.clone().with_packed_backend(backend);
+            assert_eq!(
+                auto.run(&image).expect("auto"),
+                oracle,
+                "{name} on {backend:?}"
+            );
+        }
     }
 }
 
@@ -104,7 +146,8 @@ fn auto_plan_ignores_the_retired_env_knobs_and_repeats() {
 /// Bit-identity cannot see a probe that silently falls back (a misspelled
 /// feature string computes correctly on the next backend down), so on a
 /// CPU whose kernel-reported flags name the AVX-512 popcount the default
-/// must be the AVX-512 kernel, conv2 through fc3.
+/// must be the AVX-512 kernel, conv2 through fc3, and conv1 the AVX2 byte
+/// kernel.
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 #[test]
 fn avx512_cpus_plan_the_avx512_kernel() {
@@ -128,13 +171,14 @@ fn avx512_cpus_plan_the_avx512_kernel() {
     let cnv = topology::cnv_w2a2_cifar10().expect("builds");
     let plan = assert_golden_plan("cnv-w2a2", &cnv);
     assert_eq!(plan.len(), 9, "{plan:?}");
+    assert_eq!(plan[0], "bytes-avx2", "{plan:?}");
     assert!(plan[1..].iter().all(|k| *k == "packed-avx512"), "{plan:?}");
 }
 
 #[test]
 fn unpackable_weights_keep_the_gemm_everywhere() {
-    // 4-bit weights fit neither the popcount kernel nor the tap rows: the
-    // whole plan stays on the GEMM and every threshold on `u8`.
+    // 4-bit weights fit neither the popcount kernel nor the byte window:
+    // the whole plan stays on the GEMM and every threshold on `u8`.
     let graph = topology::lenet(QuantSpec::new(4, 2), 10).expect("builds");
     let engine = Engine::new(&graph).expect("engine");
     for (node, k) in graph.iter().zip(engine.kernels()) {
@@ -157,11 +201,12 @@ fn unpackable_weights_keep_the_gemm_everywhere() {
 #[test]
 fn cnv_scratch_holds_no_window_matrix() {
     // 910 080 bytes while conv2's 784 x 576 window matrix, its bitplanes and
-    // the u8 maps were in it; what is left is conv1's channel-major
-    // accumulators (230 400 bytes) and two packed maps.
+    // the u8 maps were in it, 283 584 while conv1 stored 230 400 bytes of
+    // channel-major accumulators; what is left is the image, its byte map
+    // and two packed maps.
     let cnv = topology::cnv_w2a2_cifar10().expect("builds");
     let bytes = Engine::new(&cnv).expect("engine").scratch().bytes();
-    assert!(bytes < 300_000, "CNV scratch grew to {bytes} bytes");
+    assert!(bytes < 100_000, "CNV scratch grew to {bytes} bytes");
 }
 
 #[test]
@@ -188,5 +233,6 @@ fn every_cnv_layer_reports_one_span_under_its_own_name() {
         .collect();
     let names: Vec<&str> = cnv.iter().map(|n| n.name.as_str()).collect();
     assert_eq!(layers, names);
-    assert!(spans.contains(&"conv1[taps]".to_string()), "{spans:?}");
+    let conv1 = format!("conv1[{}]", bytes_label(engine.packed_backend()));
+    assert!(spans.contains(&conv1), "{spans:?}");
 }
