@@ -853,6 +853,25 @@ fn cmd_report(flags: &Flags) -> Result<(), String> {
         format!("unknown --slo-objective `{objective_name}` (deadline | latency)")
     })?;
 
+    let config = sim_serve_knobs(flags)?;
+    // A batcher that can never close a batch is the one configuration the
+    // simulators cannot run (`DeviceCore::new` asserts against it): refuse
+    // it with SV001's finding. The rest of the config lint gates `serve`
+    // and `fleet`, not `report`.
+    if config.max_batch == 0 {
+        let report = config.validate(0.0, 0.0, LintConfig::default());
+        let errors: Vec<String> = report
+            .diagnostics
+            .iter()
+            .filter(|d| d.severity == Severity::Error)
+            .map(|d| format!("  {d}"))
+            .collect();
+        return Err(format!(
+            "report cannot run this configuration\n{}",
+            errors.join("\n")
+        ));
+    }
+
     // An explicit library wins; otherwise generate the default edge setup
     // in process so `report` works standalone.
     let cifar = DatasetKind::Cifar10;
@@ -862,7 +881,6 @@ fn cmd_report(flags: &Flags) -> Result<(), String> {
             .generate(&build_model("cnv-w2a2", Some(cifar))?, cifar)
             .map_err(|e| e.to_string())?,
     };
-    let config = sim_serve_knobs(flags)?;
     let (name, seed) = (sim.scenario.name(), sim.seed);
 
     // One traced run: (summary JSON, headline, events).
@@ -2386,6 +2404,18 @@ mod tests {
             assert!(fired(line).contains(&"SV001".to_string()), "{line}");
             let err = run(&args(line)).expect_err("batch 0 is an SV001 error");
             assert!(err.starts_with("lint found"), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn report_refuses_a_zero_batch_in_both_modes() {
+        // Was: a panic in `DeviceCore::new` (exit 101) where `serve` and
+        // `fleet` refuse through SV001.
+        for mode in ["serve", "fleet"] {
+            let line = format!("report --mode {mode} --scenario 2 --batch 0");
+            let err = run(&args(&line)).expect_err("batch 0 must be refused");
+            assert!(err.contains("SV001"), "{line}: {err}");
+            assert!(err.contains("batch size 0"), "{line}: {err}");
         }
     }
 

@@ -138,8 +138,8 @@ pub struct EngineScratch {
     /// Pixel-major byte map of the widest byte-window MVTU's input, the
     /// `u8` activations transposed once per inference.
     byte_map: Vec<u32>,
-    /// One pixel's accumulators, between a windowed micro-kernel and its
-    /// threshold epilogue.
+    /// One tile's accumulators, up to [`packed::TILE`] output pixels of
+    /// them, between a windowed micro-kernel and its threshold epilogue.
     pixel: Vec<i32>,
     /// The runs of one window (one per kernel row at most).
     runs: Vec<Run>,
@@ -326,6 +326,9 @@ enum ByteKernel {
 struct PackedMvtu<W> {
     weights: W,
     rows: usize,
+    /// Accumulators the micro-kernel writes per pixel, padding rows
+    /// included: the pitch of a tile's pixels in the accumulator scratch.
+    acc_len: usize,
     /// Words (bitplanes) or dwords (bytes) per input pixel.
     cw: usize,
     in_hw: (usize, usize),
@@ -333,14 +336,15 @@ struct PackedMvtu<W> {
     stride: usize,
     padding: usize,
     /// The threshold node that follows, when it emits planes: thresholded
-    /// in the kernel's epilogue, pixel by pixel.
+    /// in the kernel's epilogue, tile pixel by tile pixel.
     fused: Option<PackedThresholds>,
 }
 
 impl<W> PackedMvtu<W> {
-    /// The MVTU `m` over an input of `shape`, `cw` words per pixel.
+    /// The MVTU `m` over an input of `shape`, `cw` words per pixel, whose
+    /// micro-kernel writes `acc_len` accumulators per pixel.
     fn new(
-        weights: W,
+        (weights, acc_len): (W, usize),
         m: &Mvtu,
         shape: TensorShape,
         cw: usize,
@@ -353,6 +357,7 @@ impl<W> PackedMvtu<W> {
         Self {
             weights,
             rows: m.rows,
+            acc_len,
             cw,
             in_hw: (shape.height, shape.width),
             kernel_hw,
@@ -394,6 +399,48 @@ impl<W> PackedMvtu<W> {
             }
         }
         used
+    }
+
+    /// Whether the window of output pixel `(oy, ox)` lies wholly inside the
+    /// input map, no tap of it in the padding.
+    fn unclipped(&self, oy: usize, ox: usize) -> bool {
+        let ((ih, iw), (kh, kw)) = (self.in_hw, self.kernel_hw);
+        let (sy, sx) = (oy * self.stride, ox * self.stride);
+        sy >= self.padding
+            && sx >= self.padding
+            && sy - self.padding + kh <= ih
+            && sx - self.padding + kw <= iw
+    }
+
+    /// The tile of output pixels of `out` that starts at pixel `first`
+    /// (raster order): writes each member's window offset from the first
+    /// member's into `offsets` and returns how many there are. Members run
+    /// on while they are unclipped, up to [`packed::TILE`], so every window
+    /// of a tile is the first one's runs shifted by its offset; a clipped
+    /// pixel is a tile of one.
+    fn tile(&self, first: usize, out: TensorShape, offsets: &mut [usize; packed::TILE]) -> usize {
+        let at = |i: usize| (i / out.width, i % out.width);
+        // The word an unclipped window starts at: ((oy·s − pad)·iw + ox·s − pad)·cw.
+        let base = |(oy, ox): (usize, usize)| {
+            let (sy, sx) = (oy * self.stride, ox * self.stride);
+            ((sy - self.padding) * self.in_hw.1 + sx - self.padding) * self.cw
+        };
+        offsets[0] = 0;
+        let (oy, ox) = at(first);
+        if !self.unclipped(oy, ox) {
+            return 1;
+        }
+        let (origin, mut len) = (base((oy, ox)), 1);
+        while len < packed::TILE && first + len < out.spatial() {
+            let (y, x) = at(first + len);
+            if !self.unclipped(y, x) {
+                break;
+            }
+            // Raster order walks unclipped windows forward through the map.
+            offsets[len] = base((y, x)) - origin;
+            len += 1;
+        }
+        len
     }
 }
 
@@ -488,9 +535,11 @@ fn build_plan(
                 }
                 let taps = m.conv.map_or(shape.spatial(), |c| c.kernel * c.kernel);
                 sizes.runs = sizes.runs.max(m.conv.map_or(shape.height, |c| c.kernel));
+                let tile = m.n.min(packed::TILE);
                 if is_packed(i) {
                     let weights = PackedWeights::pack_taps(m.weights, m.rows, shape.channels, taps);
-                    sizes.pixel = sizes.pixel.max(weights.acc_len());
+                    let acc_len = weights.acc_len();
+                    sizes.pixel = sizes.pixel.max(tile * acc_len);
                     let cw = packed::plane_words(shape.channels);
                     let label = match backend {
                         PackedBackend::Scalar => "packed-scalar",
@@ -498,12 +547,13 @@ fn build_plan(
                         PackedBackend::Avx512 => "packed-avx512",
                     };
                     (
-                        Step::Packed(PackedMvtu::new(weights, m, shape, cw, fused)),
+                        Step::Packed(PackedMvtu::new((weights, acc_len), m, shape, cw, fused)),
                         label,
                     )
                 } else {
                     let weights = ByteWeights::pack_taps(m.weights, m.rows, shape.channels, taps);
-                    sizes.pixel = sizes.pixel.max(weights.acc_len());
+                    let acc_len = weights.acc_len();
+                    sizes.pixel = sizes.pixel.max(tile * acc_len);
                     let cw = packed::byte_words(shape.channels);
                     sizes.byte_map = sizes.byte_map.max(shape.spatial() * cw);
                     // Every SIMD backend runs the AVX2 byte kernel.
@@ -512,7 +562,7 @@ fn build_plan(
                         PackedBackend::Avx2 | PackedBackend::Avx512 => "bytes-avx2",
                     };
                     (
-                        Step::ByteWindow(PackedMvtu::new(weights, m, shape, cw, fused)),
+                        Step::ByteWindow(PackedMvtu::new((weights, acc_len), m, shape, cw, fused)),
                         label,
                     )
                 }
@@ -615,36 +665,43 @@ impl<'g> Engine<'g> {
         }
     }
 
-    /// The pixel loop of a windowed MVTU: `dots` computes one output
-    /// pixel's accumulators from its window runs, debug builds check them
-    /// against the AF010 interval of `node` (index, name), and the fused
-    /// threshold emits them as the pixel's code words in `dst` — or they
-    /// are scattered channel-major into `accum`. Returns the planes
-    /// emitted, `None` when scattered.
+    /// The pixel loop of a windowed MVTU, one tile of output pixels at a
+    /// time ([`PackedMvtu::tile`]): `dots` computes the tile's accumulators
+    /// from the first pixel's window runs and every pixel's offset; per
+    /// tile pixel, debug builds check them against the AF010 interval of
+    /// `node` (index, name), and the fused threshold emits them as the
+    /// pixel's code words in `dst` — or they are scattered channel-major
+    /// into `accum`. Returns the planes emitted, `None` when scattered.
     fn run_windows<W>(
         &self,
         _node: (usize, &str),
         p: &PackedMvtu<W>,
         out: TensorShape,
-        (runs, pixel): (&mut [Run], &mut [i32]),
+        (runs, tile): (&mut [Run], &mut [i32]),
         (dst, accum): (&mut [u64], &mut [i32]),
-        dots: impl Fn(&[Run], &mut [i32]),
+        dots: impl Fn((&[Run], &[usize]), &mut [i32]),
     ) -> Option<usize> {
         let n = out.spatial();
         let out_cw = packed::plane_words(p.rows);
-        for at in 0..n {
-            let used = p.window_runs(at / out.width, at % out.width, runs);
-            dots(&runs[..used], pixel);
-            #[cfg(debug_assertions)]
-            self.assert_accum_intervals(_node.0, _node.1, &pixel[..p.rows], 1);
-            match &p.fused {
-                Some(t) => t.emit(pixel, &mut dst[at * out_cw..], n * out_cw, self.backend),
-                None => {
-                    for (c, &v) in pixel[..p.rows].iter().enumerate() {
-                        accum[c * n + at] = v;
+        let mut offsets = [0; packed::TILE];
+        let mut first = 0;
+        while first < n {
+            let used = p.window_runs(first / out.width, first % out.width, runs);
+            let len = p.tile(first, out, &mut offsets);
+            dots((&runs[..used], &offsets[..len]), tile);
+            for (at, acc) in (first..first + len).zip(tile.chunks_exact(p.acc_len)) {
+                #[cfg(debug_assertions)]
+                self.assert_accum_intervals(_node.0, _node.1, &acc[..p.rows], 1);
+                match &p.fused {
+                    Some(t) => t.emit(acc, &mut dst[at * out_cw..], n * out_cw, self.backend),
+                    None => {
+                        for (c, &v) in acc[..p.rows].iter().enumerate() {
+                            accum[c * n + at] = v;
+                        }
                     }
                 }
             }
+            first += len;
         }
         p.fused.as_ref().map(PackedThresholds::planes)
     }
@@ -878,10 +935,10 @@ impl<'g> Engine<'g> {
                         out_shape,
                         (runs, pixel),
                         (dst, accum),
-                        |window, acc| {
+                        |tile, acc| {
                             let backend = self.backend;
                             p.weights
-                                .window_dots(src, in_stride, planes, window, acc, backend);
+                                .window_dots(src, in_stride, planes, tile, acc, backend);
                         },
                     );
                     kind = emitted.map_or(Kind::Accum, |planes| Kind::Planes(buf.other(), planes));
@@ -895,7 +952,7 @@ impl<'g> Engine<'g> {
                         out_shape,
                         (runs, pixel),
                         (map_a, accum),
-                        |window, acc| p.weights.window_dots(byte_map, window, acc, self.backend),
+                        |tile, acc| p.weights.window_dots(byte_map, tile, acc, self.backend),
                     );
                     kind = emitted.map_or(Kind::Accum, |planes| Kind::Planes(Buf::A, planes));
                 }
@@ -1722,10 +1779,76 @@ mod tests {
         // conv1 fuses thresh1, so no layer stores a map of accumulators: the
         // byte map of the image and two packed maps are most of what is left.
         assert_eq!(scratch.byte_map.len(), 32 * 32);
+        // One tile of accumulators, `min(TILE, output pixels)` pixels: the
+        // widest is conv5's four pixels × 256 rows; fc1 has one pixel, so
+        // its 512 rows are not taken four times over.
+        assert_eq!(scratch.pixel.len(), packed::TILE * 256);
         assert!(scratch.bytes() < 100_000, "{} bytes", scratch.bytes());
         // The oracle strategies still get their window matrix.
         let im2col = engine.clone().with_strategy(ConvStrategy::Im2col).scratch();
         assert_eq!(im2col.cols.len(), 28 * 28 * 576);
+    }
+
+    /// Walks `p`'s tiles over `out` and checks the tiler's contract;
+    /// returns the tile lengths in order.
+    fn tile_walk<W>(p: &PackedMvtu<W>, out: TensorShape) -> Vec<usize> {
+        let (mut offsets, mut lens, mut next) = ([usize::MAX; packed::TILE], Vec::new(), 0);
+        let mut first_runs = vec![Run::default(); p.kernel_hw.0];
+        let mut runs = first_runs.clone();
+        let at = |i: usize| (i / out.width, i % out.width);
+        while next < out.spatial() {
+            let len = p.tile(next, out, &mut offsets);
+            assert!((1..=packed::TILE).contains(&len) && next + len <= out.spatial());
+            let (y, x) = at(next);
+            let used = p.window_runs(y, x, &mut first_runs);
+            for (t, &offset) in offsets[..len].iter().enumerate() {
+                let (y, x) = at(next + t);
+                assert!(
+                    len == 1 || p.unclipped(y, x),
+                    "clipped pixel ({y}, {x}) in a tile"
+                );
+                assert_eq!(p.window_runs(y, x, &mut runs), used, "pixel ({y}, {x})");
+                for (run, first) in runs[..used].iter().zip(&first_runs[..used]) {
+                    assert_eq!(run.act - first.act, offset, "pixel ({y}, {x})");
+                    assert_eq!((run.tap, run.len), (first.tap, first.len));
+                }
+            }
+            lens.push(len);
+            next += len;
+        }
+        lens
+    }
+
+    #[test]
+    fn tiles_cover_every_pixel_once_and_shift_the_first_window() {
+        // Padding 1, stride 2: a 9×7 map gives a 5×4 output whose border
+        // windows are clipped, so only (1..=3, 1..=2) may share a tile.
+        let padded = PackedMvtu {
+            weights: (),
+            rows: 8,
+            acc_len: 8,
+            cw: 2,
+            in_hw: (9, 7),
+            kernel_hw: (3, 3),
+            stride: 2,
+            padding: 1,
+            fused: None,
+        };
+        let lens = tile_walk(&padded, TensorShape::new(8, 5, 4));
+        assert_eq!(lens.iter().sum::<usize>(), 20);
+        assert_eq!(lens.iter().filter(|&&l| l == 2).count(), 3, "{lens:?}");
+        // CNV conv5: a 3×3 output with no padding, so tiles cross rows.
+        let g = topology::cnv_w2a2_cifar10().expect("builds");
+        let (plan, _, _) = build_plan(&g, ConvStrategy::Auto, PackedBackend::Scalar);
+        let (node, conv5) = g
+            .iter()
+            .zip(&plan)
+            .find(|(node, _)| node.name == "conv5")
+            .expect("CNV has conv5");
+        let Step::Packed(conv5) = &conv5.step else {
+            panic!("conv5 is not packed");
+        };
+        assert_eq!(tile_walk(conv5, node.output_shape), [4, 4, 1]);
     }
 
     #[test]

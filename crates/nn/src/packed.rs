@@ -28,7 +28,10 @@
 //! kernel covers its whole input map, and [`packed_gemm`]'s row operand is
 //! the one-tap window, so one micro-kernel ([`PackedWeights::window_dots`])
 //! serves all three. Lanes past `C` are zero in every plane and contribute
-//! nothing.
+//! nothing. The micro-kernel takes a **tile** of up to [`TILE`] windows,
+//! one set of runs at several word offsets, as FINN's MVU reads each weight
+//! once for the output pixels it has in flight; a single window is the
+//! tile of one offset, 0.
 //!
 //! Thresholding the accumulators of one pixel ([`PackedThresholds::emit`])
 //! writes the code bits of 64 channels straight into the next map's words,
@@ -266,45 +269,92 @@ impl PackedWeights {
         self.rows.next_multiple_of(BLOCK)
     }
 
-    /// The micro-kernel: `acc[r] = dot(row r, window)` for every row, where
-    /// the window is the concatenation of `runs` read from each of the
+    /// The micro-kernel over one tile of output pixels: `acc[t · acc_len +
+    /// r] = dot(row r, window t)` for every row `r` and tile pixel `t`, where
+    /// `acc_len` is [`Self::acc_len`] and window `t` is the concatenation of
+    /// `runs`, each shifted by `offsets[t]` words, read from each of the
     /// `planes` bitplanes of `acts` (plane `p` starts at word `p · stride`).
-    /// Accumulators of the padding rows past [`Self::rows`] are zero.
+    /// A single window is the tile `offsets = [0]`. Accumulators of the
+    /// padding rows past [`Self::rows`] are zero.
     ///
     /// # Panics
     ///
-    /// Panics if a run leaves the tap words or a plane, or `acc` is shorter
-    /// than [`Self::acc_len`].
+    /// Panics unless `offsets` holds 1..=[`TILE`] entries starting at 0, if
+    /// a run, shifted by the largest offset, leaves the tap words or a
+    /// plane, or if `acc` is shorter than one [`Self::acc_len`] per pixel.
     pub(crate) fn window_dots(
+        &self,
+        acts: &[u64],
+        stride: usize,
+        planes: usize,
+        tile: (&[Run], &[usize]),
+        acc: &mut [i32],
+        backend: PackedBackend,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if backend.effective() == PackedBackend::Avx512 {
+            // The tile kernel checks the tile itself: its reads rest on it.
+            avx512::window_dots(self, acts, stride, planes, tile, acc);
+            return;
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = backend;
+        self.check_tile(acts, stride, planes, tile, acc);
+        // Every other twin computes one pixel per call, its window's runs
+        // shifted by slicing the planes at the pixel's offset.
+        let (runs, offsets) = tile;
+        for (&offset, acc) in offsets.iter().zip(acc.chunks_exact_mut(self.acc_len())) {
+            let acts = &acts[offset..];
+            #[cfg(target_arch = "x86_64")]
+            if backend.effective() == PackedBackend::Avx2 {
+                avx2::window_dots(&self.lanes, self.words, acts, stride, planes, runs, acc);
+                continue;
+            }
+            self.scalar_dots(acts, stride, planes, runs, acc);
+        }
+    }
+
+    /// Asserts the tile contract of [`Self::window_dots`]: 1–2 planes,
+    /// 1..=[`TILE`] offsets starting at 0, one [`Self::acc_len`] of
+    /// accumulators per pixel, and every run, shifted by the largest
+    /// offset, inside the tap words and the last plane. The AVX-512 tile
+    /// kernel's unchecked activation reads rest on this check.
+    pub(crate) fn check_tile(
+        &self,
+        acts: &[u64],
+        stride: usize,
+        planes: usize,
+        (runs, offsets): (&[Run], &[usize]),
+        acc: &[i32],
+    ) {
+        assert!((1..=2).contains(&planes), "packed contract is 1–2 planes");
+        let reach = tile_reach(offsets);
+        let acc_len = self.acc_len();
+        assert!(
+            acc.len() >= offsets.len() * acc_len,
+            "accumulator tile too short"
+        );
+        for run in runs {
+            assert!(run.tap + run.len <= self.words, "run leaves the taps");
+            let end = [(planes - 1) * stride, reach, run.act, run.len]
+                .into_iter()
+                .try_fold(0, usize::checked_add);
+            assert!(
+                end.is_some_and(|end| end <= acts.len()),
+                "run leaves the activation planes"
+            );
+        }
+    }
+
+    /// The portable twin of the micro-kernel over one window.
+    fn scalar_dots(
         &self,
         acts: &[u64],
         stride: usize,
         planes: usize,
         runs: &[Run],
         acc: &mut [i32],
-        backend: PackedBackend,
     ) {
-        assert!((1..=2).contains(&planes), "packed contract is 1–2 planes");
-        assert!(acc.len() >= self.acc_len(), "accumulator row too short");
-        for run in runs {
-            assert!(run.tap + run.len <= self.words, "run leaves the taps");
-            let end = (planes - 1) * stride + run.act + run.len;
-            assert!(end <= acts.len(), "run leaves the activation planes");
-        }
-        #[cfg(target_arch = "x86_64")]
-        match backend.effective() {
-            PackedBackend::Avx512 => {
-                avx512::window_dots(&self.lanes, self.words, acts, stride, planes, runs, acc);
-                return;
-            }
-            PackedBackend::Avx2 => {
-                avx2::window_dots(&self.lanes, self.words, acts, stride, planes, runs, acc);
-                return;
-            }
-            PackedBackend::Scalar => {}
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = backend;
         for (group, out) in self
             .lanes
             .chunks_exact(self.words * 2 * GROUP)
@@ -329,6 +379,19 @@ impl PackedWeights {
             out.copy_from_slice(&sums);
         }
     }
+}
+
+/// Output pixels one micro-kernel call computes: the engine's tile size.
+pub(crate) const TILE: usize = 4;
+
+/// The largest of a tile's window offsets, after checking the tile holds
+/// 1..=[`TILE`] pixels and starts at offset 0.
+fn tile_reach(offsets: &[usize]) -> usize {
+    assert!(
+        (1..=TILE).contains(&offsets.len()) && offsets[0] == 0,
+        "a tile is 1..={TILE} windows, the first at offset 0"
+    );
+    offsets.iter().copied().max().unwrap_or_default()
 }
 
 /// One contiguous stretch of a window: `len` words of every activation
@@ -427,34 +490,53 @@ impl ByteWeights {
         self.pitch
     }
 
-    /// The micro-kernel: `acc[r] = dot(row r, window)` for every row, where
-    /// the window is the concatenation of `runs` read from the byte map.
-    /// Accumulators of the padding rows are zero.
+    /// The micro-kernel over one tile of output pixels, under the contract
+    /// of [`PackedWeights::window_dots`]: `acc[t · acc_len + r] = dot(row r,
+    /// window t)`, window `t` being `runs` shifted by `offsets[t]` dwords of
+    /// the byte map. Accumulators of the padding rows are zero.
     ///
     /// # Panics
     ///
-    /// Panics if a run leaves the tap dwords or the map, or `acc` is shorter
-    /// than [`Self::acc_len`].
+    /// Panics unless `offsets` holds 1..=[`TILE`] entries starting at 0, if
+    /// a run, shifted by the largest offset, leaves the tap dwords or the
+    /// map, or if `acc` is shorter than one [`Self::acc_len`] per pixel.
     pub(crate) fn window_dots(
         &self,
         map: &[u32],
-        runs: &[Run],
+        (runs, offsets): (&[Run], &[usize]),
         acc: &mut [i32],
         backend: PackedBackend,
     ) {
-        let acc = &mut acc[..self.pitch];
+        let reach = tile_reach(offsets);
+        assert!(
+            acc.len() >= offsets.len() * self.pitch,
+            "accumulator tile too short"
+        );
         for run in runs {
             assert!(run.tap + run.len <= self.words, "run leaves the taps");
-            assert!(run.act + run.len <= map.len(), "run leaves the byte map");
+            assert!(
+                reach + run.act + run.len <= map.len(),
+                "run leaves the byte map"
+            );
         }
-        // The AVX-512 backend runs this AVX2 kernel: its probe requires AVX2.
-        #[cfg(target_arch = "x86_64")]
-        if backend.effective() != PackedBackend::Scalar {
-            avx2::byte_window_dots(&self.bytes, self.pitch, map, runs, acc);
-            return;
+        // One pixel per call: the kernel is bound by its multiplies, which a
+        // tile would not share.
+        for (&offset, acc) in offsets.iter().zip(acc.chunks_exact_mut(self.pitch)) {
+            let map = &map[offset..];
+            // The AVX-512 backend runs this AVX2 kernel: its probe requires AVX2.
+            #[cfg(target_arch = "x86_64")]
+            if backend.effective() != PackedBackend::Scalar {
+                avx2::byte_window_dots(&self.bytes, self.pitch, map, runs, acc);
+                continue;
+            }
+            self.scalar_dots(map, runs, acc);
         }
         #[cfg(not(target_arch = "x86_64"))]
         let _ = backend;
+    }
+
+    /// The portable twin of the byte micro-kernel over one window.
+    fn scalar_dots(&self, map: &[u32], runs: &[Run], acc: &mut [i32]) {
         acc.fill(0);
         let tap_len = self.pitch * DWORD;
         for run in runs {
@@ -734,7 +816,7 @@ pub fn packed_gemm(
     let mut acc = vec![0i32; weights.acc_len()];
     for j in 0..n {
         let row = &acts[j * stride..(j + 1) * stride];
-        weights.window_dots(row, words, planes, &window, &mut acc, backend);
+        weights.window_dots(row, words, planes, (&window, &[0]), &mut acc, backend);
         for (i, &v) in acc[..weights.rows].iter().enumerate() {
             out[i * n + j] = v;
         }
@@ -901,7 +983,7 @@ mod tests {
             for backend in PackedBackend::runnable() {
                 for (runs, covers) in [(&[whole, empty][..], true), (&[empty], false)] {
                     let mut acc = vec![7i32; pw.acc_len()];
-                    pw.window_dots(&acts, words, planes, runs, &mut acc, backend);
+                    pw.window_dots(&acts, words, planes, (runs, &[0]), &mut acc, backend);
                     for r in 0..rows.next_multiple_of(GROUP) {
                         let expect = if covers && r < rows {
                             reference_dot(&w[r * k..(r + 1) * k], &a)
@@ -1021,7 +1103,7 @@ mod tests {
         ] {
             for backend in PackedBackend::runnable() {
                 let mut acc = vec![7i32; pw.acc_len()];
-                pw.window_dots(&map, 5 * cw, 2, used, &mut acc, backend);
+                pw.window_dots(&map, 5 * cw, 2, (used, &[0]), &mut acc, backend);
                 for r in 0..rows {
                     let expect: i32 = window
                         .iter()
@@ -1036,6 +1118,117 @@ mod tests {
                         })
                         .sum();
                     assert_eq!(acc[r], expect, "row {r} {backend:?} window {window:?}");
+                }
+            }
+        }
+    }
+
+    /// A 3×3 kernel over a 4×5 map of `cw`-word pixels: the runs of the
+    /// window at output pixel (0, 1), and the offsets of the raster tile
+    /// (0, 1), (0, 2), (1, 0), (1, 1), which crosses an output row.
+    fn crossing_tile(cw: usize) -> ([Run; 3], [usize; TILE]) {
+        let runs = [0, 1, 2].map(|ky| Run {
+            act: (ky * 5 + 1) * cw,
+            tap: ky * 3 * cw,
+            len: 3 * cw,
+        });
+        (runs, [0, cw, 4 * cw, 5 * cw])
+    }
+
+    /// `runs` moved `offset` words along the map.
+    fn shifted(runs: &[Run], offset: usize) -> Vec<Run> {
+        runs.iter()
+            .map(|r| Run {
+                act: r.act + offset,
+                ..*r
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_tile_equals_its_single_pixel_calls_and_the_scalar_twin() {
+        let (channels, taps) = (70usize, 9usize);
+        let cw = plane_words(channels);
+        let (runs, offsets) = crossing_tile(cw);
+        let stride = 4 * 5 * cw;
+        let mut s = 29u64;
+        let random_map: Vec<u64> = (0..2 * stride).map(|_| xorshift(&mut s)).collect();
+        // All-ones activations: every row sums its weights at full code.
+        let ones_map = vec![u64::MAX; 2 * stride];
+        for rows in [1usize, 5, 9, 33, 64] {
+            let (w, _) = random_case(rows as u64 * 13, rows, channels * taps, 3);
+            let signs: Vec<i8> = (0..rows * channels * taps)
+                .map(|i| {
+                    if i / (channels * taps) % 2 == 0 {
+                        1
+                    } else {
+                        -1
+                    }
+                })
+                .collect();
+            for (w, map) in [(&w, &random_map), (&signs, &ones_map)] {
+                let pw = PackedWeights::pack_taps(w, rows, channels, taps);
+                let acc_len = pw.acc_len();
+                for planes in 1..=2usize {
+                    for p in 1..=TILE {
+                        let tile = (&runs[..], &offsets[..p]);
+                        let mut twin = vec![7i32; p * acc_len];
+                        pw.window_dots(map, stride, planes, tile, &mut twin, PackedBackend::Scalar);
+                        for backend in PackedBackend::runnable() {
+                            let mut acc = vec![7i32; p * acc_len];
+                            pw.window_dots(map, stride, planes, tile, &mut acc, backend);
+                            let case = format!("rows={rows} planes={planes} P={p} {backend:?}");
+                            assert_eq!(acc, twin, "{case}");
+                            for (t, acc) in acc.chunks_exact(acc_len).enumerate() {
+                                let window = shifted(&runs, offsets[t]);
+                                let mut one = vec![7i32; acc_len];
+                                pw.window_dots(
+                                    map,
+                                    stride,
+                                    planes,
+                                    (&window, &[0]),
+                                    &mut one,
+                                    backend,
+                                );
+                                assert_eq!(acc, one, "{case} pixel {t}");
+                            }
+                        }
+                        if std::ptr::eq(map, &ones_map) {
+                            let full = ((1 << planes) - 1) * (channels * taps) as i32;
+                            for acc in twin.chunks_exact(acc_len) {
+                                for (r, &v) in acc[..rows].iter().enumerate() {
+                                    let expect = if r % 2 == 0 { full } else { -full };
+                                    assert_eq!(v, expect, "saturated row {r} planes={planes}");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_byte_tile_equals_its_single_pixel_calls() {
+        let (channels, taps, rows) = (3usize, 9usize, 20usize);
+        let cw = byte_words(channels);
+        let (runs, offsets) = crossing_tile(cw);
+        let mut s = 31u64;
+        let map: Vec<u32> = (0..4 * 5 * cw).map(|_| xorshift(&mut s) as u32).collect();
+        let w: Vec<i8> = (0..rows * channels * taps)
+            .map(|_| (xorshift(&mut s) % 5) as i8 - 2)
+            .collect();
+        let weights = ByteWeights::pack_taps(&w, rows, channels, taps);
+        let acc_len = weights.acc_len();
+        for backend in PackedBackend::runnable() {
+            for p in 1..=TILE {
+                let mut acc = vec![7i32; p * acc_len];
+                weights.window_dots(&map, (&runs, &offsets[..p]), &mut acc, backend);
+                for (t, acc) in acc.chunks_exact(acc_len).enumerate() {
+                    let mut one = vec![7i32; acc_len];
+                    let window = shifted(&runs, offsets[t]);
+                    weights.window_dots(&map, (&window, &[0]), &mut one, PackedBackend::Scalar);
+                    assert_eq!(acc, one, "P={p} pixel {t} {backend:?}");
                 }
             }
         }
@@ -1079,7 +1272,7 @@ mod tests {
         let bound = 2 * 255 * k as i32;
         for backend in PackedBackend::runnable() {
             let mut acc = vec![7i32; weights.acc_len()];
-            weights.window_dots(&map, &window, &mut acc, backend);
+            weights.window_dots(&map, (&window, &[0]), &mut acc, backend);
             for (r, &v) in acc.iter().enumerate() {
                 let expect = if r % 2 == 0 { bound } else { -bound };
                 assert_eq!(v, expect, "row {r} {backend:?}");
