@@ -123,13 +123,12 @@ impl CnnGraph {
         &self.name
     }
 
-    /// Returns a copy of this graph under a different name.
+    /// Returns this graph under a different name.
     #[must_use]
-    pub fn renamed(&self, name: impl Into<String>) -> Self {
+    pub fn renamed(self, name: impl Into<String>) -> Self {
         Self {
             name: name.into(),
-            input_shape: self.input_shape,
-            nodes: self.nodes.clone(),
+            ..self
         }
     }
 

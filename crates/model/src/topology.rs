@@ -34,22 +34,27 @@ impl Xorshift {
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
-    /// A value uniform in the quantized weight domain.
-    fn next_weight(&mut self, quant: QuantSpec) -> i8 {
+    /// Fills `weights` uniformly from the quantized weight domain, one draw
+    /// each: `next_u64() % card` indexes the domain's values in ascending
+    /// order, zero skipped where the domain excludes it.
+    fn fill(&mut self, weights: &mut [i8], quant: QuantSpec) {
         let d = quant.weight_domain();
-        let card = d.cardinality() as u64;
-        let k = (self.next_u64() % card) as i64;
-        // Walk the domain skipping zero if excluded.
-        let mut v = d.min;
-        let mut remaining = k;
-        loop {
-            if !(d.excludes_zero && v == 0) {
-                if remaining == 0 {
-                    return v as i8;
-                }
-                remaining -= 1;
-            }
-            v += 1;
+        let values: Vec<i8> = (d.min..=d.max)
+            .filter(|&v| d.contains(v))
+            .map(|v| v as i8)
+            .collect();
+        // A constant divisor compiles to a multiply: the 1- and 2-bit
+        // domains every CNV draws from take it, wider ones divide.
+        match values.len() as u64 {
+            2 => self.draw(weights, &values, |x| x % 2),
+            3 => self.draw(weights, &values, |x| x % 3),
+            card => self.draw(weights, &values, |x| x % card),
+        }
+    }
+
+    fn draw(&mut self, weights: &mut [i8], values: &[i8], modulo: impl Fn(u64) -> u64) {
+        for w in weights {
+            *w = values[modulo(self.next_u64()) as usize];
         }
     }
 }
@@ -64,17 +69,13 @@ fn filled_conv(
     rng: &mut Xorshift,
 ) -> Conv2d {
     let mut c = Conv2d::new(in_ch, out_ch, kernel, stride, padding, quant);
-    for w in c.weights.as_mut_slice() {
-        *w = rng.next_weight(quant);
-    }
+    rng.fill(c.weights.as_mut_slice(), quant);
     c
 }
 
 fn filled_dense(inf: usize, outf: usize, quant: QuantSpec, rng: &mut Xorshift) -> Dense {
     let mut d = Dense::new(inf, outf, quant);
-    for w in d.weights.as_mut_slice() {
-        *w = rng.next_weight(quant);
-    }
+    rng.fill(d.weights.as_mut_slice(), quant);
     d
 }
 
@@ -373,6 +374,47 @@ mod tests {
         let g = lenet(QuantSpec::w1a2(), 10).expect("builds");
         for (_, conv) in g.conv_layers() {
             assert_eq!(conv.kernel, 5);
+        }
+    }
+
+    /// FNV-1a-64 over every Conv2d/Dense weight byte (`w as u8`), in node
+    /// order.
+    fn weight_digest(g: &CnnGraph) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for node in g.iter() {
+            let weights = match &node.layer {
+                Layer::Conv2d(c) => c.weights.as_slice(),
+                Layer::Dense(d) => d.weights.as_slice(),
+                _ => continue,
+            };
+            for &w in weights {
+                h = (h ^ u64::from(w as u8)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn every_builder_draws_the_pinned_weights() {
+        // Pinned FNV-1a digests of every builder's weights: a change to
+        // the fill or its stream must not move a single weight.
+        let w2a2 = QuantSpec::w2a2();
+        for (graph, digest) in [
+            (cnv_w2a2_cifar10(), 0xf708_a059_7691_1f8e_u64),
+            (cnv_w2a2_gtsrb(), 0xb2bb_e42d_a0ef_8d37),
+            (cnv_w1a2_cifar10(), 0xf2cd_8427_e2d8_2933),
+            (cnv_w1a2_gtsrb(), 0x1b04_3e64_65ff_c845),
+            (tiny(w2a2, 10), 0x65aa_bf48_48ba_c5af),
+            (lenet(w2a2, 10), 0xf4bc_2500_de68_0ddd),
+            (lenet(QuantSpec::new(4, 2), 10), 0x9cb5_05f3_8dd5_b70f),
+        ] {
+            let graph = graph.expect("builds");
+            assert_eq!(
+                weight_digest(&graph),
+                digest,
+                "{}: weights differ from the pinned draw",
+                graph.name()
+            );
         }
     }
 

@@ -221,13 +221,24 @@ impl PackedWeights {
         let words = taps * cw;
         let mut lanes = vec![0u64; rows.div_ceil(GROUP) * words * 2 * GROUP];
         for r in 0..rows {
-            for (i, &w) in weights[r * k..(r + 1) * k].iter().enumerate() {
-                assert!((-1..=1).contains(&w), "weight {w} outside packed domain");
-                if w != 0 {
-                    let (c, tap) = (i / taps, i % taps);
-                    let word = r / GROUP * words + tap * cw + c / LANE;
-                    let sign = usize::from(w < 0);
-                    lanes[(word * 2 + sign) * GROUP + r % GROUP] |= 1u64 << (c % LANE);
+            let filter = &weights[r * k..(r + 1) * k];
+            // Row `r` is lane `r % GROUP` of group `r / GROUP`.
+            let row = r / GROUP * words * 2 * GROUP + r % GROUP;
+            // One 64-channel block at a time: each tap's two sign words are
+            // built in registers and stored once.
+            for block in 0..cw {
+                let first = block * LANE;
+                for tap in 0..taps {
+                    let (mut plus, mut minus) = (0u64, 0u64);
+                    for bit in 0..(channels - first).min(LANE) {
+                        let w = filter[(first + bit) * taps + tap];
+                        assert!(matches!(w, -1..=1), "weight {w} outside packed domain");
+                        plus |= u64::from(w == 1) << bit;
+                        minus |= u64::from(w == -1) << bit;
+                    }
+                    let at = row + (tap * cw + block) * 2 * GROUP;
+                    lanes[at] = plus;
+                    lanes[at + GROUP] = minus;
                 }
             }
         }
@@ -467,14 +478,20 @@ impl ByteWeights {
         let pitch = rows.next_multiple_of(BLOCK);
         let mut bytes = vec![0i8; taps * cw * pitch * DWORD];
         for r in 0..rows {
-            for (i, &w) in weights[r * k..(r + 1) * k].iter().enumerate() {
-                assert!(
-                    (-BYTE_WEIGHT_MAX..=BYTE_WEIGHT_MAX).contains(&w),
-                    "weight {w} outside the byte kernel's domain"
-                );
-                let (c, tap) = (i / taps, i % taps);
-                let word = tap * cw + c / DWORD;
-                bytes[(word * pitch + r) * DWORD + c % DWORD] = w;
+            let filter = &weights[r * k..(r + 1) * k];
+            for word in 0..cw {
+                let first = word * DWORD;
+                for tap in 0..taps {
+                    let at = ((tap * cw + word) * pitch + r) * DWORD;
+                    for byte in 0..(channels - first).min(DWORD) {
+                        let w = filter[(first + byte) * taps + tap];
+                        assert!(
+                            (-BYTE_WEIGHT_MAX..=BYTE_WEIGHT_MAX).contains(&w),
+                            "weight {w} outside the byte kernel's domain"
+                        );
+                        bytes[at + byte] = w;
+                    }
+                }
             }
         }
         Self {
@@ -1376,6 +1393,125 @@ mod tests {
         const T: KernelThresholds = kernel_thresholds();
         assert_eq!(T.gemm_min_k, crate::engine::GEMM_MIN_K);
         assert_eq!(T.packed_min_rows, crate::engine::PACKED_MIN_ROWS);
+    }
+
+    /// The layout oracle of [`PackedWeights::pack_taps`]: one
+    /// read-modify-write per nonzero weight.
+    fn reference_pack_taps(
+        weights: &[i8],
+        rows: usize,
+        channels: usize,
+        taps: usize,
+    ) -> PackedWeights {
+        let k = channels * taps;
+        assert_eq!(weights.len(), rows * k, "weight geometry");
+        let cw = plane_words(channels);
+        let words = taps * cw;
+        let mut lanes = vec![0u64; rows.div_ceil(GROUP) * words * 2 * GROUP];
+        for r in 0..rows {
+            for (i, &w) in weights[r * k..(r + 1) * k].iter().enumerate() {
+                assert!((-1..=1).contains(&w), "weight {w} outside packed domain");
+                if w != 0 {
+                    let (c, tap) = (i / taps, i % taps);
+                    let word = r / GROUP * words + tap * cw + c / LANE;
+                    let sign = usize::from(w < 0);
+                    lanes[(word * 2 + sign) * GROUP + r % GROUP] |= 1u64 << (c % LANE);
+                }
+            }
+        }
+        PackedWeights {
+            rows,
+            k,
+            words,
+            lanes,
+        }
+    }
+
+    /// The layout oracle of [`ByteWeights::pack_taps`]: one byte store per
+    /// weight.
+    fn reference_byte_pack_taps(
+        weights: &[i8],
+        rows: usize,
+        channels: usize,
+        taps: usize,
+    ) -> ByteWeights {
+        let k = channels * taps;
+        assert_eq!(weights.len(), rows * k, "weight geometry");
+        let cw = byte_words(channels);
+        let pitch = rows.next_multiple_of(BLOCK);
+        let mut bytes = vec![0i8; taps * cw * pitch * DWORD];
+        for r in 0..rows {
+            for (i, &w) in weights[r * k..(r + 1) * k].iter().enumerate() {
+                assert!(
+                    (-BYTE_WEIGHT_MAX..=BYTE_WEIGHT_MAX).contains(&w),
+                    "weight {w} outside the byte kernel's domain"
+                );
+                let (c, tap) = (i / taps, i % taps);
+                let word = tap * cw + c / DWORD;
+                bytes[(word * pitch + r) * DWORD + c % DWORD] = w;
+            }
+        }
+        ByteWeights {
+            pitch,
+            words: taps * cw,
+            bytes,
+        }
+    }
+
+    /// Row counts around a group and a 64-row pass.
+    const PACK_ROWS: [usize; 7] = [1, 3, 4, 5, 63, 64, 65];
+    /// Channel counts on and off the 64-bit lane, pruned widths included.
+    const PACK_CHANNELS: [usize; 6] = [3, 40, 48, 64, 65, 128];
+    /// 1×1, 3×3 and 5×5 kernels, and 16: a dense layer over a flattened
+    /// 4×4 map (the channel-major flatten is a 16-tap filter).
+    const PACK_TAPS: [usize; 4] = [1, 9, 25, 16];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn packers_lay_out_what_the_per_weight_references_do(
+            r in 0..PACK_ROWS.len(),
+            c in 0..PACK_CHANNELS.len(),
+            t in 0..PACK_TAPS.len(),
+            seed in 1u64..u64::MAX,
+        ) {
+            let (rows, channels, taps) = (PACK_ROWS[r], PACK_CHANNELS[c], PACK_TAPS[t]);
+            let mut s = seed;
+            let len = rows * channels * taps;
+            // Ternary and binary rows for the planes; ±2 for the byte form.
+            let ternary: Vec<i8> = (0..len).map(|_| (xorshift(&mut s) % 3) as i8 - 1).collect();
+            let binary: Vec<i8> = ternary.iter().map(|&w| if w < 0 { -1 } else { 1 }).collect();
+            let byte: Vec<i8> = (0..len).map(|_| (xorshift(&mut s) % 5) as i8 - 2).collect();
+            for w in [&ternary, &binary] {
+                proptest::prop_assert_eq!(
+                    PackedWeights::pack_taps(w, rows, channels, taps),
+                    reference_pack_taps(w, rows, channels, taps)
+                );
+            }
+            for w in [&ternary, &byte] {
+                proptest::prop_assert_eq!(
+                    ByteWeights::pack_taps(w, rows, channels, taps),
+                    reference_byte_pack_taps(w, rows, channels, taps)
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "weight -2 outside packed domain")]
+    fn packing_rejects_a_weight_outside_the_planes() {
+        let mut w = vec![1i8; 5 * 65 * 9];
+        w[4 * 65 * 9 + 100] = -2;
+        let _ = PackedWeights::pack_taps(&w, 5, 65, 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "weight 3 outside the byte kernel's domain")]
+    fn byte_packing_rejects_a_weight_outside_its_domain() {
+        let mut w = vec![-2i8; 9 * 3 * 9];
+        w[8 * 3 * 9 + 26] = 3;
+        let _ = ByteWeights::pack_taps(&w, 9, 3, 9);
     }
 
     #[test]

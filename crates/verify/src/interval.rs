@@ -194,25 +194,27 @@ fn input_val(channels: usize) -> AbsVal {
     ])
 }
 
-/// Dot-product interval of one weight row against per-tap input intervals.
-/// `tap_interval(t)` maps a flat tap index to the interval of the value it
-/// multiplies.
-fn row_interval(weights: &[i8], tap_interval: impl Fn(usize) -> Interval) -> Interval {
+/// Dot-product interval of one weight row against per-channel input
+/// intervals: `inputs[c]` feeds the `taps` consecutive weights
+/// `c·taps..(c + 1)·taps`. Each channel's weights are summed by sign
+/// first, so the channel adds `[pos·lo + neg·hi, pos·hi + neg·lo]` with
+/// `pos ≥ 0 ≥ neg`, the exact sum of the per-tap products.
+fn row_interval(weights: &[i8], taps: usize, inputs: &[Interval]) -> Interval {
     let mut lo = 0i128;
     let mut hi = 0i128;
-    for (t, &w) in weights.iter().enumerate() {
-        if w == 0 {
-            continue;
+    // `max(1)`: a malformed zero-tap kernel has no weights to chunk.
+    for (channel, x) in weights.chunks(taps.max(1)).zip(inputs) {
+        let (mut pos, mut neg) = (0i64, 0i64);
+        for &w in channel {
+            if w > 0 {
+                pos += i64::from(w);
+            } else {
+                neg += i64::from(w);
+            }
         }
-        let x = tap_interval(t);
-        let w = i128::from(w);
-        if w >= 0 {
-            lo += w * x.lo;
-            hi += w * x.hi;
-        } else {
-            lo += w * x.hi;
-            hi += w * x.lo;
-        }
+        let (pos, neg) = (i128::from(pos), i128::from(neg));
+        lo += pos * x.lo + neg * x.hi;
+        hi += pos * x.hi + neg * x.lo;
     }
     Interval::new(lo, hi)
 }
@@ -263,7 +265,7 @@ fn transfer(node: &adaflow_model::Node, input: &AbsVal) -> AbsVal {
                 input.clone()
             };
             let out = (0..c.out_channels)
-                .map(|o| row_interval(c.weights.filter(o), |t| padded[t / k2]))
+                .map(|o| row_interval(c.weights.filter(o), k2, &padded))
                 .collect();
             AbsVal::Channels(out)
         }
@@ -272,7 +274,7 @@ fn transfer(node: &adaflow_model::Node, input: &AbsVal) -> AbsVal {
             // f / spatial of the (possibly spatial) input tensor.
             let spatial = node.input_shape.spatial().max(1);
             let out = (0..d.out_features)
-                .map(|o| row_interval(d.weights.row(o), |f| input[f / spatial]))
+                .map(|o| row_interval(d.weights.row(o), spatial, input))
                 .collect();
             AbsVal::Channels(out)
         }
@@ -559,6 +561,57 @@ mod tests {
         let analysis = interval_analysis(&g);
         assert_eq!(analysis.thresholds[0].dead_channels, 2);
         assert_eq!(analysis.thresholds[0].first_dead, Some(0));
+    }
+
+    /// The oracle of [`row_interval`]: one signed product pair per weight.
+    fn per_tap_interval(weights: &[i8], taps: usize, inputs: &[Interval]) -> Interval {
+        let (mut lo, mut hi) = (0i128, 0i128);
+        for (t, &w) in weights.iter().enumerate() {
+            let (x, w) = (inputs[t / taps], i128::from(w));
+            if w >= 0 {
+                lo += w * x.lo;
+                hi += w * x.hi;
+            } else {
+                lo += w * x.hi;
+                hi += w * x.lo;
+            }
+        }
+        Interval::new(lo, hi)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn signed_channel_sums_equal_the_per_tap_transfer(
+            taps in 1usize..26,
+            channels in 1usize..40,
+            wide in proptest::bool::ANY,
+            seed in 1u64..u64::MAX,
+        ) {
+            let mut s = seed;
+            let mut next = || {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                s
+            };
+            // 8-bit weights; intervals of codes, or of i64-scale accumulators
+            // that only the i128 combine holds.
+            let weights: Vec<i8> = (0..channels * taps).map(|_| next() as i8).collect();
+            let scale = if wide { i128::from(i64::MAX) } else { 4 };
+            let inputs: Vec<Interval> = (0..channels)
+                .map(|_| {
+                    let a = i128::from(next() as i64) % scale;
+                    let b = i128::from(next() as i64) % scale;
+                    Interval::new(a.min(b), a.max(b))
+                })
+                .collect();
+            proptest::prop_assert_eq!(
+                row_interval(&weights, taps, &inputs),
+                per_tap_interval(&weights, taps, &inputs)
+            );
+        }
     }
 
     #[test]
