@@ -10,25 +10,23 @@
 //! ## Throughput layers
 //!
 //! The engine is the hot path under accuracy evaluation, threshold
-//! calibration and the pruning retrain loop, so it is built in four
+//! calibration and the pruning retrain loop, so it is built in three
 //! performance levels, each bit-identical to the plain path:
 //!
 //! 1. **Scratch-arena reuse** — [`EngineScratch`] holds every intermediate
 //!    buffer, sized once from the engine's kernel plan.
 //!    [`Engine::run_with_scratch`] allocates nothing per call beyond the
 //!    returned logits.
-//! 2. **Blocked integer GEMM** — im2col convolution and dense layers share
-//!    one cache-blocked `i8 × u8 → i32` micro-kernel (4×4 register tile,
-//!    inner loop unrolled over the window dimension), used whenever the
-//!    problem fills one tile. Integer accumulation is order-independent, so
-//!    tiling cannot change a single bit of the result.
-//! 3. **Packed dataflow** — under [`ConvStrategy::Auto`] activations stay
-//!    bit-packed from the first threshold to the classifier: implicit-GEMM
-//!    popcount convolutions with the threshold in their epilogue and
-//!    max-pooling on bitplanes ([`crate::packed`]). The 8-bit input layer is
-//!    the same windowed MVTU over a pixel-major byte map, with its threshold
-//!    in its epilogue too. No window matrix is built.
-//! 4. **Parallel batch evaluation** — [`BatchRunner`] shards an image set
+//! 2. **One windowed MVTU** — under [`ConvStrategy::Auto`] every convolution
+//!    and dense layer is the same windowed MVTU (a dense layer is the
+//!    convolution whose kernel covers its whole input map), reading its
+//!    windows in place: a popcount kernel over bit-packed maps where the
+//!    domains allow, with the threshold in its epilogue and max-pooling on
+//!    bitplanes, so activations stay packed from the first threshold to the
+//!    classifier ([`crate::packed`]); a byte kernel over a pixel-major byte
+//!    map everywhere else (the 8-bit input layer, wider weights), with the
+//!    same epilogue. No window matrix is built.
+//! 3. **Parallel batch evaluation** — [`BatchRunner`] shards an image set
 //!    across scoped worker threads, one scratch arena per worker, preserving
 //!    input order.
 
@@ -72,45 +70,47 @@ impl Eq for InferenceResult {}
 pub struct KernelAttribution {
     /// Layer name.
     pub layer: String,
-    /// Kernel label: `direct`, `gemm`, `bytes-scalar`, `bytes-avx2`,
+    /// Kernel label: `direct`, `bytes-scalar`, `bytes-avx2`,
     /// `packed-scalar`, `packed-avx2` or `packed-avx512` for MVTU layers;
-    /// `threshold` (to `u8`), `threshold-pack` (to planes) or `fused`
-    /// (applied by the windowed MVTU before it) for thresholds; `maxpool` or
-    /// `argmax` otherwise.
+    /// `threshold` (to `u8`) or `fused` (applied by the windowed MVTU before
+    /// it) for thresholds; `maxpool` or `argmax` otherwise.
     pub kernel: &'static str,
 }
 
 /// Convolution lowering strategy.
 ///
 /// Every strategy is bit-identical to every other; they differ only in
-/// memory/speed trade-off:
+/// speed:
 ///
 /// * [`ConvStrategy::Auto`] (the default) is a pure function of the graph:
-///   an MVTU whose verifier-established domains fit the packed contract
-///   (≤2-bit weights and activations) and that has at least
+///   every conv and dense layer is one windowed MVTU. One whose
+///   verifier-established domains fit the packed contract (≤2-bit weights
+///   and activations) and that has at least
 ///   [`packed_min_rows`](crate::KernelThresholds::packed_min_rows) weight
 ///   rows runs the packed popcount kernel on packed feature maps, with the
-///   threshold that follows in its epilogue; a convolution that cannot pack
-///   but has ≤2-bit weights (the 8-bit input layer) runs the byte-window
-///   MVTU over a pixel-major byte map, with the same epilogue; every other
-///   conv/dense layer runs the im2col + i32 GEMM lowering;
-/// * [`ConvStrategy::Direct`] walks the input in place (no scratch memory)
-///   — the reference the other lowerings are tested against;
-/// * [`ConvStrategy::Im2col`] lowers each convolution to a dense
-///   matrix-matrix product over an explicit window matrix — the classic GEMM
-///   lowering, at the cost of `out_pixels x k^2 x ch_in` scratch bytes.
+///   threshold that follows in its epilogue; every other one (the 8-bit
+///   input layer, wider weights) runs the byte-window MVTU over a
+///   pixel-major byte map, with the same epilogue. The byte kernel runs on
+///   SIMD only where its domains prove the `i16` pair sums exact, else on
+///   its `i32` scalar twin;
+/// * [`ConvStrategy::Direct`] walks the input in place, one plain dot
+///   product per output — the reference every other plan is tested
+///   against;
+/// * [`ConvStrategy::Im2col`] is the implicit im2col: the byte-window MVTU
+///   on every conv and dense layer, its windows read in place, with no
+///   packed map and every threshold to `u8`.
 ///
-/// `Direct` and `Im2col` never touch the packed or byte-window kernels, so
-/// they double as the equivalence oracles the packed proptests compare
-/// against.
+/// `Direct` and `Im2col` never touch the packed popcount kernels, so they
+/// double as the equivalence oracles the packed proptests compare against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ConvStrategy {
-    /// Packed popcount kernels where the domains allow, GEMM elsewhere.
+    /// Packed popcount kernels where the domains allow, the byte window
+    /// elsewhere.
     #[default]
     Auto,
-    /// In-place direct convolution.
+    /// In-place direct convolution and plain row dots.
     Direct,
-    /// GEMM lowering via an explicit im2col window matrix.
+    /// The byte-window MVTU on every layer: im2col without a window matrix.
     Im2col,
 }
 
@@ -123,11 +123,9 @@ pub enum ConvStrategy {
 /// [`BatchRunner`]).
 #[derive(Debug, Clone, Default)]
 pub struct EngineScratch {
-    /// im2col window matrix of the widest GEMM-planned convolution.
-    cols: Vec<u8>,
     /// Channel-major MVTU accumulators of the widest layer that stores them:
-    /// a GEMM or direct layer, or a windowed one whose threshold is not
-    /// fused (the classifier).
+    /// a direct layer, or a windowed one whose threshold is not fused (the
+    /// classifier).
     accum: Vec<i32>,
     /// Ping-pong `u8` activation buffers; `act_a` starts as the input image.
     act_a: Vec<u8>,
@@ -148,7 +146,6 @@ pub struct EngineScratch {
 /// Element counts of every [`EngineScratch`] buffer one kernel plan needs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct ScratchSizes {
-    cols: usize,
     accum: usize,
     act: usize,
     map: usize,
@@ -179,7 +176,6 @@ impl EngineScratch {
                 buf.resize(len, T::default());
             }
         }
-        at_least(&mut self.cols, sizes.cols);
         at_least(&mut self.accum, sizes.accum);
         at_least(&mut self.act_a, sizes.act);
         at_least(&mut self.act_b, sizes.act);
@@ -193,8 +189,7 @@ impl EngineScratch {
     /// Total scratch bytes held (diagnostics / capacity planning).
     #[must_use]
     pub fn bytes(&self) -> usize {
-        self.cols.len()
-            + self.act_a.len()
+        self.act_a.len()
             + self.act_b.len()
             + 4 * (self.accum.len() + self.byte_map.len() + self.pixel.len())
             + 8 * (self.map_a.len() + self.map_b.len())
@@ -264,10 +259,9 @@ impl Buf {
     }
 }
 
-/// One MVTU step: `rows × k` weights against `n` activation columns of
-/// length `k`. A convolution's columns are its windows (`n` output pixels);
-/// a dense layer is the `n = 1` case whose single column is the input
-/// vector itself.
+/// One MVTU: `rows` weight rows against `n` windows. A convolution's
+/// windows are its output pixels; a dense layer is the `n = 1` case whose
+/// single window is the whole input.
 #[derive(Debug, Clone, Copy)]
 struct Mvtu<'g> {
     /// The convolution to lower, `None` for dense.
@@ -275,7 +269,6 @@ struct Mvtu<'g> {
     weights: &'g [i8],
     rows: usize,
     n: usize,
-    k: usize,
 }
 
 /// The one walk that pairs every node with its MVTU geometry and
@@ -289,14 +282,12 @@ fn mvtu_walk(graph: &CnnGraph) -> impl Iterator<Item = (&Node, Option<(Mvtu<'_>,
                 weights: c.weights.as_slice(),
                 rows: c.out_channels,
                 n: node.output_shape.spatial(),
-                k: c.kernel * c.kernel * c.in_channels,
             }),
             Layer::Dense(d) => Some(Mvtu {
                 conv: None,
                 weights: d.weights.as_slice(),
                 rows: d.out_features,
                 n: 1,
-                k: d.in_features,
             }),
             Layer::MultiThreshold(_) | Layer::MaxPool2d(_) | Layer::LabelSelect(_) => None,
         };
@@ -310,13 +301,19 @@ fn packs(domain: &MvtuDomain) -> bool {
     domain.packed_eligible() && domain.rows >= PACKED_MIN_ROWS
 }
 
-/// Which kernel turns `u8` activations into channel-major accumulators.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum ByteKernel {
-    /// Reference direct convolution — [`ConvStrategy::Direct`] on a conv.
-    Direct,
-    /// im2col (convolutions) + the blocked `i32` GEMM.
-    Gemm,
+/// The largest weight magnitude of `domain`'s declared narrow-range weight
+/// domain: `2^(b−1) − 1` for `b`-bit weights, 1 for binary ones.
+fn weight_max(domain: &MvtuDomain) -> i8 {
+    let max = adaflow_model::QuantizedDomain::signed(domain.weight_bits).max;
+    i8::try_from(max).expect("weight domains are at most 8-bit")
+}
+
+/// Whether the AVX2 byte kernel computes this MVTU exactly: its
+/// `vpmaddubsw` saturates each sum of two `u8 × i8` products to `i16`, and
+/// the domains bound such a pair sum by `2 · act_in_max · w_max`. Otherwise
+/// the `i32` scalar twin, which cannot saturate, runs it.
+fn byte_simd_exact(domain: &MvtuDomain) -> bool {
+    2 * domain.act_in_max * i64::from(weight_max(domain)) <= i64::from(i16::MAX)
 }
 
 /// A windowed MVTU: the convolution (or the dense layer, as the convolution
@@ -456,16 +453,15 @@ fn ping_pong<'a, T>(buf: Buf, a: &'a mut [T], b: &'a mut [T]) -> (&'a [T], &'a m
 /// What one node does at run time.
 #[derive(Debug, Clone)]
 enum Step<'g> {
-    /// `u8` activations → channel-major accumulators.
-    Bytes(Mvtu<'g>, ByteKernel),
+    /// `u8` activations → channel-major accumulators, in place
+    /// ([`ConvStrategy::Direct`]).
+    Direct(Mvtu<'g>),
     /// Packed map → packed map (fused threshold) or accumulators.
     Packed(PackedMvtu<PackedWeights>),
     /// `u8` activations → byte map → packed map (fused threshold) or
-    /// accumulators.
-    ByteWindow(PackedMvtu<ByteWeights>),
-    /// Accumulators → packed map: a threshold whose consumer packs.
-    ThresholdPack(PackedThresholds),
-    /// A threshold the preceding packed MVTU already applied.
+    /// accumulators, on the byte kernel of the backend it carries.
+    ByteWindow(PackedMvtu<ByteWeights>, PackedBackend),
+    /// A threshold the preceding windowed MVTU already applied.
     Fused,
     /// Threshold to `u8`, max-pool in the current representation, or
     /// label-select: run from the node's own layer.
@@ -486,8 +482,8 @@ struct NodePlan<'g> {
 ///
 /// Representation is a property of each edge: a threshold emits planes iff
 /// the MVTU that consumes it, through any pools, is planned packed (pools
-/// keep the representation they are given), and a packed MVTU applies such
-/// a threshold itself when it is the next node.
+/// keep the representation they are given). Every MVTU but a `Direct` one
+/// is windowed and applies such a threshold itself, as its next node.
 fn build_plan(
     graph: &CnnGraph,
     strategy: ConvStrategy,
@@ -496,11 +492,6 @@ fn build_plan(
     let nodes: Vec<_> = mvtu_walk(graph).collect();
     let is_packed = |i: usize| {
         strategy == ConvStrategy::Auto && nodes[i].1.as_ref().is_some_and(|(_, d)| packs(d))
-    };
-    // A convolution that cannot pack but has ≤ 2-bit weights (the 8-bit
-    // input layer) runs the byte window.
-    let is_byte_window = |m: &Mvtu, d: &MvtuDomain| {
-        strategy == ConvStrategy::Auto && m.conv.is_some() && d.weight_bits <= 2
     };
     // The thresholds of node `i` in packed form, when it is a threshold
     // whose value reaches a packed MVTU.
@@ -520,14 +511,18 @@ fn build_plan(
     };
     let mut shape = graph.input_shape();
     // Planes of the current value when it is a packed map, and of the map
-    // the packed MVTU just planned writes in place of the next threshold.
+    // the windowed MVTU just planned writes in place of the next threshold.
     let mut planes = None;
     let mut fused_planes = None;
     for (i, (node, mvtu)) in nodes.iter().enumerate() {
         let out = node.output_shape;
         let map_words = |planes: usize| planes * out.spatial() * packed::plane_words(out.channels);
         let (step, label) = match (mvtu, &node.layer) {
-            (Some((m, d)), _) if is_packed(i) || is_byte_window(m, d) => {
+            (Some((m, _)), _) if strategy == ConvStrategy::Direct => {
+                sizes.accum = sizes.accum.max(m.rows * m.n);
+                (Step::Direct(*m), "direct")
+            }
+            (Some((m, d)), _) => {
                 let fused = packed_thresholds(i + 1);
                 fused_planes = fused.as_ref().map(PackedThresholds::planes);
                 if fused.is_none() {
@@ -551,50 +546,42 @@ fn build_plan(
                         label,
                     )
                 } else {
-                    let weights = ByteWeights::pack_taps(m.weights, m.rows, shape.channels, taps);
+                    let w_max = weight_max(d);
+                    let weights =
+                        ByteWeights::pack_taps(m.weights, m.rows, shape.channels, taps, w_max);
                     let acc_len = weights.acc_len();
                     sizes.pixel = sizes.pixel.max(tile * acc_len);
                     let cw = packed::byte_words(shape.channels);
                     sizes.byte_map = sizes.byte_map.max(shape.spatial() * cw);
+                    let kernel = if byte_simd_exact(d) {
+                        backend
+                    } else {
+                        PackedBackend::Scalar
+                    };
                     // Every SIMD backend runs the AVX2 byte kernel.
-                    let label = match backend {
+                    let label = match kernel {
                         PackedBackend::Scalar => "bytes-scalar",
                         PackedBackend::Avx2 | PackedBackend::Avx512 => "bytes-avx2",
                     };
-                    (
-                        Step::ByteWindow(PackedMvtu::new((weights, acc_len), m, shape, cw, fused)),
-                        label,
-                    )
+                    let p = PackedMvtu::new((weights, acc_len), m, shape, cw, fused);
+                    (Step::ByteWindow(p, kernel), label)
                 }
-            }
-            (Some((m, _)), _) => {
-                let (kernel, label) = match (strategy, m.conv) {
-                    (ConvStrategy::Direct, Some(_)) => (ByteKernel::Direct, "direct"),
-                    _ => (ByteKernel::Gemm, "gemm"),
-                };
-                sizes.accum = sizes.accum.max(m.rows * m.n);
-                if kernel == ByteKernel::Gemm && m.conv.is_some() {
-                    sizes.cols = sizes.cols.max(m.n * m.k);
-                }
-                (Step::Bytes(*m, kernel), label)
             }
             (None, Layer::MultiThreshold(_)) => {
-                let (step, label) = if let Some(p) = fused_planes.take() {
-                    planes = Some(p);
-                    (Step::Fused, "fused")
-                } else if let Some(t) = packed_thresholds(i) {
-                    planes = Some(t.planes());
-                    sizes.pixel = sizes.pixel.max(t.acc_len());
-                    (Step::ThresholdPack(t), "threshold-pack")
-                } else {
-                    planes = None;
-                    sizes.act = sizes.act.max(out.elements());
-                    (Step::Plain, "threshold")
-                };
-                if let Some(p) = planes {
-                    sizes.map = sizes.map.max(map_words(p));
+                // Only a `Direct` MVTU is not windowed, and under `Direct`
+                // nothing packs: a threshold that feeds a packed MVTU is
+                // always its producer's epilogue.
+                planes = fused_planes.take();
+                match planes {
+                    Some(p) => {
+                        sizes.map = sizes.map.max(map_words(p));
+                        (Step::Fused, "fused")
+                    }
+                    None => {
+                        sizes.act = sizes.act.max(out.elements());
+                        (Step::Plain, "threshold")
+                    }
                 }
-                (step, label)
             }
             (None, Layer::MaxPool2d(_)) => {
                 match planes {
@@ -884,7 +871,6 @@ impl<'g> Engine<'g> {
         let started = Instant::now();
         scratch.grow(&self.scratch);
         let EngineScratch {
-            cols,
             accum,
             act_a,
             act_b,
@@ -907,20 +893,13 @@ impl<'g> Engine<'g> {
             };
             let out_shape = node.output_shape;
             match (&plan.step, &node.layer, kind) {
-                (Step::Bytes(m, kernel), _, Kind::Bytes(buf)) => {
+                (Step::Direct(m), _, Kind::Bytes(buf)) => {
                     let (src, _) = ping_pong(buf, act_a, act_b);
                     let src = &src[..shape.elements()];
                     let out = &mut accum[..m.rows * m.n];
-                    match (kernel, m.conv) {
-                        (ByteKernel::Direct, Some(c)) => {
-                            conv_direct_into(c, src, shape, out_shape, out);
-                        }
-                        (_, Some(c)) => {
-                            let cols = &mut cols[..m.n * m.k];
-                            im2col_into(c, src, shape, out_shape, cols);
-                            gemm_i32(m.weights, cols, m.rows, m.n, m.k, out);
-                        }
-                        (_, None) => gemm_i32(m.weights, src, m.rows, m.n, m.k, out),
+                    match m.conv {
+                        Some(c) => conv_direct_into(c, src, shape, out_shape, out),
+                        None => dense_direct_into(m.weights, src, out),
                     }
                     #[cfg(debug_assertions)]
                     self.assert_accum_intervals(_node_idx, &node.name, out, m.n);
@@ -943,7 +922,7 @@ impl<'g> Engine<'g> {
                     );
                     kind = emitted.map_or(Kind::Accum, |planes| Kind::Planes(buf.other(), planes));
                 }
-                (Step::ByteWindow(p), _, Kind::Bytes(buf)) => {
+                (Step::ByteWindow(p, kernel), _, Kind::Bytes(buf)) => {
                     let (src, _) = ping_pong(buf, act_a, act_b);
                     packed::byte_map(&src[..shape.elements()], shape.channels, byte_map);
                     let emitted = self.run_windows(
@@ -952,22 +931,9 @@ impl<'g> Engine<'g> {
                         out_shape,
                         (runs, pixel),
                         (map_a, accum),
-                        |tile, acc| p.weights.window_dots(byte_map, tile, acc, self.backend),
+                        |tile, acc| p.weights.window_dots(byte_map, tile, acc, *kernel),
                     );
                     kind = emitted.map_or(Kind::Accum, |planes| Kind::Planes(Buf::A, planes));
-                }
-                (Step::ThresholdPack(t), _, Kind::Accum) => {
-                    // The pixel-major epilogue over channel-major
-                    // accumulators: gather one pixel's row, then emit it.
-                    let n = out_shape.spatial();
-                    let out_cw = packed::plane_words(t.rows());
-                    for at in 0..n {
-                        for (c, v) in pixel[..t.rows()].iter_mut().enumerate() {
-                            *v = accum[c * n + at];
-                        }
-                        t.emit(pixel, &mut map_a[at * out_cw..], n * out_cw, self.backend);
-                    }
-                    kind = Kind::Planes(Buf::A, t.planes());
                 }
                 (Step::Fused, _, Kind::Planes(..)) => {}
                 (Step::Plain, Layer::MultiThreshold(t), Kind::Accum) => {
@@ -1162,121 +1128,17 @@ impl<'g> BatchRunner<'g> {
 
 // ---------------------------------------------------------------------------
 // Integer kernels. All kernels are pure functions of their integer inputs;
-// accumulation order never changes the result, so every lowering below is
-// bit-identical to the naive triple loop.
+// accumulation order never changes the result, so every windowed lowering is
+// bit-identical to the direct loops below.
 // ---------------------------------------------------------------------------
 
-/// Register tile height (output channels) of the blocked GEMM.
-const GEMM_MR: usize = 4;
-/// Register tile width (output pixels) of the blocked GEMM.
-const GEMM_NR: usize = 4;
-/// Inner-loop unroll of the blocked GEMM: below it the tile has no full
-/// unrolled step and the row-dot loop runs instead.
-pub(crate) const GEMM_MIN_K: usize = 4;
 /// Fewest weight rows sharing one activation pack for which
 /// [`ConvStrategy::Auto`] takes the packed kernel: a single row cannot
 /// amortise packing its activations.
 pub(crate) const PACKED_MIN_ROWS: usize = 2;
 
-/// `out[i][j] = Σ_k a[i*k..][k'] · b[j*k..][k']` — both operands row-major
-/// over the shared inner dimension (filters × im2col windows, or dense
-/// weight rows × the input vector when `n == 1`).
-///
-/// Dispatches to the 4×4 register-blocked kernel when the problem fills one
-/// tile and one unrolled step, else to the plain row-dot loop. Both paths
-/// produce identical bits.
-pub(crate) fn gemm_i32(a: &[i8], b: &[u8], m: usize, n: usize, k: usize, out: &mut [i32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(out.len(), m * n);
-    if m >= GEMM_MR && n >= GEMM_NR && k >= GEMM_MIN_K {
-        gemm_i32_blocked(a, b, m, n, k, out);
-    } else {
-        gemm_i32_naive(a, b, m, n, k, out);
-    }
-}
-
-/// Plain row-by-row dot products (fast for narrow layers; the compiler
-/// vectorizes the inner zip).
-fn gemm_i32_naive(a: &[i8], b: &[u8], m: usize, n: usize, k: usize, out: &mut [i32]) {
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        for j in 0..n {
-            let brow = &b[j * k..(j + 1) * k];
-            out[i * n + j] = dot_i32(arow, brow);
-        }
-    }
-}
-
-#[inline]
-fn dot_i32(w: &[i8], x: &[u8]) -> i32 {
-    w.iter()
-        .zip(x)
-        .map(|(&w, &x)| i32::from(w) * i32::from(x))
-        .sum()
-}
-
-/// Cache-blocked GEMM: 4×4 register tile, inner loop unrolled by 4 over the
-/// window dimension. Each loaded `a`/`b` value is reused across the whole
-/// tile, cutting memory traffic ~4× versus the naive row dots.
-fn gemm_i32_blocked(a: &[i8], b: &[u8], m: usize, n: usize, k: usize, out: &mut [i32]) {
-    let mut mb = 0;
-    while mb < m {
-        let mh = (m - mb).min(GEMM_MR);
-        let mut nb = 0;
-        while nb < n {
-            let nh = (n - nb).min(GEMM_NR);
-            let mut acc = [[0i32; GEMM_NR]; GEMM_MR];
-            let mut kk = 0;
-            while kk + 4 <= k {
-                // Widen the b-tile once, reuse it for every a-row.
-                let mut btile = [[0i32; 4]; GEMM_NR];
-                for (j, bt) in btile.iter_mut().enumerate().take(nh) {
-                    let br = &b[(nb + j) * k + kk..(nb + j) * k + kk + 4];
-                    *bt = [
-                        i32::from(br[0]),
-                        i32::from(br[1]),
-                        i32::from(br[2]),
-                        i32::from(br[3]),
-                    ];
-                }
-                for (i, accrow) in acc.iter_mut().enumerate().take(mh) {
-                    let ar = &a[(mb + i) * k + kk..(mb + i) * k + kk + 4];
-                    let (a0, a1, a2, a3) = (
-                        i32::from(ar[0]),
-                        i32::from(ar[1]),
-                        i32::from(ar[2]),
-                        i32::from(ar[3]),
-                    );
-                    for (j, cell) in accrow.iter_mut().enumerate().take(nh) {
-                        let bt = &btile[j];
-                        *cell += a0 * bt[0] + a1 * bt[1] + a2 * bt[2] + a3 * bt[3];
-                    }
-                }
-                kk += 4;
-            }
-            while kk < k {
-                for (i, accrow) in acc.iter_mut().enumerate().take(mh) {
-                    let av = i32::from(a[(mb + i) * k + kk]);
-                    for (j, cell) in accrow.iter_mut().enumerate().take(nh) {
-                        *cell += av * i32::from(b[(nb + j) * k + kk]);
-                    }
-                }
-                kk += 1;
-            }
-            for i in 0..mh {
-                for j in 0..nh {
-                    out[(mb + i) * n + nb + j] = acc[i][j];
-                }
-            }
-            nb += GEMM_NR;
-        }
-        mb += GEMM_MR;
-    }
-}
-
 /// Direct convolution writing MVTU accumulators into `out`.
-fn conv_direct_into(
+pub(crate) fn conv_direct_into(
     c: &Conv2d,
     input: &[u8],
     in_shape: TensorShape,
@@ -1319,48 +1181,15 @@ fn conv_direct_into(
     }
 }
 
-/// Materializes the im2col window matrix (`[out_pixels][k^2 * ch_in]`, the
-/// exact stream the SWU produces in hardware), channel-major within each row
-/// to match the filter layout `[in][kh][kw]`. In-bounds kernel rows are
-/// copied as contiguous runs; padding bytes are zero-filled.
-fn im2col_into(
-    c: &Conv2d,
-    input: &[u8],
-    in_shape: TensorShape,
-    out_shape: TensorShape,
-    cols: &mut [u8],
-) {
-    let k = c.kernel;
-    let window = k * k * c.in_channels;
-    let (ih, iw) = (in_shape.height as isize, in_shape.width as isize);
-    let (oh, ow) = (out_shape.height, out_shape.width);
-    for y in 0..oh {
-        for x in 0..ow {
-            let base_y = (y * c.stride) as isize - c.padding as isize;
-            let base_x = (x * c.stride) as isize - c.padding as isize;
-            let row = &mut cols[(y * ow + x) * window..(y * ow + x + 1) * window];
-            // Clip the kernel's x-extent against the input once per pixel.
-            let x_lo = base_x.max(0);
-            let x_hi = (base_x + k as isize).min(iw);
-            for i in 0..c.in_channels {
-                for ky in 0..k {
-                    let sy = base_y + ky as isize;
-                    let dst = &mut row[(i * k + ky) * k..(i * k + ky + 1) * k];
-                    if sy < 0 || sy >= ih || x_lo >= x_hi {
-                        dst.fill(0);
-                        continue;
-                    }
-                    let src_base = ((i as isize * ih + sy) * iw) as usize;
-                    let lead = (x_lo - base_x) as usize;
-                    let run = (x_hi - x_lo) as usize;
-                    dst[..lead].fill(0);
-                    dst[lead..lead + run].copy_from_slice(
-                        &input[src_base + x_lo as usize..src_base + x_hi as usize],
-                    );
-                    dst[lead + run..].fill(0);
-                }
-            }
-        }
+/// A dense layer's MVTU accumulators into `out`: one plain dot product of
+/// each `input.len()`-long weight row with the input.
+pub(crate) fn dense_direct_into(weights: &[i8], input: &[u8], out: &mut [i32]) {
+    for (acc, row) in out.iter_mut().zip(weights.chunks_exact(input.len())) {
+        *acc = row
+            .iter()
+            .zip(input)
+            .map(|(&w, &x)| i32::from(w) * i32::from(x))
+            .sum();
     }
 }
 
@@ -1418,45 +1247,8 @@ fn pool_into(
     }
 }
 
-// Vec-returning wrappers shared with the trainer's calibration pass and the
+// Vec-returning wrapper shared with the trainer's calibration pass and the
 // unit tests.
-
-/// GEMM-lowered convolution via im2col (`ConvStrategy::Im2col`). Every
-/// kernel inference plans is bit-identical to it, so calibration through it
-/// sees exactly the production accumulators.
-pub(crate) fn conv_forward_im2col(
-    c: &Conv2d,
-    input: &Activations,
-    out_shape: TensorShape,
-) -> Vec<i32> {
-    let window = c.kernel * c.kernel * c.in_channels;
-    let mut cols = vec![0u8; out_shape.spatial() * window];
-    im2col_into(c, input.as_slice(), input.shape(), out_shape, &mut cols);
-    let mut out = vec![0i32; c.out_channels * out_shape.spatial()];
-    gemm_i32(
-        c.weights.as_slice(),
-        &cols,
-        c.out_channels,
-        out_shape.spatial(),
-        window,
-        &mut out,
-    );
-    out
-}
-
-/// Dense matrix-vector product producing MVTU accumulators.
-pub(crate) fn dense_forward(d: &adaflow_model::Dense, input: &[u8]) -> Vec<i32> {
-    let mut out = vec![0i32; d.out_features];
-    gemm_i32(
-        d.weights.as_slice(),
-        input,
-        d.out_features,
-        1,
-        d.in_features,
-        &mut out,
-    );
-    out
-}
 
 /// Max-pooling over quantized activations.
 pub(crate) fn pool_forward(
@@ -1660,17 +1452,45 @@ mod tests {
         let direct = Engine::new(&g)
             .expect("engine")
             .with_strategy(ConvStrategy::Direct);
-        let gemm = Engine::new(&g)
+        let im2col = Engine::new(&g)
             .expect("engine")
             .with_strategy(ConvStrategy::Im2col);
         for seed in 0..8u64 {
             let img = random_image(g.input_shape(), seed);
             assert_eq!(
                 direct.run(&img).expect("direct"),
-                gemm.run(&img).expect("im2col"),
+                im2col.run(&img).expect("im2col"),
                 "strategies diverged on seed {seed}"
             );
         }
+    }
+
+    /// `conv` alone on `input`, its channel-major accumulators read as the
+    /// logits: the byte window under `Im2col` against the direct convolution.
+    fn assert_im2col_matches_direct(conv: Conv2d, input: &Activations) {
+        let out_shape = input
+            .shape()
+            .windowed(conv.kernel, conv.stride, conv.padding)
+            .expect("fits")
+            .with_channels(conv.out_channels);
+        let mut direct = vec![0i32; out_shape.elements()];
+        conv_direct_into(
+            &conv,
+            input.as_slice(),
+            input.shape(),
+            out_shape,
+            &mut direct,
+        );
+        let g = GraphBuilder::new("conv", input.shape())
+            .conv2d(conv)
+            .label_select(out_shape.elements())
+            .build()
+            .expect("builds");
+        let im2col = Engine::new(&g)
+            .expect("engine")
+            .with_strategy(ConvStrategy::Im2col);
+        assert!(im2col.kernels()[0].kernel.starts_with("bytes-"));
+        assert_eq!(direct, im2col.run(input).expect("runs").logits);
     }
 
     #[test]
@@ -1683,67 +1503,76 @@ mod tests {
             TensorShape::new(2, 5, 5),
             (0..50).map(|i| (i * 7 % 256) as u8).collect(),
         );
-        let out_shape = TensorShape::new(3, 3, 3);
-        let mut direct = vec![0i32; out_shape.elements()];
-        conv_direct_into(
-            &conv,
-            input.as_slice(),
-            input.shape(),
-            out_shape,
-            &mut direct,
-        );
-        assert_eq!(direct, conv_forward_im2col(&conv, &input, out_shape));
+        assert_im2col_matches_direct(conv, &input);
     }
 
     #[test]
     fn im2col_matches_direct_on_wide_layer() {
-        // Wide enough (window 72 >= 16, 36 pixels, 8 filters) to engage the
-        // blocked GEMM path.
+        // Eight channels (two dwords per pixel) and 36 output pixels: tiles
+        // of four, and padded border windows of one.
         let mut conv = Conv2d::new(8, 8, 3, 1, 1, QuantSpec::w2a2());
         for (i, w) in conv.weights.as_mut_slice().iter_mut().enumerate() {
             *w = ((i % 3) as i8) - 1;
         }
-        let input = random_image(TensorShape::new(8, 6, 6), 5);
-        let out_shape = TensorShape::new(8, 6, 6);
-        let mut direct = vec![0i32; out_shape.elements()];
-        conv_direct_into(
-            &conv,
-            input.as_slice(),
-            input.shape(),
-            out_shape,
-            &mut direct,
-        );
-        assert_eq!(direct, conv_forward_im2col(&conv, &input, out_shape));
+        assert_im2col_matches_direct(conv, &random_image(TensorShape::new(8, 6, 6), 5));
+    }
+
+    /// A 3×3 convolution of `bits`-bit weights over an all-255 3×3 image of
+    /// eight channels: one output pixel of ten rows, row `r`'s 72 weights all
+    /// `weight(r)`. Returns its plan label and accumulators on every
+    /// backend this CPU runs, after checking them against `Direct`.
+    fn saturated_conv(
+        bits: u8,
+        weight: impl Fn(usize) -> i8,
+    ) -> Vec<(PackedBackend, &'static str, Vec<i32>)> {
+        let mut conv = Conv2d::new(8, 10, 3, 1, 0, QuantSpec::new(bits, 2));
+        for (i, w) in conv.weights.as_mut_slice().iter_mut().enumerate() {
+            *w = weight(i / 72);
+        }
+        let g = GraphBuilder::new("saturated", TensorShape::new(8, 3, 3))
+            .conv2d(conv)
+            .label_select(10)
+            .build()
+            .expect("builds");
+        let image = Activations::from_vec(g.input_shape(), vec![255; 72]);
+        let engine = Engine::new(&g).expect("engine");
+        let direct = engine.clone().with_strategy(ConvStrategy::Direct);
+        let oracle = direct.run(&image).expect("direct");
+        PackedBackend::runnable()
+            .into_iter()
+            .map(|backend| {
+                let engine = engine.clone().with_packed_backend(backend);
+                let result = engine.run(&image).expect("runs");
+                let label = engine.kernels()[0].kernel;
+                assert_eq!(result, oracle, "{label} on {backend:?}");
+                (backend, label, result.logits)
+            })
+            .collect()
     }
 
     #[test]
-    fn blocked_gemm_matches_naive_on_all_remainders() {
-        // Exercise every m/n remainder against the 4x4 tile and odd k
-        // against the 4-way unroll, then the shapes on the row-dot side of
-        // the dispatch rule (k < 4, n = 1, m < 4) and its boundary.
-        for &(m, n, k) in &[
-            (4, 4, 16),
-            (5, 7, 17),
-            (6, 9, 19),
-            (9, 5, 31),
-            (4, 5, 16),
-            (4, 4, 4),
-            (8, 8, 3),
-            (5, 6, 1),
-            (64, 1, 256),
-            (10, 1, 3),
-            (3, 9, 27),
-        ] {
-            let a: Vec<i8> = (0..m * k).map(|i| ((i * 37 % 7) as i8) - 3).collect();
-            let b: Vec<u8> = (0..n * k).map(|i| (i * 101 % 251) as u8).collect();
-            let mut blocked = vec![0i32; m * n];
-            let mut naive = vec![0i32; m * n];
-            let mut dispatched = vec![0i32; m * n];
-            gemm_i32_blocked(&a, &b, m, n, k, &mut blocked);
-            gemm_i32_naive(&a, &b, m, n, k, &mut naive);
-            gemm_i32(&a, &b, m, n, k, &mut dispatched);
-            assert_eq!(blocked, naive, "diverged at m={m} n={n} k={k}");
-            assert_eq!(dispatched, naive, "dispatch diverged at m={m} n={n} k={k}");
+    fn w7_on_8_bit_input_plans_the_simd_byte_kernel_and_is_exact() {
+        // Every pair sum is 2 · 255 · (−63) = −32 130, inside i16.
+        for (backend, label, logits) in saturated_conv(7, |_| -63) {
+            let simd = if backend == PackedBackend::Scalar {
+                "bytes-scalar"
+            } else {
+                "bytes-avx2"
+            };
+            assert_eq!(label, simd, "{backend:?}");
+            assert_eq!(logits, [-63 * 255 * 72; 10], "{backend:?}");
+        }
+    }
+
+    #[test]
+    fn w8_on_8_bit_input_plans_the_scalar_byte_kernel_everywhere() {
+        // A pair sum reaches ±2 · 255 · 127 = ±64 770, past i16: the AVX2
+        // kernel would saturate, so every backend plans the i32 twin.
+        let sign = |r: usize| if r.is_multiple_of(2) { 1 } else { -1 };
+        for (_, label, logits) in saturated_conv(8, |r| 127 * sign(r) as i8) {
+            assert_eq!(label, "bytes-scalar");
+            let expect: Vec<i32> = (0..10).map(|r| sign(r) * 127 * 255 * 72).collect();
+            assert_eq!(logits, expect);
         }
     }
 
@@ -1772,10 +1601,9 @@ mod tests {
         assert!(scratch.act_a.len() >= g.input_shape().elements());
         assert_eq!(scratch.act_a.len(), scratch.act_b.len());
         assert_eq!(scratch.map_a.len(), scratch.map_b.len());
-        // The default plan is the engine's, and it builds no window matrix.
+        // The default plan is the engine's.
         let engine = Engine::new(&g).expect("engine");
         assert_eq!(scratch.bytes(), engine.scratch().bytes());
-        assert!(scratch.cols.is_empty(), "Auto planned an im2col layer");
         // conv1 fuses thresh1, so no layer stores a map of accumulators: the
         // byte map of the image and two packed maps are most of what is left.
         assert_eq!(scratch.byte_map.len(), 32 * 32);
@@ -1784,9 +1612,10 @@ mod tests {
         // its 512 rows are not taken four times over.
         assert_eq!(scratch.pixel.len(), packed::TILE * 256);
         assert!(scratch.bytes() < 100_000, "{} bytes", scratch.bytes());
-        // The oracle strategies still get their window matrix.
+        // The implicit im2col reads every layer's windows from a byte map:
+        // the widest is conv2's input, 30 × 30 pixels of 64 channels.
         let im2col = engine.clone().with_strategy(ConvStrategy::Im2col).scratch();
-        assert_eq!(im2col.cols.len(), 28 * 28 * 576);
+        assert_eq!(im2col.byte_map.len(), 30 * 30 * 64 / 4);
     }
 
     /// Walks `p`'s tiles over `out` and checks the tiler's contract;
@@ -1859,6 +1688,7 @@ mod tests {
             .expect("builds");
         let tiny_auto = Engine::new(&tiny).expect("engine");
         let tiny_im2col = tiny_auto.clone().with_strategy(ConvStrategy::Im2col);
+        let tiny_direct = tiny_auto.clone().with_strategy(ConvStrategy::Direct);
         let cnv_auto = Engine::new(&cnv).expect("engine");
         let cnv_direct = cnv_auto.clone().with_strategy(ConvStrategy::Direct);
         let (tiny_img, cnv_img) = (
@@ -1868,7 +1698,7 @@ mod tests {
         // An Im2col engine through an Auto-sized scratch, then a CNV engine
         // through what began as a tiny scratch — and back again.
         let mut scratch = tiny_auto.scratch();
-        let tiny_oracle = tiny_im2col.run(&tiny_img).expect("oracle");
+        let tiny_oracle = tiny_direct.run(&tiny_img).expect("oracle");
         let cnv_oracle = cnv_direct.run(&cnv_img).expect("oracle");
         for _ in 0..2 {
             assert_eq!(
@@ -2032,15 +1862,16 @@ mod tests {
 
     #[test]
     fn packed_strategy_matches_direct_and_im2col() {
-        // The blocked i32 GEMM is the bit-identity oracle for the packed
-        // popcount kernels, across every backend this CPU runs.
+        // The direct convolution is the bit-identity oracle for the byte
+        // window (every layer under `Im2col`) and the packed popcount
+        // kernels, across every backend this CPU runs.
         let g = topology::cnv_scaled(QuantSpec::w2a2(), 6, 0.25)
             .build()
             .expect("builds");
         let direct = Engine::new(&g)
             .expect("engine")
             .with_strategy(ConvStrategy::Direct);
-        let gemm = Engine::new(&g)
+        let im2col = Engine::new(&g)
             .expect("engine")
             .with_strategy(ConvStrategy::Im2col);
         let mut engines: Vec<_> = PackedBackend::runnable()
@@ -2051,7 +1882,7 @@ mod tests {
         for seed in 0..4u64 {
             let img = random_image(g.input_shape(), seed);
             let oracle = direct.run(&img).expect("direct");
-            assert_eq!(oracle, gemm.run(&img).expect("im2col"));
+            assert_eq!(oracle, im2col.run(&img).expect("im2col"));
             for e in &engines {
                 assert_eq!(
                     oracle,
@@ -2210,7 +2041,7 @@ mod tests {
     fn byte_window_checks_accumulators_before_thresholding() {
         // conv1 of tiny is the byte window with thresh1 fused.
         run_with_an_unsatisfiable_interval(
-            |s| matches!(s, Step::ByteWindow(m) if m.fused.is_some()),
+            |s| matches!(s, Step::ByteWindow(m, _) if m.fused.is_some()),
         );
     }
 

@@ -5,10 +5,11 @@
 //! Verilator simulation for functional verification, this crate provides:
 //!
 //! * a bit-accurate integer inference engine over
-//!   [`adaflow_model::CnnGraph`] (direct convolution, max-pool, FINN-style
-//!   multi-threshold activations, label select), with a reusable scratch
-//!   arena, a blocked integer GEMM and a multi-threaded [`BatchRunner`] —
-//!   [`engine`];
+//!   [`adaflow_model::CnnGraph`] (convolution, max-pool, FINN-style
+//!   multi-threshold activations, label select), in which every conv and
+//!   dense layer is one windowed MVTU — packed popcount or byte window
+//!   ([`packed`]) — with a reusable scratch arena, a direct-convolution
+//!   reference and a multi-threaded [`BatchRunner`] — [`engine`];
 //! * order-preserving scoped-thread helpers shared by the batch runner, the
 //!   trainer and the edge experiment driver — [`parallel`];
 //! * seeded synthetic datasets standing in for CIFAR-10 and GTSRB (see

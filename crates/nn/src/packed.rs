@@ -37,20 +37,25 @@
 //! writes the code bits of 64 channels straight into the next map's words,
 //! and max-pooling 2-bit codes ([`pool_planes`]) is a bitwise
 //! compare-select per word. Every step is an exact integer identity, so the
-//! chain is bit-identical to the `u8`/`i32` kernels in [`crate::engine`],
-//! which stay as the equivalence oracles; eligibility (≤2-bit weights *and*
-//! activations, established by [`adaflow_model::mvtu_domains`]) is enforced
-//! by the engine's kernel planner, not here.
+//! chain is bit-identical to the direct `u8`/`i32` kernels in
+//! [`crate::engine`], which stay as the equivalence oracle; eligibility
+//! (≤2-bit weights *and* activations, established by
+//! [`adaflow_model::mvtu_domains`]) is enforced by the engine's kernel
+//! planner, not here.
 //!
 //! ## The byte window
 //!
-//! The first layer reads 8-bit pixels, which no pair of bitplanes holds. It
-//! runs the same windowed MVTU over a **byte map** ([`byte_map`]): per
-//! pixel `⌈C/4⌉` dwords, channel `c` in byte `c % 4` of dword `c / 4`.
+//! The first layer reads 8-bit pixels, which no pair of bitplanes holds,
+//! and weights wider than 2 bits fit no sign-plane pair. Such a layer runs
+//! the same windowed MVTU over a **byte map** ([`byte_map`]): per pixel
+//! `⌈C/4⌉` dwords, channel `c` in byte `c % 4` of dword `c / 4`.
 //! [`ByteWeights`] stores each row tap-major as whole dwords, so a window
 //! is the same [`Run`]s, in dwords, and its micro-kernel
 //! ([`ByteWeights::window_dots`]) multiplies bytes instead of popcounting
 //! planes; its accumulators go through the same [`PackedThresholds::emit`].
+//! The AVX2 kernel sums pairs of products in `i16`, so the engine runs it
+//! only where the layer's domains bound a pair sum inside `i16`, and the
+//! `i32` scalar twin everywhere else.
 //!
 //! ## Dispatch
 //!
@@ -65,7 +70,7 @@
 //! one it can ([`PackedBackend::effective`]), so the choice is never
 //! unsound. Which layers reach these kernels is the engine planner's
 //! decision, a pure function of the graph; [`kernel_thresholds`] reports
-//! the two constants it uses.
+//! the constant it uses.
 
 use adaflow_model::ThresholdTable;
 use std::sync::OnceLock;
@@ -422,11 +427,6 @@ pub(crate) struct Run {
 /// Channels per dword of a byte map.
 const DWORD: usize = 4;
 
-/// Largest weight magnitude [`ByteWeights`] holds: the 2-bit domain with
-/// its two's-complement `−2`. A `vpmaddubsw` pair sum over inputs ≤ 255 is
-/// then at most `2 · 255 · 2 = 1 020` and never saturates `i16`.
-const BYTE_WEIGHT_MAX: i8 = 2;
-
 /// Dwords one pixel of a `channels`-deep byte map occupies.
 pub(crate) const fn byte_words(channels: usize) -> usize {
     channels.div_ceil(DWORD)
@@ -469,9 +469,16 @@ impl ByteWeights {
     /// # Panics
     ///
     /// Panics if `weights.len() != rows · channels · taps` or an entry's
-    /// magnitude exceeds 2 — the engine plans this kernel only where the
-    /// declared weights are ≤ 2-bit, which the verifier holds them to.
-    pub(crate) fn pack_taps(weights: &[i8], rows: usize, channels: usize, taps: usize) -> Self {
+    /// magnitude exceeds `w_max`, the declared weight domain's bound that
+    /// the engine planned the kernel from and the verifier holds the
+    /// weights to.
+    pub(crate) fn pack_taps(
+        weights: &[i8],
+        rows: usize,
+        channels: usize,
+        taps: usize,
+        w_max: i8,
+    ) -> Self {
         let k = channels * taps;
         assert_eq!(weights.len(), rows * k, "weight geometry");
         let cw = byte_words(channels);
@@ -486,8 +493,8 @@ impl ByteWeights {
                     for byte in 0..(channels - first).min(DWORD) {
                         let w = filter[(first + byte) * taps + tap];
                         assert!(
-                            (-BYTE_WEIGHT_MAX..=BYTE_WEIGHT_MAX).contains(&w),
-                            "weight {w} outside the byte kernel's domain"
+                            (-w_max..=w_max).contains(&w),
+                            "weight {w} outside the byte kernel's domain ±{w_max}"
                         );
                         bytes[at + byte] = w;
                     }
@@ -510,7 +517,9 @@ impl ByteWeights {
     /// The micro-kernel over one tile of output pixels, under the contract
     /// of [`PackedWeights::window_dots`]: `acc[t · acc_len + r] = dot(row r,
     /// window t)`, window `t` being `runs` shifted by `offsets[t]` dwords of
-    /// the byte map. Accumulators of the padding rows are zero.
+    /// the byte map. Accumulators of the padding rows are zero. A SIMD
+    /// `backend` saturates a pair sum `a₀·w₀ + a₁·w₁` past `i16`; the
+    /// engine passes one only where the domains prove no pair sum can.
     ///
     /// # Panics
     ///
@@ -610,11 +619,6 @@ impl PackedThresholds {
             levels,
             blocks,
         }
-    }
-
-    /// Channels thresholded.
-    pub(crate) fn rows(&self) -> usize {
-        self.rows
     }
 
     /// Accumulators [`Self::emit`] reads: the channels rounded up to whole
@@ -812,7 +816,7 @@ fn pack_act_row(bytes: &[u8], planes: usize, dst: &mut [u64]) {
 /// holds `n` packed activation vectors laid out by [`pack_act_rows`] and
 /// `weights` came from [`PackedWeights::pack`]. Each vector is the one-run
 /// window of the micro-kernel the engine's convolutions use. Bit-identical
-/// to `gemm_i32` over the unpacked operands.
+/// to the plain integer dot products of the unpacked operands.
 pub fn packed_gemm(
     weights: &PackedWeights,
     acts: &[u64],
@@ -844,14 +848,14 @@ pub fn packed_gemm(
 // Dispatch thresholds.
 // ---------------------------------------------------------------------------
 
-/// The two shape thresholds of the engine's kernel dispatch.
+/// The shape thresholds of the engine's kernel dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelThresholds {
-    /// Minimum inner dimension at which the i32 GEMM runs its 4×4 blocked
-    /// kernel rather than the row-dot loop.
+    /// The inner dimension from which the retired blocked `i32` GEMM ran
+    /// its 4×4 tile. No kernel reads it; it keeps its last value, 4.
     pub gemm_min_k: usize,
     /// Minimum weight-row count at which a packed-eligible MVTU runs the
-    /// popcount kernel rather than the i32 GEMM.
+    /// popcount kernel rather than the byte window.
     pub packed_min_rows: usize,
 }
 
@@ -861,7 +865,7 @@ pub struct KernelThresholds {
 #[must_use]
 pub const fn kernel_thresholds() -> KernelThresholds {
     KernelThresholds {
-        gemm_min_k: crate::engine::GEMM_MIN_K,
+        gemm_min_k: 4,
         packed_min_rows: crate::engine::PACKED_MIN_ROWS,
     }
 }
@@ -1026,8 +1030,13 @@ mod tests {
                 .map(|_| (xorshift(&mut s) % 3) as i8 - 1)
                 .collect();
             let acts: Vec<u8> = (0..n * k).map(|_| (xorshift(&mut s) % 4) as u8).collect();
+            // Plain dot products of every weight row with every vector.
             let mut oracle = vec![0i32; rows * n];
-            crate::engine::gemm_i32(&w, &acts, rows, n, k, &mut oracle);
+            for (i, row) in w.chunks_exact(k).enumerate() {
+                for (j, a) in acts.chunks_exact(k).enumerate() {
+                    oracle[i * n + j] = reference_dot(row, a);
+                }
+            }
             let pw = PackedWeights::pack(&w, rows, k);
             let mut packed_acts = vec![0u64; act_pack_words(n, k, 2)];
             pack_act_rows(&acts, n, k, 2, &mut packed_acts);
@@ -1235,7 +1244,7 @@ mod tests {
         let w: Vec<i8> = (0..rows * channels * taps)
             .map(|_| (xorshift(&mut s) % 5) as i8 - 2)
             .collect();
-        let weights = ByteWeights::pack_taps(&w, rows, channels, taps);
+        let weights = ByteWeights::pack_taps(&w, rows, channels, taps, 2);
         let acc_len = weights.acc_len();
         for backend in PackedBackend::runnable() {
             for p in 1..=TILE {
@@ -1270,15 +1279,16 @@ mod tests {
 
     #[test]
     fn byte_window_pair_sums_at_their_bound_are_exact() {
-        // An all-255 window against weights at ±2, the largest magnitude
-        // the byte kernel takes: every vpmaddubsw pair sum sits at ±1 020.
-        // 72 rows are one full 64-row pass and one tail block.
+        // An all-255 window against 7-bit weights at ±63, the widest domain
+        // whose pairs the AVX2 kernel takes from 8-bit input: every
+        // vpmaddubsw pair sum sits at ±32 130, 637 short of i16::MAX. 72
+        // rows are one full 64-row pass and one tail block.
         let (channels, taps, rows) = (8usize, 9usize, 72usize);
         let k = channels * taps;
         let w: Vec<i8> = (0..rows * k)
-            .map(|i| if i / k % 2 == 0 { 2 } else { -2 })
+            .map(|i| if i / k % 2 == 0 { 63 } else { -63 })
             .collect();
-        let weights = ByteWeights::pack_taps(&w, rows, channels, taps);
+        let weights = ByteWeights::pack_taps(&w, rows, channels, taps, 63);
         let mut map = vec![0u32; taps * byte_words(channels)];
         byte_map(&vec![255u8; taps * channels], channels, &mut map);
         let window = [Run {
@@ -1286,7 +1296,8 @@ mod tests {
             tap: 0,
             len: map.len(),
         }];
-        let bound = 2 * 255 * k as i32;
+        assert!(2 * 255 * 63 <= i32::from(i16::MAX));
+        let bound = 63 * 255 * k as i32;
         for backend in PackedBackend::runnable() {
             let mut acc = vec![7i32; weights.acc_len()];
             weights.window_dots(&map, (&window, &[0]), &mut acc, backend);
@@ -1391,7 +1402,7 @@ mod tests {
     #[test]
     fn thresholds_are_the_named_constants() {
         const T: KernelThresholds = kernel_thresholds();
-        assert_eq!(T.gemm_min_k, crate::engine::GEMM_MIN_K);
+        assert_eq!(T.gemm_min_k, 4);
         assert_eq!(T.packed_min_rows, crate::engine::PACKED_MIN_ROWS);
     }
 
@@ -1442,10 +1453,6 @@ mod tests {
         let mut bytes = vec![0i8; taps * cw * pitch * DWORD];
         for r in 0..rows {
             for (i, &w) in weights[r * k..(r + 1) * k].iter().enumerate() {
-                assert!(
-                    (-BYTE_WEIGHT_MAX..=BYTE_WEIGHT_MAX).contains(&w),
-                    "weight {w} outside the byte kernel's domain"
-                );
                 let (c, tap) = (i / taps, i % taps);
                 let word = tap * cw + c / DWORD;
                 bytes[(word * pitch + r) * DWORD + c % DWORD] = w;
@@ -1479,19 +1486,22 @@ mod tests {
             let (rows, channels, taps) = (PACK_ROWS[r], PACK_CHANNELS[c], PACK_TAPS[t]);
             let mut s = seed;
             let len = rows * channels * taps;
-            // Ternary and binary rows for the planes; ±2 for the byte form.
+            // Ternary and binary rows for the planes; 8-bit ones for the
+            // byte form.
             let ternary: Vec<i8> = (0..len).map(|_| (xorshift(&mut s) % 3) as i8 - 1).collect();
             let binary: Vec<i8> = ternary.iter().map(|&w| if w < 0 { -1 } else { 1 }).collect();
-            let byte: Vec<i8> = (0..len).map(|_| (xorshift(&mut s) % 5) as i8 - 2).collect();
+            let byte: Vec<i8> = (0..len)
+                .map(|_| ((xorshift(&mut s) % 255) as i16 - 127) as i8)
+                .collect();
             for w in [&ternary, &binary] {
                 proptest::prop_assert_eq!(
                     PackedWeights::pack_taps(w, rows, channels, taps),
                     reference_pack_taps(w, rows, channels, taps)
                 );
             }
-            for w in [&ternary, &byte] {
+            for (w, w_max) in [(&ternary, 1), (&byte, 127)] {
                 proptest::prop_assert_eq!(
-                    ByteWeights::pack_taps(w, rows, channels, taps),
+                    ByteWeights::pack_taps(w, rows, channels, taps, w_max),
                     reference_byte_pack_taps(w, rows, channels, taps)
                 );
             }
@@ -1507,11 +1517,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "weight 3 outside the byte kernel's domain")]
+    #[should_panic(expected = "weight 64 outside the byte kernel's domain ±63")]
     fn byte_packing_rejects_a_weight_outside_its_domain() {
-        let mut w = vec![-2i8; 9 * 3 * 9];
-        w[8 * 3 * 9 + 26] = 3;
-        let _ = ByteWeights::pack_taps(&w, 9, 3, 9);
+        // A 7-bit layer's bound is 63.
+        let mut w = vec![-63i8; 9 * 3 * 9];
+        w[8 * 3 * 9 + 26] = 64;
+        let _ = ByteWeights::pack_taps(&w, 9, 3, 9, 63);
     }
 
     #[test]

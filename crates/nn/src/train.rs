@@ -596,14 +596,21 @@ fn calibrate_thresholds(graph: &CnnGraph, calib: &[Activations]) -> Result<CnnGr
     graph.with_layers(chain).map_err(NnError::Model)
 }
 
-/// Integer MVTU accumulation for calibration — delegates to the engine's
-/// integer kernels, so calibration sees bit-exactly what inference will.
+/// Integer MVTU accumulation for calibration — runs the engine's `Direct`
+/// kernels, to which every plan is bit-identical, so calibration sees
+/// bit-exactly what inference will.
 fn mvtu_accumulate(layer: &Layer, input: &Activations, out_shape: TensorShape) -> Vec<i32> {
+    let mut out = vec![0i32; out_shape.elements()];
     match layer {
-        Layer::Conv2d(c) => engine::conv_forward_im2col(c, input, out_shape),
-        Layer::Dense(d) => engine::dense_forward(d, input.as_slice()),
-        _ => Vec::new(),
+        Layer::Conv2d(c) => {
+            engine::conv_direct_into(c, input.as_slice(), input.shape(), out_shape, &mut out);
+        }
+        Layer::Dense(d) => {
+            engine::dense_direct_into(d.weights.as_slice(), input.as_slice(), &mut out);
+        }
+        _ => unreachable!("only conv and dense layers accumulate"),
     }
+    out
 }
 
 #[allow(clippy::too_many_arguments)]

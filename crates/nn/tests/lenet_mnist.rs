@@ -21,14 +21,12 @@ fn lenet_runs_on_mnist_like_samples() {
 fn lenet_strategies_agree_on_dataset_samples() {
     let graph = topology::lenet(QuantSpec::w1a2(), 10).expect("builds");
     let data = SyntheticDataset::new(DatasetSpec::mnist_like(), 11);
-    let direct = Engine::new(&graph).expect("engine");
-    let gemm = Engine::new(&graph)
-        .expect("engine")
-        .with_strategy(ConvStrategy::Im2col);
+    let auto = Engine::new(&graph).expect("engine");
+    let direct = auto.clone().with_strategy(ConvStrategy::Direct);
+    let im2col = auto.clone().with_strategy(ConvStrategy::Im2col);
     for sample in data.batch(0, 6) {
-        assert_eq!(
-            direct.run(&sample.image).expect("direct"),
-            gemm.run(&sample.image).expect("im2col")
-        );
+        let oracle = direct.run(&sample.image).expect("direct");
+        assert_eq!(auto.run(&sample.image).expect("auto"), oracle);
+        assert_eq!(im2col.run(&sample.image).expect("im2col"), oracle);
     }
 }

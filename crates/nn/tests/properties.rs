@@ -25,13 +25,14 @@ proptest! {
     fn engine_is_deterministic(classes in 2usize..8, seed in 0u64..1000) {
         let graph = topology::tiny(QuantSpec::w2a2(), classes).expect("builds");
         let img = random_image(graph.input_shape(), seed);
-        let direct = Engine::new(&graph).expect("engine");
-        let gemm = Engine::new(&graph).expect("engine").with_strategy(ConvStrategy::Im2col);
-        let a = direct.run(&img).expect("runs");
-        let b = direct.run(&img).expect("runs");
-        let c = gemm.run(&img).expect("runs");
+        let auto = Engine::new(&graph).expect("engine");
+        let strategy = |s| Engine::new(&graph).expect("engine").with_strategy(s);
+        let a = auto.run(&img).expect("runs");
+        let b = auto.run(&img).expect("runs");
         prop_assert_eq!(&a, &b);
-        prop_assert_eq!(&a, &c);
+        for s in [ConvStrategy::Direct, ConvStrategy::Im2col] {
+            prop_assert_eq!(&a, &strategy(s).run(&img).expect("runs"), "{:?}", s);
+        }
         prop_assert!(a.label < classes);
         prop_assert_eq!(a.logits.len(), classes);
     }
@@ -122,10 +123,10 @@ proptest! {
         }
     }
 
-    /// Every kernel path — direct conv, blocked i32 GEMM, packed popcount
-    /// on each available backend — produces bit-identical logits on random
-    /// graphs and inputs. The GEMM path is the oracle the packed kernels
-    /// are checked against.
+    /// Every kernel path — direct conv, the byte window on every layer
+    /// (`Im2col`), packed popcount on each available backend — produces
+    /// bit-identical logits on random graphs and inputs. `Direct` is the
+    /// oracle the others are checked against.
     #[test]
     fn packed_kernels_are_bit_identical_to_gemm_oracle(
         classes in 2usize..8,
@@ -135,11 +136,9 @@ proptest! {
         let quant = if quant_w1 { QuantSpec::w1a2() } else { QuantSpec::w2a2() };
         let graph = topology::tiny(quant, classes).expect("builds");
         let img = random_image(graph.input_shape(), seed);
-        let oracle = Engine::new(&graph)
-            .expect("engine")
-            .with_strategy(ConvStrategy::Im2col)
-            .run(&img)
-            .expect("oracle");
+        let run = |s| Engine::new(&graph).expect("engine").with_strategy(s).run(&img);
+        let oracle = run(ConvStrategy::Direct).expect("oracle");
+        prop_assert_eq!(&oracle, &run(ConvStrategy::Im2col).expect("im2col"));
         for backend in PackedBackend::runnable() {
             let engine = Engine::new(&graph)
                 .expect("engine")
@@ -149,7 +148,7 @@ proptest! {
     }
 
     /// Batched packed inference is invariant in the worker-thread count and
-    /// matches the serial GEMM oracle label-for-label.
+    /// matches both serial oracles label-for-label.
     #[test]
     fn packed_batch_runner_matches_oracle_across_threads(
         classes in 2usize..6,
@@ -160,13 +159,15 @@ proptest! {
         let images: Vec<Activations> = (0..6)
             .map(|i| random_image(graph.input_shape(), seed.wrapping_add(77 * i)))
             .collect();
-        let oracle_engine = Engine::new(&graph)
-            .expect("engine")
-            .with_strategy(ConvStrategy::Im2col);
-        let oracle: Vec<usize> = images
-            .iter()
-            .map(|img| oracle_engine.run(img).expect("oracle").label)
-            .collect();
+        let labels = |strategy| {
+            let engine = Engine::new(&graph).expect("engine").with_strategy(strategy);
+            images
+                .iter()
+                .map(|img| engine.run(img).expect("oracle").label)
+                .collect::<Vec<usize>>()
+        };
+        let oracle = labels(ConvStrategy::Direct);
+        prop_assert_eq!(&labels(ConvStrategy::Im2col), &oracle);
         for t in [1, 2, threads] {
             let engine = Engine::new(&graph).expect("engine");
             let runner = BatchRunner::new(engine).with_threads(t);
@@ -223,13 +224,15 @@ impl Stream {
         }
     }
 
+    /// Weights drawn uniformly from `quant`'s declared weight domain.
     fn weights(&mut self, quant: QuantSpec, into: &mut [i8]) {
+        let domain = quant.weight_domain();
+        let values: Vec<i8> = (domain.min..=domain.max)
+            .filter(|&v| domain.contains(v))
+            .map(|v| v as i8)
+            .collect();
         for w in into {
-            *w = if quant.weight_bits == 1 {
-                self.pick(&[-1, 1])
-            } else {
-                self.pick(&[-1, 0, 1])
-            };
+            *w = self.pick(&values);
         }
     }
 
@@ -352,37 +355,55 @@ proptest! {
     }
 }
 
-/// conv → threshold → dense → label-select, where the conv reads the 8-bit
-/// input and so runs as the byte-window MVTU: channel counts off the dword,
-/// 1/3/5 kernels with stride 2 and padding up to 2, row counts around the
-/// 8-row blocks and the 64-row pass. A W1/W2 dense consumes the threshold
-/// packed (the conv fuses it); a W4 dense does not (the conv scatters its
-/// accumulators channel-major).
+/// Weight bit-widths the byte window takes: every narrow-range domain.
+const WEIGHT_BITS: [u8; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
+
+/// conv (or dense) → threshold → dense → label-select, where the first
+/// MVTU reads the 8-bit input and so runs as the byte-window MVTU: channel
+/// counts off the dword, 1/3/5 kernels with stride 2 and padding up to 2,
+/// row counts around the 8-row blocks and the 64-row pass, and weights of
+/// every width from 1 to 8 bits, drawn from their whole domain — so pair
+/// sums on both sides of the AVX2 kernel's `i16` bound. A W1/W2 dense
+/// consumes the threshold packed (the first MVTU fuses it); a wider one
+/// does not (the first MVTU scatters its accumulators channel-major).
 fn byte_window_graph(seed: u64) -> CnnGraph {
     let mut s = Stream(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
     let side = 4 + (s.next() % 8) as usize;
     let shape = TensorShape::new(s.pick(&[1, 2, 3, 5]), side, side);
-    let (kernel, stride, padding) = loop {
-        let geometry = (s.pick(&[1, 3, 5]), s.pick(&[1, 2]), s.pick(&[0, 1, 2]));
-        if shape.windowed(geometry.0, geometry.1, geometry.2).is_some() {
-            break geometry;
-        }
-    };
     let rows = s.pick(&[1, 7, 9, 33, 64, 72]);
-    let quant = QuantSpec::new(s.pick(&[1, 2]), s.pick(&[1, 2]));
-    let mut conv = Conv2d::new(shape.channels, rows, kernel, stride, padding, quant);
-    s.weights(quant, conv.weights.as_mut_slice());
-    let span = (kernel * kernel * shape.channels) as i32 * 255 / 4;
-    let out = shape
-        .windowed(kernel, stride, padding)
-        .expect("fits")
-        .with_channels(rows);
+    let quant = QuantSpec::new(s.pick(&WEIGHT_BITS), s.pick(&[1, 2]));
+    let w_max = quant.weight_domain().max as i32;
+    let builder = GraphBuilder::new("byte-window", shape);
+    let (builder, out, fan_in) = if s.next().is_multiple_of(4) {
+        // A dense layer straight on the 8-bit input.
+        let mut dense = Dense::new(shape.elements(), rows, quant);
+        s.weights(quant, dense.weights.as_mut_slice());
+        (
+            builder.dense(dense),
+            TensorShape::flat(rows),
+            shape.elements(),
+        )
+    } else {
+        let (kernel, stride, padding) = loop {
+            let geometry = (s.pick(&[1, 3, 5]), s.pick(&[1, 2]), s.pick(&[0, 1, 2]));
+            if shape.windowed(geometry.0, geometry.1, geometry.2).is_some() {
+                break geometry;
+            }
+        };
+        let mut conv = Conv2d::new(shape.channels, rows, kernel, stride, padding, quant);
+        s.weights(quant, conv.weights.as_mut_slice());
+        let out = shape
+            .windowed(kernel, stride, padding)
+            .expect("fits")
+            .with_channels(rows);
+        (builder.conv2d(conv), out, kernel * kernel * shape.channels)
+    };
+    let span = fan_in as i32 * 255 * w_max / 4;
     let classes = 2 + (s.next() % 5) as usize;
-    let dense_quant = QuantSpec::new(s.pick(&[1, 2, 4]), 2);
+    let dense_quant = QuantSpec::new(s.pick(&WEIGHT_BITS), 2);
     let mut dense = Dense::new(out.elements(), classes, dense_quant);
     s.weights(dense_quant, dense.weights.as_mut_slice());
-    GraphBuilder::new("byte-window", shape)
-        .conv2d(conv)
+    builder
         .threshold(s.thresholds(rows, quant.threshold_levels(), span.max(1)))
         .dense(dense)
         .label_select(classes)
@@ -394,19 +415,30 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The input layer under `Auto` produces the logits of the `Direct` and
-    /// `Im2col` oracles on every backend this CPU runs, scalar included.
+    /// `Im2col` oracles on every backend this CPU runs, scalar included, at
+    /// every weight width: the AVX2 byte kernel where the domains bound its
+    /// `i16` pair sums (2 · 255 · w_max ≤ i16::MAX, up to 7-bit weights),
+    /// the `i32` scalar twin everywhere else.
     #[test]
     fn byte_window_mvtu_matches_oracles_on_hostile_shapes(seed in 0u64..1_000_000) {
         let graph = byte_window_graph(seed);
         let engine = |strategy| Engine::new(&graph).expect("engine").with_strategy(strategy);
         let (direct, im2col) = (engine(ConvStrategy::Direct), engine(ConvStrategy::Im2col));
+        let first = mvtu_domains(&graph).remove(0);
+        let simd_exact = 2 * 255 * QuantSpec::new(first.weight_bits, 2).weight_domain().max
+            <= i64::from(i16::MAX);
         for i in 0..3 {
             let img = random_image(graph.input_shape(), seed.wrapping_add(i));
             let oracle = direct.run(&img).expect("direct");
             prop_assert_eq!(&im2col.run(&img).expect("im2col"), &oracle);
             for backend in PackedBackend::runnable() {
                 let auto = engine(ConvStrategy::Auto).with_packed_backend(backend);
-                prop_assert!(auto.kernels()[0].kernel.starts_with("bytes-"));
+                let expected = if backend == PackedBackend::Scalar || !simd_exact {
+                    "bytes-scalar"
+                } else {
+                    "bytes-avx2"
+                };
+                prop_assert_eq!(auto.kernels()[0].kernel, expected);
                 prop_assert_eq!(
                     &auto.run(&img).expect("auto"),
                     &oracle,

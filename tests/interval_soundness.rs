@@ -2,8 +2,8 @@
 //!
 //! The abstract interpretation claims its per-channel intervals contain
 //! every concretely reachable accumulator value. These tests drive the
-//! *actual* inference engine — scalar GEMM, direct conv and the packed
-//! popcount kernels — over random graphs, random weights, random inputs
+//! *actual* inference engine — direct conv, the byte-window MVTU and the
+//! packed popcount kernels — over random graphs, random weights, random inputs
 //! and a pruning sweep, and check the claim two ways:
 //!
 //! 1. externally, the classifier logits (the last MVTU's raw accumulators)
@@ -120,11 +120,14 @@ fn arb_graph() -> impl Strategy<Value = CnnGraph> {
 fn assert_sound(graph: &CnnGraph, input_seeds: &[u64]) {
     let analysis = interval_analysis(graph);
     let classifier = analysis.mvtus.last().expect("graph has MVTUs");
-    let configs = std::iter::once((ConvStrategy::Im2col, PackedBackend::Scalar)).chain(
-        PackedBackend::runnable()
-            .into_iter()
-            .map(|b| (ConvStrategy::Auto, b)),
-    );
+    let configs = [ConvStrategy::Direct, ConvStrategy::Im2col]
+        .map(|s| (s, PackedBackend::Scalar))
+        .into_iter()
+        .chain(
+            PackedBackend::runnable()
+                .into_iter()
+                .map(|b| (ConvStrategy::Auto, b)),
+        );
     for (strategy, backend) in configs {
         let engine = Engine::new(graph)
             .expect("verified graph runs")
@@ -153,8 +156,9 @@ fn assert_sound(graph: &CnnGraph, input_seeds: &[u64]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Every observed accumulator lies inside its AF010 interval, for both
-    /// the GEMM and packed kernels, across random graphs and inputs.
+    /// Every observed accumulator lies inside its AF010 interval, for the
+    /// direct, byte-window and packed kernels, across random graphs and
+    /// inputs.
     #[test]
     fn observed_accumulators_stay_inside_intervals(graph in arb_graph(), s in 0u64..=u64::MAX) {
         assert_sound(&graph, &[s, s ^ 0x9e37_79b9_7f4a_7c15]);

@@ -2,12 +2,11 @@
 //!
 //! Under `ConvStrategy::Auto` every MVTU whose verifier-established domains
 //! fit the packed contract and that has at least `packed_min_rows` weight
-//! rows runs the popcount kernel on packed feature maps, a convolution that
-//! cannot pack but has ≤2-bit weights runs the byte-window MVTU over a byte
-//! map, every other conv/dense layer runs the im2col + i32 GEMM, and the
+//! rows runs the popcount kernel on packed feature maps, every other
+//! conv/dense layer runs the byte-window MVTU over a byte map, and the
 //! reference direct convolution is never planned. A threshold is packed iff
-//! a packed MVTU consumes it, and fused iff a windowed MVTU (packed or byte)
-//! also produces its input.
+//! a packed MVTU consumes it, and then it is fused into the windowed MVTU
+//! (packed or byte) that produces its input.
 //! Nothing measured at startup and no environment variable can change that.
 
 use adaflow_model::prelude::*;
@@ -176,14 +175,16 @@ fn avx512_cpus_plan_the_avx512_kernel() {
 }
 
 #[test]
-fn unpackable_weights_keep_the_gemm_everywhere() {
-    // 4-bit weights fit neither the popcount kernel nor the byte window:
-    // the whole plan stays on the GEMM and every threshold on `u8`.
+fn unpackable_weights_run_the_byte_window_everywhere() {
+    // 4-bit weights fit no pair of sign planes: every conv and dense layer
+    // is the byte-window MVTU, on the AVX2 kernel wherever the CPU has it
+    // (2 · 255 · 7 fits i16), and every threshold goes to `u8`.
     let graph = topology::lenet(QuantSpec::new(4, 2), 10).expect("builds");
     let engine = Engine::new(&graph).expect("engine");
+    let bytes = bytes_label(engine.packed_backend());
     for (node, k) in graph.iter().zip(engine.kernels()) {
         let expected = match node.layer {
-            Layer::Conv2d(_) | Layer::Dense(_) => "gemm",
+            Layer::Conv2d(_) | Layer::Dense(_) => bytes,
             Layer::MultiThreshold(_) => "threshold",
             Layer::MaxPool2d(_) => "maxpool",
             Layer::LabelSelect(_) => "argmax",
