@@ -9,7 +9,7 @@ use adaflow_fleet::{FleetConfig, FleetExperiment, FleetSummary, RouterKind};
 use adaflow_hls::FpgaDevice;
 use adaflow_model::prelude::*;
 use adaflow_model::GraphSummary;
-use adaflow_net::{LiveConfig, LoadConfig, LoadMode, LoadSummary};
+use adaflow_net::{LiveConfig, LoadConfig, LoadMode, LoadSummary, RejectCounts};
 use adaflow_nn::{DatasetKind, Engine};
 use adaflow_serve::{ServeConfig, ServeExperiment, ServeSummary};
 use adaflow_telemetry::{
@@ -1318,12 +1318,7 @@ fn cmd_serve_live(flags: &Flags) -> Result<(), String> {
              service {service:.1} ms (floor {floor:.2} ms)",
             s.batches, s.mean_batch_size
         );
-        let r = &report.rejects;
-        println!(
-            "  rejects: queue-full {}, deadline-infeasible {}, shutting-down {}, \
-             unknown-model {}, bad-request {}",
-            r.queue_full, r.deadline_infeasible, r.shutting_down, r.unknown_model, r.bad_request
-        );
+        println!("{}", rejects_line(&report.rejects));
         let recorded = events.len();
         println!(
             "  wire: {} connection(s), {} protocol error(s), {} send error(s), \
@@ -1411,21 +1406,23 @@ fn cmd_load(flags: &Flags) -> Result<(), String> {
     print_as(format, &summary, || print_load_summary(&summary))
 }
 
+/// The `rejects:` line every live report prints: one tally per reason, in
+/// wire-code order.
+fn rejects_line(r: &RejectCounts) -> String {
+    format!(
+        "  rejects: queue-full {}, deadline-infeasible {}, shutting-down {}, unknown-model {}, \
+         bad-request {}",
+        r.queue_full, r.deadline_infeasible, r.shutting_down, r.unknown_model, r.bad_request
+    )
+}
+
 fn print_load_summary(summary: &LoadSummary) {
-    let (rejected, hit_pct) = (summary.rejected(), summary.hit_pct());
+    let (rejected, hit_pct) = (summary.rejects.total(), summary.hit_pct());
     println!(
         "load: {} sent — {} ok, {rejected} rejected, {} missing ({hit_pct:.2}% hit within budget)",
         summary.sent, summary.ok, summary.missing
     );
-    println!(
-        "  rejects: queue-full {}, deadline-infeasible {}, shutting-down {}, \
-         unknown-model {}, bad-request {}",
-        summary.rejected_queue_full,
-        summary.rejected_deadline_infeasible,
-        summary.rejected_shutting_down,
-        summary.rejected_unknown_model,
-        summary.rejected_bad_request
-    );
+    println!("{}", rejects_line(&summary.rejects));
     println!(
         "  errors: protocol {}, io {}",
         summary.protocol_errors, summary.io_errors
@@ -1552,11 +1549,10 @@ fn print_gateway_report(report: &adaflow_gateway::GatewayReport) {
         "gateway: {} received over {:.1} s — {} ok, {rejected} rejected, {} retries ({} router)",
         report.received, report.duration_s, report.answered_ok, report.retries, report.router
     );
-    let (r, no_backend) = (&report.rejects, report.no_backend);
     println!(
-        "  rejects: queue-full {}, deadline-infeasible {}, shutting-down {} ({no_backend} with no \
-         backend), unknown-model {}, bad-request {}",
-        r.queue_full, r.deadline_infeasible, r.shutting_down, r.unknown_model, r.bad_request
+        "{} ({} shutting-down with no backend)",
+        rejects_line(&report.rejects),
+        report.no_backend
     );
     println!(
         "  wire: {} connection(s), {} protocol error(s), {} send error(s), {} accept error(s)",
@@ -1801,6 +1797,22 @@ mod tests {
         assert!(warning.contains("capacity 4"), "{warning}");
         assert!(warning.contains("overwrote its 2 oldest"), "{warning}");
         assert_eq!(overflow_warning(0, 4), None);
+    }
+
+    #[test]
+    fn rejects_line_is_one_text_for_every_live_report() {
+        let r = RejectCounts {
+            queue_full: 1,
+            deadline_infeasible: 2,
+            shutting_down: 3,
+            unknown_model: 4,
+            bad_request: 5,
+        };
+        assert_eq!(
+            rejects_line(&r),
+            "  rejects: queue-full 1, deadline-infeasible 2, shutting-down 3, unknown-model 4, \
+             bad-request 5"
+        );
     }
 
     #[test]

@@ -26,8 +26,8 @@ use crate::summary::{DeviceSummary, FleetSummary};
 use adaflow::{Library, RuntimeConfig};
 use adaflow_edge::WorkloadSpec;
 use adaflow_serve::{
-    generate_requests, AdaFlowServePolicy, CompletedRequest, DeviceCore, Devices, FixedMaxPolicy,
-    FlexibleOnlyPolicy, Pick, ServePolicy,
+    generate_requests, AdaFlowServePolicy, CompletedRequest, DeviceCore, DeviceStats, Devices,
+    FixedMaxPolicy, FlexibleOnlyPolicy, Pick, ServePolicy, ServeSummary,
 };
 use adaflow_telemetry::{EventKind, LogHistogram, SinkHandle};
 
@@ -244,74 +244,64 @@ impl FleetEngine {
             .into_iter()
             .map(DeviceCore::finish)
             .collect();
-        // Quantiles read bucket counts and the extremes, all exact under
-        // merge: the fleet distribution is the union of the devices'.
-        let mut fleet_latency = LogHistogram::latency_s();
-        for (_, latency) in &finished {
-            fleet_latency.merge(latency);
+        // The fleet is its devices taken as one, merged in index order:
+        // quantiles read bucket counts and the extremes, exact under merge.
+        let mut stats = DeviceStats::default();
+        let mut latency = LogHistogram::latency_s();
+        for (device_stats, device_latency) in &finished {
+            stats.merge(device_stats);
+            latency.merge(device_latency);
         }
-
-        let sum = |f: fn(&adaflow_serve::DeviceStats) -> f64| -> f64 {
-            finished.iter().map(|(s, _)| f(s)).sum()
-        };
-        let arrived = sum(|s| s.arrived as f64);
-        let completed = sum(|s| s.completed as f64);
-        let shed = sum(|s| s.shed as f64);
-        let deadline_hits = sum(|s| s.deadline_hits as f64);
-        let batches = sum(|s| s.batches as f64);
-        let batched = sum(|s| s.batched_requests as f64);
-        let latency_sum = sum(|s| s.latency_sum_s);
         debug_assert_eq!(
-            arrived as u64,
+            stats.arrived,
             requests.len() as u64,
             "every generated request was routed"
         );
-        debug_assert_eq!(
-            arrived as u64,
-            (completed + shed) as u64,
-            "fleet conservation"
-        );
+        let total = ServeSummary::from_device(router.name(), &stats, &latency);
+        debug_assert!(total.conservation_holds(), "fleet conservation");
 
         let per_device: Vec<DeviceSummary> = finished
             .iter()
             .zip(&cfg.devices)
-            .map(|((stats, _), kind)| DeviceSummary {
-                kind: kind.name().to_string(),
-                arrived: stats.arrived as f64,
-                completed: stats.completed as f64,
-                shed: stats.shed as f64,
-                deadline_hit_pct: 100.0 * stats.deadline_hits as f64
-                    / (stats.arrived as f64).max(1.0),
-                utilization_pct: 100.0 * stats.busy_service_s / horizon_s.max(1e-9),
-                reconfigurations: stats.reconfigurations as f64,
-                stall_total_s: stats.stall_total_s,
+            .map(|((stats, latency), kind)| {
+                let d = ServeSummary::from_device(kind.name(), stats, latency);
+                DeviceSummary {
+                    kind: d.policy,
+                    arrived: d.arrived,
+                    completed: d.completed,
+                    shed: d.shed,
+                    deadline_hit_pct: d.deadline_hit_pct,
+                    utilization_pct: 100.0 * stats.busy_service_s / horizon_s.max(1e-9),
+                    reconfigurations: d.reconfigurations,
+                    stall_total_s: d.stall_total_s,
+                }
             })
             .collect();
         let shares: Vec<f64> = per_device.iter().map(|d| d.arrived).collect();
 
         FleetSummary {
-            router: router.name().to_string(),
+            router: total.policy,
             devices: n as f64,
-            arrived,
-            completed,
-            shed,
-            deadline_hits,
-            deadline_hit_pct: 100.0 * deadline_hits / arrived.max(1.0),
-            shed_pct: 100.0 * shed / arrived.max(1.0),
-            latency_mean_s: latency_sum / completed.max(1.0),
-            latency_p50_s: fleet_latency.p50(),
-            latency_p95_s: fleet_latency.p95(),
-            latency_p99_s: fleet_latency.p99(),
-            queue_wait_mean_s: sum(|s| s.queue_wait_sum_s) / completed.max(1.0),
-            batch_wait_mean_s: sum(|s| s.batch_wait_sum_s) / completed.max(1.0),
-            stall_mean_s: request_stall_sum_s / completed.max(1.0),
-            service_mean_s: sum(|s| s.service_sum_s) / completed.max(1.0),
-            batches,
-            mean_batch_size: batched / batches.max(1.0),
-            model_switches: sum(|s| s.model_switches as f64),
-            flexible_switches: sum(|s| s.flexible_switches as f64),
-            reconfigurations: sum(|s| s.reconfigurations as f64),
-            stall_total_s: sum(|s| s.stall_total_s),
+            arrived: total.arrived,
+            completed: total.completed,
+            shed: total.shed,
+            deadline_hits: total.deadline_hits,
+            deadline_hit_pct: total.deadline_hit_pct,
+            shed_pct: total.shed_pct,
+            latency_mean_s: total.latency_mean_s,
+            latency_p50_s: total.latency_p50_s,
+            latency_p95_s: total.latency_p95_s,
+            latency_p99_s: total.latency_p99_s,
+            queue_wait_mean_s: total.queue_wait_mean_s,
+            batch_wait_mean_s: total.batch_wait_mean_s,
+            stall_mean_s: request_stall_sum_s / total.completed.max(1.0),
+            service_mean_s: total.service_mean_s,
+            batches: total.batches,
+            mean_batch_size: total.mean_batch_size,
+            model_switches: total.model_switches,
+            flexible_switches: total.flexible_switches,
+            reconfigurations: total.reconfigurations,
+            stall_total_s: total.stall_total_s,
             imbalance_cv_mean: cv_sum / (cv_count as f64).max(1.0),
             imbalance_cv_max: cv_max,
             routed_share_cv: coefficient_of_variation(&shares),
@@ -330,6 +320,7 @@ mod tests {
     use adaflow_edge::Scenario;
     use adaflow_model::prelude::*;
     use adaflow_nn::DatasetKind;
+    use serde::Serialize;
 
     fn library() -> Library {
         LibraryGenerator::default_edge_setup()
@@ -398,11 +389,20 @@ mod tests {
         let mut policy = AdaFlowServePolicy::new(&lib, RuntimeConfig::default())
             .with_deadline(config.serve.deadline_s);
         let serve = engine.run(&spec, 5, &mut policy);
-        assert_eq!(fleet.arrived, serve.arrived);
-        assert_eq!(fleet.completed, serve.completed);
-        assert_eq!(fleet.shed, serve.shed);
-        assert_eq!(fleet.deadline_hits, serve.deadline_hits);
-        assert_eq!(fleet.reconfigurations, serve.reconfigurations);
+        // Every field the two summaries share, found by name.
+        let (fleet_fields, serve_fields) = (fleet.to_value(), serve.to_value());
+        let shared: Vec<&str> = serve_fields
+            .as_object()
+            .expect("a summary is an object")
+            .iter()
+            .filter_map(|(key, want)| {
+                let got = fleet_fields.get(key)?;
+                assert_eq!(got.as_f64(), want.as_f64(), "{key}");
+                Some(key.as_str())
+            })
+            .collect();
+        assert_eq!(shared.len(), 19, "{shared:?}");
+        assert!(fleet.arrived > 0.0 && fleet.batches > 0.0);
     }
 
     #[test]

@@ -140,8 +140,7 @@ pub(crate) struct Shared {
     policy: Mutex<Box<dyn RoutePolicy + Send>>,
     received: AtomicU64,
     answered_ok: AtomicU64,
-    /// Reject tallies indexed by `Status::code() - 1`.
-    reject_counts: [AtomicU64; 5],
+    rejects: Mutex<RejectCounts>,
     no_backend: AtomicU64,
     retries: AtomicU64,
     wire: Arc<WireStats>,
@@ -245,8 +244,7 @@ impl Shared {
                 );
             }
             status => {
-                let slot = usize::from(status.code()) - 1;
-                self.reject_counts[slot].fetch_add(1, Ordering::Relaxed);
+                *self.rejects.lock().expect("rejects lock").of(status) += 1;
                 self.sink.emit(
                     self.now_s(),
                     EventKind::RequestShed {
@@ -469,7 +467,7 @@ impl Gateway {
             policy: Mutex::new(policy),
             received: AtomicU64::new(0),
             answered_ok: AtomicU64::new(0),
-            reject_counts: std::array::from_fn(|_| AtomicU64::new(0)),
+            rejects: Mutex::default(),
             no_backend: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             wire: Arc::default(),
@@ -571,14 +569,10 @@ impl Gateway {
         }
 
         let duration_s = start.elapsed().as_secs_f64();
-        let mut rejects = RejectCounts::default();
-        for (status, count) in Status::ALL[1..].iter().zip(&shared.reject_counts) {
-            *rejects.of(*status) = count.load(Ordering::SeqCst);
-        }
         Ok(GatewayReport {
             received: shared.received.load(Ordering::SeqCst),
             answered_ok: shared.answered_ok.load(Ordering::SeqCst),
-            rejects,
+            rejects: *shared.rejects.lock().expect("rejects lock"),
             no_backend: shared.no_backend.load(Ordering::SeqCst),
             retries: shared.retries.load(Ordering::SeqCst),
             connections: shared.wire.connections.load(Ordering::Relaxed),

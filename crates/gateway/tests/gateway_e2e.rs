@@ -334,7 +334,7 @@ fn retryable_reject_fails_over_to_another_backend() {
     // Every request ends Ok: the ones that hit the fake first were
     // retried onto the real backend within the budget.
     assert_eq!(summary.ok, 16, "{summary:?}");
-    assert_eq!(summary.rejected(), 0);
+    assert_eq!(summary.rejects.total(), 0);
     assert!(report.conservation_holds(), "{report:?}");
     assert_eq!(report.answered_ok, 16);
     assert!(report.retries >= 8, "{report:?}");

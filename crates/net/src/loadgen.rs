@@ -10,7 +10,7 @@
 //! the gateway uses for its backend connections.
 
 use adaflow_model::TensorShape;
-use adaflow_proto::{ClientError, ProtoClient, RequestFrame, Status};
+use adaflow_proto::{ClientError, ProtoClient, RejectCounts, RequestFrame, Status};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -88,16 +88,8 @@ pub struct LoadSummary {
     pub sent: u64,
     /// `Ok` responses.
     pub ok: u64,
-    /// `QueueFull` rejects (admission shed).
-    pub rejected_queue_full: u64,
-    /// `DeadlineInfeasible` rejects.
-    pub rejected_deadline_infeasible: u64,
-    /// `ShuttingDown` rejects.
-    pub rejected_shutting_down: u64,
-    /// `UnknownModel` rejects.
-    pub rejected_unknown_model: u64,
-    /// `BadRequest` rejects.
-    pub rejected_bad_request: u64,
+    /// Rejects, one tally per reason.
+    pub rejects: RejectCounts,
     /// Sent requests that never got a response (connection died or the
     /// grace window expired).
     pub missing: u64,
@@ -127,39 +119,6 @@ impl LoadSummary {
     #[must_use]
     pub fn hit_pct(&self) -> f64 {
         100.0 * self.deadline_hits as f64 / (self.sent as f64).max(1.0)
-    }
-
-    /// Total rejects across every reason code.
-    #[must_use]
-    pub fn rejected(&self) -> u64 {
-        Status::ALL
-            .into_iter()
-            .filter(|s| !s.is_ok())
-            .map(|s| self.count_for(s))
-            .sum()
-    }
-
-    /// The counter a given status lands in.
-    fn count_for(&self, status: Status) -> u64 {
-        match status {
-            Status::Ok => self.ok,
-            Status::QueueFull => self.rejected_queue_full,
-            Status::DeadlineInfeasible => self.rejected_deadline_infeasible,
-            Status::ShuttingDown => self.rejected_shutting_down,
-            Status::UnknownModel => self.rejected_unknown_model,
-            Status::BadRequest => self.rejected_bad_request,
-        }
-    }
-
-    fn classify(&mut self, status: Status) {
-        match status {
-            Status::Ok => self.ok += 1,
-            Status::QueueFull => self.rejected_queue_full += 1,
-            Status::DeadlineInfeasible => self.rejected_deadline_infeasible += 1,
-            Status::ShuttingDown => self.rejected_shutting_down += 1,
-            Status::UnknownModel => self.rejected_unknown_model += 1,
-            Status::BadRequest => self.rejected_bad_request += 1,
-        }
     }
 }
 
@@ -193,11 +152,7 @@ pub fn run_load(config: &LoadConfig) -> LoadSummary {
         let s = outcome.summary;
         merged.sent += s.sent;
         merged.ok += s.ok;
-        merged.rejected_queue_full += s.rejected_queue_full;
-        merged.rejected_deadline_infeasible += s.rejected_deadline_infeasible;
-        merged.rejected_shutting_down += s.rejected_shutting_down;
-        merged.rejected_unknown_model += s.rejected_unknown_model;
-        merged.rejected_bad_request += s.rejected_bad_request;
+        merged.rejects.merge(&s.rejects);
         merged.missing += s.missing;
         merged.protocol_errors += s.protocol_errors;
         merged.io_errors += s.io_errors;
@@ -375,13 +330,15 @@ fn settle(
     response: &adaflow_proto::ResponseFrame,
     rtt_s: f64,
 ) {
-    outcome.summary.classify(response.status);
-    if response.status == Status::Ok {
-        outcome.rtts_s.push(rtt_s);
-        let within =
-            config.deadline_us == 0 || u64::from(response.latency_us) <= config.deadline_us;
-        outcome.summary.deadline_hits += u64::from(within);
+    let summary = &mut outcome.summary;
+    if response.status != Status::Ok {
+        *summary.rejects.of(response.status) += 1;
+        return;
     }
+    summary.ok += 1;
+    outcome.rtts_s.push(rtt_s);
+    let within = config.deadline_us == 0 || u64::from(response.latency_us) <= config.deadline_us;
+    summary.deadline_hits += u64::from(within);
 }
 
 #[cfg(test)]
@@ -390,31 +347,43 @@ mod tests {
 
     #[test]
     fn classify_covers_every_status() {
-        let mut s = LoadSummary::default();
+        let config = LoadConfig::closed(
+            "127.0.0.1:0".parse().expect("addr"),
+            "m",
+            TensorShape::new(1, 1, 1),
+            1,
+        );
+        let mut outcome = ConnOutcome::default();
         for status in Status::ALL {
-            s.classify(status);
+            let response = adaflow_proto::ResponseFrame::reject(0, status);
+            settle(&config, &mut outcome, &response, 0.0);
         }
-        assert_eq!(s.ok, 1);
-        assert_eq!(s.rejected(), 5);
+        assert_eq!(outcome.summary.ok, 1);
+        assert_eq!(outcome.summary.rejects.total(), 5);
+        assert_eq!(
+            outcome.rtts_s.len(),
+            1,
+            "only the Ok answer has a round trip"
+        );
     }
 
     #[test]
     fn retryable_accounting_matches_status_contract() {
-        let s = LoadSummary {
-            rejected_queue_full: 3,
-            rejected_shutting_down: 2,
-            rejected_deadline_infeasible: 7,
-            rejected_bad_request: 1,
-            ..LoadSummary::default()
+        let mut rejects = RejectCounts {
+            queue_full: 3,
+            shutting_down: 2,
+            deadline_infeasible: 7,
+            bad_request: 1,
+            ..RejectCounts::default()
         };
         // Exactly the `Status::is_retryable` subset counts.
         let retryable: u64 = Status::ALL
             .into_iter()
             .filter(|status| status.is_retryable())
-            .map(|status| s.count_for(status))
+            .map(|status| *rejects.of(status))
             .sum();
         assert_eq!(retryable, 5);
-        assert_eq!(s.rejected(), 13);
+        assert_eq!(rejects.total(), 13);
     }
 
     #[test]
@@ -423,7 +392,10 @@ mod tests {
             sent: 10,
             ok: 6,
             deadline_hits: 5,
-            rejected_queue_full: 4,
+            rejects: RejectCounts {
+                queue_full: 4,
+                ..RejectCounts::default()
+            },
             ..LoadSummary::default()
         };
         assert!((s.hit_pct() - 50.0).abs() < 1e-9);

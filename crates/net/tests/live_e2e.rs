@@ -376,7 +376,7 @@ fn open_loop_every_request_gets_exactly_one_answer() {
     assert_eq!(summary.io_errors, 0);
     // The one-answer-per-request invariant: nothing lost, nothing extra.
     assert_eq!(
-        summary.ok + summary.rejected() + summary.missing,
+        summary.ok + summary.rejects.total() + summary.missing,
         summary.sent,
         "{summary:?}"
     );

@@ -39,32 +39,17 @@ use adaflow_telemetry::SinkHandle;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Result of one inference.
-///
-/// Equality compares `label` and `logits` only: [`InferenceResult::kernels`]
-/// is execution metadata, and two engines running different (bit-identical)
-/// kernel plans must still compare equal on the same input.
-#[derive(Debug, Clone)]
+/// Result of one inference: what the engine computed, nothing about how.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InferenceResult {
     /// Selected (top-1) class index.
     pub label: usize,
     /// Raw class accumulators from the classifier layer.
     pub logits: Vec<i32>,
-    /// Per-layer kernel attribution of the engine plan that produced this
-    /// result (shared, not per-inference — cloning is one refcount).
-    pub kernels: Arc<[KernelAttribution]>,
 }
-
-impl PartialEq for InferenceResult {
-    fn eq(&self, other: &Self) -> bool {
-        self.label == other.label && self.logits == other.logits
-    }
-}
-
-impl Eq for InferenceResult {}
 
 /// Which kernel the engine planner chose for one layer, exposed through
-/// [`InferenceResult::kernels`] and suffixed onto telemetry span names
+/// [`Engine::kernels`] and suffixed onto telemetry span names
 /// (`conv2[packed-avx2]`) so `report` can attribute time per kernel.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelAttribution {
@@ -970,11 +955,7 @@ impl<'g> Engine<'g> {
                 (Step::Plain, Layer::LabelSelect(_), Kind::Accum) => {
                     let logits = accum[..shape.elements()].to_vec();
                     let label = argmax(&logits);
-                    result = Some(InferenceResult {
-                        label,
-                        logits,
-                        kernels: self.kernels.clone(),
-                    });
+                    result = Some(InferenceResult { label, logits });
                 }
                 (_, layer, _) => {
                     // `new` validated the chain; reaching here means the graph
@@ -1957,29 +1938,6 @@ mod tests {
         for (node, k) in g.iter().zip(kernels) {
             assert_eq!(node.name, k.layer);
         }
-        // The result carries the same attribution for offline reporting.
-        let result = engine
-            .run(&Activations::zeroed(g.input_shape()))
-            .expect("run");
-        assert_eq!(result.kernels.as_ref(), kernels);
-    }
-
-    #[test]
-    fn inference_result_equality_ignores_kernel_metadata() {
-        let g = tiny_graph();
-        let img = random_image(g.input_shape(), 3);
-        let a = Engine::new(&g)
-            .expect("engine")
-            .with_strategy(ConvStrategy::Direct)
-            .run(&img)
-            .expect("runs");
-        let b = Engine::new(&g).expect("engine").run(&img).expect("runs");
-        assert_eq!(a, b, "numerics agree across strategies");
-        assert_ne!(
-            a.kernels.as_ref(),
-            b.kernels.as_ref(),
-            "attribution reflects the strategy"
-        );
     }
 
     #[test]

@@ -153,6 +153,15 @@ impl RejectCounts {
         }
     }
 
+    /// Adds `other`'s tallies into these, field by field.
+    pub fn merge(&mut self, other: &RejectCounts) {
+        self.queue_full += other.queue_full;
+        self.deadline_infeasible += other.deadline_infeasible;
+        self.shutting_down += other.shutting_down;
+        self.unknown_model += other.unknown_model;
+        self.bad_request += other.bad_request;
+    }
+
     /// Total rejects across every reason.
     #[must_use]
     pub fn total(&self) -> u64 {
@@ -643,5 +652,35 @@ mod tests {
             ],
             [1, 2, 3, 4, 5]
         );
+    }
+
+    #[test]
+    fn reject_counts_merge_adds_field_by_field() {
+        let mut a = RejectCounts {
+            queue_full: 1,
+            deadline_infeasible: 2,
+            shutting_down: 3,
+            unknown_model: 4,
+            bad_request: 5,
+        };
+        let b = RejectCounts {
+            queue_full: 10,
+            shutting_down: 30,
+            bad_request: 50,
+            ..RejectCounts::default()
+        };
+        a.merge(&b);
+        let want = RejectCounts {
+            queue_full: 11,
+            deadline_infeasible: 2,
+            shutting_down: 33,
+            unknown_model: 4,
+            bad_request: 55,
+        };
+        assert_eq!(a, want);
+        assert_eq!(a.total(), 15 + b.total());
+        // Merging the empty tally changes nothing.
+        a.merge(&RejectCounts::default());
+        assert_eq!(a, want);
     }
 }

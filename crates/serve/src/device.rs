@@ -87,6 +87,29 @@ pub struct DeviceStats {
     pub busy_service_s: f64,
 }
 
+impl DeviceStats {
+    /// Adds `other`'s counters and sums into these, field by field — the
+    /// counters of several devices taken as one.
+    pub fn merge(&mut self, other: &DeviceStats) {
+        self.arrived += other.arrived;
+        self.completed += other.completed;
+        self.shed += other.shed;
+        self.deadline_hits += other.deadline_hits;
+        self.batches += other.batches;
+        self.batched_requests += other.batched_requests;
+        self.model_switches += other.model_switches;
+        self.flexible_switches += other.flexible_switches;
+        self.reconfigurations += other.reconfigurations;
+        self.stall_total_s += other.stall_total_s;
+        self.queue_wait_sum_s += other.queue_wait_sum_s;
+        self.batch_wait_sum_s += other.batch_wait_sum_s;
+        self.service_sum_s += other.service_sum_s;
+        self.latency_sum_s += other.latency_sum_s;
+        self.accuracy_sum_pct += other.accuracy_sum_pct;
+        self.busy_service_s += other.busy_service_s;
+    }
+}
+
 /// What one [`DeviceCore::close_batch`] call did — the fleet layer turns
 /// this into per-device reconfiguration telemetry and stagger accounting.
 #[derive(Debug, Clone, PartialEq)]

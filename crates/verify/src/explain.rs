@@ -128,7 +128,7 @@ static DOCS: &[RuleDoc] = &[
         severities: "Warn | Info",
         provenance: "XNOR/AND-popcount MVTU datapaths (FINN, Umuroglu et al., FPGA'17) only \
                      represent {-1,0,+1} weights and ≤2 activation bitplanes; ineligible \
-                     layers silently fall back to GEMM",
+                     layers silently run the byte-window MVTU",
         example_fix: "recalibrate the upstream threshold table to ≤3 levels (or fix stored \
                       weights to ±1) so the packed kernels engage",
     },

@@ -203,7 +203,7 @@ mod tests {
             .iter()
             .filter(|d| d.code == "AF009" && d.severity == Severity::Info)
             .count();
-        // Every MVTU reports Info (the first layer's GEMM fallback on the
+        // Every MVTU reports Info (the first layer's byte-window MVTU on the
         // 8-bit input is expected, not a defect), none warns.
         assert_eq!(infos, mvtus, "one eligibility line per MVTU layer");
         assert!(!report
@@ -237,7 +237,7 @@ mod tests {
 
     #[test]
     fn af009_stays_quiet_info_for_declared_wide_quant() {
-        // LeNet at W4A4 is legitimately GEMM-bound: Info only, no warns.
+        // LeNet at W4A4 legitimately runs the byte-window MVTU: Info only, no warns.
         let g = topology::lenet(QuantSpec::new(4, 4), 10).expect("builds");
         let report = verify_graph(&g);
         assert!(report.fired("AF009"));
@@ -346,7 +346,7 @@ mod tests {
                     "demoted: AF010 interval analysis proves the current weights cannot overflow i32 ",
                     "(retraining under this spec may still overflow) — reduce fan-in or quantization ",
                     "bit widths, or widen the accumulator type\n",
-                    "  info[AF009] L0 (fc1): GEMM fallback: declared 8-bit weights exceed the ≤2-bit ",
+                    "  info[AF009] L0 (fc1): byte-window MVTU: declared 8-bit weights exceed the ≤2-bit ",
                     "packed contract\n",
                     "  info[AF010] L0 (fc1): exact accumulator interval [0, 0] needs a 1-bit ",
                     "accumulator; 31 spare bits in i32 (AF006 domain bound ±135832535040)\n",
@@ -360,7 +360,7 @@ mod tests {
                     "  error[AF006] L0 (fc1): worst-case accumulator ±135832535040 (fan-in 4194304 × ",
                     "max|w| 127 × max|a| 255), actual weights reach ±0: exceeds i32::MAX by 63.3x — ",
                     "reduce fan-in or quantization bit widths, or widen the accumulator type\n",
-                    "  info[AF009] L0 (fc1): GEMM fallback: declared 8-bit weights exceed the ≤2-bit ",
+                    "  info[AF009] L0 (fc1): byte-window MVTU: declared 8-bit weights exceed the ≤2-bit ",
                     "packed contract\n",
                     "  info[AF010] L0 (fc1): exact accumulator interval [0, 0] needs a 1-bit ",
                     "accumulator; 31 spare bits in i32 (AF006 domain bound ±135832535040)\n",
@@ -371,7 +371,7 @@ mod tests {
                 "",
                 concat!(
                     "overflow-demoted: 0 error(s), 0 warning(s), 2 info\n",
-                    "  info[AF009] L0 (fc1): GEMM fallback: declared 8-bit weights exceed the ≤2-bit ",
+                    "  info[AF009] L0 (fc1): byte-window MVTU: declared 8-bit weights exceed the ≤2-bit ",
                     "packed contract\n",
                     "  info[AF010] L0 (fc1): exact accumulator interval [0, 0] needs a 1-bit ",
                     "accumulator; 31 spare bits in i32 (AF006 domain bound ±135832535040)\n",
@@ -387,7 +387,7 @@ mod tests {
                     "demoted: AF010 interval analysis proves the current weights cannot overflow i32 ",
                     "(retraining under this spec may still overflow) — reduce fan-in or quantization ",
                     "bit widths, or widen the accumulator type\n",
-                    "  info[AF009] L0 (fc1): GEMM fallback: declared 8-bit weights exceed the ≤2-bit ",
+                    "  info[AF009] L0 (fc1): byte-window MVTU: declared 8-bit weights exceed the ≤2-bit ",
                     "packed contract\n",
                 ),
             ),

@@ -498,7 +498,7 @@ fn dataflow_structure(code: &str, facts: &Facts<'_>, diag: &mut Diagnostics) {
 /// Reports each MVTU's eligibility as an Info finding; warns when a layer
 /// *declares* packed-friendly ≤2-bit quantization but the upstream
 /// threshold table implies wider activations (or its stored weights stray
-/// outside `±1`) — those layers silently pay the GEMM fallback.
+/// outside `±1`) — those layers silently run the slower byte-window MVTU.
 fn packed_eligibility(code: &str, facts: &Facts<'_>, diag: &mut Diagnostics) {
     for d in &facts.domains {
         let at = Some((d.layer, d.name.as_str()));
@@ -518,7 +518,7 @@ fn packed_eligibility(code: &str, facts: &Facts<'_>, diag: &mut Diagnostics) {
                     code,
                     Severity::Info,
                     at,
-                    format!("GEMM fallback (expected for the input layer): {fb}"),
+                    format!("byte-window MVTU (expected for the input layer): {fb}"),
                     None,
                 );
             }
@@ -526,7 +526,7 @@ fn packed_eligibility(code: &str, facts: &Facts<'_>, diag: &mut Diagnostics) {
                 code,
                 Severity::Info,
                 at,
-                format!("GEMM fallback: {fb}"),
+                format!("byte-window MVTU: {fb}"),
                 None,
             ),
             // A declared >2-bit activation domain is legitimately
@@ -535,7 +535,7 @@ fn packed_eligibility(code: &str, facts: &Facts<'_>, diag: &mut Diagnostics) {
                 code,
                 Severity::Info,
                 at,
-                format!("GEMM fallback: {fb}"),
+                format!("byte-window MVTU: {fb}"),
                 None,
             ),
             // An inner layer declaring ≤2-bit quantization that still

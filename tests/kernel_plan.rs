@@ -48,15 +48,7 @@ fn assert_golden_plan(name: &str, graph: &CnnGraph) -> Vec<&'static str> {
     let plan: Vec<&'static str> = domains.iter().map(|d| kernels[d.layer].kernel).collect();
     for (d, kernel) in domains.iter().zip(&plan) {
         let packs = d.packed_eligible() && d.rows >= kernel_thresholds().packed_min_rows;
-        let conv = matches!(
-            graph.iter().nth(d.layer).expect("node").layer,
-            Layer::Conv2d(_)
-        );
-        let expected = match (packs, conv && d.weight_bits <= 2) {
-            (true, _) => packed.as_str(),
-            (false, true) => bytes,
-            (false, false) => "gemm",
-        };
+        let expected = if packs { packed.as_str() } else { bytes };
         assert_eq!(*kernel, expected, "{name}: layer {}", d.name);
     }
     // Every shipped model is ≤2-bit past its 8-bit first layer: conv1 runs
