@@ -1685,7 +1685,7 @@ fn cmd_gateway_soak(flags: &Flags) -> Result<(), String> {
     );
 
     let third = Duration::from_secs_f64(load.duration_s / 3.0);
-    let (gateway_result, summary) = std::thread::scope(|scope| {
+    let (gateway_result, summary, backend_reports) = std::thread::scope(|scope| {
         // A path call, so `server` keeps the bound servers' lifetime.
         let serve = |server| {
             let handle = LiveServer::handle(&server);
@@ -1705,11 +1705,11 @@ fn cmd_gateway_soak(flags: &Flags) -> Result<(), String> {
             scope.spawn(move || {
                 std::thread::sleep(third);
                 handle.shutdown();
-                thread.join().expect("backend 0 thread");
+                let killed = thread.join().expect("backend 0 thread");
                 std::thread::sleep(third);
                 let server = LiveServer::bind(addr, graph, cfg, SinkHandle::null())
                     .expect("rebinding backend 0's address");
-                serve(server)
+                (killed, serve(server))
             })
         });
 
@@ -1726,12 +1726,17 @@ fn cmd_gateway_soak(flags: &Flags) -> Result<(), String> {
         }
         gh.shutdown();
         let gateway_result = gateway_thread.join().expect("gateway thread");
-        backends.extend(drill.map(|drill| drill.join().expect("failover drill thread")));
+        let mut reports = Vec::new();
+        if let Some(drill) = drill {
+            let (killed, restarted) = drill.join().expect("failover drill thread");
+            reports.push(killed);
+            backends.push(restarted);
+        }
         for (handle, thread) in backends {
             handle.shutdown();
-            thread.join().expect("backend thread");
+            reports.push(thread.join().expect("backend thread"));
         }
-        (gateway_result, summary)
+        (gateway_result, summary, reports)
     });
     let report = gateway_result.map_err(|e| format!("gateway failed: {e}"))?;
     let recorded = drain_events(&recorder).len();
@@ -1741,6 +1746,7 @@ fn cmd_gateway_soak(flags: &Flags) -> Result<(), String> {
     println!("  {recorded} event(s) recorded");
 
     let (drilled, rejected) = (&report.backends[0], report.rejects.total());
+    let bad_requests: u64 = backend_reports.iter().map(|r| r.rejects.bad_request).sum();
     let failures = [
         (!report.conservation_holds()).then(|| {
             format!(
@@ -1753,9 +1759,13 @@ fn cmd_gateway_soak(flags: &Flags) -> Result<(), String> {
             .then(|| "restarted backend was never readmitted".into()),
         (failover && !drilled.healthy_at_exit)
             .then(|| "restarted backend not healthy at exit".into()),
+        // The load sends only well-formed frames and a health probe is no
+        // client's request, so no backend may count a malformed one.
+        (bad_requests > 0)
+            .then(|| format!("backends counted {bad_requests} bad-request reject(s)")),
     ];
     let pass = format!(
-        "conservation holds{}",
+        "conservation holds, no backend bad-request{}",
         if failover {
             ", failover drill survived"
         } else {

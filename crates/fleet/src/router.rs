@@ -69,6 +69,49 @@ impl DeviceSnapshot {
     }
 }
 
+/// Running minima [`argmin`] keeps side by side, so that no comparison
+/// waits on the one before it.
+const LANES: usize = 4;
+
+/// The lowest index of the least `key` over `rows` (non-empty), picked
+/// without a data-dependent branch: [`LANES`] independent running minima
+/// over the rows, then the first row whose key equals their minimum.
+///
+/// Exact, because `min` does not round, so any order of the comparisons
+/// finds the same least key. It agrees with a strict-less scan in index
+/// order (`total_cmp` for floats) wherever no key is NaN or −0, where
+/// `==` and `total_cmp` coincide. Routing keys are neither: loads are
+/// integers and `estimate_done_s` is `max(busy_until, now) + backlog` with
+/// `now ≥ 0` and `backlog > 0`.
+fn argmin<K: Copy + PartialOrd>(
+    rows: &[DeviceSnapshot],
+    key: impl Fn(&DeviceSnapshot) -> K,
+) -> usize {
+    let least = |a: K, b: K| if b < a { b } else { a };
+    let mut lanes = [key(&rows[0]); LANES];
+    let mut chunks = rows.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for (lane, row) in lanes.iter_mut().zip(chunk) {
+            *lane = least(*lane, key(row));
+        }
+    }
+    let min = chunks
+        .remainder()
+        .iter()
+        .map(&key)
+        .fold(lanes.into_iter().fold(lanes[0], least), least);
+    // The first row that attains it: one hit bit per row, 64 rows a word.
+    for (word, chunk) in rows.chunks(64).enumerate() {
+        let hits = chunk.iter().enumerate().fold(0u64, |hits, (bit, row)| {
+            hits | u64::from(key(row) == min) << bit
+        });
+        if hits != 0 {
+            return word * 64 + hits.trailing_zeros() as usize;
+        }
+    }
+    unreachable!("the minimum is some row's key")
+}
+
 /// A fleet dispatch policy.
 pub trait RoutePolicy {
     /// Policy display name (stable; used in summaries and the CLI).
@@ -107,13 +150,7 @@ impl RoutePolicy for LeastLoadedRouter {
     }
 
     fn route(&mut self, _now_s: f64, devices: &[DeviceSnapshot]) -> usize {
-        let mut best = 0;
-        for (idx, d) in devices.iter().enumerate().skip(1) {
-            if d.load() < devices[best].load() {
-                best = idx;
-            }
-        }
-        best
+        argmin(devices, DeviceSnapshot::load)
     }
 }
 
@@ -173,16 +210,7 @@ impl RoutePolicy for DeadlineAwareRouter {
     }
 
     fn route(&mut self, now_s: f64, devices: &[DeviceSnapshot]) -> usize {
-        let mut best = 0;
-        let mut best_done = devices[0].estimate_done_s(now_s);
-        for (idx, d) in devices.iter().enumerate().skip(1) {
-            let done = d.estimate_done_s(now_s);
-            if done.total_cmp(&best_done).is_lt() {
-                best = idx;
-                best_done = done;
-            }
-        }
-        best
+        argmin(devices, |d| d.estimate_done_s(now_s))
     }
 }
 
@@ -346,6 +374,58 @@ mod tests {
                 DeadlineAwareRouter.route(now_s, &rows),
                 reference_route(now_s, &devices, prior_fps),
                 "case {case}"
+            );
+        }
+    }
+
+    /// The compare-and-branch scans [`argmin`] replaced: the first row
+    /// strictly below every earlier one wins.
+    fn reference_scan(
+        devices: &[DeviceSnapshot],
+        less: impl Fn(&DeviceSnapshot, &DeviceSnapshot) -> bool,
+    ) -> usize {
+        let mut best = 0;
+        for (idx, d) in devices.iter().enumerate().skip(1) {
+            if less(d, &devices[best]) {
+                best = idx;
+            }
+        }
+        best
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn argmin_routes_like_the_scans_it_replaced(
+            n in 1usize..=64,
+            now in 0u32..8,
+            values in 1usize..5,
+            seed in 0u64..u64::MAX,
+        ) {
+            // `values` distinct settings per field force ties; None busy
+            // horizons are idle rows and a shared throughput gives equal
+            // backlogs at equal depth.
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let now_s = f64::from(now) / 4.0;
+            let rows: Vec<DeviceSnapshot> = (0..n)
+                .map(|_| {
+                    let pick = |rng: &mut ChaCha8Rng| rng.gen_range(0..values);
+                    let in_flight = pick(&mut rng);
+                    let busy = (in_flight > 0).then(|| pick(&mut rng) as f64 / 2.0);
+                    let fps = [50.0, 100.0, 200.0, 400.0][pick(&mut rng) % 4];
+                    DeviceSnapshot::new(pick(&mut rng), in_flight, busy, Some(fps), 100.0)
+                })
+                .collect();
+            proptest::prop_assert_eq!(
+                LeastLoadedRouter.route(now_s, &rows),
+                reference_scan(&rows, |a, b| a.load() < b.load())
+            );
+            proptest::prop_assert_eq!(
+                DeadlineAwareRouter.route(now_s, &rows),
+                reference_scan(&rows, |a, b| {
+                    a.estimate_done_s(now_s).total_cmp(&b.estimate_done_s(now_s)).is_lt()
+                })
             );
         }
     }

@@ -9,11 +9,12 @@
 //! * **connection loss** — a failed send, a socket error, EOF, or
 //!   protocol garbage ejects the backend immediately and fails its
 //!   in-flight requests over to the retry path;
-//! * **probes** — every `probe_interval` the worker sends a zero-shaped
-//!   request with a reserved id. The backend answers it instantly from
-//!   admission (`bad-request` — by construction it never enters the
-//!   serving pipeline or the arrival ledger), so *any* reply proves the
-//!   whole stack is responsive. [`EJECT_AFTER`] consecutive probe timeouts
+//! * **probes** — every `probe_interval` the worker sends a
+//!   [`RequestFrame::probe`] (zero shape, empty payload) with a reserved
+//!   id. The backend answers it instantly from admission (`bad-request`,
+//!   tallied as no reject: it never enters the serving pipeline or the
+//!   backend's ledger), so *any* reply proves the whole stack is
+//!   responsive. [`EJECT_AFTER`] consecutive probe timeouts
 //!   eject a healthy backend; [`READMIT_AFTER`] consecutive successes
 //!   readmit an ejected one. Both transitions emit telemetry events.
 //!
@@ -95,23 +96,6 @@ fn warmup_frame(spec: &WarmupSpec, id: u64) -> RequestFrame {
     }
 }
 
-/// The probe frame: zero-shaped, empty payload. The backend's admission
-/// check rejects it (`bad-request`, or `unknown-model` when the backend
-/// pins a different model id) without touching its arrival statistics,
-/// so probes are invisible to the backend's conservation ledger while
-/// still exercising socket, decoder, and admission end-to-end.
-fn probe_frame(model: &str, id: u64) -> RequestFrame {
-    RequestFrame {
-        id,
-        deadline_us: 0,
-        model: model.to_string(),
-        channels: 0,
-        height: 0,
-        width: 0,
-        data: Vec::new(),
-    }
-}
-
 /// The probe state machine for one backend (see the [module docs](self)).
 struct Probes {
     next_send: Instant,
@@ -159,7 +143,7 @@ impl Probes {
                     .warmup
                     .as_ref()
                     .map_or(shared.config.model_id.as_str(), |w| w.model.as_str());
-                if client.send(&probe_frame(model, id)).is_err() {
+                if client.send(&RequestFrame::probe(model, id)).is_err() {
                     return false;
                 }
                 self.outstanding = Some((id, Instant::now()));

@@ -172,6 +172,53 @@ fn closed_loop_through_gateway_is_conserved_and_spread() {
 }
 
 #[test]
+fn health_probes_are_no_rejects_in_the_backend_ledger() {
+    let graph = tiny_graph();
+    let shape = graph.input_shape();
+    let b0 = LiveServer::bind(
+        "127.0.0.1:0",
+        &graph,
+        backend_config(16),
+        SinkHandle::null(),
+    )
+    .expect("binds");
+    let backends = [b0.local_addr().expect("addr")];
+    let h0 = b0.handle();
+
+    let mut config = fast_gateway("rr");
+    config.warmup = Some(warmup_spec(shape));
+    let gateway =
+        Gateway::bind("127.0.0.1:0", &backends, config, SinkHandle::null()).expect("binds");
+    let front = gateway.local_addr().expect("addr");
+    let gh = gateway.handle();
+
+    let (gateway_report, backend_report) = std::thread::scope(|scope| {
+        let bt = scope.spawn(|| b0.run());
+        let gt = scope.spawn(|| gateway.run());
+
+        let summary = adaflow_net::loadgen::run_load(&LoadConfig::closed(front, "", shape, 8));
+        assert_eq!(summary.ok, 8, "{summary:?}");
+        // Ten probe intervals: the backend answers a probe every 25 ms.
+        std::thread::sleep(Duration::from_millis(250));
+
+        gh.shutdown();
+        let gateway_report = gt.join().expect("no panic").expect("gateway serves");
+        h0.shutdown();
+        let backend_report = bt.join().expect("no panic").expect("backend serves");
+        (gateway_report, backend_report)
+    });
+
+    assert!(
+        gateway_report.backends[0].healthy_at_exit,
+        "{gateway_report:?}"
+    );
+    assert_eq!(gateway_report.backends[0].ejections, 0);
+    assert_eq!(backend_report.rejects.bad_request, 0, "{backend_report:?}");
+    assert_eq!(backend_report.rejects.total(), 0, "{backend_report:?}");
+    assert!(backend_report.summary.conservation_holds());
+}
+
+#[test]
 fn killed_backend_is_ejected_then_readmitted_after_restart() {
     let graph = tiny_graph();
     let shape = graph.input_shape();

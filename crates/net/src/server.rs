@@ -370,6 +370,12 @@ fn refuse(shared: &SharedState, conn: &Conn, id: u64, status: Status) {
 /// Validates one decoded request and offers it to the device core.
 fn admit(shared: &SharedState, conn: &Arc<Conn>, request: RequestFrame, expected_elements: usize) {
     let config = &shared.config;
+    // A health probe gets a malformed frame's answer, whatever model it
+    // names, but it is no client's request, so it tallies no reject.
+    if request.is_probe() {
+        conn.send(&ResponseFrame::reject(request.id, Status::BadRequest));
+        return;
+    }
     if !config.model_id.is_empty() && request.model != config.model_id {
         return refuse(shared, conn, request.id, Status::UnknownModel);
     }

@@ -240,6 +240,16 @@ fn reject_reasons_are_machine_readable() {
             Status::BadRequest
         );
 
+        // A health probe gets the same answer, whatever model it names,
+        // but is no client's request.
+        stream
+            .write_all(&encode_frame(&Frame::Request(RequestFrame::probe(
+                "cnv-w2a2", 103,
+            ))))
+            .expect("writes");
+        let r = read_response(&mut stream, &mut frames);
+        assert_eq!((r.id, r.status), (103, Status::BadRequest));
+
         // Fill the queue (2 slots), then overflow it three times.
         for id in 0..5 {
             let mut req = request(id, shape, 0);
@@ -266,8 +276,11 @@ fn reject_reasons_are_machine_readable() {
     assert_eq!(tail, vec![Status::ShuttingDown; 2]);
 
     assert_eq!(report.rejects.deadline_infeasible, 1);
-    assert_eq!(report.rejects.unknown_model, 1);
-    assert_eq!(report.rejects.bad_request, 1);
+    assert_eq!(report.rejects.unknown_model, 1, "the frame, not the probe");
+    assert_eq!(
+        report.rejects.bad_request, 1,
+        "the malformed frame, not the probe"
+    );
     assert_eq!(report.rejects.queue_full, 3);
     assert_eq!(report.rejects.shutting_down, 2);
     // Conservation over the shed classes that entered the stats.

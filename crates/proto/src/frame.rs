@@ -211,6 +211,32 @@ pub struct ResponseFrame {
     pub latency_us: u32,
 }
 
+impl RequestFrame {
+    /// A health probe for `model`: zero shape, empty payload. No model has
+    /// a zero-element input, so a server answers it `BadRequest` without
+    /// running anything, and the round trip proves the socket, decoder and
+    /// admission path responsive.
+    #[must_use]
+    pub fn probe(model: &str, id: u64) -> Self {
+        Self {
+            id,
+            deadline_us: 0,
+            model: model.to_string(),
+            channels: 0,
+            height: 0,
+            width: 0,
+            data: Vec::new(),
+        }
+    }
+
+    /// Whether this is a [`RequestFrame::probe`]: zero shape and an empty
+    /// payload. A server answers it but counts it as no client's request.
+    #[must_use]
+    pub fn is_probe(&self) -> bool {
+        self.channels == 0 && self.height == 0 && self.width == 0 && self.data.is_empty()
+    }
+}
+
 impl ResponseFrame {
     /// An answer that carries no result: `status` for request `id`, label
     /// and latency fields zero.
