@@ -47,12 +47,13 @@ const MODELS: &str = "cnv-w2a2 cnv-w1a2 lenet-w2a2 lenet-w1a2 tiny-w2a2";
 const SERVE_KNOBS: &str =
     "[--deadline-ms N] [--queue-cap N] [--batch N] [--batch-wait-ms N] [--shed block|oldest|newest]";
 const LINT_FLAGS: &str = "[--allow codes] [--deny codes]";
-const FLEET_FLAGS: &str =
-    "[--fleet adaflow,fixed,flexible,..] [--router rr|jsq|p2c|deadline] [--max-drains K]";
+const FLEET_FLAGS: &str = "[--fleet adaflow,fixed-max,flexible-only,reconf:<ms>,..] \
+     [--router rr|jsq|p2c|deadline] [--max-drains K]";
 const SIM_RUN: &str = "[--seed N] [--runs N] [--format text|json] [--out prefix] [--check 1]";
 const LIVE_TIER: &str = "[--nominal-fps F] [--duration-s N] [--format text|json] [--out prefix]";
 const SOAK: &str = "[--rate-fps F] [--duration-s N] [--connections N] [--min-hit-pct P] [--seed N]";
-/// The policy names [`build_policy`] resolves, for every simulator command.
+/// The policy names [`PolicyKind::parse`] resolves, for every simulator
+/// command; `--fleet` takes a comma-separated list of the same names.
 const POLICY: &str = "[--policy adaflow|fixed-max|flexible-only|reconf:<ms>]";
 
 /// Every subcommand: its name, its handler and its usage lines, which
@@ -417,11 +418,10 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
     let scenario = parse_scenario(flags.or("scenario", "2"))?;
     let runs: usize = flags.num("runs", 100)?;
     let policy = flags.or("policy", "adaflow");
-    let make_policy = || build_policy(policy, &library, 0.0, &SinkHandle::null());
-    make_policy()?; // validate the name before the runs
+    let kind = parse_policy(policy)?;
     let metrics = Experiment::new(&library, WorkloadSpec::paper_edge(scenario))
         .runs(runs)
-        .run_with(|| make_policy().expect("name validated above").0);
+        .run_with(|| kind.build(&library, 0.0, &SinkHandle::null()));
     println!(
         "{policy} under {} ({runs} runs): loss {:.2}%  QoE {:.2}  power {:.2} W  \
          {:.0} inf/J  switches {:.1} (reconf {:.1}, flexible {:.1})  latency {:.1} ms",
@@ -438,45 +438,10 @@ fn cmd_simulate(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// The one policy name table ([`POLICY`]) of `simulate`, `trace`, `serve`
-/// and `report`: the policy, with the worst-case service stall it can
-/// cause — the backlog bound fed to the SV002 queue-capacity rule.
-/// `finn` is accepted as the fluid commands' older spelling of
-/// `fixed-max`. `deadline_s > 0` arms the AdaFlow policy's deadline guard
-/// (the fluid commands pass 0); `sink` receives its manager's decisions.
-fn build_policy<'l>(
-    name: &str,
-    library: &'l Library,
-    deadline_s: f64,
-    sink: &SinkHandle,
-) -> Result<(Box<dyn ServePolicy + 'l>, f64), String> {
-    let runtime = RuntimeConfig::default();
-    Ok(match name {
-        "adaflow" => {
-            let stall = runtime
-                .reconfig
-                .reconfiguration_time(&library.baseline.bitstream);
-            let policy = AdaFlowServePolicy::new(library, runtime)
-                .with_deadline(deadline_s)
-                .with_sink(sink.clone());
-            (Box::new(policy), stall.as_secs_f64())
-        }
-        "fixed-max" | "finn" => (Box::new(FixedMaxPolicy::new(library)), 0.0),
-        "flexible-only" => {
-            let policy = FlexibleOnlyPolicy::new(library, runtime);
-            let stall = policy.worst_stall_s();
-            (Box::new(policy), stall)
-        }
-        other => {
-            let ms = other
-                .strip_prefix("reconf:")
-                .ok_or_else(|| format!("unknown policy `{other}`; expected {POLICY}"))?;
-            let ms: u64 = ms.parse().map_err(|e| format!("bad reconf time: {e}"))?;
-            let stall = Duration::from_millis(ms);
-            let policy = PruningReconfPolicy::new(library, stall);
-            (Box::new(policy), stall.as_secs_f64())
-        }
-    })
+/// One name of the policy table: `--policy`, or one entry of `--fleet`.
+/// An unknown name's error lists the table ([`POLICY`]).
+fn parse_policy(name: &str) -> Result<PolicyKind, String> {
+    PolicyKind::parse(name).ok_or_else(|| format!("unknown policy `{name}`; expected {POLICY}"))
 }
 
 /// The simulator run ([`SIM_RUN`] and `--scenario`), parsed once for
@@ -603,16 +568,14 @@ impl<'f> SimRun<'f> {
 fn run_serve(
     sim: &SimRun,
     library: &Library,
-    policy: &str,
+    policy: PolicyKind,
     config: &ServeConfig,
 ) -> Result<(ServeSummary, Vec<Event>), String> {
-    let build = || build_policy(policy, library, config.deadline_s, &SinkHandle::null());
-    build()?; // validate the name
     let experiment = ServeExperiment::new(library, sim.spec())
         .runs(sim.runs)
         .seed(sim.seed)
         .config(config.clone());
-    let make_policy = || build().expect("name validated").0;
+    let make_policy = || policy.build(library, config.deadline_s, &SinkHandle::null());
     sim.execute(
         |sink| match sink {
             Some(sink) => experiment.run_traced(sim.seed, sink, make_policy),
@@ -649,15 +612,15 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let library = load_library(flags)?;
     let sim = SimRun::parse(flags, 1, 1 << 18)?;
     let policy = flags.or("policy", "adaflow");
-    let (_, worst_stall_s) = build_policy(policy, &library, 0.0, &SinkHandle::null())?;
+    let kind = parse_policy(policy)?;
     let config = sim_serve_knobs(flags)?;
 
     // Static SV001/SV002 validation through the shared lint machinery.
     let lint = parse_lint_flags(flags);
-    let report = config.validate(sim.spec().nominal_fps(), worst_stall_s, lint);
+    let report = config.validate(sim.spec().nominal_fps(), kind.worst_stall_s(&library), lint);
     sim.gate(&report, "serve configuration failed SV lint")?;
 
-    let (summary, events) = run_serve(&sim, &library, policy, &config)?;
+    let (summary, events) = run_serve(&sim, &library, kind, &config)?;
     let json = || sim.json(&summary, events.len());
     let text = || {
         let (s, name, runs) = (&summary, sim.scenario.name(), sim.runs_label());
@@ -741,10 +704,13 @@ fn parse_router(flags: &Flags) -> Result<RouterKind, String> {
 
 /// The fleet ([`FLEET_FLAGS`]) over the simulators' serving knobs.
 fn parse_fleet_config(flags: &Flags) -> Result<FleetConfig, String> {
-    let fleet = flags.or("fleet", "adaflow,adaflow,flexible,fixed");
-    let devices = adaflow_fleet::DeviceKind::parse_fleet(fleet).ok_or_else(|| {
-        format!("bad --fleet `{fleet}` (comma-separated adaflow | fixed | flexible)")
-    })?;
+    let devices = flags
+        .or("fleet", "adaflow,adaflow,flexible,fixed")
+        .split(',')
+        .map(str::trim)
+        .filter(|name| !name.is_empty())
+        .map(parse_policy)
+        .collect::<Result<_, _>>()?;
     Ok(FleetConfig {
         devices,
         router: parse_router(flags)?,
@@ -754,14 +720,19 @@ fn parse_fleet_config(flags: &Flags) -> Result<FleetConfig, String> {
 }
 
 /// The FL fleet rules, then the SV serving rules of one device, which sees
-/// its share of `nominal_fps` and can stall for `worst_stall_s`.
+/// its share of `nominal_fps` and can stall as long as the worst of the
+/// fleet's policies over `library` (without one, SV002 sees no stall).
 fn lint_fleet(
     config: &FleetConfig,
     nominal_fps: f64,
-    worst_stall_s: f64,
+    library: Option<&Library>,
     lint: &LintConfig,
 ) -> [Report; 2] {
     let share_fps = nominal_fps / config.devices.len().max(1) as f64;
+    let worst_stall_s = library.map_or(0.0, |library| {
+        let stall_s = |kind: &PolicyKind| kind.worst_stall_s(library);
+        config.devices.iter().map(stall_s).fold(0.0, f64::max)
+    });
     let serving = config
         .serve
         .validate(share_fps, worst_stall_s, lint.clone());
@@ -774,12 +745,12 @@ fn cmd_fleet(flags: &Flags) -> Result<(), String> {
     let library = load_library(flags)?;
     let sim = SimRun::parse(flags, 1, 1 << 18)?;
     let config = parse_fleet_config(flags)?;
-    let (_, worst_stall_s) = build_policy("adaflow", &library, 0.0, &SinkHandle::null())?;
 
-    // Static validation; a device can stall as long as a full
-    // reconfiguration.
+    // Static validation; a device can stall as long as its policy's worst
+    // switch.
     let lint = parse_lint_flags(flags);
-    let [mut report, serving] = lint_fleet(&config, sim.spec().nominal_fps(), worst_stall_s, &lint);
+    let fps = sim.spec().nominal_fps();
+    let [mut report, serving] = lint_fleet(&config, fps, Some(&library), &lint);
     report.merge(serving);
     sim.gate(&report, "fleet configuration failed FL/SV lint")?;
 
@@ -787,7 +758,7 @@ fn cmd_fleet(flags: &Flags) -> Result<(), String> {
     let json = || sim.json(&summary, events.len());
     let text = || {
         let s = &summary;
-        let kinds: Vec<&str> = config.devices.iter().map(|k| k.name()).collect();
+        let kinds: Vec<String> = config.devices.iter().map(|k| k.name()).collect();
         let (devices, kinds) = (kinds.len(), kinds.join(","));
         let (name, runs) = (sim.scenario.name(), sim.runs_label());
         println!(
@@ -886,7 +857,7 @@ fn cmd_report(flags: &Flags) -> Result<(), String> {
     // One traced run: (summary JSON, headline, events).
     let (summary_json, headline, events) = if mode == "serve" {
         let policy = flags.or("policy", "adaflow");
-        let (s, events) = run_serve(&sim, &library, policy, &config)?;
+        let (s, events) = run_serve(&sim, &library, parse_policy(policy)?, &config)?;
         let headline = format!(
             "serve/{policy} under {name} (seed {seed}): {:.0} arrived, {:.0} completed \
              ({:.2}% deadline hits), {:.0} shed",
@@ -965,7 +936,7 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
     let policy_name = flags.or("policy", "adaflow");
 
     let (sink, recorder) = SinkHandle::recorder(sim.ring);
-    let (mut policy, _) = build_policy(policy_name, &library, 0.0, &sink)?;
+    let mut policy = parse_policy(policy_name)?.build(&library, 0.0, &sink);
     let segments = sim.spec().generate(sim.seed);
     let edge = EdgeSim::new(SimConfig::default()).with_sink(sink);
     let (metrics, _) = edge.run(policy.as_mut(), &segments);
@@ -1068,14 +1039,14 @@ fn lint_reports(flags: &Flags) -> Result<Vec<Report>, String> {
     let mut reports = Vec::new();
     if config_requested {
         // On the paper's edge load. The worst-case stall needs a concrete
-        // library; without `--library` only the deadline-local SV001 fires.
-        let worst_stall_s = match flags.get("library") {
-            Some(_) => build_policy("adaflow", &load_library(flags)?, 0.0, &SinkHandle::null())?.1,
-            None => 0.0,
-        };
+        // library; without `--library` SV002 sees no stall.
+        let library = flags
+            .get("library")
+            .map(|_| load_library(flags))
+            .transpose()?;
         let fps = WorkloadSpec::paper_edge(Scenario::Unpredictable).nominal_fps();
         let config = parse_fleet_config(flags)?;
-        reports.extend(lint_fleet(&config, fps, worst_stall_s, &lint));
+        reports.extend(lint_fleet(&config, fps, library.as_ref(), &lint));
     }
     for name in models {
         let graph = build_model(name, None)?;
@@ -2147,13 +2118,15 @@ mod tests {
         let _ = std::fs::remove_file(lib_path);
     }
 
-    /// Every name [`build_policy`] accepts.
-    const POLICY_NAMES: [&str; 5] = [
+    /// Every spelling [`PolicyKind::parse`] accepts.
+    const POLICY_NAMES: [&str; 7] = [
         "adaflow",
         "fixed-max",
         "flexible-only",
         "reconf:145",
         "finn",
+        "fixed",
+        "flexible",
     ];
 
     fn assert_unknown_policy(result: Result<(), String>) {
@@ -2407,6 +2380,52 @@ mod tests {
         assert!(cmd_lint(&flags(&[("model", "tiny-w2a2"), ("router", "jsq")])).is_ok());
         // Without fleet flags, --model stays mandatory.
         assert!(cmd_lint(&flags(&[])).is_err());
+    }
+
+    /// `--fleet` reads the `--policy` table: the same spellings, the same
+    /// error.
+    #[test]
+    fn fleet_and_policy_share_one_spelling_list() {
+        let every = POLICY_NAMES.join(", ");
+        let fleet = parse_fleet_config(&flags(&[("fleet", &every)])).expect("every spelling");
+        let kinds: Result<Vec<PolicyKind>, String> =
+            POLICY_NAMES.iter().map(|name| parse_policy(name)).collect();
+        assert_eq!(fleet.devices, kinds.expect("every spelling"));
+        assert_unknown_policy(parse_fleet_config(&flags(&[("fleet", "adaflow,turbo")])).map(drop));
+    }
+
+    /// SV002 bounds a fleet device's backlog by the worst stall among the
+    /// fleet's own policies: an all-fixed fleet never stalls, the default
+    /// fleet stalls for AdaFlow's full 145 ms reconfiguration.
+    #[test]
+    fn fleet_lint_takes_the_stall_of_its_own_policies() {
+        let lib_path = std::env::temp_dir().join("adaflow_cli_fleet_stall_library.json");
+        let lib_str = lib_path.to_string_lossy().to_string();
+        cmd_generate(&flags(&[
+            ("model", "cnv-w2a2"),
+            ("dataset", "cifar10"),
+            ("out", &lib_str),
+        ]))
+        .expect("generate");
+        let sv002 = |fleet: &str| {
+            let run = [
+                ("library", lib_str.as_str()),
+                ("fleet", fleet),
+                ("queue-cap", "10"),
+            ];
+            let reports = lint_reports(&flags(&run)).expect("lints");
+            let found = reports.iter().flat_map(|r| &r.diagnostics);
+            let sv002 = found.filter(|d| d.code == "SV002").map(ToString::to_string);
+            sv002.collect::<Vec<_>>().concat()
+        };
+        let fixed = sv002("fixed,fixed");
+        assert!(
+            fixed.contains("backlog of 0 requests with 10 to spare"),
+            "{fixed}"
+        );
+        let mixed = sv002("adaflow,adaflow,flexible,fixed");
+        assert!(mixed.contains("× 145 ms stall"), "{mixed}");
+        let _ = std::fs::remove_file(lib_path);
     }
 
     #[test]

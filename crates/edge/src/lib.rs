@@ -13,10 +13,10 @@
 //! * **AdaFlow** — the full Runtime Manager with fixed *and* flexible
 //!   accelerators ([`AdaFlowServePolicy`]).
 //!
-//! [`policy`] holds these, [`FlexibleOnlyPolicy`] and the one
-//! [`ServePolicy`] trait they share with the request-level simulators
-//! (`adaflow-serve`, `adaflow-fleet`) and the live server; this crate
-//! consults them with each workload segment's nominal rate.
+//! [`policy`] holds these, [`FlexibleOnlyPolicy`], their one table
+//! [`PolicyKind`] and the one [`ServePolicy`] trait they share with the
+//! request-level simulators (`adaflow-serve`, `adaflow-fleet`) and the live
+//! server; this crate consults them with each segment's nominal rate.
 //!
 //! The server is modelled as a fluid queue with a finite frame buffer:
 //! frames arrive at the workload rate, are served at the loaded
@@ -59,8 +59,8 @@ pub use experiment::Experiment;
 pub use metrics::{trace_to_csv, RunMetrics, TracePoint};
 pub use monitor::{MonitoredPolicy, RateMonitor};
 pub use policy::{
-    AdaFlowServePolicy, FixedMaxPolicy, FlexibleOnlyPolicy, PruningReconfPolicy, ServePolicy,
-    ServingState,
+    AdaFlowServePolicy, FixedMaxPolicy, FlexibleOnlyPolicy, PolicyKind, PruningReconfPolicy,
+    ServePolicy, ServingState,
 };
 pub use sim::{EdgeSim, SimConfig};
 pub use workload::{Scenario, WorkloadSegment, WorkloadSpec};
@@ -71,8 +71,8 @@ pub mod prelude {
     pub use crate::metrics::{trace_to_csv, RunMetrics, TracePoint};
     pub use crate::monitor::{MonitoredPolicy, RateMonitor};
     pub use crate::policy::{
-        AdaFlowServePolicy, FixedMaxPolicy, FlexibleOnlyPolicy, PruningReconfPolicy, ServePolicy,
-        ServingState,
+        AdaFlowServePolicy, FixedMaxPolicy, FlexibleOnlyPolicy, PolicyKind, PruningReconfPolicy,
+        ServePolicy, ServingState,
     };
     pub use crate::sim::{EdgeSim, SimConfig};
     pub use crate::workload::{Scenario, WorkloadSegment, WorkloadSpec};

@@ -21,6 +21,8 @@
 //!   restricted to fixed accelerators, paying a configurable
 //!   reconfiguration time per switch.
 //!
+//! [`PolicyKind`] is their one table.
+//!
 //! Every policy assumes the first image resident when the serving window
 //! opens: the first consult never stalls and never counts as a switch.
 
@@ -28,6 +30,7 @@ use adaflow::{Library, PressureSignal, RuntimeConfig, RuntimeManager, SwitchKind
 use adaflow_dataflow::AcceleratorKind;
 use adaflow_hls::PowerModel;
 use adaflow_telemetry::SinkHandle;
+use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// The serving state a policy establishes when consulted.
@@ -112,6 +115,98 @@ pub trait ServePolicy {
     /// Reacts to the pressure observed at `now_s`, returning the serving
     /// state to run under next.
     fn on_pressure(&mut self, now_s: f64, signal: &PressureSignal) -> ServingState;
+}
+
+/// The one table of serving policies: `--policy`, `--fleet`, the fleet
+/// engine and the SV002 stall bound all parse, name and build them here.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum PolicyKind {
+    /// [`AdaFlowServePolicy`].
+    AdaFlow,
+    /// [`FixedMaxPolicy`].
+    FixedMax,
+    /// [`FlexibleOnlyPolicy`].
+    FlexibleOnly,
+    /// [`PruningReconfPolicy`], paying `ms` per switch.
+    PruningReconf {
+        /// Reconfiguration time per switch, milliseconds.
+        ms: u64,
+    },
+}
+
+impl PolicyKind {
+    /// Reads `adaflow`, `fixed-max` (or `fixed`, `finn`), `flexible-only`
+    /// (or `flexible`) or `reconf:<ms>`.
+    #[must_use]
+    pub fn parse(text: &str) -> Option<Self> {
+        Some(match text {
+            "adaflow" => Self::AdaFlow,
+            "fixed-max" | "fixed" | "finn" => Self::FixedMax,
+            "flexible-only" | "flexible" => Self::FlexibleOnly,
+            _ => Self::PruningReconf {
+                ms: text.strip_prefix("reconf:")?.parse().ok()?,
+            },
+        })
+    }
+
+    /// The name summaries print, which [`Self::parse`] reads back.
+    #[must_use]
+    pub fn name(self) -> String {
+        match self {
+            Self::AdaFlow => "adaflow".into(),
+            Self::FixedMax => "fixed-max".into(),
+            Self::FlexibleOnly => "flexible-only".into(),
+            Self::PruningReconf { ms } => format!("reconf:{ms}"),
+        }
+    }
+
+    /// The policy under the default runtime configuration; `deadline_s > 0`
+    /// arms AdaFlow's deadline guard and `sink` gets its manager's decisions.
+    #[must_use]
+    pub fn build<'l>(
+        self,
+        library: &'l Library,
+        deadline_s: f64,
+        sink: &SinkHandle,
+    ) -> Box<dyn ServePolicy + 'l> {
+        let runtime = RuntimeConfig::default();
+        match self {
+            Self::AdaFlow => Box::new(
+                AdaFlowServePolicy::new(library, runtime)
+                    .with_deadline(deadline_s)
+                    .with_sink(sink.clone()),
+            ),
+            Self::FixedMax => Box::new(FixedMaxPolicy::new(library)),
+            Self::FlexibleOnly => Box::new(FlexibleOnlyPolicy::new(library, runtime)),
+            Self::PruningReconf { ms } => {
+                Box::new(PruningReconfPolicy::new(library, Duration::from_millis(ms)))
+            }
+        }
+    }
+
+    /// The longest stall the policy can cause, seconds — SV002's backlog
+    /// bound: a full reconfiguration, the largest weight reload, or none.
+    #[must_use]
+    pub fn worst_stall_s(self, library: &Library) -> f64 {
+        let runtime = RuntimeConfig::default();
+        match self {
+            Self::AdaFlow => {
+                let bitstream = &library.baseline.bitstream;
+                let full = runtime.reconfig.reconfiguration_time(bitstream);
+                full.as_secs_f64()
+            }
+            Self::FixedMax => 0.0,
+            Self::FlexibleOnly => {
+                let manager = RuntimeManager::new(library, runtime);
+                let flexible = |i| (i, AcceleratorKind::FlexiblePruning);
+                let reload = |(from, to)| manager.switch_price(flexible(from), flexible(to)).1;
+                let n = library.entries().len();
+                let pairs = (0..n).flat_map(|from| (0..n).map(move |to| (from, to)));
+                pairs.map(reload).fold(0.0, f64::max)
+            }
+            Self::PruningReconf { ms } => Duration::from_millis(ms).as_secs_f64(),
+        }
+    }
 }
 
 /// The full AdaFlow Runtime Manager under pressure drive, with an optional
@@ -331,18 +426,6 @@ impl<'l> FlexibleOnlyPolicy<'l> {
             current: None,
         }
     }
-
-    /// Worst-case weight-reload stall over this library, seconds: the
-    /// largest switch price between two entries on the flexible fabric.
-    #[must_use]
-    pub fn worst_stall_s(&self) -> f64 {
-        let flexible = AcceleratorKind::FlexiblePruning;
-        let n = self.library.entries().len();
-        (0..n)
-            .flat_map(|from| (0..n).map(move |to| ((from, flexible), (to, flexible))))
-            .map(|(from, to)| self.manager.switch_price(from, to).1)
-            .fold(0.0, f64::max)
-    }
 }
 
 impl ServePolicy for FlexibleOnlyPolicy<'_> {
@@ -472,7 +555,7 @@ mod tests {
             assert!(high.stall_s < 0.05, "weight reload must be fast");
             assert!(high.is_flexible_switch());
         }
-        assert!(p.worst_stall_s() > 0.0);
+        assert!(PolicyKind::FlexibleOnly.worst_stall_s(&lib) > 0.0);
     }
 
     #[test]
@@ -619,5 +702,84 @@ mod tests {
         let lull = p.on_pressure(0.5, &signal(380.0, 0.0));
         assert_ne!(lull.model, fast.model, "manager adapts on the lull");
         assert!(lull.model_switched);
+    }
+
+    const KINDS: [PolicyKind; 5] = [
+        PolicyKind::AdaFlow,
+        PolicyKind::FixedMax,
+        PolicyKind::FlexibleOnly,
+        PolicyKind::PruningReconf { ms: 145 },
+        PolicyKind::PruningReconf { ms: 0 },
+    ];
+
+    /// Every spelling `--policy` and `--fleet` accept resolves to its
+    /// policy (aliases included); nothing else does.
+    #[test]
+    fn every_former_spelling_resolves_to_its_policy() {
+        let spellings = [
+            ("adaflow", PolicyKind::AdaFlow),
+            ("fixed-max", PolicyKind::FixedMax),
+            ("fixed", PolicyKind::FixedMax),
+            ("finn", PolicyKind::FixedMax),
+            ("flexible-only", PolicyKind::FlexibleOnly),
+            ("flexible", PolicyKind::FlexibleOnly),
+            ("reconf:145", PolicyKind::PruningReconf { ms: 145 }),
+            ("reconf:0", PolicyKind::PruningReconf { ms: 0 }),
+            ("reconf:+362", PolicyKind::PruningReconf { ms: 362 }),
+        ];
+        for (text, kind) in spellings {
+            assert_eq!(PolicyKind::parse(text), Some(kind), "{text}");
+        }
+        for text in [
+            "",
+            "turbo",
+            "gpu",
+            "Adaflow",
+            " fixed",
+            "reconf:",
+            "reconf:x",
+            "reconf:-1",
+        ] {
+            assert_eq!(PolicyKind::parse(text), None, "{text:?}");
+        }
+    }
+
+    #[test]
+    fn names_parse_back_and_builds_keep_their_summary_names() {
+        let lib = library();
+        let built = [
+            "adaflow",
+            "fixed-max",
+            "flexible-only",
+            "pruning-reconf",
+            "pruning-reconf",
+        ];
+        let named = [
+            "adaflow",
+            "fixed-max",
+            "flexible-only",
+            "reconf:145",
+            "reconf:0",
+        ];
+        for ((kind, built), named) in KINDS.into_iter().zip(built).zip(named) {
+            assert_eq!(PolicyKind::parse(&kind.name()), Some(kind));
+            assert_eq!(kind.name(), named);
+            let sink = SinkHandle::null();
+            assert_eq!(kind.build(&lib, 0.25, &sink).name(), built, "{named}");
+        }
+    }
+
+    /// The SV002 stall bounds on the default library, pinned bit for bit.
+    #[test]
+    fn worst_stalls_are_the_former_bounds() {
+        let lib = library();
+        // 145 ms, the baseline bitstream's full reconfiguration on the
+        // ZCU104; ~0.32 ms, the largest flexible weight reload.
+        let (reconfiguration, reload) = (0x3fc2_8f5c_28f5_c28f, 0x3f35_10a5_057a_2f0d);
+        let former = [reconfiguration, 0, reload, reconfiguration, 0];
+        for (kind, bits) in KINDS.into_iter().zip(former) {
+            let stall_s = kind.worst_stall_s(&lib);
+            assert_eq!(stall_s.to_bits(), bits, "{}: {stall_s}", kind.name());
+        }
     }
 }

@@ -11,7 +11,7 @@
 
 use adaflow::LibraryGenerator;
 use adaflow_edge::{Scenario, WorkloadSpec};
-use adaflow_fleet::{DeviceKind, FleetConfig, FleetExperiment, RouterKind};
+use adaflow_fleet::{FleetConfig, FleetExperiment, PolicyKind, RouterKind};
 use adaflow_nn::DatasetKind;
 
 const SEEDS: usize = 20;
@@ -57,8 +57,9 @@ fn main() {
         print!("| {} |", router.name());
         for n in FLEET_SIZES {
             let config = FleetConfig {
+                devices: vec![PolicyKind::AdaFlow; n],
                 router,
-                ..FleetConfig::homogeneous(n, DeviceKind::AdaFlow)
+                ..FleetConfig::default()
             };
             let summary = FleetExperiment::new(&library, spec.clone())
                 .runs(SEEDS)

@@ -14,55 +14,10 @@
 //! Both run through the `adaflow-verify` [`LintConfig`] allow/deny policy,
 //! like the graph (`AF`/`DF`/`HL`) and serving (`SV`) families.
 
+use adaflow_edge::PolicyKind;
 use adaflow_serve::ServeConfig;
 use adaflow_verify::{Diagnostics, LintConfig, Report, Severity};
 use serde::{Deserialize, Serialize};
-
-/// The serving policy one fleet device runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DeviceKind {
-    /// The full AdaFlow Runtime Manager (fixed + flexible fabrics,
-    /// deadline-aware reconfiguration guard).
-    AdaFlow,
-    /// The static FINN baseline: max-accuracy model, never switches.
-    FixedMax,
-    /// Pinned to the flexible fabric: switches are weight reloads.
-    FlexibleOnly,
-}
-
-impl DeviceKind {
-    /// Parses the CLI spelling (`adaflow`, `fixed`, `flexible`).
-    #[must_use]
-    pub fn parse(text: &str) -> Option<Self> {
-        match text {
-            "adaflow" => Some(DeviceKind::AdaFlow),
-            "fixed" | "fixed-max" => Some(DeviceKind::FixedMax),
-            "flexible" | "flexible-only" => Some(DeviceKind::FlexibleOnly),
-            _ => None,
-        }
-    }
-
-    /// Parses a comma-separated fleet spelling (`adaflow,adaflow,fixed`).
-    /// Returns `None` on the first unknown kind.
-    #[must_use]
-    pub fn parse_fleet(list: &str) -> Option<Vec<Self>> {
-        list.split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(Self::parse)
-            .collect()
-    }
-
-    /// Stable display name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            DeviceKind::AdaFlow => "adaflow",
-            DeviceKind::FixedMax => "fixed-max",
-            DeviceKind::FlexibleOnly => "flexible-only",
-        }
-    }
-}
 
 /// Which routing policy dispatches arrivals across the fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -120,7 +75,7 @@ impl RouterKind {
 pub struct FleetConfig {
     /// The fleet composition: one serving policy per device, in index
     /// order.
-    pub devices: Vec<DeviceKind>,
+    pub devices: Vec<PolicyKind>,
     /// The dispatch policy in front of the fleet.
     pub router: RouterKind,
     /// Per-device serving configuration (queue, batcher, deadline).
@@ -134,10 +89,10 @@ impl Default for FleetConfig {
     fn default() -> Self {
         Self {
             devices: vec![
-                DeviceKind::AdaFlow,
-                DeviceKind::AdaFlow,
-                DeviceKind::FlexibleOnly,
-                DeviceKind::FixedMax,
+                PolicyKind::AdaFlow,
+                PolicyKind::AdaFlow,
+                PolicyKind::FlexibleOnly,
+                PolicyKind::FixedMax,
             ],
             router: RouterKind::DeadlineAware,
             serve: ServeConfig::default(),
@@ -147,15 +102,6 @@ impl Default for FleetConfig {
 }
 
 impl FleetConfig {
-    /// A homogeneous fleet of `n` devices of one kind.
-    #[must_use]
-    pub fn homogeneous(n: usize, kind: DeviceKind) -> Self {
-        Self {
-            devices: vec![kind; n],
-            ..Self::default()
-        }
-    }
-
     /// Statically validates the fleet shape under the workspace
     /// diagnostics engine (`FL` rule family).
     #[must_use]
@@ -327,24 +273,8 @@ mod tests {
 
     #[test]
     fn spellings_round_trip() {
-        for kind in [
-            DeviceKind::AdaFlow,
-            DeviceKind::FixedMax,
-            DeviceKind::FlexibleOnly,
-        ] {
-            assert_eq!(DeviceKind::parse(kind.name()), Some(kind));
-        }
         for router in RouterKind::ALL {
             assert_eq!(RouterKind::parse(router.name()), Some(router));
         }
-        assert_eq!(
-            DeviceKind::parse_fleet("adaflow, fixed,flexible"),
-            Some(vec![
-                DeviceKind::AdaFlow,
-                DeviceKind::FixedMax,
-                DeviceKind::FlexibleOnly
-            ])
-        );
-        assert_eq!(DeviceKind::parse_fleet("adaflow,gpu"), None);
     }
 }

@@ -19,15 +19,15 @@
 //! fabric switches go through the [`ReconfigCoordinator`] so at most K
 //! devices drain at once.
 
-use crate::config::{DeviceKind, FleetConfig};
+use crate::config::FleetConfig;
 use crate::coordinator::{max_overlap, ReconfigCoordinator};
 use crate::router::DeviceSnapshot;
 use crate::summary::{DeviceSummary, FleetSummary};
-use adaflow::{Library, RuntimeConfig};
+use adaflow::Library;
 use adaflow_edge::WorkloadSpec;
 use adaflow_serve::{
-    generate_requests, AdaFlowServePolicy, CompletedRequest, DeviceCore, DeviceStats, Devices,
-    FixedMaxPolicy, FlexibleOnlyPolicy, Pick, ServePolicy, ServeSummary,
+    generate_requests, CompletedRequest, DeviceCore, DeviceStats, Devices, Pick, ServePolicy,
+    ServeSummary,
 };
 use adaflow_telemetry::{EventKind, LogHistogram, SinkHandle};
 
@@ -107,21 +107,11 @@ impl FleetEngine {
             )
         };
         let mut rows: Vec<DeviceSnapshot> = devices.cores().iter().map(row).collect();
+        let null = SinkHandle::null();
         let mut policies: Vec<Box<dyn ServePolicy + '_>> = cfg
             .devices
             .iter()
-            .map(|kind| -> Box<dyn ServePolicy> {
-                match kind {
-                    DeviceKind::AdaFlow => Box::new(
-                        AdaFlowServePolicy::new(library, RuntimeConfig::default())
-                            .with_deadline(cfg.serve.deadline_s),
-                    ),
-                    DeviceKind::FixedMax => Box::new(FixedMaxPolicy::new(library)),
-                    DeviceKind::FlexibleOnly => {
-                        Box::new(FlexibleOnlyPolicy::new(library, RuntimeConfig::default()))
-                    }
-                }
-            })
+            .map(|kind| kind.build(library, cfg.serve.deadline_s, &null))
             .collect();
         let mut router = cfg.router.build(seed);
         let mut coordinator = ReconfigCoordinator::new(cfg.max_concurrent_drains);
@@ -264,7 +254,7 @@ impl FleetEngine {
             .iter()
             .zip(&cfg.devices)
             .map(|((stats, latency), kind)| {
-                let d = ServeSummary::from_device(kind.name(), stats, latency);
+                let d = ServeSummary::from_device(&kind.name(), stats, latency);
                 DeviceSummary {
                     kind: d.policy,
                     arrived: d.arrived,
@@ -316,8 +306,8 @@ impl FleetEngine {
 mod tests {
     use super::*;
     use crate::config::RouterKind;
-    use adaflow::LibraryGenerator;
-    use adaflow_edge::Scenario;
+    use adaflow::{LibraryGenerator, RuntimeConfig};
+    use adaflow_edge::{AdaFlowServePolicy, PolicyKind, Scenario};
     use adaflow_model::prelude::*;
     use adaflow_nn::DatasetKind;
     use serde::Serialize;
@@ -380,7 +370,7 @@ mod tests {
         let lib = library();
         let spec = small_spec(1);
         let config = FleetConfig {
-            devices: vec![DeviceKind::AdaFlow],
+            devices: vec![PolicyKind::AdaFlow],
             router: RouterKind::RoundRobin,
             ..FleetConfig::default()
         };
@@ -449,7 +439,7 @@ mod tests {
     fn imbalance_sampler_reports_round_robin_balance() {
         let lib = library();
         let config = FleetConfig {
-            devices: vec![DeviceKind::FlexibleOnly; 4],
+            devices: vec![PolicyKind::FlexibleOnly; 4],
             router: RouterKind::RoundRobin,
             ..FleetConfig::default()
         };

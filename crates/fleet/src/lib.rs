@@ -3,10 +3,10 @@
 //! The serving layer (`adaflow-serve`) answers "what does one adaptive
 //! accelerator do under a request stream?". This crate scales the
 //! question out: a *fleet* of N simulated accelerator devices — possibly
-//! heterogeneous (full AdaFlow runtime, fixed-max FINN baseline,
-//! flexible-fabric-only) — sits behind a fleet router, and a
-//! reconfiguration coordinator staggers fabric switches so the fleet
-//! never loses more than K devices to drains at once.
+//! heterogeneous (any mix of the `PolicyKind` policies of `adaflow-edge`)
+//! — sits behind a fleet router, and a reconfiguration coordinator
+//! staggers fabric switches so the fleet never loses more than K devices
+//! to drains at once.
 //!
 //! The simulation is a single deterministic discrete-event loop
 //! ([`FleetEngine`]): every device contributes its batch-completion and
@@ -42,7 +42,9 @@ pub mod experiment;
 pub mod router;
 pub mod summary;
 
-pub use config::{DeviceKind, FleetConfig, RouterKind};
+// `DeviceKind` names the policy table for callers that still spell it so.
+pub use adaflow_edge::{PolicyKind, PolicyKind as DeviceKind};
+pub use config::{FleetConfig, RouterKind};
 pub use coordinator::{max_overlap, ReconfigCoordinator};
 pub use engine::FleetEngine;
 pub use experiment::FleetExperiment;
@@ -54,10 +56,11 @@ pub use summary::{DeviceSummary, FleetSummary};
 
 /// Everything needed to run a fleet simulation.
 pub mod prelude {
-    pub use crate::config::{DeviceKind, FleetConfig, RouterKind};
+    pub use crate::config::{FleetConfig, RouterKind};
     pub use crate::coordinator::{max_overlap, ReconfigCoordinator};
     pub use crate::engine::FleetEngine;
     pub use crate::experiment::FleetExperiment;
     pub use crate::router::{DeviceSnapshot, RoutePolicy};
     pub use crate::summary::{DeviceSummary, FleetSummary};
+    pub use adaflow_edge::{PolicyKind, PolicyKind as DeviceKind};
 }

@@ -9,8 +9,8 @@
 //!
 //! These policies serve two callers: the fleet DES dispatches simulated
 //! arrivals through them, and `adaflow-gateway` drives the *same*
-//! `RoutePolicy` objects over live TCP backends (mapping each backend's
-//! in-flight count and measured service floor into a snapshot). Sharing
+//! `RoutePolicy` objects over live TCP backends (its unanswered requests
+//! are a backend's backlog, drained at the measured service rate). Sharing
 //! the implementation is what makes the sim-vs-real hit-rate comparison
 //! in EXPERIMENTS.md an apples-to-apples check.
 

@@ -6,8 +6,8 @@ use serde::{Deserialize, Serialize};
 /// stay exact.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeviceSummary {
-    /// Serving-policy kind of the device (`adaflow`, `fixed-max`,
-    /// `flexible-only`).
+    /// Serving-policy kind of the device, as `PolicyKind::name` spells it
+    /// (`adaflow`, `fixed-max`, `flexible-only`, `reconf:<ms>`).
     pub kind: String,
     /// Requests routed to this device.
     pub arrived: f64,

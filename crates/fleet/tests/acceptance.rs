@@ -40,10 +40,10 @@ fn spec_4x() -> WorkloadSpec {
 fn heterogeneous(router: RouterKind) -> FleetConfig {
     FleetConfig {
         devices: vec![
-            DeviceKind::AdaFlow,
-            DeviceKind::AdaFlow,
-            DeviceKind::FlexibleOnly,
-            DeviceKind::FixedMax,
+            PolicyKind::AdaFlow,
+            PolicyKind::AdaFlow,
+            PolicyKind::FlexibleOnly,
+            PolicyKind::FixedMax,
         ],
         router,
         ..FleetConfig::default()
@@ -65,7 +65,7 @@ fn deadline_aware_fleet_beats_round_robin_and_single_device() {
     let single = mean_summary(
         &lib,
         FleetConfig {
-            devices: vec![DeviceKind::AdaFlow],
+            devices: vec![PolicyKind::AdaFlow],
             ..FleetConfig::default()
         },
     );
@@ -101,7 +101,7 @@ fn stagger_budget_is_respected_on_real_runs() {
         scenario: Scenario::Unpredictable,
     };
     let config = FleetConfig {
-        devices: vec![DeviceKind::AdaFlow; 4],
+        devices: vec![PolicyKind::AdaFlow; 4],
         max_concurrent_drains: 1,
         ..FleetConfig::default()
     };

@@ -33,11 +33,11 @@ fn spec() -> WorkloadSpec {
     }
 }
 
-fn kind(choice: u8) -> DeviceKind {
+fn kind(choice: u8) -> PolicyKind {
     match choice % 3 {
-        0 => DeviceKind::AdaFlow,
-        1 => DeviceKind::FixedMax,
-        _ => DeviceKind::FlexibleOnly,
+        0 => PolicyKind::AdaFlow,
+        1 => PolicyKind::FixedMax,
+        _ => PolicyKind::FlexibleOnly,
     }
 }
 
@@ -54,7 +54,7 @@ proptest! {
         n in 1usize..5,
     ) {
         let config = FleetConfig {
-            devices: vec![DeviceKind::AdaFlow; n],
+            devices: vec![PolicyKind::AdaFlow; n],
             router: RouterKind::ALL[router_idx],
             ..FleetConfig::default()
         };
@@ -80,7 +80,7 @@ proptest! {
         router_idx in 0usize..4,
         kinds in proptest::collection::vec(0u8..3, 1..5),
     ) {
-        let devices: Vec<DeviceKind> = kinds.iter().copied().map(kind).collect();
+        let devices: Vec<PolicyKind> = kinds.iter().copied().map(kind).collect();
         let n = devices.len();
         let config = FleetConfig {
             devices,
@@ -128,7 +128,7 @@ proptest! {
         kinds in proptest::collection::vec(0u8..3, 1..5),
     ) {
         use adaflow_telemetry::{SpanRecord, Stage, TraceForest, Waterfall};
-        let devices: Vec<DeviceKind> = kinds.iter().copied().map(kind).collect();
+        let devices: Vec<PolicyKind> = kinds.iter().copied().map(kind).collect();
         let n = devices.len() as u32;
         let config = FleetConfig {
             devices,
@@ -175,7 +175,7 @@ proptest! {
         n in 2usize..6,
     ) {
         let config = FleetConfig {
-            devices: vec![DeviceKind::AdaFlow; n],
+            devices: vec![PolicyKind::AdaFlow; n],
             max_concurrent_drains: k,
             ..FleetConfig::default()
         };

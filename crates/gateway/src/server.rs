@@ -112,14 +112,18 @@ pub(crate) struct BackendState {
 }
 
 impl BackendState {
-    /// Estimated serving throughput, FPS: live calibration when present,
-    /// else the warmup floor, else `None` (policy falls back to its prior).
-    fn service_fps(&self) -> Option<f64> {
+    /// The routing row. No busy horizon is in sight, so the requests
+    /// dispatched and unanswered are both the load and the backlog: a new
+    /// request finishes after `(in_flight + 1) / fps`, at the live
+    /// calibration, else the warmup floor, else the policy's prior.
+    fn row(&self) -> DeviceSnapshot {
         let us = match self.ewma_service_us.load(Ordering::Relaxed) {
             0 => self.floor_us.load(Ordering::Relaxed),
             v => v,
         };
-        (us > 0).then(|| 1e6 / us as f64)
+        let fps = (us > 0).then(|| 1e6 / us as f64);
+        let in_flight = self.in_flight.load(Ordering::Relaxed);
+        DeviceSnapshot::new(in_flight, 0, None, fps, PRIOR_FPS)
     }
 }
 
@@ -166,14 +170,7 @@ impl Shared {
         if healthy.is_empty() {
             return None;
         }
-        let snaps: Vec<DeviceSnapshot> = healthy
-            .iter()
-            .map(|&i| {
-                let backend = &self.backends[i];
-                let in_flight = backend.in_flight.load(Ordering::Relaxed);
-                DeviceSnapshot::new(0, in_flight, None, backend.service_fps(), PRIOR_FPS)
-            })
-            .collect();
+        let snaps: Vec<DeviceSnapshot> = healthy.iter().map(|&i| self.backends[i].row()).collect();
         let now_s = self.now_s();
         let pick = self
             .policy
@@ -633,6 +630,45 @@ fn handle_request(shared: &Shared, conn: &Arc<Conn>, request: RequestFrame) {
         None => {
             shared.no_backend.fetch_add(1, Ordering::Relaxed);
             shared.answer_reject(&entry, Status::ShuttingDown);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use adaflow_fleet::router::DeadlineAwareRouter;
+
+    /// A backend holding `in_flight` requests, with a warmup floor of
+    /// `floor_us` (0: uncalibrated).
+    fn backend(in_flight: usize, floor_us: u64) -> BackendState {
+        BackendState {
+            addr: SocketAddr::from(([127, 0, 0, 1], 0)),
+            tx: Mutex::new(mpsc::channel().0),
+            healthy: AtomicBool::new(true),
+            in_flight: AtomicUsize::new(in_flight),
+            routed: AtomicU64::new(0),
+            ok: AtomicU64::new(0),
+            retryable: AtomicU64::new(0),
+            ejections: AtomicU64::new(0),
+            readmissions: AtomicU64::new(0),
+            floor_us: AtomicU64::new(floor_us),
+            ewma_service_us: AtomicU64::new(0),
+            rtts: Mutex::new(LogHistogram::latency_s()),
+        }
+    }
+
+    #[test]
+    fn deadline_routing_counts_the_requests_in_flight() {
+        // Equal service rates, calibrated or not: the backend holding k
+        // unanswered requests finishes a new one later, so it loses.
+        for floor_us in [500, 0] {
+            for k in 1..=16 {
+                let rows = [backend(k, floor_us).row(), backend(0, floor_us).row()];
+                let pick = DeadlineAwareRouter.route(0.5, &rows);
+                assert_eq!(pick, 1, "k = {k}, floor {floor_us} us");
+                assert_eq!(rows[0].load(), k, "load is the in-flight count");
+            }
         }
     }
 }
