@@ -5,13 +5,13 @@
 
 use adaflow::prelude::*;
 use adaflow_edge::prelude::*;
-use adaflow_fleet::{FleetConfig, FleetExperiment, FleetSummary, RouterKind};
+use adaflow_fleet::{FleetConfig, FleetExperiment, RouterKind};
 use adaflow_hls::FpgaDevice;
 use adaflow_model::prelude::*;
 use adaflow_model::GraphSummary;
 use adaflow_net::{LiveConfig, LoadConfig, LoadMode, LoadSummary, RejectCounts};
 use adaflow_nn::{DatasetKind, Engine};
-use adaflow_serve::{ServeConfig, ServeExperiment, ServeSummary};
+use adaflow_serve::{ServeConfig, ServeExperiment};
 use adaflow_telemetry::{
     chrome_trace_json, events_to_jsonl, Event, MetricsRegistry, Recorder, RegistryConfig,
     SinkHandle,
@@ -73,11 +73,10 @@ const COMMANDS: &[(&str, Handler, &[&str])] = &[
      &["--library <file> [--scenario 1|2|1+2]", FLEET_FLAGS, SERVE_KNOBS, SIM_RUN, LINT_FLAGS,
        "multi-device fleet simulation behind a load-balancing router"]),
     ("report", cmd_report,
-     &["[--mode serve|fleet] [--library <file>] [--scenario 1|2|1+2] [--seed N]",
-       POLICY, "[--top K] [--slo-target 0.97]",
-       "[--slo-objective deadline|latency] [--format text|json] [--out prefix] [--check 1]",
-       FLEET_FLAGS, SERVE_KNOBS,
-       "per-stage latency waterfall, SLO error-budget burn and span-tree exports"]),
+     &["--events <prefix>.jsonl [--top K] [--slo-target 0.97] [--slo-objective deadline|latency]",
+       "[--deadline-ms N] [--format text|json] [--out prefix]",
+       "per-stage latency waterfall and SLO error-budget burn of the event log a serve,",
+       "fleet, serve-live or gateway run exported; --out re-exports it with the SLO alerts"]),
     ("trace", cmd_trace,
      &["--library <file> [--scenario 1|2|1+2] [--seed N]", POLICY,
        "[--out prefix]   writes <prefix>.trace.json (Perfetto), <prefix>.jsonl, <prefix>.prom"]),
@@ -273,6 +272,9 @@ fn overflow_warning(overwritten: u64, kept: usize) -> Option<String> {
     })
 }
 
+/// Capacity of the trace ring every recording command records into.
+const TRACE_RING: usize = 1 << 18;
+
 /// Drains `recorder`, warning on stderr when the ring overflowed — every
 /// export, waterfall and summary downstream would under-count silently.
 fn drain_events(recorder: &Recorder) -> Vec<Event> {
@@ -445,33 +447,27 @@ fn parse_policy(name: &str) -> Result<PolicyKind, String> {
 }
 
 /// The simulator run ([`SIM_RUN`] and `--scenario`), parsed once for
-/// `serve`, `fleet`, `report` and `trace`, and the skeleton the first three
-/// share: conservation check, `--check 1` replay, output and exports (and,
-/// for `serve` and `fleet`, the config-lint gate).
+/// `serve`, `fleet` and `trace`, and the skeleton the first two share:
+/// config-lint gate, conservation check, `--check 1` replay, output and
+/// exports.
 struct SimRun<'f> {
-    scenario_name: &'f str,
     scenario: Scenario,
     seed: u64,
     runs: usize,
     format: &'f str,
     check: bool,
     out: Option<&'f str>,
-    /// Capacity of the trace ring a single run records into.
-    ring: usize,
 }
 
 impl<'f> SimRun<'f> {
-    fn parse(flags: &'f Flags, seed: u64, ring: usize) -> Result<Self, String> {
-        let scenario_name = flags.or("scenario", "2");
+    fn parse(flags: &'f Flags) -> Result<Self, String> {
         Ok(SimRun {
-            scenario_name,
-            scenario: parse_scenario(scenario_name)?,
-            seed: flags.num("seed", seed)?,
+            scenario: parse_scenario(flags.or("scenario", "2"))?,
+            seed: flags.num("seed", 1)?,
             runs: flags.num("runs", 1_usize)?.max(1),
             format: parse_format(flags)?,
             check: flags.on("check"),
             out: flags.get("out"),
-            ring,
         })
     }
 
@@ -479,13 +475,13 @@ impl<'f> SimRun<'f> {
         WorkloadSpec::paper_edge(self.scenario)
     }
 
-    /// The config-lint gate: prints the findings worth reading and refuses
-    /// an Error-level one with `refusal`.
+    /// The config-lint gate: refuses an Error-level finding with `refusal`
+    /// and the findings, else prints those worth reading.
     fn gate(&self, report: &Report, refusal: &str) -> Result<(), String> {
-        print_findings(report, self.format);
         if report.has_errors() {
-            return Err(format!("{refusal} (see findings above)"));
+            return Err(format!("{refusal}\n{}", report.to_string().trim_end()));
         }
+        print_findings(report, self.format);
         Ok(())
     }
 
@@ -500,7 +496,7 @@ impl<'f> SimRun<'f> {
     ) -> Result<(S, Vec<Event>), String> {
         let once = || {
             if self.runs == 1 {
-                let (sink, recorder) = SinkHandle::recorder(self.ring);
+                let (sink, recorder) = SinkHandle::recorder(TRACE_RING);
                 (run(Some(sink)), drain_events(&recorder))
             } else {
                 (run(None), Vec::new())
@@ -564,53 +560,11 @@ impl<'f> SimRun<'f> {
     }
 }
 
-/// One serve simulation — the run `serve` and `report --mode serve` share.
-fn run_serve(
-    sim: &SimRun,
-    library: &Library,
-    policy: PolicyKind,
-    config: &ServeConfig,
-) -> Result<(ServeSummary, Vec<Event>), String> {
-    let experiment = ServeExperiment::new(library, sim.spec())
-        .runs(sim.runs)
-        .seed(sim.seed)
-        .config(config.clone());
-    let make_policy = || policy.build(library, config.deadline_s, &SinkHandle::null());
-    sim.execute(
-        |sink| match sink {
-            Some(sink) => experiment.run_traced(sim.seed, sink, make_policy),
-            None => experiment.run_with(make_policy),
-        },
-        "request",
-        |s| (s.conservation_holds(), s.arrived, s.completed, s.shed),
-    )
-}
-
-/// One fleet simulation — the run `fleet` and `report --mode fleet` share.
-fn run_fleet(
-    sim: &SimRun,
-    library: &Library,
-    config: &FleetConfig,
-) -> Result<(FleetSummary, Vec<Event>), String> {
-    let experiment = FleetExperiment::new(library, sim.spec())
-        .config(config.clone())
-        .runs(sim.runs)
-        .seed(sim.seed);
-    sim.execute(
-        |sink| match sink {
-            Some(sink) => experiment.run_traced(sim.seed, sink),
-            None => experiment.run(),
-        },
-        "fleet",
-        |s| (s.conservation_holds(), s.arrived, s.completed, s.shed),
-    )
-}
-
 /// Request-level serving: deadline accounting, admission control and
 /// dynamic batching over the paper's workload scenarios.
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let library = load_library(flags)?;
-    let sim = SimRun::parse(flags, 1, 1 << 18)?;
+    let sim = SimRun::parse(flags)?;
     let policy = flags.or("policy", "adaflow");
     let kind = parse_policy(policy)?;
     let config = sim_serve_knobs(flags)?;
@@ -620,7 +574,19 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let report = config.validate(sim.spec().nominal_fps(), kind.worst_stall_s(&library), lint);
     sim.gate(&report, "serve configuration failed SV lint")?;
 
-    let (summary, events) = run_serve(&sim, &library, kind, &config)?;
+    let experiment = ServeExperiment::new(&library, sim.spec())
+        .runs(sim.runs)
+        .seed(sim.seed)
+        .config(config.clone());
+    let make_policy = || kind.build(&library, config.deadline_s, &SinkHandle::null());
+    let (summary, events) = sim.execute(
+        |sink| match sink {
+            Some(sink) => experiment.run_traced(sim.seed, sink, make_policy),
+            None => experiment.run_with(make_policy),
+        },
+        "request",
+        |s| (s.conservation_holds(), s.arrived, s.completed, s.shed),
+    )?;
     let json = || sim.json(&summary, events.len());
     let text = || {
         let (s, name, runs) = (&summary, sim.scenario.name(), sim.runs_label());
@@ -676,8 +642,8 @@ fn parse_serve_knobs(flags: &Flags, mut base: ServeConfig) -> Result<ServeConfig
     Ok(base)
 }
 
-/// The serving knobs of the simulator commands (`serve`, `fleet`, `report`,
-/// `lint`), over `ServeConfig::default()`: `--batch-wait-ms` defaults to 20.
+/// The serving knobs of the simulator commands (`serve`, `fleet`, `lint`),
+/// over `ServeConfig::default()`: `--batch-wait-ms` defaults to 20.
 fn sim_serve_knobs(flags: &Flags) -> Result<ServeConfig, String> {
     parse_serve_knobs(flags, ServeConfig::default())
 }
@@ -743,7 +709,7 @@ fn lint_fleet(
 /// load-balancing router, with staggered reconfiguration drains.
 fn cmd_fleet(flags: &Flags) -> Result<(), String> {
     let library = load_library(flags)?;
-    let sim = SimRun::parse(flags, 1, 1 << 18)?;
+    let sim = SimRun::parse(flags)?;
     let config = parse_fleet_config(flags)?;
 
     // Static validation; a device can stall as long as its policy's worst
@@ -754,7 +720,18 @@ fn cmd_fleet(flags: &Flags) -> Result<(), String> {
     report.merge(serving);
     sim.gate(&report, "fleet configuration failed FL/SV lint")?;
 
-    let (summary, events) = run_fleet(&sim, &library, &config)?;
+    let experiment = FleetExperiment::new(&library, sim.spec())
+        .config(config.clone())
+        .runs(sim.runs)
+        .seed(sim.seed);
+    let (summary, events) = sim.execute(
+        |sink| match sink {
+            Some(sink) => experiment.run_traced(sim.seed, sink),
+            None => experiment.run(),
+        },
+        "fleet",
+        |s| (s.conservation_holds(), s.arrived, s.completed, s.shed),
+    )?;
     let json = || sim.json(&summary, events.len());
     let text = || {
         let s = &summary;
@@ -803,17 +780,16 @@ fn cmd_fleet(flags: &Flags) -> Result<(), String> {
     sim.finish(json, text, &events)
 }
 
-/// Causal latency attribution: runs one traced serve or fleet simulation,
-/// reconstructs the span forest, and reports the per-stage waterfall plus
-/// the SLO error-budget burn — bit-identical per seed.
+/// Causal latency attribution over a run's exported event log: rebuilds the
+/// span forest and reports the per-stage waterfall plus the SLO error-budget
+/// burn. It runs nothing — the log of a `serve`, `fleet`, `serve-live` or
+/// `gateway` run with `--out` is its whole input.
 fn cmd_report(flags: &Flags) -> Result<(), String> {
-    use adaflow_telemetry::{Objective, SloConfig, SloEngine, TraceForest, Waterfall};
+    use adaflow_telemetry::{
+        events_from_jsonl, Objective, SloConfig, SloEngine, TraceForest, Waterfall,
+    };
 
-    let mode = flags.or("mode", "serve");
-    if !matches!(mode, "serve" | "fleet") {
-        return Err(format!("unknown --mode `{mode}` (serve | fleet)"));
-    }
-    let sim = SimRun::parse(flags, 7, 1 << 20)?;
+    let path = flags.required("events")?;
     let top: usize = flags.num("top", 3)?;
     let target: f64 = flags.num("slo-target", 0.97)?;
     if !(target > 0.0 && target < 1.0) {
@@ -823,84 +799,47 @@ fn cmd_report(flags: &Flags) -> Result<(), String> {
     let objective = Objective::from_label(objective_name).ok_or_else(|| {
         format!("unknown --slo-objective `{objective_name}` (deadline | latency)")
     })?;
-
-    let config = sim_serve_knobs(flags)?;
-    // A batcher that can never close a batch is the one configuration the
-    // simulators cannot run (`DeviceCore::new` asserts against it): refuse
-    // it with SV001's finding. The rest of the config lint gates `serve`
-    // and `fleet`, not `report`.
-    if config.max_batch == 0 {
-        let report = config.validate(0.0, 0.0, LintConfig::default());
-        let errors: Vec<String> = report
-            .diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-            .map(|d| format!("  {d}"))
-            .collect();
-        return Err(format!(
-            "report cannot run this configuration\n{}",
-            errors.join("\n")
-        ));
+    // The latency objective: `--deadline-ms`, else the simulators' budget.
+    let latency_objective_s = flags
+        .opt_num::<f64>("deadline-ms")?
+        .map_or(ServeConfig::default().deadline_s, |ms| ms / 1e3);
+    if !(latency_objective_s > 0.0 && latency_objective_s.is_finite()) {
+        return Err("--deadline-ms must be a positive number".to_string());
     }
+    let format = parse_format(flags)?;
 
-    // An explicit library wins; otherwise generate the default edge setup
-    // in process so `report` works standalone.
-    let cifar = DatasetKind::Cifar10;
-    let library = match flags.get("library") {
-        Some(_) => load_library(flags)?,
-        None => LibraryGenerator::default_edge_setup()
-            .generate(&build_model("cnv-w2a2", Some(cifar))?, cifar)
-            .map_err(|e| e.to_string())?,
-    };
-    let (name, seed) = (sim.scenario.name(), sim.seed);
-
-    // One traced run: (summary JSON, headline, events).
-    let (summary_json, headline, events) = if mode == "serve" {
-        let policy = flags.or("policy", "adaflow");
-        let (s, events) = run_serve(&sim, &library, parse_policy(policy)?, &config)?;
-        let headline = format!(
-            "serve/{policy} under {name} (seed {seed}): {:.0} arrived, {:.0} completed \
-             ({:.2}% deadline hits), {:.0} shed",
-            s.arrived, s.completed, s.deadline_hit_pct, s.shed
-        );
-        (to_json(&s)?, headline, events)
-    } else {
-        let fleet = parse_fleet_config(flags)?;
-        let (s, events) = run_fleet(&sim, &library, &fleet)?;
-        let (devices, queue) = (fleet.devices.len(), s.queue_wait_mean_s * 1e3);
-        let (batch, stall) = (s.batch_wait_mean_s * 1e3, s.stall_mean_s * 1e3);
-        let service = s.service_mean_s * 1e3;
-        let headline = format!(
-            "fleet of {devices} via {} under {name} (seed {seed}): {:.0} arrived, {:.0} completed \
-             ({:.2}% deadline hits), {:.0} shed; stage means queue {queue:.2} ms / \
-             batch-wait {batch:.2} ms (stall {stall:.2} ms) / service {service:.2} ms",
-            s.router, s.arrived, s.completed, s.deadline_hit_pct, s.shed
-        );
-        (to_json(&s)?, headline, events)
-    };
-
+    let log = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let events = events_from_jsonl(&log).map_err(|e| format!("parsing {path}: {e}"))?;
     let forest = TraceForest::from_events(&events);
     forest
         .validate()
         .map_err(|e| format!("invalid span forest: {e}"))?;
     let waterfall = Waterfall::from_forest(&forest, top);
     let mut registry = MetricsRegistry::new(RegistryConfig {
-        latency_objective_s: config.deadline_s,
+        latency_objective_s,
     });
     registry.observe_all(&events);
     let slo = SloEngine::new(SloConfig { objective, target }).evaluate(&registry);
 
-    let json = || {
-        Ok(format!(
-            "{{\"mode\":\"{mode}\",\"scenario\":\"{}\",\"seed\":{seed},\
-             \"summary\":{summary_json},\"waterfall\":{},\"slo\":{}}}",
-            sim.scenario_name,
+    if format == "json" {
+        println!(
+            "{{\"events\":{},\"waterfall\":{},\"slo\":{}}}",
+            events.len(),
             to_json(&waterfall)?,
             to_json(&slo)?
-        ))
-    };
-    let text = || {
-        println!("{headline}");
+        );
+    } else {
+        let count = |name| registry.counter(name);
+        let completed = count("requests_completed");
+        let hits = 100.0 * (1.0 - count("deadline_misses") / completed.max(1.0));
+        println!(
+            "{path}: {} events — {:.0} enqueued, {:.0} routed, {completed:.0} completed \
+             ({hits:.2}% deadline hits), {:.0} shed",
+            events.len(),
+            count("requests_enqueued"),
+            count("requests_routed"),
+            count("requests_shed")
+        );
         print!("{}", waterfall.render_text());
         let (target, good) = (slo.target * 100.0, slo.good_fraction * 100.0);
         println!(
@@ -919,12 +858,15 @@ fn cmd_report(flags: &Flags) -> Result<(), String> {
             slo.alert_burn_rate,
             slo.alerts.len()
         );
+    }
+    // Fold the SLO alerts into the re-exported stream (they carry the log's
+    // own timestamps), so the Perfetto view shows burns in place.
+    let Some(prefix) = flags.get("out") else {
+        return Ok(());
     };
-    // Fold the SLO alerts into the exported stream (they carry their own
-    // sim timestamps), so the Perfetto view shows burns in place.
     let mut exported = events;
-    exported.extend(slo.alerts.iter().cloned());
-    sim.finish(json, text, &exported)
+    exported.extend(slo.alerts);
+    write_exports(prefix, format, &exported, &[])
 }
 
 /// One fully-traced serving run: records every telemetry event, prints a
@@ -932,10 +874,10 @@ fn cmd_report(flags: &Flags) -> Result<(), String> {
 /// Prometheus exports.
 fn cmd_trace(flags: &Flags) -> Result<(), String> {
     let library = load_library(flags)?;
-    let sim = SimRun::parse(flags, 1, 1 << 18)?;
+    let sim = SimRun::parse(flags)?;
     let policy_name = flags.or("policy", "adaflow");
 
-    let (sink, recorder) = SinkHandle::recorder(sim.ring);
+    let (sink, recorder) = SinkHandle::recorder(TRACE_RING);
     let mut policy = parse_policy(policy_name)?.build(&library, 0.0, &sink);
     let segments = sim.spec().generate(sim.seed);
     let edge = EdgeSim::new(SimConfig::default()).with_sink(sink);
@@ -1225,7 +1167,7 @@ fn cmd_serve_live(flags: &Flags) -> Result<(), String> {
     let addr = flags.or("addr", "127.0.0.1:7878");
     print_findings(&stack.preflight(tier.nominal_fps)?, tier.format);
 
-    let (trace_sink, recorder) = SinkHandle::recorder(1 << 18);
+    let (trace_sink, recorder) = SinkHandle::recorder(TRACE_RING);
     let registry = RegistrySink::new(RegistryConfig::default());
     let sink = SinkHandle::fanout(vec![trace_sink, SinkHandle::new(registry.clone())]);
     let config = LiveConfig {
@@ -1482,7 +1424,7 @@ fn cmd_soak(flags: &Flags) -> Result<(), String> {
     let Soak { stack, load, .. } = &soak;
     stack.preflight(load.rate_fps)?;
 
-    let (sink, recorder) = SinkHandle::recorder(1 << 18);
+    let (sink, recorder) = SinkHandle::recorder(TRACE_RING);
     let server = LiveServer::bind("127.0.0.1:0", &stack.graph, stack.config(), sink)
         .map_err(|e| e.to_string())?;
     let addr = server.local_addr().map_err(|e| e.to_string())?;
@@ -1571,7 +1513,7 @@ fn cmd_gateway(flags: &Flags) -> Result<(), String> {
         .collect::<Result<_, _>>()?;
     print_findings(&stack.preflight(tier.nominal_fps)?, tier.format);
 
-    let (sink, recorder) = SinkHandle::recorder(1 << 18);
+    let (sink, recorder) = SinkHandle::recorder(TRACE_RING);
     let gateway = Gateway::bind(addr, &backends, config, sink).map_err(|e| e.to_string())?;
     let bound = gateway.local_addr().map_err(|e| e.to_string())?;
     let handle = gateway.handle();
@@ -1642,7 +1584,7 @@ fn cmd_gateway_soak(flags: &Flags) -> Result<(), String> {
         probe_timeout: Duration::from_millis(500),
         ..GatewayConfig::default()
     };
-    let (sink, recorder) = SinkHandle::recorder(1 << 18);
+    let (sink, recorder) = SinkHandle::recorder(TRACE_RING);
     let gateway = Gateway::bind("127.0.0.1:0", &addrs, config, sink).map_err(|e| e.to_string())?;
     let front = gateway.local_addr().map_err(|e| e.to_string())?;
     let gh = gateway.handle();
@@ -1973,7 +1915,7 @@ mod tests {
             let (_, _, lines) = COMMANDS.iter().find(|(name, ..)| *name == command).unwrap();
             lines.contains(&SERVE_KNOBS)
         };
-        let simulators = ["serve", "fleet", "report", "lint"];
+        let simulators = ["serve", "fleet", "lint"];
         let live = ["serve-live", "soak", "gateway", "gateway-soak"];
         assert!(simulators.iter().chain(&live).all(|c| reads_knobs(c)));
         // ... two defaults: each family's own config type, which differ in
@@ -2289,8 +2231,13 @@ mod tests {
 
     #[test]
     fn report_command_covers_serve_and_fleet_modes() {
-        let lib_path = std::env::temp_dir().join("adaflow_cli_report_test_library.json");
-        let lib_str = lib_path.to_string_lossy().to_string();
+        let tmp = |name: &str| {
+            std::env::temp_dir()
+                .join(name)
+                .to_string_lossy()
+                .to_string()
+        };
+        let lib_str = tmp("adaflow_cli_report_test_library.json");
         cmd_generate(&flags(&[
             ("model", "cnv-w2a2"),
             ("dataset", "cifar10"),
@@ -2298,34 +2245,40 @@ mod tests {
             ("out", &lib_str),
         ]))
         .expect("generate");
-        // Serve mode with the determinism replay, against a target tight
-        // enough to burn: the alerts ride the exported stream, so `.prom`
-        // (the only Prometheus file) counts exactly the ones `.jsonl` holds.
-        let prefix = std::env::temp_dir().join("adaflow_cli_report_test_serve_run");
-        let serve_prefix = prefix.to_string_lossy().to_string();
-        cmd_report(&flags(&[
-            ("library", &lib_str),
-            ("mode", "serve"),
+        // A serve log with the determinism replay, reported against a target
+        // tight enough to burn: the alerts ride the re-exported stream, so
+        // `.prom` (the only Prometheus file) counts exactly the ones `.jsonl`
+        // holds.
+        let serve_log = tmp("adaflow_cli_report_test_serve_log");
+        let run = [
+            ("library", lib_str.as_str()),
             ("scenario", "2"),
             ("seed", "7"),
-            ("check", "1"),
+        ];
+        cmd_serve(&flags(
+            &[&run[..], &[("check", "1"), ("out", &serve_log)]].concat(),
+        ))
+        .expect("serve log with replay");
+        let serve_events = format!("{serve_log}.jsonl");
+        let serve_prefix = tmp("adaflow_cli_report_test_serve_run");
+        cmd_report(&flags(&[
+            ("events", &serve_events),
             ("slo-target", "0.9999"),
             ("out", &serve_prefix),
         ]))
-        .expect("serve report with replay");
+        .expect("serve report");
         let jsonl = std::fs::read_to_string(format!("{serve_prefix}.jsonl")).expect("jsonl");
         let alerts = jsonl.matches("SloBurnAlert").count();
         assert!(alerts > 0, "the tight target fires at least one alert");
         let prom = read_prom(&serve_prefix);
         assert!(prom.contains(&format!("adaflow_slo_burn_alerts_total {alerts}\n")));
-        // Fleet mode in JSON with full exports.
-        let prefix = std::env::temp_dir().join("adaflow_cli_report_test_run");
-        let prefix_str = prefix.to_string_lossy().to_string();
+        // A fleet log, reported in JSON with full exports.
+        let fleet_log = tmp("adaflow_cli_report_test_fleet_log");
+        cmd_fleet(&flags(&[&run[..], &[("out", &fleet_log)]].concat())).expect("fleet log");
+        let fleet_events = format!("{fleet_log}.jsonl");
+        let prefix_str = tmp("adaflow_cli_report_test_run");
         cmd_report(&flags(&[
-            ("library", &lib_str),
-            ("mode", "fleet"),
-            ("scenario", "2"),
-            ("seed", "7"),
+            ("events", &fleet_events),
             ("format", "json"),
             ("out", &prefix_str),
         ]))
@@ -2343,18 +2296,29 @@ mod tests {
             !std::path::Path::new(&format!("{prefix_str}.metrics.prom")).exists(),
             "one Prometheus file per run"
         );
-        // Flag validation.
-        assert!(cmd_report(&flags(&[("library", &lib_str), ("mode", "edge")])).is_err());
-        assert!(cmd_report(&flags(&[("library", &lib_str), ("slo-target", "1.5")])).is_err());
-        assert!(cmd_report(&flags(&[
-            ("library", &lib_str),
-            ("slo-objective", "uptime")
-        ]))
-        .is_err());
-        let _ = std::fs::remove_file(lib_path);
-        for suffix in ["trace.json", "jsonl", "prom"] {
-            let _ = std::fs::remove_file(format!("{prefix_str}.{suffix}"));
-            let _ = std::fs::remove_file(format!("{serve_prefix}.{suffix}"));
+        // Flag validation: `report` reads a log and runs nothing.
+        let log = ("events", fleet_events.as_str());
+        assert!(cmd_report(&flags(&[log, ("slo-target", "1.5")])).is_err());
+        assert!(cmd_report(&flags(&[log, ("slo-objective", "uptime")])).is_err());
+        assert!(cmd_report(&flags(&[log, ("deadline-ms", "0")])).is_err());
+        assert!(cmd_report(&flags(&[])).is_err(), "--events is required");
+        let missing = tmp("adaflow_cli_report_test_missing.jsonl");
+        assert!(cmd_report(&flags(&[("events", &missing)])).is_err());
+        for stray in [
+            "--mode serve",
+            "--library x",
+            "--seed 7",
+            "--check 1",
+            "--batch 4",
+        ] {
+            let line = format!("report --events {fleet_events} {stray}");
+            assert!(resolve(&args(&line)).is_err(), "{line}");
+        }
+        let _ = std::fs::remove_file(lib_str);
+        for prefix in [&serve_log, &serve_prefix, &fleet_log, &prefix_str] {
+            for suffix in ["trace.json", "jsonl", "prom"] {
+                let _ = std::fs::remove_file(format!("{prefix}.{suffix}"));
+            }
         }
     }
 
@@ -2449,15 +2413,31 @@ mod tests {
     }
 
     #[test]
-    fn report_refuses_a_zero_batch_in_both_modes() {
-        // Was: a panic in `DeviceCore::new` (exit 101) where `serve` and
-        // `fleet` refuse through SV001.
-        for mode in ["serve", "fleet"] {
-            let line = format!("report --mode {mode} --scenario 2 --batch 0");
-            let err = run(&args(&line)).expect_err("batch 0 must be refused");
-            assert!(err.contains("SV001"), "{line}: {err}");
-            assert!(err.contains("batch size 0"), "{line}: {err}");
+    fn serve_and_fleet_gates_refuse_what_their_engines_cannot_run() {
+        // The engines assert against each of these configs (a panic, exit
+        // 101), so the gates of `serve` and `fleet`, the only commands that
+        // run a simulation, must refuse them first and name the finding.
+        let lib_path = std::env::temp_dir().join("adaflow_cli_gate_test_library.json");
+        let lib_str = lib_path.to_string_lossy().to_string();
+        cmd_generate(&flags(&[
+            ("model", "cnv-w2a2"),
+            ("dataset", "cifar10"),
+            ("rates", "0,0.5"),
+            ("out", &lib_str),
+        ]))
+        .expect("generate");
+        for (config, finding) in [
+            ("serve --batch 0", "SV001"),
+            ("fleet --batch 0", "SV001"),
+            ("fleet --fleet ,", "FL001"),
+            ("fleet --max-drains 0", "FL001"),
+        ] {
+            let line = format!("{config} --library {lib_str} --scenario 2");
+            let err = run(&args(&line)).expect_err("refused");
+            // The Error-level finding itself, not just the code's Info line.
+            assert!(err.contains(&format!("error[{finding}]")), "{line}: {err}");
         }
+        let _ = std::fs::remove_file(lib_path);
     }
 
     #[test]

@@ -530,14 +530,15 @@ fn execute_batch(shared: &SharedState, runner: &BatchRunner<'_>, batch: &[Pendin
         }
         return;
     };
-    // No switch stalls live (the drain starts at the close), and the
-    // served model's accuracy is not known to this tier.
+    // No switch stalls live: the stall window is empty at the engine start,
+    // so the close-to-start hand-off is batch forming. The served model's
+    // accuracy is not known to this tier.
     let mut settled = Vec::with_capacity(batch.len());
     let mut core = shared.core.lock().expect("core lock poisoned");
     core.device.settle_batch(
         batch,
         close_s,
-        close_s,
+        start_s,
         start_s,
         done_s - start_s,
         done_s,

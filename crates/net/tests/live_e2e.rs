@@ -512,3 +512,46 @@ fn immediate_shutdown_never_hangs_with_or_without_an_idle_connection() {
         drop(idle);
     }
 }
+
+/// The live tier never reconfigures: every request's `reconfig_stall` span
+/// is empty, the hand-off from batch close to engine start is billed to
+/// `batch_form`, and the stages still tile each request's latency.
+#[test]
+fn live_span_trees_tile_with_an_empty_reconfig_stall() {
+    use adaflow_telemetry::{TraceForest, Waterfall};
+
+    let shape = tiny_graph().input_shape();
+    let (sink, recorder) = SinkHandle::recorder(65_536);
+    let (report, summary) = with_server(LiveConfig::default(), sink, |addr| {
+        let mut lc = LoadConfig::closed(addr, "", shape, 40);
+        lc.deadline_us = 5_000_000;
+        adaflow_net::loadgen::run_load(&lc)
+    });
+    assert_eq!(summary.ok, 40, "{summary:?}");
+    assert_eq!(report.summary.completed, 40.0);
+
+    let events = recorder.drain();
+    let forest = TraceForest::from_events(&events);
+    forest.validate().expect("well-formed live traces");
+    assert_eq!(forest.len(), 40, "one span tree per completion");
+    let waterfall = Waterfall::from_forest(&forest, 0);
+    assert!(
+        waterfall.attribution_residual_s < 1e-9,
+        "stages do not tile: residual {} s",
+        waterfall.attribution_residual_s
+    );
+    let stall_widths: Vec<f64> = events
+        .iter()
+        .filter_map(|e| match &e.kind {
+            EventKind::TraceSpan { stage, begin_s, .. } if stage == "reconfig_stall" => {
+                Some(e.t_s - begin_s)
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(stall_widths.len(), 40);
+    assert!(
+        stall_widths.iter().all(|&w| w == 0.0),
+        "a live request stalled: {stall_widths:?}"
+    );
+}
