@@ -17,14 +17,14 @@
 //! ```
 
 use adaflow::{RuntimeConfig, RuntimeManager};
-use adaflow_bench::{header, row, runs_from_args, Combo};
+use adaflow_bench::{header, row, runs_arg, Combo};
 use adaflow_edge::{Experiment, Scenario, SimConfig, WorkloadSpec};
 use adaflow_hls::ReconfigurationModel;
 use adaflow_model::QuantSpec;
 use adaflow_nn::DatasetKind;
 
 fn main() {
-    let runs = runs_from_args().min(50);
+    let runs = runs_arg().min(50);
     let combo = Combo {
         dataset: DatasetKind::Cifar10,
         quant: QuantSpec::w2a2(),

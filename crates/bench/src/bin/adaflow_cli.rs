@@ -65,7 +65,8 @@ const COMMANDS: &[(&str, Handler, &[&str])] = &[
     ("generate", cmd_generate, &["--model <name> --dataset <d> [--rates a,b,..] [--out file]"]),
     ("inspect", cmd_inspect, &["--library <file>   print a generated library table"]),
     ("simulate", cmd_simulate,
-     &["--library <file> [--scenario 1|2|1+2] [--runs N]", POLICY]),
+     &["--library <file> [--scenario 1|2|1+2]", POLICY, SIM_RUN,
+       "fluid edge-server run, the paper's frame-level model (Table I, Fig. 6)"]),
     ("serve", cmd_serve,
      &["--library <file> [--scenario 1|2|1+2]", POLICY, SERVE_KNOBS, SIM_RUN, LINT_FLAGS,
        "request-level serving run (--batch-wait-ms defaults to 20 in the simulators)"]),
@@ -75,11 +76,9 @@ const COMMANDS: &[(&str, Handler, &[&str])] = &[
     ("report", cmd_report,
      &["--events <prefix>.jsonl [--top K] [--slo-target 0.97] [--slo-objective deadline|latency]",
        "[--deadline-ms N] [--format text|json] [--out prefix]",
-       "per-stage latency waterfall and SLO error-budget burn of the event log a serve,",
-       "fleet, serve-live or gateway run exported; --out re-exports it with the SLO alerts"]),
-    ("trace", cmd_trace,
-     &["--library <file> [--scenario 1|2|1+2] [--seed N]", POLICY,
-       "[--out prefix]   writes <prefix>.trace.json (Perfetto), <prefix>.jsonl, <prefix>.prom"]),
+       "per-stage latency waterfall and SLO error-budget burn of the event log a run wrote",
+       "with --out; --out writes the log plus its SLO alerts as <prefix>.trace.json",
+       "(Perfetto) and <prefix>.prom (the registry exposition /metrics serves)"]),
     ("explore", cmd_explore, &["--model <name> [--target-fps F] [--cap 0.7]"]),
     ("lint", cmd_lint,
      &["[--model <name>|all] [--rates a,b,..] [--library <file>] [--format text|json]",
@@ -253,14 +252,6 @@ fn print_findings(report: &Report, format: &str) {
     }
 }
 
-/// Folds `events` into a fresh registry: the one fold `.prom`, `trace`'s
-/// summary and `/metrics` all read.
-fn fold_events(events: &[Event]) -> MetricsRegistry {
-    let mut registry = MetricsRegistry::new(RegistryConfig::default());
-    registry.observe_all(events);
-    registry
-}
-
 /// What to tell the operator when `overwritten` events fell off a ring that
 /// was full with `kept`.
 fn overflow_warning(overwritten: u64, kept: usize) -> Option<String> {
@@ -286,22 +277,11 @@ fn drain_events(recorder: &Recorder) -> Vec<Event> {
     events
 }
 
-/// Writes the `--out <prefix>` exports of `events` — `<prefix>.trace.json`
-/// (Chrome/Perfetto), `.jsonl`, `.prom` (the registry exposition `/metrics`
-/// serves, folded from these events) — then each `(suffix, contents)` of
-/// `extra`, naming every file on stdout under `--format text`.
-fn write_exports(
-    prefix: &str,
-    format: &str,
-    events: &[Event],
-    extra: &[(&str, String)],
-) -> Result<(), String> {
-    let standard = [
-        ("trace.json", chrome_trace_json(events)),
-        ("jsonl", events_to_jsonl(events)),
-        ("prom", fold_events(events).to_prometheus()),
-    ];
-    for (suffix, contents) in standard.iter().chain(extra) {
+/// Writes each `(suffix, contents)` of `files` as `<prefix>.<suffix>`,
+/// naming every file on stdout under `--format text`. A run writes only its
+/// event log, `<prefix>.jsonl`; `report` writes the views derived from one.
+fn write_exports(prefix: &str, format: &str, files: &[(&str, String)]) -> Result<(), String> {
+    for (suffix, contents) in files {
         let path = format!("{prefix}.{suffix}");
         std::fs::write(&path, contents).map_err(|e| format!("writing {path}: {e}"))?;
         if format == "text" {
@@ -415,29 +395,52 @@ fn cmd_inspect(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
+/// The paper's frame-level model: the fluid edge server under a policy,
+/// one recorded run or the mean of `--runs` seeded ones.
 fn cmd_simulate(flags: &Flags) -> Result<(), String> {
     let library = load_library(flags)?;
-    let scenario = parse_scenario(flags.or("scenario", "2"))?;
-    let runs: usize = flags.num("runs", 100)?;
+    let sim = SimRun::parse(flags)?;
     let policy = flags.or("policy", "adaflow");
     let kind = parse_policy(policy)?;
-    let metrics = Experiment::new(&library, WorkloadSpec::paper_edge(scenario))
-        .runs(runs)
-        .run_with(|| kind.build(&library, 0.0, &SinkHandle::null()));
-    println!(
-        "{policy} under {} ({runs} runs): loss {:.2}%  QoE {:.2}  power {:.2} W  \
-         {:.0} inf/J  switches {:.1} (reconf {:.1}, flexible {:.1})  latency {:.1} ms",
-        scenario.name(),
-        metrics.frame_loss_pct,
-        metrics.qoe_pct,
-        metrics.avg_power_w,
-        metrics.inferences_per_joule,
-        metrics.model_switches,
-        metrics.reconfigurations,
-        metrics.flexible_switches,
-        metrics.mean_latency_ms
-    );
-    Ok(())
+
+    let experiment = Experiment::new(&library, sim.spec())
+        .runs(sim.runs)
+        .seed(sim.seed);
+    let (metrics, events) = sim.execute(
+        |sink| match sink {
+            Some(sink) => {
+                let mut policy = kind.build(&library, 0.0, &sink);
+                let edge = EdgeSim::new(SimConfig::default()).with_sink(sink);
+                edge.run(policy.as_mut(), &sim.spec().generate(sim.seed)).0
+            }
+            None => experiment.run_with(|| kind.build(&library, 0.0, &SinkHandle::null())),
+        },
+        "frame",
+        |m| {
+            let holds = (m.offered - m.processed - m.lost).abs() <= 1e-9 * m.offered;
+            (holds, m.offered, m.processed, m.lost)
+        },
+    )?;
+    let json = || sim.json(&metrics, events.len());
+    let text = || {
+        let (m, name, runs) = (&metrics, sim.scenario.name(), sim.runs_label());
+        println!(
+            "{policy} under {name} ({runs}): loss {:.2}%  QoE {:.2}  power {:.2} W  \
+             {:.0} inf/J  switches {:.1} (reconf {:.1}, flexible {:.1})  latency {:.1} ms",
+            m.frame_loss_pct,
+            m.qoe_pct,
+            m.avg_power_w,
+            m.inferences_per_joule,
+            m.model_switches,
+            m.reconfigurations,
+            m.flexible_switches,
+            m.mean_latency_ms
+        );
+        if !events.is_empty() {
+            println!("  events: {} recorded", events.len());
+        }
+    };
+    sim.finish(json, text, &events)
 }
 
 /// One name of the policy table: `--policy`, or one entry of `--fleet`.
@@ -447,9 +450,9 @@ fn parse_policy(name: &str) -> Result<PolicyKind, String> {
 }
 
 /// The simulator run ([`SIM_RUN`] and `--scenario`), parsed once for
-/// `serve`, `fleet` and `trace`, and the skeleton the first two share:
-/// config-lint gate, conservation check, `--check 1` replay, output and
-/// exports.
+/// `simulate`, `serve` and `fleet`, and the skeleton they share:
+/// conservation check, `--check 1` replay, output and event log, plus the
+/// config-lint gate of the request-level two.
 struct SimRun<'f> {
     scenario: Scenario,
     seed: u64,
@@ -486,7 +489,7 @@ impl<'f> SimRun<'f> {
     }
 
     /// Runs `run` — with a recording sink when this is a single run — holds
-    /// its `what` ledger to `arrived == completed + shed` and, under
+    /// its `what` ledger `(holds, arrived, completed, shed)` and, under
     /// `--check 1`, replays it to the same summary and the same events.
     fn execute<S: PartialEq>(
         &self,
@@ -521,7 +524,7 @@ impl<'f> SimRun<'f> {
         format!("seed {}, {} run{plural}", self.seed, self.runs)
     }
 
-    /// The `--format json` document of a `serve` or `fleet` run.
+    /// The `--format json` document of a run.
     fn json(&self, summary: &impl Serialize, events: usize) -> Result<String, String> {
         let (s, runs) = (to_json(summary)?, self.runs);
         let json = format!("{{\"summary\":{s},\"runs\":{runs},\"events\":{events}}}");
@@ -547,8 +550,7 @@ impl<'f> SimRun<'f> {
         self.export(events)
     }
 
-    /// The `--out <prefix>` exports of `events`, which only a single run
-    /// records.
+    /// The `--out <prefix>` event log, which only a single run records.
     fn export(&self, events: &[Event]) -> Result<(), String> {
         let Some(prefix) = self.out else {
             return Ok(());
@@ -556,7 +558,7 @@ impl<'f> SimRun<'f> {
         if events.is_empty() {
             return Err("--out requires a single run (--runs 1) to record events".to_string());
         }
-        write_exports(prefix, self.format, events, &[])
+        write_exports(prefix, self.format, &[("jsonl", events_to_jsonl(events))])
     }
 }
 
@@ -781,9 +783,10 @@ fn cmd_fleet(flags: &Flags) -> Result<(), String> {
 }
 
 /// Causal latency attribution over a run's exported event log: rebuilds the
-/// span forest and reports the per-stage waterfall plus the SLO error-budget
-/// burn. It runs nothing — the log of a `serve`, `fleet`, `serve-live` or
-/// `gateway` run with `--out` is its whole input.
+/// span forest and reports the counters, the per-stage waterfall and the SLO
+/// error-budget burn. It runs nothing — the log any run command wrote with
+/// `--out` is its whole input — and is the one writer of the views derived
+/// from a log.
 fn cmd_report(flags: &Flags) -> Result<(), String> {
     use adaflow_telemetry::{
         events_from_jsonl, Objective, SloConfig, SloEngine, TraceForest, Waterfall,
@@ -829,17 +832,11 @@ fn cmd_report(flags: &Flags) -> Result<(), String> {
             to_json(&slo)?
         );
     } else {
-        let count = |name| registry.counter(name);
-        let completed = count("requests_completed");
-        let hits = 100.0 * (1.0 - count("deadline_misses") / completed.max(1.0));
-        println!(
-            "{path}: {} events — {:.0} enqueued, {:.0} routed, {completed:.0} completed \
-             ({hits:.2}% deadline hits), {:.0} shed",
-            events.len(),
-            count("requests_enqueued"),
-            count("requests_routed"),
-            count("requests_shed")
-        );
+        println!("{path}: {} events; counters by name:", events.len());
+        for (name, value) in registry.counters() {
+            let digits = if value.fract() == 0.0 { 0 } else { 3 };
+            println!("  {name:<22} {value:.digits$}");
+        }
         print!("{}", waterfall.render_text());
         let (target, good) = (slo.target * 100.0, slo.good_fraction * 100.0);
         println!(
@@ -859,64 +856,20 @@ fn cmd_report(flags: &Flags) -> Result<(), String> {
             slo.alerts.len()
         );
     }
-    // Fold the SLO alerts into the re-exported stream (they carry the log's
-    // own timestamps), so the Perfetto view shows burns in place.
     let Some(prefix) = flags.get("out") else {
         return Ok(());
     };
+    // The views are the log plus its SLO alerts, which carry the log's own
+    // timestamps: the Perfetto view shows each burn in place and `.prom`
+    // counts them.
+    registry.observe_all(&slo.alerts);
     let mut exported = events;
     exported.extend(slo.alerts);
-    write_exports(prefix, format, &exported, &[])
-}
-
-/// One fully-traced serving run: records every telemetry event, prints a
-/// summary and (with `--out prefix`) writes the Chrome trace, JSONL and
-/// Prometheus exports.
-fn cmd_trace(flags: &Flags) -> Result<(), String> {
-    let library = load_library(flags)?;
-    let sim = SimRun::parse(flags)?;
-    let policy_name = flags.or("policy", "adaflow");
-
-    let (sink, recorder) = SinkHandle::recorder(TRACE_RING);
-    let mut policy = parse_policy(policy_name)?.build(&library, 0.0, &sink);
-    let segments = sim.spec().generate(sim.seed);
-    let edge = EdgeSim::new(SimConfig::default()).with_sink(sink);
-    let (metrics, _) = edge.run(policy.as_mut(), &segments);
-
-    let events = drain_events(&recorder);
-    let registry = fold_events(&events);
-    let end_s = events.iter().fold(0.0_f64, |end, e| end.max(e.t_s));
-    let (name, seed, n) = (sim.scenario.name(), sim.seed, events.len());
-    println!("{policy_name} under {name} (seed {seed}): {n} events over {end_s:.1} s");
-    println!(
-        "  frames: {:.0} arrived, {:.1} dropped (run lost {:.1}, {:.2}%)",
-        registry.counter("frames_arrived"),
-        registry.counter("frames_dropped"),
-        metrics.lost,
-        metrics.frame_loss_pct
-    );
-    println!(
-        "  control: {} decisions, {} reconfigurations, {} model switches ({} flexible), stall {:.3} s",
-        registry.counter("decisions"),
-        registry.counter("reconfigurations"),
-        registry.counter("model_switches"),
-        registry.counter("flexible_switches"),
-        registry.counter("stall_seconds")
-    );
-    let m = &metrics;
-    println!(
-        "  latency: mean {:.1} ms, p50 {:.1} ms, p95 {:.1} ms, p99 {:.1} ms",
-        m.mean_latency_ms, m.latency_p50_ms, m.latency_p95_ms, m.latency_p99_ms
-    );
-    // A run that sampled no depth prints the zeros an empty histogram reads.
-    let depth = |q| {
-        registry
-            .histogram("queue_depth")
-            .map_or(0.0, |h| h.quantile(q))
-    };
-    let [p50, p95, p99] = [0.5, 0.95, 0.99].map(depth);
-    println!("  queue depth: p50 {p50:.1}, p95 {p95:.1}, p99 {p99:.1} frames");
-    sim.export(&events)
+    let views = [
+        ("trace.json", chrome_trace_json(&exported)),
+        ("prom", registry.to_prometheus()),
+    ];
+    write_exports(prefix, format, &views)
 }
 
 /// Lints one graph end to end: the `AF` graph rules, the `DF` folding rule
@@ -1106,7 +1059,7 @@ impl LiveStack {
 
 /// What `serve-live` and `gateway` share around their listener
 /// ([`LIVE_TIER`]): the preflight at `--nominal-fps`, the `--duration-s`
-/// stop timer (0 = run until killed) and the exports with `report.json`.
+/// stop timer (0 = run until killed) and the `--out` event log.
 struct LiveTier<'f> {
     nominal_fps: f64,
     duration_s: f64,
@@ -1138,18 +1091,16 @@ impl<'f> LiveTier<'f> {
         format!(", for {:.0} s", self.duration_s)
     }
 
-    /// The `--out` exports of the run's `events`, plus its `report` as
-    /// `<prefix>.report.json`.
-    fn export(
-        &self,
-        events: impl FnOnce() -> Vec<Event>,
-        report: &impl Serialize,
-    ) -> Result<(), String> {
+    /// The `--out` event log of the run's `events`.
+    fn export(&self, events: impl FnOnce() -> Vec<Event>) -> Result<(), String> {
         let Some(prefix) = self.out else {
             return Ok(());
         };
-        let extra = [("report.json", to_json(report)?)];
-        write_exports(prefix, self.format, &events(), &extra)
+        write_exports(
+            prefix,
+            self.format,
+            &[("jsonl", events_to_jsonl(&events()))],
+        )
     }
 }
 
@@ -1239,7 +1190,7 @@ fn cmd_serve_live(flags: &Flags) -> Result<(), String> {
             report.connections, report.protocol_errors, report.send_errors, report.accept_errors
         );
     })?;
-    tier.export(|| events, &report)
+    tier.export(|| events)
 }
 
 /// The seeded load `load`, `soak` and `gateway-soak` offer: `--requests`
@@ -1528,7 +1479,7 @@ fn cmd_gateway(flags: &Flags) -> Result<(), String> {
 
     let report = gateway.run().map_err(|e| e.to_string())?;
     print_as(tier.format, &report, || print_gateway_report(&report))?;
-    tier.export(|| drain_events(&recorder), &report)
+    tier.export(|| drain_events(&recorder))
 }
 
 /// In-process backends + gateway + seeded open-loop load with hard
@@ -2000,40 +1951,8 @@ mod tests {
         let _ = std::fs::remove_file(out);
     }
 
-    #[test]
-    fn trace_command_writes_exports() {
-        let lib_path = std::env::temp_dir().join("adaflow_cli_trace_test_library.json");
-        let lib_str = lib_path.to_string_lossy().to_string();
-        cmd_generate(&flags(&[
-            ("model", "cnv-w2a2"),
-            ("dataset", "cifar10"),
-            ("rates", "0,0.25,0.5"),
-            ("out", &lib_str),
-        ]))
-        .expect("generate");
-        let prefix = std::env::temp_dir().join("adaflow_cli_trace_test_run");
-        let prefix_str = prefix.to_string_lossy().to_string();
-        cmd_trace(&flags(&[
-            ("library", &lib_str),
-            ("scenario", "2"),
-            ("out", &prefix_str),
-        ]))
-        .expect("trace");
-        let chrome = std::fs::read_to_string(format!("{prefix_str}.trace.json")).expect("chrome");
-        assert!(chrome.trim_start().starts_with('['));
-        assert!(chrome.contains("decision_made"));
-        let prom = read_prom(&prefix_str);
-        assert!(prom.contains("adaflow_decisions_total"));
-        let jsonl = std::fs::read_to_string(format!("{prefix_str}.jsonl")).expect("jsonl");
-        assert!(jsonl.lines().count() > 10);
-        let _ = std::fs::remove_file(lib_path);
-        for suffix in ["trace.json", "jsonl", "prom"] {
-            let _ = std::fs::remove_file(format!("{prefix_str}.{suffix}"));
-        }
-    }
-
     /// Every name of the one policy table ([`POLICY`], plus the `finn`
-    /// spelling) runs under the fluid commands; an unknown name's error
+    /// spelling) runs under the fluid `simulate`; an unknown name's error
     /// lists the table. `serve_command_runs_all_policies` is the
     /// request-level half.
     #[test]
@@ -2048,15 +1967,11 @@ mod tests {
         ]))
         .expect("generate");
         for policy in POLICY_NAMES {
-            let run = [("library", lib_str.as_str()), ("policy", policy)];
-            cmd_simulate(&flags(&[&run[..], &[("runs", "1")]].concat()))
+            cmd_simulate(&flags(&[("library", &lib_str), ("policy", policy)]))
                 .unwrap_or_else(|e| panic!("simulate {policy}: {e}"));
-            cmd_trace(&flags(&run)).unwrap_or_else(|e| panic!("trace {policy}: {e}"));
         }
-        for command in [cmd_simulate, cmd_trace] {
-            let err = command(&flags(&[("library", &lib_str), ("policy", "turbo")]));
-            assert_unknown_policy(err);
-        }
+        let err = cmd_simulate(&flags(&[("library", &lib_str), ("policy", "turbo")]));
+        assert_unknown_policy(err);
         let _ = std::fs::remove_file(lib_path);
     }
 
@@ -2126,37 +2041,6 @@ mod tests {
     }
 
     #[test]
-    fn serve_command_writes_trace_exports() {
-        let lib_path = std::env::temp_dir().join("adaflow_cli_serve_trace_library.json");
-        let lib_str = lib_path.to_string_lossy().to_string();
-        cmd_generate(&flags(&[
-            ("model", "cnv-w2a2"),
-            ("dataset", "cifar10"),
-            ("rates", "0,0.5"),
-            ("out", &lib_str),
-        ]))
-        .expect("generate");
-        let prefix = std::env::temp_dir().join("adaflow_cli_serve_trace_run");
-        let prefix_str = prefix.to_string_lossy().to_string();
-        cmd_serve(&flags(&[
-            ("library", &lib_str),
-            ("scenario", "2"),
-            ("seed", "3"),
-            ("out", &prefix_str),
-        ]))
-        .expect("serve with exports");
-        let prom = read_prom(&prefix_str);
-        assert!(prom.contains("adaflow_requests_enqueued_total"));
-        assert!(prom.contains("adaflow_batches_closed_total"));
-        let jsonl = std::fs::read_to_string(format!("{prefix_str}.jsonl")).expect("jsonl");
-        assert!(jsonl.contains("RequestCompleted"));
-        let _ = std::fs::remove_file(lib_path);
-        for suffix in ["trace.json", "jsonl", "prom"] {
-            let _ = std::fs::remove_file(format!("{prefix_str}.{suffix}"));
-        }
-    }
-
-    #[test]
     fn fleet_command_runs_routers_and_replays() {
         let lib_path = std::env::temp_dir().join("adaflow_cli_fleet_test_library.json");
         let lib_str = lib_path.to_string_lossy().to_string();
@@ -2198,38 +2082,6 @@ mod tests {
     }
 
     #[test]
-    fn fleet_command_writes_trace_exports() {
-        let lib_path = std::env::temp_dir().join("adaflow_cli_fleet_trace_library.json");
-        let lib_str = lib_path.to_string_lossy().to_string();
-        cmd_generate(&flags(&[
-            ("model", "cnv-w2a2"),
-            ("dataset", "cifar10"),
-            ("rates", "0,0.5"),
-            ("out", &lib_str),
-        ]))
-        .expect("generate");
-        let prefix = std::env::temp_dir().join("adaflow_cli_fleet_trace_run");
-        let prefix_str = prefix.to_string_lossy().to_string();
-        cmd_fleet(&flags(&[
-            ("library", &lib_str),
-            ("scenario", "2"),
-            ("seed", "3"),
-            ("out", &prefix_str),
-        ]))
-        .expect("fleet with exports");
-        let prom = read_prom(&prefix_str);
-        assert!(prom.contains("adaflow_requests_routed_total"));
-        let jsonl = std::fs::read_to_string(format!("{prefix_str}.jsonl")).expect("jsonl");
-        assert!(jsonl.contains("RequestRouted"));
-        let chrome = std::fs::read_to_string(format!("{prefix_str}.trace.json")).expect("chrome");
-        assert!(chrome.trim_start().starts_with('['));
-        let _ = std::fs::remove_file(lib_path);
-        for suffix in ["trace.json", "jsonl", "prom"] {
-            let _ = std::fs::remove_file(format!("{prefix_str}.{suffix}"));
-        }
-    }
-
-    #[test]
     fn report_command_covers_serve_and_fleet_modes() {
         let tmp = |name: &str| {
             std::env::temp_dir()
@@ -2246,9 +2098,8 @@ mod tests {
         ]))
         .expect("generate");
         // A serve log with the determinism replay, reported against a target
-        // tight enough to burn: the alerts ride the re-exported stream, so
-        // `.prom` (the only Prometheus file) counts exactly the ones `.jsonl`
-        // holds.
+        // tight enough to burn: the alerts join the views, so `.prom` (the
+        // only Prometheus file) counts exactly the ones `.trace.json` shows.
         let serve_log = tmp("adaflow_cli_report_test_serve_log");
         let run = [
             ("library", lib_str.as_str()),
@@ -2267,15 +2118,17 @@ mod tests {
             ("out", &serve_prefix),
         ]))
         .expect("serve report");
-        let jsonl = std::fs::read_to_string(format!("{serve_prefix}.jsonl")).expect("jsonl");
-        let alerts = jsonl.matches("SloBurnAlert").count();
+        let chrome = std::fs::read_to_string(format!("{serve_prefix}.trace.json")).expect("chrome");
+        let alerts = chrome.matches("\"slo_burn_alert\"").count();
         assert!(alerts > 0, "the tight target fires at least one alert");
         let prom = read_prom(&serve_prefix);
         assert!(prom.contains(&format!("adaflow_slo_burn_alerts_total {alerts}\n")));
-        // A fleet log, reported in JSON with full exports.
+        // A fleet log, reported in JSON with both views.
         let fleet_log = tmp("adaflow_cli_report_test_fleet_log");
         cmd_fleet(&flags(&[&run[..], &[("out", &fleet_log)]].concat())).expect("fleet log");
         let fleet_events = format!("{fleet_log}.jsonl");
+        let jsonl = std::fs::read_to_string(&fleet_events).expect("jsonl");
+        assert!(jsonl.contains("TraceSpan"));
         let prefix_str = tmp("adaflow_cli_report_test_run");
         cmd_report(&flags(&[
             ("events", &fleet_events),
@@ -2287,8 +2140,6 @@ mod tests {
         assert!(chrome.contains("\"b\""), "async span begins exported");
         assert!(chrome.contains("\"e\""), "async span ends exported");
         assert!(chrome.contains("queue_wait"), "stage spans exported");
-        let jsonl = std::fs::read_to_string(format!("{prefix_str}.jsonl")).expect("jsonl");
-        assert!(jsonl.contains("TraceSpan"));
         let prom = read_prom(&prefix_str);
         assert!(prom.contains("adaflow_requests_completed_total"));
         assert!(prom.contains("quantile"));
@@ -2320,6 +2171,130 @@ mod tests {
                 let _ = std::fs::remove_file(format!("{prefix}.{suffix}"));
             }
         }
+    }
+
+    /// A fresh directory under the system temp dir, and a CNV library
+    /// (0 and 50 % pruned) written into it as `library.json`.
+    fn scratch_with_library(name: &str) -> (std::path::PathBuf, String) {
+        let dir = std::env::temp_dir().join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let library = dir.join("library.json").to_string_lossy().to_string();
+        cmd_generate(&flags(&[
+            ("model", "cnv-w2a2"),
+            ("dataset", "cifar10"),
+            ("rates", "0,0.5"),
+            ("out", &library),
+        ]))
+        .expect("generate");
+        (dir, library)
+    }
+
+    /// The suffixes of the `<stem>.*` files in `dir`, sorted.
+    fn written(dir: &std::path::Path, stem: &str) -> Vec<String> {
+        let mut suffixes: Vec<String> = std::fs::read_dir(dir)
+            .expect("lists")
+            .filter_map(|entry| {
+                let name = entry.expect("entry").file_name().into_string().ok()?;
+                Some(name.strip_prefix(&format!("{stem}."))?.to_string())
+            })
+            .collect();
+        suffixes.sort();
+        suffixes
+    }
+
+    /// Runs `command` with `--out` and checks that each file has one writer:
+    /// the run writes only its event log, holding `logged`, and `report`
+    /// alone derives the Perfetto view, drawing `drawn`, and the exposition,
+    /// counting `counted`, from it, and writes no log.
+    fn assert_one_writer(name: &str, command: Handler, [logged, drawn, counted]: [&str; 3]) {
+        let (dir, library) = scratch_with_library(&format!("adaflow_cli_one_writer_{name}"));
+        let path = |stem: &str| dir.join(stem).to_string_lossy().to_string();
+        let (log, view) = (path("run"), path("view"));
+        let run = [("library", library.as_str()), ("seed", "3"), ("out", &log)];
+        command(&flags(&run)).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(written(&dir, "run"), ["jsonl"], "{name} --out");
+        let events = format!("{log}.jsonl");
+        let jsonl = std::fs::read_to_string(&events).expect("jsonl");
+        assert!(jsonl.contains(logged), "{name} logs {logged}");
+        cmd_report(&flags(&[("events", &events), ("out", &view)]))
+            .unwrap_or_else(|e| panic!("report over {name}: {e}"));
+        assert_eq!(written(&dir, "view"), ["prom", "trace.json"], "{name}");
+        let chrome = std::fs::read_to_string(format!("{view}.trace.json")).expect("chrome");
+        assert!(chrome.trim_start().starts_with('['), "{name}");
+        assert!(chrome.contains(drawn), "{name}: {drawn}");
+        assert!(read_prom(&view).contains(counted), "{name}: {counted}");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn trace_command_writes_exports() {
+        // The fluid trace is `simulate --out`; `report` writes its views.
+        let checks = ["DecisionMade", "decision_made", "adaflow_decisions_total"];
+        assert_one_writer("simulate", cmd_simulate, checks);
+    }
+
+    #[test]
+    fn serve_command_writes_trace_exports() {
+        let checks = [
+            "RequestCompleted",
+            "queue_wait",
+            "adaflow_batches_closed_total",
+        ];
+        assert_one_writer("serve", cmd_serve, checks);
+    }
+
+    #[test]
+    fn fleet_command_writes_trace_exports() {
+        let checks = ["RequestRouted", "\"b\"", "adaflow_requests_routed_total"];
+        assert_one_writer("fleet", cmd_fleet, checks);
+    }
+
+    #[test]
+    fn report_out_never_rewrites_the_log_it_reads() {
+        // `report --out` once re-exported the log beside its views, so a
+        // report under the log's own prefix appended one more copy of each
+        // SLO alert to the log on every pass.
+        let (dir, library) = scratch_with_library("adaflow_cli_report_twice");
+        let prefix = dir.join("u").to_string_lossy().to_string();
+        let run = [
+            ("library", library.as_str()),
+            ("seed", "7"),
+            ("out", &prefix),
+        ];
+        cmd_serve(&flags(&run)).expect("serve log");
+        let log_path = format!("{prefix}.jsonl");
+        let log = std::fs::read(&log_path).expect("log");
+        let mut views = Vec::new();
+        for _ in 0..2 {
+            let report = [("events", log_path.as_str()), ("slo-target", "0.9999")];
+            cmd_report(&flags(&[&report[..], &[("out", &prefix)]].concat())).expect("report");
+            assert!(
+                std::fs::read(&log_path).expect("log") == log,
+                "the log changed"
+            );
+            views.push(std::fs::read_to_string(format!("{prefix}.trace.json")).expect("chrome"));
+        }
+        assert!(views[0] == views[1], "the two passes drew different views");
+        assert!(views[0].contains("\"slo_burn_alert\""), "an alert fired");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn simulate_runs_on_the_shared_skeleton() {
+        let (dir, library) = scratch_with_library("adaflow_cli_simulate");
+        let lib = ("library", library.as_str());
+        // One recorded run, replayed to the same metrics and events.
+        cmd_simulate(&flags(&[lib, ("scenario", "1+2"), ("check", "1")])).expect("replay");
+        cmd_simulate(&flags(&[lib, ("runs", "2"), ("format", "json")])).expect("json mean");
+        // Only a single run records, so `--out` over two is refused.
+        let prefix = dir.join("two").to_string_lossy().to_string();
+        let err = cmd_simulate(&flags(&[lib, ("runs", "2"), ("out", &prefix)]))
+            .expect_err("two runs record no log");
+        assert!(err.contains("--runs 1"), "{err}");
+        assert!(written(&dir, "two").is_empty());
+        assert!(cmd_simulate(&flags(&[lib, ("format", "yaml")])).is_err());
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

@@ -10,14 +10,14 @@
 //! cargo run --release -p adaflow-bench --bin fig1b [--runs N]
 //! ```
 
-use adaflow_bench::{header, row, runs_from_args, Combo};
+use adaflow_bench::{header, row, runs_arg, Combo};
 use adaflow_edge::{Experiment, FixedMaxPolicy, PruningReconfPolicy, Scenario, WorkloadSpec};
 use adaflow_model::QuantSpec;
 use adaflow_nn::DatasetKind;
 use std::time::Duration;
 
 fn main() {
-    let runs = runs_from_args();
+    let runs = runs_arg();
     let combo = Combo {
         dataset: DatasetKind::Cifar10,
         quant: QuantSpec::w2a2(),

@@ -7,11 +7,11 @@
 //! ```
 
 use adaflow::RuntimeConfig;
-use adaflow_bench::{header, row, runs_from_args, Combo};
+use adaflow_bench::{header, row, runs_arg, Combo};
 use adaflow_edge::{Experiment, Scenario, WorkloadSpec};
 
 fn main() {
-    let runs = runs_from_args();
+    let runs = runs_arg();
     println!("Table I — frame loss, QoE, power, power efficiency ({runs} runs per cell)");
     println!();
     println!(

@@ -13,8 +13,9 @@
 //! | Fig. 6(a,b) | `fig6` | frame-loss and QoE traces for Scenarios 1, 2, 1+2 with model-switch annotations |
 //!
 //! Run a binary with `cargo run --release -p adaflow-bench --bin table1`.
-//! All binaries accept `--runs N` where applicable (default: the paper's
-//! 100 repetitions).
+//! The four that average seeded runs (`fig1b`, `table1`, `monitoring`,
+//! `ablations`) accept `--runs N`, N ≥ 1 (default: the paper's 100
+//! repetitions), and exit with status 2 on any other argument.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -98,16 +99,38 @@ impl Combo {
     }
 }
 
-/// Parses a `--runs N` argument from the process args, defaulting to the
-/// paper's 100 repetitions.
+/// The repetition count of a figure binary's arguments (the program name
+/// left out): none gives the paper's 100 repetitions, `--runs N` gives N.
+///
+/// # Errors
+///
+/// Any other argument list, or an N that is not a whole number of at
+/// least 1.
+pub fn runs_from_args(args: &[String]) -> Result<usize, String> {
+    match args {
+        [] => Ok(100),
+        [flag, n] if flag == "--runs" => match n.parse() {
+            Ok(runs) if runs >= 1 => Ok(runs),
+            _ => Err(format!(
+                "--runs needs a whole number of at least 1, not `{n}`"
+            )),
+        },
+        _ => Err(format!(
+            "unexpected arguments `{}`; usage: [--runs N]",
+            args.join(" ")
+        )),
+    }
+}
+
+/// [`runs_from_args`] over this process's arguments; on an error it prints
+/// the message and exits with status 2.
 #[must_use]
-pub fn runs_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--runs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100)
+pub fn runs_arg() -> usize {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    runs_from_args(&args).unwrap_or_else(|message| {
+        eprintln!("error: {message}");
+        std::process::exit(2)
+    })
 }
 
 /// Formats a markdown-style table row.
@@ -142,6 +165,30 @@ mod tests {
             let g = combo.initial_graph();
             assert_eq!(g.conv_layers().count(), 6);
         }
+    }
+
+    #[test]
+    fn runs_accepts_only_a_whole_count_of_at_least_one() {
+        let runs = |line: &str| {
+            let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+            runs_from_args(&args)
+        };
+        assert_eq!(runs(""), Ok(100), "the paper's repetitions");
+        assert_eq!(runs("--runs 5"), Ok(5));
+        assert_eq!(runs("--runs 1"), Ok(1));
+        // Each of these once ran a silent 100-run sweep, or panicked on 0.
+        for bad in [
+            "--runs 0",
+            "--runs abc",
+            "--runs -3",
+            "--runs",
+            "--run 5",
+            "5",
+        ] {
+            let err = runs(bad).expect_err(bad);
+            assert!(err.contains("--runs"), "{bad}: {err}");
+        }
+        assert!(runs("--runs 5 --runs 6").is_err());
     }
 
     #[test]

@@ -235,6 +235,13 @@ impl MetricsRegistry {
         self.counters.get(name).copied().unwrap_or(0.0)
     }
 
+    /// Every counter, in name order.
+    pub fn counters(&self) -> impl Iterator<Item = (&str, f64)> {
+        self.counters
+            .iter()
+            .map(|(name, value)| (name.as_str(), *value))
+    }
+
     /// A gauge's last value, if ever set.
     #[must_use]
     pub fn gauge(&self, name: &str) -> Option<f64> {
