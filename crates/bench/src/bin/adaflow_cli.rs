@@ -4,14 +4,15 @@
 //! [`COMMANDS`]; a subcommand given a flag it does not read says so.
 
 use adaflow::prelude::*;
+use adaflow_bench::parse_runs;
 use adaflow_edge::prelude::*;
-use adaflow_fleet::{FleetConfig, FleetExperiment, RouterKind};
+use adaflow_fleet::{FleetConfig, FleetEngine, FleetSummary, RouterKind};
 use adaflow_hls::FpgaDevice;
 use adaflow_model::prelude::*;
 use adaflow_model::GraphSummary;
 use adaflow_net::{LiveConfig, LoadConfig, LoadMode, LoadSummary, RejectCounts};
 use adaflow_nn::{DatasetKind, Engine};
-use adaflow_serve::{ServeConfig, ServeExperiment};
+use adaflow_serve::{ServeConfig, ServeEngine, ServeSummary};
 use adaflow_telemetry::{
     chrome_trace_json, events_to_jsonl, Event, MetricsRegistry, Recorder, RegistryConfig,
     SinkHandle,
@@ -398,23 +399,20 @@ fn cmd_inspect(flags: &Flags) -> Result<(), String> {
 /// The paper's frame-level model: the fluid edge server under a policy,
 /// one recorded run or the mean of `--runs` seeded ones.
 fn cmd_simulate(flags: &Flags) -> Result<(), String> {
-    let library = load_library(flags)?;
     let sim = SimRun::parse(flags)?;
+    let library = load_library(flags)?;
     let policy = flags.or("policy", "adaflow");
     let kind = parse_policy(policy)?;
 
-    let experiment = Experiment::new(&library, sim.spec())
-        .runs(sim.runs)
-        .seed(sim.seed);
+    let spec = sim.spec();
     let (metrics, events) = sim.execute(
-        |sink| match sink {
-            Some(sink) => {
-                let mut policy = kind.build(&library, 0.0, &sink);
-                let edge = EdgeSim::new(SimConfig::default()).with_sink(sink);
-                edge.run(policy.as_mut(), &sim.spec().generate(sim.seed)).0
-            }
-            None => experiment.run_with(|| kind.build(&library, 0.0, &SinkHandle::null())),
+        |seed, sink| {
+            // The policy records its decisions on the run's sink.
+            let mut policy = kind.build(&library, 0.0, &sink);
+            let edge = EdgeSim::new(SimConfig::default()).with_sink(sink);
+            edge.run(policy.as_mut(), &spec.generate(seed)).0
         },
+        RunMetrics::mean,
         "frame",
         |m| {
             let holds = (m.offered - m.processed - m.lost).abs() <= 1e-9 * m.offered;
@@ -450,28 +448,35 @@ fn parse_policy(name: &str) -> Result<PolicyKind, String> {
 }
 
 /// The simulator run ([`SIM_RUN`] and `--scenario`), parsed once for
-/// `simulate`, `serve` and `fleet`, and the skeleton they share:
-/// conservation check, `--check 1` replay, output and event log, plus the
-/// config-lint gate of the request-level two.
+/// `simulate`, `serve` and `fleet`, and the skeleton they share: the seeded
+/// sweep, conservation check, `--check 1` replay, output and event log,
+/// plus the config-lint gate of the request-level two.
 struct SimRun<'f> {
     scenario: Scenario,
-    seed: u64,
-    runs: usize,
+    seeds: Seeds,
     format: &'f str,
     check: bool,
     out: Option<&'f str>,
 }
 
 impl<'f> SimRun<'f> {
+    /// Parses the run, refusing `--out` over several runs (only a single
+    /// run records) before any library is read or any run starts.
     fn parse(flags: &'f Flags) -> Result<Self, String> {
-        Ok(SimRun {
+        let sim = SimRun {
             scenario: parse_scenario(flags.or("scenario", "2"))?,
-            seed: flags.num("seed", 1)?,
-            runs: flags.num("runs", 1_usize)?.max(1),
+            seeds: Seeds::new(
+                flags.num("seed", 1)?,
+                flags.get("runs").map_or(Ok(1), parse_runs)?,
+            ),
             format: parse_format(flags)?,
             check: flags.on("check"),
             out: flags.get("out"),
-        })
+        };
+        if sim.out.is_some() && sim.seeds.runs > 1 {
+            return Err("--out requires a single run (--runs 1) to record events".to_string());
+        }
+        Ok(sim)
     }
 
     fn spec(&self) -> WorkloadSpec {
@@ -488,21 +493,25 @@ impl<'f> SimRun<'f> {
         Ok(())
     }
 
-    /// Runs `run` — with a recording sink when this is a single run — holds
-    /// its `what` ledger `(holds, arrived, completed, shed)` and, under
-    /// `--check 1`, replays it to the same summary and the same events.
-    fn execute<S: PartialEq>(
+    /// Runs `run(seed, sink)` once per seed — a single run on a recording
+    /// sink, each run of a sweep on the null sink, averaged by `mean` —
+    /// holds its `what` ledger `(holds, arrived, completed, shed)` and,
+    /// under `--check 1`, replays it to the same summary and the same
+    /// events.
+    fn execute<S: PartialEq + Send>(
         &self,
-        run: impl Fn(Option<SinkHandle>) -> S,
+        run: impl Fn(u64, SinkHandle) -> S + Sync,
+        mean: fn(&[S]) -> Option<S>,
         what: &str,
         ledger: impl Fn(&S) -> (bool, f64, f64, f64),
     ) -> Result<(S, Vec<Event>), String> {
         let once = || {
-            if self.runs == 1 {
+            if self.seeds.runs == 1 {
                 let (sink, recorder) = SinkHandle::recorder(TRACE_RING);
-                (run(Some(sink)), drain_events(&recorder))
+                (run(self.seeds.first, sink), drain_events(&recorder))
             } else {
-                (run(None), Vec::new())
+                let all = self.seeds.map(|seed| run(seed, SinkHandle::null()));
+                (mean(&all).expect("at least one run"), Vec::new())
             }
         };
         let first = once();
@@ -520,19 +529,21 @@ impl<'f> SimRun<'f> {
 
     /// `seed N, K run(s)` for a headline.
     fn runs_label(&self) -> String {
-        let plural = if self.runs == 1 { "" } else { "s" };
-        format!("seed {}, {} run{plural}", self.seed, self.runs)
+        let Seeds { first, runs, .. } = self.seeds;
+        let plural = if runs == 1 { "" } else { "s" };
+        format!("seed {first}, {runs} run{plural}")
     }
 
     /// The `--format json` document of a run.
     fn json(&self, summary: &impl Serialize, events: usize) -> Result<String, String> {
-        let (s, runs) = (to_json(summary)?, self.runs);
+        let (s, runs) = (to_json(summary)?, self.seeds.runs);
         let json = format!("{{\"summary\":{s},\"runs\":{runs},\"events\":{events}}}");
         Ok(json)
     }
 
     /// Prints the outcome — `json()` under `--format json`, else `text()`
-    /// and the replay's verdict — then [`export`](Self::export)s `events`.
+    /// and the replay's verdict — then writes `events` as the `--out
+    /// <prefix>` event log.
     fn finish(
         &self,
         json: impl FnOnce() -> Result<String, String>,
@@ -547,17 +558,9 @@ impl<'f> SimRun<'f> {
                 println!("  determinism: repeated run identical");
             }
         }
-        self.export(events)
-    }
-
-    /// The `--out <prefix>` event log, which only a single run records.
-    fn export(&self, events: &[Event]) -> Result<(), String> {
         let Some(prefix) = self.out else {
             return Ok(());
         };
-        if events.is_empty() {
-            return Err("--out requires a single run (--runs 1) to record events".to_string());
-        }
         write_exports(prefix, self.format, &[("jsonl", events_to_jsonl(events))])
     }
 }
@@ -565,8 +568,8 @@ impl<'f> SimRun<'f> {
 /// Request-level serving: deadline accounting, admission control and
 /// dynamic batching over the paper's workload scenarios.
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
-    let library = load_library(flags)?;
     let sim = SimRun::parse(flags)?;
+    let library = load_library(flags)?;
     let policy = flags.or("policy", "adaflow");
     let kind = parse_policy(policy)?;
     let config = sim_serve_knobs(flags)?;
@@ -576,16 +579,15 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let report = config.validate(sim.spec().nominal_fps(), kind.worst_stall_s(&library), lint);
     sim.gate(&report, "serve configuration failed SV lint")?;
 
-    let experiment = ServeExperiment::new(&library, sim.spec())
-        .runs(sim.runs)
-        .seed(sim.seed)
-        .config(config.clone());
-    let make_policy = || kind.build(&library, config.deadline_s, &SinkHandle::null());
+    let spec = sim.spec();
     let (summary, events) = sim.execute(
-        |sink| match sink {
-            Some(sink) => experiment.run_traced(sim.seed, sink, make_policy),
-            None => experiment.run_with(make_policy),
+        |seed, sink| {
+            // The engine records the requests; the policy records nothing.
+            let mut policy = kind.build(&library, config.deadline_s, &SinkHandle::null());
+            let engine = ServeEngine::new(config.clone()).with_sink(sink);
+            engine.run(&spec, seed, policy.as_mut())
         },
+        ServeSummary::mean,
         "request",
         |s| (s.conservation_holds(), s.arrived, s.completed, s.shed),
     )?;
@@ -710,8 +712,8 @@ fn lint_fleet(
 /// Fleet-level serving: N simulated accelerator devices behind a
 /// load-balancing router, with staggered reconfiguration drains.
 fn cmd_fleet(flags: &Flags) -> Result<(), String> {
-    let library = load_library(flags)?;
     let sim = SimRun::parse(flags)?;
+    let library = load_library(flags)?;
     let config = parse_fleet_config(flags)?;
 
     // Static validation; a device can stall as long as its policy's worst
@@ -722,15 +724,13 @@ fn cmd_fleet(flags: &Flags) -> Result<(), String> {
     report.merge(serving);
     sim.gate(&report, "fleet configuration failed FL/SV lint")?;
 
-    let experiment = FleetExperiment::new(&library, sim.spec())
-        .config(config.clone())
-        .runs(sim.runs)
-        .seed(sim.seed);
+    let spec = sim.spec();
     let (summary, events) = sim.execute(
-        |sink| match sink {
-            Some(sink) => experiment.run_traced(sim.seed, sink),
-            None => experiment.run(),
+        |seed, sink| {
+            let engine = FleetEngine::new(config.clone()).with_sink(sink);
+            engine.run(&library, &spec, seed)
         },
+        FleetSummary::mean,
         "fleet",
         |s| (s.conservation_holds(), s.arrived, s.completed, s.shed),
     )?;
@@ -823,13 +823,18 @@ fn cmd_report(flags: &Flags) -> Result<(), String> {
     });
     registry.observe_all(&events);
     let slo = SloEngine::new(SloConfig { objective, target }).evaluate(&registry);
+    // A fluid log holds frames, not requests: no latency to split and no
+    // request to hold to an objective. Serving logs enqueue their requests;
+    // gateway logs only route them.
+    let requests =
+        registry.counter("requests_enqueued") + registry.counter("requests_routed") > 0.0;
 
     if format == "json" {
         println!(
             "{{\"events\":{},\"waterfall\":{},\"slo\":{}}}",
             events.len(),
-            to_json(&waterfall)?,
-            to_json(&slo)?
+            to_json(&requests.then_some(&waterfall))?,
+            to_json(&requests.then_some(&slo))?
         );
     } else {
         println!("{path}: {} events; counters by name:", events.len());
@@ -837,24 +842,28 @@ fn cmd_report(flags: &Flags) -> Result<(), String> {
             let digits = if value.fract() == 0.0 { 0 } else { 3 };
             println!("  {name:<22} {value:.digits$}");
         }
-        print!("{}", waterfall.render_text());
-        let (target, good) = (slo.target * 100.0, slo.good_fraction * 100.0);
-        println!(
-            "slo ({}, target {target:.2}%): good {good:.2}%, error budget {:.1} requests, \
-             consumed {:.1}%",
-            slo.objective, slo.error_budget, slo.budget_consumed_pct
-        );
-        println!(
-            "  burn: overall {:.2}x, worst short({:.0}s) {:.2}x, worst long({:.0}s) {:.2}x, \
-             alert threshold {:.1}x, alerts {}",
-            slo.overall_burn_rate,
-            slo.short_window_s,
-            slo.worst_short_burn,
-            slo.long_window_s,
-            slo.worst_long_burn,
-            slo.alert_burn_rate,
-            slo.alerts.len()
-        );
+        if requests {
+            print!("{}", waterfall.render_text());
+            let (target, good) = (slo.target * 100.0, slo.good_fraction * 100.0);
+            println!(
+                "slo ({}, target {target:.2}%): good {good:.2}%, error budget {:.1} requests, \
+                 consumed {:.1}%",
+                slo.objective, slo.error_budget, slo.budget_consumed_pct
+            );
+            println!(
+                "  burn: overall {:.2}x, worst short({:.0}s) {:.2}x, worst long({:.0}s) {:.2}x, \
+                 alert threshold {:.1}x, alerts {}",
+                slo.overall_burn_rate,
+                slo.short_window_s,
+                slo.worst_short_burn,
+                slo.long_window_s,
+                slo.worst_long_burn,
+                slo.alert_burn_rate,
+                slo.alerts.len()
+            );
+        } else {
+            println!("no request events: the log has no latency waterfall and no SLO");
+        }
     }
     let Some(prefix) = flags.get("out") else {
         return Ok(());
@@ -2293,6 +2302,21 @@ mod tests {
             .expect_err("two runs record no log");
         assert!(err.contains("--runs 1"), "{err}");
         assert!(written(&dir, "two").is_empty());
+        // The refusal comes first: before the library is read, before any
+        // run starts or prints.
+        let missing = dir.join("missing.json").to_string_lossy().to_string();
+        let prefix = dir.join("x").to_string_lossy().to_string();
+        let sweep = [
+            ("library", missing.as_str()),
+            ("runs", "100"),
+            ("out", &prefix),
+        ];
+        let err = cmd_simulate(&flags(&sweep)).expect_err("refused");
+        assert!(
+            err.contains("--runs 1") && !err.contains("reading"),
+            "{err}"
+        );
+        assert!(written(&dir, "x").is_empty());
         assert!(cmd_simulate(&flags(&[lib, ("format", "yaml")])).is_err());
         let _ = std::fs::remove_dir_all(dir);
     }

@@ -99,22 +99,31 @@ impl Combo {
     }
 }
 
+/// The value of a `--runs N` flag: the number of seeded runs, N ≥ 1. The
+/// figure binaries and the `adaflow_cli` simulators read it through here.
+///
+/// # Errors
+///
+/// An N that is not a whole number of at least 1.
+pub fn parse_runs(n: &str) -> Result<usize, String> {
+    match n.parse() {
+        Ok(runs) if runs >= 1 => Ok(runs),
+        _ => Err(format!(
+            "--runs needs a whole number of at least 1, not `{n}`"
+        )),
+    }
+}
+
 /// The repetition count of a figure binary's arguments (the program name
 /// left out): none gives the paper's 100 repetitions, `--runs N` gives N.
 ///
 /// # Errors
 ///
-/// Any other argument list, or an N that is not a whole number of at
-/// least 1.
+/// Any other argument list, or an N that [`parse_runs`] refuses.
 pub fn runs_from_args(args: &[String]) -> Result<usize, String> {
     match args {
         [] => Ok(100),
-        [flag, n] if flag == "--runs" => match n.parse() {
-            Ok(runs) if runs >= 1 => Ok(runs),
-            _ => Err(format!(
-                "--runs needs a whole number of at least 1, not `{n}`"
-            )),
-        },
+        [flag, n] if flag == "--runs" => parse_runs(n),
         _ => Err(format!(
             "unexpected arguments `{}`; usage: [--runs N]",
             args.join(" ")

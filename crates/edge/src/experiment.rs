@@ -1,8 +1,10 @@
 //! Multi-run experiment driver.
 //!
 //! The paper executes every evaluation 100 times and reports the average.
-//! [`Experiment`] runs seeded workload realizations in parallel (one thread
-//! per core via `std::thread::scope`) and averages the metrics.
+//! [`Seeds`] is that method for every simulator: it runs one seeded
+//! realization per seed, in parallel and in seed order. [`Experiment`]
+//! sweeps the fluid edge server through it and averages the metrics;
+//! `adaflow-serve` and `adaflow-fleet` sweep their engines the same way.
 
 use crate::metrics::{RunMetrics, TracePoint};
 use crate::policy::{AdaFlowServePolicy, FixedMaxPolicy, PruningReconfPolicy, ServePolicy};
@@ -11,13 +13,52 @@ use crate::workload::WorkloadSpec;
 use adaflow::{Library, RuntimeConfig};
 use std::time::Duration;
 
+/// The seeds of a repeated experiment: run `i` uses seed `first + i`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Seeds {
+    /// The seed of the first run.
+    pub first: u64,
+    /// How many runs, at least one.
+    pub runs: usize,
+    /// Worker threads (`0` = one per core). Results are identical for any
+    /// value: sharding preserves seed order.
+    pub threads: usize,
+}
+
+impl Seeds {
+    /// `runs` seeds from `first`, on one worker per core.
+    ///
+    /// # Panics
+    ///
+    /// When `runs` is 0.
+    #[must_use]
+    pub fn new(first: u64, runs: usize) -> Self {
+        assert!(runs > 0, "need at least one run");
+        Self {
+            first,
+            runs,
+            threads: 0,
+        }
+    }
+
+    /// Runs `run` once per seed and returns the results in seed order.
+    ///
+    /// Runs are sharded over scoped worker threads through the
+    /// order-preserving [`adaflow_nn::parallel`] helper, so a mean over
+    /// them is identical to a serial sweep; a single seed runs on the
+    /// calling thread.
+    pub fn map<S: Send>(&self, run: impl Fn(u64) -> S + Sync) -> Vec<S> {
+        let seeds: Vec<u64> = (self.first..).take(self.runs).collect();
+        adaflow_nn::parallel::par_map(&seeds, self.threads, |&seed| run(seed))
+    }
+}
+
 /// A repeated, seeded serving experiment over one library and workload.
 #[derive(Debug, Clone)]
 pub struct Experiment<'l> {
     library: &'l Library,
     workload: WorkloadSpec,
-    runs: usize,
-    base_seed: u64,
+    seeds: Seeds,
     sim: SimConfig,
 }
 
@@ -28,8 +69,7 @@ impl<'l> Experiment<'l> {
         Self {
             library,
             workload,
-            runs: 100,
-            base_seed: 1,
+            seeds: Seeds::new(1, 100),
             sim: SimConfig::default(),
         }
     }
@@ -37,15 +77,14 @@ impl<'l> Experiment<'l> {
     /// Sets the number of seeded repetitions.
     #[must_use]
     pub fn runs(mut self, runs: usize) -> Self {
-        assert!(runs > 0, "need at least one run");
-        self.runs = runs;
+        self.seeds = Seeds::new(self.seeds.first, runs);
         self
     }
 
-    /// Sets the base seed (run `i` uses `base_seed + i`).
+    /// Sets the base seed (run `i` uses `seed + i`).
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
-        self.base_seed = seed;
+        self.seeds.first = seed;
         self
     }
 
@@ -57,17 +96,12 @@ impl<'l> Experiment<'l> {
     }
 
     /// Runs the experiment with a policy factory (one fresh policy per run)
-    /// and returns the averaged metrics.
-    ///
-    /// Runs are sharded over scoped worker threads (one per available core)
-    /// through the order-preserving [`adaflow_nn::parallel`] helper, so the
-    /// averaged metrics are identical to a serial sweep over the seeds.
+    /// over its [`Seeds`] and returns the averaged metrics.
     pub fn run_with<F>(&self, make_policy: F) -> RunMetrics
     where
         F: Fn() -> Box<dyn ServePolicy + 'l> + Sync,
     {
-        let seeds: Vec<u64> = (0..self.runs as u64).map(|i| self.base_seed + i).collect();
-        let all = adaflow_nn::parallel::par_map(&seeds, 0, |&seed| {
+        let all = self.seeds.map(|seed| {
             let segments = self.workload.generate(seed);
             let mut policy = make_policy();
             let sim = EdgeSim::new(self.sim.clone());
@@ -181,6 +215,30 @@ mod tests {
         let a = exp.clone().runs(3).seed(1).run_original_finn();
         let b = exp.runs(3).seed(1000).run_original_finn();
         assert_ne!(a.frame_loss_pct, b.frame_loss_pct);
+    }
+
+    /// The one sweep of every simulator: seeds `first..first + runs` in
+    /// order for any worker count, and the one refusal of zero runs.
+    #[test]
+    #[should_panic(expected = "need at least one run")]
+    fn seeds_run_in_order_and_need_at_least_one() {
+        for threads in [0, 1, 2, 3] {
+            let seeds = Seeds {
+                threads,
+                ..Seeds::new(7, 5)
+            };
+            assert_eq!(
+                seeds.map(|seed| seed),
+                [7, 8, 9, 10, 11],
+                "{threads} workers"
+            );
+        }
+        let caller = std::thread::current().id();
+        assert_eq!(
+            Seeds::new(3, 1).map(|_| std::thread::current().id()),
+            [caller]
+        );
+        let _ = Seeds::new(1, 0);
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub mod policy;
 pub mod sim;
 pub mod workload;
 
-pub use experiment::Experiment;
+pub use experiment::{Experiment, Seeds};
 pub use metrics::{trace_to_csv, RunMetrics, TracePoint};
 pub use monitor::{MonitoredPolicy, RateMonitor};
 pub use policy::{
@@ -67,7 +67,7 @@ pub use workload::{Scenario, WorkloadSegment, WorkloadSpec};
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::experiment::Experiment;
+    pub use crate::experiment::{Experiment, Seeds};
     pub use crate::metrics::{trace_to_csv, RunMetrics, TracePoint};
     pub use crate::monitor::{MonitoredPolicy, RateMonitor};
     pub use crate::policy::{

@@ -9,13 +9,20 @@
 //! cargo run --release -p adaflow-fleet --example fleet_sweep
 //! ```
 
-use adaflow::LibraryGenerator;
-use adaflow_edge::{Scenario, WorkloadSpec};
-use adaflow_fleet::{FleetConfig, FleetExperiment, PolicyKind, RouterKind};
+use adaflow::{Library, LibraryGenerator};
+use adaflow_edge::{Scenario, Seeds, WorkloadSpec};
+use adaflow_fleet::{FleetConfig, FleetEngine, FleetSummary, PolicyKind, RouterKind};
 use adaflow_nn::DatasetKind;
 
 const SEEDS: usize = 20;
 const FLEET_SIZES: [usize; 4] = [1, 2, 4, 8];
+
+/// The fleet's summary averaged over `SEEDS` seeded runs from seed 1.
+fn mean_summary(library: &Library, spec: &WorkloadSpec, config: FleetConfig) -> FleetSummary {
+    let engine = FleetEngine::new(config);
+    let runs = Seeds::new(1, SEEDS).map(|seed| engine.run(library, spec, seed));
+    FleetSummary::mean(&runs).expect("at least one run")
+}
 
 fn main() {
     let library = LibraryGenerator::default_edge_setup()
@@ -61,10 +68,7 @@ fn main() {
                 router,
                 ..FleetConfig::default()
             };
-            let summary = FleetExperiment::new(&library, spec.clone())
-                .runs(SEEDS)
-                .config(config)
-                .run();
+            let summary = mean_summary(&library, &spec, config);
             assert!(summary.conservation_holds(), "conservation");
             print!(
                 " {:.1}% hit / {:.1}% shed |",
@@ -87,10 +91,7 @@ fn main() {
             router,
             ..FleetConfig::default()
         };
-        let summary = FleetExperiment::new(&library, spec.clone())
-            .runs(SEEDS)
-            .config(config)
-            .run();
+        let summary = mean_summary(&library, &spec, config);
         assert!(summary.conservation_holds(), "conservation");
         println!(
             "| {} | {:.1}% | {:.1}% | {:.3} |",

@@ -9,8 +9,8 @@
 //! [`DeviceSnapshot`] row per device, and an event rewrites only the key
 //! and the row of the device it touched. The ordering is a pure function
 //! of `(config, library, spec, seed)`, so a fleet run is bit-reproducible;
-//! nothing about it depends on host threads (the multi-seed experiment
-//! shards *runs*, never the event loop).
+//! nothing about it depends on host threads (a seeded sweep shards
+//! *runs*, never the event loop).
 //!
 //! Arrivals are the same per-IoT-device trace the single-device engine
 //! consumes ([`adaflow_serve::generate_requests`]); the router decides
@@ -307,7 +307,7 @@ mod tests {
     use super::*;
     use crate::config::RouterKind;
     use adaflow::{LibraryGenerator, RuntimeConfig};
-    use adaflow_edge::{AdaFlowServePolicy, PolicyKind, Scenario};
+    use adaflow_edge::{AdaFlowServePolicy, PolicyKind, Scenario, Seeds};
     use adaflow_model::prelude::*;
     use adaflow_nn::DatasetKind;
     use serde::Serialize;
@@ -341,6 +341,40 @@ mod tests {
         assert_eq!(a, b, "same seed, bit-identical summary");
         let c = engine.run(&lib, &small_spec(4), 4);
         assert_ne!(a, c, "different seed, different trace");
+    }
+
+    #[test]
+    fn mean_is_identical_for_any_thread_count() {
+        let lib = library();
+        let engine = FleetEngine::new(FleetConfig::default());
+        let mean = |threads| {
+            let seeds = Seeds {
+                threads,
+                ..Seeds::new(1, 4)
+            };
+            let runs = seeds.map(|seed| engine.run(&lib, &small_spec(2), seed));
+            FleetSummary::mean(&runs).expect("four runs")
+        };
+        let serial = mean(1);
+        let two = mean(2);
+        let auto = mean(0);
+        assert_eq!(serial, two);
+        assert_eq!(serial, auto);
+    }
+
+    #[test]
+    fn traced_run_matches_untraced_summary() {
+        let lib = library();
+        let spec = small_spec(2);
+        let engine = FleetEngine::new(FleetConfig::default());
+        let runs = Seeds::new(9, 1).map(|seed| engine.run(&lib, &spec, seed));
+        let untraced = FleetSummary::mean(&runs).expect("one run");
+        let (sink, recorder) = SinkHandle::recorder(1 << 16);
+        let traced = FleetEngine::new(FleetConfig::default())
+            .with_sink(sink)
+            .run(&lib, &spec, 9);
+        assert_eq!(untraced, traced, "sink must not perturb the simulation");
+        assert!(!recorder.is_empty(), "traced run emits events");
     }
 
     #[test]

@@ -28,9 +28,9 @@
 //!   [`max_overlap`] witness.
 //! - [`engine`] — the fleet discrete-event loop.
 //! - [`summary`] — [`FleetSummary`] / [`DeviceSummary`] with
-//!   conservation checks and multi-seed means.
-//! - [`experiment`] — [`FleetExperiment`], seeded multi-run sweeps with
-//!   order-preserving parallel sharding.
+//!   conservation checks and multi-seed means: a seeded sweep runs
+//!   [`FleetEngine::run`] over `adaflow_edge::Seeds`, the one sweep every
+//!   simulator shares, and averages with [`FleetSummary::mean`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,7 +38,6 @@
 pub mod config;
 pub mod coordinator;
 pub mod engine;
-pub mod experiment;
 pub mod router;
 pub mod summary;
 
@@ -47,7 +46,6 @@ pub use adaflow_edge::{PolicyKind, PolicyKind as DeviceKind};
 pub use config::{FleetConfig, RouterKind};
 pub use coordinator::{max_overlap, ReconfigCoordinator};
 pub use engine::FleetEngine;
-pub use experiment::FleetExperiment;
 pub use router::{
     DeadlineAwareRouter, DeviceSnapshot, LeastLoadedRouter, PowerOfTwoRouter, RoundRobinRouter,
     RoutePolicy,
@@ -59,7 +57,6 @@ pub mod prelude {
     pub use crate::config::{FleetConfig, RouterKind};
     pub use crate::coordinator::{max_overlap, ReconfigCoordinator};
     pub use crate::engine::FleetEngine;
-    pub use crate::experiment::FleetExperiment;
     pub use crate::router::{DeviceSnapshot, RoutePolicy};
     pub use crate::summary::{DeviceSummary, FleetSummary};
     pub use adaflow_edge::{PolicyKind, PolicyKind as DeviceKind};

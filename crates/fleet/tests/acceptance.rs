@@ -9,7 +9,7 @@
 //!    `observed_max_drains` interval sweep over real runs.
 
 use adaflow::{Library, LibraryGenerator};
-use adaflow_edge::{Scenario, WorkloadSpec};
+use adaflow_edge::{Scenario, Seeds, WorkloadSpec};
 use adaflow_fleet::prelude::*;
 use adaflow_model::prelude::*;
 use adaflow_nn::DatasetKind;
@@ -51,10 +51,9 @@ fn heterogeneous(router: RouterKind) -> FleetConfig {
 }
 
 fn mean_summary(lib: &Library, config: FleetConfig) -> FleetSummary {
-    FleetExperiment::new(lib, spec_4x())
-        .config(config)
-        .runs(SEEDS)
-        .run()
+    let engine = FleetEngine::new(config);
+    let runs = Seeds::new(1, SEEDS).map(|seed| engine.run(lib, &spec_4x(), seed));
+    FleetSummary::mean(&runs).expect("at least one run")
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! record, and the stagger budget.
 
 use adaflow::{Library, LibraryGenerator};
-use adaflow_edge::{Scenario, WorkloadSpec};
+use adaflow_edge::{Scenario, Seeds, WorkloadSpec};
 use adaflow_fleet::prelude::*;
 use adaflow_model::prelude::*;
 use adaflow_nn::DatasetKind;
@@ -58,13 +58,15 @@ proptest! {
             router: RouterKind::ALL[router_idx],
             ..FleetConfig::default()
         };
-        let exp = FleetExperiment::new(library(), spec())
-            .config(config)
-            .runs(3)
-            .seed(seed);
-        let serial = exp.clone().threads(1).run();
-        let two = exp.clone().threads(2).run();
-        let auto = exp.threads(0).run();
+        let engine = FleetEngine::new(config);
+        let mean = |threads| {
+            let seeds = Seeds { threads, ..Seeds::new(seed, 3) };
+            let runs = seeds.map(|seed| engine.run(library(), &spec(), seed));
+            FleetSummary::mean(&runs).expect("three runs")
+        };
+        let serial = mean(1);
+        let two = mean(2);
+        let auto = mean(0);
         prop_assert_eq!(&serial, &two, "2 workers diverged from serial");
         prop_assert_eq!(&serial, &auto, "auto workers diverged from serial");
         prop_assert!(serial.conservation_holds());

@@ -1,17 +1,16 @@
 //! Multi-run serving experiments.
 //!
-//! The request-level counterpart of `adaflow_edge::Experiment`: runs seeded
-//! serving simulations in parallel (order-preserving sharding, so the mean
-//! is bit-identical for any worker count) and averages the summaries.
+//! The request-level counterpart of `adaflow_edge::Experiment`: sweeps the
+//! serving engine over [`Seeds`] (order-preserving sharding, so the mean is
+//! bit-identical for any worker count) and averages the summaries.
 
 use crate::config::ServeConfig;
 use crate::engine::ServeEngine;
 use crate::summary::ServeSummary;
 use adaflow::{Library, RuntimeConfig};
 use adaflow_edge::{
-    AdaFlowServePolicy, FixedMaxPolicy, FlexibleOnlyPolicy, ServePolicy, WorkloadSpec,
+    AdaFlowServePolicy, FixedMaxPolicy, FlexibleOnlyPolicy, Seeds, ServePolicy, WorkloadSpec,
 };
-use adaflow_telemetry::SinkHandle;
 
 /// A repeated, seeded serving experiment over one library and workload.
 #[derive(Debug, Clone)]
@@ -19,9 +18,7 @@ pub struct ServeExperiment<'l> {
     library: &'l Library,
     workload: WorkloadSpec,
     config: ServeConfig,
-    runs: usize,
-    base_seed: u64,
-    threads: usize,
+    seeds: Seeds,
 }
 
 impl<'l> ServeExperiment<'l> {
@@ -33,24 +30,24 @@ impl<'l> ServeExperiment<'l> {
             library,
             workload,
             config: ServeConfig::default(),
-            runs: 100,
-            base_seed: 1,
-            threads: 0,
+            seeds: Seeds::new(1, 100),
         }
     }
 
     /// Sets the number of seeded repetitions.
     #[must_use]
     pub fn runs(mut self, runs: usize) -> Self {
-        assert!(runs > 0, "need at least one run");
-        self.runs = runs;
+        self.seeds = Seeds {
+            threads: self.seeds.threads,
+            ..Seeds::new(self.seeds.first, runs)
+        };
         self
     }
 
-    /// Sets the base seed (run `i` uses `base_seed + i`).
+    /// Sets the base seed (run `i` uses `seed + i`).
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
-        self.base_seed = seed;
+        self.seeds.first = seed;
         self
     }
 
@@ -59,7 +56,7 @@ impl<'l> ServeExperiment<'l> {
     /// order.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+        self.seeds.threads = threads;
         self
     }
 
@@ -76,9 +73,8 @@ impl<'l> ServeExperiment<'l> {
     where
         F: Fn() -> Box<dyn ServePolicy + 'l> + Sync,
     {
-        let seeds: Vec<u64> = (0..self.runs as u64).map(|i| self.base_seed + i).collect();
         let engine = ServeEngine::new(self.config.clone());
-        let all = adaflow_nn::parallel::par_map(&seeds, self.threads, |&seed| {
+        let all = self.seeds.map(|seed| {
             let mut policy = make_policy();
             engine.run(&self.workload, seed, policy.as_mut())
         });
@@ -109,17 +105,6 @@ impl<'l> ServeExperiment<'l> {
         let library = self.library;
         self.run_with(move || Box::new(FlexibleOnlyPolicy::new(library, config.clone())))
     }
-
-    /// One traced run: a single seed with a telemetry sink attached, for
-    /// the CLI's trace exports.
-    pub fn run_traced<F>(&self, seed: u64, sink: SinkHandle, make_policy: F) -> ServeSummary
-    where
-        F: FnOnce() -> Box<dyn ServePolicy + 'l>,
-    {
-        let engine = ServeEngine::new(self.config.clone()).with_sink(sink);
-        let mut policy = make_policy();
-        engine.run(&self.workload, seed, policy.as_mut())
-    }
 }
 
 #[cfg(test)]
@@ -142,10 +127,22 @@ mod tests {
     #[test]
     fn mean_is_identical_for_any_thread_count() {
         let lib = library();
-        let exp = ServeExperiment::new(&lib, WorkloadSpec::paper_edge(Scenario::Stable)).runs(4);
-        let serial = exp.clone().threads(1).run_fixed_max();
-        let two = exp.clone().threads(2).run_fixed_max();
-        let auto = exp.threads(0).run_fixed_max();
+        let spec = WorkloadSpec::paper_edge(Scenario::Stable);
+        let engine = ServeEngine::new(ServeConfig::default());
+        let mean = |threads| {
+            let seeds = Seeds {
+                threads,
+                ..Seeds::new(1, 4)
+            };
+            let all = seeds.map(|seed| engine.run(&spec, seed, &mut FixedMaxPolicy::new(&lib)));
+            ServeSummary::mean(&all).expect("four runs")
+        };
+        let serial = mean(1);
+        let two = mean(2);
+        // The experiment's own sweep, on one worker per core.
+        let auto = ServeExperiment::new(&lib, spec.clone())
+            .runs(4)
+            .run_fixed_max();
         assert_eq!(serial, two);
         assert_eq!(serial, auto);
     }

@@ -29,8 +29,9 @@
 //!   drive;
 //! * [`engine`] — the discrete-event serving loop with telemetry, and the
 //!   earliest-event picker the fleet engine shares;
-//! * [`experiment`] — seeded multi-run driver mirroring
-//!   `adaflow_edge::Experiment`.
+//! * [`experiment`] — [`ServeExperiment`], the serving engine's
+//!   policy-averaged sweep over `adaflow_edge::Seeds`, the one seeded sweep
+//!   every simulator shares.
 //!
 //! ## Quickstart
 //!
