@@ -25,16 +25,21 @@
 //!    bitplanes, so activations stay packed from the first threshold to the
 //!    classifier ([`crate::packed`]); a byte kernel over a pixel-major byte
 //!    map everywhere else (the 8-bit input layer, wider weights), with the
-//!    same epilogue. No window matrix is built.
+//!    same epilogue. On the AMX backend every such layer is instead one
+//!    AMX tile step over `u8` maps, its weights read in place, its windows
+//!    gathered per 16-pixel tile and its threshold in its epilogue. No
+//!    window matrix is built.
 //! 3. **Parallel batch evaluation** — [`BatchRunner`] shards an image set
 //!    across scoped worker threads, one scratch arena per worker, preserving
 //!    input order.
 
 use crate::error::NnError;
+#[cfg(target_arch = "x86_64")]
+use crate::packed::amx;
 use crate::packed::{self, ByteWeights, PackedBackend, PackedThresholds, PackedWeights, Run};
 use crate::parallel;
 use crate::tensor::Activations;
-use adaflow_model::{CnnGraph, Conv2d, Layer, MvtuDomain, Node, TensorShape};
+use adaflow_model::{CnnGraph, Conv2d, Layer, MaxPool2d, MvtuDomain, Node, TensorShape};
 use adaflow_telemetry::SinkHandle;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -56,8 +61,8 @@ pub struct KernelAttribution {
     /// Layer name.
     pub layer: String,
     /// Kernel label: `direct`, `bytes-scalar`, `bytes-avx2`,
-    /// `packed-scalar`, `packed-avx2` or `packed-avx512` for MVTU layers;
-    /// `threshold` (to `u8`) or `fused` (applied by the windowed MVTU before
+    /// `packed-scalar`, `packed-avx2`, `packed-avx512` or `amx` for MVTU
+    /// layers; `threshold` (to `u8`) or `fused` (applied by the MVTU before
     /// it) for thresholds; `maxpool` or `argmax` otherwise.
     pub kernel: &'static str,
 }
@@ -77,7 +82,9 @@ pub struct KernelAttribution {
 ///   input layer, wider weights) runs the byte-window MVTU over a
 ///   pixel-major byte map, with the same epilogue. The byte kernel runs on
 ///   SIMD only where its domains prove the `i16` pair sums exact, else on
-///   its `i32` scalar twin;
+///   its `i32` scalar twin. On the [`PackedBackend::Amx`] backend every
+///   conv and dense layer is instead one AMX tile step (`amx`) over `u8`
+///   maps, with the threshold that follows in its epilogue;
 /// * [`ConvStrategy::Direct`] walks the input in place, one plain dot
 ///   product per output — the reference every other plan is tested
 ///   against;
@@ -85,8 +92,9 @@ pub struct KernelAttribution {
 ///   on every conv and dense layer, its windows read in place, with no
 ///   packed map and every threshold to `u8`.
 ///
-/// `Direct` and `Im2col` never touch the packed popcount kernels, so they
-/// double as the equivalence oracles the packed proptests compare against.
+/// `Direct` and `Im2col` never touch the packed popcount kernels or the
+/// AMX tiles, so they double as the equivalence oracles the packed
+/// proptests compare against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ConvStrategy {
     /// Packed popcount kernels where the domains allow, the byte window
@@ -126,6 +134,9 @@ pub struct EngineScratch {
     pixel: Vec<i32>,
     /// The runs of one window (one per kernel row at most).
     runs: Vec<Run>,
+    /// One 16-pixel tile of an AMX convolution's windows, gathered in the
+    /// layout its tile product reads.
+    gather: Vec<u8>,
 }
 
 /// Element counts of every [`EngineScratch`] buffer one kernel plan needs.
@@ -137,13 +148,15 @@ struct ScratchSizes {
     byte_map: usize,
     pixel: usize,
     runs: usize,
+    gather: usize,
 }
 
 impl EngineScratch {
-    /// The scratch of `graph`'s default ([`ConvStrategy::Auto`]) plan.
+    /// The scratch of `graph`'s default plan: [`ConvStrategy::Auto`] on the
+    /// [`packed::default_backend`].
     #[must_use]
     pub fn for_graph(graph: &CnnGraph) -> Self {
-        let (_, _, sizes) = build_plan(graph, ConvStrategy::Auto, PackedBackend::Scalar);
+        let (_, _, sizes) = build_plan(graph, ConvStrategy::Auto, packed::default_backend());
         Self::sized(&sizes)
     }
 
@@ -169,6 +182,7 @@ impl EngineScratch {
         at_least(&mut self.byte_map, sizes.byte_map);
         at_least(&mut self.pixel, sizes.pixel);
         at_least(&mut self.runs, sizes.runs);
+        at_least(&mut self.gather, sizes.gather);
     }
 
     /// Total scratch bytes held (diagnostics / capacity planning).
@@ -176,6 +190,7 @@ impl EngineScratch {
     pub fn bytes(&self) -> usize {
         self.act_a.len()
             + self.act_b.len()
+            + self.gather.len()
             + 4 * (self.accum.len() + self.byte_map.len() + self.pixel.len())
             + 8 * (self.map_a.len() + self.map_b.len())
             + std::mem::size_of::<Run>() * self.runs.len()
@@ -446,11 +461,27 @@ enum Step<'g> {
     /// `u8` activations → byte map → packed map (fused threshold) or
     /// accumulators, on the byte kernel of the backend it carries.
     ByteWindow(PackedMvtu<ByteWeights>, PackedBackend),
-    /// A threshold the preceding windowed MVTU already applied.
+    /// `u8` activations → `u8` codes (fused threshold) or accumulators, on
+    /// the AMX tiles.
+    #[cfg(target_arch = "x86_64")]
+    Amx(AmxMvtu<'g>),
+    /// The 2×2/stride-2 max-pool of an AMX plan, on AVX-512 over `u8`.
+    #[cfg(target_arch = "x86_64")]
+    AmxPool,
+    /// A threshold the preceding MVTU already applied.
     Fused,
     /// Threshold to `u8`, max-pool in the current representation, or
     /// label-select: run from the node's own layer.
     Plain,
+}
+
+/// An MVTU on the AMX tiles, with the threshold that follows it when its
+/// epilogue applies one.
+#[cfg(target_arch = "x86_64")]
+#[derive(Debug, Clone)]
+struct AmxMvtu<'g> {
+    layer: amx::Layer<'g>,
+    fused: Option<amx::Thresholds>,
 }
 
 /// Per-node execution plan: the step and the precomputed telemetry span
@@ -469,14 +500,19 @@ struct NodePlan<'g> {
 /// the MVTU that consumes it, through any pools, is planned packed (pools
 /// keep the representation they are given). Every MVTU but a `Direct` one
 /// is windowed and applies such a threshold itself, as its next node.
+///
+/// `Auto` on the AMX backend is one plan of its own: every MVTU is an AMX
+/// step that applies the threshold after it, and activations stay `u8`
+/// maps from the image to the logits, so nothing packs.
 fn build_plan(
     graph: &CnnGraph,
     strategy: ConvStrategy,
     backend: PackedBackend,
 ) -> (Vec<NodePlan<'_>>, Arc<[KernelAttribution]>, ScratchSizes) {
     let nodes: Vec<_> = mvtu_walk(graph).collect();
+    let amx = strategy == ConvStrategy::Auto && backend == PackedBackend::Amx;
     let is_packed = |i: usize| {
-        strategy == ConvStrategy::Auto && nodes[i].1.as_ref().is_some_and(|(_, d)| packs(d))
+        strategy == ConvStrategy::Auto && !amx && nodes[i].1.as_ref().is_some_and(|(_, d)| packs(d))
     };
     // The thresholds of node `i` in packed form, when it is a threshold
     // whose value reaches a packed MVTU.
@@ -499,10 +535,37 @@ fn build_plan(
     // the windowed MVTU just planned writes in place of the next threshold.
     let mut planes = None;
     let mut fused_planes = None;
+    // Whether the AMX MVTU just planned applies the next threshold.
+    let mut amx_fused = false;
     for (i, (node, mvtu)) in nodes.iter().enumerate() {
         let out = node.output_shape;
         let map_words = |planes: usize| planes * out.spatial() * packed::plane_words(out.channels);
         let (step, label) = match (mvtu, &node.layer) {
+            #[cfg(target_arch = "x86_64")]
+            (Some((m, _)), _) if amx => {
+                let fused = match nodes.get(i + 1).map(|(node, _)| &node.layer) {
+                    Some(Layer::MultiThreshold(t)) => Some(amx::Thresholds::new(&t.table)),
+                    _ => None,
+                };
+                amx_fused = fused.is_some();
+                if !amx_fused {
+                    sizes.accum = sizes.accum.max(m.rows * m.n);
+                }
+                let layer = match m.conv {
+                    Some(c) => amx::Layer::conv(
+                        m.weights,
+                        m.rows,
+                        shape.channels,
+                        (shape.height, shape.width),
+                        (c.kernel, c.stride, c.padding),
+                        (out.height, out.width),
+                    ),
+                    None => amx::Layer::dense(m.weights, m.rows, shape.elements()),
+                };
+                sizes.gather = sizes.gather.max(layer.gather_scratch());
+                sizes.pixel = sizes.pixel.max(amx::Layer::tile_scratch());
+                (Step::Amx(AmxMvtu { layer, fused }), "amx")
+            }
             (Some((m, _)), _) if strategy == ConvStrategy::Direct => {
                 sizes.accum = sizes.accum.max(m.rows * m.n);
                 (Step::Direct(*m), "direct")
@@ -524,7 +587,7 @@ fn build_plan(
                     let label = match backend {
                         PackedBackend::Scalar => "packed-scalar",
                         PackedBackend::Avx2 => "packed-avx2",
-                        PackedBackend::Avx512 => "packed-avx512",
+                        PackedBackend::Avx512 | PackedBackend::Amx => "packed-avx512",
                     };
                     (
                         Step::Packed(PackedMvtu::new((weights, acc_len), m, shape, cw, fused)),
@@ -546,7 +609,9 @@ fn build_plan(
                     // Every SIMD backend runs the AVX2 byte kernel.
                     let label = match kernel {
                         PackedBackend::Scalar => "bytes-scalar",
-                        PackedBackend::Avx2 | PackedBackend::Avx512 => "bytes-avx2",
+                        PackedBackend::Avx2 | PackedBackend::Avx512 | PackedBackend::Amx => {
+                            "bytes-avx2"
+                        }
                     };
                     let p = PackedMvtu::new((weights, acc_len), m, shape, cw, fused);
                     (Step::ByteWindow(p, kernel), label)
@@ -562,18 +627,22 @@ fn build_plan(
                         sizes.map = sizes.map.max(map_words(p));
                         (Step::Fused, "fused")
                     }
+                    None if std::mem::take(&mut amx_fused) => {
+                        sizes.act = sizes.act.max(out.elements());
+                        (Step::Fused, "fused")
+                    }
                     None => {
                         sizes.act = sizes.act.max(out.elements());
                         (Step::Plain, "threshold")
                     }
                 }
             }
-            (None, Layer::MaxPool2d(_)) => {
+            (None, Layer::MaxPool2d(p)) => {
                 match planes {
                     Some(p) => sizes.map = sizes.map.max(map_words(p)),
                     None => sizes.act = sizes.act.max(out.elements()),
                 }
-                (Step::Plain, "maxpool")
+                (pool_step(amx && planes.is_none(), p, shape, out), "maxpool")
             }
             (None, _) => (Step::Plain, "argmax"),
         };
@@ -589,7 +658,31 @@ fn build_plan(
         plan.push(NodePlan { step, span });
         shape = out;
     }
+    #[cfg(target_arch = "x86_64")]
+    if amx {
+        // The fast gather's second load, and a dense layer's last dword,
+        // may run past the widest map.
+        sizes.act += amx::SLACK;
+    }
     (plan, attributions.into(), sizes)
+}
+
+/// The step of a max-pool: on AVX-512 over `u8` maps in an AMX plan, where
+/// [`amx::pools`] takes its shape, else by the node's own layer.
+fn pool_step<'g>(amx: bool, p: &MaxPool2d, from: TensorShape, to: TensorShape) -> Step<'g> {
+    #[cfg(target_arch = "x86_64")]
+    if amx
+        && amx::pools(
+            p.kernel,
+            p.stride,
+            (from.height, from.width),
+            (to.height, to.width),
+        )
+    {
+        return Step::AmxPool;
+    }
+    let _ = (amx, p, from, to);
+    Step::Plain
 }
 
 /// Per-node AF010 accumulator intervals for the runtime debug asserts:
@@ -619,20 +712,32 @@ impl<'g> Engine<'g> {
     /// its epilogue thresholds it.
     #[cfg(debug_assertions)]
     fn assert_accum_intervals(&self, node_idx: usize, name: &str, accums: &[i32], spatial: usize) {
+        for (channel, accums) in accums.chunks(spatial.max(1)).enumerate() {
+            self.assert_channel_interval((node_idx, name), channel, accums);
+        }
+    }
+
+    /// Asserts accumulators of one output channel of `node` (index, name)
+    /// lie inside its AF010 interval.
+    #[cfg(debug_assertions)]
+    fn assert_channel_interval(
+        &self,
+        (node_idx, name): (usize, &str),
+        channel: usize,
+        accums: &[i32],
+    ) {
         let Some(Some(per_channel)) = self.intervals.get(node_idx) else {
             return;
         };
-        let spatial = spatial.max(1);
-        for (i, &v) in accums.iter().enumerate() {
-            let Some(&(lo, hi)) = per_channel.get(i / spatial) else {
-                return;
-            };
+        let Some(&(lo, hi)) = per_channel.get(channel) else {
+            return;
+        };
+        for &v in accums {
             let v = i64::from(v);
             assert!(
                 lo <= v && v <= hi,
-                "{name}: accumulator {v} at index {i} escapes the AF010 interval \
-                 [{lo}, {hi}] of channel {} — interval analysis or kernel is unsound",
-                i / spatial,
+                "{name}: accumulator {v} escapes the AF010 interval [{lo}, {hi}] of \
+                 channel {channel} — interval analysis or kernel is unsound",
             );
         }
     }
@@ -864,6 +969,7 @@ impl<'g> Engine<'g> {
             byte_map,
             pixel,
             runs,
+            gather,
         } = scratch;
         act_a[..input.shape().elements()].copy_from_slice(input.as_slice());
         let mut kind = Kind::Bytes(Buf::A);
@@ -920,7 +1026,40 @@ impl<'g> Engine<'g> {
                     );
                     kind = emitted.map_or(Kind::Accum, |planes| Kind::Planes(Buf::A, planes));
                 }
-                (Step::Fused, _, Kind::Planes(..)) => {}
+                #[cfg(target_arch = "x86_64")]
+                (Step::Amx(p), _, Kind::Bytes(buf)) => {
+                    let (src, dst) = ping_pong(buf, act_a, act_b);
+                    let out = match &p.fused {
+                        Some(t) => amx::Output::Codes(t, dst),
+                        None => amx::Output::Accum(accum),
+                    };
+                    #[cfg(debug_assertions)]
+                    let check = &mut |channel: usize, accums: &[i32]| {
+                        self.assert_channel_interval((_node_idx, &node.name), channel, accums);
+                    };
+                    #[cfg(debug_assertions)]
+                    let check: amx::Check = Some(check);
+                    #[cfg(not(debug_assertions))]
+                    let check = None;
+                    amx::run(&p.layer, src, out, (gather, pixel), check);
+                    kind = match p.fused {
+                        Some(_) => Kind::Bytes(buf.other()),
+                        None => Kind::Accum,
+                    };
+                }
+                #[cfg(target_arch = "x86_64")]
+                (Step::AmxPool, _, Kind::Bytes(buf)) => {
+                    let (src, dst) = ping_pong(buf, act_a, act_b);
+                    amx::pool2x2(
+                        src,
+                        shape.channels,
+                        (shape.height, shape.width),
+                        (out_shape.height, out_shape.width),
+                        dst,
+                    );
+                    kind = Kind::Bytes(buf.other());
+                }
+                (Step::Fused, _, Kind::Planes(..) | Kind::Bytes(_)) => {}
                 (Step::Plain, Layer::MultiThreshold(t), Kind::Accum) => {
                     let accums = &accum[..out_shape.elements()];
                     let out = &mut act_a[..out_shape.elements()];
@@ -1270,6 +1409,20 @@ mod tests {
         topology::tiny(QuantSpec::w2a2(), 4).expect("builds")
     }
 
+    /// `graph`'s engine on the AMX rung, or `None`, with a message, where
+    /// this CPU or its kernel cannot run it.
+    fn amx_engine(graph: &CnnGraph) -> Option<Engine<'_>> {
+        if !PackedBackend::Amx.is_runnable() {
+            eprintln!("skipping: AMX-INT8 is not runnable here");
+            return None;
+        }
+        Some(
+            Engine::new(graph)
+                .expect("engine")
+                .with_packed_backend(PackedBackend::Amx),
+        )
+    }
+
     fn random_image(shape: TensorShape, seed: u64) -> Activations {
         let mut img = Activations::zeroed(shape);
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -1533,12 +1686,13 @@ mod tests {
 
     #[test]
     fn w7_on_8_bit_input_plans_the_simd_byte_kernel_and_is_exact() {
-        // Every pair sum is 2 · 255 · (−63) = −32 130, inside i16.
+        // Every pair sum is 2 · 255 · (−63) = −32 130, inside i16. The AMX
+        // rung takes every MVTU of an `Auto` plan.
         for (backend, label, logits) in saturated_conv(7, |_| -63) {
-            let simd = if backend == PackedBackend::Scalar {
-                "bytes-scalar"
-            } else {
-                "bytes-avx2"
+            let simd = match backend {
+                PackedBackend::Scalar => "bytes-scalar",
+                PackedBackend::Avx2 | PackedBackend::Avx512 => "bytes-avx2",
+                PackedBackend::Amx => "amx",
             };
             assert_eq!(label, simd, "{backend:?}");
             assert_eq!(logits, [-63 * 255 * 72; 10], "{backend:?}");
@@ -1548,12 +1702,211 @@ mod tests {
     #[test]
     fn w8_on_8_bit_input_plans_the_scalar_byte_kernel_everywhere() {
         // A pair sum reaches ±2 · 255 · 127 = ±64 770, past i16: the AVX2
-        // kernel would saturate, so every backend plans the i32 twin.
+        // kernel would saturate, so every byte-window backend plans the i32
+        // twin. The AMX rung multiplies into exact `i32` dwords and takes
+        // the layer itself (`w8_on_8_bit_input_is_exact_on_amx`).
         let sign = |r: usize| if r.is_multiple_of(2) { 1 } else { -1 };
-        for (_, label, logits) in saturated_conv(8, |r| 127 * sign(r) as i8) {
-            assert_eq!(label, "bytes-scalar");
+        for (backend, label, logits) in saturated_conv(8, |r| 127 * sign(r) as i8) {
+            let expected = match backend {
+                PackedBackend::Amx => "amx",
+                _ => "bytes-scalar",
+            };
+            assert_eq!(label, expected);
             let expect: Vec<i32> = (0..10).map(|r| sign(r) * 127 * 255 * 72).collect();
             assert_eq!(logits, expect);
+        }
+    }
+
+    #[test]
+    fn w8_on_8_bit_input_is_exact_on_amx() {
+        // ±127 weights on an all-255 image: every `i16` pair sum of the
+        // AVX2 byte kernel would saturate, every AMX dword product is exact.
+        let sign = |r: usize| if r.is_multiple_of(2) { 1 } else { -1 };
+        let Some((_, label, logits)) = saturated_conv(8, |r| 127 * sign(r) as i8)
+            .into_iter()
+            .find(|(backend, ..)| *backend == PackedBackend::Amx)
+        else {
+            eprintln!("skipping: AMX-INT8 is not runnable here");
+            return;
+        };
+        assert_eq!(label, "amx");
+        let expect: Vec<i32> = (0..10).map(|r| sign(r) * 127 * 255 * 72).collect();
+        assert_eq!(logits, expect);
+    }
+
+    /// A conv (or, with `window` `None`, a dense layer) of `rows` rows of
+    /// `bits`-bit weights over `shape` → threshold → dense of `classes` →
+    /// label-select, every weight drawn from its whole domain.
+    fn amx_case(
+        shape: TensorShape,
+        rows: usize,
+        window: Option<(usize, usize, usize)>,
+        (bits, classes): (u8, usize),
+        seed: u64,
+    ) -> CnnGraph {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let quant = QuantSpec::new(bits, 2);
+        let w_max = quant.weight_domain().max;
+        let mut fill = |w: &mut [i8]| {
+            for w in w {
+                *w = (next() % (2 * w_max as u64 + 1)) as i64 as i8 - w_max as i8;
+            }
+        };
+        let builder = GraphBuilder::new("amx", shape);
+        let (builder, out, fan_in) = match window {
+            Some((kernel, stride, padding)) => {
+                let mut conv = Conv2d::new(shape.channels, rows, kernel, stride, padding, quant);
+                fill(conv.weights.as_mut_slice());
+                let out = shape
+                    .windowed(kernel, stride, padding)
+                    .expect("fits")
+                    .with_channels(rows);
+                (builder.conv2d(conv), out, shape.channels * kernel * kernel)
+            }
+            None => {
+                let mut dense = Dense::new(shape.elements(), rows, quant);
+                fill(dense.weights.as_mut_slice());
+                (
+                    builder.dense(dense),
+                    TensorShape::flat(rows),
+                    shape.elements(),
+                )
+            }
+        };
+        let mut dense = Dense::new(out.elements(), classes, QuantSpec::w2a2());
+        for w in dense.weights.as_mut_slice() {
+            *w = (next() % 3) as i8 - 1;
+        }
+        let span = (fan_in as i32 * 255 * w_max as i32 / 8).max(3);
+        builder
+            .threshold(MultiThreshold {
+                channels: rows,
+                table: ThresholdTable::uniform(rows, 3, -span, span),
+            })
+            .dense(dense)
+            .label_select(classes)
+            .build()
+            .expect("builds")
+    }
+
+    /// The AMX plan of `graph` answers what `Direct` does on a few random
+    /// images; `false` (after a message) where AMX cannot run.
+    fn amx_matches_direct(graph: &CnnGraph) -> bool {
+        let Some(amx) = amx_engine(graph) else {
+            return false;
+        };
+        assert!(amx.kernels().iter().any(|k| k.kernel == "amx"));
+        let direct = Engine::new(graph)
+            .expect("engine")
+            .with_strategy(ConvStrategy::Direct);
+        for seed in 0..3u64 {
+            let img = random_image(graph.input_shape(), seed);
+            assert_eq!(
+                amx.run(&img).expect("amx"),
+                direct.run(&img).expect("direct"),
+                "{} on seed {seed}",
+                graph.name()
+            );
+        }
+        true
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn amx_fan_ins_off_the_chunk_and_the_dword_match_direct() {
+        // Fan-ins 27 and 45 (conv1's, and one past a 64-byte chunk) are not
+        // whole dwords: only such rows get a zero-padded copy. 72 and 180
+        // end in a partial chunk, 576 in whole ones; dense fan-ins 100 and
+        // 75 likewise.
+        for (shape, window, fan_in) in [
+            (TensorShape::new(3, 8, 8), Some((3, 1, 0)), 27),
+            (TensorShape::new(5, 7, 7), Some((3, 1, 0)), 45),
+            (TensorShape::new(8, 6, 6), Some((3, 1, 0)), 72),
+            (TensorShape::new(20, 6, 6), Some((3, 1, 0)), 180),
+            (TensorShape::new(64, 5, 5), Some((3, 1, 0)), 576),
+            (TensorShape::new(4, 5, 5), None, 100),
+            (TensorShape::new(3, 5, 5), None, 75),
+        ] {
+            let graph = amx_case(shape, 24, window, (2, 10), fan_in as u64);
+            if !amx_matches_direct(&graph) {
+                return;
+            }
+            let engine = amx_engine(&graph).expect("runnable");
+            let Step::Amx(first) = &engine.plan[0].step else {
+                panic!("the first MVTU is not an AMX step");
+            };
+            assert_eq!(
+                first.layer.copies_weights(),
+                fan_in % 4 != 0,
+                "fan-in {fan_in}"
+            );
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn amx_ragged_row_tiles_match_direct() {
+        // 43 classes: two whole 16-row tiles and a ragged one; 40 and 10
+        // conv rows: a ragged last tile, and a layer narrower than a tile.
+        let shape = TensorShape::new(4, 6, 6);
+        for (rows, classes) in [(16, 43), (40, 43), (10, 7), (1, 2)] {
+            let graph = amx_case(shape, rows, Some((3, 1, 0)), (2, classes), rows as u64);
+            if !amx_matches_direct(&graph) {
+                return;
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn amx_narrow_maps_and_wrapping_tiles_match_direct() {
+        // Output maps 3, 5 and 10 wide: every 16-pixel tile wraps rows, and
+        // the last tile of each is partial. Stride 2 and padding take the
+        // byte-by-byte gather; a 40-wide map spans the fast gather's 128
+        // bytes; 1×1 and 5×5 kernels draw a panel row from four and from
+        // one channel.
+        for (shape, window) in [
+            (TensorShape::new(4, 5, 5), (3, 1, 0)),
+            (TensorShape::new(8, 7, 7), (3, 1, 0)),
+            (TensorShape::new(2, 12, 12), (3, 1, 0)),
+            (TensorShape::new(3, 9, 9), (3, 2, 1)),
+            (TensorShape::new(5, 6, 6), (3, 1, 1)),
+            (TensorShape::new(2, 42, 42), (3, 1, 0)),
+            (TensorShape::new(6, 7, 7), (1, 1, 0)),
+            (TensorShape::new(3, 9, 9), (5, 1, 0)),
+        ] {
+            let graph = amx_case(shape, 20, Some(window), (3, 5), shape.elements() as u64);
+            if !amx_matches_direct(&graph) {
+                return;
+            }
+        }
+    }
+
+    #[test]
+    fn amx_batch_runner_two_workers_equal_one() {
+        // Each fresh worker thread takes its own first use of tile state.
+        let g = topology::cnv_scaled(QuantSpec::w2a2(), 6, 0.25)
+            .build()
+            .expect("builds");
+        let Some(engine) = amx_engine(&g) else {
+            return;
+        };
+        let images: Vec<Activations> = (0..6).map(|s| random_image(g.input_shape(), s)).collect();
+        let one = BatchRunner::new(engine.clone()).with_threads(1);
+        let two = BatchRunner::new(engine).with_threads(2);
+        let serial = one.run_full(&images).expect("one worker");
+        assert_eq!(two.run_full(&images).expect("two workers"), serial);
+        let direct = Engine::new(&g)
+            .expect("engine")
+            .with_strategy(ConvStrategy::Direct);
+        for (img, result) in images.iter().zip(&serial) {
+            assert_eq!(&direct.run(img).expect("direct"), result);
         }
     }
 
@@ -1583,8 +1936,17 @@ mod tests {
         assert_eq!(scratch.act_a.len(), scratch.act_b.len());
         assert_eq!(scratch.map_a.len(), scratch.map_b.len());
         // The default plan is the engine's.
-        let engine = Engine::new(&g).expect("engine");
-        assert_eq!(scratch.bytes(), engine.scratch().bytes());
+        assert_eq!(
+            scratch.bytes(),
+            Engine::new(&g).expect("engine").scratch().bytes()
+        );
+        // The popcount plan.
+        let engine = Engine::new(&g)
+            .expect("engine")
+            .with_packed_backend(PackedBackend::Avx512);
+        let scratch = engine.scratch();
+        assert_eq!(scratch.act_a.len(), scratch.act_b.len());
+        assert_eq!(scratch.map_a.len(), scratch.map_b.len());
         // conv1 fuses thresh1, so no layer stores a map of accumulators: the
         // byte map of the image and two packed maps are most of what is left.
         assert_eq!(scratch.byte_map.len(), 32 * 32);
@@ -1597,6 +1959,31 @@ mod tests {
         // the widest is conv2's input, 30 × 30 pixels of 64 channels.
         let im2col = engine.clone().with_strategy(ConvStrategy::Im2col).scratch();
         assert_eq!(im2col.byte_map.len(), 30 * 30 * 64 / 4);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn amx_scratch_holds_two_maps_and_the_tile_panels() {
+        let g = topology::cnv_w2a2_cifar10().expect("builds");
+        let Some(engine) = amx_engine(&g) else {
+            return;
+        };
+        let scratch = engine.scratch();
+        // Two `u8` maps as wide as conv1's output, 64 × 30 × 30, and the
+        // bytes the fast gather may read past one.
+        assert_eq!(scratch.act_a.len(), 64 * 30 * 30 + amx::SLACK);
+        assert_eq!(scratch.act_a.len(), scratch.act_b.len());
+        // The panels of two passes of two 16-pixel tiles, at conv4's depth
+        // (128 channels: 32 groups of 9 rows of 64 bytes), plus the bytes
+        // skipped to start them on a cache line; no window matrix, no
+        // packed map, no byte map.
+        assert_eq!(scratch.gather.len(), 4 * 32 * 9 * 64 + 63);
+        assert!(scratch.map_a.is_empty() && scratch.byte_map.is_empty());
+        // Four C tiles of 16 × 16 accumulators per pass, for two passes.
+        assert_eq!(scratch.pixel.len(), amx::Layer::tile_scratch());
+        // Only the classifier stores accumulators: fc3's ten logits.
+        assert_eq!(scratch.accum.len(), 10);
+        assert!(scratch.bytes() < 200_000, "{} bytes", scratch.bytes());
     }
 
     /// Walks `p`'s tiles over `out` and checks the tiler's contract;
@@ -1882,11 +2269,13 @@ mod tests {
         // packs, and every threshold before a packed MVTU is applied by the
         // windowed MVTU that produces it.
         let g = tiny_graph();
-        let engine = Engine::new(&g).expect("engine");
+        let engine = Engine::new(&g)
+            .expect("engine")
+            .with_packed_backend(PackedBackend::Avx512);
         let label = format!("packed-{}", engine.packed_backend().label());
         let bytes = match engine.packed_backend() {
             PackedBackend::Scalar => "bytes-scalar",
-            PackedBackend::Avx2 | PackedBackend::Avx512 => "bytes-avx2",
+            PackedBackend::Avx2 | PackedBackend::Avx512 | PackedBackend::Amx => "bytes-avx2",
         };
         let kernels: Vec<&str> = engine.kernels().iter().map(|k| k.kernel).collect();
         assert_eq!(
@@ -1915,6 +2304,15 @@ mod tests {
             // The fastest runnable backend no faster than the request.
             let expect = *runnable.iter().rfind(|&&b| b <= requested).expect("scalar");
             assert_eq!(got, expect, "requested {requested:?}");
+            if got == PackedBackend::Amx {
+                // The AMX rung is its own plan: every MVTU on the tiles.
+                let mvtus = g
+                    .iter()
+                    .zip(engine.kernels())
+                    .filter(|(node, _)| matches!(node.layer, Layer::Conv2d(_) | Layer::Dense(_)));
+                assert!(mvtus.map(|(_, k)| k.kernel).all(|k| k == "amx"));
+                continue;
+            }
             let label = format!("packed-{}", got.label());
             let packed: Vec<&str> = engine
                 .kernels()
@@ -1945,7 +2343,10 @@ mod tests {
         use adaflow_telemetry::EventKind;
         let g = tiny_graph();
         let (sink, recorder) = SinkHandle::recorder(256);
-        let engine = Engine::new(&g).expect("engine").with_sink(sink);
+        let engine = Engine::new(&g)
+            .expect("engine")
+            .with_packed_backend(PackedBackend::Avx512)
+            .with_sink(sink);
         engine
             .run(&Activations::zeroed(g.input_shape()))
             .expect("run");
@@ -1965,12 +2366,15 @@ mod tests {
         );
     }
 
-    /// Shrinks the AF010 interval of the first node `pick` selects to one
-    /// no input satisfies, then runs tiny: the per-pixel check must trip.
+    /// Shrinks the AF010 interval of the first node `pick` selects, in the
+    /// plan of `backend`, to one no input satisfies, then runs tiny: the
+    /// per-pixel check must trip.
     #[cfg(debug_assertions)]
-    fn run_with_an_unsatisfiable_interval(pick: impl Fn(&Step) -> bool) {
+    fn run_with_an_unsatisfiable_interval(backend: PackedBackend, pick: impl Fn(&Step) -> bool) {
         let g = tiny_graph();
-        let mut engine = Engine::new(&g).expect("engine");
+        let mut engine = Engine::new(&g)
+            .expect("engine")
+            .with_packed_backend(backend);
         let node = engine
             .plan
             .iter()
@@ -1990,7 +2394,10 @@ mod tests {
     fn fused_kernel_checks_accumulators_before_thresholding() {
         // conv2 of tiny is packed with its threshold fused: nothing but the
         // per-pixel check sees its accumulators.
-        run_with_an_unsatisfiable_interval(|s| matches!(s, Step::Packed(m) if m.fused.is_some()));
+        run_with_an_unsatisfiable_interval(
+            PackedBackend::Avx512,
+            |s| matches!(s, Step::Packed(m) if m.fused.is_some()),
+        );
     }
 
     #[cfg(debug_assertions)]
@@ -1999,8 +2406,29 @@ mod tests {
     fn byte_window_checks_accumulators_before_thresholding() {
         // conv1 of tiny is the byte window with thresh1 fused.
         run_with_an_unsatisfiable_interval(
+            PackedBackend::Avx512,
             |s| matches!(s, Step::ByteWindow(m, _) if m.fused.is_some()),
         );
+    }
+
+    #[cfg(all(debug_assertions, target_arch = "x86_64"))]
+    #[test]
+    fn amx_kernel_checks_accumulators_before_thresholding() {
+        // conv1 of tiny is an AMX step with thresh1 in its epilogue.
+        let Some(_) = amx_engine(&tiny_graph()) else {
+            return;
+        };
+        let trip = std::panic::catch_unwind(|| {
+            run_with_an_unsatisfiable_interval(
+                PackedBackend::Amx,
+                |s| matches!(s, Step::Amx(m) if m.fused.is_some()),
+            );
+        });
+        let message = trip.expect_err("the interval check must trip");
+        let message = message
+            .downcast_ref::<String>()
+            .expect("a formatted panic message");
+        assert!(message.contains("escapes the AF010 interval"), "{message}");
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! * a bit-accurate integer inference engine over
 //!   [`adaflow_model::CnnGraph`] (convolution, max-pool, FINN-style
 //!   multi-threshold activations, label select), in which every conv and
-//!   dense layer is one windowed MVTU — packed popcount or byte window
-//!   ([`packed`]) — with a reusable scratch arena, a direct-convolution
+//!   dense layer is one windowed MVTU — packed popcount or byte window, or
+//!   an AMX tile step where the CPU has AMX-INT8 ([`packed`]) — with a
+//!   reusable scratch arena, a direct-convolution
 //!   reference and a multi-threaded [`BatchRunner`] — [`engine`];
 //! * order-preserving scoped-thread helpers shared by the batch runner, the
 //!   trainer and the edge experiment driver — [`parallel`];
@@ -33,10 +34,10 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-// `deny` rather than `forbid`: the two cfg-gated SIMD intrinsics modules
-// ([`packed::avx2`] and [`packed::avx512`]) re-allow `unsafe` locally under
-// a documented safety contract; everything else in the crate stays
-// unsafe-free.
+// `deny` rather than `forbid`: the three cfg-gated kernel modules
+// ([`packed::avx2`], [`packed::avx512`] and [`packed::amx`]) re-allow
+// `unsafe` locally under a documented safety contract; everything else in
+// the crate stays unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -60,21 +60,26 @@
 //! ## Dispatch
 //!
 //! [`default_backend`] picks the fastest [`PackedBackend`] the CPU can run,
-//! from cached runtime probes (`is_x86_feature_detected!`): AVX-512 with
+//! from cached runtime probes: AMX-INT8 tiles, then AVX-512 with
 //! `vpopcntq`, then AVX2, then the portable scalar kernels. Setting the
-//! `ADAFLOW_FORCE_SCALAR` environment variable pins scalar. The SIMD paths
-//! live in the only two `unsafe`-allowing modules of the workspace
-//! ([`self::avx512`] and [`self::avx2`]; the AVX-512 backend shares the AVX2
-//! threshold epilogue and byte kernel) and every kernel there has a scalar
-//! twin here. A requested backend the CPU cannot run steps down to the next
-//! one it can ([`PackedBackend::effective`]), so the choice is never
-//! unsound. Which layers reach these kernels is the engine planner's
-//! decision, a pure function of the graph; [`kernel_thresholds`] reports
-//! the constant it uses.
+//! `ADAFLOW_FORCE_SCALAR` environment variable pins scalar. The SIMD and
+//! AMX paths live in the only three `unsafe`-allowing modules of the
+//! workspace ([`self::amx`], [`self::avx512`] and [`self::avx2`]; the
+//! AVX-512 backend shares the AVX2 threshold epilogue and byte kernel) and
+//! every popcount and byte kernel there has a scalar twin here. The AMX
+//! rung is a plan of its own: every conv and dense layer on `u8` maps
+//! ([`self::amx`]), with `Direct` as its oracle; handed to a popcount entry
+//! point, it runs the AVX-512 kernel. A requested backend the CPU cannot
+//! run steps down to the next one it can ([`PackedBackend::effective`]), so
+//! the choice is never unsound. Which layers reach these kernels is the
+//! engine planner's decision, a pure function of the graph and the
+//! backend; [`kernel_thresholds`] reports the constant it uses.
 
 use adaflow_model::ThresholdTable;
 use std::sync::OnceLock;
 
+#[cfg(target_arch = "x86_64")]
+pub(crate) mod amx;
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2;
 #[cfg(target_arch = "x86_64")]
@@ -111,19 +116,27 @@ pub enum PackedBackend {
     /// 512-bit AVX-512 path (`vpopcntq`, one row group per vector); needs
     /// AVX-512F, AVX-512VL and AVX-512 VPOPCNTDQ.
     Avx512,
+    /// AMX-INT8 tiles (`tdpbsud`) for every conv and dense layer of an
+    /// `Auto` plan, over `u8` maps; needs AMX-TILE, AMX-INT8, the kernel's
+    /// tile-data grant and everything [`Self::Avx512`] needs, plus
+    /// AVX-512BW and VBMI. The popcount kernels, which have no AMX form,
+    /// run their AVX-512 twin under it.
+    Amx,
 }
 
 impl PackedBackend {
     /// Every backend, slowest first.
-    pub const ALL: [Self; 3] = [Self::Scalar, Self::Avx2, Self::Avx512];
+    pub const ALL: [Self; 4] = [Self::Scalar, Self::Avx2, Self::Avx512, Self::Amx];
 
-    /// Short human-readable label (`"scalar"` / `"avx2"` / `"avx512"`).
+    /// Short human-readable label (`"scalar"` / `"avx2"` / `"avx512"` /
+    /// `"amx"`).
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
             Self::Scalar => "scalar",
             Self::Avx2 => "avx2",
             Self::Avx512 => "avx512",
+            Self::Amx => "amx",
         }
     }
 
@@ -136,6 +149,7 @@ impl PackedBackend {
                 Self::Scalar => true,
                 Self::Avx2 => avx2::available(),
                 Self::Avx512 => avx512::available(),
+                Self::Amx => amx::available(),
             }
         }
         #[cfg(not(target_arch = "x86_64"))]
@@ -152,14 +166,25 @@ impl PackedBackend {
     }
 
     /// The backend that computes when `self` is requested: `self` if the
-    /// CPU can run it, else the next one down (`Avx512` → `Avx2` →
+    /// CPU can run it, else the next one down (`Amx` → `Avx512` → `Avx2` →
     /// `Scalar`).
     #[must_use]
     pub fn effective(self) -> Self {
         match self {
-            Self::Avx512 if Self::Avx512.is_runnable() => Self::Avx512,
-            Self::Avx512 | Self::Avx2 if Self::Avx2.is_runnable() => Self::Avx2,
+            Self::Amx if Self::Amx.is_runnable() => Self::Amx,
+            Self::Amx | Self::Avx512 if Self::Avx512.is_runnable() => Self::Avx512,
+            Self::Amx | Self::Avx512 | Self::Avx2 if Self::Avx2.is_runnable() => Self::Avx2,
             _ => Self::Scalar,
+        }
+    }
+
+    /// The backend of the popcount kernels when `self` is requested: the
+    /// effective one, with AMX, which has no popcount form, running the
+    /// AVX-512 kernel its probe requires.
+    fn popcount(self) -> Self {
+        match self.effective() {
+            Self::Amx => Self::Avx512,
+            backend => backend,
         }
     }
 }
@@ -181,7 +206,7 @@ pub fn default_backend() -> PackedBackend {
     if force_scalar() {
         PackedBackend::Scalar
     } else {
-        PackedBackend::Avx512.effective()
+        PackedBackend::Amx.effective()
     }
 }
 
@@ -307,8 +332,9 @@ impl PackedWeights {
         acc: &mut [i32],
         backend: PackedBackend,
     ) {
+        let backend = backend.popcount();
         #[cfg(target_arch = "x86_64")]
-        if backend.effective() == PackedBackend::Avx512 {
+        if backend == PackedBackend::Avx512 {
             // The tile kernel checks the tile itself: its reads rest on it.
             avx512::window_dots(self, acts, stride, planes, tile, acc);
             return;
@@ -322,7 +348,7 @@ impl PackedWeights {
         for (&offset, acc) in offsets.iter().zip(acc.chunks_exact_mut(self.acc_len())) {
             let acts = &acts[offset..];
             #[cfg(target_arch = "x86_64")]
-            if backend.effective() == PackedBackend::Avx2 {
+            if backend == PackedBackend::Avx2 {
                 avx2::window_dots(&self.lanes, self.words, acts, stride, planes, runs, acc);
                 continue;
             }
@@ -951,6 +977,12 @@ mod tests {
             "packed backends runnable on this CPU: {:?}",
             runnable.iter().map(|b| b.label()).collect::<Vec<_>>()
         );
+        let amx = if PackedBackend::Amx.is_runnable() {
+            "ran"
+        } else {
+            "not runnable here"
+        };
+        eprintln!("AMX-INT8 tiles: {amx}");
         assert_eq!(runnable[0], PackedBackend::Scalar);
         if !force_scalar() {
             assert_eq!(runnable.last(), Some(&default_backend()));

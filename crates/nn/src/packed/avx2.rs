@@ -1,9 +1,9 @@
 //! AVX2 twins of the packed micro-kernel, its threshold epilogue and the
 //! byte-window micro-kernel.
 //!
-//! Like [`super::avx512`], this module re-allows `unsafe` under the crate
-//! root's `deny(unsafe_code)`; the two are the only such modules in the
-//! workspace. The unsafe surface is confined to two things:
+//! Like [`super::avx512`] and [`super::amx`], this module re-allows
+//! `unsafe` under the crate root's `deny(unsafe_code)`; the three are the
+//! only such modules in the workspace. The unsafe surface is confined to two things:
 //!
 //! 1. calling `#[target_feature(enable = "avx2")]` functions, and
 //! 2. unaligned 128/256-bit loads and stores through raw pointers inside

@@ -2,9 +2,9 @@
 //! lane (`vpopcntq`) in place of the AVX2 nibble-LUT reduction, over one
 //! tile of up to [`TILE`] output pixels per pass.
 //!
-//! Like [`super::avx2`], this module re-allows `unsafe` under the crate
-//! root's `deny(unsafe_code)`; the two are the only such modules in the
-//! workspace. The unsafe surface is confined to three things:
+//! Like [`super::avx2`] and [`super::amx`], this module re-allows `unsafe`
+//! under the crate root's `deny(unsafe_code)`; the three are the only such
+//! modules in the workspace. The unsafe surface is confined to three things:
 //!
 //! 1. calling `#[target_feature(enable = "avx512f,avx512vl,avx512vpopcntdq")]`
 //!    functions,

@@ -418,7 +418,8 @@ proptest! {
     /// `Im2col` oracles on every backend this CPU runs, scalar included, at
     /// every weight width: the AVX2 byte kernel where the domains bound its
     /// `i16` pair sums (2 · 255 · w_max ≤ i16::MAX, up to 7-bit weights),
-    /// the `i32` scalar twin everywhere else.
+    /// the `i32` scalar twin everywhere else, and the AMX tiles on the AMX
+    /// rung.
     #[test]
     fn byte_window_mvtu_matches_oracles_on_hostile_shapes(seed in 0u64..1_000_000) {
         let graph = byte_window_graph(seed);
@@ -433,7 +434,10 @@ proptest! {
             prop_assert_eq!(&im2col.run(&img).expect("im2col"), &oracle);
             for backend in PackedBackend::runnable() {
                 let auto = engine(ConvStrategy::Auto).with_packed_backend(backend);
-                let expected = if backend == PackedBackend::Scalar || !simd_exact {
+                // The AMX rung takes every MVTU, exact at every width.
+                let expected = if backend == PackedBackend::Amx {
+                    "amx"
+                } else if backend == PackedBackend::Scalar || !simd_exact {
                     "bytes-scalar"
                 } else {
                     "bytes-avx2"

@@ -1,12 +1,15 @@
-//! The engine's default kernel plan is a pure function of the graph.
+//! The engine's kernel plan is a pure function of the graph and the
+//! backend.
 //!
-//! Under `ConvStrategy::Auto` every MVTU whose verifier-established domains
-//! fit the packed contract and that has at least `packed_min_rows` weight
-//! rows runs the popcount kernel on packed feature maps, every other
-//! conv/dense layer runs the byte-window MVTU over a byte map, and the
-//! reference direct convolution is never planned. A threshold is packed iff
-//! a packed MVTU consumes it, and then it is fused into the windowed MVTU
-//! (packed or byte) that produces its input.
+//! Under `ConvStrategy::Auto` on a popcount backend every MVTU whose
+//! verifier-established domains fit the packed contract and that has at
+//! least `packed_min_rows` weight rows runs the popcount kernel on packed
+//! feature maps, every other conv/dense layer runs the byte-window MVTU over
+//! a byte map, and the reference direct convolution is never planned. A
+//! threshold is packed iff a packed MVTU consumes it, and then it is fused
+//! into the windowed MVTU (packed or byte) that produces its input. On the
+//! AMX backend every MVTU is an `amx` step with the threshold after it in
+//! its epilogue. `Direct` and `Im2col` never plan an `amx` step.
 //! Nothing measured at startup and no environment variable can change that.
 
 use adaflow_model::prelude::*;
@@ -38,9 +41,12 @@ fn models() -> Vec<(&'static str, CnnGraph)> {
     ]
 }
 
-/// Asserts the golden plan of `graph` and returns its MVTU kernel labels.
+/// Asserts the golden popcount plan of `graph` (the AVX-512 backend, or
+/// the next one down this CPU runs) and returns its MVTU kernel labels.
 fn assert_golden_plan(name: &str, graph: &CnnGraph) -> Vec<&'static str> {
-    let engine = Engine::new(graph).expect("engine");
+    let engine = Engine::new(graph)
+        .expect("engine")
+        .with_packed_backend(PackedBackend::Avx512);
     let packed = format!("packed-{}", engine.packed_backend().label());
     let bytes = bytes_label(engine.packed_backend());
     let domains = mvtu_domains(graph);
@@ -78,8 +84,19 @@ fn assert_golden_plan(name: &str, graph: &CnnGraph) -> Vec<&'static str> {
 fn bytes_label(backend: PackedBackend) -> &'static str {
     match backend {
         PackedBackend::Scalar => "bytes-scalar",
-        PackedBackend::Avx2 | PackedBackend::Avx512 => "bytes-avx2",
+        PackedBackend::Avx2 | PackedBackend::Avx512 | PackedBackend::Amx => "bytes-avx2",
     }
+}
+
+/// The flags `/proc/cpuinfo` lists for the first CPU.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+fn cpu_flags() -> Vec<String> {
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").expect("readable /proc/cpuinfo");
+    cpuinfo
+        .lines()
+        .find_map(|l| l.strip_prefix("flags").and_then(|l| l.split_once(':')))
+        .map(|(_, flags)| flags.split_whitespace().map(str::to_string).collect())
+        .unwrap_or_default()
 }
 
 #[test]
@@ -142,21 +159,18 @@ fn auto_plan_ignores_the_retired_env_knobs_and_repeats() {
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 #[test]
 fn avx512_cpus_plan_the_avx512_kernel() {
-    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").expect("readable /proc/cpuinfo");
-    let flags: Vec<&str> = cpuinfo
-        .lines()
-        .find_map(|l| l.strip_prefix("flags").and_then(|l| l.split_once(':')))
-        .map(|(_, flags)| flags.split_whitespace().collect())
-        .unwrap_or_default();
+    let flags = cpu_flags();
     let listed = ["avx2", "avx512f", "avx512vl", "avx512_vpopcntdq"]
         .iter()
-        .all(|f| flags.contains(f));
+        .all(|f| flags.iter().any(|g| g == f));
     if !listed || adaflow_nn::packed::force_scalar() {
         eprintln!("skipping: no AVX-512 VPOPCNTDQ here, or scalar forced");
         return;
     }
+    // The AMX rung sits above it where the CPU and the kernel grant it.
+    assert!(adaflow_nn::default_backend() >= PackedBackend::Avx512);
     assert_eq!(
-        adaflow_nn::default_backend(),
+        PackedBackend::Avx512.effective(),
         adaflow_nn::PackedBackend::Avx512
     );
     let cnv = topology::cnv_w2a2_cifar10().expect("builds");
@@ -166,13 +180,66 @@ fn avx512_cpus_plan_the_avx512_kernel() {
     assert!(plan[1..].iter().all(|k| *k == "packed-avx512"), "{plan:?}");
 }
 
+/// The AMX twin of the test above: where the kernel-reported flags name
+/// AMX-INT8 (and the AVX-512 the rung also needs), the default is the AMX
+/// backend, every MVTU of every shipped model plans `amx`, and every
+/// threshold is still its own node, fused into the step before it.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+#[test]
+fn amx_cpus_plan_the_amx_kernel() {
+    let flags = cpu_flags();
+    let listed = ["amx_tile", "amx_int8", "avx512bw", "avx512vbmi"]
+        .iter()
+        .all(|f| flags.iter().any(|g| g == f));
+    if !listed || adaflow_nn::packed::force_scalar() {
+        eprintln!("skipping: no AMX-INT8 here, or scalar forced");
+        return;
+    }
+    assert_eq!(adaflow_nn::default_backend(), PackedBackend::Amx);
+    for (name, graph) in models() {
+        let engine = Engine::new(&graph).expect("engine");
+        for (node, k) in graph.iter().zip(engine.kernels()) {
+            let expected = match node.layer {
+                Layer::Conv2d(_) | Layer::Dense(_) => "amx",
+                Layer::MultiThreshold(_) => "fused",
+                Layer::MaxPool2d(_) => "maxpool",
+                Layer::LabelSelect(_) => "argmax",
+            };
+            assert_eq!(k.kernel, expected, "{name}: layer {}", k.layer);
+        }
+    }
+}
+
+#[test]
+fn im2col_and_direct_plans_name_no_amx_step() {
+    // The benchmark labels its image pools with `Im2col`: an AMX step in
+    // that plan would let an AMX bug agree with its own oracle.
+    for (name, graph) in models() {
+        for backend in PackedBackend::ALL {
+            for strategy in [ConvStrategy::Im2col, ConvStrategy::Direct] {
+                let engine = Engine::new(&graph)
+                    .expect("engine")
+                    .with_strategy(strategy)
+                    .with_packed_backend(backend);
+                assert!(
+                    engine.kernels().iter().all(|k| k.kernel != "amx"),
+                    "{name}: {strategy:?} on {backend:?} plans {:?}",
+                    engine.kernels()
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn unpackable_weights_run_the_byte_window_everywhere() {
     // 4-bit weights fit no pair of sign planes: every conv and dense layer
     // is the byte-window MVTU, on the AVX2 kernel wherever the CPU has it
     // (2 · 255 · 7 fits i16), and every threshold goes to `u8`.
     let graph = topology::lenet(QuantSpec::new(4, 2), 10).expect("builds");
-    let engine = Engine::new(&graph).expect("engine");
+    let engine = Engine::new(&graph)
+        .expect("engine")
+        .with_packed_backend(PackedBackend::Avx512);
     let bytes = bytes_label(engine.packed_backend());
     for (node, k) in graph.iter().zip(engine.kernels()) {
         let expected = match node.layer {
@@ -198,8 +265,16 @@ fn cnv_scratch_holds_no_window_matrix() {
     // channel-major accumulators; what is left is the image, its byte map
     // and two packed maps.
     let cnv = topology::cnv_w2a2_cifar10().expect("builds");
-    let bytes = Engine::new(&cnv).expect("engine").scratch().bytes();
+    let engine = Engine::new(&cnv)
+        .expect("engine")
+        .with_packed_backend(PackedBackend::Avx512);
+    let bytes = engine.scratch().bytes();
     assert!(bytes < 100_000, "CNV scratch grew to {bytes} bytes");
+    // The AMX plan holds two `u8` maps, the tile panels of two passes and
+    // their C tiles, but no window matrix either.
+    let amx = engine.with_packed_backend(PackedBackend::Amx);
+    let bytes = amx.scratch().bytes();
+    assert!(bytes < 200_000, "CNV AMX scratch grew to {bytes} bytes");
 }
 
 #[test]
@@ -207,25 +282,38 @@ fn every_cnv_layer_reports_one_span_under_its_own_name() {
     // The benchmark's traced pass fails on any `nn.layer_us.<layer>` it
     // cannot find, fused thresholds included.
     let cnv = topology::cnv_w2a2_cifar10().expect("builds");
-    let (sink, recorder) = SinkHandle::recorder(256);
-    let engine = Engine::new(&cnv).expect("engine").with_sink(sink);
-    engine
-        .run(&Activations::zeroed(cnv.input_shape()))
-        .expect("runs");
-    let spans: Vec<String> = recorder
-        .drain()
-        .into_iter()
-        .filter_map(|e| match e.kind {
-            EventKind::SpanEnd { name } => Some(name),
-            _ => None,
-        })
-        .collect();
-    let layers: Vec<&str> = spans
-        .iter()
-        .map(|s| s.split('[').next().expect("nonempty"))
-        .collect();
     let names: Vec<&str> = cnv.iter().map(|n| n.name.as_str()).collect();
-    assert_eq!(layers, names);
-    let conv1 = format!("conv1[{}]", bytes_label(engine.packed_backend()));
+    let spans_of = |backend: PackedBackend| {
+        let (sink, recorder) = SinkHandle::recorder(256);
+        let engine = Engine::new(&cnv)
+            .expect("engine")
+            .with_packed_backend(backend)
+            .with_sink(sink);
+        engine
+            .run(&Activations::zeroed(cnv.input_shape()))
+            .expect("runs");
+        let spans: Vec<String> = recorder
+            .drain()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                EventKind::SpanEnd { name } => Some(name),
+                _ => None,
+            })
+            .collect();
+        let layers: Vec<&str> = spans
+            .iter()
+            .map(|s| s.split('[').next().expect("nonempty"))
+            .collect();
+        assert_eq!(layers, names, "{backend:?}");
+        (engine.packed_backend(), spans)
+    };
+    let (backend, spans) = spans_of(PackedBackend::Avx512);
+    let conv1 = format!("conv1[{}]", bytes_label(backend));
     assert!(spans.contains(&conv1), "{spans:?}");
+    // The AMX plan, where it runs: every threshold still its own span.
+    let (backend, spans) = spans_of(PackedBackend::Amx);
+    if backend == PackedBackend::Amx {
+        assert!(spans.contains(&"conv1[amx]".to_string()), "{spans:?}");
+        assert!(spans.contains(&"thresh1".to_string()), "{spans:?}");
+    }
 }
