@@ -468,8 +468,11 @@ enum Step<'g> {
     /// The 2×2/stride-2 max-pool of an AMX plan, on AVX-512 over `u8`.
     #[cfg(target_arch = "x86_64")]
     AmxPool,
-    /// A threshold the preceding MVTU already applied.
+    /// A threshold the preceding packed or byte-window MVTU already applied
+    /// to its packed map.
     Fused,
+    /// A threshold the preceding AMX MVTU already applied to its `u8` codes.
+    AmxFused,
     /// Threshold to `u8`, max-pool in the current representation, or
     /// label-select: run from the node's own layer.
     Plain,
@@ -629,7 +632,7 @@ fn build_plan(
                     }
                     None if std::mem::take(&mut amx_fused) => {
                         sizes.act = sizes.act.max(out.elements());
-                        (Step::Fused, "fused")
+                        (Step::AmxFused, "fused")
                     }
                     None => {
                         sizes.act = sizes.act.max(out.elements());
@@ -1059,7 +1062,8 @@ impl<'g> Engine<'g> {
                     );
                     kind = Kind::Bytes(buf.other());
                 }
-                (Step::Fused, _, Kind::Planes(..) | Kind::Bytes(_)) => {}
+                (Step::Fused, _, Kind::Planes(..)) => {}
+                (Step::AmxFused, _, Kind::Bytes(_)) => {}
                 (Step::Plain, Layer::MultiThreshold(t), Kind::Accum) => {
                     let accums = &accum[..out_shape.elements()];
                     let out = &mut act_a[..out_shape.elements()];
@@ -1867,10 +1871,9 @@ mod tests {
     #[test]
     fn amx_narrow_maps_and_wrapping_tiles_match_direct() {
         // Output maps 3, 5 and 10 wide: every 16-pixel tile wraps rows, and
-        // the last tile of each is partial. Stride 2 and padding take the
-        // byte-by-byte gather; a 40-wide map spans the fast gather's 128
-        // bytes; 1×1 and 5×5 kernels draw a panel row from four and from
-        // one channel.
+        // the last tile of each is partial. Stride 2, padding, a 40-wide map
+        // (its tiles span the fast gather's 128 bytes) and the 1×1 and 5×5
+        // kernels take the byte-by-byte gather.
         for (shape, window) in [
             (TensorShape::new(4, 5, 5), (3, 1, 0)),
             (TensorShape::new(8, 7, 7), (3, 1, 0)),
@@ -2386,6 +2389,43 @@ mod tests {
         }
         engine.intervals = Arc::new(intervals);
         let _ = engine.run(&random_image(g.input_shape(), 1));
+    }
+
+    #[test]
+    fn a_threshold_marked_applied_runs_only_on_its_producers_value() {
+        // A packed MVTU's fused threshold leaves a packed map, an AMX one's a
+        // `u8` code map: each marker meets only its own producer's value.
+        let g = tiny_graph();
+        let image = random_image(g.input_shape(), 3);
+        let refused = |mut engine: Engine<'_>, node: usize, step: Step<'static>| {
+            let mut plan = (*engine.plan).clone();
+            plan[node].step = step;
+            engine.plan = Arc::new(plan);
+            let result = engine.run(&image);
+            assert!(
+                matches!(result, Err(NnError::Unsupported(_))),
+                "node {node}: {result:?}"
+            );
+        };
+        // The `Direct` plan pools a `u8` map after thresh1.
+        let direct = Engine::new(&g)
+            .expect("engine")
+            .with_strategy(ConvStrategy::Direct);
+        let pool = g
+            .iter()
+            .position(|n| matches!(n.layer, Layer::MaxPool2d(_)))
+            .expect("tiny pools");
+        refused(direct, pool, Step::Fused);
+        // The popcount plan's thresh2 follows conv2, which leaves planes.
+        let packed = Engine::new(&g)
+            .expect("engine")
+            .with_packed_backend(PackedBackend::Avx512);
+        let fused = packed
+            .plan
+            .iter()
+            .rposition(|p| matches!(p.step, Step::Fused))
+            .expect("a fused threshold");
+        refused(packed, fused, Step::AmxFused);
     }
 
     #[cfg(debug_assertions)]

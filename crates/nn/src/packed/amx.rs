@@ -11,12 +11,13 @@
 //! layer's windows in the VNNI layout `tdpbsud` reads, `[fan-in / 4][pixel]
 //! [4 bytes]`: a dense layer's input vector is already that for its one
 //! pixel, and a convolution gathers it once per 16-pixel tile into a panel
-//! of `fan-in / 4` rows of 64 bytes. The fast gather takes each input
-//! channel's two 64-byte loads at the tile's first window and permutes them
-//! (`vpermt2b`) into the panel rows of that channel's taps, four channels
-//! (one whole number of panel rows, `kernel²`) at a time; a tile with a
-//! padded window, or whose windows span 128 bytes of a channel plane or
-//! more, is gathered one byte at a time instead.
+//! of `fan-in / 4` rows of 64 bytes. The fast gather, for the 3×3 kernel of
+//! every shipped model, takes each input channel's two 64-byte loads at the
+//! tile's first window and permutes them (`vpermt2b`) into the panel rows of
+//! that channel's taps, four channels (nine whole panel rows) at a time; a
+//! tile of another kernel, with a padded window, or whose windows span 128
+//! bytes of a channel plane or more, is gathered one byte at a time
+//! instead.
 //!
 //! Like [`super::avx2`] and [`super::avx512`], this module re-allows `unsafe`
 //! under the crate root's `deny(unsafe_code)`; the three are the only such
@@ -88,6 +89,10 @@ const ROW: usize = 64;
 const GROUP: usize = 4;
 /// Bytes the fast gather loads per input channel and tile: two zmm.
 const SPAN: usize = 2 * ROW;
+/// The kernel the fast gather takes: every shipped model's.
+const FAST_KERNEL: usize = 3;
+/// Panel rows of one four-channel group of the fast gather's kernel.
+const FAST_ROWS: usize = FAST_KERNEL * FAST_KERNEL;
 /// Bytes an AMX step may read past the end of its input map: the fast
 /// gather's second load, and a dense layer's fan-in rounded up to a dword.
 pub(crate) const SLACK: usize = SPAN;
@@ -199,11 +204,12 @@ struct Window {
     reach: usize,
     /// Per panel row of a four-channel group: byte `4 n + i` is the offset,
     /// from its window's first tap, of the tap that fan-in index `4 r + i`
-    /// of the group reads. Empty when `reach` leaves no room for a tile
-    /// inside [`SPAN`]: then every tile is gathered byte by byte.
+    /// of the group reads. Empty unless the kernel is [`FAST_KERNEL`] and
+    /// `reach` leaves room for a tile inside [`SPAN`]: else every tile is
+    /// gathered byte by byte.
     taps: Vec<[u8; ROW]>,
     /// Per panel row of a group: the bytes that come from each of the
-    /// group's four channels.
+    /// group's four channels. Empty where `taps` is.
     masks: Vec<[u64; GROUP]>,
 }
 
@@ -326,22 +332,23 @@ impl<'g> Layer<'g> {
         }
         let reach = (kernel - 1) * (in_hw.1 + 1);
         let taps = kernel * kernel;
-        let row_bytes = |r: usize| (0..ROW).map(move |b| (b, GROUP * r + b % GROUP));
-        let tap_rows = if reach < SPAN {
-            (0..taps)
-                .map(|r| {
-                    let mut row = [0u8; ROW];
-                    for (b, f) in row_bytes(r) {
-                        let t = f % taps;
-                        row[b] = (t / kernel * in_hw.1 + t % kernel) as u8;
-                    }
-                    row
-                })
-                .collect()
+        let fast = if kernel == FAST_KERNEL && reach < SPAN {
+            taps
         } else {
-            Vec::new()
+            0
         };
-        let masks = (0..taps)
+        let row_bytes = |r: usize| (0..ROW).map(move |b| (b, GROUP * r + b % GROUP));
+        let tap_rows = (0..fast)
+            .map(|r| {
+                let mut row = [0u8; ROW];
+                for (b, f) in row_bytes(r) {
+                    let t = f % taps;
+                    row[b] = (t / kernel * in_hw.1 + t % kernel) as u8;
+                }
+                row
+            })
+            .collect();
+        let masks = (0..fast)
             .map(|r| {
                 let mut masks = [0u64; GROUP];
                 for (b, f) in row_bytes(r) {
@@ -808,9 +815,11 @@ unsafe fn epilogue_pass(
     }
 }
 
-/// The fast gather of one tile: for each four-channel group, each
-/// channel's 128 bytes from `base` in its plane, permuted into the group's
-/// `kernel²` panel rows at the tile's window `offsets`.
+/// The fast gather of one tile of a [`FAST_KERNEL`] window: for each
+/// four-channel group, each channel's 128 bytes from `base` in its plane,
+/// permuted into the group's nine panel rows at the tile's window
+/// `offsets`. Nine taps per channel and four channels per row: a panel row
+/// draws from at most two channels of its group, known per row.
 ///
 /// # Safety
 ///
@@ -822,17 +831,44 @@ unsafe fn gather(w: &Window, input: &[u8], base: usize, offsets: [u8; TILE], pan
         base < w.in_hw.0 * w.in_hw.1,
         "gather base outside the plane"
     );
+    let taps: &[[u8; ROW]; FAST_ROWS] = w.taps[..].try_into().expect("one tap row per panel row");
+    let masks: &[[u64; GROUP]; FAST_ROWS] =
+        w.masks[..].try_into().expect("one mask row per panel row");
     let mut spread = [0u8; ROW];
     for (b, s) in spread.iter_mut().enumerate() {
         *s = offsets[b / GROUP];
     }
     // SAFETY: `spread` is exactly 64 bytes.
     let spread = unsafe { _mm512_loadu_si512(spread.as_ptr().cast()) };
-    match w.kernel {
-        // Every shipped model's kernel: the row loop unrolled, each row's
-        // channels known at compile time.
-        3 => unsafe { gather_rows::<9>(w, input, base, spread, panel) },
-        _ => unsafe { gather_any(w, input, base, spread, panel) },
+    // Every group's rows read the same bytes of their channels' loads.
+    let mut idx = [_mm512_setzero_si512(); FAST_ROWS];
+    for (idx, taps) in idx.iter_mut().zip(taps) {
+        // SAFETY: a tap row is exactly 64 bytes.
+        *idx = _mm512_add_epi8(spread, unsafe { _mm512_loadu_si512(taps.as_ptr().cast()) });
+    }
+    let groups = w.channels.div_ceil(GROUP);
+    for (g, rows) in panel
+        .chunks_exact_mut(FAST_ROWS * ROW)
+        .take(groups)
+        .enumerate()
+    {
+        // SAFETY: as for `gather`.
+        let (lo, hi) = unsafe { load_group(w, input, base, g) };
+        for (r, row) in rows.chunks_exact_mut(ROW).enumerate() {
+            let idx = idx[r];
+            let (a, b) = (GROUP * r / FAST_ROWS, (GROUP * r + GROUP - 1) / FAST_ROWS);
+            let v = if a == b {
+                _mm512_permutex2var_epi8(lo[a], idx, hi[a])
+            } else {
+                let mask = masks[r][a];
+                _mm512_or_si512(
+                    _mm512_maskz_permutex2var_epi8(mask, lo[a], idx, hi[a]),
+                    _mm512_maskz_permutex2var_epi8(!mask, lo[b], idx, hi[b]),
+                )
+            };
+            // SAFETY: `row` is exactly 64 bytes.
+            unsafe { _mm512_storeu_si512(row.as_mut_ptr().cast(), v) };
+        }
     }
 }
 
@@ -864,77 +900,6 @@ unsafe fn load_group(
         }
     }
     (lo, hi)
-}
-
-/// The fast gather of a kernel of `ROWS` taps (`ROWS ≥ 4`, so a panel row
-/// draws from at most two channels of its group).
-///
-/// # Safety
-///
-/// As [`gather`], for `ROWS == kernel²`.
-#[inline]
-#[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
-unsafe fn gather_rows<const ROWS: usize>(
-    w: &Window,
-    input: &[u8],
-    base: usize,
-    spread: __m512i,
-    panel: &mut [u8],
-) {
-    let taps: &[[u8; ROW]; ROWS] = w.taps[..].try_into().expect("one tap row per panel row");
-    let masks: &[[u64; GROUP]; ROWS] = w.masks[..].try_into().expect("one mask row per panel row");
-    // Every group's rows read the same bytes of their channels' loads.
-    let mut idx = [_mm512_setzero_si512(); ROWS];
-    for (idx, taps) in idx.iter_mut().zip(taps) {
-        // SAFETY: a tap row is exactly 64 bytes.
-        *idx = _mm512_add_epi8(spread, unsafe { _mm512_loadu_si512(taps.as_ptr().cast()) });
-    }
-    let groups = w.channels.div_ceil(GROUP);
-    for (g, rows) in panel.chunks_exact_mut(ROWS * ROW).take(groups).enumerate() {
-        // SAFETY: as for `gather`.
-        let (lo, hi) = unsafe { load_group(w, input, base, g) };
-        for (r, row) in rows.chunks_exact_mut(ROW).enumerate() {
-            let idx = idx[r];
-            let (a, b) = (GROUP * r / ROWS, (GROUP * r + GROUP - 1) / ROWS);
-            let v = if a == b {
-                _mm512_permutex2var_epi8(lo[a], idx, hi[a])
-            } else {
-                let mask = masks[r][a];
-                _mm512_or_si512(
-                    _mm512_maskz_permutex2var_epi8(mask, lo[a], idx, hi[a]),
-                    _mm512_maskz_permutex2var_epi8(!mask, lo[b], idx, hi[b]),
-                )
-            };
-            // SAFETY: `row` is exactly 64 bytes.
-            unsafe { _mm512_storeu_si512(row.as_mut_ptr().cast(), v) };
-        }
-    }
-}
-
-/// The fast gather of any kernel: a panel row draws from every channel of
-/// its group that its mask names.
-///
-/// # Safety
-///
-/// As [`gather`].
-#[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
-unsafe fn gather_any(w: &Window, input: &[u8], base: usize, spread: __m512i, panel: &mut [u8]) {
-    let rows = w.group_rows();
-    let groups = w.channels.div_ceil(GROUP);
-    for (g, rows) in panel.chunks_exact_mut(rows * ROW).take(groups).enumerate() {
-        // SAFETY: as for `gather`.
-        let (lo, hi) = unsafe { load_group(w, input, base, g) };
-        for ((taps, masks), row) in w.taps.iter().zip(&w.masks).zip(rows.chunks_exact_mut(ROW)) {
-            // SAFETY: `taps` is exactly 64 bytes.
-            let idx = _mm512_add_epi8(spread, unsafe { _mm512_loadu_si512(taps.as_ptr().cast()) });
-            let mut v = _mm512_setzero_si512();
-            for (c, &mask) in masks.iter().enumerate().filter(|(_, &m)| m != 0) {
-                v = _mm512_or_si512(v, _mm512_maskz_permutex2var_epi8(mask, lo[c], idx, hi[c]));
-            }
-            // SAFETY: `row` is exactly 64 bytes.
-            unsafe { _mm512_storeu_si512(row.as_mut_ptr().cast(), v) };
-        }
-    }
 }
 
 /// Thresholds (or stores) one C tile: rows `m0..m0 + rows` of `acc`, each
@@ -1162,6 +1127,40 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn only_3x3_windows_that_fit_the_span_plan_the_fast_gather() {
+        // (kernel, input width): a 3×3 window over a 30-wide map reaches
+        // 62 bytes past its first tap; over a 63-wide one 128, past the two
+        // loads; 1×1 and 5×5 kernels are gathered byte by byte.
+        for (kernel, width, fast) in [
+            (3, 30, true),
+            (3, 40, true),
+            (3, 63, false),
+            (1, 8, false),
+            (5, 9, false),
+        ] {
+            let channels = 4;
+            let weights = vec![1i8; 2 * channels * kernel * kernel];
+            let out = width - kernel + 1;
+            let layer = Layer::conv(
+                &weights,
+                2,
+                channels,
+                (width, width),
+                (kernel, 1, 0),
+                (out, out),
+            );
+            let window = layer.window.as_ref().expect("a windowed layer");
+            assert_eq!(
+                !window.taps.is_empty(),
+                fast,
+                "kernel {kernel}, width {width}"
+            );
+            assert_eq!(window.taps.len(), window.masks.len());
+            assert_eq!(window.fast_tile(0, TILE.min(out * out)).is_some(), fast);
         }
     }
 

@@ -153,9 +153,10 @@ fn auto_plan_ignores_the_retired_env_knobs_and_repeats() {
 
 /// Bit-identity cannot see a probe that silently falls back (a misspelled
 /// feature string computes correctly on the next backend down), so on a
-/// CPU whose kernel-reported flags name the AVX-512 popcount the default
-/// must be the AVX-512 kernel, conv2 through fc3, and conv1 the AVX2 byte
-/// kernel.
+/// CPU whose kernel-reported flags name the AVX-512 popcount the Avx512
+/// backend must be in effect and plan the AVX-512 kernel, conv2 through
+/// fc3, and conv1 the AVX2 byte kernel; the default may be the AMX rung
+/// above it (`amx_cpus_plan_the_amx_kernel`).
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 #[test]
 fn avx512_cpus_plan_the_avx512_kernel() {
